@@ -2,33 +2,12 @@ GO ?= go
 
 .PHONY: tier1 build vet test race bench chaos soak serve crash govern scenarios endurance cache lint
 
-# tier1 is the gate every change must pass: clean build, vet, the full
-# test suite under the race detector, and explicit runs of the
-# concurrent-serving soak, the crash-recovery regression, the
-# parallel-tuning determinism and concurrent what-if costing regressions,
-# the morsel-engine determinism regressions, the governance regressions
-# (cancellation storm, panic isolation), and the overload-plane
-# regressions (hedge digest identity, breaker half-open contention,
-# quota fairness, pool storm, retry budgets), and the integrity-plane
-# regressions (self-healing repair, quarantine tombstones, audit
-# byte-identity, scrub-during-reorganize, scrub-during-recovery), and
-# the reuse-plane regressions (cache-hit digest identity, invalidation
-# edges, piggybacking, disabled byte-identity) — all race-enabled.
+# tier1 is the gate every change must pass: clean build, vet, and the
+# full test suite under the race detector.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestServeSoak|TestServeMatchesSequentialRun|TestConcurrentWhatIfCostingDuringSoak|TestCancelFreesWorkersWithinBound|TestWorkerPanicIsolation|TestMetricsGovernanceCounters' -count 1 ./internal/serve/
-	$(GO) test -race -run 'TestBreakerHalfOpenContention|TestQuotaWeightedFairness|TestQuotaShedsAreTenantScoped|TestAdaptiveLimiter|TestOverloadPlaneDisabledIsNoOp' -count 1 ./internal/serve/
-	$(GO) test -race -run 'TestRecoverPerCrashSite|TestCleanShutdownByteIdentity|TestServeResumesOnRecoveredSystem|TestStateDigestIdenticalAcrossTuneWorkers|TestStateDigestIdenticalAcrossExecWorkers' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestHedgeDigestIdentity|TestHedgeDisabledIsStrictNoOp|TestRetryBudgetCapsRecovery' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestAuditRepairsCorruptView|TestQuarantineTombstoneBlocksCapture|TestEvictThenQuarantineNoLRURetention|TestAuditCleanRunByteIdentity' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestScrubDuringReorganize|TestScrubDuringRecovery|TestBackgroundScrubberUnderLoad' -count 1 ./internal/audit/
-	$(GO) test -race -run 'TestReuse' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestPlanHashZeroAlloc|TestFlightPiggyback|TestCacheHitMissAndDigestVerify' -count 1 ./internal/mqo/
-	$(GO) test -race -run 'TestPoolStorm' -count 1 ./internal/govern/
-	$(GO) test -race -run 'TestTuneDeterministicAcrossWorkerCounts' -count 1 ./internal/core/
-	$(GO) test -race -run 'TestMorselEngineByteIdenticalToSerial|TestMorselEngineFullWorkloadDigest|TestSortFullRowTieBreak' -count 1 ./internal/exec/
 
 build:
 	$(GO) build ./...
@@ -43,31 +22,30 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the reproducible benchmark pipelines — the tuner pipeline
-# (what-if costing at several worker counts against the in-repo
-# BaselineCosting path, the knapsack DP, a short serving soak) and the
-# exec pipeline (morsel engine vs the legacy serial engine, per operator
-# and end-to-end, digest-checked) — writing the machine-readable reports
-# CI uploads as artifacts, then the package micro-benchmarks.
+# (what-if costing at several worker counts, the knapsack DP, a short
+# serving soak) and the governance pipeline — writing the
+# machine-readable reports CI uploads as artifacts, then the package
+# micro-benchmarks. The end-to-end benchmark is its own module: bash
+# bench/run.sh.
 bench:
-	$(GO) run ./cmd/misobench -bench -scale small -benchout BENCH_tuner.json
-	$(GO) run ./cmd/misobench -benchexec -scale small -benchexecout BENCH_exec.json
-	$(GO) run ./cmd/misobench -benchgov -scale small -benchgovout BENCH_governance.json
+	$(GO) run ./cmd/misobench -mode bench -scale small -benchout BENCH_tuner.json
+	$(GO) run ./cmd/misobench -mode benchgov -scale small -benchgovout BENCH_governance.json
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/
 
 chaos:
-	$(GO) run ./cmd/misobench -chaos -scale small
+	$(GO) run ./cmd/misobench -mode chaos -scale small
 
 soak:
 	$(GO) test -race -run 'TestServeSoak' -count 1 -v ./internal/serve/
 
 serve:
-	$(GO) run ./cmd/misobench -serve -scale small
+	$(GO) run ./cmd/misobench -mode serve -scale small
 
 crash:
-	$(GO) run ./cmd/misobench -crash -scale small
+	$(GO) run ./cmd/misobench -mode crash -scale small
 
 govern:
-	$(GO) run ./cmd/misobench -benchgov -scale small
+	$(GO) run ./cmd/misobench -mode benchgov -scale small
 
 # endurance runs the long-horizon adversarial endurance harness:
 # closed-loop tenants with think time, bit-rot injection (SiteViewRot),
@@ -80,7 +58,7 @@ endurance:
 # Zipf skew, diurnal shift, drift burst, ETL storm, DW brownout) and
 # fails if any scenario misses its acceptance checks.
 scenarios:
-	$(GO) run ./cmd/misobench -scenarios -scale small
+	$(GO) run ./cmd/misobench -mode scenarios -scale small
 
 # cache runs the cross-query reuse soak (semantic result cache +
 # shared-flight piggybacking vs cold execution) and fails unless reuse

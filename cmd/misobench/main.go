@@ -1,25 +1,23 @@
 // Command misobench regenerates the tables and figures of the paper's
 // evaluation section plus the extension pipelines. Every experiment is a
 // named mode in one registry: -modes lists them, -mode runs any set of
-// them, and the legacy spelling flags (-fig, -table, -chaos, ...) remain
-// as shorthands for the same names.
+// them, and -all runs the paper's figures and tables.
 //
 // Usage:
 //
 //	misobench -modes                     # list every mode and its artifact
 //	misobench -mode fig4,scenarios       # run any modes by name
-//	misobench -fig 4                     # Figure 4 (five-variant TTI comparison)
-//	misobench -fig 3.2                   # the Section 3.2 two-query experiment
-//	misobench -table 2                   # Table 2 (mutual impact)
+//	misobench -mode fig4                 # Figure 4 (five-variant TTI comparison)
+//	misobench -mode fig3.2               # the Section 3.2 two-query experiment
+//	misobench -mode table2               # Table 2 (mutual impact)
 //	misobench -all -scale small          # every paper figure/table, quickly
-//	misobench -chaos                     # fault-injection sweep (extension)
-//	misobench -crash                     # crash-recovery sweep (durability extension)
-//	misobench -serve -scale small -sessions 8 -workers 4    # concurrent soak
-//	misobench -bench -benchout BENCH_tuner.json             # benchmark pipeline
-//	misobench -benchexec -benchexecout BENCH_exec.json      # exec engine benchmarks
-//	misobench -benchgov -benchgovout BENCH_governance.json  # governance pipeline
-//	misobench -scenarios                 # overload scenario matrix -> BENCH_scenarios.json
-//	misobench -endurance                 # adversarial endurance harness -> BENCH_endurance.json
+//	misobench -mode chaos                # fault-injection sweep (extension)
+//	misobench -mode crash                # crash-recovery sweep (durability extension)
+//	misobench -mode serve -scale small -sessions 8 -workers 4    # concurrent soak
+//	misobench -mode bench -benchout BENCH_tuner.json             # benchmark pipeline
+//	misobench -mode benchgov -benchgovout BENCH_governance.json  # governance pipeline
+//	misobench -mode scenarios            # overload scenario matrix -> BENCH_scenarios.json
+//	misobench -mode endurance            # adversarial endurance harness -> BENCH_endurance.json
 //	misobench -mode cache -scale small   # cross-query reuse soak -> BENCH_cache.json
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles covering
@@ -50,47 +48,40 @@ type mode struct {
 }
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3, 3.2, 4, 5, 6, 7, 8, 9, or 'order' (extension)")
-	table := flag.String("table", "", "table to regenerate: 2")
 	all := flag.Bool("all", false, "regenerate every paper figure and table")
 	listModes := flag.Bool("modes", false, "list every registered mode and exit")
 	modeList := flag.String("mode", "", "comma-separated mode names to run (see -modes)")
 	scale := flag.String("scale", "paper", "dataset scale: paper or small")
-	chaos := flag.Bool("chaos", false, "run the fault-injection sweep (robustness extension; not part of -all)")
-	crash := flag.Bool("crash", false, "run the crash-recovery sweep (durability extension; not part of -all)")
 	faultRate := flag.Float64("faultrate", 0, "uniform fault-injection rate applied to every experiment (0 disables)")
 	faultSeed := flag.Int64("faultseed", 42, "seed for the deterministic fault injector")
-	serveSoak := flag.Bool("serve", false, "run the concurrent-serving soak (robustness extension; not part of -all)")
 	sessions := flag.Int("sessions", 8, "soak: concurrent client sessions")
 	squeries := flag.Int("squeries", 32, "soak: queries per session (cycles the 32-query workload)")
 	workers := flag.Int("workers", 4, "soak: serving worker pool size")
 	queue := flag.Int("queue", 0, "soak: admission queue depth (0 = twice the workers)")
 	timeout := flag.Duration("timeout", 0, "soak: per-query wall-clock deadline (0 disables)")
 	reorgEvery := flag.Int("reorgevery", 0, "soak: force an online reorganization every n submissions (0 disables)")
-	bench := flag.Bool("bench", false, "run the benchmark pipeline (tuner, knapsack, serving; not part of -all)")
 	benchOut := flag.String("benchout", "", "benchmark pipeline: also write the machine-readable JSON report to this file")
-	benchExec := flag.Bool("benchexec", false, "run the exec benchmark pipeline (morsel engine vs serial baseline; not part of -all)")
-	benchExecOut := flag.String("benchexecout", "", "exec benchmark pipeline: also write the machine-readable JSON report to this file")
-	execGate := flag.Bool("execgate", false, "exec benchmark pipeline: exit nonzero unless every per-operator workers=4 row matches the serial digest and runs at speedup >= 1.0")
-	benchGov := flag.Bool("benchgov", false, "run the governance pipeline (cancellation storm, panic containment, memory budgets; not part of -all)")
 	benchGovOut := flag.String("benchgovout", "", "governance pipeline: also write the machine-readable JSON report to this file")
-	scenarios := flag.Bool("scenarios", false, "run the overload scenario matrix (flash crowd, tenant skew, diurnal, drift, ETL storm, DW brownout; not part of -all)")
 	scenariosOut := flag.String("scenariosout", "BENCH_scenarios.json", "scenario matrix: write the machine-readable JSON report to this file ('' disables)")
 	phaseDur := flag.Duration("phasedur", 0, "scenario matrix: duration of each load phase (0 = default)")
 	cacheSessions := flag.Int("cachesessions", 0, "cache soak: concurrent client sessions (0 = default 4)")
 	cacheRounds := flag.Int("cacherounds", 0, "cache soak: workload passes per session (0 = default 3)")
 	cacheOut := flag.String("cacheout", "BENCH_cache.json", "cache soak: write the machine-readable JSON report to this file ('' disables)")
-	endurance := flag.Bool("endurance", false, "run the long-horizon adversarial endurance harness (integrity extension; not part of -all)")
 	enduranceOut := flag.String("enduranceout", "BENCH_endurance.json", "endurance harness: write the machine-readable JSON report to this file ('' disables)")
 	enduranceTenants := flag.Int("endurancetenants", 0, "endurance: closed-loop client/tenant population (0 = default 200)")
 	enduranceReorgs := flag.Int("endurancereorgs", 0, "endurance: reorganization-cycle horizon (0 = default 3)")
 	enduranceQueries := flag.Int("endurancequeries", 0, "endurance: served-query horizon (0 = default 150)")
 	enduranceDur := flag.Duration("endurancedur", 0, "endurance: wall-clock cap (0 = default 3m)")
 	tuneWorkers := flag.Int("tuneworkers", 0, "tuner what-if worker pool size for all experiments (<= 1 keeps costing serial)")
-	execWorkers := flag.Int("execworkers", 0, "execution engine for all experiments: 0 = morsel engine at GOMAXPROCS, n = n morsel workers, -1 = legacy serial engine")
+	execWorkers := flag.Int("execworkers", 0, "execution worker pool size for all experiments: 0 = GOMAXPROCS, n = n workers")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
+	if *execWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -execworkers: must be >= 0\n", *execWorkers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := experiments.Default()
 	if *scale == "small" {
@@ -230,23 +221,6 @@ func main() {
 			r.WriteText(os.Stdout)
 			return writeJSON(*benchOut, r.WriteJSON)
 		}},
-		{"benchexec", "exec benchmark pipeline: morsel engine vs serial baseline", "BENCH_exec.json", func() error {
-			r, err := experiments.BenchExec(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			if err := writeJSON(*benchExecOut, r.WriteJSON); err != nil {
-				return err
-			}
-			if *execGate {
-				if err := experiments.GateExec(r); err != nil {
-					return err
-				}
-				fmt.Println("benchexec gate: every operator at speedup >= 1.0 with matching digests")
-			}
-			return nil
-		}},
 		{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", func() error {
 			r, err := experiments.BenchGovern(cfg)
 			if err != nil {
@@ -367,7 +341,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Resolve the legacy spelling flags and -mode into registry names.
+	// Resolve -all and -mode into registry names.
 	targets := map[string]bool{}
 	want := func(name string) {
 		if _, ok := byName[name]; !ok {
@@ -380,25 +354,6 @@ func main() {
 			want(t)
 		}
 	}
-	if *fig != "" {
-		name := "fig" + *fig
-		if *fig == "order" {
-			name = "order"
-		}
-		want(name)
-	}
-	if *table != "" {
-		want("table" + *table)
-	}
-	for f, name := range map[*bool]string{
-		chaos: "chaos", crash: "crash", serveSoak: "serve",
-		bench: "bench", benchExec: "benchexec", benchGov: "benchgov",
-		scenarios: "scenarios", endurance: "endurance",
-	} {
-		if *f {
-			want(name)
-		}
-	}
 	if *modeList != "" {
 		for _, name := range strings.Split(*modeList, ",") {
 			name = strings.TrimSpace(name)
@@ -409,7 +364,7 @@ func main() {
 		}
 	}
 	if len(targets) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing to do; pass -mode, -fig, -table or -all (see -modes and -h)")
+		fmt.Fprintln(os.Stderr, "nothing to do; pass -mode or -all (see -modes and -h)")
 		os.Exit(2)
 	}
 

@@ -1,0 +1,63 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests below re-execute this test binary as the
+// command itself: with MISO_RUN_MAIN set it runs main() on the given
+// arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("MISO_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args and returns its exit code and what
+// it printed.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MISO_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if cmd.ProcessState == nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// TestNegativeExecWorkersIsUsageError: -execworkers < 0 once selected a
+// serial engine; it must now be rejected at the flag, not clamped to one
+// worker further down.
+func TestNegativeExecWorkersIsUsageError(t *testing.T) {
+	code, out := runMain(t, "-mode", "fig4", "-scale", "small", "-execworkers", "-1")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2; output:\n%s", code, out)
+	}
+	if !strings.Contains(out, "-execworkers") || !strings.Contains(out, "Usage") {
+		t.Fatalf("output lacks a usage error naming -execworkers:\n%s", out)
+	}
+}
+
+// TestRemovedSpellingsAreUsageErrors: the shorthand flags that duplicated
+// -mode are gone, so the flag package rejects each with its usage error.
+func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "4"}, {"-table", "2"}, {"-chaos"}, {"-crash"}, {"-serve"}, {"-bench"},
+		{"-benchexec"}, {"-benchgov"}, {"-scenarios"}, {"-endurance"},
+		{"-benchexecout", "x.json"}, {"-execgate"},
+	} {
+		code, out := runMain(t, args...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit code %d, output:\n%s", args, code, out)
+		}
+	}
+	if code, out := runMain(t, "-mode", "benchexec"); code != 2 || !strings.Contains(out, "unknown mode") {
+		t.Errorf("-mode benchexec: exit code %d, output:\n%s", code, out)
+	}
+}

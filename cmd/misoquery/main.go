@@ -38,10 +38,15 @@ func main() {
 	ckptEvery := flag.Int("checkpointevery", 0, "journal design mutations and checkpoint full state every n operations (0 disables the durability plane)")
 	reuse := flag.Bool("reuse", false, "enable the cross-query reuse plane (semantic result cache + shared-flight piggybacking); repeats of the same query over unchanged logs are served from cache")
 	cacheBytes := flag.Int64("cachebytes", 0, "with -reuse: result cache capacity in bytes (0 = default 64 MiB)")
-	execWorkers := flag.Int("execworkers", 0, "execution engine: 0 = morsel engine at GOMAXPROCS, n = n morsel workers, -1 = legacy serial engine")
+	execWorkers := flag.Int("execworkers", 0, "execution worker pool size: 0 = GOMAXPROCS, n = n workers")
 	auditFlag := flag.Bool("audit", false, "run a one-shot foreground integrity audit (standalone, or after the query when -sql/-name is given); exits 3 on violation")
 	auditRepair := flag.Bool("auditrepair", false, "with -audit: self-heal corrupt views by recomputation instead of only reporting")
 	flag.Parse()
+	if *execWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -execworkers: must be >= 0\n", *execWorkers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	query := *sql
 	if *name != "" {

@@ -52,33 +52,29 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 // benefits, interactions, sparsification, and both knapsacks — over a
 // 6-query window with a realistic view universe. The paper's claim is that
 // tuning is lightweight relative to query execution; this quantifies the
-// computational side of that claim. The baseline sub-benchmark runs the
-// original serial costing path (Config.BaselineCosting); the workers=N
-// variants run the current path at that pool size.
+// computational side of that claim at each what-if pool size, and checks
+// every measured decision against the committed golden.
 func BenchmarkTunerReorganization(b *testing.B) {
 	cfg, opt, win, cur := benchTunerSetup(b)
-	run := func(b *testing.B, cfg Config) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// A fresh tuner per iteration: the cost cache is part of the
-			// work being measured.
-			tuner := NewTuner(cfg, opt)
-			if _, err := tuner.Tune(cur, win); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(cur.HV.Len()), "candidate-views")
-	}
-	b.Run("baseline", func(b *testing.B) {
-		c := cfg
-		c.BaselineCosting = true
-		run(b, c)
-	})
+	want := tuneGolden(b)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := cfg
 			c.TuneWorkers = w
-			run(b, c)
+			b.ReportAllocs()
+			var r *Reorg
+			for i := 0; i < b.N; i++ {
+				// A fresh tuner per iteration: the cost cache is part of
+				// the work being measured.
+				var err error
+				if r, err = NewTuner(c, opt).Tune(cur, win); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := reorgFingerprint(r); got != want {
+				b.Fatalf("reorganization diverged from testdata/tune_reorg.golden:\n got %s\nwant %s", got, want)
+			}
+			b.ReportMetric(float64(cur.HV.Len()), "candidate-views")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -26,11 +27,25 @@ func reorgFingerprint(r *Reorg) string {
 		names(r.MoveToDW), names(r.MoveToHV), names(r.DropHV), r.TransferBytes)
 }
 
+// tuneGolden reads the committed fingerprint of the reorganization
+// benchTunerSetup's window must produce. It was recorded from the
+// original costing path (Config.BaselineCosting, since deleted), which
+// shared no cache, memo or rewrite with the path Tune uses now; DESIGN.md
+// §11 says how to regenerate it.
+func tuneGolden(t testing.TB) string {
+	t.Helper()
+	b, err := os.ReadFile("testdata/tune_reorg.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(string(b))
+}
+
 // TestTuneDeterministicAcrossWorkerCounts regresses the tentpole
 // determinism guarantee: the parallel what-if workers only warm a pure
 // cost cache, and every accumulation runs serially in a fixed order, so
-// Tune's output must be identical at any worker count — including the
-// BaselineCosting path, which shares no caches with the parallel one.
+// Tune's output must be identical at any worker count — and equal to the
+// golden recorded from the original costing path.
 func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg, opt, win, cur := benchTunerSetup(t)
 	if n := cur.HV.Len(); n < 12 {
@@ -40,23 +55,18 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 	tune := func(c Config) string {
 		r, err := NewTuner(c, opt).Tune(cur, win)
 		if err != nil {
-			t.Fatalf("tune (workers=%d baseline=%v): %v", c.TuneWorkers, c.BaselineCosting, err)
+			t.Fatalf("tune (workers=%d): %v", c.TuneWorkers, err)
 		}
 		return reorgFingerprint(r)
 	}
 
-	want := tune(cfg) // TuneWorkers zero: fully serial
-	for _, w := range []int{1, 2, 8} {
+	want := tuneGolden(t)
+	for _, w := range []int{0, 1, 2, 8} { // zero: fully serial
 		c := cfg
 		c.TuneWorkers = w
 		if got := tune(c); got != want {
-			t.Errorf("workers=%d diverged:\n got %s\nwant %s", w, got, want)
+			t.Errorf("workers=%d diverged from testdata/tune_reorg.golden:\n got %s\nwant %s", w, got, want)
 		}
-	}
-	c := cfg
-	c.BaselineCosting = true
-	if got := tune(c); got != want {
-		t.Errorf("BaselineCosting diverged:\n got %s\nwant %s", got, want)
 	}
 }
 

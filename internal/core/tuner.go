@@ -10,9 +10,7 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -70,13 +68,6 @@ type Config struct {
 	// a fixed (entry, pair) order, so float64 rounding never depends on
 	// scheduling.
 	TuneWorkers int
-
-	// BaselineCosting restores the original serial costing path — a
-	// string-keyed unsharded cost cache, per-view relevance plan walks,
-	// and no match memoization — and ignores TuneWorkers. It exists so
-	// the benchmark pipeline can record the speedup baseline in-repo;
-	// designs are identical either way.
-	BaselineCosting bool
 }
 
 // DefaultConfig returns paper-like tuning knobs (budgets must still be set
@@ -94,9 +85,8 @@ type Tuner struct {
 	cfg Config
 	opt *optimizer.Optimizer
 
-	cache  *costCache
-	memo   *views.MatchMemo
-	legacy map[string]float64 // BaselineCosting's string-keyed cache
+	cache *costCache
+	memo  *views.MatchMemo
 
 	// Debug, when set, receives the knapsack candidates and the chosen
 	// DW/HV items after each Tune call (used by tests and diagnostics).
@@ -108,12 +98,7 @@ func NewTuner(cfg Config, opt *optimizer.Optimizer) *Tuner {
 	if cfg.MaxPartSize <= 0 {
 		cfg.MaxPartSize = 4
 	}
-	return &Tuner{
-		cfg: cfg, opt: opt,
-		cache:  newCostCache(),
-		memo:   views.NewMatchMemo(),
-		legacy: map[string]float64{},
-	}
+	return &Tuner{cfg: cfg, opt: opt, cache: newCostCache(), memo: views.NewMatchMemo()}
 }
 
 // CacheStats reports the what-if cost cache's cumulative hit and miss
@@ -184,9 +169,6 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 	entries := w.Entries()
 	weights := w.Weights()
 	workers := t.cfg.TuneWorkers
-	if t.cfg.BaselineCosting {
-		workers = 1
-	}
 
 	// Serially prewarm every window plan's node signatures: Signature
 	// memoizes lazily into the node, a write that must not first happen
@@ -204,20 +186,10 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 	// exactly one task and the per-entry view order follows the sorted
 	// universe, keeping the result identical at any worker count.
 	relevant := make([][]*views.View, len(entries))
-	if t.cfg.BaselineCosting {
-		for i, e := range entries {
-			for _, v := range universe {
-				if viewRelevant(e.Plan, v) {
-					relevant[i] = append(relevant[i], v)
-				}
-			}
-		}
-	} else {
-		if err := runParallel(workers, "tuner relevant-views", len(entries), func(i int) {
-			relevant[i] = relevantViews(entries[i].Plan, universe)
-		}); err != nil {
-			return nil, err
-		}
+	if err := runParallel(workers, "tuner relevant-views", len(entries), func(i int) {
+		relevant[i] = relevantViews(entries[i].Plan, universe)
+	}); err != nil {
+		return nil, err
 	}
 
 	// Warm the cost cache by fanning every what-if probe — per-entry
@@ -380,9 +352,6 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 // and the hypothetical Design is only assembled on a miss. Safe for
 // concurrent use once the entry plans' signatures are prewarmed.
 func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
-	if t.cfg.BaselineCosting {
-		return t.baselineCost(e, hvViews, dwViews)
-	}
 	key := costKey{seq: e.Seq, hv: viewSetHash(hvViews), dw: viewSetHash(dwViews)}
 	if c, ok := t.cache.get(key); ok {
 		return c
@@ -402,43 +371,6 @@ func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
 	c := t.opt.Cost(e.Plan, d)
 	t.cache.put(key, c)
 	return c
-}
-
-// baselineCost is the original costing path, kept for the benchmark
-// pipeline's speedup baseline: a string key freshly built (and sorted) per
-// probe, a single unsharded map, and no match memoization.
-func (t *Tuner) baselineCost(e history.Entry, hvViews, dwViews []*views.View) float64 {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "q%d|h:", e.Seq)
-	for _, v := range sortedByName(hvViews) {
-		sb.WriteString(v.Name)
-		sb.WriteByte(',')
-	}
-	sb.WriteString("|d:")
-	for _, v := range sortedByName(dwViews) {
-		sb.WriteString(v.Name)
-		sb.WriteByte(',')
-	}
-	key := sb.String()
-	if c, ok := t.legacy[key]; ok {
-		return c
-	}
-	d := optimizer.EmptyDesign()
-	for _, v := range hvViews {
-		d.HV.Add(v)
-	}
-	for _, v := range dwViews {
-		d.DW.Add(v)
-	}
-	c := t.opt.CostBaseline(e.Plan, d)
-	t.legacy[key] = c
-	return c
-}
-
-func sortedByName(vs []*views.View) []*views.View {
-	out := append([]*views.View(nil), vs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // probe is one independent what-if cost task.
@@ -558,22 +490,6 @@ func relevantViews(plan *logical.Node, universe []*views.View) []*views.View {
 		}
 	}
 	return rel
-}
-
-// viewRelevant reports whether v matches some node of the plan. Tune uses
-// the batched relevantViews instead; this single-view form serves tests
-// and diagnostics.
-func viewRelevant(plan *logical.Node, v *views.View) bool {
-	found := false
-	plan.Walk(func(n *logical.Node) {
-		if found {
-			return
-		}
-		if _, ok := views.MatchNode(n, v); ok {
-			found = true
-		}
-	})
-	return found
 }
 
 func pairKey(a, b string) [2]string {

@@ -45,10 +45,9 @@ type Config struct {
 	// IndexSelectivityFloor bounds how much an index scan can skip; the
 	// loader builds an index on each permanent view's leading column.
 	IndexSelectivityFloor float64
-	// ExecWorkers selects the execution engine (exec.Env.Workers
-	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
-	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
-	// legacy serial engine. Results are byte-identical at every setting.
+	// ExecWorkers bounds the execution engine's worker pool
+	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
+	// n workers. Results are byte-identical at every setting.
 	ExecWorkers int
 }
 
@@ -237,16 +236,6 @@ func (s *Store) CostPlanWith(plan *logical.Node, overlay map[string]stats.Stat) 
 		b := s.est.EstimateWith(n, overlay).Bytes
 		sizes[n] = b
 		return b
-	})
-}
-
-// CostPlanBaseline costs like CostPlanWith but re-estimates each subtree
-// at every appearance instead of memoizing sizes per call — the original
-// cost walk, kept so the benchmark pipeline can record the tuner's
-// speedup baseline in-repo. Both variants compute identical costs.
-func (s *Store) CostPlanBaseline(plan *logical.Node, overlay map[string]stats.Stat) float64 {
-	return s.costFromSizes(plan, func(n *logical.Node) int64 {
-		return s.est.EstimateWith(n, overlay).Bytes
 	})
 }
 

@@ -107,66 +107,6 @@ func emptyGlobalAggRow(n *logical.Node, out *storage.Table) *storage.Table {
 	return out
 }
 
-func runAggregate(n *logical.Node, in *storage.Table) (*storage.Table, error) {
-	groupEvals := make([]expr.Compiled, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		c, err := expr.Compile(g.Expr, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		groupEvals[i] = c
-	}
-	argEvals, err := compileAggArgs(n, in.Schema)
-	if err != nil {
-		return nil, err
-	}
-
-	type group struct {
-		key    storage.Row
-		states []*aggState
-	}
-	groups := map[string]*group{}
-	var order []string // deterministic output order: first-seen
-	var keyBuf []byte
-
-	for _, row := range in.Rows {
-		keyBuf = keyBuf[:0]
-		keyVals := make(storage.Row, len(groupEvals))
-		for i, g := range groupEvals {
-			keyVals[i] = g(row)
-			keyBuf = appendTaggedKey(keyBuf, keyVals[i])
-			keyBuf = append(keyBuf, 0)
-		}
-		k := string(keyBuf)
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{key: keyVals, states: newAggStates(n.Aggs)}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		accumulateRow(n.Aggs, grp.states, argEvals, row)
-	}
-
-	out := newOutput(n, in)
-	if len(order) == 0 && len(n.GroupBy) == 0 {
-		return emptyGlobalAggRow(n, out), nil
-	}
-	for _, k := range order {
-		grp := groups[k]
-		row := make(storage.Row, 0, n.Schema().Len())
-		row = append(row, grp.key...)
-		for i, a := range n.Aggs {
-			v, err := finishAgg(a, grp.states[i])
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.MustAppend(row)
-	}
-	return out, nil
-}
-
 // groupColIndexes resolves every group expression to its input column
 // index when all of them are bare column references — the common case — or
 // returns nil otherwise. A global aggregate (no GROUP BY) resolves to an
@@ -197,7 +137,7 @@ func groupColIndexes(groupBy []logical.Proj, schema *storage.Schema) []int {
 // global input order, so every group accumulates exactly as it would
 // serially — float sums associate identically. Group lookup is a single
 // integer-keyed probe on the precomputed hash with value-wise collision
-// verification (the same kind-tagged relation the serial engine's
+// verification (the same kind-tagged relation the reference operators'
 // tagged-key strings induce), instead of rebuilding a key string per row.
 // Phase 3 merges groups ordered by first-seen input row, recovering the
 // serial engine's first-seen output order.

@@ -5,7 +5,7 @@
 // projected rows only for survivors, and feeds the aggregate's hash phase
 // directly — no intermediate Table per operator. Outputs stay
 // byte-identical to running the operators one at a time (and therefore to
-// the serial engine): morsel boundaries are fixed by the source input,
+// the reference operators): morsel boundaries are fixed by the source input,
 // survivors keep global input order, and the aggregate's partitions visit
 // rows in that order.
 //
@@ -335,7 +335,7 @@ func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storag
 
 // finishFusedAggregate runs phases 2 and 3 of the fused aggregate: per-
 // partition accumulation in global input order (ordinals are morsel-major,
-// matching the serial engine's row order exactly), then a first-seen merge.
+// matching the reference operators' row order exactly), then a first-seen merge.
 func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *storage.Table, parts []fusedMorselAgg, nG int) (*storage.Table, error) {
 	// Global ordinal base of each morsel's aggregate input.
 	bases := make([]int64, len(parts)+1)

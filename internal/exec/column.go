@@ -59,7 +59,7 @@ func growBool(s []bool, n int) []bool {
 
 // keyHasher is per-worker scratch for column-wise key hashing: it
 // transposes the key columns of a row window into vectors and folds them
-// into one FNV-64a chain per row, exactly matching hashKeys' per-row
+// into one FNV-64a chain per row, exactly matching the reference join's per-row
 // Value.HashInto chain. Rows whose key contains a NULL get ok=false (their
 // hash slot holds an unspecified value — NULL keys never match).
 type keyHasher struct {

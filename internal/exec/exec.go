@@ -11,32 +11,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"time"
 
-	"miso/internal/expr"
 	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/logical"
 	"miso/internal/storage"
 )
 
-// Env resolves plan leaves to stored data and selects the execution
-// engine.
+// Env resolves plan leaves to stored data and carries the per-query
+// execution settings.
 type Env struct {
 	// ReadLog returns the raw log for a Scan leaf.
 	ReadLog func(name string) (*storage.LogFile, error)
 	// ReadView returns the materialized table for a ViewScan leaf.
 	ReadView func(name string) (*storage.Table, error)
-	// Workers selects the engine and its parallelism:
-	//
-	//	< 0 (SerialWorkers) — the legacy row-at-a-time serial engine,
-	//	      kept as the benchmark baseline;
-	//	  0 — the morsel engine with GOMAXPROCS workers (the default);
-	//	  n — the morsel engine with n workers.
-	//
-	// Outputs are byte-identical across every setting.
+	// Workers bounds the morsel worker pool: 0 means GOMAXPROCS (the
+	// default), n > 0 means n workers. Outputs are byte-identical across
+	// every setting.
 	Workers int
 	// MorselRows overrides the fixed morsel size (DefaultMorselRows when
 	// zero). Morsel boundaries affect scheduling only, never results.
@@ -62,20 +54,18 @@ type Env struct {
 	Inj *faults.Injector
 }
 
-// Run executes the whole subtree and returns its result. Under the morsel
-// engine, maximal Filter/Project chains (optionally topped by an
-// Aggregate) are fused into a single columnar pass over their input — see
-// batch.go. Fused or not, results are byte-identical; per-operator Stats
-// are still recorded once per fused stage.
+// Run executes the whole subtree and returns its result. Maximal
+// Filter/Project chains (optionally topped by an Aggregate) are fused into
+// a single columnar pass over their input — see batch.go. Fused or not,
+// results are byte-identical; per-operator Stats are still recorded once
+// per fused stage.
 func Run(n *logical.Node, env *Env) (*storage.Table, error) {
-	if env.parallel() {
-		if chain := fusableChain(n); chain != nil {
-			src, err := Run(chain[len(chain)-1].Children[0], env)
-			if err != nil {
-				return nil, err
-			}
-			return runFusedSafe(chain, env, src)
+	if chain := fusableChain(n); chain != nil {
+		src, err := Run(chain[len(chain)-1].Children[0], env)
+		if err != nil {
+			return nil, err
 		}
+		return runFusedSafe(chain, env, src)
 	}
 	inputs := make([]*storage.Table, 0, len(n.Children))
 	switch n.Kind {
@@ -96,11 +86,11 @@ func Run(n *logical.Node, env *Env) (*storage.Table, error) {
 // RunNode executes a single operator given its children's outputs. Extract
 // and ViewScan resolve their data through env and ignore inputs.
 //
-// Governance applies at the node boundary for every engine: a canceled
-// Env.Ctx fails the node before work starts, and a panic anywhere in the
-// operator — including the serial engine's inline path — is converted to
-// a typed govern.ErrInternal carrying the operator name, so one bad node
-// cannot kill the process or other in-flight queries.
+// Governance applies at the node boundary: a canceled Env.Ctx fails the
+// node before work starts, and a panic anywhere in the operator —
+// including code that runs inline on the calling goroutine — is converted
+// to a typed govern.ErrInternal carrying the operator name, so one bad
+// node cannot kill the process or other in-flight queries.
 func RunNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table, error) {
 	if env.Stats == nil {
 		return runNodeSafe(n, env, inputs)
@@ -129,50 +119,28 @@ func runNodeSafe(n *logical.Node, env *Env, inputs []*storage.Table) (t *storage
 }
 
 func runNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table, error) {
-	par := env.parallel()
 	switch n.Kind {
 	case logical.KindScan:
 		return nil, fmt.Errorf("exec: bare Scan cannot execute; it is consumed by Extract")
 	case logical.KindExtract:
-		if par {
-			return runExtractMorsel(n, env)
-		}
-		return runExtract(n, env)
+		return runExtractMorsel(n, env)
 	case logical.KindViewScan:
 		if env.ReadView == nil {
 			return nil, fmt.Errorf("exec: no view resolver for view %q", n.ViewName)
 		}
 		return env.ReadView(n.ViewName)
 	case logical.KindFilter:
-		if par {
-			return runFilterMorsel(n, env, inputs[0])
-		}
-		return runFilter(n, inputs[0])
+		return runFilterMorsel(n, env, inputs[0])
 	case logical.KindProject:
-		if par {
-			return runProjectMorsel(n, env, inputs[0])
-		}
-		return runProject(n, inputs[0])
+		return runProjectMorsel(n, env, inputs[0])
 	case logical.KindJoin:
-		if par {
-			return runJoinMorsel(n, env, inputs[0], inputs[1])
-		}
-		return runJoin(n, inputs[0], inputs[1])
+		return runJoinMorsel(n, env, inputs[0], inputs[1])
 	case logical.KindAggregate:
-		if par {
-			return runAggregateMorsel(n, env, inputs[0])
-		}
-		return runAggregate(n, inputs[0])
+		return runAggregateMorsel(n, env, inputs[0])
 	case logical.KindDistinct:
-		if par {
-			return runDistinctMorsel(n, env, inputs[0])
-		}
-		return runDistinct(n, inputs[0])
+		return runDistinctMorsel(n, env, inputs[0])
 	case logical.KindSort:
-		if par {
-			return runSortMorsel(n, env, inputs[0])
-		}
-		return runSort(n, inputs[0])
+		return runSortMorsel(n, env, inputs[0])
 	case logical.KindLimit:
 		return runLimit(n, inputs[0]), nil
 	default:
@@ -188,56 +156,6 @@ func newOutput(n *logical.Node, inputs ...*storage.Table) *storage.Table {
 		}
 	}
 	return t
-}
-
-// runExtract applies the SerDe: it parses each JSON line and extracts the
-// declared fields with their declared types. Missing or mistyped fields
-// yield NULL, as a permissive SerDe does.
-func runExtract(n *logical.Node, env *Env) (*storage.Table, error) {
-	if env.ReadLog == nil {
-		return nil, fmt.Errorf("exec: no log resolver")
-	}
-	scan := n.Children[0]
-	log, err := env.ReadLog(scan.LogName)
-	if err != nil {
-		return nil, err
-	}
-	out := storage.NewTable(n.Signature(), n.Schema().Clone())
-	out.ScaleFactor = log.ScaleFactor
-	// Precompile computed (UDF) fields against the extract schema; they
-	// reference plain fields, which come first.
-	udfEvals := make([]expr.Compiled, len(n.Fields))
-	for i, f := range n.Fields {
-		if f.UDF == nil {
-			continue
-		}
-		c, err := expr.Compile(f.UDF, n.Schema())
-		if err != nil {
-			return nil, fmt.Errorf("exec: extract UDF field %q: %w", f.OutName, err)
-		}
-		udfEvals[i] = c
-	}
-	for _, line := range log.Lines {
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.UseNumber()
-		var rec map[string]any
-		if err := dec.Decode(&rec); err != nil {
-			continue // malformed record: skipped by the SerDe
-		}
-		row := make(storage.Row, len(n.Fields))
-		for i, f := range n.Fields {
-			if f.UDF == nil {
-				row[i] = coerceJSON(rec[f.LogField], f.Type)
-			}
-		}
-		for i, eval := range udfEvals {
-			if eval != nil {
-				row[i] = eval(row)
-			}
-		}
-		out.MustAppend(row)
-	}
-	return out, nil
 }
 
 func coerceJSON(v any, want storage.Kind) storage.Value {
@@ -287,41 +205,6 @@ func coerceJSON(v any, want storage.Kind) storage.Value {
 	}
 }
 
-func runFilter(n *logical.Node, in *storage.Table) (*storage.Table, error) {
-	pred, err := expr.Compile(n.Pred, in.Schema)
-	if err != nil {
-		return nil, err
-	}
-	out := newOutput(n, in)
-	for _, row := range in.Rows {
-		v := pred(row)
-		if !v.IsNull() && v.Bool() {
-			out.MustAppend(row)
-		}
-	}
-	return out, nil
-}
-
-func runProject(n *logical.Node, in *storage.Table) (*storage.Table, error) {
-	evals := make([]expr.Compiled, len(n.Projs))
-	for i, p := range n.Projs {
-		c, err := expr.Compile(p.Expr, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = c
-	}
-	out := newOutput(n, in)
-	for _, row := range in.Rows {
-		nr := make(storage.Row, len(evals))
-		for i, e := range evals {
-			nr[i] = e(row)
-		}
-		out.MustAppend(nr)
-	}
-	return out, nil
-}
-
 func joinKeyIndexes(n *logical.Node, left, right *storage.Table) (lIdx, rIdx []int, err error) {
 	lIdx = make([]int, len(n.LeftKeys))
 	for i, k := range n.LeftKeys {
@@ -340,61 +223,6 @@ func joinKeyIndexes(n *logical.Node, left, right *storage.Table) (lIdx, rIdx []i
 	return lIdx, rIdx, nil
 }
 
-func runJoin(n *logical.Node, left, right *storage.Table) (*storage.Table, error) {
-	lIdx, rIdx, err := joinKeyIndexes(n, left, right)
-	if err != nil {
-		return nil, err
-	}
-	// Build on the right input.
-	build := make(map[uint64][]storage.Row, len(right.Rows))
-	for _, row := range right.Rows {
-		h, ok := hashKeys(row, rIdx)
-		if !ok {
-			continue // NULL keys never match
-		}
-		build[h] = append(build[h], row)
-	}
-	out := newOutput(n, left, right)
-	rWidth := right.Schema.Len()
-	for _, lrow := range left.Rows {
-		matched := false
-		if h, ok := hashKeys(lrow, lIdx); ok {
-			for _, rrow := range build[h] {
-				if keysEqual(lrow, rrow, lIdx, rIdx) {
-					matched = true
-					nr := make(storage.Row, 0, len(lrow)+rWidth)
-					nr = append(nr, lrow...)
-					nr = append(nr, rrow...)
-					out.MustAppend(nr)
-				}
-			}
-		}
-		if !matched && n.JoinType == logical.JoinLeft {
-			nr := make(storage.Row, 0, len(lrow)+rWidth)
-			nr = append(nr, lrow...)
-			for i := 0; i < rWidth; i++ {
-				nr = append(nr, storage.Null)
-			}
-			out.MustAppend(nr)
-		}
-	}
-	return out, nil
-}
-
-// hashKeys folds the key columns into one running FNV-64a state via
-// Value.HashInto — no per-row string formatting or allocations. Rows with a
-// NULL key return false: NULL keys never match.
-func hashKeys(row storage.Row, idx []int) (uint64, bool) {
-	h := storage.HashSeed
-	for _, i := range idx {
-		if row[i].IsNull() {
-			return 0, false
-		}
-		h = row[i].HashInto(h)
-	}
-	return h, true
-}
-
 func keysEqual(l, r storage.Row, lIdx, rIdx []int) bool {
 	for i := range lIdx {
 		if !storage.Equal(l[lIdx[i]], r[rIdx[i]]) {
@@ -402,59 +230,6 @@ func keysEqual(l, r storage.Row, lIdx, rIdx []int) bool {
 		}
 	}
 	return true
-}
-
-func runDistinct(n *logical.Node, in *storage.Table) (*storage.Table, error) {
-	out := newOutput(n, in)
-	seen := make(map[string]bool, len(in.Rows))
-	var keyBuf []byte
-	for _, row := range in.Rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range row {
-			keyBuf = appendTaggedKey(keyBuf, v)
-			keyBuf = append(keyBuf, 0)
-		}
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			out.MustAppend(row)
-		}
-	}
-	return out, nil
-}
-
-func runSort(n *logical.Node, in *storage.Table) (*storage.Table, error) {
-	keys := make([]expr.Compiled, len(n.SortKeys))
-	for i, k := range n.SortKeys {
-		c, err := expr.Compile(k.Expr, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = c
-	}
-	out := newOutput(n, in)
-	out.Rows = make([]storage.Row, len(in.Rows))
-	copy(out.Rows, in.Rows)
-	sort.SliceStable(out.Rows, func(i, j int) bool {
-		for k, key := range keys {
-			c := storage.Compare(key(out.Rows[i]), key(out.Rows[j]))
-			if n.SortKeys[k].Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		// Full-row tie-break: equal-key orderings must not depend on how
-		// rows happened to arrive, or they would drift between engines.
-		// Fully identical rows fall through to stable input order.
-		return compareRowsFull(out.Rows[i], out.Rows[j]) < 0
-	})
-	// Rows were copied, not appended; recompute the byte accounting.
-	rebuilt := newOutput(n, in)
-	for _, r := range out.Rows {
-		rebuilt.MustAppend(r)
-	}
-	return rebuilt, nil
 }
 
 // compareRowsFull orders two rows of the same schema column-wise; it is the

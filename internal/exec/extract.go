@@ -2,9 +2,8 @@
 // scanner for flat JSON objects, with a per-line fallback to the standard
 // streaming decoder whenever the fast path cannot prove it would produce
 // the exact same values (escapes, nested values, nonstandard numbers,
-// invalid UTF-8). The fallback *is* the legacy SerDe, so the morsel
-// engine's extract output is byte-identical to the serial engine's by
-// construction.
+// invalid UTF-8). The fallback decodes a line exactly as the reference
+// extract does, so the two outputs are byte-identical by construction.
 package exec
 
 import (

@@ -23,11 +23,6 @@ import (
 	"miso/internal/govern"
 )
 
-// SerialWorkers is the Env.Workers setting that selects the legacy
-// row-at-a-time serial engine. It is the in-repo baseline the benchmark
-// pipeline measures the morsel engine against.
-const SerialWorkers = -1
-
 // DefaultMorselRows is the fixed morsel size: large enough that the atomic
 // fetch and goroutine handoff amortize to nothing, small enough that a
 // skewed morsel cannot stall the pool at the end of an operator — which
@@ -43,8 +38,9 @@ const stragglerStallMax = 2 * time.Millisecond
 // between cancellation polls.
 const cancelPollRows = 4096
 
-// workerCount resolves Env.Workers to a pool size (0 means GOMAXPROCS).
-// Only meaningful when the morsel engine is selected (Workers >= 0).
+// workerCount resolves Env.Workers to a pool size: 0 means GOMAXPROCS, and
+// a negative value, which the CLIs reject before it gets here, runs with
+// one worker.
 func (env *Env) workerCount() int {
 	w := env.Workers
 	if w == 0 {
@@ -62,9 +58,6 @@ func (env *Env) morselRows() int {
 	}
 	return DefaultMorselRows
 }
-
-// parallel reports whether the morsel engine is selected.
-func (env *Env) parallel() bool { return env.Workers >= 0 }
 
 // cancelErr returns the query's cancellation error, or nil. Workers call
 // it at every morsel claim; merge loops poll it every cancelPollRows rows.

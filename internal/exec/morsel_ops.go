@@ -1,5 +1,5 @@
 // Morsel-engine operators. Every operator here carries the same
-// determinism contract: its output is byte-identical to the legacy serial
+// determinism contract: its output is byte-identical to the reference
 // operator at any worker count and any morsel size. Filter/Project merge
 // per-morsel buffers in morsel order; Join partitions its build side by key
 // hash but keeps every per-key row list in build-input order; Distinct and
@@ -151,7 +151,7 @@ func appendBlocks(env *Env, out *storage.Table, chunks [][]storage.Row, sizes []
 // selBuf[start:start+counts[m]], disjoint by construction — so no
 // per-morsel buffer is allocated or grown, which is what removed the
 // partition-merge allocation regression. Survivors are appended as row
-// references in morsel order, byte-identical to the serial engine.
+// references in morsel order, byte-identical to the reference operators.
 func runFilterMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Table, error) {
 	nRows := len(in.Rows)
 	mr := env.morselRows()
@@ -472,7 +472,7 @@ func appendValueKey(b []byte, v storage.Value) []byte {
 
 // distinctRowsEqual reports whether two rows are the same distinct key.
 // It is value-wise kind-tagged equality — exactly the relation induced by
-// the serial engine's appendTaggedKey strings (kind byte + exact value
+// the reference operators' appendTaggedKey strings (kind byte + exact value
 // representation): numerics never equal strings, Int 1 never equals Float
 // 1.0, floats compare by bit pattern except that every NaN is one key, and
 // ±0.0 are distinct keys (their decimal forms differ).
@@ -671,7 +671,7 @@ func runSortMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Table
 				return c < 0
 			}
 		}
-		// Same full-row tie-break as the serial engine; beyond it the
+		// Same full-row tie-break as the reference operators; beyond it the
 		// stable sort preserves input order, matching serial exactly.
 		return compareRowsFull(in.Rows[ia], in.Rows[ib]) < 0
 	})

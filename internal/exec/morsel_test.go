@@ -7,6 +7,7 @@ import (
 
 	"miso/internal/data"
 	"miso/internal/exec"
+	"miso/internal/logical"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
@@ -40,17 +41,32 @@ func runWorkers(t *testing.T, cat *storage.Catalog, sql string, workers, morselR
 	return run(t, cat, env, sql)
 }
 
+// runRef executes sql with the reference operators (reference_test.go).
+func runRef(t *testing.T, cat *storage.Catalog, sql string) *storage.Table {
+	t.Helper()
+	plan, err := logical.NewBuilder(cat).BuildSQL(sql)
+	if err != nil {
+		t.Fatalf("build %q: %v", sql, err)
+	}
+	env := &exec.Env{ReadLog: func(name string) (*storage.LogFile, error) { return cat.Log(name) }}
+	out, err := exec.RunReference(plan, env)
+	if err != nil {
+		t.Fatalf("reference run %q: %v", sql, err)
+	}
+	return out
+}
+
 // TestMorselEngineByteIdenticalToSerial is the core determinism contract:
 // for every operator, the morsel engine's output table must be digest-equal
-// to the legacy serial engine's at worker counts 1/2/4/8 and at morsel
-// sizes that do and do not divide the input evenly.
+// to the reference operators' at worker counts 1/2/4/8 and at morsel sizes
+// that do and do not divide the input evenly.
 func TestMorselEngineByteIdenticalToSerial(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	for qi, sql := range operatorQueries {
-		serial := runWorkers(t, cat, sql, exec.SerialWorkers, 0)
+		serial := runRef(t, cat, sql)
 		want := storage.ChecksumTable(serial)
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, mr := range []int{0, 7, 997} {
@@ -65,15 +81,15 @@ func TestMorselEngineByteIdenticalToSerial(t *testing.T) {
 }
 
 // TestMorselEngineFullWorkloadDigest runs the paper's full 32-query
-// workload through both engines on raw logs and compares per-query output
-// digests.
+// workload through the engine and the reference operators on raw logs and
+// compares per-query output digests.
 func TestMorselEngineFullWorkloadDigest(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	for i, q := range workload.Evolving() {
-		serial := runWorkers(t, cat, q.SQL, exec.SerialWorkers, 0)
+		serial := runRef(t, cat, q.SQL)
 		parallel := runWorkers(t, cat, q.SQL, 4, 512)
 		if storage.ChecksumTable(serial) != storage.ChecksumTable(parallel) {
 			t.Errorf("workload query %d (%s): parallel output diverged from serial", i, q.Name)
@@ -82,15 +98,16 @@ func TestMorselEngineFullWorkloadDigest(t *testing.T) {
 }
 
 // TestSortFullRowTieBreak is the runSort determinism regression: rows with
-// equal sort keys must come out ordered by the full row in both engines,
-// so equal-key orderings cannot drift with engine or worker count.
+// equal sort keys must come out ordered by the full row, in the reference
+// sort and in the engine's, so equal-key orderings cannot drift with
+// worker count.
 func TestSortFullRowTieBreak(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	const sql = "SELECT lang, retweets FROM tweets ORDER BY lang"
-	serial := runWorkers(t, cat, sql, exec.SerialWorkers, 0)
+	serial := runRef(t, cat, sql)
 	for prev, i := (storage.Row)(nil), 0; i < len(serial.Rows); i++ {
 		row := serial.Rows[i]
 		if prev != nil && prev[0].S == row[0].S && prev[1].I > row[1].I {
@@ -141,19 +158,20 @@ func TestExecStatsBreakdown(t *testing.T) {
 	}
 }
 
-// TestMorselEngineScaleFactorPropagation mirrors the serial engine's
-// ScaleFactor handling through the morsel paths.
+// TestMorselEngineScaleFactorPropagation checks the log's ScaleFactor
+// reaches the output through the morsel paths, as it does through the
+// reference operators.
 func TestMorselEngineScaleFactorPropagation(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	log, _ := cat.Log(data.TweetsLog)
-	for _, workers := range []int{exec.SerialWorkers, 4} {
-		out := runWorkers(t, cat, "SELECT lang, COUNT(*) AS n FROM tweets GROUP BY lang", workers, 0)
-		if out.ScaleFactor != log.ScaleFactor {
-			t.Fatalf("workers=%d: ScaleFactor %v, want %v", workers, out.ScaleFactor, log.ScaleFactor)
-		}
+	const sql = "SELECT lang, COUNT(*) AS n FROM tweets GROUP BY lang"
+	if out := runRef(t, cat, sql); out.ScaleFactor != log.ScaleFactor {
+		t.Fatalf("reference: ScaleFactor %v, want %v", out.ScaleFactor, log.ScaleFactor)
+	}
+	if out := runWorkers(t, cat, sql, 4, 0); out.ScaleFactor != log.ScaleFactor {
+		t.Fatalf("workers=4: ScaleFactor %v, want %v", out.ScaleFactor, log.ScaleFactor)
 	}
 }
-

@@ -143,8 +143,8 @@ func TestExecutionDeterminism(t *testing.T) {
 // --- Columnar-vs-serial randomized equivalence ------------------------------
 //
 // The columnar batch path (typed vectors, selection vectors, fused
-// Filter/Project/Aggregate chains) must be digest-identical to the serial
-// row-at-a-time engine for EVERY operator over arbitrary data: random
+// Filter/Project/Aggregate chains) must be digest-identical to the
+// row-at-a-time reference operators for EVERY operator over arbitrary data: random
 // schemas, random null density, off-kind values that degrade vectors to
 // generic storage, every batch size. These tests are the enforcement of
 // that contract.
@@ -152,7 +152,7 @@ func TestExecutionDeterminism(t *testing.T) {
 var propKinds = []storage.Kind{storage.KindInt, storage.KindFloat, storage.KindString, storage.KindBool}
 
 // propValue draws a random value of kind k, NULL with probability nullDen,
-// and (in mixed mode) occasionally an off-kind value — the serial engine is
+// and (in mixed mode) occasionally an off-kind value — the reference operators is
 // dynamically typed, so the columnar path must tolerate values that do not
 // match the declared column type.
 func propValue(rng *rand.Rand, k storage.Kind, nullDen float64, mixed bool) storage.Value {
@@ -353,7 +353,7 @@ func propEnv(tables map[string]*storage.Table, workers, morselRows int) *exec.En
 // TestColumnarMatchesSerialRandomized is the seeded equivalence fuzz for
 // the columnar batch path: for every operator (and fused chains), random
 // plans over random tables must produce digest-identical outputs across
-// the serial engine and the morsel engine at several worker counts and
+// the reference operators and the morsel engine at several worker counts and
 // batch sizes.
 func TestColumnarMatchesSerialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(987))
@@ -440,7 +440,7 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 		}
 
 		for pi, plan := range plans {
-			serial, err := exec.Run(plan, propEnv(tables, exec.SerialWorkers, 0))
+			serial, err := exec.RunReference(plan, propEnv(tables, 0, 0))
 			if err != nil {
 				t.Fatalf("trial %d plan %d (%s): serial: %v", trial, pi, plan.Kind, err)
 			}

@@ -1,9 +1,9 @@
 // Benchmark pipeline: reproducible measurements of the tuner's what-if
 // costing, the knapsack DP, and the serving plane, written as a
-// machine-readable JSON report (BENCH_tuner.json in CI). The tuner rows
-// record the BaselineCosting path first, so every speedup this repo
-// claims is measured against an in-repo baseline rather than a number in
-// a commit message.
+// machine-readable JSON report (BENCH_tuner.json in CI). Rows are
+// absolute numbers: a change is judged by the end-to-end benchmark's
+// trajectory (bench/, -compare), not against a baseline path kept in the
+// tree to be slower.
 package experiments
 
 import (
@@ -32,7 +32,7 @@ type BenchRow struct {
 	// Name identifies the benchmark (e.g. "tuner/workers=4").
 	Name string `json:"name"`
 	// Workers is the row's worker-pool size (tuner what-if pool for tuner
-	// rows, exec engine pool for exec rows); 0 for rows without one.
+	// rows, serving pool for the soak row); 0 for rows without one.
 	Workers int `json:"workers,omitempty"`
 	// Iterations is how many times the measured op ran.
 	Iterations int `json:"iterations"`
@@ -42,19 +42,8 @@ type BenchRow struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// CacheHitRate is the what-if cost cache's hit fraction over one
-	// Tune call (tuner rows only; the baseline row's legacy cache is not
-	// instrumented).
+	// Tune call (tuner rows only).
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// SpeedupVsBaseline is baseline ns/op divided by this row's ns/op
-	// (tuner and exec rows).
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-	// Digest is the combined FNV-64a digest of the measured run's output
-	// tables, as hex (exec rows only): equal digests mean byte-identical
-	// outputs.
-	Digest string `json:"digest,omitempty"`
-	// DigestMatchesBaseline reports that this row's outputs were
-	// byte-identical to its serial baseline's (exec rows at workers >= 1).
-	DigestMatchesBaseline bool `json:"digest_matches_baseline,omitempty"`
 }
 
 // BenchReport is the machine-readable benchmark report.
@@ -79,19 +68,16 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 func (r *BenchReport) WriteText(w io.Writer) {
 	fprintf(w, "benchmark pipeline (%s/%s, %d CPU, scale=%s, %d candidate views)\n",
 		r.GOOS, r.GOARCH, r.NumCPU, r.Scale, r.CandidateViews)
-	fprintf(w, "%-24s %6s %12s %12s %12s %9s %9s\n",
-		"name", "iters", "ns/op", "B/op", "allocs/op", "hit-rate", "speedup")
+	fprintf(w, "%-24s %6s %12s %12s %12s %9s\n",
+		"name", "iters", "ns/op", "B/op", "allocs/op", "hit-rate")
 	for _, row := range r.Rows {
-		hit, sp := "-", "-"
+		hit := "-"
 		if row.CacheHitRate > 0 {
 			hit = fmt.Sprintf("%.3f", row.CacheHitRate)
 		}
-		if row.SpeedupVsBaseline > 0 {
-			sp = fmt.Sprintf("%.2fx", row.SpeedupVsBaseline)
-		}
-		fprintf(w, "%-24s %6d %12d %12d %12d %9s %9s\n",
+		fprintf(w, "%-24s %6d %12d %12d %12d %9s\n",
 			row.Name, row.Iterations, row.NsPerOp, row.BytesPerOp,
-			row.AllocsPerOp, hit, sp)
+			row.AllocsPerOp, hit)
 	}
 }
 
@@ -164,21 +150,19 @@ func (f *tunerFixture) benchTune(name string, cfg core.Config) (BenchRow, error)
 		AllocsPerOp: res.AllocsPerOp(),
 		BytesPerOp:  res.AllocedBytesPerOp(),
 	}
-	if !cfg.BaselineCosting {
-		tuner := core.NewTuner(cfg, f.opt)
-		if _, err := tuner.Tune(f.cur, f.win); err != nil {
-			return BenchRow{}, err
-		}
-		if hits, misses := tuner.CacheStats(); hits+misses > 0 {
-			row.CacheHitRate = float64(hits) / float64(hits+misses)
-		}
+	tuner := core.NewTuner(cfg, f.opt)
+	if _, err := tuner.Tune(f.cur, f.win); err != nil {
+		return BenchRow{}, err
+	}
+	if hits, misses := tuner.CacheStats(); hits+misses > 0 {
+		row.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	return row, nil
 }
 
 // Bench runs the benchmark pipeline: the tuner's reorganization decision
-// on the BaselineCosting path and at worker counts 1, 2, 4 and 8, the
-// knapsack DP in isolation, and a short concurrent-serving soak.
+// at worker counts 1, 2, 4 and 8, the knapsack DP in isolation, and a
+// short concurrent-serving soak.
 func Bench(c Config) (*BenchReport, error) {
 	scale := "paper"
 	if c.Data.NumTweets == data.SmallConfig().NumTweets {
@@ -197,23 +181,12 @@ func Bench(c Config) (*BenchReport, error) {
 	}
 	rep.CandidateViews = f.cur.HV.Len()
 
-	base := f.cfg
-	base.BaselineCosting = true
-	baseRow, err := f.benchTune("tuner/baseline", base)
-	if err != nil {
-		return nil, err
-	}
-	baseRow.SpeedupVsBaseline = 1
-	rep.Rows = append(rep.Rows, baseRow)
 	for _, w := range []int{1, 2, 4, 8} {
 		cfg := f.cfg
 		cfg.TuneWorkers = w
 		row, err := f.benchTune(fmt.Sprintf("tuner/workers=%d", w), cfg)
 		if err != nil {
 			return nil, err
-		}
-		if row.NsPerOp > 0 {
-			row.SpeedupVsBaseline = float64(baseRow.NsPerOp) / float64(row.NsPerOp)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}

@@ -41,11 +41,9 @@ type Config struct {
 	// TuneWorkers); <= 1 keeps costing serial. Designs are identical at
 	// any worker count, only Tune wall-clock changes.
 	TuneWorkers int
-	// ExecWorkers selects both stores' execution engine (multistore.
-	// Config.ExecWorkers / exec.Env.Workers semantics): 0 is the morsel
-	// engine at GOMAXPROCS, n > 0 bounds its pool, exec.SerialWorkers is
-	// the legacy serial engine. Results are byte-identical at every
-	// setting.
+	// ExecWorkers bounds both stores' execution worker pools
+	// (multistore.Config.ExecWorkers): 0 means GOMAXPROCS, n > 0 means n
+	// workers. Results are byte-identical at every setting.
 	ExecWorkers int
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -74,20 +73,6 @@ func governedOutcome(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, govern.ErrMemLimit) ||
 		errors.Is(err, govern.ErrInternal)
-}
-
-// durPercentile returns the p-th percentile of latencies (0 when empty).
-func durPercentile(lat []time.Duration, p int) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := len(s) * p / 100
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }
 
 // governStorm drives one governed serving run: sessions×queries
@@ -170,7 +155,7 @@ func governChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
 		Canceled:        m.Canceled,
 		MemAborted:      m.Aborted,
 		PanicsContained: m.PanicsContained,
-		CancelP99Ms:     float64(durPercentile(srv.CancelLatencies(), 99)) / 1e6,
+		CancelP99Ms:     float64(govern.Percentile(srv.CancelLatencies(), 99)) / 1e6,
 	}, nil
 }
 
@@ -250,7 +235,7 @@ func workloadDigest(sys *multistore.System, run func(sql string) (*multistore.Qu
 		if err != nil {
 			return 0, fmt.Errorf("experiments: identity query %d: %w", i, err)
 		}
-		d = digestTables(d, rep.Result)
+		d = d*1099511628211 ^ storage.ChecksumTable(rep.Result)
 	}
 	return d*1099511628211 ^ sys.StateDigest(), nil
 }
@@ -289,9 +274,9 @@ func BenchGovern(c Config) (*GovernReport, error) {
 	rep.StormSubmitted = m.Submitted
 	rep.StormCompleted = m.Completed
 	rep.StormCanceled = m.Canceled
-	rep.CancelP50Ms = float64(durPercentile(lat, 50)) / 1e6
-	rep.CancelP99Ms = float64(durPercentile(lat, 99)) / 1e6
-	rep.CancelMaxMs = float64(durPercentile(lat, 100)) / 1e6
+	rep.CancelP50Ms = float64(govern.Percentile(lat, 50)) / 1e6
+	rep.CancelP99Ms = float64(govern.Percentile(lat, 99)) / 1e6
+	rep.CancelMaxMs = float64(govern.Percentile(lat, 100)) / 1e6
 	rep.CancelBoundMs = 1000
 	rep.CancelP99Bounded = rep.CancelP99Ms <= rep.CancelBoundMs
 

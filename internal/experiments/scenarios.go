@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -351,11 +350,8 @@ func (pr *phaseRunner) run(phases []phaseSpec) ([]PhaseResult, error) {
 		res.GoodputQPS = float64(acc.served) / pr.dur.Seconds()
 		latencies := acc.latencies
 		acc.mu.Unlock()
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		if n := len(latencies); n > 0 {
-			res.P50Ms = float64(latencies[n/2]) / float64(time.Millisecond)
-			res.P99Ms = float64(latencies[n*99/100]) / float64(time.Millisecond)
-		}
+		res.P50Ms = float64(govern.Percentile(latencies, 50)) / float64(time.Millisecond)
+		res.P99Ms = float64(govern.Percentile(latencies, 99)) / float64(time.Millisecond)
 		results[pi] = res
 
 		pr.mu.Lock()

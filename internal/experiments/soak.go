@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -160,11 +159,8 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if wall > 0 {
 		res.QPS = float64(m.Completed) / wall.Seconds()
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		res.P50 = latencies[n/2]
-		res.P99 = latencies[n*99/100]
-	}
+	res.P50 = govern.Percentile(latencies, 50)
+	res.P99 = govern.Percentile(latencies, 99)
 	return res, nil
 }
 

@@ -40,11 +40,10 @@ type Config struct {
 	WriteMBps float64
 	// SerDeFactor divides scan throughput when parsing raw JSON logs.
 	SerDeFactor float64
-	// ExecWorkers selects the execution engine (exec.Env.Workers
-	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
-	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
-	// legacy serial engine. Results are byte-identical at every setting;
-	// only real wall-clock changes (simulated cost is byte-based).
+	// ExecWorkers bounds the execution engine's worker pool
+	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
+	// n workers. Results are byte-identical at every setting; only real
+	// wall-clock changes (simulated cost is byte-based).
 	ExecWorkers int
 }
 
@@ -496,18 +495,6 @@ func (s *Store) expandInPlace(n *logical.Node) *logical.Node {
 // sum runs in signature order so the float64 accumulation — and therefore
 // every what-if cost — is deterministic regardless of map iteration order.
 func (s *Store) CostPlan(plan *logical.Node) float64 {
-	return s.costPlan(plan, true)
-}
-
-// CostPlanBaseline costs like CostPlan but re-estimates each subtree at
-// every appearance instead of memoizing sizes per call — the original
-// cost walk, kept so the benchmark pipeline can record the tuner's
-// speedup baseline in-repo. Both variants compute identical costs.
-func (s *Store) CostPlanBaseline(plan *logical.Node) float64 {
-	return s.costPlan(plan, false)
-}
-
-func (s *Store) costPlan(plan *logical.Node, memoize bool) float64 {
 	if plan.Kind == logical.KindViewScan || plan.Kind == logical.KindScan {
 		return 0
 	}
@@ -517,17 +504,14 @@ func (s *Store) costPlan(plan *logical.Node, memoize bool) float64 {
 		stages = append(stages, n)
 	}
 	sort.Slice(stages, func(i, j int) bool { return stages[i].Signature() < stages[j].Signature() })
-	size := func(n *logical.Node) int64 { return s.est.Estimate(n).Bytes }
-	if memoize {
-		sizes := map[*logical.Node]int64{}
-		size = func(n *logical.Node) int64 {
-			if b, ok := sizes[n]; ok {
-				return b
-			}
-			b := s.est.Estimate(n).Bytes
-			sizes[n] = b
+	sizes := map[*logical.Node]int64{}
+	size := func(n *logical.Node) int64 {
+		if b, ok := sizes[n]; ok {
 			return b
 		}
+		b := s.est.Estimate(n).Bytes
+		sizes[n] = b
+		return b
 	}
 	var sec float64
 	for _, n := range stages {

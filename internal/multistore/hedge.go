@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"miso/internal/dw"
+	"miso/internal/govern"
 	"miso/internal/history"
 	"miso/internal/hv"
 	"miso/internal/logical"
@@ -83,10 +83,7 @@ func (t *hedgeTracker) threshold() time.Duration {
 	if len(t.durs) < 3 {
 		return t.cfg.MinDelay
 	}
-	sorted := append([]time.Duration(nil), t.durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	p95 := sorted[(len(sorted)*95)/100]
-	th := time.Duration(t.cfg.Multiplier * float64(p95))
+	th := time.Duration(t.cfg.Multiplier * float64(govern.Percentile(t.durs, 95)))
 	if th < t.cfg.MinDelay {
 		th = t.cfg.MinDelay
 	}

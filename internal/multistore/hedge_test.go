@@ -82,34 +82,3 @@ func TestHedgeDigestIdentity(t *testing.T) {
 	t.Logf("hedges %d, wins %d, canceled %d over %d fallbacks",
 		onM.Hedges, onM.HedgeWins, onM.HedgesCanceled, onM.Fallbacks)
 }
-
-// TestHedgeDisabledIsStrictNoOp: with hedging disabled the config is the
-// zero value and the DW phase takes the exact pre-hedge code path — no
-// tracker, no timer. A run with an enabled-but-never-firing hedge (huge
-// threshold) must also be digest-identical to disabled.
-func TestHedgeDisabledIsStrictNoOp(t *testing.T) {
-	cat, err := data.Generate(data.SmallConfig())
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	run := func(h multistore.HedgeConfig) uint64 {
-		cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-		cfg.SetBudgets(cat, 2.0, 10<<30)
-		cfg.Hedge = h
-		sys := multistore.New(cfg, cat)
-		if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-			t.Fatal(err)
-		}
-		for i, sql := range workload.SQLs() {
-			if _, err := sys.Run(sql); err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-		}
-		return sys.StateDigest()
-	}
-	off := run(multistore.HedgeConfig{})
-	never := run(multistore.HedgeConfig{Enabled: true, Multiplier: 1000, MinDelay: time.Hour})
-	if off != never {
-		t.Fatalf("digest diverged: disabled %x, enabled-but-idle %x", off, never)
-	}
-}

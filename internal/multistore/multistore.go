@@ -107,12 +107,11 @@ type Config struct {
 	// never changes the TTI breakdown of a fault-free run.
 	CheckpointEvery int
 
-	// ExecWorkers selects both stores' execution engine (exec.Env.Workers
-	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
-	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
-	// legacy serial engine. Results — tables, digests, TTI — are
-	// byte-identical at every setting; only real wall-clock changes. A
-	// nonzero value overrides HV.ExecWorkers and DW.ExecWorkers.
+	// ExecWorkers bounds both stores' execution worker pools
+	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
+	// n workers. Results — tables, digests, TTI — are byte-identical at
+	// every setting; only real wall-clock changes. A nonzero value
+	// overrides HV.ExecWorkers and DW.ExecWorkers.
 	ExecWorkers int
 
 	// MemLimitBytes caps the execution memory of a single query: extract

@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"miso/internal/govern"
 )
 
 // AdaptiveConfig tunes the AIMD concurrency limiter: when the p99 of
@@ -87,10 +88,7 @@ func (l *limiter) observe(d time.Duration) {
 	l.mu.Lock()
 	l.lats = append(l.lats, d)
 	if len(l.lats) >= l.cfg.Window {
-		sorted := append([]time.Duration(nil), l.lats...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		p99 := sorted[(len(sorted)*99)/100]
-		if p99 > l.cfg.TargetP99 {
+		if govern.Percentile(l.lats, 99) > l.cfg.TargetP99 {
 			l.lim /= 2
 			if l.lim < l.cfg.Min {
 				l.lim = l.cfg.Min

@@ -72,12 +72,6 @@ type ExecStats = exec.Stats
 // ExecOpStat is one operator's row in an ExecStats breakdown.
 type ExecOpStat = exec.OpStat
 
-// SerialWorkers, assigned to Config.ExecWorkers, selects the legacy
-// row-at-a-time serial engine instead of the morsel-driven engine. The
-// default (0) runs the morsel engine with GOMAXPROCS workers; any n >= 1
-// runs it with n workers. Results are byte-identical at every setting.
-const SerialWorkers = exec.SerialWorkers
-
 // Metrics is the TTI breakdown.
 type Metrics = multistore.Metrics
 
