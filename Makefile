@@ -28,8 +28,7 @@ race:
 # micro-benchmarks. The end-to-end benchmark is its own module: bash
 # bench/run.sh.
 bench:
-	$(GO) run ./cmd/misobench -mode bench -scale small -benchout BENCH_tuner.json
-	$(GO) run ./cmd/misobench -mode benchgov -scale small -benchgovout BENCH_governance.json
+	$(GO) run ./cmd/misobench -mode bench,benchgov -scale small -out .
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/
 
 chaos:
@@ -49,8 +48,10 @@ govern:
 
 # endurance runs the long-horizon adversarial endurance harness:
 # closed-loop tenants with think time, bit-rot injection (SiteViewRot),
-# and the self-healing background scrubber, with acceptance checks
-# written to BENCH_endurance.json.
+# and the self-healing background scrubber; fails unless every acceptance
+# check holds. Add -out <dir> to write BENCH_endurance.json (the same for
+# scenarios and cache below); without it nothing is written, so a local run
+# does not overwrite the committed BENCH_*.json.
 endurance:
 	$(GO) run ./cmd/misobench -mode endurance -scale small
 
@@ -63,7 +64,7 @@ scenarios:
 # cache runs the cross-query reuse soak (semantic result cache +
 # shared-flight piggybacking vs cold execution) and fails unless reuse
 # wins >= 2x throughput with a nonzero hit rate and digest-identical
-# answers (BENCH_cache.json).
+# answers.
 cache:
 	$(GO) run ./cmd/misobench -mode cache -scale small
 

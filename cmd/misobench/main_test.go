@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,14 @@ func TestMain(m *testing.M) {
 // it printed.
 func runMain(t *testing.T, args ...string) (int, string) {
 	t.Helper()
+	return runMainIn(t, "", args...)
+}
+
+// runMainIn is runMain with the command's working directory set.
+func runMainIn(t *testing.T, dir string, args ...string) (int, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "MISO_RUN_MAIN=1")
 	out, err := cmd.CombinedOutput()
 	if cmd.ProcessState == nil {
@@ -51,6 +59,10 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 		{"-fig", "4"}, {"-table", "2"}, {"-chaos"}, {"-crash"}, {"-serve"}, {"-bench"},
 		{"-benchexec"}, {"-benchgov"}, {"-scenarios"}, {"-endurance"},
 		{"-benchexecout", "x.json"}, {"-execgate"},
+		// Folded into -out, -sessions and -dur.
+		{"-benchout", "x.json"}, {"-benchgovout", "x.json"}, {"-scenariosout", "x.json"},
+		{"-cacheout", "x.json"}, {"-enduranceout", "x.json"},
+		{"-cachesessions", "2"}, {"-endurancetenants", "2"}, {"-phasedur", "1s"}, {"-endurancedur", "1s"},
 	} {
 		code, out := runMain(t, args...)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
@@ -59,5 +71,33 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 	}
 	if code, out := runMain(t, "-mode", "benchexec"); code != 2 || !strings.Contains(out, "unknown mode") {
 		t.Errorf("-mode benchexec: exit code %d, output:\n%s", code, out)
+	}
+}
+
+// TestArtifactsAreWrittenOnlyUnderOut: a mode with a JSON artifact writes
+// nothing unless -out names a directory (so a local run cannot overwrite
+// the committed BENCH_*.json), and with -out writes it there under the
+// name -modes lists. The soak's 2x gate depends on the machine, so the
+// exit code is not asserted.
+func TestArtifactsAreWrittenOnlyUnderOut(t *testing.T) {
+	cwd, outDir := t.TempDir(), t.TempDir()
+	_, out := runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2", "-cacherounds", "1")
+	if !strings.Contains(out, "cache soak") || strings.Contains(out, "wrote ") {
+		t.Fatalf("unexpected output without -out:\n%s", out)
+	}
+	if left, _ := os.ReadDir(cwd); len(left) != 0 {
+		t.Fatalf("run without -out left %d files behind, first %s", len(left), left[0].Name())
+	}
+
+	_, out = runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2", "-cacherounds", "1", "-out", outDir)
+	art, err := os.ReadFile(filepath.Join(outDir, "BENCH_cache.json"))
+	if err != nil {
+		t.Fatalf("%v; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(art), `"scale": "small"`) || !strings.Contains(string(art), `"sessions": 2`) {
+		t.Fatalf("artifact lacks the small scale or the -sessions value:\n%s", art)
+	}
+	if left, _ := os.ReadDir(cwd); len(left) != 0 {
+		t.Fatalf("run with -out wrote into the working directory too")
 	}
 }

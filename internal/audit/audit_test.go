@@ -108,7 +108,8 @@ func TestRepairModeConvergesToClean(t *testing.T) {
 	if len(final) != 0 {
 		t.Fatalf("system still dirty after repair: %v", final)
 	}
-	for _, name := range sys.RotLog() {
+	for _, rot := range sys.RotLog() {
+		name := rot.Name
 		hv, hok := sys.HV().Views.Get(name)
 		dw, dok := sys.DW().Views.Get(name)
 		if hok && !hv.Verify() {

@@ -7,10 +7,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -48,20 +46,10 @@ type BenchRow struct {
 
 // BenchReport is the machine-readable benchmark report.
 type BenchReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-	Scale  string `json:"scale"`
+	Host
 	// CandidateViews is the size of the tuner rows' view universe.
 	CandidateViews int        `json:"candidate_views"`
 	Rows           []BenchRow `json:"rows"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *BenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // WriteText renders the report as a plain-text table.
@@ -164,16 +152,7 @@ func (f *tunerFixture) benchTune(name string, cfg core.Config) (BenchRow, error)
 // at worker counts 1, 2, 4 and 8, the knapsack DP in isolation, and a
 // short concurrent-serving soak.
 func Bench(c Config) (*BenchReport, error) {
-	scale := "paper"
-	if c.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &BenchReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Scale:  scale,
-	}
+	rep := &BenchReport{Host: c.host()}
 
 	f, err := newTunerFixture(c.Data)
 	if err != nil {

@@ -11,15 +11,11 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+	"math/rand"
 	"time"
 
-	"miso/internal/data"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/storage"
@@ -50,12 +46,9 @@ func DefaultCache(cfg Config) CacheConfig {
 // CacheReport is the machine-readable cache soak report
 // (BENCH_cache.json in CI).
 type CacheReport struct {
-	GOOS     string `json:"goos"`
-	GOARCH   string `json:"goarch"`
-	NumCPU   int    `json:"num_cpu"`
-	Scale    string `json:"scale"`
-	Sessions int    `json:"sessions"`
-	Rounds   int    `json:"rounds"`
+	Host
+	Sessions int `json:"sessions"`
+	Rounds   int `json:"rounds"`
 
 	// Throughput: the same submission schedule against the reuse-disabled
 	// and reuse-enabled backends.
@@ -96,13 +89,6 @@ func (r *CacheReport) Passed() bool {
 		r.ReorgHookFired && r.EntriesPostReorg == 0
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *CacheReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteText renders the report as a human-readable summary.
 func (r *CacheReport) WriteText(w io.Writer) {
 	fprintf(w, "cache soak (%s/%s, %d CPU, scale=%s): %d sessions x %d rounds, %d queries\n",
@@ -120,117 +106,62 @@ func (r *CacheReport) WriteText(w io.Writer) {
 	}
 }
 
-// newCacheSystem builds an MS-MISO backend for the soak. Automatic
+// cacheSoakRun builds an MS-MISO backend with the reuse plane on or off
+// and drives sessions×rounds workload passes through it. Automatic
 // reorganization is disabled on both sides so the two runs execute the
 // same schedule against a stable design (the drain-barrier invalidation
-// is exercised explicitly after the timed section).
-func (cc CacheConfig) newCacheSystem(enabled bool) (*multistore.System, error) {
-	c := cc.Exp
-	cat, err := data.Generate(c.Data)
+// is exercised explicitly after the timed section). Every answer is folded
+// into answers: the first one seen for a SQL pins the expected data digest
+// (schema + rows, name-independent) and every later answer — from either
+// system — must match it. Any submission that is not served fails the run
+// (at the driver's finish, which the caller owes: the server is returned
+// open).
+func (cc CacheConfig) cacheSoakRun(enabled bool, answers *digestCheck) (*multistore.System, *driver, time.Duration, error) {
+	sys, err := cc.Exp.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.ReorgEvery = 0
+		mc.Reuse = multistore.ReuseConfig{Enabled: enabled, CacheBytes: cc.CacheBytes}
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	cfg.ReorgEvery = 0
-	cfg.Reuse = multistore.ReuseConfig{Enabled: enabled, CacheBytes: cc.CacheBytes}
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// cacheSoakRun drives sessions×rounds workload passes through srv. Every
-// result is folded into digests: the first answer seen for a SQL pins the
-// expected data digest (schema + rows, name-independent) and every later
-// answer — from either system — must match it.
-func cacheSoakRun(srv *serve.Server, sessions, rounds int, mu *sync.Mutex, digests map[string]uint64, match *bool) (time.Duration, int, error) {
+	srv := serve.NewServer(serve.Config{Workers: cc.Workers, QueueDepth: cc.Queue}, sys)
 	sqls := workload.SQLs()
-	var (
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		hardErr error
-	)
-	start := time.Now()
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(session int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i, sql := range sqls {
-					rep, err := srv.Do(context.Background(), sql)
-					if err != nil {
-						errMu.Lock()
-						if hardErr == nil {
-							hardErr = fmt.Errorf("experiments: cache soak session %d round %d query %d: %w", session, r, i, err)
-						}
-						errMu.Unlock()
-						return
-					}
-					d := storage.ChecksumData(rep.Result)
-					mu.Lock()
-					if want, ok := digests[sql]; !ok {
-						digests[sql] = d
-					} else if want != d {
-						*match = false
-					}
-					mu.Unlock()
-				}
-			}
-		}(s)
+	d := newDriver(srv)
+	d.onResult = func(_ int, q request, rep *multistore.QueryReport, err error) error {
+		if err != nil {
+			return err
+		}
+		answers.observe(q.sql, storage.ChecksumData(rep.Result))
+		return nil
 	}
-	wg.Wait()
-	return time.Since(start), sessions * rounds * len(sqls), hardErr
+	start := time.Now()
+	d.closed(closedLoop{clients: cc.Sessions, count: cc.Rounds * len(sqls), next: func(_, i int, _ *rand.Rand) request {
+		return request{sql: sqls[i%len(sqls)]}
+	}})
+	return sys, d, time.Since(start), nil
 }
 
 // BenchCache runs the cache soak: the reuse-disabled baseline, the
 // reuse-enabled run against the same schedule, and the explicit
 // drain-barrier invalidation through the serving frontend.
 func BenchCache(cc CacheConfig) (*CacheReport, error) {
-	scale := "paper"
-	if cc.Exp.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &CacheReport{
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		NumCPU:   runtime.NumCPU(),
-		Scale:    scale,
-		Sessions: cc.Sessions,
-		Rounds:   cc.Rounds,
-	}
-	var (
-		mu      sync.Mutex
-		digests = map[string]uint64{}
-		match   = true
-	)
+	rep := &CacheReport{Host: cc.Exp.host(), Sessions: cc.Sessions, Rounds: cc.Rounds}
+	answers := newDigestCheck()
 
-	offSys, err := cc.newCacheSystem(false)
+	offSys, off, offDur, err := cc.cacheSoakRun(false, answers)
 	if err != nil {
 		return nil, err
 	}
-	offSrv := serve.NewServer(serve.Config{Workers: cc.Workers, QueueDepth: cc.Queue}, offSys)
-	offDur, submitted, err := cacheSoakRun(offSrv, cc.Sessions, cc.Rounds, &mu, digests, &match)
-	offSrv.Close()
+	if _, err := off.finish(offSys); err != nil {
+		return nil, fmt.Errorf("experiments: cache soak (reuse off): %w", err)
+	}
+	onSys, on, onDur, err := cc.cacheSoakRun(true, answers)
 	if err != nil {
 		return nil, err
 	}
+	defer on.srv.Close()
 
-	onSys, err := cc.newCacheSystem(true)
-	if err != nil {
-		return nil, err
-	}
-	onSrv := serve.NewServer(serve.Config{Workers: cc.Workers, QueueDepth: cc.Queue}, onSys)
-	onSrv.SetReorgHook(onSys.InvalidateReuse)
-	onDur, _, err := cacheSoakRun(onSrv, cc.Sessions, cc.Rounds, &mu, digests, &match)
-	if err != nil {
-		onSrv.Close()
-		return nil, err
-	}
-
+	submitted := cc.Sessions * cc.Rounds * len(workload.SQLs())
 	rep.Submitted = submitted
 	rep.OffSeconds = offDur.Seconds()
 	rep.OnSeconds = onDur.Seconds()
@@ -253,25 +184,20 @@ func BenchCache(cc CacheConfig) (*CacheReport, error) {
 		rep.HitRate = float64(m.CacheHits) / float64(hm)
 	}
 	rep.DedupRatio = float64(m.Piggybacked) / float64(submitted)
-	rep.DigestsMatch = match
+	rep.DigestsMatch = answers.match
 
 	// Drain-barrier trigger: an explicit reorganization through the
 	// frontend runs the hook under the write gate with no query in
 	// flight; the cache must come out empty.
 	rep.EntriesAfterSoak = onSys.ReuseStats().Cache.Entries
-	if err := onSrv.Reorganize(); err != nil {
-		onSrv.Close()
+	on.srv.SetReorgHook(onSys.InvalidateReuse)
+	if err := on.srv.Reorganize(); err != nil {
 		return nil, fmt.Errorf("experiments: cache soak reorganize: %w", err)
 	}
-	onSrv.Close()
+	if _, err := on.finish(onSys); err != nil {
+		return nil, fmt.Errorf("experiments: cache soak (reuse on): %w", err)
+	}
 	rep.EntriesPostReorg = onSys.ReuseStats().Cache.Entries
 	rep.ReorgHookFired = rep.EntriesAfterSoak > 0 && rep.EntriesPostReorg == 0
-
-	if err := onSys.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	if err := offSys.CheckInvariants(); err != nil {
-		return nil, err
-	}
 	return rep, nil
 }

@@ -8,6 +8,7 @@ import (
 	"miso/internal/audit"
 	"miso/internal/faults"
 	"miso/internal/multistore"
+	"miso/internal/serve"
 	"miso/internal/workload"
 )
 
@@ -88,123 +89,102 @@ const (
 func Chaos(cfg Config) (*ChaosResult, error) {
 	const seed = 42
 	res := &ChaosResult{Seed: seed}
+	// Per rate: both variants single-stream, then the tuned system in each
+	// extension mode. A row runs under c, which carries the sweep's
+	// uniform rate and seed.
+	rows := []struct {
+		mode    string
+		variant multistore.Variant
+		run     func(c Config, v multistore.Variant) (ChaosPoint, error)
+	}{
+		{"seq", multistore.VariantMSBasic, seqChaosPoint},
+		{"seq", multistore.VariantMSMiso, seqChaosPoint},
+		{"serve", multistore.VariantMSMiso, serveChaosPoint},
+		{"crash", multistore.VariantMSMiso, crashChaosPoint},
+		{"govern", multistore.VariantMSMiso, governChaosPoint},
+		{"audit", multistore.VariantMSMiso, auditChaosPoint},
+	}
 	for _, rate := range ChaosRates {
-		for _, v := range []multistore.Variant{multistore.VariantMSBasic, multistore.VariantMSMiso} {
-			c := cfg
-			c.FaultRate = rate
-			c.FaultSeed = seed
-			sys, err := c.runWorkload(v)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: chaos rate %.2f %s: %w", rate, v, err)
-			}
-			m := sys.Metrics()
-			res.Points = append(res.Points, ChaosPoint{
-				Rate:      rate,
-				Variant:   v,
-				Mode:      "seq",
-				TTI:       m.TTI(),
-				Recovery:  m.Recovery,
-				Retries:   m.Retries,
-				Fallbacks: m.Fallbacks,
-				Completed: len(sys.Reports()),
-			})
-		}
-		// One serve-mode row per rate: the tuned system behind the
-		// concurrent frontend.
 		c := cfg
 		c.FaultRate = rate
 		c.FaultSeed = seed
-		sc := SoakConfig{
-			Config:   c,
-			Variant:  multistore.VariantMSMiso,
-			Sessions: chaosServeSessions,
-			Workers:  chaosServeWorkers,
-			Queue:    chaosServeQueue,
+		for _, row := range rows {
+			p, err := row.run(c, row.variant)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: chaos %s %s rate %.2f: %w", row.mode, row.variant, rate, err)
+			}
+			p.Rate, p.Variant, p.Mode = rate, row.variant, row.mode
+			res.Points = append(res.Points, p)
 		}
-		sr, err := Soak(sc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos serve rate %.2f: %w", rate, err)
-		}
-		if sr.InvariantErr != nil {
-			return nil, fmt.Errorf("experiments: chaos serve rate %.2f: %w", rate, sr.InvariantErr)
-		}
-		sm := sr.System
-		res.Points = append(res.Points, ChaosPoint{
-			Rate:         rate,
-			Variant:      multistore.VariantMSMiso,
-			Mode:         "serve",
-			TTI:          sm.TTI(),
-			Recovery:     sm.Recovery,
-			Retries:      sm.Retries,
-			Fallbacks:    sm.Fallbacks,
-			Completed:    sr.Serve.Completed,
-			Sheds:        sr.Serve.Sheds,
-			BreakerTrips: sr.Serve.BreakerTrips,
-			Timeouts:     sr.Serve.Timeouts,
-			Degraded:     sr.Serve.Degraded,
-		})
-		// One crash-mode row per rate: the tuned system with the durability
-		// plane on, crash sites scaled with the rate, every death recovered
-		// from checkpoint + WAL and the killed query resubmitted. The rate-0
-		// row doubles as the journaling-overhead control: its TTI must equal
-		// the rate-0 seq row (journaling charges no simulated time).
-		p := chaosCrashProfile(rate)
-		mcfg, cat, err := c.crashConfig(multistore.VariantMSMiso, p, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos crash rate %.2f: %w", rate, err)
-		}
-		csys, st, err := runCrashWorkload(mcfg, cat)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos crash rate %.2f: %w", rate, err)
-		}
-		cm := csys.Metrics()
-		res.Points = append(res.Points, ChaosPoint{
-			Rate:        rate,
-			Variant:     multistore.VariantMSMiso,
-			Mode:        "crash",
-			TTI:         cm.TTI(),
-			Recovery:    cm.Recovery,
-			Retries:     cm.Retries,
-			Fallbacks:   cm.Fallbacks,
-			Completed:   len(csys.Reports()),
-			Degraded:    cm.Degraded,
-			Recoveries:  st.recoveries,
-			Replayed:    st.replayed,
-			Quarantined: st.quarantined,
-		})
-		// One govern-mode row per rate: the tuned system behind the
-		// serving frontend with the governance plane armed — exec-plane
-		// fault sites (contained panics, injected memory pressure, slow
-		// morsels) plus a caller-cancellation pattern.
-		gp, err := governChaosPoint(c, rate, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos govern rate %.2f: %w", rate, err)
-		}
-		res.Points = append(res.Points, gp)
-		// One audit-mode row per rate: the tuned system with SiteViewRot
-		// corrupting resident views at the sweep rate and the background
-		// scrubber detecting and self-healing them under the workload.
-		ap, err := auditChaosPoint(c, rate, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos audit rate %.2f: %w", rate, err)
-		}
-		res.Points = append(res.Points, ap)
 	}
 	return res, nil
 }
 
-// auditChaosPoint replays the workload with bit rot armed and the
-// integrity scrubber running in repair mode. The run must end clean: a
-// final verification pass with repair off may find nothing, or the
-// audit plane failed to converge and the sweep errors out.
-func auditChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
-	p := faults.Profile{}.With(faults.SiteViewRot, rate)
-	mcfg, cat, err := c.crashConfig(multistore.VariantMSMiso, p, seed)
+// chaosPoint starts a sweep cell from the backend's accounting, which
+// every mode reports.
+func chaosPoint(m multistore.Metrics) ChaosPoint {
+	return ChaosPoint{TTI: m.TTI(), Recovery: m.Recovery, Retries: m.Retries, Fallbacks: m.Fallbacks}
+}
+
+// seqChaosPoint replays the workload single-stream under the uniform rate.
+func seqChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
+	sys, err := c.runWorkload(v)
 	if err != nil {
 		return ChaosPoint{}, err
 	}
-	sys := multistore.New(mcfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
+	p := chaosPoint(sys.Metrics())
+	p.Completed = len(sys.Reports())
+	return p, nil
+}
+
+// serveChaosPoint replays it through the concurrent serving frontend.
+func serveChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
+	sr, err := Soak(SoakConfig{
+		Config: c, Variant: v,
+		Sessions: chaosServeSessions, Workers: chaosServeWorkers, Queue: chaosServeQueue,
+	})
+	if err != nil {
+		return ChaosPoint{}, err
+	}
+	p := chaosPoint(sr.System)
+	p.fromServe(sr.Serve)
+	return p, nil
+}
+
+// crashChaosPoint replays it with the durability plane on and the crash
+// sites scaled with the rate, every death recovered from checkpoint + WAL
+// and the killed query resubmitted. The rate-0 row doubles as the
+// journaling-overhead control: its TTI must equal the rate-0 seq row
+// (journaling charges no simulated time).
+func crashChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
+	mcfg, cat, err := c.multistoreConfig(v, durable(chaosCrashProfile(c.FaultRate), c.FaultSeed))
+	if err != nil {
+		return ChaosPoint{}, err
+	}
+	sys, st, err := runCrashWorkload(mcfg, cat)
+	if err != nil {
+		return ChaosPoint{}, err
+	}
+	m := sys.Metrics()
+	p := chaosPoint(m)
+	p.Completed, p.Degraded = len(sys.Reports()), m.Degraded
+	p.Recoveries, p.Replayed, p.Quarantined = st.recoveries, st.replayed, st.quarantined
+	return p, nil
+}
+
+// fromServe fills the serving-plane columns.
+func (p *ChaosPoint) fromServe(m serve.Metrics) {
+	p.Completed, p.Sheds, p.Timeouts = m.Completed, m.Sheds, m.Timeouts
+	p.BreakerTrips, p.Degraded = m.BreakerTrips, m.Degraded
+}
+
+// auditChaosPoint replays it with SiteViewRot corrupting resident views at
+// the sweep rate and the integrity scrubber running in repair mode. The
+// run must end clean: a final verification pass with repair off may find
+// nothing, or the audit plane failed to converge and the sweep errors out.
+func auditChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
+	sys, err := c.newSystem(v, durable(faults.Profile{}.With(faults.SiteViewRot, c.FaultRate), c.FaultSeed))
+	if err != nil {
 		return ChaosPoint{}, err
 	}
 	scrub := audit.New(sys, audit.Config{
@@ -229,20 +209,10 @@ func auditChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
 			len(viols), viols[0])
 	}
 	m := sys.Metrics()
-	return ChaosPoint{
-		Rate:      rate,
-		Variant:   multistore.VariantMSMiso,
-		Mode:      "audit",
-		TTI:       m.TTI(),
-		Recovery:  m.Recovery,
-		Retries:   m.Retries,
-		Fallbacks: m.Fallbacks,
-		Completed: len(sys.Reports()),
-
-		ViolationsDetected:   m.AuditViolations,
-		ViolationsRepaired:   m.AuditRepaired,
-		ViolationsUnrepaired: m.AuditUnrepaired,
-	}, nil
+	p := chaosPoint(m)
+	p.Completed = len(sys.Reports())
+	p.ViolationsDetected, p.ViolationsRepaired, p.ViolationsUnrepaired = m.AuditViolations, m.AuditRepaired, m.AuditUnrepaired
+	return p, nil
 }
 
 // chaosCrashProfile arms the crash-plane sites at the sweep rate: process

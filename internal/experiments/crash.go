@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/storage"
@@ -72,19 +71,13 @@ type crashStats struct {
 	seconds     float64
 }
 
-// crashConfig builds the multistore config for a crash-harness run: paper
-// budgets, the given fault profile, and the durability plane enabled.
-func (c Config) crashConfig(v multistore.Variant, p faults.Profile, seed int64) (multistore.Config, *storage.Catalog, error) {
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return multistore.Config{}, nil, err
+// durable is the builder mutation of a crash-harness run: the given fault
+// profile and seed, and the durability plane enabled.
+func durable(p faults.Profile, seed int64) func(*multistore.Config) {
+	return func(mc *multistore.Config) {
+		armed(p, seed)(mc)
+		mc.CheckpointEvery = crashCheckpointEvery
 	}
-	cfg := multistore.DefaultConfig(v)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Faults = p
-	cfg.FaultSeed = seed
-	cfg.CheckpointEvery = crashCheckpointEvery
-	return cfg, cat, nil
 }
 
 // runCrashWorkload drives the full workload through the crash harness: on
@@ -163,7 +156,7 @@ func CrashSweep(cfg Config) (*CrashResult, error) {
 		if cse.xrate > 0 {
 			p = p.With(cse.extra, cse.xrate)
 		}
-		mcfg, cat, err := cfg.crashConfig(multistore.VariantMSMiso, p, seed)
+		mcfg, cat, err := cfg.multistoreConfig(multistore.VariantMSMiso, durable(p, seed))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crash sweep %s: %w", cse.site, err)
 		}

@@ -11,23 +11,17 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"miso/internal/audit"
-	"miso/internal/data"
 	"miso/internal/faults"
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
+	"miso/internal/views"
 	"miso/internal/workload"
 )
 
@@ -89,10 +83,7 @@ type EnduranceCheck struct {
 // EnduranceReport is the machine-readable endurance report
 // (BENCH_endurance.json).
 type EnduranceReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-	Scale  string `json:"scale"`
+	Host
 
 	Tenants     int     `json:"tenants"`
 	DurationSec float64 `json:"duration_sec"`
@@ -122,13 +113,6 @@ type EnduranceReport struct {
 
 	Checks []EnduranceCheck `json:"checks"`
 	Pass   bool             `json:"pass"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *EnduranceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // WriteText renders the report as plain text.
@@ -164,10 +148,7 @@ type enduranceOutcome struct {
 	sys      *multistore.System
 	scrub    *audit.Scrubber
 	elapsed  time.Duration
-	sub      int
-	served   int
-	shed     int
-	failed   int
+	tally    *tally
 	timedOut bool
 }
 
@@ -175,7 +156,7 @@ func (o *enduranceOutcome) goodput() float64 {
 	if o.elapsed <= 0 {
 		return 0
 	}
-	return float64(o.served) / o.elapsed.Seconds()
+	return float64(o.tally.served) / o.elapsed.Seconds()
 }
 
 // adversarialSQL is the per-client query generator: mostly the evolving
@@ -202,24 +183,16 @@ func adversarialSQL(rng *rand.Rand, sqls []string, i int) string {
 // runEndurance executes one closed-loop run (rot armed or not) and
 // leaves the system and scrubber alive for the caller's exit audits.
 func (cfg EnduranceConfig) runEndurance(rotRate float64) (*enduranceOutcome, error) {
-	cat, err := data.Generate(cfg.Data)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.Faults = faults.Profile{}.With(faults.SiteViewRot, rotRate)
+		mc.FaultSeed = cfg.Seed
+		mc.CheckpointEvery = 8
+		// Hedge-triggering slow shapes only matter if hedging is armed.
+		mc.Hedge = multistore.HedgeConfig{Enabled: true}
+	})
 	if err != nil {
 		return nil, err
 	}
-	mc := multistore.DefaultConfig(multistore.VariantMSMiso)
-	mc.SetBudgets(cat, cfg.BudgetMultiple, cfg.TransferBudget)
-	mc.Faults = faults.Profile{}.With(faults.SiteViewRot, rotRate)
-	mc.FaultSeed = cfg.Seed
-	mc.Tuner.TuneWorkers = cfg.TuneWorkers
-	mc.ExecWorkers = cfg.ExecWorkers
-	mc.CheckpointEvery = 8
-	// Hedge-triggering slow shapes only matter if hedging is armed.
-	mc.Hedge = multistore.HedgeConfig{Enabled: true}
-	sys := multistore.New(mc, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-
 	srv := serve.NewServer(serve.Config{
 		Workers: cfg.Workers, QueueDepth: cfg.Queue,
 		QueryTimeout: 20 * time.Second, DrainTimeout: 2 * time.Second,
@@ -232,14 +205,9 @@ func (cfg EnduranceConfig) runEndurance(rotRate float64) (*enduranceOutcome, err
 	})
 	scrub.Start()
 
-	out := &enduranceOutcome{sys: sys, scrub: scrub}
-	var (
-		mu      sync.Mutex
-		hardErr error
-	)
+	d := newDriver(srv)
+	out := &enduranceOutcome{sys: sys, scrub: scrub, tally: d.tally}
 	stop := make(chan struct{})
-	var once sync.Once
-	halt := func() { once.Do(func() { close(stop) }) }
 
 	// Horizon watcher: stop once the reorg-cycle and served-query
 	// horizons are both met, or the wall-clock cap is hit.
@@ -248,104 +216,81 @@ func (cfg EnduranceConfig) runEndurance(rotRate float64) (*enduranceOutcome, err
 	deadline := time.Now().Add(cfg.MaxDuration)
 	go func() {
 		defer watchWG.Done()
+		defer close(stop)
 		t := time.NewTicker(20 * time.Millisecond)
 		defer t.Stop()
-		for {
-			select {
-			case <-stop:
+		for range t.C {
+			if sys.Metrics().Reorgs >= cfg.MinReorgs && srv.Metrics().Completed >= cfg.MinQueries {
 				return
-			case <-t.C:
-				mu.Lock()
-				served := out.served
-				mu.Unlock()
-				if sys.Metrics().Reorgs >= cfg.MinReorgs && served >= cfg.MinQueries {
-					halt()
-					return
-				}
-				if time.Now().After(deadline) {
-					mu.Lock()
-					out.timedOut = true
-					mu.Unlock()
-					halt()
-					return
-				}
+			}
+			if time.Now().After(deadline) {
+				out.timedOut = true
+				return
 			}
 		}
 	}()
 
 	sqls := workload.SQLs()
 	start := time.Now()
-	var clientWG sync.WaitGroup
-	for c := 0; c < cfg.Tenants; c++ {
-		clientWG.Add(1)
-		go func(c int) {
-			defer clientWG.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
-			tenant := fmt.Sprintf("t%03d", c)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sql := adversarialSQL(rng, sqls, c+i)
-				_, err := srv.DoAs(context.Background(), tenant, sql)
-				mu.Lock()
-				out.sub++
-				switch {
-				case err == nil:
-					out.served++
-				case errors.Is(err, serve.ErrShed):
-					out.shed++
-				case errors.Is(err, context.DeadlineExceeded),
-					errors.Is(err, context.Canceled),
-					errors.Is(err, govern.ErrMemLimit),
-					errors.Is(err, govern.ErrInternal):
-					out.failed++
-				default:
-					out.failed++
-					if hardErr == nil {
-						hardErr = fmt.Errorf("experiments: endurance tenant %s: %w", tenant, err)
-					}
-				}
-				mu.Unlock()
-				// Closed-loop think time, jittered ±50% per draw.
-				think := time.Duration(float64(cfg.ThinkTime) * (0.5 + rng.Float64()))
-				select {
-				case <-stop:
-					return
-				case <-time.After(think):
-				}
-			}
-		}(c)
-	}
-	clientWG.Wait()
+	d.closed(closedLoop{
+		clients: cfg.Tenants, think: cfg.ThinkTime, seed: cfg.Seed, stop: stop,
+		next: func(c, i int, rng *rand.Rand) request {
+			return request{tenant: fmt.Sprintf("t%03d", c), sql: adversarialSQL(rng, sqls, c+i)}
+		},
+	})
 	watchWG.Wait()
 	out.elapsed = time.Since(start)
 	srv.Close()
 	scrub.Stop()
-
-	mu.Lock()
-	err = hardErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, d.tally.check()
 }
 
-// distinct returns the sorted distinct strings.
-func distinct(names []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// unaccountedRot counts the distinct rotted view names, and how many of
+// them are unaccounted for: never repaired, yet the rotted copy itself is
+// still resident. A rotted copy that was never repaired must have left the
+// design (evicted or dropped by the tuner before a scrub chunk reached it
+// — its corruption left the system with it). A resident view of the same
+// name created since is a different copy: names derive from signatures, so
+// a later query re-captures them.
+func unaccountedRot(sys *multistore.System, repaired map[string]bool) (distinct, unaccounted int) {
+	counted := map[string]bool{}
+	seen := map[multistore.RotRecord]bool{}
+	for _, rot := range sys.RotLog() {
+		if !counted[rot.Name] {
+			counted[rot.Name] = true
+			distinct++
+		}
+		if seen[rot] || repaired[rot.Name] {
+			continue
+		}
+		seen[rot] = true
+		for _, set := range []*views.Set{sys.HV().Views, sys.DW().Views} {
+			if v, ok := set.Get(rot.Name); ok && v.CreatedSeq == rot.CreatedSeq {
+				unaccounted++
+			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	return distinct, unaccounted
+}
+
+// unsettledViolations counts the scrubber's unrepaired findings that the
+// final verification pass cannot settle: views quarantined as irreparable
+// and system-wide violations (ledgers, accounting, an open reorg window).
+// An unrepaired finding that names a view is settled by that pass — the
+// view verifies there or has left the design. The one such finding a
+// healthy run produces: a rotted view that a reorganization moves before a
+// scrub chunk reaches it is journaled as it is, and the WAL audit can only
+// report that durable copy (its live source is just as corrupt) until the
+// checksum repair recomputes the view and re-journals it, or the tuner
+// drops it.
+func unsettledViolations(viols []multistore.AuditViolation) int {
+	n := 0
+	for _, v := range viols {
+		if !v.Repaired && (v.Quarantined || v.View == "") {
+			n++
+		}
+	}
+	return n
 }
 
 // RunEndurance executes the adversarial endurance run plus its rot-free
@@ -392,16 +337,23 @@ func RunEndurance(cfg EnduranceConfig) (*EnduranceReport, error) {
 
 	m := sys.Metrics()
 	sr := rot.scrub.Report()
-	rotNames := sys.RotLog()
-	rotDistinct := distinct(rotNames)
+	// Which rotted names were repaired at least once? Anything corrupt AND
+	// resident would have failed the verification pass above.
+	repaired := map[string]bool{}
+	for _, v := range sr.Violations {
+		if v.Repaired && v.Invariant == multistore.InvChecksum {
+			repaired[v.View] = true
+		}
+	}
+	rotInjected := len(sys.RotLog())
+	rotDistinct, unaccounted := unaccountedRot(sys, repaired)
 
 	rep := &EnduranceReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Scale:   fmt.Sprintf("%d tweets", cfg.Data.NumTweets),
+		Host:    cfg.host(),
 		Tenants: cfg.Tenants, DurationSec: rot.elapsed.Seconds(), Reorgs: m.Reorgs,
-		Submitted: rot.sub, Served: rot.served, Shed: rot.shed, Failed: rot.failed,
+		Submitted: rot.tally.submitted, Served: rot.tally.served, Shed: rot.tally.shed, Failed: rot.tally.failed,
 		GoodputQPS: rot.goodput(), ControlGoodputQPS: control.goodput(),
-		RotInjected: len(rotNames), RotDistinct: len(rotDistinct),
+		RotInjected: rotInjected, RotDistinct: rotDistinct,
 		AuditDetects: m.AuditViolations, AuditRepairs: m.AuditRepaired, AuditUnrep: m.AuditUnrepaired,
 		ScrubPasses: sr.Passes, ScrubChunks: sr.Chunks,
 		FinalViolations: len(finalViols), RecoverySeconds: m.Recovery,
@@ -410,42 +362,27 @@ func RunEndurance(cfg EnduranceConfig) (*EnduranceReport, error) {
 		rep.GoodputRatio = rep.GoodputQPS / rep.ControlGoodputQPS
 	}
 
-	// Which rotted names were repaired at least once? A rotted view that
-	// was never repaired must no longer be resident (evicted or dropped
-	// by the tuner before a scrub chunk reached it — its corruption left
-	// the system with it); anything corrupt AND resident would have
-	// failed the verification pass above.
-	repaired := map[string]bool{}
-	for _, v := range sr.Violations {
-		if v.Repaired && v.Invariant == multistore.InvChecksum {
-			repaired[v.View] = true
-		}
-	}
-	unaccounted := 0
-	for _, name := range rotDistinct {
-		if repaired[name] {
-			continue
-		}
-		if sys.HV().Views.Has(name) || sys.DW().Views.Has(name) {
-			unaccounted++
-		}
-	}
-
 	check := func(name string, pass bool, detail string, args ...any) {
 		rep.Checks = append(rep.Checks, EnduranceCheck{
 			Name: name, Pass: pass, Detail: fmt.Sprintf(detail, args...),
 		})
 	}
-	check("horizon", !rot.timedOut && m.Reorgs >= cfg.MinReorgs && rot.served >= cfg.MinQueries,
+	check("horizon", !rot.timedOut && m.Reorgs >= cfg.MinReorgs && rep.Served >= cfg.MinQueries,
 		"%d reorg cycles (need >= %d), %d served (need >= %d), timed out: %v",
-		m.Reorgs, cfg.MinReorgs, rot.served, cfg.MinQueries, rot.timedOut)
-	check("rot-exercised", len(rotNames) > 0,
-		"%d corruptions injected across %d views", len(rotNames), len(rotDistinct))
+		m.Reorgs, cfg.MinReorgs, rep.Served, cfg.MinQueries, rot.timedOut)
+	check("rot-exercised", rotInjected > 0,
+		"%d corruptions injected across %d views", rotInjected, rotDistinct)
 	check("rot-repaired", unaccounted == 0,
 		"%d distinct rotted views: %d repaired online, %d left the design, %d unaccounted",
-		len(rotDistinct), len(repaired), len(rotDistinct)-len(repaired)-unaccounted, unaccounted)
-	check("zero-unrepaired", m.AuditUnrepaired == 0 && sr.Fatal == nil,
-		"%d unrepaired violations at exit", m.AuditUnrepaired)
+		rotDistinct, len(repaired), rotDistinct-len(repaired)-unaccounted, unaccounted)
+	unsettled := unsettledViolations(sr.Violations)
+	if sr.DroppedViolations > 0 {
+		// The report's list is truncated: fall back to the strict count.
+		unsettled = m.AuditUnrepaired
+	}
+	check("zero-unrepaired", unsettled == 0 && sr.Fatal == nil,
+		"%d unrepaired violations at exit (%d unrepaired when found, the rest settled by the final pass)",
+		unsettled, m.AuditUnrepaired)
 	check("final-pass-clean", len(finalViols) == 0,
 		"%d violations on the independent verification pass", len(finalViols))
 	check("goodput-bound", rep.ControlGoodputQPS <= 0 || rep.GoodputRatio >= 0.5,

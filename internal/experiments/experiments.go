@@ -10,13 +10,16 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
 	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/optimizer"
+	"miso/internal/storage"
 	"miso/internal/workload"
 )
 
@@ -65,11 +68,15 @@ func Small() Config {
 	}
 }
 
-// newSystem builds a system for the variant under this configuration.
-func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
+// multistoreConfig is the one place an experiment's backend configuration
+// is assembled: a fresh catalog, the variant's defaults, the budgets, the
+// uniform fault rate and seed, the worker pools, and then mutate — where a
+// harness arms its own fault profile, durability, hedging or limits over
+// those (nil leaves them as they are).
+func (c Config) multistoreConfig(v multistore.Variant, mutate func(*multistore.Config)) (multistore.Config, *storage.Catalog, error) {
 	cat, err := data.Generate(c.Data)
 	if err != nil {
-		return nil, err
+		return multistore.Config{}, nil, err
 	}
 	cfg := multistore.DefaultConfig(v)
 	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
@@ -77,6 +84,19 @@ func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
 	cfg.FaultSeed = c.FaultSeed
 	cfg.Tuner.TuneWorkers = c.TuneWorkers
 	cfg.ExecWorkers = c.ExecWorkers
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg, cat, nil
+}
+
+// newSystem builds a system from multistoreConfig and registers the
+// 32-query workload as its future workload.
+func (c Config) newSystem(v multistore.Variant, mutate func(*multistore.Config)) (*multistore.System, error) {
+	cfg, cat, err := c.multistoreConfig(v, mutate)
+	if err != nil {
+		return nil, err
+	}
 	sys := multistore.New(cfg, cat)
 	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
 		return nil, err
@@ -86,7 +106,7 @@ func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
 
 // runWorkload executes the full 32-query workload on a fresh system.
 func (c Config) runWorkload(v multistore.Variant) (*multistore.System, error) {
-	sys, err := c.newSystem(v)
+	sys, err := c.newSystem(v, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -116,6 +136,37 @@ func cumulativeTTI(sys *multistore.System) []float64 {
 		out = append(out, cum)
 	}
 	return out
+}
+
+// Host is the envelope every machine-readable report opens with: where it
+// was recorded and at what data scale.
+type Host struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	NumCPU int    `json:"num_cpu"`
+	Scale  string `json:"scale"`
+}
+
+// host fills the envelope; Scale names the two known sizes and spells any
+// other as its tweet count.
+func (c Config) host() Host {
+	scale := fmt.Sprintf("%d tweets", c.Data.NumTweets)
+	switch c.Data.NumTweets {
+	case data.SmallConfig().NumTweets:
+		scale = "small"
+	case data.DefaultConfig().NumTweets:
+		scale = "paper"
+	}
+	return Host{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(), Scale: scale}
+}
+
+// WriteJSON renders a machine-readable report (one of the BENCH_*.json
+// artifacts: BenchReport, GovernReport, ScenarioReport, CacheReport,
+// EnduranceReport) as indented JSON.
+func WriteJSON(w io.Writer, report any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(report)
 }
 
 func fprintf(w io.Writer, format string, args ...any) {

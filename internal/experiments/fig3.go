@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 
-	"miso/internal/data"
 	"miso/internal/logical"
 	"miso/internal/multistore"
 	"miso/internal/transfer"
@@ -37,12 +36,10 @@ type Fig3Result struct {
 
 // Fig3 enumerates and costs every split plan for A1v1.
 func Fig3(cfg Config) (*Fig3Result, error) {
-	cat, err := data.Generate(cfg.Data)
+	mcfg, cat, err := cfg.multistoreConfig(multistore.VariantMSBasic, nil)
 	if err != nil {
 		return nil, err
 	}
-	mcfg := multistore.DefaultConfig(multistore.VariantMSBasic)
-	mcfg.SetBudgets(cat, cfg.BudgetMultiple, cfg.TransferBudget)
 	sys := multistore.New(mcfg, cat)
 
 	q, _ := workload.ByName("A1v1")

@@ -13,15 +13,12 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+	"math/rand"
 	"time"
 
-	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/multistore"
@@ -42,130 +39,62 @@ func governProfile(rate float64) faults.Profile {
 		With(faults.SiteSlowMorsel, rate)
 }
 
-// newGovernSystem builds a system with an explicit (exec-plane) fault
-// profile and per-query memory limit, where newSystem only takes a uniform
-// store-level rate.
-func (c Config) newGovernSystem(v multistore.Variant, prof faults.Profile, seed int64, memLimit int64) (*multistore.System, error) {
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return nil, err
+// armed returns the builder mutation that replaces the uniform fault rate
+// with an explicit (exec-plane) profile under a fixed seed.
+func armed(prof faults.Profile, seed int64) func(*multistore.Config) {
+	return func(mc *multistore.Config) {
+		mc.Faults = prof
+		mc.FaultSeed = seed
 	}
-	cfg := multistore.DefaultConfig(v)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Faults = prof
-	cfg.FaultSeed = seed
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	cfg.MemLimitBytes = memLimit
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// governedOutcome reports whether err is an expected governed outcome of a
-// storm run rather than a hard failure.
-func governedOutcome(err error) bool {
-	return err == nil ||
-		errors.Is(err, serve.ErrShed) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, govern.ErrMemLimit) ||
-		errors.Is(err, govern.ErrInternal)
 }
 
 // governStorm drives one governed serving run: sessions×queries
 // submissions against srv, canceling three of every four query contexts a
-// few milliseconds in. It returns the first hard (non-governed) error.
-func governStorm(srv *serve.Server, sessions, queries int) error {
+// few milliseconds in. It returns the closed server's counters; any hard
+// (non-governed) error fails it.
+func governStorm(sys *multistore.System, srv *serve.Server, sessions, queries int) (serve.Metrics, error) {
 	sqls := workload.SQLs()
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		hardErr error
-	)
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(session int) {
-			defer wg.Done()
-			for i := 0; i < queries; i++ {
-				k := session*queries + i
-				sql := sqls[k%len(sqls)]
-				ctx, cancel := context.WithCancel(context.Background())
-				var timer *time.Timer
-				if k%4 != 3 {
-					// Staggered cancellation: mid-flight for queries
-					// already executing, pre-admission for queued ones.
-					timer = time.AfterFunc(time.Duration(1+k%5)*time.Millisecond, cancel)
-				}
-				_, err := srv.Do(ctx, sql)
-				if timer != nil {
-					timer.Stop()
-				}
-				cancel()
-				if !governedOutcome(err) {
-					mu.Lock()
-					if hardErr == nil {
-						hardErr = fmt.Errorf("experiments: govern session %d query %d: %w", session, i, err)
-					}
-					mu.Unlock()
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	srv.Close()
-	return hardErr
+	d := newDriver(srv)
+	d.closed(closedLoop{clients: sessions, count: queries, next: func(session, i int, _ *rand.Rand) request {
+		k := session*queries + i
+		ctx, cancel := context.WithCancel(context.Background())
+		q := request{sql: sqls[k%len(sqls)], ctx: ctx, release: cancel}
+		if k%4 != 3 {
+			// Staggered cancellation: mid-flight for queries already
+			// executing, pre-admission for queued ones.
+			timer := time.AfterFunc(time.Duration(1+k%5)*time.Millisecond, cancel)
+			q.release = func() { timer.Stop(); cancel() }
+		}
+		return q
+	}})
+	return d.finish(sys)
 }
 
-// governChaosPoint is the chaos sweep's govern-mode row: MS-MISO behind
-// the serving frontend with exec-plane faults armed at the sweep rate and
-// the cancellation pattern of governStorm.
-func governChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
-	sys, err := c.newGovernSystem(multistore.VariantMSMiso, governProfile(rate), seed, 0)
+// governChaosPoint is the chaos sweep's govern-mode row: the system behind
+// the serving frontend with the exec-plane fault sites (contained panics,
+// injected memory pressure, slow morsels) armed at the sweep rate and the
+// cancellation pattern of governStorm.
+func governChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
+	sys, err := c.newSystem(v, armed(governProfile(c.FaultRate), c.FaultSeed))
 	if err != nil {
 		return ChaosPoint{}, err
 	}
 	srv := serve.NewServer(serve.Config{Workers: chaosServeWorkers, QueueDepth: 64}, sys)
-	if err := governStorm(srv, 4, 16); err != nil {
+	m, err := governStorm(sys, srv, 4, 16)
+	if err != nil {
 		return ChaosPoint{}, err
 	}
-	m := srv.Metrics()
-	if err := m.Check(); err != nil {
-		return ChaosPoint{}, err
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		return ChaosPoint{}, err
-	}
-	sm := sys.Metrics()
-	return ChaosPoint{
-		Rate:            rate,
-		Variant:         multistore.VariantMSMiso,
-		Mode:            "govern",
-		TTI:             sm.TTI(),
-		Recovery:        sm.Recovery,
-		Retries:         sm.Retries,
-		Fallbacks:       sm.Fallbacks,
-		Completed:       m.Completed,
-		Sheds:           m.Sheds,
-		BreakerTrips:    m.BreakerTrips,
-		Timeouts:        m.Timeouts,
-		Degraded:        m.Degraded,
-		Canceled:        m.Canceled,
-		MemAborted:      m.Aborted,
-		PanicsContained: m.PanicsContained,
-		CancelP99Ms:     float64(govern.Percentile(srv.CancelLatencies(), 99)) / 1e6,
-	}, nil
+	p := chaosPoint(sys.Metrics())
+	p.fromServe(m)
+	p.Canceled, p.MemAborted, p.PanicsContained = m.Canceled, m.Aborted, m.PanicsContained
+	p.CancelP99Ms = float64(govern.Percentile(srv.CancelLatencies(), 99)) / 1e6
+	return p, nil
 }
 
 // GovernReport is the machine-readable governance report
 // (BENCH_governance.json in CI).
 type GovernReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-	Scale  string `json:"scale"`
+	Host
 
 	// Cancellation storm: submissions against a slow-morsel-stretched
 	// system with three of every four query contexts canceled mid-flight,
@@ -203,13 +132,6 @@ type GovernReport struct {
 	DigestIdentical bool   `json:"digest_identical"`
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *GovernReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteText renders the report as a human-readable summary.
 func (r *GovernReport) WriteText(w io.Writer) {
 	fprintf(w, "governance pipeline (%s/%s, %d CPU, scale=%s)\n", r.GOOS, r.GOARCH, r.NumCPU, r.Scale)
@@ -244,31 +166,19 @@ func workloadDigest(sys *multistore.System, run func(sql string) (*multistore.Qu
 // panic-containment run, the memory-budget run, and the governance-off
 // identity check.
 func BenchGovern(c Config) (*GovernReport, error) {
-	scale := "paper"
-	if c.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &GovernReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Scale:  scale,
-	}
+	rep := &GovernReport{Host: c.host()}
 
 	// 1. Cancellation storm: every morsel stalls (up to 2ms), so queries
 	// are long enough that mid-flight cancellation is the common case.
-	stormSys, err := c.newGovernSystem(multistore.VariantMSMiso,
-		faults.Profile{}.With(faults.SiteSlowMorsel, 1), 42, 0)
+	stormSys, err := c.newSystem(multistore.VariantMSMiso,
+		armed(faults.Profile{}.With(faults.SiteSlowMorsel, 1), 42))
 	if err != nil {
 		return nil, err
 	}
 	srv := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 64}, stormSys)
-	if err := governStorm(srv, 4, 8); err != nil {
-		return nil, err
-	}
-	m := srv.Metrics()
-	if err := m.Check(); err != nil {
-		return nil, err
+	m, err := governStorm(stormSys, srv, 4, 8)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: cancellation storm: %w", err)
 	}
 	lat := srv.CancelLatencies()
 	rep.StormSubmitted = m.Submitted
@@ -284,77 +194,60 @@ func BenchGovern(c Config) (*GovernReport, error) {
 	// every query's result is position-independent: the fault-free
 	// baseline digests are the ground truth for any concurrent
 	// interleaving of the faulted run.
-	baseSys, err := c.newGovernSystem(multistore.VariantHVOnly, faults.Profile{}, 42, 0)
+	sqls := workload.SQLs()
+	baseSys, err := c.newSystem(multistore.VariantHVOnly, armed(faults.Profile{}, 42))
 	if err != nil {
 		return nil, err
 	}
-	baseline := map[string]uint64{}
-	for _, sql := range workload.SQLs() {
+	survivors := newDigestCheck()
+	for _, sql := range sqls {
 		r, err := baseSys.Run(sql)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: panic baseline: %w", err)
 		}
-		baseline[sql] = storage.ChecksumTable(r.Result)
+		survivors.observe(sql, storage.ChecksumTable(r.Result))
 	}
-	panicSys, err := c.newGovernSystem(multistore.VariantHVOnly,
-		faults.Profile{}.With(faults.SiteExecPanic, 0.01), 42, 0)
+	panicSys, err := c.newSystem(multistore.VariantHVOnly,
+		armed(faults.Profile{}.With(faults.SiteExecPanic, 0.01), 42))
 	if err != nil {
 		return nil, err
 	}
 	psrv := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 64}, panicSys)
-	var (
-		pwg       sync.WaitGroup
-		pmu       sync.Mutex
-		phard     error
-		identical = true
-	)
-	sqls := workload.SQLs()
-	for s := 0; s < 2; s++ {
-		pwg.Add(1)
-		go func(session int) {
-			defer pwg.Done()
-			for i := session; i < len(sqls); i += 2 {
-				sql := sqls[i]
-				r, err := psrv.Do(context.Background(), sql)
-				pmu.Lock()
-				switch {
-				case err == nil:
-					if storage.ChecksumTable(r.Result) != baseline[sql] {
-						identical = false
-					}
-				case errors.Is(err, govern.ErrInternal):
-					// Contained panic: counted by the server.
-				default:
-					if phard == nil {
-						phard = fmt.Errorf("experiments: panic run query %d: %w", i, err)
-					}
-				}
-				pmu.Unlock()
-			}
-		}(s)
+	pd := newDriver(psrv)
+	pd.onResult = func(_ int, q request, r *multistore.QueryReport, err error) error {
+		switch {
+		case err == nil:
+			survivors.observe(q.sql, storage.ChecksumTable(r.Result))
+		case !errors.Is(err, govern.ErrInternal):
+			// Only a contained panic (counted by the server) may fail a
+			// query here.
+			return fmt.Errorf("experiments: panic run: %w", err)
+		}
+		return nil
 	}
-	pwg.Wait()
-	psrv.Close()
-	if phard != nil {
-		return nil, phard
-	}
-	pm := psrv.Metrics()
-	if err := pm.Check(); err != nil {
+	// Two sessions split the workload between them, odd and even.
+	pd.closed(closedLoop{clients: 2, count: len(sqls) / 2, next: func(session, i int, _ *rand.Rand) request {
+		return request{sql: sqls[session+2*i]}
+	}})
+	pm, err := pd.finish(panicSys)
+	if err != nil {
 		return nil, err
 	}
 	rep.PanicSubmitted = pm.Submitted
 	rep.PanicContained = pm.PanicsContained
 	rep.PanicCompleted = pm.Completed
-	rep.PanicSurvivorsIdentical = identical
+	rep.PanicSurvivorsIdentical = survivors.match
 	rep.PanicProcessSurvived = true // reaching here means no panic escaped
 
 	// 3. Memory budget: a limit far below any query's working set.
-	memSys, err := c.newGovernSystem(multistore.VariantMSMiso, faults.Profile{}, 42, 64<<10)
+	rep.MemLimitBytes = 64 << 10
+	memSys, err := c.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.MemLimitBytes = rep.MemLimitBytes
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.MemLimitBytes = 64 << 10
-	for i, sql := range workload.SQLs()[:8] {
+	for i, sql := range sqls[:8] {
 		rep.MemSubmitted++
 		if _, err := memSys.RunContext(context.Background(), sql); err != nil &&
 			!errors.Is(err, govern.ErrMemLimit) {
@@ -363,8 +256,9 @@ func BenchGovern(c Config) (*GovernReport, error) {
 	}
 	rep.MemAborted = memSys.Metrics().MemAborted
 
-	// 4. Governance-off identity.
-	plainSys, err := c.newSystem(multistore.VariantMSMiso)
+	// 4. Governance-off identity: the twin differs only in the ledger
+	// attached at an unreachable limit.
+	plainSys, err := c.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +266,9 @@ func BenchGovern(c Config) (*GovernReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	govSys, err := c.newGovernSystem(multistore.VariantMSMiso, faults.Profile{}, 42, 1<<40)
+	govSys, err := c.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.MemLimitBytes = 1 << 40
+	})
 	if err != nil {
 		return nil, err
 	}

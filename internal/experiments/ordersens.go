@@ -31,7 +31,7 @@ func OrderSensitivity(cfg Config) (*OrderSensResult, error) {
 	for _, v := range OrderSensVariants {
 		var ttis [2]float64
 		for oi, order := range orders {
-			sys, err := cfg.newSystem(v)
+			sys, err := cfg.newSystem(v, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -9,19 +9,14 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
 	"miso/internal/data"
 	"miso/internal/faults"
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
@@ -93,19 +88,9 @@ type ScenarioResult struct {
 // ScenarioReport is the machine-readable matrix report
 // (BENCH_scenarios.json).
 type ScenarioReport struct {
-	GOOS          string           `json:"goos"`
-	GOARCH        string           `json:"goarch"`
-	NumCPU        int              `json:"num_cpu"`
-	Scale         string           `json:"scale"`
+	Host
 	CalibratedQPS float64          `json:"calibrated_qps"`
 	Scenarios     []ScenarioResult `json:"scenarios"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *ScenarioReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // WriteText renders the report as a plain-text table.
@@ -162,37 +147,12 @@ type phaseSpec struct {
 	sqlOffset int
 }
 
-// newScenarioSystem builds a fresh backend, letting the scenario mutate
-// the multistore config (fault profile, hedging, retry budget) first.
-func (c ScenarioConfig) newScenarioSystem(mut func(*multistore.Config)) (*multistore.System, error) {
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Faults = faults.Uniform(c.FaultRate)
-	cfg.FaultSeed = c.FaultSeed
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	if mut != nil {
-		mut(&cfg)
-	}
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
 // calibrate measures the backend's serial query throughput (the backend
 // executes one query at a time, so offered rates are set relative to
 // 1/meanLatency regardless of worker count).
-func calibrate(sys *multistore.System, n int) (float64, error) {
+func calibrate(sys *multistore.System) (float64, error) {
+	const n = 8
 	sqls := workload.SQLs()
-	if n <= 0 || n > len(sqls) {
-		n = 8
-	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if _, err := sys.Run(sqls[i%len(sqls)]); err != nil {
@@ -206,168 +166,48 @@ func calibrate(sys *multistore.System, n int) (float64, error) {
 	return float64(time.Second) / float64(mean), nil
 }
 
-// phaseRunner drives one scenario's phases against a server, open-loop:
-// every tenant submits at its phase rate from its own ticker goroutine,
-// without waiting for responses (responses resolve in their own
-// goroutines, bounded by a semaphore). Outcomes are attributed to the
-// submitting phase.
-type phaseRunner struct {
-	srv  *serve.Server
-	sys  *multistore.System
-	sqls []string
-	dur  time.Duration
-
-	mu      sync.Mutex
-	hardErr error
-}
-
-func (pr *phaseRunner) fail(err error) {
-	pr.mu.Lock()
-	if pr.hardErr == nil {
-		pr.hardErr = err
-	}
-	pr.mu.Unlock()
-}
-
-// phaseAcc accumulates one phase's outcomes across submitter and
-// resolver goroutines.
-type phaseAcc struct {
-	mu           sync.Mutex
-	latencies    []time.Duration
-	submitted    int
-	served       int
-	shed         int
-	failed       int
-	tenantServed map[string]int
-	tenantShed   map[string]int
-}
-
-// submit dispatches one query asynchronously, classifying its outcome
-// into the accumulator when it resolves.
-func (pr *phaseRunner) submit(tenant, sql string, acc *phaseAcc, all *sync.WaitGroup, sem chan struct{}) {
-	acc.mu.Lock()
-	acc.submitted++
-	acc.mu.Unlock()
-	all.Add(1)
-	sem <- struct{}{}
-	go func() {
-		defer all.Done()
-		defer func() { <-sem }()
-		t0 := time.Now()
-		_, err := pr.srv.DoAs(context.Background(), tenant, sql)
-		lat := time.Since(t0)
-		acc.mu.Lock()
-		defer acc.mu.Unlock()
-		switch {
-		case err == nil:
-			acc.served++
-			acc.tenantServed[tenant]++
-			acc.latencies = append(acc.latencies, lat)
-		case errors.Is(err, serve.ErrShed):
-			acc.shed++
-			acc.tenantShed[tenant]++
-		case errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled),
-			errors.Is(err, govern.ErrMemLimit),
-			errors.Is(err, govern.ErrInternal):
-			acc.failed++
-		default:
-			acc.failed++
-			pr.fail(fmt.Errorf("experiments: scenario tenant %s: %w", tenant, err))
-		}
-	}()
-}
-
-// run executes the phases sequentially and returns per-phase results.
-func (pr *phaseRunner) run(phases []phaseSpec) ([]PhaseResult, error) {
-	sem := make(chan struct{}, 512)
-	var all sync.WaitGroup
-	results := make([]PhaseResult, len(phases))
-
-	for pi, ph := range phases {
-		if ph.reorg {
-			if err := pr.srv.Reorganize(); err != nil {
-				return nil, fmt.Errorf("experiments: scenario reorg before %s: %w", ph.name, err)
-			}
-		}
-		stopStorm := make(chan struct{})
-		var stormWG sync.WaitGroup
-		if ph.etlStorm {
-			stormWG.Add(1)
-			go pr.etlStorm(stopStorm, &stormWG)
-		}
-
-		acc := &phaseAcc{tenantServed: map[string]int{}, tenantShed: map[string]int{}}
-		offered := 0.0
-		for _, r := range ph.rates {
-			offered += r
-		}
-
-		var phaseWG sync.WaitGroup // submitter pacers only
-		deadline := time.Now().Add(pr.dur)
-		for tenant, rate := range ph.rates {
-			if rate <= 0 {
-				continue
-			}
-			phaseWG.Add(1)
-			go func(tenant string, rate float64) {
-				defer phaseWG.Done()
-				// Pace by target count, not per-tick: want = rate×elapsed
-				// keeps the offered load honest even when the scheduler
-				// starves this goroutine and the ticker coalesces (a
-				// saturated 1-CPU box must still see true overload).
-				interval := time.Duration(float64(time.Second) / rate)
-				if interval > 5*time.Millisecond {
-					interval = 5 * time.Millisecond
-				}
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				phaseStart := time.Now()
-				i := 0
-				for time.Now().Before(deadline) {
-					want := int(rate * time.Since(phaseStart).Seconds())
-					for ; i < want; i++ {
-						sql := pr.sqls[(ph.sqlOffset+i)%len(pr.sqls)]
-						pr.submit(tenant, sql, acc, &all, sem)
-					}
-					<-tick.C
-				}
-			}(tenant, rate)
-		}
-		phaseWG.Wait()
-		// The phase's submissions are in; let them resolve before
-		// measuring so goodput counts everything the phase offered.
-		all.Wait()
-		close(stopStorm)
-		stormWG.Wait()
-
-		acc.mu.Lock()
-		res := PhaseResult{
-			Name: ph.name, OfferedQPS: offered,
-			Submitted: acc.submitted, Served: acc.served, Shed: acc.shed, Failed: acc.failed,
-			TenantServed: acc.tenantServed, TenantShed: acc.tenantShed,
-		}
-		res.GoodputQPS = float64(acc.served) / pr.dur.Seconds()
-		latencies := acc.latencies
-		acc.mu.Unlock()
-		res.P50Ms = float64(govern.Percentile(latencies, 50)) / float64(time.Millisecond)
-		res.P99Ms = float64(govern.Percentile(latencies, 99)) / float64(time.Millisecond)
-		results[pi] = res
-
-		pr.mu.Lock()
-		err := pr.hardErr
-		pr.mu.Unlock()
-		if err != nil {
-			return nil, err
+// runPhase offers one phase's load open-loop and reports it once every
+// submission has resolved. Queries are attributed to the phase that
+// submitted them.
+func runPhase(d *driver, sys *multistore.System, ph phaseSpec, dur time.Duration) (PhaseResult, error) {
+	if ph.reorg {
+		if err := d.srv.Reorganize(); err != nil {
+			return PhaseResult{}, fmt.Errorf("reorg before %s: %w", ph.name, err)
 		}
 	}
-	return results, nil
+	d.tally = newTally()
+	stopStorm := make(chan struct{})
+	var stormWG sync.WaitGroup
+	if ph.etlStorm {
+		stormWG.Add(1)
+		go etlStorm(sys, stopStorm, &stormWG, d.tally.fail)
+	}
+	sqls := workload.SQLs()
+	d.open(openLoop{rates: ph.rates, dur: dur, next: func(tenant string, i int) request {
+		return request{tenant: tenant, sql: sqls[(ph.sqlOffset+i)%len(sqls)]}
+	}})
+	close(stopStorm)
+	stormWG.Wait()
+
+	t := d.tally
+	res := PhaseResult{
+		Name:      ph.name,
+		Submitted: t.submitted, Served: t.served, Shed: t.shed, Failed: t.failed,
+		GoodputQPS:   float64(t.served) / dur.Seconds(),
+		P50Ms:        float64(t.percentile(50)) / float64(time.Millisecond),
+		P99Ms:        float64(t.percentile(99)) / float64(time.Millisecond),
+		TenantServed: t.tenantServed, TenantShed: t.tenantShed,
+	}
+	for _, r := range ph.rates {
+		res.OfferedQPS += r
+	}
+	return res, t.check()
 }
 
 // etlStorm appends records to the tweets log in a tight loop until
 // stopped — the update path racing live queries through the backend's
 // serialization.
-func (pr *phaseRunner) etlStorm(stop <-chan struct{}, wg *sync.WaitGroup) {
+func etlStorm(sys *multistore.System, stop <-chan struct{}, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	id := int64(10_000_000)
 	for {
@@ -382,8 +222,8 @@ func (pr *phaseRunner) etlStorm(stop <-chan struct{}, wg *sync.WaitGroup) {
 			lines = append(lines, fmt.Sprintf(
 				`{"tweet_id":%d,"user_id":1,"ts":1357000000,"text":"storm #etl","hashtag":"etl","lang":"en","retweets":1,"followers":10}`, id))
 		}
-		if _, err := pr.sys.AppendToLog(data.TweetsLog, lines); err != nil {
-			pr.fail(fmt.Errorf("experiments: etl storm append: %w", err))
+		if _, err := sys.AppendToLog(data.TweetsLog, lines); err != nil {
+			fail(fmt.Errorf("etl storm append: %w", err))
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -431,6 +271,182 @@ func zipfRates(n int, total, exponent float64) map[string]float64 {
 	return rates
 }
 
+// scenario is one row of the matrix: what differs from the shared
+// serving and backend configuration, the load it offers, and what it must
+// show.
+type scenario struct {
+	name, desc string
+	// serve holds the row's frontend extras; runScenario fills in the
+	// shared workers, queue depth and 10s query deadline.
+	serve serve.Config
+	// mutate arms the backend (fault profile, hedging); nil for none.
+	mutate func(*multistore.Config)
+	phases []phaseSpec
+	// verdict judges the finished result: pass and the note explaining it.
+	verdict func(r *ScenarioResult) (bool, string)
+}
+
+// scenarioMatrix builds the six rows; offered rates are multiples of the
+// backend's calibrated serial capacity.
+func (cfg ScenarioConfig) scenarioMatrix(capQPS float64) []scenario {
+	one := func(tenant string, rate float64) map[string]float64 { return map[string]float64{tenant: rate} }
+
+	// zipf-skew: equal-weight quotas sized so cold tenants never touch
+	// their buckets while the hot tenant's surge drains only its own. The
+	// cold tenants' offered rate is identical across phases so their
+	// goodput comparison isolates the hot tenant's effect.
+	const tenants = 4
+	base, skewed := map[string]float64{}, map[string]float64{}
+	for i := 0; i < tenants; i++ {
+		t := fmt.Sprintf("t%d", i)
+		base[t], skewed[t] = 0.1*capQPS, 0.1*capQPS
+	}
+	skewed["t0"] = zipfRates(tenants, 2.5*capQPS, 1.5)["t0"]
+	coldServed := func(p PhaseResult) (n int) {
+		for t, served := range p.TenantServed {
+			if t != "t0" {
+				n += served
+			}
+		}
+		return n
+	}
+
+	var diurnal []phaseSpec
+	for i, frac := range []float64{0.3, 0.9, 1.4, 0.9, 0.3} {
+		diurnal = append(diurnal, phaseSpec{
+			name: fmt.Sprintf("hour-%d", i), rates: one("diurnal", frac*capQPS), sqlOffset: 4 * i,
+		})
+	}
+
+	return []scenario{{
+		name: "flash-crowd", desc: "4x offered overload absorbed as sheds, goodput holds",
+		phases: []phaseSpec{
+			{name: "warm", rates: one("crowd", 0.5*capQPS)},
+			{name: "crowd-4x", rates: one("crowd", 4*capQPS)},
+			{name: "recover", rates: one("crowd", 0.5*capQPS), sqlOffset: 8},
+		},
+		// No congestion collapse: overload goodput holds at >= 80% of warm
+		// goodput, overload is absorbed as explicit sheds, and the p99 of
+		// served queries stays under the deadline (timeouts count as
+		// Failed, not Served).
+		verdict: func(r *ScenarioResult) (bool, string) {
+			warmG, crowdG, sheds := r.Phases[0].GoodputQPS, r.Phases[1].GoodputQPS, r.Phases[1].Shed
+			return crowdG >= 0.8*warmG && sheds > 0,
+				fmt.Sprintf("crowd goodput %.1f/s vs warm %.1f/s (need >= 80%%), %d sheds during crowd", crowdG, warmG, sheds)
+		},
+	}, {
+		name: "zipf-skew", desc: "hot tenant sheds against its own quota, cold tenants unharmed",
+		serve: serve.Config{Quota: serve.QuotaConfig{RatePerSec: 0.8 * capQPS, Burst: 4}},
+		phases: []phaseSpec{
+			{name: "baseline", rates: base},
+			{name: "skew", rates: skewed},
+		},
+		// Cold tenants' served counts may drop at most 10% from baseline to
+		// skew, while the hot tenant sheds against its own bucket.
+		verdict: func(r *ScenarioResult) (bool, string) {
+			coldBase, coldSkew := coldServed(r.Phases[0]), coldServed(r.Phases[1])
+			hotShed := r.Phases[1].TenantShed["t0"]
+			return hotShed > 0 && float64(coldSkew) >= 0.9*float64(coldBase),
+				fmt.Sprintf("cold served %d baseline -> %d under skew (need >= 90%%), hot shed %d", coldBase, coldSkew, hotShed)
+		},
+	}, {
+		name: "diurnal", desc: "sinusoidal offered load under the adaptive limit",
+		serve:  serve.Config{Adaptive: serve.AdaptiveConfig{TargetP99: 5 * time.Second, Window: 16}},
+		phases: diurnal,
+		// The trough after the peak recovers: final-phase goodput within
+		// 50% of the first trough's, and nothing hard-failed along the
+		// curve.
+		verdict: func(r *ScenarioResult) (bool, string) {
+			first, last := r.Phases[0].GoodputQPS, r.Phases[len(r.Phases)-1].GoodputQPS
+			return first > 0 && last >= 0.5*first,
+				fmt.Sprintf("trough goodput %.1f/s -> %.1f/s through the peak", first, last)
+		},
+	}, {
+		name: "drift-burst", desc: "query-mix drift with reorganization churn between phases",
+		serve: serve.Config{DrainTimeout: 2 * time.Second},
+		phases: []phaseSpec{
+			{name: "mix-a", rates: one("drift", 0.5*capQPS)},
+			{name: "drift-1", rates: one("drift", 0.5*capQPS), sqlOffset: 11, reorg: true},
+			{name: "drift-2", rates: one("drift", 0.5*capQPS), sqlOffset: 22, reorg: true},
+		},
+		// Reorg churn between drifted mixes must not wedge the plane: both
+		// reorgs complete and the drifted phases keep serving.
+		verdict: func(r *ScenarioResult) (bool, string) {
+			p := r.Phases
+			return r.Reorgs >= 2 && p[1].Served > 0 && p[2].Served > 0,
+				fmt.Sprintf("%d reorgs; served %d/%d/%d across drift phases", r.Reorgs, p[0].Served, p[1].Served, p[2].Served)
+		},
+	}, {
+		name: "etl-storm", desc: "append storm racing live queries",
+		phases: []phaseSpec{
+			{name: "calm", rates: one("etl", 0.5*capQPS)},
+			{name: "storm", rates: one("etl", 0.5*capQPS), etlStorm: true},
+		},
+		// Appends invalidate views and race queries through the backend's
+		// serialization; the plane must keep serving with invariants
+		// intact.
+		verdict: func(r *ScenarioResult) (bool, string) {
+			storm := r.Phases[1]
+			return storm.Served > 0, fmt.Sprintf("storm-phase served %d of %d offered", storm.Served, storm.Submitted)
+		},
+	}, {
+		name: "dw-brownout", desc: "DW fault storm with hedged HV execution",
+		// DW-side faults force retry exhaustion on a fraction of split
+		// plans; hedging (aggressive threshold so every DW phase races a
+		// shadow) converts those fallbacks into committed shadows.
+		mutate: func(mc *multistore.Config) {
+			mc.Faults = faults.Profile{}.With(faults.SiteDWQuery, 0.45)
+			mc.FaultSeed = cfg.Seed
+			mc.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
+			mc.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 0.001, MinDelay: time.Nanosecond}
+		},
+		phases: []phaseSpec{
+			{name: "brownout", rates: one("brown", 0.5*capQPS)},
+			{name: "brownout-2", rates: one("brown", 0.5*capQPS), sqlOffset: 16},
+		},
+		// The brownout keeps serving, and at least one exhausted DW query
+		// completed from its hedge shadow instead of a serial re-execution.
+		verdict: func(r *ScenarioResult) (bool, string) {
+			return r.Phases[0].Served+r.Phases[1].Served > 0 && r.HedgeWins >= 1,
+				fmt.Sprintf("hedges %d, wins %d under DW fault storm", r.Hedges, r.HedgeWins)
+		},
+	}}
+}
+
+// runScenario runs one row on a fresh backend and server: its phases in
+// order, then the exit checks (serve accounting, catalog invariants), the
+// shared counters, and the row's verdict.
+func (cfg ScenarioConfig) runScenario(sc scenario) (*ScenarioResult, error) {
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, sc.mutate)
+	if err != nil {
+		return nil, err
+	}
+	scfg := sc.serve
+	scfg.Workers, scfg.QueueDepth, scfg.QueryTimeout = cfg.Workers, cfg.Queue, 10*time.Second
+	d := newDriver(serve.NewServer(scfg, sys))
+	defer d.srv.Close() // idempotent: covers the error returns below
+
+	res := &ScenarioResult{Name: sc.name, Description: sc.desc}
+	for _, ph := range sc.phases {
+		pr, err := runPhase(d, sys, ph, cfg.PhaseDur)
+		if err != nil {
+			return nil, err
+		}
+		res.Phases = append(res.Phases, pr)
+	}
+	m, err := d.finish(sys)
+	if err != nil {
+		return nil, err
+	}
+	res.Tenants, res.FairnessRatio = tenantOutcomes(d.srv, time.Duration(len(sc.phases))*cfg.PhaseDur)
+	sm := sys.Metrics()
+	res.Hedges, res.HedgeWins = sm.Hedges, sm.HedgeWins
+	res.Sheds, res.QuotaSheds, res.Degraded = m.Sheds, m.QuotaSheds, m.Degraded
+	res.Reorgs, res.LimitDecs = m.Reorgs, m.LimitDecreases
+	res.Pass, res.Notes = sc.verdict(res)
+	return res, nil
+}
+
 // RunScenarios executes the full matrix and assembles the report.
 func RunScenarios(cfg ScenarioConfig) (*ScenarioReport, error) {
 	if cfg.Workers <= 0 {
@@ -445,300 +461,22 @@ func RunScenarios(cfg ScenarioConfig) (*ScenarioReport, error) {
 
 	// Calibrate once on a throwaway system: offered rates for every
 	// scenario are multiples of the backend's serial capacity.
-	calSys, err := cfg.newScenarioSystem(nil)
+	calSys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
-	capQPS, err := calibrate(calSys, 8)
+	capQPS, err := calibrate(calSys)
 	if err != nil {
 		return nil, err
 	}
 
-	report := &ScenarioReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Scale: fmt.Sprintf("%d tweets", cfg.Data.NumTweets), CalibratedQPS: capQPS,
-	}
-
-	type scenario struct {
-		name, desc string
-		run        func() (*ScenarioResult, error)
-	}
-	scenarios := []scenario{
-		{"flash-crowd", "4x offered overload absorbed as sheds, goodput holds", func() (*ScenarioResult, error) {
-			return cfg.runFlashCrowd(capQPS)
-		}},
-		{"zipf-skew", "hot tenant sheds against its own quota, cold tenants unharmed", func() (*ScenarioResult, error) {
-			return cfg.runZipfSkew(capQPS)
-		}},
-		{"diurnal", "sinusoidal offered load under the adaptive limit", func() (*ScenarioResult, error) {
-			return cfg.runDiurnal(capQPS)
-		}},
-		{"drift-burst", "query-mix drift with reorganization churn between phases", func() (*ScenarioResult, error) {
-			return cfg.runDriftBurst(capQPS)
-		}},
-		{"etl-storm", "append storm racing live queries", func() (*ScenarioResult, error) {
-			return cfg.runETLStorm(capQPS)
-		}},
-		{"dw-brownout", "DW fault storm with hedged HV execution", func() (*ScenarioResult, error) {
-			return cfg.runDWBrownout(capQPS)
-		}},
-	}
-	for _, sc := range scenarios {
-		res, err := sc.run()
+	report := &ScenarioReport{Host: cfg.host(), CalibratedQPS: capQPS}
+	for _, sc := range cfg.scenarioMatrix(capQPS) {
+		res, err := cfg.runScenario(sc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %s: %w", sc.name, err)
 		}
-		res.Name = sc.name
-		res.Description = sc.desc
 		report.Scenarios = append(report.Scenarios, *res)
 	}
 	return report, nil
-}
-
-// finishScenario closes the server, checks invariants, and fills the
-// shared counters into the result.
-func finishScenario(srv *serve.Server, sys *multistore.System, phases []PhaseResult, total time.Duration) (*ScenarioResult, error) {
-	srv.Close()
-	m := srv.Metrics()
-	if err := m.Check(); err != nil {
-		return nil, err
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("invariants: %w", err)
-	}
-	tenants, fairness := tenantOutcomes(srv, total)
-	sm := sys.Metrics()
-	return &ScenarioResult{
-		Phases: phases, Tenants: tenants, FairnessRatio: fairness,
-		Hedges: sm.Hedges, HedgeWins: sm.HedgeWins,
-		Sheds: m.Sheds, QuotaSheds: m.QuotaSheds, Degraded: m.Degraded,
-		Reorgs: m.Reorgs, LimitDecs: m.LimitDecreases,
-	}, nil
-}
-
-func (cfg ScenarioConfig) runFlashCrowd(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-	}, sys)
-	warm := 0.5 * capQPS
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	phases, err := pr.run([]phaseSpec{
-		{name: "warm", rates: map[string]float64{"crowd": warm}},
-		{name: "crowd-4x", rates: map[string]float64{"crowd": 4 * capQPS}},
-		{name: "recover", rates: map[string]float64{"crowd": warm}, sqlOffset: 8},
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// No congestion collapse: overload goodput holds at >= 80% of warm
-	// goodput, overload is absorbed as explicit sheds, and the p99 of
-	// served queries stays under the deadline (timeouts count as Failed,
-	// not Served).
-	warmG, crowdG := phases[0].GoodputQPS, phases[1].GoodputQPS
-	res.Pass = crowdG >= 0.8*warmG && phases[1].Shed > 0
-	res.Notes = fmt.Sprintf("crowd goodput %.1f/s vs warm %.1f/s (need >= 80%%), %d sheds during crowd",
-		crowdG, warmG, phases[1].Shed)
-	return res, nil
-}
-
-func (cfg ScenarioConfig) runZipfSkew(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
-	if err != nil {
-		return nil, err
-	}
-	const tenants = 4
-	// Equal-weight quotas sized so cold tenants never touch their
-	// buckets while the hot tenant's surge drains only its own.
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-		Quota: serve.QuotaConfig{RatePerSec: 0.8 * capQPS, Burst: 4},
-	}, sys)
-	perCold := 0.1 * capQPS
-	base := map[string]float64{}
-	for i := 0; i < tenants; i++ {
-		base[fmt.Sprintf("t%d", i)] = perCold
-	}
-	skew := zipfRates(tenants, 2.5*capQPS, 1.5)
-	// Keep the cold tenants' offered rate identical across phases so
-	// their goodput comparison isolates the hot tenant's effect.
-	hot := skew["t0"]
-	skewed := map[string]float64{"t0": hot}
-	for t, r := range base {
-		if t != "t0" {
-			skewed[t] = r
-		}
-	}
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	phases, err := pr.run([]phaseSpec{
-		{name: "baseline", rates: base},
-		{name: "skew", rates: skewed},
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Cold tenants' served counts may drop at most 10% from baseline to
-	// skew, while the hot tenant sheds against its own bucket.
-	coldBase, coldSkew := 0, 0
-	for t, n := range phases[0].TenantServed {
-		if t != "t0" {
-			coldBase += n
-		}
-	}
-	for t, n := range phases[1].TenantServed {
-		if t != "t0" {
-			coldSkew += n
-		}
-	}
-	hotShed := phases[1].TenantShed["t0"]
-	res.Pass = hotShed > 0 && float64(coldSkew) >= 0.9*float64(coldBase)
-	res.Notes = fmt.Sprintf("cold served %d baseline -> %d under skew (need >= 90%%), hot shed %d",
-		coldBase, coldSkew, hotShed)
-	return res, nil
-}
-
-func (cfg ScenarioConfig) runDiurnal(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-		Adaptive: serve.AdaptiveConfig{TargetP99: 5 * time.Second, Window: 16},
-	}, sys)
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	var specs []phaseSpec
-	for i, frac := range []float64{0.3, 0.9, 1.4, 0.9, 0.3} {
-		specs = append(specs, phaseSpec{
-			name:      fmt.Sprintf("hour-%d", i),
-			rates:     map[string]float64{"diurnal": frac * capQPS},
-			sqlOffset: 4 * i,
-		})
-	}
-	phases, err := pr.run(specs)
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, time.Duration(len(phases))*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// The trough after the peak recovers: final-phase goodput within 50%
-	// of the first trough's, and nothing hard-failed along the curve.
-	first, last := phases[0].GoodputQPS, phases[len(phases)-1].GoodputQPS
-	res.Pass = first > 0 && last >= 0.5*first
-	res.Notes = fmt.Sprintf("trough goodput %.1f/s -> %.1f/s through the peak", first, last)
-	return res, nil
-}
-
-func (cfg ScenarioConfig) runDriftBurst(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-		DrainTimeout: 2 * time.Second,
-	}, sys)
-	rate := 0.5 * capQPS
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	phases, err := pr.run([]phaseSpec{
-		{name: "mix-a", rates: map[string]float64{"drift": rate}},
-		{name: "drift-1", rates: map[string]float64{"drift": rate}, sqlOffset: 11, reorg: true},
-		{name: "drift-2", rates: map[string]float64{"drift": rate}, sqlOffset: 22, reorg: true},
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Reorg churn between drifted mixes must not wedge the plane:
-	// both reorgs complete and the drifted phases keep serving.
-	res.Pass = res.Reorgs >= 2 && phases[1].Served > 0 && phases[2].Served > 0
-	res.Notes = fmt.Sprintf("%d reorgs; served %d/%d/%d across drift phases",
-		res.Reorgs, phases[0].Served, phases[1].Served, phases[2].Served)
-	return res, nil
-}
-
-func (cfg ScenarioConfig) runETLStorm(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-	}, sys)
-	rate := 0.5 * capQPS
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	phases, err := pr.run([]phaseSpec{
-		{name: "calm", rates: map[string]float64{"etl": rate}},
-		{name: "storm", rates: map[string]float64{"etl": rate}, etlStorm: true},
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Appends invalidate views and race queries through the backend's
-	// serialization; the plane must keep serving with invariants intact.
-	res.Pass = phases[1].Served > 0
-	res.Notes = fmt.Sprintf("storm-phase served %d of %d offered", phases[1].Served, phases[1].Submitted)
-	return res, nil
-}
-
-func (cfg ScenarioConfig) runDWBrownout(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(func(mc *multistore.Config) {
-		// DW-side faults force retry exhaustion on a fraction of split
-		// plans; hedging (aggressive threshold so every DW phase races a
-		// shadow) converts those fallbacks into committed shadows.
-		mc.Faults = faults.Profile{}.With(faults.SiteDWQuery, 0.45)
-		mc.FaultSeed = cfg.Seed
-		mc.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
-		mc.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 0.001, MinDelay: time.Nanosecond}
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv := serve.NewServer(serve.Config{
-		Workers: cfg.Workers, QueueDepth: cfg.Queue, QueryTimeout: 10 * time.Second,
-	}, sys)
-	rate := 0.5 * capQPS
-	pr := &phaseRunner{srv: srv, sys: sys, sqls: workload.SQLs(), dur: cfg.PhaseDur}
-	phases, err := pr.run([]phaseSpec{
-		{name: "brownout", rates: map[string]float64{"brown": rate}},
-		{name: "brownout-2", rates: map[string]float64{"brown": rate}, sqlOffset: 16},
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// The brownout keeps serving, and at least one exhausted DW query
-	// completed from its hedge shadow instead of a serial re-execution.
-	res.Pass = phases[0].Served+phases[1].Served > 0 && res.HedgeWins >= 1
-	res.Notes = fmt.Sprintf("hedges %d, wins %d under DW fault storm", res.Hedges, res.HedgeWins)
-	return res, nil
 }

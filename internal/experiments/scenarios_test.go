@@ -33,13 +33,13 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 			t.Errorf("%s: no phases", s.Name)
 		}
 		for _, p := range s.Phases {
-			if p.GoodputQPS < 0 || p.Submitted < p.Served+p.Shed {
+			if p.GoodputQPS < 0 || p.Submitted != p.Served+p.Shed+p.Failed {
 				t.Errorf("%s/%s: inconsistent phase counts %+v", s.Name, p.Name, p)
 			}
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()

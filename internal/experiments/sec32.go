@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"miso/internal/data"
 	"miso/internal/multistore"
 	"miso/internal/workload"
 )
@@ -24,16 +23,12 @@ func Sec32(cfg Config) (*Sec32Result, error) {
 	for _, v := range []multistore.Variant{
 		multistore.VariantHVOnly, multistore.VariantMSBasic, multistore.VariantMSMiso,
 	} {
-		cat, err := data.Generate(cfg.Data)
+		// Trigger the reorganization phase between q1 and q2, as the
+		// paper does for this experiment.
+		sys, err := cfg.newSystem(v, func(mc *multistore.Config) { mc.ReorgEvery = 1 })
 		if err != nil {
 			return nil, err
 		}
-		mcfg := multistore.DefaultConfig(v)
-		mcfg.SetBudgets(cat, cfg.BudgetMultiple, cfg.TransferBudget)
-		// Trigger the reorganization phase between q1 and q2, as the
-		// paper does for this experiment.
-		mcfg.ReorgEvery = 1
-		sys := multistore.New(mcfg, cat)
 		r1, err := sys.Run(q1.SQL)
 		if err != nil {
 			return nil, err

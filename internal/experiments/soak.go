@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"math/rand"
 	"time"
 
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
@@ -60,14 +57,11 @@ type SoakResult struct {
 	P50, P99 time.Duration
 	Serve    serve.Metrics
 	System   multistore.Metrics
-	// InvariantErr is non-nil when the backend's catalog invariants did
-	// not hold at exit.
-	InvariantErr error
 }
 
 // Soak runs the concurrent-serving soak. Errors other than sheds and
-// deadline/cancel abandons fail the run; the serving metrics' accounting
-// invariant and the backend's catalog invariants are checked at exit.
+// governed abandons fail the run, as does a breach of the serving
+// metrics' accounting or of the backend's catalog invariants at exit.
 func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Variant == "" {
 		cfg.Variant = multistore.VariantMSMiso
@@ -78,7 +72,15 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Queries <= 0 {
 		cfg.Queries = len(workload.SQLs())
 	}
-	sys, err := cfg.Config.newSystem(cfg.Variant)
+	// Spell out serve's own defaults so the report prints the effective
+	// pool and queue sizes.
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
+	}
+	if cfg.Queue <= 0 {
+		cfg.Queue = 2 * cfg.Workers
+	}
+	sys, err := cfg.Config.newSystem(cfg.Variant, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,78 +91,38 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	}, sys)
 
 	sqls := workload.SQLs()
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		latencies []time.Duration
-		submitted int
-		hardErr   error
-	)
-	start := time.Now()
-	for s := 0; s < cfg.Sessions; s++ {
-		wg.Add(1)
-		go func(session int) {
-			defer wg.Done()
-			for i := 0; i < cfg.Queries; i++ {
-				sql := sqls[(session+i)%len(sqls)]
-				t0 := time.Now()
-				_, err := srv.Do(context.Background(), sql)
-				lat := time.Since(t0)
-				mu.Lock()
-				submitted++
-				reorgDue := cfg.ReorgEvery > 0 && submitted%cfg.ReorgEvery == 0
-				switch {
-				case err == nil:
-					latencies = append(latencies, lat)
-				case errors.Is(err, serve.ErrShed),
-					errors.Is(err, context.DeadlineExceeded),
-					errors.Is(err, context.Canceled),
-					errors.Is(err, govern.ErrMemLimit),
-					errors.Is(err, govern.ErrInternal):
-					// Expected serving outcomes — sheds, deadline/cancel
-					// abandons, memory-budget aborts, contained panics —
-					// counted by the server.
-				default:
-					if hardErr == nil {
-						hardErr = fmt.Errorf("experiments: soak session %d query %d: %w", session, i, err)
-					}
-				}
-				mu.Unlock()
-				if reorgDue {
-					if err := srv.Reorganize(); err != nil {
-						mu.Lock()
-						if hardErr == nil {
-							hardErr = fmt.Errorf("experiments: soak online reorg: %w", err)
-						}
-						mu.Unlock()
-					}
-				}
+	d := newDriver(srv)
+	if cfg.ReorgEvery > 0 {
+		d.onResult = func(n int, _ request, _ *multistore.QueryReport, _ error) error {
+			if n%cfg.ReorgEvery != 0 {
+				return nil
 			}
-		}(s)
+			if err := srv.Reorganize(); err != nil {
+				return fmt.Errorf("online reorg: %w", err)
+			}
+			return nil
+		}
 	}
-	wg.Wait()
+	start := time.Now()
+	d.closed(closedLoop{
+		clients: cfg.Sessions,
+		count:   cfg.Queries,
+		next: func(session, i int, _ *rand.Rand) request {
+			return request{sql: sqls[(session+i)%len(sqls)]}
+		},
+	})
 	wall := time.Since(start)
-	srv.Close()
-	if hardErr != nil {
-		return nil, hardErr
-	}
-
-	m := srv.Metrics()
-	if err := m.Check(); err != nil {
-		return nil, err
+	m, err := d.finish(sys)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: soak: %w", err)
 	}
 	res := &SoakResult{
-		Cfg:          cfg,
-		Wall:         wall,
-		Serve:        m,
-		System:       sys.Metrics(),
-		InvariantErr: sys.CheckInvariants(),
+		Cfg: cfg, Wall: wall, Serve: m, System: sys.Metrics(),
+		P50: d.tally.percentile(50), P99: d.tally.percentile(99),
 	}
 	if wall > 0 {
 		res.QPS = float64(m.Completed) / wall.Seconds()
 	}
-	res.P50 = govern.Percentile(latencies, 50)
-	res.P99 = govern.Percentile(latencies, 99)
 	return res, nil
 }
 
@@ -179,11 +141,7 @@ func (r *SoakResult) WriteText(w io.Writer) {
 	sm := r.System
 	fprintf(w, "backend TTI %.1fs (hv %.1f, dw %.1f, xfer %.1f, tune %.1f, etl %.1f, recovery %.1f)\n",
 		sm.TTI(), sm.HVExe, sm.DWExe, sm.Transfer, sm.Tune, sm.ETL, sm.Recovery)
-	if r.InvariantErr != nil {
-		fprintf(w, "INVARIANT VIOLATION: %v\n", r.InvariantErr)
-	} else {
-		fprintf(w, "catalog invariants held at exit\n")
-	}
+	fprintf(w, "catalog invariants held at exit\n")
 }
 
 func rateLabel(rate float64) string {

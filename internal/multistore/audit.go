@@ -546,16 +546,25 @@ func (s *System) maybeRot() {
 	rotted := v.Table.Clone()
 	rotTable(rotted, frac)
 	v.Table = rotted
-	s.rotLog = append(s.rotLog, v.Name)
+	s.rotLog = append(s.rotLog, RotRecord{Name: v.Name, CreatedSeq: v.CreatedSeq})
 }
 
-// RotLog returns the names of views corrupted by SiteViewRot so far, in
-// injection order (a name may repeat). The endurance harness checks that
-// every rotted name was later detected and repaired.
-func (s *System) RotLog() []string {
+// RotRecord identifies one copy of a view corrupted by SiteViewRot. Names
+// derive from signatures, so a view dropped by a reorganization and later
+// re-captured carries the same name; CreatedSeq tells the copies apart
+// (an in-place repair keeps it).
+type RotRecord struct {
+	Name       string
+	CreatedSeq int
+}
+
+// RotLog returns the view copies corrupted by SiteViewRot so far, in
+// injection order (a copy may repeat). The endurance harness checks that
+// every rotted copy was later repaired or left the design.
+func (s *System) RotLog() []RotRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.rotLog...)
+	return append([]RotRecord(nil), s.rotLog...)
 }
 
 // rotTable flips one value in the table, chosen by frac, without changing

@@ -248,35 +248,3 @@ func TestAuditInvariantsRepairsDisjointness(t *testing.T) {
 		t.Fatalf("second pass still dirty: %v", clean)
 	}
 }
-
-// TestAuditCleanRunByteIdentity is the byte-identity guarantee: on a
-// clean system, repair-mode audit passes after every query must leave
-// the durable state digest identical to a run that never audits at all.
-func TestAuditCleanRunByteIdentity(t *testing.T) {
-	mutate := func(c *Config) { c.CheckpointEvery = 4 }
-	plain := newAuditSystem(t, VariantMSMiso, mutate)
-	audited := newAuditSystem(t, VariantMSMiso, mutate)
-
-	for i, sql := range workload.SQLs() {
-		if _, err := plain.Run(sql); err != nil {
-			t.Fatalf("plain query %d: %v", i, err)
-		}
-		if _, err := audited.Run(sql); err != nil {
-			t.Fatalf("audited query %d: %v", i, err)
-		}
-		viols, _, err := audited.AuditViews("", 0, true)
-		if err != nil {
-			t.Fatalf("audit views after query %d: %v", i, err)
-		}
-		iviols, err := audited.AuditInvariants(true)
-		if err != nil {
-			t.Fatalf("audit invariants after query %d: %v", i, err)
-		}
-		if len(viols)+len(iviols) != 0 {
-			t.Fatalf("clean run reported violations after query %d: %v %v", i, viols, iviols)
-		}
-	}
-	if a, b := plain.StateDigest(), audited.StateDigest(); a != b {
-		t.Fatalf("auditing a clean run changed the state digest: %016x != %016x", a, b)
-	}
-}

@@ -363,8 +363,9 @@ type System struct {
 	// Nil until the first audit quarantine, so audit-disabled runs never
 	// allocate it.
 	tomb map[string]bool
-	// rotLog names the views corrupted by SiteViewRot, in injection order.
-	rotLog []string
+	// rotLog identifies the view copies corrupted by SiteViewRot, in
+	// injection order.
+	rotLog []RotRecord
 
 	// reuse is the cross-query reuse plane (nil when Config.Reuse is
 	// disabled — every reuse touchpoint is then a single nil check).
