@@ -2,6 +2,7 @@ package multistore_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -10,32 +11,68 @@ import (
 	"time"
 
 	"miso/internal/data"
+	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
 
-// TestPlaneMatrixMatchesGolden replays the full 32-query evolving
-// workload on a fresh zero-fault MS-MISO system under one plane setting
-// per row and renders what the run left behind — the durable-state
-// digest, the simulated TTI and every answer's data checksum — in the
-// format of testdata/msmiso_small.golden. Every row must reproduce that
-// file byte for byte: worker counts, an armed but idle hedge and the
-// zero-value planes may change wall clock, never an answer, a design or a
-// simulated second; nor may a ledger attached at an unreachable limit, a
-// retry budget with nothing to retry, or a repair-mode integrity audit of
-// a clean run.
-//
-// The golden was recorded from the row-at-a-time serial engine
-// (ExecWorkers = -1) before that engine left the production build, so it
-// is an oracle independent of the engine under test; DESIGN.md §12 says
-// how to regenerate it.
-func TestPlaneMatrixMatchesGolden(t *testing.T) {
-	gold, err := os.ReadFile("testdata/msmiso_small.golden")
-	if err != nil {
-		t.Fatal(err)
+// updateVariants rewrites testdata/variants_small.golden from the run
+// (`go test ./internal/multistore -run TestPlaneMatrixMatchesGolden
+// -update-variants`). Only a change that is meant to move a variant's
+// design, answers or simulated time may use it; msmiso_small.golden is
+// never rewritten (DESIGN.md §12 says how that one was recorded).
+var updateVariants = flag.Bool("update-variants", false, "rewrite testdata/variants_small.golden")
+
+// matrixRow is one configuration of the plane matrix: a variant, a
+// configuration mutation, and how the workload is submitted.
+type matrixRow struct {
+	name    string
+	variant multistore.Variant // zero: MS-MISO
+	set     func(*multistore.Config)
+	// run submits the i-th query (nil: sys.Run); after runs once it returned.
+	run   func(sys *multistore.System, i int, sql string) (*multistore.QueryReport, error)
+	after func(*testing.T, *multistore.System)
+	// done runs once after the last query.
+	done func(*testing.T, *multistore.System)
+	// passes is how many times the workload is asked (zero: once).
+	passes int
+	// stanza names the row's stanza in variants_small.golden; empty means
+	// the row must reproduce msmiso_small.golden.
+	stanza string
+}
+
+// chaos42 is the 5% uniform fault profile at seed 42 (the chaos test's).
+func chaos42(c *multistore.Config) {
+	c.Faults = faults.Uniform(0.05)
+	c.FaultSeed = 42
+}
+
+// dwStorm is hedge_test's profile: a DW-side fault storm with a short
+// retry policy, so a fraction of split plans exhausts its retries and
+// falls back to HV.
+func dwStorm(c *multistore.Config) {
+	c.Faults = faults.Profile{}.With(faults.SiteDWQuery, 0.5)
+	c.FaultSeed = 11
+	c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
+}
+
+// midPlanStorm makes every mid-plan exit common: working-set loads abort
+// and arrive corrupt, the DW side gives out, HV stages retry, views rot,
+// and the odd query dies at the serve crash site (a lost query folds into
+// the stanza as a marker). It pins the order in which the query path
+// consumes injector draws, fallbacks included.
+func midPlanStorm(c *multistore.Config) {
+	c.Faults = faults.Profile{
+		HVStage: 0.1, TransferLoad: 0.4, DWQuery: 0.4,
+		ViewCorrupt: 0.15, ViewRot: 0.2, CrashServe: 0.03,
 	}
-	viaRunContext := func(sys *multistore.System, sql string) (*multistore.QueryReport, error) {
+	c.FaultSeed = 7
+	c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
+}
+
+func matrixRows() []matrixRow {
+	viaRunContext := func(sys *multistore.System, _ int, sql string) (*multistore.QueryReport, error) {
 		return sys.RunContext(context.Background(), sql)
 	}
 	// repairAudit is a full repair-mode integrity pass; on a clean run it
@@ -53,15 +90,9 @@ func TestPlaneMatrixMatchesGolden(t *testing.T) {
 			t.Fatalf("clean run reported violations: %v %v", viols, iviols)
 		}
 	}
-	for _, row := range []struct {
-		name string
-		set  func(*multistore.Config)
-		// run submits one query (nil: sys.Run); after runs once it returned.
-		run   func(*multistore.System, string) (*multistore.QueryReport, error)
-		after func(*testing.T, *multistore.System)
-	}{
+	rows := []matrixRow{
 		// Hedge off and reuse zero-config are the defaults.
-		{name: "defaults: hedge off, reuse zero-config", set: func(*multistore.Config) {}},
+		{name: "defaults: hedge off, reuse zero-config"},
 		{name: "exec workers=1", set: func(c *multistore.Config) { c.ExecWorkers = 1 }},
 		{name: "exec workers=8", set: func(c *multistore.Config) { c.ExecWorkers = 8 }},
 		{name: "tune workers=1", set: func(c *multistore.Config) { c.Tuner.TuneWorkers = 1 }},
@@ -77,42 +108,200 @@ func TestPlaneMatrixMatchesGolden(t *testing.T) {
 		// Durability on so the WAL audit has a journal to check.
 		{name: "repair-mode audit after every query",
 			set: func(c *multistore.Config) { c.CheckpointEvery = 4 }, after: repairAudit},
+	}
+	for _, v := range []multistore.Variant{
+		multistore.VariantHVOnly, multistore.VariantDWOnly, multistore.VariantMSBasic,
+		multistore.VariantHVOp, multistore.VariantMSMiso, multistore.VariantMSOff,
+		multistore.VariantMSLru, multistore.VariantMSOra,
 	} {
+		rows = append(rows,
+			matrixRow{name: string(v) + " clean", variant: v, stanza: string(v) + "/clean"},
+			matrixRow{name: string(v) + " chaos", variant: v, set: chaos42, stanza: string(v) + "/chaos"},
+			matrixRow{name: string(v) + " storm", variant: v, set: midPlanStorm, stanza: string(v) + "/storm"})
+	}
+	return append(rows,
+		matrixRow{name: "MS-MISO chaos, retry budget 3", stanza: "MS-MISO/chaos+budget3",
+			set: func(c *multistore.Config) { chaos42(c); c.RetryBudget = 3 }},
+		matrixRow{name: "MS-MISO chaos, checkpoint every 4", stanza: "MS-MISO/chaos+checkpoint4",
+			set: func(c *multistore.Config) { chaos42(c); c.CheckpointEvery = 4 }},
+		matrixRow{name: "MS-MISO storm, retry budget 1", stanza: "MS-MISO/storm+budget1",
+			set: func(c *multistore.Config) { midPlanStorm(c); c.RetryBudget = 1 }},
+		// Hedged and unhedged runs of the DW storm must be one stanza:
+		// every split plan races a shadow (the threshold fires at once),
+		// winners are committed in place of serial fallbacks, and neither
+		// an answer nor the durable state may tell. Under -race this row
+		// also exercises the shadow's concurrency.
+		matrixRow{name: "DW storm, hedge off", stanza: "MS-MISO/dw-storm", set: dwStorm,
+			done: func(t *testing.T, sys *multistore.System) {
+				if sys.Metrics().Fallbacks == 0 {
+					t.Fatal("fault storm produced no fallbacks; the row exercises nothing")
+				}
+			}},
+		matrixRow{name: "DW storm, hedge on", stanza: "MS-MISO/dw-storm",
+			set: func(c *multistore.Config) {
+				dwStorm(c)
+				c.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 0.001, MinDelay: time.Nanosecond}
+			},
+			done: func(t *testing.T, sys *multistore.System) {
+				m := sys.Metrics()
+				if m.Hedges == 0 {
+					t.Fatal("hedging enabled with an always-fire threshold but no hedges armed")
+				}
+				t.Logf("hedges %d, wins %d, canceled %d over %d fallbacks", m.Hedges, m.HedgeWins, m.HedgesCanceled, m.Fallbacks)
+			}},
+		matrixRow{name: "every 4th query degraded, chaos", stanza: "MS-MISO/chaos+degraded4", set: chaos42,
+			run: func(sys *multistore.System, i int, sql string) (*multistore.QueryReport, error) {
+				if i%4 == 3 {
+					return sys.RunDegraded(context.Background(), sql)
+				}
+				return sys.Run(sql)
+			}},
+		matrixRow{name: "reuse on, workload asked twice", stanza: "MS-MISO/reuse-twice", passes: 2,
+			set: func(c *multistore.Config) { c.Reuse.Enabled = true }},
+	)
+}
+
+// parseStanzas splits variants_small.golden into its named stanzas.
+func parseStanzas(t *testing.T, text string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, block := range strings.Split(text, "== ")[1:] {
+		name, body, ok := strings.Cut(block, "\n")
+		if !ok {
+			t.Fatalf("malformed stanza %q", block)
+		}
+		out[name] = body
+	}
+	return out
+}
+
+// TestPlaneMatrixMatchesGolden replays the full 32-query evolving
+// workload on a fresh system under one plane setting per row and renders
+// what the run left behind — the durable-state digest, the simulated TTI
+// and every answer's data checksum.
+//
+// The MS-MISO zero-fault rows must reproduce testdata/msmiso_small.golden
+// byte for byte: worker counts, an armed but idle hedge and the zero-value
+// planes may change wall clock, never an answer, a design or a simulated
+// second; nor may a ledger attached at an unreachable limit, a retry
+// budget with nothing to retry, or a repair-mode integrity audit of a
+// clean run. That golden was recorded from the row-at-a-time serial
+// engine (ExecWorkers = -1) before that engine left the production build,
+// so it is an oracle independent of the engine under test; DESIGN.md §12
+// says how to regenerate it.
+//
+// The variant rows pin every variant, clean and under injected faults,
+// plus the degraded route, the hedge and the reuse plane, to their stanza
+// of testdata/variants_small.golden (digest, TTI, and an FNV fold of the
+// answers' checksums in submission order; a failed query folds in its
+// position and a marker). That golden was recorded from the commit before
+// the query path was folded into one, so it pins the fold: fault draws
+// are consumed in program order, so a step moved across a draw changes a
+// stanza.
+func TestPlaneMatrixMatchesGolden(t *testing.T) {
+	gold, err := os.ReadFile("testdata/msmiso_small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vgold, err := os.ReadFile("testdata/variants_small.golden")
+	if err != nil && !*updateVariants {
+		t.Fatal(err)
+	}
+	stanzas := parseStanzas(t, string(vgold))
+	var recorded []string
+	seen := map[string]string{}
+
+	for _, row := range matrixRows() {
 		t.Run(row.name, func(t *testing.T) {
 			cat, err := data.Generate(data.SmallConfig())
 			if err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+			variant := row.variant
+			if variant == "" {
+				variant = multistore.VariantMSMiso
+			}
+			cfg := multistore.DefaultConfig(variant)
 			cfg.SetBudgets(cat, 2.0, 10<<30)
-			row.set(&cfg)
+			if row.set != nil {
+				row.set(&cfg)
+			}
 			sys := multistore.New(cfg, cat)
 			if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
 				t.Fatalf("future workload: %v", err)
 			}
 			var answers strings.Builder
-			for _, q := range workload.Evolving() {
-				run := row.run
-				if run == nil {
-					run = (*multistore.System).Run
+			fold := uint64(14695981039346656037) // FNV-1a over the checksums' bytes
+			mix := func(v uint64) {
+				for s := 0; s < 64; s += 8 {
+					fold = (fold ^ (v >> s & 0xff)) * 1099511628211
 				}
-				rep, err := run(sys, q.SQL)
-				if err != nil {
-					t.Fatalf("query %s: %v", q.Name, err)
-				}
-				if row.after != nil {
-					row.after(t, sys)
-				}
-				fmt.Fprintf(&answers, "%s %016x\n", q.Name, storage.ChecksumData(rep.Result))
 			}
-			if err := sys.CheckInvariants(); err != nil {
+			n := 0
+			for pass := 0; pass < max(row.passes, 1); pass++ {
+				for _, q := range workload.Evolving() {
+					var rep *multistore.QueryReport
+					var err error
+					if row.run != nil {
+						rep, err = row.run(sys, n, q.SQL)
+					} else {
+						rep, err = sys.Run(q.SQL)
+					}
+					switch {
+					case err == nil:
+						sum := storage.ChecksumData(rep.Result)
+						fmt.Fprintf(&answers, "%s %016x\n", q.Name, sum)
+						mix(sum)
+					case row.stanza == "":
+						t.Fatalf("query %s: %v", q.Name, err)
+					default:
+						// A variant with nowhere to degrade to may lose a
+						// query to injected faults; which one is pinned.
+						t.Logf("query %d (%s) failed: %v", n, q.Name, err)
+						mix(uint64(n))
+						mix(0xfa11ed)
+					}
+					if row.after != nil {
+						row.after(t, sys)
+					}
+					n++
+				}
+			}
+			// DW-ONLY's ETL loads the workload's logs into DW permanent
+			// space whole; the view budget Bd does not govern it.
+			if err := sys.CheckInvariants(); err != nil && variant != multistore.VariantDWOnly {
 				t.Fatalf("invariants: %v", err)
 			}
-			got := fmt.Sprintf("state_digest %016x\ntti %s\n%s", sys.StateDigest(),
-				strconv.FormatFloat(sys.Metrics().TTI(), 'g', -1, 64), answers.String())
-			if got != string(gold) {
-				t.Fatalf("run diverged from testdata/msmiso_small.golden:\n--- got\n%s--- want\n%s", got, gold)
+			if row.done != nil {
+				row.done(t, sys)
+			}
+			head := fmt.Sprintf("state_digest %016x\ntti %s\n", sys.StateDigest(),
+				strconv.FormatFloat(sys.Metrics().TTI(), 'g', -1, 64))
+			if row.stanza == "" {
+				if got := head + answers.String(); got != string(gold) {
+					t.Fatalf("run diverged from testdata/msmiso_small.golden:\n--- got\n%s--- want\n%s", got, gold)
+				}
+				return
+			}
+			got := head + fmt.Sprintf("answers %016x\n", fold)
+			if *updateVariants {
+				if prev, ok := seen[row.stanza]; !ok {
+					seen[row.stanza] = got
+					recorded = append(recorded, "== "+row.stanza+"\n"+got)
+				} else if prev != got {
+					t.Fatalf("rows sharing stanza %s disagree:\n%s---\n%s", row.stanza, prev, got)
+				}
+				return
+			}
+			if want := stanzas[row.stanza]; got != want {
+				t.Fatalf("run diverged from stanza %s of testdata/variants_small.golden:\n--- got\n%s--- want\n%s",
+					row.stanza, got, want)
 			}
 		})
+	}
+	if *updateVariants && !t.Failed() {
+		if err := os.WriteFile("testdata/variants_small.golden", []byte(strings.Join(recorded, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
