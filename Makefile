@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race bench chaos soak serve crash govern scenarios endurance cache lint
+.PHONY: tier1 build vet test race loc bench chaos soak serve crash govern scenarios endurance cache lint
 
 # tier1 is the gate every change must pass: clean build, vet, and the
 # full test suite under the race detector.
@@ -20,6 +20,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the non-test Go lines of every package (and the total): the
+# number a simplicity PR's before/after claim, and the ROADMAP's running
+# "net non-test lines removed" tally, are read from.
+loc:
+	@for d in $$(find cmd internal miso -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(find cmd internal miso -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # bench runs the reproducible benchmark pipelines — the tuner pipeline
 # (what-if costing at several worker counts, the knapsack DP, a short

@@ -77,7 +77,6 @@ type Store struct {
 	est       *stats.Estimator
 	execStats *exec.Stats
 	execInj   *faults.Injector
-	gov       *govern.Ledger
 
 	// Views is the permanent table space: the DW side of the multistore
 	// design.
@@ -133,10 +132,6 @@ func (s *Store) SetExecStats(st *exec.Stats) { s.execStats = st }
 // injector, separate from the store-level one (see hv.Store.SetExecFaults).
 func (s *Store) SetExecFaults(inj *faults.Injector) { s.execInj = inj }
 
-// SetGovernor attaches the current query's memory ledger to every Env the
-// store hands out; the multistore sets it per query and clears it after.
-func (s *Store) SetGovernor(l *govern.Ledger) { s.gov = l }
-
 // Env returns the execution environment. DW has no raw logs: plans must
 // bottom out in ViewScans over permanent views or staged temp tables.
 func (s *Store) Env() *exec.Env {
@@ -147,7 +142,6 @@ func (s *Store) Env() *exec.Env {
 		ReadView: s.Resolve,
 		Workers:  s.cfg.ExecWorkers,
 		Stats:    s.execStats,
-		Mem:      s.gov,
 		Inj:      s.execInj,
 	}
 }
@@ -160,12 +154,14 @@ func (s *Store) Execute(plan *logical.Node) (*Result, error) {
 
 // ExecuteContext runs a subplan inside DW, abandoning it at the next
 // operator boundary once ctx is done (the error then wraps ctx.Err()).
+// Execution memory is charged to the ledger ctx carries, if any.
 func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result, error) {
 	if plan.UsesUDF() {
 		return nil, ErrUDF
 	}
 	env := s.Env()
 	env.Ctx = ctx
+	env.Mem = govern.LedgerFrom(ctx)
 	tables := map[*logical.Node]*storage.Table{}
 	var run func(n *logical.Node) (*storage.Table, error)
 	run = func(n *logical.Node) (*storage.Table, error) {
@@ -190,7 +186,7 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 		}
 		// Intermediates pipelined through DW are still real memory: charge
 		// their raw bytes; the multistore releases the ledger at query end.
-		if err := s.gov.Reserve(t.RawBytes()); err != nil {
+		if err := env.Mem.Reserve(t.RawBytes()); err != nil {
 			return nil, err
 		}
 		tables[n] = t

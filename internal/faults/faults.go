@@ -15,6 +15,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -340,6 +341,24 @@ func NewBudget(n int) *Budget {
 		return nil
 	}
 	return &Budget{remaining: n}
+}
+
+type budgetKey struct{}
+
+// WithBudget returns ctx carrying the budget, so every recovery path that
+// runs under the query's (or the phase's) context draws on the same one.
+// A nil budget returns ctx as is.
+func WithBudget(ctx context.Context, b *Budget) context.Context {
+	if b == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, budgetKey{}, b)
+}
+
+// BudgetFrom returns the budget ctx carries, or nil (unlimited).
+func BudgetFrom(ctx context.Context) *Budget {
+	b, _ := ctx.Value(budgetKey{}).(*Budget)
+	return b
 }
 
 // Take consumes one retry from the budget, reporting false when the budget

@@ -10,6 +10,7 @@
 package govern
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -107,6 +108,24 @@ func NewLedger(limit int64, pool *Pool) *Ledger {
 		limit = 0
 	}
 	return &Ledger{limit: limit, pool: pool}
+}
+
+type ledgerKey struct{}
+
+// WithLedger returns ctx carrying the query's ledger, which is how the
+// ledger reaches the stores: whoever executes under the query's context
+// charges the query, and nobody else does. A nil ledger returns ctx as is.
+func WithLedger(ctx context.Context, l *Ledger) context.Context {
+	if l == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ledgerKey{}, l)
+}
+
+// LedgerFrom returns the ledger ctx carries, or nil (unmetered).
+func LedgerFrom(ctx context.Context) *Ledger {
+	l, _ := ctx.Value(ledgerKey{}).(*Ledger)
+	return l
 }
 
 // Reserve charges n bytes to the query, or returns an error wrapping

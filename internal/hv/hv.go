@@ -88,8 +88,6 @@ type Store struct {
 	retry     faults.RetryPolicy
 	execStats *exec.Stats
 	execInj   *faults.Injector
-	gov       *govern.Ledger
-	budget    *faults.Budget
 	// captureVeto, when set, suppresses opportunistic capture of views
 	// whose name it reports true for (see SetCaptureVeto).
 	captureVeto func(name string) bool
@@ -123,18 +121,6 @@ func (s *Store) SetExecStats(st *exec.Stats) { s.execStats = st }
 // stage/transfer draw sequence. Nil disables (the default).
 func (s *Store) SetExecFaults(inj *faults.Injector) { s.execInj = inj }
 
-// SetGovernor attaches the current query's memory ledger to every Env the
-// store hands out; the multistore sets it per query and clears it after
-// (queries are serialized, so there is never more than one). Nil detaches.
-func (s *Store) SetGovernor(l *govern.Ledger) { s.gov = l }
-
-// SetRetryBudget attaches the current query's shared retry budget,
-// consulted by the stage-retry loops alongside the per-phase policy; the
-// multistore sets it per query like the governor. Nil (the default) means
-// unlimited, leaving the retry loops byte-identical to the un-budgeted
-// ones.
-func (s *Store) SetRetryBudget(b *faults.Budget) { s.budget = b }
-
 // SetCaptureVeto installs a predicate consulted before an opportunistic
 // view capture publishes a new view. The multistore uses it to preserve
 // Vh ∩ Vd = ∅: an HV fallback that recomputes the definition of a
@@ -142,7 +128,9 @@ func (s *Store) SetRetryBudget(b *faults.Budget) { s.budget = b }
 // HV. The veto runs during Commit, on the serialized query flow.
 func (s *Store) SetCaptureVeto(veto func(name string) bool) { s.captureVeto = veto }
 
-// Env returns the execution environment resolving logs and HV views.
+// Env returns the execution environment resolving logs and HV views. It
+// carries no context and no memory ledger: those belong to one execution
+// and BeginExecute takes them from its caller's context.
 func (s *Store) Env() *exec.Env {
 	return &exec.Env{
 		ReadLog: func(name string) (*storage.LogFile, error) { return s.cat.Log(name) },
@@ -155,7 +143,6 @@ func (s *Store) Env() *exec.Env {
 		},
 		Workers: s.cfg.ExecWorkers,
 		Stats:   s.execStats,
-		Mem:     s.gov,
 		Inj:     s.execInj,
 	}
 }
@@ -262,14 +249,16 @@ func (p *Pending) Table() *storage.Table { return p.out }
 func (p *Pending) Plan() *logical.Node { return p.plan }
 
 // BeginExecute runs only the compute phase of the plan: real tuples
-// through the exec engine, charged to the attached memory ledger, with
-// cooperative cancellation at every stage boundary and morsel claim. It
-// performs no injector draws and mutates no store state, so concurrent
-// BeginExecute calls are safe alongside a serialized query stream and an
-// abandoned Pending costs nothing.
+// through the exec engine, charged to the memory ledger ctx carries
+// (govern.WithLedger; none means unmetered), with cooperative cancellation
+// at every stage boundary and morsel claim. It performs no injector draws,
+// mutates no store state and reads no per-query state from the store, so
+// concurrent BeginExecute calls are safe alongside a serialized query
+// stream and an abandoned Pending costs nothing.
 func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending, error) {
 	env := s.Env()
 	env.Ctx = ctx
+	env.Mem = govern.LedgerFrom(ctx)
 	mat := MaterializedNodes(plan)
 	tables := map[*logical.Node]*storage.Table{}
 
@@ -297,7 +286,7 @@ func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending,
 		// Materialized intermediates are the query's working set: charge
 		// their real (raw) bytes to the ledger. The multistore releases
 		// the whole ledger when the query ends.
-		if err := s.gov.Reserve(t.RawBytes()); err != nil {
+		if err := env.Mem.Reserve(t.RawBytes()); err != nil {
 			return nil, err
 		}
 		tables[n] = t
@@ -431,9 +420,9 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 // recoverPhase simulates one stage phase (execution or HDFS write) under
 // the injector: each injected failure wastes the completed fraction of the
 // phase plus a backoff wait, all charged to RecoverySeconds. Exhausting
-// the retry policy — or the query's shared retry budget, or the caller's
-// deadline (no retry fits inside an expired deadline) — fails the whole
-// execution with a typed fault error.
+// the retry policy — or the retry budget ctx carries (faults.WithBudget),
+// or the caller's deadline (no retry fits inside an expired deadline) —
+// fails the whole execution with a typed fault error.
 func (s *Store) recoverPhase(ctx context.Context, site faults.Site, sec float64, res *Result) error {
 	for attempt := 1; ; attempt++ {
 		failed, frac := s.inj.Check(site)
@@ -448,7 +437,7 @@ func (s *Store) recoverPhase(ctx context.Context, site faults.Site, sec float64,
 			return faults.Exhausted(f)
 		case ctx.Err() != nil:
 			return fmt.Errorf("abandoned before retry: %w", ctx.Err())
-		case !s.budget.Take():
+		case !faults.BudgetFrom(ctx).Take():
 			return faults.BudgetExhausted(f)
 		}
 	}

@@ -177,13 +177,7 @@ func queryDoneRecord(rep *QueryReport) *durability.Record {
 // otherwise let them silently answer queries over data that no longer
 // exists. Callers hold s.mu.
 func (s *System) quarantineStale() {
-	gen := func(name string) (int, bool) {
-		log, err := s.cat.Log(name)
-		if err != nil {
-			return 0, false
-		}
-		return log.Generation, true
-	}
+	gen := s.catalogGen()
 	quarantined := false
 	for _, set := range []*views.Set{s.hv.Views, s.dw.Views} {
 		for _, v := range set.All() {

@@ -1,12 +1,10 @@
 package multistore
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"miso/internal/expr"
-	"miso/internal/faults"
 	"miso/internal/logical"
 	"miso/internal/storage"
 	"miso/internal/transfer"
@@ -62,7 +60,7 @@ func (s *System) runETL() error {
 	// The whole ETL pass shares one retry budget of a query's size: it is
 	// a single phase, and a fault storm should fail it after a bounded
 	// number of extra attempts rather than one full allowance per log.
-	rbud := faults.NewBudget(s.cfg.RetryBudget)
+	rctx := s.phaseContext()
 	for _, logName := range logNames {
 		need := needs[logName]
 		node, err := buildETLExtract(logName, need.plain, need.udf)
@@ -74,7 +72,8 @@ func (s *System) runETL() error {
 			return fmt.Errorf("multistore: ETL of %q: %w", logName, err)
 		}
 		s.metrics.ETL += res.Seconds
-		s.addRecovery(res.RecoverySeconds, res.Retries)
+		s.metrics.Recovery += res.RecoverySeconds
+		s.metrics.Retries += res.Retries
 		// Each UDF is applied as its own transformation pass over the
 		// extracted data during ETL (the paper's Hive-based ETL runs
 		// user code as separate jobs), costing a fraction of the base
@@ -84,7 +83,7 @@ func (s *System) runETL() error {
 		// The bulk load into DW permanent space runs through the fault-
 		// injected pipeline; ETL is one-time and has nothing to degrade
 		// to, so an exhausted load fails the ETL with a typed error.
-		mv, mvErr := transfer.MoveContext(context.Background(), s.cfg.Transfer, bytes, transfer.KindPermanent, s.inj, s.retry, rbud)
+		mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, bytes, transfer.KindPermanent, s.inj, s.retry)
 		s.metrics.Retries += mv.Retries
 		s.metrics.Recovery += mv.RecoverySeconds
 		if mvErr != nil {
@@ -93,13 +92,7 @@ func (s *System) runETL() error {
 		}
 		s.metrics.ETL += mv.Breakdown.Total()
 		v := views.New(node, res.Table, 0)
-		v.StampGenerations(func(name string) (int, bool) {
-			log, err := s.cat.Log(name)
-			if err != nil {
-				return 0, false
-			}
-			return log.Generation, true
-		})
+		v.StampGenerations(s.catalogGen())
 		s.dw.Views.Add(v)
 	}
 	// The ETL engine's by-products are not retained: DW-ONLY serves

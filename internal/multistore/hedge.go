@@ -2,14 +2,12 @@ package multistore
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"miso/internal/dw"
 	"miso/internal/govern"
-	"miso/internal/history"
 	"miso/internal/hv"
 	"miso/internal/logical"
 	"miso/internal/optimizer"
@@ -112,7 +110,9 @@ type hedgeRun struct {
 }
 
 // armHedge schedules the shadow for the given (already rewritten,
-// signature-prewarmed) HV fallback plan.
+// signature-prewarmed) HV fallback plan. The shadow computes under a child
+// of the query's context, so it is canceled with the query and its memory
+// is charged to the query's ledger.
 func (s *System) armHedge(ctx context.Context, plan *logical.Node) *hedgeRun {
 	hctx, cancel := context.WithCancel(ctx)
 	hr := &hedgeRun{cancel: cancel, done: make(chan struct{})}
@@ -192,14 +192,14 @@ func (hr *hedgeRun) await() (p *hv.Pending, err error, ok bool) {
 // fallback would build later — that identity is what makes the committed
 // shadow byte-equivalent to the serial path. Signatures are prewarmed on
 // this (serialized) flow because logical.Node memoizes them lazily.
-func (s *System) executeDWHedged(ctx context.Context, e history.Entry, dwPart *logical.Node) (*dw.Result, *hedgeRun, error) {
+func (s *System) executeDWHedged(q *query, dwPart *logical.Node) (*dw.Result, *hedgeRun, error) {
 	if s.hedge == nil {
-		res, err := s.dw.ExecuteContext(ctx, dwPart)
+		res, err := s.dw.ExecuteContext(q.ctx, dwPart)
 		return res, nil, err
 	}
-	plan := optimizer.RewriteWithViews(e.Plan, s.hv.Views)
+	plan := optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
 	plan.Walk(func(n *logical.Node) { n.Signature() })
-	hr := s.armHedge(ctx, plan)
+	hr := s.armHedge(q.ctx, plan)
 	// Hedges counts armed hedges, decided here on the serialized flow —
 	// deterministic regardless of whether the shadow goroutine wins the
 	// scheduling race before the DW side finishes.
@@ -209,27 +209,7 @@ func (s *System) executeDWHedged(ctx context.Context, e history.Entry, dwPart *l
 	// phase would otherwise never yield.
 	runtime.Gosched()
 	start := time.Now()
-	res, err := s.dw.ExecuteContext(ctx, dwPart)
+	res, err := s.dw.ExecuteContext(q.ctx, dwPart)
 	s.hedge.observe(time.Since(start))
 	return res, hr, err
-}
-
-// fallbackFromPending completes a query from the hedge shadow's computed
-// result: the deferred Commit runs at exactly the program point the serial
-// fallback's execution would have, so it consumes the same injector draws,
-// records the same statistics, and captures the same views — the report
-// and StateDigest are byte-identical to the unhedged run; only the
-// wall-clock already spent racing is saved.
-func (s *System) fallbackFromPending(ctx context.Context, e history.Entry, rep *QueryReport, cause error, p *hv.Pending) (*QueryReport, error) {
-	s.dw.ClearTemp()
-	res, err := p.Commit(ctx, e.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, rep, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d failed (%v) and its HV fallback failed too: %w", e.Seq, cause, err)
-	}
-	s.metrics.HedgeWins++
-	rep.HedgeWon = true
-	return s.bookFallback(e, rep, cause, p.Plan(), res), nil
 }

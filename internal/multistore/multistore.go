@@ -4,13 +4,15 @@
 // layer that runs multistore plans (executing HV parts, migrating working
 // sets into DW temp space, resuming in DW) plus every system variant the
 // evaluation compares: HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-MISO, MS-OFF,
-// MS-LRU, and MS-ORA. All times are simulated seconds accumulated into the
-// TTI breakdown.
+// MS-LRU, and MS-ORA. Every query takes one path (query.go): a prologue,
+// the HV step, the cut migration and one booking, with the variants as
+// pre- and post-steps around it (variants.go). All times are simulated
+// seconds, summed into the query's report and from there into the TTI
+// breakdown.
 package multistore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -24,7 +26,6 @@ import (
 	"miso/internal/history"
 	"miso/internal/hv"
 	"miso/internal/logical"
-	"miso/internal/mqo"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
@@ -314,7 +315,9 @@ func (r *QueryReport) Total() float64 {
 // (Run, Reorganize, AppendToLog, RefreshLog, ProvideFutureWorkload) are
 // serialized by an internal mutex, so a System is safe to share across
 // goroutines; queries still execute one at a time, as in the paper's
-// single-stream evaluation.
+// single-stream evaluation. Every field below is shared state guarded by
+// mu: what belongs to one query — its context, report, memory ledger and
+// retry budget — travels in a query value (query.go), never here.
 type System struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -329,11 +332,7 @@ type System struct {
 	execInj *faults.Injector
 	memPool *govern.Pool
 	retry   faults.RetryPolicy
-	// qbud is the current query's retry budget (nil when RetryBudget is 0
-	// or between queries); queries are serialized under mu, so a single
-	// field is always the running query's.
-	qbud  *faults.Budget
-	hedge *hedgeTracker
+	hedge   *hedgeTracker
 
 	future  []history.Entry
 	seq     int
@@ -592,7 +591,7 @@ func (s *System) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mp, err := s.opt.Choose(plan, optimizer.Design{HV: s.hv.Views, DW: s.dw.Views})
+	mp, err := s.opt.Choose(plan, s.design())
 	if err != nil {
 		return "", err
 	}
@@ -625,77 +624,7 @@ func (s *System) Run(sql string) (*QueryReport, error) {
 // neither store — so tuned variants reorganize on misses and via
 // Reorganize.
 func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, error) {
-	if s.reuse != nil {
-		return s.runShared(ctx, sql)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runLocked(ctx, sql)
-}
-
-// runLocked is the serialized query path (callers hold s.mu): the exact
-// pre-reuse RunContext flow, with the semantic cache consulted after plan
-// build and populated after successful execution when the plane is on.
-func (s *System) runLocked(ctx context.Context, sql string) (*QueryReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("multistore: query not started: %w", err)
-	}
-	defer s.attachLedger()()
-	defer s.attachBudget()()
-	s.beginOp()
-	s.quarantineStale()
-	s.maybeRot()
-	plan, err := s.builder.BuildSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	entry := history.Entry{Seq: s.seq, SQL: sql, Plan: plan}
-	if failed, _ := s.inj.Check(faults.SiteCrashServe); failed {
-		return nil, fmt.Errorf("multistore: query %d: %w", entry.Seq, faults.Crash(faults.SiteCrashServe))
-	}
-
-	var fp mqo.Fingerprint
-	var fpOK bool
-	if s.reuse != nil {
-		if fp, fpOK = s.fingerprintLocked(plan); fpOK {
-			if t, ok := s.reuse.cache.Get(fp); ok {
-				s.metrics.CacheHits++
-				return s.bookLocked(entry, &QueryReport{
-					Seq: entry.Seq, SQL: sql,
-					CacheHit:   true,
-					ResultRows: t.NumRows(),
-					Result:     t,
-				})
-			}
-		}
-		s.metrics.CacheMisses++
-	}
-
-	rep, err := s.runVariant(ctx, entry)
-	if err != nil {
-		return nil, err
-	}
-	if fpOK && rep.Result != nil {
-		// Chain boundary: the finished query's materialized answer enters
-		// the cache under the fingerprint computed before execution.
-		s.reuse.cache.Put(fp, rep.Result)
-	}
-	return s.bookLocked(entry, rep)
-}
-
-// bookLocked commits a completed query into the window, sequence,
-// metrics, report log, and durability journal. Callers hold s.mu.
-func (s *System) bookLocked(entry history.Entry, rep *QueryReport) (*QueryReport, error) {
-	s.window.Add(entry)
-	s.seq++
-	s.metrics.Queries++
-	s.reports = append(s.reports, rep)
-	if err := s.endOp(queryDoneRecord(rep)); err != nil {
-		// The WAL append tore: the process is considered dead and the
-		// query's completion never became durable.
-		return nil, err
-	}
-	return rep, nil
+	return s.submit(ctx, sql, false)
 }
 
 // RunDegraded executes the query entirely in HV regardless of variant —
@@ -707,182 +636,7 @@ func (s *System) bookLocked(entry history.Entry, rep *QueryReport) (*QueryReport
 // never triggered from this path — moving views into a store the breaker
 // just declared unhealthy would be counterproductive.
 func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("multistore: query not started: %w", err)
-	}
-	defer s.attachLedger()()
-	defer s.attachBudget()()
-	s.beginOp()
-	s.quarantineStale()
-	s.maybeRot()
-	plan, err := s.builder.BuildSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	entry := history.Entry{Seq: s.seq, SQL: sql, Plan: plan}
-	if failed, _ := s.inj.Check(faults.SiteCrashServe); failed {
-		return nil, fmt.Errorf("multistore: query %d: %w", entry.Seq, faults.Crash(faults.SiteCrashServe))
-	}
-	rewritten := optimizer.RewriteWithViews(plan, s.hv.Views)
-	res, err := s.hv.ExecuteContext(ctx, rewritten, entry.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{Seq: entry.Seq, SQL: sql}, entry.Seq)
-		}
-		return nil, fmt.Errorf("multistore: degraded query %d in HV: %w", entry.Seq, err)
-	}
-	rep := &QueryReport{
-		Seq: entry.Seq, SQL: sql,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(rewritten),
-		HVOnly:          true,
-		Degraded:        true,
-		UsedViews:       s.markUsedViews(rewritten, entry.Seq),
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}
-	s.metrics.HVExe += res.Seconds
-	s.addRecovery(res.RecoverySeconds, res.Retries)
-	s.metrics.Degraded++
-	return s.bookLocked(entry, rep)
-}
-
-// isCtxErr reports whether err stems from context cancellation or an
-// expired deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// isAbortErr reports whether err is a governed per-query abort — context
-// cancellation/deadline, a memory-budget violation, or a contained worker
-// panic — as opposed to a store or plan failure. Governed aborts are booked
-// by abandon rather than wrapped as execution errors.
-func isAbortErr(err error) bool {
-	return isCtxErr(err) || errors.Is(err, govern.ErrMemLimit) || errors.Is(err, govern.ErrInternal)
-}
-
-// attachLedger creates the per-query memory ledger (nil when no limit and
-// no pool are configured — then governance costs nothing and changes
-// nothing), attaches it to both stores, and returns the cleanup that
-// detaches it and releases every byte it still holds. Queries run one at a
-// time under s.mu, so a single attached ledger is always the current
-// query's; the server-wide pool still meters concurrent Systems or any
-// future intra-system concurrency sharing it.
-func (s *System) attachLedger() func() {
-	led := govern.NewLedger(s.cfg.MemLimitBytes, s.memPool)
-	if led == nil {
-		return func() {}
-	}
-	s.hv.SetGovernor(led)
-	s.dw.SetGovernor(led)
-	return func() {
-		s.hv.SetGovernor(nil)
-		s.dw.SetGovernor(nil)
-		led.ReleaseAll()
-	}
-}
-
-// attachBudget creates the per-query retry budget (nil when RetryBudget
-// is 0 — the budgeted paths then behave byte-identically to un-budgeted
-// ones), attaches it to HV's stage-retry loops, and returns the cleanup
-// that detaches it. Transfer and DW retry paths read it through s.qbud.
-func (s *System) attachBudget() func() {
-	bud := faults.NewBudget(s.cfg.RetryBudget)
-	if bud == nil {
-		return func() {}
-	}
-	s.qbud = bud
-	s.hv.SetRetryBudget(bud)
-	return func() {
-		s.hv.SetRetryBudget(nil)
-		s.qbud = nil
-	}
-}
-
-// abandon books a query that died mid-plan to a governed abort: every
-// simulated second it had already accrued (completed HV cuts, transfers,
-// DW work, recovery) is charged to RECOVERY — work done and thrown away —
-// and staged temp tables are discarded. The cause classifies the abort:
-// context errors count as Canceled, memory-budget violations as
-// MemAborted, contained worker panics as PanicsContained. Returns a typed
-// error wrapping the cause.
-func (s *System) abandon(cause error, rep *QueryReport, seq int) error {
-	wasted := rep.HVSeconds + rep.TransferSeconds + rep.DWSeconds + rep.RecoverySeconds
-	s.metrics.Recovery += wasted
-	s.metrics.Retries += rep.Retries
-	verb := "abandoned mid-plan"
-	switch {
-	case errors.Is(cause, govern.ErrMemLimit):
-		s.metrics.MemAborted++
-		verb = "aborted over memory budget"
-	case errors.Is(cause, govern.ErrInternal):
-		s.metrics.PanicsContained++
-		verb = "failed by a contained panic"
-	default:
-		s.metrics.Canceled++
-	}
-	s.dw.ClearTemp()
-	return fmt.Errorf("multistore: query %d %s (%.1fs charged to recovery): %w",
-		seq, verb, wasted, cause)
-}
-
-func (s *System) runVariant(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	switch s.cfg.Variant {
-	case VariantHVOnly:
-		rep, err := s.runHVOnly(ctx, e)
-		if err != nil {
-			return nil, err
-		}
-		s.hv.Views.Reset() // no retention
-		return rep, nil
-	case VariantHVOp:
-		return s.runHVOp(ctx, e)
-	case VariantDWOnly:
-		return s.runDWOnly(ctx, e)
-	case VariantMSBasic:
-		rep, err := s.runMultistore(ctx, e, optimizer.EmptyDesign())
-		if err != nil {
-			return nil, err
-		}
-		s.hv.Views.Reset() // transfers and by-products are discarded
-		return rep, nil
-	case VariantMSLru:
-		return s.runMSLru(ctx, e)
-	case VariantMSMiso:
-		if s.reorgDue() {
-			if err := s.reorg(s.window); err != nil {
-				return nil, err
-			}
-		}
-		return s.runMultistore(ctx, e, s.design())
-	case VariantMSOra:
-		if s.reorgDue() {
-			if err := s.reorg(s.oracleWindow()); err != nil {
-				return nil, err
-			}
-		}
-		return s.runMultistore(ctx, e, s.design())
-	case VariantMSOff:
-		if !s.offTuned {
-			if err := s.offlineTune(); err != nil {
-				return nil, err
-			}
-			s.offTuned = true
-		}
-		rep, err := s.runMultistore(ctx, e, s.design())
-		if err != nil {
-			return nil, err
-		}
-		s.trimHVToDesign()
-		return rep, nil
-	default:
-		return nil, fmt.Errorf("multistore: unknown variant %q", s.cfg.Variant)
-	}
+	return s.submit(ctx, sql, true)
 }
 
 // CheckInvariants verifies the catalog-level invariants the recovery and
@@ -945,20 +699,28 @@ func (s *System) reorgDue() bool {
 func (s *System) Reorganize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.beginOp()
-	var err error
-	switch s.cfg.Variant {
-	case VariantMSMiso:
-		err = s.reorg(s.window)
-	case VariantMSOra:
-		err = s.reorg(s.oracleWindow())
-	default:
+	w := s.tuningWindow()
+	if w == nil {
 		return nil
 	}
-	if err != nil {
+	s.beginOp()
+	if err := s.reorg(w); err != nil {
 		return err
 	}
 	return s.endOp(nil)
+}
+
+// tuningWindow is what the variant's online tuner looks at: the history
+// window (MS-MISO) or the actual upcoming queries (MS-ORA). Nil for the
+// variants that are not tuned online.
+func (s *System) tuningWindow() *history.Window {
+	switch s.cfg.Variant {
+	case VariantMSMiso:
+		return s.window
+	case VariantMSOra:
+		return s.oracleWindow()
+	}
+	return nil
 }
 
 // oracleWindow builds the MS-ORA tuning window from the actual upcoming

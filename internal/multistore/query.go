@@ -1,0 +1,514 @@
+package multistore
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"miso/internal/durability"
+	"miso/internal/dw"
+	"miso/internal/faults"
+	"miso/internal/govern"
+	"miso/internal/history"
+	"miso/internal/hv"
+	"miso/internal/logical"
+	"miso/internal/mqo"
+	"miso/internal/optimizer"
+	"miso/internal/storage"
+	"miso/internal/transfer"
+)
+
+// query is one submitted query on its way through the system: everything
+// that belongs to this query and to no other. Nothing per-query lives in
+// System or in the stores, so where s.mu is taken is a decision about the
+// shared state only.
+type query struct {
+	// ctx is the caller's context carrying the memory ledger and the retry
+	// budget (govern.WithLedger, faults.WithBudget): the stores and the
+	// transfer layer read them from the context they execute under, so
+	// work done under any other context — a benchmark probe, a reorg
+	// phase — never lands on this query's account.
+	ctx   context.Context
+	entry history.Entry
+	// rep is the report being filled. Every step sums what it paid into
+	// it; charge adds its totals to Metrics once, at the exit.
+	rep *QueryReport
+	// led is the ledger ctx carries, kept to release what the query still
+	// holds when it ends (nil when no memory limit is configured).
+	led *govern.Ledger
+}
+
+// answer records t as the query's result.
+func (q *query) answer(t *storage.Table) {
+	q.rep.ResultRows = t.NumRows()
+	q.rep.Result = t
+}
+
+// submit is the one query path. Every entry point runs the same four
+// steps — prologue (begin), HV step (execHV), cut migration (migrateCut),
+// booking (charge + bookLocked) — and differs only in the route it takes between
+// prologue and booking: a follower of an identical in-flight query books
+// the leader's table, the degraded route runs whole in HV, a cache hit
+// books the cached table, everything else runs the variant.
+//
+// Plan building reads only construction-time catalog state (schemas,
+// names), never the mutable log content, so the plan is built once, before
+// the lock. With the reuse plane on it is fingerprinted there too, against
+// the version mirror, so concurrent identical queries can rendezvous while
+// the leader executes: the leader publishes its result table to the
+// flight; a follower waits for it and, if the leader failed or the
+// published digest no longer verifies, executes cold itself. A follower
+// that joined before a concurrent catalog mutation may be handed a result
+// computed just after it; that is the usual single-flight linearization
+// (the query orders after the mutation).
+func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *QueryReport, err error) {
+	plan, buildErr := s.builder.BuildSQL(sql)
+	var canon *logical.Node // normalized plan; nil when this query bypasses the reuse plane
+	var shared *storage.Table
+	if s.reuse != nil && !degraded && buildErr == nil {
+		// Normalize collapses adjacent filters and identity projections so
+		// syntactic variants of one query share a fingerprint.
+		canon = logical.Normalize(plan)
+		if fp, ok := mqo.HashPlan(canon, s.reuse); ok {
+			call, leader := s.reuse.flight.Join(fp)
+			if leader {
+				defer func() {
+					if err != nil || rep == nil || rep.Result == nil {
+						s.reuse.flight.Complete(fp, call, nil, 0, err)
+						return
+					}
+					s.reuse.flight.Complete(fp, call, rep.Result, storage.ChecksumData(rep.Result), nil)
+				}()
+			} else {
+				shared, _ = s.reuse.flight.Wait(ctx, call)
+			}
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, err := s.begin(ctx, sql, plan, buildErr)
+	if err != nil {
+		return nil, err
+	}
+	defer q.led.ReleaseAll()
+
+	var fp mqo.Fingerprint
+	var fpOK, ran bool
+	switch {
+	case shared != nil:
+		// The leader already paid for the execution: zero simulated cost.
+		q.rep.Piggybacked = true
+		q.answer(shared)
+	case degraded:
+		q.rep.Degraded = true
+		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views))
+	default:
+		if canon != nil {
+			// The cache is keyed on the log versions the catalog has now,
+			// under the lock, not on the mirror's as of the flight join.
+			if fp, fpOK = mqo.HashPlan(canon, s.reuse); fpOK {
+				if t, ok := s.reuse.cache.Get(fp); ok {
+					q.rep.CacheHit = true
+					q.answer(t)
+					break
+				}
+			}
+			s.metrics.CacheMisses++
+		}
+		ran = true
+		err = s.runVariant(q)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	s.charge(q.rep)
+	if ran {
+		// The variant's post-step follows the charge (MS-OFF's trim adds
+		// its own recovery time after the query's) and precedes the
+		// booking, which journals the design it leaves behind.
+		s.settleVariant()
+		if fpOK && q.rep.Result != nil {
+			// Chain boundary: the finished query's materialized answer
+			// enters the cache under the fingerprint computed before
+			// execution.
+			s.reuse.cache.Put(fp, q.rep.Result)
+		}
+	}
+	return s.bookLocked(q)
+}
+
+// begin is the prologue every query passes, in an order the fault plane
+// fixes: injector draws are consumed in program order, so the steps must
+// not move across the bit-rot draw or the serve-crash draw. plan and
+// buildErr are what BuildSQL returned for the query's SQL; a build error
+// surfaces only after the rot draw — an unparsable query is still an
+// operation, and it moves the injector exactly as far as a valid one's
+// prologue does. A query whose context is already done returns before
+// anything is drawn or charged. Callers hold s.mu.
+func (s *System) begin(ctx context.Context, sql string, plan *logical.Node, buildErr error) (*query, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("multistore: query not started: %w", err)
+	}
+	// Both are nil when unconfigured: governance then costs nothing and
+	// the budgeted retry loops behave exactly like the un-budgeted ones.
+	led := govern.NewLedger(s.cfg.MemLimitBytes, s.memPool)
+	ctx = faults.WithBudget(govern.WithLedger(ctx, led), faults.NewBudget(s.cfg.RetryBudget))
+	s.beginOp()
+	s.quarantineStale()
+	s.maybeRot()
+	if buildErr != nil {
+		return nil, buildErr
+	}
+	q := &query{
+		ctx:   ctx,
+		entry: history.Entry{Seq: s.seq, SQL: sql, Plan: plan},
+		rep:   &QueryReport{Seq: s.seq, SQL: sql},
+		led:   led,
+	}
+	if failed, _ := s.inj.Check(faults.SiteCrashServe); failed {
+		return nil, fmt.Errorf("multistore: query %d: %w", s.seq, faults.Crash(faults.SiteCrashServe))
+	}
+	return q, nil
+}
+
+// charge adds a finished query's report to the TTI breakdown and the
+// counters — the one place a query's totals enter Metrics. Steps sum into
+// the report and the report is added here, in that order: the float
+// additions stay the ones every digest and simulated second was recorded
+// with.
+func (s *System) charge(rep *QueryReport) {
+	m := &s.metrics
+	m.HVExe += rep.HVSeconds
+	m.Transfer += rep.TransferSeconds
+	m.DWExe += rep.DWSeconds
+	m.Recovery += rep.RecoverySeconds
+	m.Retries += rep.Retries
+	m.SubplanHits += rep.SubplanHits
+	m.Fallbacks += b2i(rep.FellBackToHV)
+	m.Degraded += b2i(rep.Degraded)
+	m.HedgeWins += b2i(rep.HedgeWon)
+	m.CacheHits += b2i(rep.CacheHit)
+	m.Piggybacked += b2i(rep.Piggybacked)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// bookLocked commits a completed query into the window, sequence, report log
+// and durability journal. Callers hold s.mu.
+func (s *System) bookLocked(q *query) (*QueryReport, error) {
+	s.window.Add(q.entry)
+	s.seq++
+	s.metrics.Queries++
+	s.reports = append(s.reports, q.rep)
+	if err := s.endOp(queryDoneRecord(q.rep)); err != nil {
+		// The WAL append tore: the process is considered dead and the
+		// query's completion never became durable.
+		return nil, err
+	}
+	return q.rep, nil
+}
+
+// isCtxErr reports whether err stems from context cancellation or an
+// expired deadline.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// isAbortErr reports whether err is a governed per-query abort — context
+// cancellation/deadline, a memory-budget violation, or a contained worker
+// panic — as opposed to a store or plan failure. Governed aborts are booked
+// by abandon rather than wrapped as execution errors.
+func isAbortErr(err error) bool {
+	return isCtxErr(err) || errors.Is(err, govern.ErrMemLimit) || errors.Is(err, govern.ErrInternal)
+}
+
+// abandon books a query that died mid-plan to a governed abort: every
+// simulated second it had already accrued (completed HV cuts, transfers,
+// DW work, recovery) is charged to RECOVERY — work done and thrown away —
+// and staged temp tables are discarded. The cause classifies the abort:
+// context errors count as Canceled, memory-budget violations as
+// MemAborted, contained worker panics as PanicsContained. Returns a typed
+// error wrapping the cause.
+func (s *System) abandon(q *query, cause error) error {
+	wasted := q.rep.Total()
+	s.metrics.Recovery += wasted
+	s.metrics.Retries += q.rep.Retries
+	verb := "abandoned mid-plan"
+	switch {
+	case errors.Is(cause, govern.ErrMemLimit):
+		s.metrics.MemAborted++
+		verb = "aborted over memory budget"
+	case errors.Is(cause, govern.ErrInternal):
+		s.metrics.PanicsContained++
+		verb = "failed by a contained panic"
+	default:
+		s.metrics.Canceled++
+	}
+	s.dw.ClearTemp()
+	return fmt.Errorf("multistore: query %d %s (%.1fs charged to recovery): %w",
+		q.entry.Seq, verb, wasted, cause)
+}
+
+// failedIn turns a store's execution error into the query's: a governed
+// abort abandons the query, anything else is the store's failure.
+func (s *System) failedIn(q *query, store string, err error) error {
+	if isAbortErr(err) {
+		return s.abandon(q, err)
+	}
+	return fmt.Errorf("multistore: query %d in %s: %w", q.entry.Seq, store, err)
+}
+
+// execHV is the one HV step: run plan in HV under the query's context —
+// or, given the hedge shadow's finished compute of the same plan, commit
+// that instead — and sum what it paid into the report. What the
+// execution means to the query (its whole answer, one cut's working set,
+// a fallback whose time is a penalty) is the caller's lines around it.
+func (s *System) execHV(q *query, plan *logical.Node, shadow *hv.Pending) (*hv.Result, error) {
+	var res *hv.Result
+	var err error
+	if shadow != nil {
+		res, err = shadow.Commit(q.ctx, q.entry.Seq)
+	} else {
+		res, err = s.hv.ExecuteContext(q.ctx, plan, q.entry.Seq)
+	}
+	if err != nil {
+		return nil, s.failedIn(q, "HV", err)
+	}
+	rep := q.rep
+	rep.HVSeconds += res.Seconds
+	rep.RecoverySeconds += res.RecoverySeconds
+	rep.Retries += res.Retries
+	rep.HVOps += countOps(plan)
+	rep.NewViews += len(res.NewViews)
+	rep.UsedViews = append(rep.UsedViews, s.markUsedViews(plan, q.entry.Seq)...)
+	return res, nil
+}
+
+// runInHV answers the whole query from one HV execution of plan.
+func (s *System) runInHV(q *query, plan *logical.Node) error {
+	res, err := s.execHV(q, plan, nil)
+	if err != nil {
+		return err
+	}
+	q.rep.HVOnly = true
+	q.answer(res.Table)
+	return nil
+}
+
+// runSplit executes the optimizer's chosen plan over design d: each cut
+// runs in HV (or comes from the subresult cache), its working set migrates
+// into DW temp space, and the remainder runs in DW; a mid-flight failure
+// of the transfer or of the DW side degrades to fallbackHV. Migrated
+// working sets live in temp space for the duration of the query only; HV
+// by-products accumulate in the store and the variants that do not retain
+// them reset or trim the HV view set in settleVariant. retain, when set,
+// sees every working set that reached DW (MS-LRU's passive retention).
+func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cut *logical.Node, ws *storage.Table)) error {
+	mp, err := s.opt.Choose(q.entry.Plan, d)
+	if err != nil {
+		return err
+	}
+	if mp.HVOnly {
+		return s.runInHV(q, mp.HVPlan)
+	}
+	rep := q.rep
+	rep.BypassedHV = true
+	for _, cut := range mp.Cuts {
+		if cut.DWView != nil {
+			continue // answered directly from a DW-resident view
+		}
+		rep.BypassedHV = false
+		// Subresult reuse: a cut whose base-data definition is resident in
+		// the semantic cache skips HV execution entirely — the migrated
+		// working set comes from the digest-verified cached table at zero
+		// HV cost. The migration below still runs: the working set must
+		// reach DW temp space either way.
+		var ws *storage.Table
+		cfp, keyed := s.cutFingerprint(cut.Node)
+		if keyed {
+			if t, ok := s.reuse.cache.Get(cfp); ok {
+				ws = t
+				rep.SubplanHits++
+			}
+		}
+		if ws == nil {
+			res, err := s.execHV(q, cut.HVPlan, nil)
+			if err != nil {
+				return err
+			}
+			ws = res.Table
+			if keyed {
+				// Chain boundary: the freshly computed working set becomes
+				// a cached subresult for later cuts and queries.
+				s.reuse.cache.Put(cfp, ws)
+			}
+		}
+		// Deadline checkpoint before committing to the transfer: an
+		// abandoned query must not consume injector draws the sequential
+		// path would have used differently.
+		if err := q.ctx.Err(); err != nil {
+			return s.abandon(q, err)
+		}
+		cause, err := s.migrateCut(q, cut.TempName, ws)
+		if err != nil {
+			return err
+		}
+		if cause != nil {
+			return s.fallbackHV(q, cause, nil)
+		}
+		if retain != nil {
+			retain(q, cut.Node, ws)
+		}
+	}
+
+	if err := q.ctx.Err(); err != nil {
+		return s.abandon(q, err)
+	}
+	dwRes, hr, err := s.executeDWHedged(q, mp.DWPart)
+	if err != nil {
+		hr.discard()
+		return s.failedIn(q, "DW", err)
+	}
+	if err := s.simulateDWQuery(q, dwRes.Seconds); err != nil {
+		// DW gave out mid-query: degrade to HV. If the hedge shadow
+		// already computed the fallback plan, commit it in place of the
+		// serial re-execution (byte-identical state, wall-clock saved); a
+		// shadow that failed or never started falls through to the serial
+		// path, which replays exactly the draws an unhedged run would.
+		if p, perr, ok := hr.await(); ok {
+			if perr == nil {
+				return s.fallbackHV(q, err, p)
+			}
+			s.metrics.HedgesCanceled++
+		}
+		return s.fallbackHV(q, err, nil)
+	}
+	if hr.discard() {
+		s.metrics.HedgesCanceled++
+	}
+	s.answerFromDW(q, mp.DWPart, dwRes)
+	s.dw.ClearTemp()
+	return nil
+}
+
+// migrateCut is the one cut migration: it moves a cut's working set into
+// DW temp space under name, journaled as a begin..commit (or begin..abort)
+// window. A move that aborts, or whose bytes fail the load-time integrity
+// check, has wasted everything it paid; the query then degrades to HV and
+// cause says why (err is reserved for what kills the query or the process:
+// a torn journal append, the transfer crash site).
+func (s *System) migrateCut(q *query, name string, ws *storage.Table) (cause, err error) {
+	rep, seq := q.rep, int64(q.entry.Seq)
+	bytes := ws.LogicalBytes()
+	if s.dur != nil { // only a journaled move pays for the content checksum
+		if err := s.journal(&durability.Record{
+			Kind: durability.KindTransferBegin, Name: name,
+			Seq: seq, Bytes: bytes, Checksum: storage.ChecksumTable(ws),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if failed, _ := s.inj.Check(faults.SiteCrashTransfer); failed {
+		return nil, fmt.Errorf("multistore: query %d transfer: %w", seq, faults.Crash(faults.SiteCrashTransfer))
+	}
+	mv, mvErr := transfer.MoveContext(q.ctx, s.cfg.Transfer, bytes, transfer.KindWorkingSet, s.inj, s.retry)
+	rep.Retries += mv.Retries
+	if mvErr != nil {
+		rep.RecoverySeconds += mv.WastedSeconds()
+		cause = mvErr
+	} else if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
+		// The working set's checksum is verified as DW stages it; injected
+		// corruption means the bytes were damaged in flight. The cause is
+		// ErrCorrupt, not exhaustion, so the serving layer's circuit
+		// breaker ignores it.
+		rep.RecoverySeconds += mv.Breakdown.Total() + mv.RecoverySeconds
+		cause = faults.Corrupt(name)
+	}
+	if cause != nil {
+		return cause, s.journal(&durability.Record{Kind: durability.KindTransferAbort, Name: name, Seq: seq})
+	}
+	rep.RecoverySeconds += mv.RecoverySeconds
+	rep.TransferBytes += bytes
+	rep.TransferSeconds += mv.Breakdown.Total()
+	s.dw.StageTemp(name, ws)
+	return nil, s.journal(&durability.Record{Kind: durability.KindTransferCommit, Name: name, Seq: seq})
+}
+
+// answerFromDW records a DW execution of plan as the query's answer.
+func (s *System) answerFromDW(q *query, plan *logical.Node, res *dw.Result) {
+	q.rep.DWSeconds = res.Seconds
+	q.rep.DWOps = countOps(plan)
+	q.rep.UsedViews = append(q.rep.UsedViews, s.markUsedViews(plan, q.entry.Seq)...)
+	q.answer(res.Table)
+}
+
+// simulateDWQuery replays injected DW-side failures for a query that took
+// sec seconds: each failure wastes the completed fraction plus a backoff,
+// and giving up — per-phase retry exhaustion, a dead deadline, or a dry
+// retry budget — returns the typed fault error (the caller decides whether
+// to degrade to HV). Returns nil when the query eventually sticks.
+func (s *System) simulateDWQuery(q *query, sec float64) error {
+	if !s.inj.Enabled() {
+		return nil
+	}
+	for attempt := 1; ; attempt++ {
+		failed, frac := s.inj.Check(faults.SiteDWQuery)
+		if !failed {
+			return nil
+		}
+		q.rep.Retries++
+		q.rep.RecoverySeconds += frac*sec + s.retry.Backoff(attempt)
+		f := &faults.Fault{Site: faults.SiteDWQuery, Op: "dw query", Attempt: attempt}
+		switch {
+		case attempt >= s.retry.MaxAttempts:
+			return faults.Exhausted(f)
+		case q.ctx.Err() != nil:
+			return fmt.Errorf("abandoned before retry: %w", q.ctx.Err())
+		case !faults.BudgetFrom(q.ctx).Take():
+			return faults.BudgetExhausted(f)
+		}
+	}
+}
+
+// fallbackHV completes a query entirely in HV after its multistore plan
+// failed mid-flight (aborted transfer or exhausted DW retries) — the
+// graceful-degradation path: HV always holds the base logs, so any query
+// can complete there. Time already paid stays in its component; the
+// fallback execution itself is the penalty, charged to RECOVERY.
+//
+// shadow, when set, is the hedge's finished compute of the same plan. Its
+// deferred Commit runs at exactly the program point the serial execution
+// would have, so it consumes the same injector draws, records the same
+// statistics and captures the same views: report and StateDigest are
+// byte-identical to the unhedged run; only the wall clock already spent
+// racing is saved.
+func (s *System) fallbackHV(q *query, cause error, shadow *hv.Pending) error {
+	s.dw.ClearTemp()
+	var plan *logical.Node
+	if shadow != nil {
+		plan = shadow.Plan()
+	} else {
+		plan = optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
+	}
+	rep := q.rep
+	hvSec, hvOps, rec := rep.HVSeconds, rep.HVOps, rep.RecoverySeconds
+	res, err := s.execHV(q, plan, shadow)
+	if err != nil {
+		return fmt.Errorf("multistore: query %d failed (%v) and its HV fallback failed too: %w", q.entry.Seq, cause, err)
+	}
+	// The step booked productive HV time; a fallback's is a penalty.
+	rep.HVSeconds, rep.HVOps = hvSec, hvOps
+	rep.RecoverySeconds = rec + (res.Seconds + res.RecoverySeconds)
+	rep.FellBackToHV = true
+	rep.FallbackCause = cause
+	rep.HedgeWon = shadow != nil
+	q.answer(res.Table)
+	return nil
+}

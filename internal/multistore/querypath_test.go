@@ -1,0 +1,152 @@
+package multistore_test
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"miso/internal/data"
+	"miso/internal/faults"
+	"miso/internal/logical"
+	"miso/internal/multistore"
+	"miso/internal/storage"
+	"miso/internal/workload"
+)
+
+// TestForeignComputeLeavesTheRunningQuerysLedgerAlone: hv.BeginExecute is
+// callable without the system lock (the hedge shadow, the benchmark's
+// probes). A foreign compute running beside a governed query must neither
+// race on that query's memory ledger nor reserve bytes against it: the
+// ledger travels in the query's own context, so a compute under any other
+// context is unmetered, and once the queries have released their ledgers
+// the server-wide pool is empty again. Meaningful under -race.
+func TestForeignComputeLeavesTheRunningQuerysLedgerAlone(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	cfg.MemLimitBytes = 1 << 40
+	cfg.MemPoolBytes = 1 << 40
+	cfg.RetryBudget = 3
+	sys := multistore.New(cfg, cat)
+	sqls := workload.SQLs()
+	plan, err := logical.NewBuilder(cat).BuildSQL(sqls[0])
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := sys.HV().BeginExecute(context.Background(), plan); err != nil {
+				t.Errorf("foreign compute: %v", err)
+				return
+			}
+		}
+	}()
+	for i, sql := range sqls[:8] {
+		if _, err := sys.RunContext(context.Background(), sql); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if used := sys.MemPool().Used(); used != 0 {
+		t.Fatalf("memory pool holds %d bytes after every query released its ledger", used)
+	}
+}
+
+// TestBuildErrorSurfacesAfterTheRotDraw pins the prologue's draw order for
+// a query that never gets a plan: invalid SQL still passes the per-operation
+// bit-rot draw before its build error surfaces, so it moves the injector
+// exactly as far as a valid query's prologue does. The two constants were
+// recorded from the commit before the query path was folded into one.
+func TestBuildErrorSurfacesAfterTheRotDraw(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	cfg.Faults = faults.Profile{ViewRot: 0.5}
+	cfg.FaultSeed = 42
+	sys := multistore.New(cfg, cat)
+	sqls := workload.SQLs()
+	for i, sql := range sqls[:4] {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	before := sys.FaultInjector().TotalInjected()
+	for i := 0; i < 3; i++ {
+		if _, err := sys.Run("SELECT FROM WHERE"); err == nil {
+			t.Fatal("invalid SQL ran")
+		}
+	}
+	if got := sys.FaultInjector().TotalInjected() - before; got != rotDrawsOfThreeBadQueries {
+		t.Errorf("three invalid queries injected %d rot faults, want %d", got, rotDrawsOfThreeBadQueries)
+	}
+	if _, err := sys.Run(sqls[4]); err != nil {
+		t.Fatalf("query after the invalid ones: %v", err)
+	}
+	if got := sys.StateDigest(); got != digestAfterBadQueries {
+		t.Errorf("state digest after the next query = %#x, want %#x", got, uint64(digestAfterBadQueries))
+	}
+}
+
+const (
+	rotDrawsOfThreeBadQueries = 1
+	digestAfterBadQueries     = 0xf114868201003e51
+)
+
+// TestMSLruAnswersAreTheSameWithReuse: MS-LRU runs through the one
+// split-plan executor, so the cut-level subresult cache reaches it. With
+// the reuse plane on — the workload asked twice, so full-query hits and
+// cached cuts both occur — every answer must equal the reuse-off run's.
+func TestMSLruAnswersAreTheSameWithReuse(t *testing.T) {
+	answers := func(reuse bool) ([]uint64, multistore.Metrics) {
+		cat, err := data.Generate(data.SmallConfig())
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		cfg := multistore.DefaultConfig(multistore.VariantMSLru)
+		cfg.SetBudgets(cat, 2.0, 10<<30)
+		cfg.Reuse.Enabled = reuse
+		sys := multistore.New(cfg, cat)
+		var sums []uint64
+		for pass := 0; pass < 2; pass++ {
+			for i, sql := range workload.SQLs() {
+				rep, err := sys.Run(sql)
+				if err != nil {
+					t.Fatalf("reuse=%v pass %d query %d: %v", reuse, pass, i, err)
+				}
+				sums = append(sums, storage.ChecksumData(rep.Result))
+			}
+		}
+		if err := sys.CheckInvariants(); err != nil {
+			t.Fatalf("reuse=%v invariants: %v", reuse, err)
+		}
+		return sums, sys.Metrics()
+	}
+	cold, _ := answers(false)
+	warm, m := answers(true)
+	for i := range cold {
+		if cold[i] != warm[i] {
+			t.Errorf("answer %d: reuse off %016x, reuse on %016x", i, cold[i], warm[i])
+		}
+	}
+	if m.CacheHits == 0 {
+		t.Error("reuse on, workload asked twice, and no cache hit")
+	}
+	t.Logf("cache hits %d, misses %d, subplan hits %d", m.CacheHits, m.CacheMisses, m.SubplanHits)
+}

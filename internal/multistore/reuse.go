@@ -1,15 +1,10 @@
 package multistore
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"sync"
 
-	"miso/internal/history"
 	"miso/internal/logical"
 	"miso/internal/mqo"
-	"miso/internal/storage"
 )
 
 // ReuseConfig configures the cross-query reuse plane: single-flight
@@ -39,11 +34,6 @@ type ReuseStats struct {
 	Cache  mqo.CacheStats
 	Flight mqo.FlightStats
 }
-
-// errLeaderFailed is what followers of a failed single-flight leader
-// observe internally; they never share it — each falls back to its own
-// cold execution.
-var errLeaderFailed = errors.New("multistore: reuse leader failed")
 
 // reusePlane is the per-System reuse state. It doubles as the
 // mqo.VersionSource: log content versions are mirrored here (seeded at
@@ -141,18 +131,6 @@ func (s *System) ReuseStats() ReuseStats {
 	}
 }
 
-// fingerprintLocked computes the canonical reuse fingerprint of a built
-// plan: Normalize collapses adjacent filters and identity projections so
-// syntactic variants of the same query coincide, then mqo.HashPlan folds
-// the structural signature with every scanned log's content version.
-func (s *System) fingerprintLocked(plan *logical.Node) (mqo.Fingerprint, bool) {
-	if s.reuse == nil {
-		return 0, false
-	}
-	canon := logical.Normalize(plan)
-	return mqo.HashPlan(canon, s.reuse)
-}
-
 // cutFingerprint fingerprints a cut's base-data definition, expanding any
 // views it reads down to raw log scans — so a cut over a view and the
 // equivalent cut over raw logs share one subresult entry.
@@ -165,98 +143,4 @@ func (s *System) cutFingerprint(n *logical.Node) (mqo.Fingerprint, bool) {
 		return 0, false
 	}
 	return mqo.HashPlan(def, s.reuse)
-}
-
-// runShared is RunContext with the reuse plane enabled. The fingerprint
-// is computed outside s.mu (against the version mirror) so concurrent
-// identical queries can rendezvous while the leader executes:
-//
-//	leader:    joins the flight, runs the normal locked path (which
-//	           consults and populates the semantic cache), publishes its
-//	           result table to the flight.
-//	follower:  waits on the leader's call and books the shared table as a
-//	           piggybacked zero-cost report; if the leader failed — or the
-//	           published digest no longer verifies — it falls back to its
-//	           own cold locked execution.
-//
-// A follower that joined before a concurrent catalog mutation may be
-// handed a result computed just after it; that is the usual single-flight
-// linearization (the query orders after the mutation) and every handed
-// table is digest-verified against what the leader published.
-func (s *System) runShared(ctx context.Context, sql string) (*QueryReport, error) {
-	fp, ok := s.fingerprintSQL(sql)
-	if !ok {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.runLocked(ctx, sql)
-	}
-	call, leader := s.reuse.flight.Join(fp)
-	if !leader {
-		if t, shared := s.reuse.flight.Wait(ctx, call); shared {
-			return s.bookPiggyback(ctx, sql, t)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("multistore: query not started: %w", err)
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.runLocked(ctx, sql)
-	}
-	var rep *QueryReport
-	var err error
-	defer func() {
-		if err == nil && rep != nil && rep.Result != nil {
-			s.reuse.flight.Complete(fp, call, rep.Result, storage.ChecksumData(rep.Result), nil)
-			return
-		}
-		cause := err
-		if cause == nil {
-			cause = errLeaderFailed
-		}
-		s.reuse.flight.Complete(fp, call, nil, 0, cause)
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, err = s.runLocked(ctx, sql)
-	return rep, err
-}
-
-// fingerprintSQL builds and fingerprints sql without holding s.mu. Plan
-// building reads only construction-time catalog state (schemas, names),
-// never the mutable log content — content versions come from the mirror.
-func (s *System) fingerprintSQL(sql string) (mqo.Fingerprint, bool) {
-	if s.reuse == nil {
-		return 0, false
-	}
-	plan, err := s.builder.BuildSQL(sql)
-	if err != nil {
-		return 0, false // the locked path will report the build error
-	}
-	return s.fingerprintLocked(plan)
-}
-
-// bookPiggyback books a follower's shared result as a completed query:
-// full bookkeeping (window, sequence, report, durability record), zero
-// simulated cost — the leader already paid for the execution — and no
-// fault-site draws, since no store work happens.
-func (s *System) bookPiggyback(ctx context.Context, sql string, t *storage.Table) (*QueryReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("multistore: query not started: %w", err)
-	}
-	s.beginOp()
-	plan, err := s.builder.BuildSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	entry := history.Entry{Seq: s.seq, SQL: sql, Plan: plan}
-	rep := &QueryReport{
-		Seq: entry.Seq, SQL: sql,
-		Piggybacked: true,
-		ResultRows:  t.NumRows(),
-		Result:      t,
-	}
-	s.metrics.Piggybacked++
-	return s.bookLocked(entry, rep)
 }

@@ -11,10 +11,13 @@ package multistore
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
 	"miso/internal/data"
+	"miso/internal/logical"
+	"miso/internal/mqo"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
@@ -335,7 +338,11 @@ func TestReusePiggyback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fp, ok := sys.fingerprintSQL(sql)
+	plan, err := sys.builder.BuildSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, ok := mqo.HashPlan(logical.Normalize(plan), sys.reuse)
 	if !ok {
 		t.Fatal("workload query did not fingerprint")
 	}
@@ -388,7 +395,7 @@ func TestReusePiggyback(t *testing.T) {
 		done2 <- rep
 	}()
 	waitFollowers(t, sys, 2)
-	sys.reuse.flight.Complete(fp, call2, nil, 0, errLeaderFailed)
+	sys.reuse.flight.Complete(fp, call2, nil, 0, errors.New("leader failed"))
 	select {
 	case err := <-errs:
 		t.Fatalf("fallback follower: %v", err)

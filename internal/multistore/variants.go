@@ -8,7 +8,6 @@ import (
 	"miso/internal/durability"
 	"miso/internal/faults"
 	"miso/internal/history"
-	"miso/internal/hv"
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/storage"
@@ -16,506 +15,105 @@ import (
 	"miso/internal/views"
 )
 
-// runHVOnly executes the whole query in HV with no views.
-func (s *System) runHVOnly(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	res, err := s.hv.ExecuteContext(ctx, e.Plan, e.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{}, e.Seq)
+// runVariant takes the query the way the system's variant does: the
+// variant's pre-step (a due reorganization, the one-time ETL or offline
+// tuning), then its execution. What a variant does to the design after
+// the query is settleVariant's, run once the report is charged.
+func (s *System) runVariant(q *query) error {
+	switch s.cfg.Variant {
+	case VariantHVOnly:
+		return s.runInHV(q, q.entry.Plan)
+	case VariantHVOp:
+		return s.runInHV(q, optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views))
+	case VariantDWOnly:
+		return s.runDWOnly(q)
+	case VariantMSBasic:
+		return s.runSplit(q, optimizer.EmptyDesign(), nil)
+	case VariantMSLru:
+		return s.runSplit(q, s.design(), s.retainWorkingSet)
+	case VariantMSMiso, VariantMSOra:
+		if s.reorgDue() {
+			if err := s.reorg(s.tuningWindow()); err != nil {
+				return err
+			}
 		}
-		return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
+		return s.runSplit(q, s.design(), nil)
+	case VariantMSOff:
+		if !s.offTuned {
+			if err := s.offlineTune(); err != nil {
+				return err
+			}
+			s.offTuned = true
+		}
+		return s.runSplit(q, s.design(), nil)
+	default:
+		return fmt.Errorf("multistore: unknown variant %q", s.cfg.Variant)
 	}
-	s.metrics.HVExe += res.Seconds
-	s.addRecovery(res.RecoverySeconds, res.Retries)
-	return &QueryReport{
-		Seq: e.Seq, SQL: e.SQL,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(e.Plan),
-		HVOnly:          true,
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}, nil
 }
 
-// runHVOp executes in HV, reusing and retaining opportunistic views under
-// an LRU policy within the HV storage budget.
-func (s *System) runHVOp(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	plan := optimizer.RewriteWithViews(e.Plan, s.hv.Views)
-	res, err := s.hv.ExecuteContext(ctx, plan, e.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{}, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
+// settleVariant is the variant's post-step: what it keeps of the views
+// the query left behind.
+func (s *System) settleVariant() {
+	switch s.cfg.Variant {
+	case VariantHVOnly, VariantMSBasic:
+		s.hv.Views.Reset() // no retention: transfers and by-products are discarded
+	case VariantHVOp:
+		// Opportunistic views are reused and retained under an LRU policy
+		// within the HV storage budget.
+		views.EvictLRU(s.hv.Views, s.cfg.Tuner.Bh)
+	case VariantMSLru:
+		// The passive tuner of the paper's Figure 7: only the working sets
+		// transferred during query execution are retained, as DW-resident
+		// views under an LRU policy — an access-based cache with no benefit
+		// or interaction analysis. HV by-products are not retained (that
+		// would be HV-OP's mechanism, not passive transfer caching).
+		views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
+		s.hv.Views.Reset()
+	case VariantMSOff:
+		s.trimHVToDesign()
 	}
-	used := s.markUsedViews(plan, e.Seq)
-	views.EvictLRU(s.hv.Views, s.cfg.Tuner.Bh)
-	s.metrics.HVExe += res.Seconds
-	s.addRecovery(res.RecoverySeconds, res.Retries)
-	return &QueryReport{
-		Seq: e.Seq, SQL: e.SQL,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(plan),
-		HVOnly:          true,
-		UsedViews:       used,
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}, nil
+}
+
+// retainWorkingSet is MS-LRU's passive retention: a working set that
+// reached DW becomes a DW view keyed by its base-data definition.
+func (s *System) retainWorkingSet(q *query, cut *logical.Node, ws *storage.Table) {
+	def := s.hv.ExpandViews(cut)
+	if def == nil {
+		return
+	}
+	v := views.New(def, ws, q.entry.Seq)
+	v.StampGenerations(s.catalogGen())
+	// A quarantine-tombstoned name must not resurrect through passive
+	// retention any more than through capture.
+	if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
+		s.dw.Views.Add(v)
+	}
 }
 
 // runDWOnly serves the query entirely from DW after the one-time ETL.
-func (s *System) runDWOnly(ctx context.Context, e history.Entry) (*QueryReport, error) {
+func (s *System) runDWOnly(q *query) error {
 	if !s.etlDone {
 		if err := s.runETL(); err != nil {
-			return nil, err
+			return err
 		}
 		s.etlDone = true
 	}
-	plan := optimizer.RewriteWithViews(e.Plan, s.dw.Views)
+	plan := optimizer.RewriteWithViews(q.entry.Plan, s.dw.Views)
 	if hasRawScan(plan) {
-		return nil, fmt.Errorf("multistore: DW-ONLY query %d not covered by the ETL'd data", e.Seq)
+		return fmt.Errorf("multistore: DW-ONLY query %d not covered by the ETL'd data", q.entry.Seq)
 	}
-	res, err := s.dw.ExecuteContext(ctx, plan)
+	res, err := s.dw.ExecuteContext(q.ctx, plan)
 	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{}, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in DW: %w", e.Seq, err)
-	}
-	rep := &QueryReport{
-		Seq: e.Seq, SQL: e.SQL,
-		DWSeconds:  res.Seconds,
-		DWOps:      countOps(plan),
-		BypassedHV: true,
-		ResultRows: res.Table.NumRows(),
-		Result:     res.Table,
+		return s.failedIn(q, "DW", err)
 	}
 	// DW-ONLY has no other store to degrade to: injected query failures
 	// retry in place and exhaustion fails the query.
-	if err := s.simulateDWQuery(ctx, res.Seconds, rep); err != nil {
-		return nil, fmt.Errorf("multistore: query %d in DW: %w", e.Seq, err)
+	if err := s.simulateDWQuery(q, res.Seconds); err != nil {
+		return fmt.Errorf("multistore: query %d in DW: %w", q.entry.Seq, err)
 	}
-	rep.UsedViews = s.markUsedViews(plan, e.Seq)
-	s.metrics.DWExe += res.Seconds
-	s.addRecovery(rep.RecoverySeconds, rep.Retries)
-	return rep, nil
-}
-
-// runMultistore executes the optimizer's chosen split plan. Migrated
-// working sets live in DW temp space for the duration of the query only;
-// HV by-products accumulate in the store and callers that do not retain
-// them (MS-BASIC, MS-OFF) reset or trim the HV view set afterwards.
-func (s *System) runMultistore(ctx context.Context, e history.Entry, d optimizer.Design) (*QueryReport, error) {
-	mp, err := s.opt.Choose(e.Plan, d)
-	if err != nil {
-		return nil, err
-	}
-	rep := &QueryReport{Seq: e.Seq, SQL: e.SQL}
-	if mp.HVOnly {
-		res, err := s.hv.ExecuteContext(ctx, mp.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds = res.Seconds
-		rep.RecoverySeconds = res.RecoverySeconds
-		rep.Retries = res.Retries
-		rep.HVOps = countOps(mp.HVPlan)
-		rep.HVOnly = true
-		rep.NewViews = len(res.NewViews)
-		rep.ResultRows = res.Table.NumRows()
-		rep.Result = res.Table
-		rep.UsedViews = s.markUsedViews(mp.HVPlan, e.Seq)
-		s.metrics.HVExe += res.Seconds
-		s.addRecovery(res.RecoverySeconds, res.Retries)
-		return rep, nil
-	}
-
-	bypassed := true
-	for _, cut := range mp.Cuts {
-		if cut.DWView != nil {
-			continue // answered directly from a DW-resident view
-		}
-		bypassed = false
-		// Subresult reuse: a cut whose base-data definition is resident in
-		// the semantic cache skips HV execution entirely — the migrated
-		// working set comes from the digest-verified cached table at zero
-		// HV cost. The transfer and staging below still run: the working
-		// set must still reach DW temp space either way.
-		cfp, cok := s.cutFingerprint(cut.Node)
-		var res *hv.Result
-		if cok {
-			if t, ok := s.reuse.cache.Get(cfp); ok {
-				res = &hv.Result{Table: t}
-				rep.SubplanHits++
-				s.metrics.SubplanHits++
-			}
-		}
-		if res == nil {
-			var err error
-			res, err = s.hv.ExecuteContext(ctx, cut.HVPlan, e.Seq)
-			if err != nil {
-				if isAbortErr(err) {
-					return nil, s.abandon(err, rep, e.Seq)
-				}
-				return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-			}
-			rep.HVSeconds += res.Seconds
-			rep.RecoverySeconds += res.RecoverySeconds
-			rep.Retries += res.Retries
-			rep.HVOps += countOps(cut.HVPlan)
-			rep.NewViews += len(res.NewViews)
-			rep.UsedViews = append(rep.UsedViews, s.markUsedViews(cut.HVPlan, e.Seq)...)
-			if cok {
-				// Chain boundary: the freshly computed working set becomes
-				// a cached subresult for later cuts and queries.
-				s.reuse.cache.Put(cfp, res.Table)
-			}
-		}
-
-		// Deadline checkpoint before committing to the transfer: an
-		// abandoned query must not consume injector draws the sequential
-		// path would have used differently.
-		if ctx.Err() != nil {
-			return nil, s.abandon(ctx.Err(), rep, e.Seq)
-		}
-		bytes := res.Table.LogicalBytes()
-		sum := storage.ChecksumTable(res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferBegin, Name: cut.TempName,
-			Seq: int64(e.Seq), Bytes: bytes, Checksum: sum,
-		}); err != nil {
-			return nil, err
-		}
-		if failed, _ := s.inj.Check(faults.SiteCrashTransfer); failed {
-			return nil, fmt.Errorf("multistore: query %d transfer: %w", e.Seq, faults.Crash(faults.SiteCrashTransfer))
-		}
-		mv, mvErr := transfer.MoveContext(ctx, s.cfg.Transfer, bytes, transfer.KindWorkingSet, s.inj, s.retry, s.qbud)
-		rep.Retries += mv.Retries
-		if mvErr != nil {
-			// The move aborted: everything it paid is wasted. Degrade
-			// gracefully by completing the query entirely in HV.
-			rep.RecoverySeconds += mv.WastedSeconds()
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			return s.fallbackHV(ctx, e, rep, mvErr)
-		}
-		// Load-time integrity check: the working set's checksum is
-		// verified as DW stages it. Injected corruption means the bytes
-		// were damaged in flight — the whole move is wasted and the query
-		// degrades to HV (the cause is ErrCorrupt, not exhaustion, so the
-		// serving layer's circuit breaker ignores it).
-		if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
-			rep.RecoverySeconds += mv.Breakdown.Total() + mv.RecoverySeconds
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			return s.fallbackHV(ctx, e, rep, faults.Corrupt(cut.TempName))
-		}
-		rep.RecoverySeconds += mv.RecoverySeconds
-		rep.TransferBytes += bytes
-		rep.TransferSeconds += mv.Breakdown.Total()
-		s.dw.StageTemp(cut.TempName, res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferCommit, Name: cut.TempName, Seq: int64(e.Seq),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	rep.BypassedHV = bypassed
-
-	if ctx.Err() != nil {
-		return nil, s.abandon(ctx.Err(), rep, e.Seq)
-	}
-	dwRes, hr, err := s.executeDWHedged(ctx, e, mp.DWPart)
-	if err != nil {
-		hr.discard()
-		if isAbortErr(err) {
-			return nil, s.abandon(err, rep, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in DW: %w", e.Seq, err)
-	}
-	if err := s.simulateDWQuery(ctx, dwRes.Seconds, rep); err != nil {
-		// DW gave out mid-query: degrade to HV. If the hedge shadow
-		// already computed the fallback plan, commit it in place of the
-		// serial re-execution (byte-identical state, wall-clock saved); a
-		// shadow that failed or never started falls through to the serial
-		// path, which replays exactly the draws an unhedged run would.
-		if p, perr, ok := hr.await(); ok {
-			if perr == nil {
-				return s.fallbackFromPending(ctx, e, rep, err, p)
-			}
-			s.metrics.HedgesCanceled++
-		}
-		return s.fallbackHV(ctx, e, rep, err)
-	}
-	if hr.discard() {
-		s.metrics.HedgesCanceled++
-	}
-	rep.DWSeconds = dwRes.Seconds
-	rep.DWOps = countOps(mp.DWPart)
-	rep.ResultRows = dwRes.Table.NumRows()
-	rep.Result = dwRes.Table
-	rep.UsedViews = append(rep.UsedViews, s.markUsedViews(mp.DWPart, e.Seq)...)
-	s.dw.ClearTemp()
-
-	s.metrics.HVExe += rep.HVSeconds
-	s.metrics.Transfer += rep.TransferSeconds
-	s.metrics.DWExe += rep.DWSeconds
-	s.addRecovery(rep.RecoverySeconds, rep.Retries)
-	return rep, nil
-}
-
-// simulateDWQuery replays injected DW-side failures for a query that took
-// sec seconds: each failure wastes the completed fraction plus a backoff,
-// and giving up — per-phase retry exhaustion, a dead deadline, or a dry
-// retry budget — returns the typed fault error (the caller decides whether
-// to degrade to HV). Returns nil when the query eventually sticks.
-func (s *System) simulateDWQuery(ctx context.Context, sec float64, rep *QueryReport) error {
-	if !s.inj.Enabled() {
-		return nil
-	}
-	for attempt := 1; ; attempt++ {
-		failed, frac := s.inj.Check(faults.SiteDWQuery)
-		if !failed {
-			return nil
-		}
-		rep.Retries++
-		rep.RecoverySeconds += frac*sec + s.retry.Backoff(attempt)
-		f := &faults.Fault{Site: faults.SiteDWQuery, Op: "dw query", Attempt: attempt}
-		switch {
-		case attempt >= s.retry.MaxAttempts:
-			return faults.Exhausted(f)
-		case ctx.Err() != nil:
-			return fmt.Errorf("abandoned before retry: %w", ctx.Err())
-		case !s.qbud.Take():
-			return faults.BudgetExhausted(f)
-		}
-	}
-}
-
-// fallbackHV completes a query entirely in HV after its multistore plan
-// failed mid-flight (aborted transfer or exhausted DW retries). Time
-// already paid stays in its component; the fallback execution itself is
-// the penalty, charged to RECOVERY. This is the graceful-degradation path:
-// HV always holds the base logs, so any query can complete there.
-func (s *System) fallbackHV(ctx context.Context, e history.Entry, rep *QueryReport, cause error) (*QueryReport, error) {
-	s.dw.ClearTemp()
-	plan := optimizer.RewriteWithViews(e.Plan, s.hv.Views)
-	res, err := s.hv.ExecuteContext(ctx, plan, e.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, rep, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d failed (%v) and its HV fallback failed too: %w", e.Seq, cause, err)
-	}
-	return s.bookFallback(e, rep, cause, plan, res), nil
-}
-
-// bookFallback charges a completed HV fallback execution — serial or a
-// committed hedge shadow — into the report and the TTI breakdown.
-func (s *System) bookFallback(e history.Entry, rep *QueryReport, cause error, plan *logical.Node, res *hv.Result) *QueryReport {
-	rep.FellBackToHV = true
-	rep.FallbackCause = cause
-	rep.RecoverySeconds += res.Seconds + res.RecoverySeconds
-	rep.Retries += res.Retries
-	rep.NewViews += len(res.NewViews)
-	rep.UsedViews = append(rep.UsedViews, s.markUsedViews(plan, e.Seq)...)
-	rep.ResultRows = res.Table.NumRows()
-	rep.Result = res.Table
-
-	s.metrics.HVExe += rep.HVSeconds
-	s.metrics.Transfer += rep.TransferSeconds
-	s.metrics.DWExe += rep.DWSeconds
-	s.addRecovery(rep.RecoverySeconds, rep.Retries)
-	s.metrics.Fallbacks++
-	return rep
-}
-
-// addRecovery accumulates recovery time and retry counts into the TTI
-// breakdown.
-func (s *System) addRecovery(sec float64, retries int) {
-	s.metrics.Recovery += sec
-	s.metrics.Retries += retries
-}
-
-// runMSLru is the passive tuner of the paper's Figure 7: only the working
-// sets transferred between the stores during query execution are retained,
-// as DW-resident views under an LRU policy — an access-based cache with no
-// benefit or interaction analysis. HV by-products are not retained (that
-// would be HV-OP's mechanism, not passive transfer caching).
-func (s *System) runMSLru(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	mp, err := s.opt.Choose(e.Plan, s.design())
-	if err != nil {
-		return nil, err
-	}
-	rep := &QueryReport{Seq: e.Seq, SQL: e.SQL}
-	if mp.HVOnly {
-		res, err := s.hv.ExecuteContext(ctx, mp.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds = res.Seconds
-		rep.RecoverySeconds = res.RecoverySeconds
-		rep.Retries = res.Retries
-		rep.HVOps = countOps(mp.HVPlan)
-		rep.HVOnly = true
-		rep.NewViews = len(res.NewViews)
-		rep.ResultRows = res.Table.NumRows()
-		rep.Result = res.Table
-		rep.UsedViews = s.markUsedViews(mp.HVPlan, e.Seq)
-		s.metrics.HVExe += res.Seconds
-		s.addRecovery(res.RecoverySeconds, res.Retries)
-		s.hv.Views.Reset()
-		return rep, nil
-	}
-	bypassed := true
-	for _, cut := range mp.Cuts {
-		if cut.DWView != nil {
-			continue
-		}
-		bypassed = false
-		res, err := s.hv.ExecuteContext(ctx, cut.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds += res.Seconds
-		rep.RecoverySeconds += res.RecoverySeconds
-		rep.Retries += res.Retries
-		rep.HVOps += countOps(cut.HVPlan)
-		rep.NewViews += len(res.NewViews)
-		rep.UsedViews = append(rep.UsedViews, s.markUsedViews(cut.HVPlan, e.Seq)...)
-		if ctx.Err() != nil {
-			return nil, s.abandon(ctx.Err(), rep, e.Seq)
-		}
-		bytes := res.Table.LogicalBytes()
-		sum := storage.ChecksumTable(res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferBegin, Name: cut.TempName,
-			Seq: int64(e.Seq), Bytes: bytes, Checksum: sum,
-		}); err != nil {
-			return nil, err
-		}
-		if failed, _ := s.inj.Check(faults.SiteCrashTransfer); failed {
-			return nil, fmt.Errorf("multistore: query %d transfer: %w", e.Seq, faults.Crash(faults.SiteCrashTransfer))
-		}
-		mv, mvErr := transfer.MoveContext(ctx, s.cfg.Transfer, bytes, transfer.KindWorkingSet, s.inj, s.retry, s.qbud)
-		rep.Retries += mv.Retries
-		if mvErr != nil {
-			rep.RecoverySeconds += mv.WastedSeconds()
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			rep, err := s.fallbackHV(ctx, e, rep, mvErr)
-			if err != nil {
-				return nil, err
-			}
-			views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-			s.hv.Views.Reset()
-			return rep, nil
-		}
-		if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
-			// The staged working set failed its load-time checksum: the
-			// move is wasted, and the damaged bytes must not be retained
-			// as a cached DW view either.
-			rep.RecoverySeconds += mv.Breakdown.Total() + mv.RecoverySeconds
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			rep, err := s.fallbackHV(ctx, e, rep, faults.Corrupt(cut.TempName))
-			if err != nil {
-				return nil, err
-			}
-			views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-			s.hv.Views.Reset()
-			return rep, nil
-		}
-		rep.RecoverySeconds += mv.RecoverySeconds
-		rep.TransferBytes += bytes
-		rep.TransferSeconds += mv.Breakdown.Total()
-		s.dw.StageTemp(cut.TempName, res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferCommit, Name: cut.TempName, Seq: int64(e.Seq),
-		}); err != nil {
-			return nil, err
-		}
-
-		// Passive retention: the transferred working set becomes a DW
-		// view keyed by its base-data definition.
-		def := s.hv.ExpandViews(cut.Node)
-		if def != nil {
-			v := views.New(def, res.Table, e.Seq)
-			v.StampGenerations(func(name string) (int, bool) {
-				log, err := s.cat.Log(name)
-				if err != nil {
-					return 0, false
-				}
-				return log.Generation, true
-			})
-			// A quarantine-tombstoned name must not resurrect through
-			// passive retention any more than through capture.
-			if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
-				s.dw.Views.Add(v)
-			}
-		}
-	}
-	rep.BypassedHV = bypassed
-	if ctx.Err() != nil {
-		return nil, s.abandon(ctx.Err(), rep, e.Seq)
-	}
-	dwRes, err := s.dw.ExecuteContext(ctx, mp.DWPart)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, rep, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in DW: %w", e.Seq, err)
-	}
-	if err := s.simulateDWQuery(ctx, dwRes.Seconds, rep); err != nil {
-		rep, err := s.fallbackHV(ctx, e, rep, err)
-		if err != nil {
-			return nil, err
-		}
-		views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-		s.hv.Views.Reset()
-		return rep, nil
-	}
-	rep.DWSeconds = dwRes.Seconds
-	rep.DWOps = countOps(mp.DWPart)
-	rep.ResultRows = dwRes.Table.NumRows()
-	rep.Result = dwRes.Table
-	rep.UsedViews = append(rep.UsedViews, s.markUsedViews(mp.DWPart, e.Seq)...)
-	s.dw.ClearTemp()
-
-	views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-	s.hv.Views.Reset()
-	s.metrics.HVExe += rep.HVSeconds
-	s.metrics.Transfer += rep.TransferSeconds
-	s.metrics.DWExe += rep.DWSeconds
-	s.addRecovery(rep.RecoverySeconds, rep.Retries)
-	return rep, nil
+	q.rep.BypassedHV = true
+	s.answerFromDW(q, plan, res)
+	return nil
 }
 
 // reorg runs the MISO tuner over the window and applies the view
@@ -543,7 +141,7 @@ func (s *System) reorg(w *history.Window) error {
 	// Each reorganization gets its own retry budget, sized like a query's:
 	// the phase degrades (moves roll back) instead of amplifying a fault
 	// storm, but one storm-hit reorg cannot starve later ones.
-	rbud := faults.NewBudget(s.cfg.RetryBudget)
+	rctx := s.phaseContext()
 
 	// rollBack undoes one failed move: v stays in its source set (or is
 	// dropped when the source has no room left) and its budget returns.
@@ -568,7 +166,7 @@ func (s *System) reorg(w *history.Window) error {
 			rollBack(v, src, srcLimit, 0)
 			return
 		}
-		mv, mvErr := transfer.MoveContext(context.Background(), s.cfg.Transfer, size, kind, s.inj, s.retry, rbud)
+		mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, size, kind, s.inj, s.retry)
 		committed := mvErr == nil
 		wasted := mv.WastedSeconds()
 		if committed {
@@ -646,6 +244,13 @@ func (s *System) reorg(w *history.Window) error {
 	return nil
 }
 
+// phaseContext is the context a system phase (reorganization, ETL, MS-OFF
+// design realization) moves views under: no deadline, and a retry budget
+// of its own, sized like a query's.
+func (s *System) phaseContext() context.Context {
+	return faults.WithBudget(context.Background(), faults.NewBudget(s.cfg.RetryBudget))
+}
+
 // journal appends one record to the WAL when durability is enabled.
 func (s *System) journal(rec *durability.Record) error {
 	if s.dur == nil {
@@ -698,12 +303,12 @@ func (s *System) offlineTune() error {
 // are kept, everything else is dropped.
 func (s *System) trimHVToDesign() {
 	rec := ReorgRecord{BeforeSeq: s.seq + 1}
-	rbud := faults.NewBudget(s.cfg.RetryBudget)
+	rctx := s.phaseContext()
 	for _, v := range s.hv.Views.All() {
 		switch {
 		case s.offTargetDW[v.Name]:
 			if !s.dw.Views.Has(v.Name) {
-				mv, mvErr := transfer.MoveContext(context.Background(), s.cfg.Transfer, v.SizeBytes(), transfer.KindPermanent, s.inj, s.retry, rbud)
+				mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, v.SizeBytes(), transfer.KindPermanent, s.inj, s.retry)
 				s.metrics.Retries += mv.Retries
 				if mvErr != nil {
 					// Rolled back: the view stays in HV and the design

@@ -60,18 +60,19 @@ func (r *MoveResult) WastedSeconds() float64 {
 // With a nil injector the result is exactly the fault-free costing
 // (Cost or CostToHV), bit for bit.
 func Move(cfg Config, bytes int64, kind Kind, inj *faults.Injector, retry faults.RetryPolicy) (*MoveResult, error) {
-	return MoveContext(context.Background(), cfg, bytes, kind, inj, retry, nil)
+	return MoveContext(context.Background(), cfg, bytes, kind, inj, retry)
 }
 
-// MoveContext is Move under a caller deadline and a shared retry budget.
-// Before paying another attempt each phase checks the context — a dead
-// context aborts the move immediately (no retry can fit inside an expired
-// deadline) — and consumes one retry from the budget, aborting with an
-// error wrapping faults.ErrBudget (and therefore faults.ErrExhausted) when
-// the budget runs dry. A background context and nil budget make it
-// byte-identical to Move.
-func MoveContext(ctx context.Context, cfg Config, bytes int64, kind Kind, inj *faults.Injector, retry faults.RetryPolicy, bud *faults.Budget) (*MoveResult, error) {
+// MoveContext is Move under a caller deadline and the shared retry budget
+// ctx carries (faults.WithBudget). Before paying another attempt each
+// phase checks the context — a dead context aborts the move immediately
+// (no retry can fit inside an expired deadline) — and consumes one retry
+// from the budget, aborting with an error wrapping faults.ErrBudget (and
+// therefore faults.ErrExhausted) when the budget runs dry. A background
+// context makes it byte-identical to Move.
+func MoveContext(ctx context.Context, cfg Config, bytes int64, kind Kind, inj *faults.Injector, retry faults.RetryPolicy) (*MoveResult, error) {
 	retry = retry.OrDefault()
+	bud := faults.BudgetFrom(ctx)
 	ideal := Cost(cfg, bytes)
 	if kind == KindToHV {
 		ideal = CostToHV(cfg, bytes)
