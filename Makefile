@@ -2,9 +2,11 @@ GO ?= go
 
 .PHONY: tier1 build vet test race loc bench chaos soak serve crash govern scenarios endurance cache lint
 
-# tier1 is the gate every change must pass: clean build, vet, and the
-# full test suite under the race detector.
+# tier1 is the gate every change must pass: gofmt-clean sources, clean
+# build, vet, and the full test suite under the race detector.
 tier1:
+	@out=$$(gofmt -l cmd internal miso bench *.go); \
+		if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -34,11 +36,12 @@ loc:
 # (what-if costing at several worker counts, the knapsack DP, a short
 # serving soak) and the governance pipeline — writing the
 # machine-readable reports CI uploads as artifacts, then the package
-# micro-benchmarks. The end-to-end benchmark is its own module: bash
+# micro-benchmarks (view matching, plan choice on a warm design, the
+# knapsack DP). The end-to-end benchmark is its own module: bash
 # bench/run.sh.
 bench:
 	$(GO) run ./cmd/misobench -mode bench,benchgov -scale small -out .
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/ ./internal/views/ ./internal/optimizer/ ./internal/core/
 
 chaos:
 	$(GO) run ./cmd/misobench -mode chaos -scale small

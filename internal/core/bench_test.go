@@ -107,14 +107,11 @@ func BenchmarkTunerCostKey(b *testing.B) {
 	}
 }
 
-// BenchmarkKnapsackPacking isolates the DP itself at a realistic size.
-func BenchmarkKnapsackPacking(b *testing.B) {
+// BenchmarkPackKnapsack isolates the DP itself at a realistic size.
+func BenchmarkPackKnapsack(b *testing.B) {
 	gb := int64(1) << 30
-	items := make([]*Item, 48)
-	for i := range items {
-		size := int64(i%13+1) * gb / 4
-		items[i] = item(size, size, float64(100+i*7%91))
-	}
+	items := knapsack48()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		packKnapsack(items, 400*gb, 10*gb, 0, dwDims)

@@ -51,34 +51,35 @@ func packKnapsack(items []*Item, storageCap, xferCap, d int64,
 		return nil
 	}
 
-	// Layered DP so the chosen set can be reconstructed exactly.
-	layers := make([][]float64, len(cands)+1)
-	layers[0] = make([]float64, cells)
+	// One value table updated in place, both capacities descending so a
+	// cell still reads the previous candidate's layer (an item of weight
+	// zero in both dimensions reads its own cell, which that layer has not
+	// touched yet either), plus one take-bit per cell and candidate so the
+	// chosen set can be reconstructed exactly.
+	val := make([]float64, cells)
+	words := (cells + 63) / 64
+	took := make([]uint64, len(cands)*words)
 	for i, w := range cands {
-		prev := layers[i]
-		cur := make([]float64, cells)
-		copy(cur, prev)
-		for a := w.wa; a <= ca; a++ {
+		bits := took[i*words : (i+1)*words]
+		for a := ca; a >= w.wa; a-- {
 			rowPrev := (a - w.wa) * width
 			row := a * width
-			for b := w.wb; b <= cb; b++ {
-				if v := prev[rowPrev+b-w.wb] + w.bn; v > cur[row+b] {
-					cur[row+b] = v
+			for b := cb; b >= w.wb; b-- {
+				if v := val[rowPrev+b-w.wb] + w.bn; v > val[row+b] {
+					val[row+b] = v
+					bits[(row+b)>>6] |= 1 << uint((row+b)&63)
 				}
 			}
 		}
-		layers[i+1] = cur
 	}
 
 	// Reconstruct from the full-capacity cell.
 	var chosen []*Item
-	a, b := ca, cb
-	for i := len(cands); i > 0; i-- {
-		w := cands[i-1]
-		if layers[i][a*width+b] != layers[i-1][a*width+b] {
-			chosen = append(chosen, w.item)
-			a -= w.wa
-			b -= w.wb
+	cell := ca*width + cb
+	for i := len(cands) - 1; i >= 0; i-- {
+		if took[i*words+cell>>6]&(1<<uint(cell&63)) != 0 {
+			chosen = append(chosen, cands[i].item)
+			cell -= cands[i].wa*width + cands[i].wb
 		}
 	}
 	return chosen

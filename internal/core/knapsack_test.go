@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"miso/internal/views"
@@ -146,5 +147,88 @@ func TestCeilDivAndClampUnit(t *testing.T) {
 	}
 	if clampUnit(5<<20) != 5<<20 {
 		t.Error("clamp identity")
+	}
+}
+
+// TestKnapsackInPlaceEqualsLayered compares the in-place DP to the layered
+// reference on random instances that cover the corners the descending
+// update has to get right: items of zero storage weight, of zero transfer
+// weight and of both (such an item reads its own cell), an explicit unit
+// and the automatic one, and capacities smaller than any item. The chosen
+// sets must be the same items in the same order, not merely as valuable.
+func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const mb = int64(1) << 20
+	packed := 0
+	for trial := 0; trial < 600; trial++ {
+		d, unit := int64(1), int64(1)
+		if trial%2 == 1 {
+			d, unit = 0, mb // automatic units clamp to at least 1 MB
+		}
+		items := make([]*Item, 1+rng.Intn(24))
+		for i := range items {
+			size := int64(rng.Intn(12)) * unit
+			move := size
+			switch rng.Intn(4) {
+			case 0:
+				move = 0
+			case 1:
+				move = int64(rng.Intn(12)) * unit
+			}
+			// Few distinct benefits, so equal-value packings are common
+			// and the strict comparison decides.
+			items[i] = item(size, move, float64(rng.Intn(6)))
+		}
+		storageCap, xferCap := int64(rng.Intn(40))*unit, int64(rng.Intn(30))*unit
+		if d == 0 {
+			storageCap, xferCap = storageCap*512, xferCap*64
+		}
+		if trial%7 == 0 {
+			storageCap, xferCap = 0, 0 // smaller than any weighted item
+		}
+		got := packKnapsack(items, storageCap, xferCap, d, dwDims)
+		want := packKnapsackLayered(items, storageCap, xferCap, d, dwDims)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: in-place chose %d items, layered %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: chosen item %d differs", trial, i)
+			}
+		}
+		packed += len(got)
+	}
+	if packed == 0 {
+		t.Fatal("no trial packed anything")
+	}
+}
+
+// knapsack48 is the 48-item instance of the benchmark pipeline's
+// knapsack/48items row: 513 x 65 cells under the automatic units.
+func knapsack48() []*Item {
+	gb := int64(1) << 30
+	items := make([]*Item, 48)
+	for i := range items {
+		size := int64(i%13+1) * gb / 4
+		items[i] = item(size, size, float64(100+i*7%91))
+	}
+	return items
+}
+
+// TestKnapsackAllocatesUnderOneMB pins the point of packing in place: one
+// value table and the take-bits, not a 33 345-cell layer per candidate
+// (~13 MB for this instance).
+func TestKnapsackAllocatesUnderOneMB(t *testing.T) {
+	gb := int64(1) << 30
+	items := knapsack48()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	chosen := packKnapsack(items, 400*gb, 10*gb, 0, dwDims)
+	runtime.ReadMemStats(&after)
+	if len(chosen) == 0 {
+		t.Fatal("packed nothing")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a 48-item knapsack allocates %d bytes, want < 1 MB", got)
 	}
 }

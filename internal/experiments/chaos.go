@@ -123,7 +123,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 // chaosPoint starts a sweep cell from the backend's accounting, which
 // every mode reports.
 func chaosPoint(m multistore.Metrics) ChaosPoint {
-	return ChaosPoint{TTI: m.TTI(), Recovery: m.Recovery, Retries: m.Retries, Fallbacks: m.Fallbacks}
+	return ChaosPoint{TTI: m.TTI(), Recovery: m.Recovery, Retries: m.Retries, Fallbacks: m.Fallbacks, Completed: m.Queries}
 }
 
 // seqChaosPoint replays the workload single-stream under the uniform rate.
@@ -132,9 +132,7 @@ func seqChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
 	if err != nil {
 		return ChaosPoint{}, err
 	}
-	p := chaosPoint(sys.Metrics())
-	p.Completed = len(sys.Reports())
-	return p, nil
+	return chaosPoint(sys.Metrics()), nil
 }
 
 // serveChaosPoint replays it through the concurrent serving frontend.
@@ -167,7 +165,7 @@ func crashChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
 	}
 	m := sys.Metrics()
 	p := chaosPoint(m)
-	p.Completed, p.Degraded = len(sys.Reports()), m.Degraded
+	p.Degraded = m.Degraded
 	p.Recoveries, p.Replayed, p.Quarantined = st.recoveries, st.replayed, st.quarantined
 	return p, nil
 }
@@ -210,7 +208,6 @@ func auditChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
 	}
 	m := sys.Metrics()
 	p := chaosPoint(m)
-	p.Completed = len(sys.Reports())
 	p.ViolationsDetected, p.ViolationsRepaired, p.ViolationsUnrepaired = m.AuditViolations, m.AuditRepaired, m.AuditUnrepaired
 	return p, nil
 }

@@ -95,7 +95,7 @@ func runCrashWorkload(cfg multistore.Config, cat *storage.Catalog) (*multistore.
 	for i := 0; i < len(sqls); {
 		_, err := sys.Run(sqls[i])
 		if err == nil {
-			i = len(sys.Reports())
+			i = sys.Metrics().Queries
 			continue
 		}
 		if !errors.Is(err, faults.ErrCrash) {
@@ -125,7 +125,7 @@ func runCrashWorkload(cfg multistore.Config, cat *storage.Catalog) (*multistore.
 		st.rolledBack += rep.RolledBackReorgs + rep.RolledBackTransfers
 		st.seconds += rep.Seconds
 		sys = recovered
-		i = len(sys.Reports())
+		i = sys.Metrics().Queries
 	}
 	return sys, st, nil
 }
@@ -180,7 +180,7 @@ func CrashSweep(cfg Config) (*CrashResult, error) {
 			RolledBack:      st.rolledBack,
 			RecoverySeconds: st.seconds,
 			TTI:             m.TTI(),
-			Completed:       len(sys.Reports()),
+			Completed:       m.Queries,
 			CleanMatch:      match,
 		})
 	}

@@ -70,16 +70,32 @@ func (d *Descriptor) ResidualConjuncts(view *Descriptor) []expr.Expr {
 	return out
 }
 
-// Describe computes the descriptor of a subtree.
+// Describe returns the descriptor of a subtree. Like Signature it memoizes
+// on the node (a descriptor is a pure function of the subtree, and plan
+// nodes are never mutated after construction), so the result is shared and
+// must not be modified; PrewarmSignatures warms it for plans that several
+// goroutines will describe at once.
 func Describe(n *Node) *Descriptor {
+	if n.desc != nil {
+		return n.desc
+	}
 	d := &Descriptor{
 		Conjuncts: map[string]expr.Expr{},
 		Columns:   map[string]bool{},
-		HasUDF:    n.UsesUDF(),
+		HasUDF:    n.UsesUDFHere(),
 	}
-	for _, c := range n.Schema().Columns {
-		d.Columns[c.Name] = true
-		d.ColOrder = append(d.ColOrder, c.Name)
+	for _, c := range n.Children {
+		if Describe(c).HasUDF {
+			d.HasUDF = true
+		}
+	}
+	// A hand-built node may carry no schema (PrewarmSignatures reaches
+	// such plans); it then offers no columns.
+	if s := n.Schema(); s != nil {
+		for _, c := range s.Columns {
+			d.Columns[c.Name] = true
+			d.ColOrder = append(d.ColOrder, c.Name)
+		}
 	}
 	switch n.Kind {
 	case KindExtract:
@@ -140,5 +156,6 @@ func Describe(n *Node) *Descriptor {
 		d.Simple = false
 		d.SourceSig = n.Signature()
 	}
+	n.desc = d
 	return d
 }

@@ -368,3 +368,93 @@ func TestNormalizeDropsIdentityProjection(t *testing.T) {
 		}
 	}
 }
+
+// walkCounter counts how often a node's own expression is inspected for
+// UDFs: UsesUDFHere reaches a predicate only through Walk.
+type walkCounter struct {
+	expr.Expr
+	walks *int
+}
+
+func (w walkCounter) Walk(fn func(expr.Expr)) {
+	*w.walks++
+	w.Expr.Walk(fn)
+}
+
+// TestDescribeIsLinearInDepth pins the fix for the quadratic descriptor:
+// describing a chain of d filters inspects each filter's predicate once,
+// where the old HasUDF: n.UsesUDF() re-walked the whole subtree at every
+// level of the recursion (d(d+1)/2 inspections), and describing it again
+// inspects nothing.
+func TestDescribeIsLinearInDepth(t *testing.T) {
+	const depth = 64
+	n := build(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'").Children[0].Children[0] // the extract
+	walks := 0
+	for i := 0; i < depth; i++ {
+		f := &Node{Kind: KindFilter, Children: []*Node{n}, Pred: walkCounter{
+			Expr: &expr.BinOp{
+				Op: ">",
+				L:  &expr.ColRef{Name: "tweets.retweets"},
+				R:  &expr.Const{Val: storage.IntValue(int64(i))},
+			},
+			walks: &walks,
+		}}
+		f.SetSchema(n.Schema())
+		n = f
+	}
+	d := Describe(n)
+	if !d.Simple || len(d.Conjuncts) != depth || d.HasUDF {
+		t.Fatalf("descriptor of the chain: simple=%v conjuncts=%d udf=%v", d.Simple, len(d.Conjuncts), d.HasUDF)
+	}
+	if walks != depth {
+		t.Fatalf("describing %d filters inspected predicates %d times, want %d", depth, walks, depth)
+	}
+	if Describe(n) != d || walks != depth {
+		t.Fatalf("second Describe recomputed (%d inspections)", walks)
+	}
+}
+
+func TestDescribeHasUDFComesFromTheSubtree(t *testing.T) {
+	n := build(t, "SELECT lang, COUNT(*) AS n FROM tweets WHERE sentiment(text) > 0.5 GROUP BY lang")
+	n.Walk(func(m *Node) {
+		if got, want := Describe(m).HasUDF, m.UsesUDF(); got != want {
+			t.Errorf("%s: HasUDF = %v, UsesUDF = %v", m.Kind, got, want)
+		}
+	})
+	if !Describe(n).HasUDF {
+		t.Error("UDF below an aggregate not reported at the root")
+	}
+}
+
+// TestCloneForgetsDescriptor: a copy whose child is then replaced must be
+// described from its own subtree, never from the original's memo.
+func TestCloneForgetsDescriptor(t *testing.T) {
+	orig := build(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'").Children[0] // Filter(lang='en')
+	extract := orig.Children[0]
+	od := Describe(orig)
+	inner, err := NewFilterNode(extract, &expr.BinOp{
+		Op: ">",
+		L:  &expr.ColRef{Name: "tweets.retweets"},
+		R:  &expr.Const{Val: storage.IntValue(10)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Node{"Clone": orig.Clone(), "CloneShallow": orig.CloneShallow()} {
+		c.Children[0] = inner
+		cd := Describe(c)
+		if cd == od || len(cd.Conjuncts) != 2 {
+			t.Errorf("%s: descriptor has %d conjuncts (shared with original: %v), want 2 of its own",
+				name, len(cd.Conjuncts), cd == od)
+		}
+	}
+	stacked := orig.CloneShallow()
+	stacked.Children[0] = inner
+	Describe(stacked)
+	if nd := Describe(Normalize(stacked)); nd == Describe(stacked) || !nd.Simple || len(nd.Conjuncts) != 2 {
+		t.Errorf("Normalize kept a descriptor: %+v", nd)
+	}
+	if Describe(orig) != od || len(od.Conjuncts) != 1 {
+		t.Error("original descriptor changed")
+	}
+}

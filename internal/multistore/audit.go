@@ -269,9 +269,9 @@ func (s *System) AuditInvariants(repair bool) ([]AuditViolation, error) {
 				Detail: fmt.Sprintf("negative %s component %f", c.name, c.v)})
 		}
 	}
-	if m.Queries != len(s.reports) {
+	if n := s.reports.total(); m.Queries != n {
 		add(AuditViolation{Invariant: InvAccounting,
-			Detail: fmt.Sprintf("%d queries counted but %d reports", m.Queries, len(s.reports))})
+			Detail: fmt.Sprintf("%d queries counted but %d reports", m.Queries, n)})
 	}
 
 	// WAL/state consistency.

@@ -1,6 +1,7 @@
 package multistore
 
 import (
+	"hash"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -198,8 +199,9 @@ func (s *System) quarantineStale() {
 // snapshot is the checkpoint state: a deep-cloned image of everything a
 // restart needs — design and view metadata, budgets travel in Config,
 // sliding workload window, TTI accounting, variant progress flags, reorg
-// history, and per-query reports. Result tables are shared, not cloned:
-// they are write-once and immutable after execution.
+// history, and the report log (retained reports, evicted count and fold).
+// Result tables are shared, not cloned: they are write-once and immutable
+// after execution.
 type snapshot struct {
 	Variant  Variant
 	Seq      int
@@ -214,6 +216,10 @@ type snapshot struct {
 	Future   []snapEntry
 	ReorgLog []ReorgRecord
 	Reports  []*QueryReport
+	// Evicted and EvictedFold carry the part of the report log that fell
+	// off the ring (see reportLog).
+	Evicted     int
+	EvictedFold uint64
 }
 
 type snapEntry struct {
@@ -251,11 +257,8 @@ func (s *System) snapshotLocked() *snapshot {
 	for _, e := range s.future {
 		sn.Future = append(sn.Future, snapEntry{Seq: e.Seq, SQL: e.SQL})
 	}
-	for _, r := range s.reports {
-		cp := *r
-		cp.UsedViews = append([]string(nil), r.UsedViews...)
-		sn.Reports = append(sn.Reports, &cp)
-	}
+	sn.Reports = s.reports.copies()
+	sn.Evicted, sn.EvictedFold = s.reports.evicted, s.reports.fold
 	return sn
 }
 
@@ -298,10 +301,9 @@ func (s *System) restoreSnapshot(sn *snapshot) error {
 		}
 		s.future = append(s.future, history.Entry{Seq: e.Seq, SQL: e.SQL, Plan: plan})
 	}
+	s.reports = reportLog{evicted: sn.Evicted, fold: sn.EvictedFold}
 	for _, r := range sn.Reports {
-		cp := *r
-		cp.UsedViews = append([]string(nil), r.UsedViews...)
-		s.reports = append(s.reports, &cp)
+		s.reports.add(r.clone())
 	}
 	return nil
 }
@@ -318,30 +320,118 @@ func (s *System) installView(v *views.View, set *views.Set) {
 	}
 }
 
+// reportCap is how many query reports a System retains. A served instance
+// answers queries for as long as it runs, and each report pins its result
+// table; past this many the oldest is folded into a digest and let go.
+const reportCap = 256
+
+// reportLog is the bounded per-query report log: a ring of the most recent
+// reportCap reports, plus the count of those that fell off it and their
+// digests chained, in eviction order, into one word (fold becomes the
+// digest of the old fold followed by the evicted report) — so StateDigest
+// still covers every query ever answered, and Metrics.Queries can be
+// checked against retained + evicted.
+type reportLog struct {
+	ring    []*QueryReport // oldest at ring[head] once full
+	head    int
+	evicted int
+	fold    uint64
+}
+
+func (l *reportLog) add(r *QueryReport) {
+	if len(l.ring) < reportCap {
+		l.ring = append(l.ring, r)
+		return
+	}
+	d := digester{fnv.New64a()}
+	d.w(l.fold)
+	d.report(l.ring[l.head])
+	l.fold = d.h.Sum64()
+	l.evicted++
+	l.ring[l.head] = r
+	l.head = (l.head + 1) % reportCap
+}
+
+// total is the number of reports ever added.
+func (l *reportLog) total() int { return len(l.ring) + l.evicted }
+
+// each visits the retained reports, oldest first.
+func (l *reportLog) each(fn func(*QueryReport)) {
+	for i := range l.ring {
+		fn(l.ring[(l.head+i)%len(l.ring)])
+	}
+}
+
+// copies returns deep copies of the retained reports, oldest first.
+func (l *reportLog) copies() []*QueryReport {
+	out := make([]*QueryReport, 0, len(l.ring))
+	l.each(func(r *QueryReport) { out = append(out, r.clone()) })
+	return out
+}
+
+// clone deep-copies the report; the result table is shared (write-once).
+func (r *QueryReport) clone() *QueryReport {
+	cp := *r
+	cp.UsedViews = append([]string(nil), r.UsedViews...)
+	return &cp
+}
+
+// digester writes StateDigest's canonical encoding of words, strings and
+// reports into a hash.
+type digester struct{ h hash.Hash64 }
+
+func (d digester) w(parts ...uint64) {
+	var buf [8]byte
+	for _, p := range parts {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(p >> (8 * i))
+		}
+		d.h.Write(buf[:])
+	}
+}
+
+func (d digester) ws(str string) {
+	d.h.Write([]byte(str))
+	d.h.Write([]byte{0})
+}
+
+func (d digester) report(r *QueryReport) {
+	f := math.Float64bits
+	d.w(uint64(r.Seq))
+	d.ws(r.SQL)
+	d.w(f(r.HVSeconds), f(r.TransferSeconds), f(r.DWSeconds), f(r.RecoverySeconds),
+		uint64(r.TransferBytes), uint64(r.Retries), uint64(r.ResultRows))
+	var flags uint64
+	for i, b := range []bool{r.FellBackToHV, r.Degraded, r.HVOnly, r.BypassedHV} {
+		if b {
+			flags |= 1 << uint(i)
+		}
+	}
+	d.w(flags)
+	for _, u := range r.UsedViews {
+		d.ws(u)
+	}
+	if r.Result != nil {
+		d.w(storage.ChecksumTable(r.Result))
+	} else {
+		d.w(0)
+	}
+}
+
 // StateDigest returns an FNV-64a digest of the system's durable state:
 // variant, sequence counter, TTI accounting, both view sets (name,
 // checksum, creation/use sequence, size), the workload window, the reorg
-// history, and the per-query reports. Two systems with equal digests are
-// byte-identical in every field the checkpoint promises to preserve; the
-// clean-shutdown regression checks digest equality between a live system
-// and its recovered twin.
+// history, and the per-query reports — the retained ones field by field,
+// preceded, once any fell off the ring, by their count and fold (so a run
+// of at most reportCap queries digests exactly as it did before the log
+// was bounded). Two systems with equal digests are byte-identical in every
+// field the checkpoint promises to preserve; the clean-shutdown regression
+// checks digest equality between a live system and its recovered twin.
 func (s *System) StateDigest() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := fnv.New64a()
-	w := func(parts ...uint64) {
-		var buf [8]byte
-		for _, p := range parts {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(p >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	ws := func(str string) {
-		h.Write([]byte(str))
-		h.Write([]byte{0})
-	}
+	d := digester{fnv.New64a()}
+	w, ws := d.w, d.ws
 	f := math.Float64bits
 	ws(string(s.cfg.Variant))
 	w(uint64(s.seq))
@@ -381,26 +471,9 @@ func (s *System) StateDigest() uint64 {
 			f(r.RecoverySeconds))
 	}
 	ws("reports")
-	for _, r := range s.reports {
-		w(uint64(r.Seq))
-		ws(r.SQL)
-		w(f(r.HVSeconds), f(r.TransferSeconds), f(r.DWSeconds), f(r.RecoverySeconds),
-			uint64(r.TransferBytes), uint64(r.Retries), uint64(r.ResultRows))
-		var flags uint64
-		for i, b := range []bool{r.FellBackToHV, r.Degraded, r.HVOnly, r.BypassedHV} {
-			if b {
-				flags |= 1 << uint(i)
-			}
-		}
-		w(flags)
-		for _, u := range r.UsedViews {
-			ws(u)
-		}
-		if r.Result != nil {
-			w(storage.ChecksumTable(r.Result))
-		} else {
-			w(0)
-		}
+	if s.reports.evicted > 0 {
+		w(uint64(s.reports.evicted), s.reports.fold)
 	}
-	return h.Sum64()
+	s.reports.each(d.report)
+	return d.h.Sum64()
 }

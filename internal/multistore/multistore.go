@@ -337,7 +337,7 @@ type System struct {
 	future  []history.Entry
 	seq     int
 	metrics Metrics
-	reports []*QueryReport
+	reports reportLog
 
 	etlDone  bool
 	offTuned bool
@@ -530,20 +530,16 @@ func (s *System) ExecFaultInjector() *faults.Injector { return s.execInj }
 // MemPoolBytes is 0).
 func (s *System) MemPool() *govern.Pool { return s.memPool }
 
-// Reports returns deep copies of the per-query execution reports in
-// submission order: callers can neither observe nor cause races on
-// internal mutation. Result tables are shared — they are write-once and
-// never mutated after execution.
+// Reports returns deep copies of the most recent per-query execution
+// reports — all of them until reportCap queries completed, the last
+// reportCap after that — in submission order: callers can neither observe
+// nor cause races on internal mutation. Metrics().Queries is the count of
+// completed queries; len(Reports()) stops at reportCap. Result tables are
+// shared — they are write-once and never mutated after execution.
 func (s *System) Reports() []*QueryReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*QueryReport, len(s.reports))
-	for i, r := range s.reports {
-		cp := *r
-		cp.UsedViews = append([]string(nil), r.UsedViews...)
-		out[i] = &cp
-	}
-	return out
+	return s.reports.copies()
 }
 
 // ReorgLog returns a snapshot of the per-reorganization records.
@@ -645,7 +641,8 @@ func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, err
 // (Vh ∩ Vd = ∅), both view sets fit their storage budgets, no
 // reorganization moved more than the transfer budget or recorded negative
 // byte counts, every TTI component is non-negative, and the query counter
-// matches the report log. It is safe to call at any time.
+// matches the report log (retained plus evicted). It is safe to call at any
+// time.
 func (s *System) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -681,8 +678,8 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("multistore: negative %s component %f", c.name, c.v)
 		}
 	}
-	if m.Queries != len(s.reports) {
-		return fmt.Errorf("multistore: %d queries counted but %d reports", m.Queries, len(s.reports))
+	if n := s.reports.total(); m.Queries != n {
+		return fmt.Errorf("multistore: %d queries counted but %d reports", m.Queries, n)
 	}
 	return nil
 }

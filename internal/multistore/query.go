@@ -206,7 +206,7 @@ func (s *System) bookLocked(q *query) (*QueryReport, error) {
 	s.window.Add(q.entry)
 	s.seq++
 	s.metrics.Queries++
-	s.reports = append(s.reports, q.rep)
+	s.reports.add(q.rep)
 	if err := s.endOp(queryDoneRecord(q.rep)); err != nil {
 		// The WAL append tore: the process is considered dead and the
 		// query's completion never became durable.

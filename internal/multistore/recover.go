@@ -234,7 +234,7 @@ func (s *System) replayQueryDone(rec *durability.Record) error {
 	if rep.Degraded {
 		s.metrics.Degraded++
 	}
-	s.reports = append(s.reports, rep)
+	s.reports.add(rep)
 	return nil
 }
 

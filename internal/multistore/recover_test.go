@@ -349,3 +349,76 @@ func TestServeResumesOnRecoveredSystem(t *testing.T) {
 		t.Fatalf("invariants after serving: %v", err)
 	}
 }
+
+// TestRecoverPastReportRing runs past the report ring's capacity and kills
+// the process twice. After a checkpoint (clean shutdown) the recovered twin
+// must stand at the StateDigest of the run that never crashed: the evicted
+// count and fold travel in the snapshot. From an older checkpoint, taken
+// before the ring filled, the WAL replay itself crosses the capacity, and
+// the recovered log must still account for every query: the retained tail
+// in order, the rest counted as evicted.
+func TestRecoverPastReportRing(t *testing.T) {
+	const ring, total = 256, 300
+	sys, cfg := newDurableSystem(t, faults.Profile{}, 1, 200)
+	sqls := workload.SQLs()
+	for i := 0; i < total; i++ {
+		if _, err := sys.Run(sqls[i%len(sqls)]); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if got := len(sys.Reports()); got != ring {
+		t.Fatalf("live system retains %d reports, want %d", got, ring)
+	}
+	checkTail := func(name string, s *multistore.System) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		reps := s.Reports()
+		if s.Metrics().Queries != total || len(reps) != ring {
+			t.Fatalf("%s: %d queries counted, %d reports retained; want %d and %d",
+				name, s.Metrics().Queries, len(reps), total, ring)
+		}
+		for i, rep := range reps {
+			if want := total - ring + i; rep.Seq != want {
+				t.Fatalf("%s: retained report %d has seq %d, want %d", name, i, rep.Seq, want)
+			}
+		}
+	}
+	checkTail("live", sys)
+
+	// The checkpoint cadence left one at query 200: replay crosses the ring.
+	old := sys.Durability().Latest()
+	replayed, rep, err := multistore.Recover(cfg, sys.Catalog(), old, sys.Durability().WAL())
+	if err != nil {
+		t.Fatalf("recover from the old checkpoint: %v", err)
+	}
+	if rep.ReplayedQueries != total-200 {
+		t.Fatalf("replayed %d queries, want %d", rep.ReplayedQueries, total-200)
+	}
+	checkTail("replayed", replayed)
+
+	// Clean shutdown: checkpoint, die, recover with nothing to replay.
+	want := sys.StateDigest()
+	twin, rep, err := multistore.Recover(cfg, sys.Catalog(), sys.Checkpoint(), sys.Durability().WAL())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.ReplayedRecords != 0 {
+		t.Fatalf("clean shutdown replayed %d records", rep.ReplayedRecords)
+	}
+	checkTail("twin", twin)
+	if got := twin.StateDigest(); got != want {
+		t.Fatalf("recovered digest %016x != uncrashed %016x", got, want)
+	}
+	// The restored ring keeps evicting from its oldest end.
+	if _, err := twin.Run(sqls[total%len(sqls)]); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if reps := twin.Reports(); len(reps) != ring || reps[0].Seq != total-ring+1 || reps[ring-1].Seq != total {
+		t.Fatalf("after one more query the twin retains %d reports, seq %d..%d", len(reps), reps[0].Seq, reps[len(reps)-1].Seq)
+	}
+}

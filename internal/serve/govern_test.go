@@ -151,4 +151,3 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		t.Fatalf("metrics = %+v, every query must either complete or fail by contained panic", m)
 	}
 }
-

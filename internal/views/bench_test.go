@@ -4,38 +4,72 @@ import (
 	"fmt"
 	"testing"
 
+	"miso/internal/logical"
 	"miso/internal/views"
 )
 
-// BenchmarkBestMatch measures view matching against a populated design —
-// the optimizer's hottest path (called for every node of every enumerated
-// plan during what-if costing).
-func BenchmarkBestMatch(b *testing.B) {
-	f := newFixture(b)
-	set := views.NewSet()
-	for i := 0; i < 16; i++ {
-		set.Add(f.makeView(b, fmt.Sprintf(
-			"SELECT tweet_id FROM tweets WHERE retweets > %d", i*50)))
-	}
-	n := f.corePlan(b, "SELECT tweet_id FROM tweets WHERE retweets > 100 AND lang = 'en'")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := set.BestMatch(n); !ok {
-			b.Fatal("no match")
+// warmDesign builds a 67-view set shaped like the design a warm served
+// system holds: selections over two logs at many thresholds, a join
+// skeleton, and aggregates (which match on the exact tier only).
+func warmDesign(tb testing.TB, f *fixture) *views.Set {
+	tb.Helper()
+	var sqls []string
+	for i := 0; i < 20; i++ {
+		sqls = append(sqls, fmt.Sprintf("SELECT tweet_id FROM tweets WHERE retweets > %d", i*25))
+		if i%2 == 0 {
+			sqls = append(sqls, fmt.Sprintf("SELECT tweet_id FROM tweets WHERE retweets > %d AND lang = 'en'", i*25))
 		}
 	}
+	for i := 0; i < 12; i++ {
+		sqls = append(sqls,
+			fmt.Sprintf("SELECT checkin_id FROM checkins WHERE category = 'c%d'", i),
+			fmt.Sprintf("SELECT c.checkin_id FROM checkins c JOIN landmarks l ON c.venue_id = l.venue_id WHERE l.rating >= %d.5", i))
+	}
+	for i := 0; i < 13; i++ {
+		sqls = append(sqls, fmt.Sprintf("SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > %d GROUP BY lang", i*50))
+	}
+	set := views.NewSet()
+	for _, sql := range sqls {
+		set.Add(f.makeView(tb, sql))
+	}
+	if set.Len() != 67 {
+		tb.Fatalf("warm design holds %d views, want 67", set.Len())
+	}
+	return set
 }
 
-// BenchmarkMatchNodeExact measures the cheap path: signature equality.
-func BenchmarkMatchNodeExact(b *testing.B) {
+// BenchmarkBestMatch measures view matching against a populated design —
+// the optimizer's hottest path (called for every node of every enumerated
+// plan during what-if costing). One iteration probes every node of five
+// plans: a few exact hits, a few subsumed nodes, and mostly misses, as on
+// a served system.
+func BenchmarkBestMatch(b *testing.B) {
 	f := newFixture(b)
-	v := f.makeView(b, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	n := f.corePlan(b, "SELECT user_id FROM tweets WHERE lang = 'en'")
-	n.Signature() // memoize, as the optimizer's reuse does
+	set := warmDesign(b, f)
+	var probes []*logical.Node
+	for _, sql := range []string{
+		"SELECT user_id FROM tweets WHERE retweets > 100",
+		"SELECT tweet_id FROM tweets WHERE retweets > 110 AND retweets > 100 AND lang = 'en'",
+		"SELECT c.user_id FROM checkins c JOIN landmarks l ON c.venue_id = l.venue_id WHERE l.rating >= 3.5 AND c.category = 'bar'",
+		"SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > 100 GROUP BY lang",
+		"SELECT l.city, COUNT(*) AS n FROM landmarks l GROUP BY l.city",
+	} {
+		probes = append(probes, f.corePlan(b, sql).Nodes()...)
+	}
+	var exact, subsumed int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m, ok := views.MatchNode(n, v); !ok || !m.Exact {
-			b.Fatal("no exact match")
+		exact, subsumed = 0, 0
+		for _, n := range probes {
+			if m, ok := set.BestMatch(n); ok && m.Exact {
+				exact++
+			} else if ok {
+				subsumed++
+			}
 		}
+	}
+	if exact == 0 || subsumed == 0 || exact+subsumed == len(probes) {
+		b.Fatalf("%d probes: %d exact, %d subsumed; want some of each and some misses", len(probes), exact, subsumed)
 	}
 }
