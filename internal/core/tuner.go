@@ -86,6 +86,7 @@ type Tuner struct {
 	opt *optimizer.Optimizer
 
 	cache *costCache
+	memo  *views.MatchMemo
 
 	// Debug, when set, receives the knapsack candidates and the chosen
 	// DW/HV items after each Tune call (used by tests and diagnostics).
@@ -97,7 +98,7 @@ func NewTuner(cfg Config, opt *optimizer.Optimizer) *Tuner {
 	if cfg.MaxPartSize <= 0 {
 		cfg.MaxPartSize = 4
 	}
-	return &Tuner{cfg: cfg, opt: opt, cache: newCostCache()}
+	return &Tuner{cfg: cfg, opt: opt, cache: newCostCache(), memo: views.NewMatchMemo()}
 }
 
 // CacheStats reports the what-if cost cache's cumulative hit and miss
@@ -169,9 +170,9 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 	weights := w.Weights()
 	workers := t.cfg.TuneWorkers
 
-	// Serially prewarm every window plan's node signatures and
-	// descriptors: both memoize lazily into the node, a write that must
-	// not first happen on two what-if workers at once.
+	// Serially prewarm every window plan's node signatures: Signature
+	// memoizes lazily into the node, a write that must not first happen
+	// on two what-if workers at once.
 	for _, e := range entries {
 		e.Plan.PrewarmSignatures()
 	}
@@ -356,6 +357,11 @@ func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
 		return c
 	}
 	d := optimizer.EmptyDesign()
+	// Every hypothetical design of this tuning phase shares one match
+	// memo, so a (subtree, view) pair is described and checked once
+	// across all probes instead of once per probe.
+	d.HV.UseMemo(t.memo)
+	d.DW.UseMemo(t.memo)
 	for _, v := range hvViews {
 		d.HV.Add(v)
 	}

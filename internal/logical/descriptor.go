@@ -70,32 +70,16 @@ func (d *Descriptor) ResidualConjuncts(view *Descriptor) []expr.Expr {
 	return out
 }
 
-// Describe returns the descriptor of a subtree. Like Signature it memoizes
-// on the node (a descriptor is a pure function of the subtree, and plan
-// nodes are never mutated after construction), so the result is shared and
-// must not be modified; PrewarmSignatures warms it for plans that several
-// goroutines will describe at once.
+// Describe computes the descriptor of a subtree.
 func Describe(n *Node) *Descriptor {
-	if n.desc != nil {
-		return n.desc
-	}
 	d := &Descriptor{
 		Conjuncts: map[string]expr.Expr{},
 		Columns:   map[string]bool{},
 		HasUDF:    n.UsesUDFHere(),
 	}
-	for _, c := range n.Children {
-		if Describe(c).HasUDF {
-			d.HasUDF = true
-		}
-	}
-	// A hand-built node may carry no schema (PrewarmSignatures reaches
-	// such plans); it then offers no columns.
-	if s := n.Schema(); s != nil {
-		for _, c := range s.Columns {
-			d.Columns[c.Name] = true
-			d.ColOrder = append(d.ColOrder, c.Name)
-		}
+	for _, c := range n.Schema().Columns {
+		d.Columns[c.Name] = true
+		d.ColOrder = append(d.ColOrder, c.Name)
 	}
 	switch n.Kind {
 	case KindExtract:
@@ -103,6 +87,7 @@ func Describe(n *Node) *Descriptor {
 		d.SourceSig = fmt.Sprintf("extract(%s)", n.Children[0].LogName)
 	case KindFilter:
 		cd := Describe(n.Children[0])
+		d.HasUDF = d.HasUDF || cd.HasUDF
 		d.Simple = cd.Simple
 		d.SourceSig = cd.SourceSig
 		for k, v := range cd.Conjuncts {
@@ -114,6 +99,7 @@ func Describe(n *Node) *Descriptor {
 	case KindJoin:
 		ld := Describe(n.Children[0])
 		rd := Describe(n.Children[1])
+		d.HasUDF = d.HasUDF || ld.HasUDF || rd.HasUDF
 		d.Simple = ld.Simple && rd.Simple
 		keys := make([]string, len(n.LeftKeys))
 		for i := range n.LeftKeys {
@@ -130,6 +116,7 @@ func Describe(n *Node) *Descriptor {
 		}
 	case KindProject:
 		cd := Describe(n.Children[0])
+		d.HasUDF = d.HasUDF || cd.HasUDF
 		passThrough := true
 		for _, p := range n.Projs {
 			c, ok := p.Expr.(*expr.ColRef)
@@ -153,9 +140,9 @@ func Describe(n *Node) *Descriptor {
 		d.Simple = false
 		d.SourceSig = n.Signature()
 	default:
+		d.HasUDF = n.UsesUDF()
 		d.Simple = false
 		d.SourceSig = n.Signature()
 	}
-	n.desc = d
 	return d
 }

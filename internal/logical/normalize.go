@@ -14,7 +14,7 @@ import (
 // plans matchable by future raw queries.
 func Normalize(n *Node) *Node {
 	c := *n
-	c.sig, c.desc = "", nil
+	c.sig = ""
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
 		c.Children[i] = Normalize(ch)

@@ -156,7 +156,6 @@ type Node struct {
 
 	schema *storage.Schema // computed output schema
 	sig    string          // memoized signature
-	desc   *Descriptor     // memoized descriptor (see Describe)
 }
 
 // Child returns the i-th child.
@@ -183,17 +182,14 @@ func (n *Node) Nodes() []*Node {
 	return out
 }
 
-// PrewarmSignatures computes and memoizes the signature and descriptor of
-// every node in the subtree. Both cache lazily into the node on first
-// call, which is a benign write on a single goroutine but a data race when
-// multiple goroutines first touch a shared plan concurrently — the tuner
-// prewarms its window's plans serially before fanning what-if probes out
-// to a worker pool.
+// PrewarmSignatures computes and memoizes the signature of every node in
+// the subtree. Signature caches lazily into the node on first call, which
+// is a benign write on a single goroutine but a data race when multiple
+// goroutines first touch a shared plan concurrently — the tuner prewarms
+// its window's plans serially before fanning what-if probes out to a
+// worker pool.
 func (n *Node) PrewarmSignatures() {
-	n.Walk(func(m *Node) {
-		m.Signature()
-		Describe(m)
-	})
+	n.Walk(func(m *Node) { m.Signature() })
 }
 
 // UsesUDFHere reports whether this node's own expressions call a UDF.
@@ -376,7 +372,7 @@ func (n *Node) render(b *strings.Builder, depth int) {
 // (both are immutable once built).
 func (n *Node) Clone() *Node {
 	c := *n
-	c.sig, c.desc = "", nil
+	c.sig = ""
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
 		c.Children[i] = ch.Clone()
@@ -396,7 +392,7 @@ func (n *Node) Clone() *Node {
 // which is safe because plan nodes are never mutated after construction.
 func (n *Node) CloneShallow() *Node {
 	c := *n
-	c.sig, c.desc = "", nil
+	c.sig = ""
 	c.Children = append([]*Node(nil), n.Children...)
 	return &c
 }

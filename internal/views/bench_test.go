@@ -73,3 +73,17 @@ func BenchmarkBestMatch(b *testing.B) {
 		b.Fatalf("%d probes: %d exact, %d subsumed; want some of each and some misses", len(probes), exact, subsumed)
 	}
 }
+
+// BenchmarkMatchNodeExact measures the cheap path: signature equality.
+func BenchmarkMatchNodeExact(b *testing.B) {
+	f := newFixture(b)
+	v := f.makeView(b, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
+	n := f.corePlan(b, "SELECT user_id FROM tweets WHERE lang = 'en'")
+	n.Signature() // memoize, as the optimizer's reuse does
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m, ok := views.MatchNode(n, v); !ok || !m.Exact {
+			b.Fatal("no exact match")
+		}
+	}
+}

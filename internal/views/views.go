@@ -4,15 +4,12 @@
 // materialized table. Matching supports two tiers: exact signature equality,
 // and SPJ subsumption (same extract/join skeleton, view filters a subset of
 // the node's, view columns a superset of what the node needs), in which case
-// the node is rewritten as ViewScan -> residual Filter -> Project. A Set
-// resolves the first tier through its name map and the second through an
-// index on the skeleton, so a lookup touches only views that can match.
+// the node is rewritten as ViewScan -> residual Filter -> Project.
 package views
 
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 	"sync"
 
@@ -175,10 +172,26 @@ type Match struct {
 	OutCols []string
 }
 
+// MatchNode reports whether v can answer node n and how. It reads the node
+// and view without mutating either, so it is safe to call concurrently once
+// node signatures have been computed (Signature memoizes lazily; see
+// logical.Node.PrewarmSignatures).
+func MatchNode(n *logical.Node, v *View) (*Match, bool) {
+	if n.Signature() == v.Sig {
+		return &Match{View: v, Exact: true}, true
+	}
+	if v.ExactOnly {
+		return nil, false
+	}
+	return MatchDescriptor(logical.Describe(n), v)
+}
+
 // MatchDescriptor matches a precomputed node descriptor against a view's
-// subsumption descriptor. It reads both without mutating either, so it is
-// safe to call concurrently. ExactOnly views and exact signature matches
-// are the caller's to handle: this is subsumption only.
+// subsumption descriptor. Callers that probe many views against the same
+// node (the tuner's what-if loop) describe the node once and reuse the
+// descriptor, instead of re-walking the plan per view. ExactOnly views and
+// exact signature matches are the caller's to handle: this is subsumption
+// only.
 func MatchDescriptor(nd *logical.Descriptor, v *View) (*Match, bool) {
 	if !nd.Simple || !v.Desc.Simple {
 		return nil, false
@@ -239,6 +252,39 @@ func (m *Match) Rewrite() (*logical.Node, error) {
 	return node, nil
 }
 
+// MatchMemo caches MatchNode outcomes keyed by (node signature, view
+// name). A node's signature fully determines its descriptor, and a view
+// is immutable after creation, so the match outcome is a pure function of
+// the key — the memo only avoids re-describing and re-checking, never
+// changes a result. Safe for concurrent use (sync.Map); share one memo
+// across every hypothetical design of a tuning phase so repeated probes
+// of the same (subtree, view) pair match once.
+type MatchMemo struct {
+	m sync.Map // matchMemoKey -> *Match (nil = no match)
+}
+
+type matchMemoKey struct {
+	sig  string
+	view string
+}
+
+// NewMatchMemo returns an empty match memo.
+func NewMatchMemo() *MatchMemo { return &MatchMemo{} }
+
+func (mm *MatchMemo) match(n *logical.Node, v *View) (*Match, bool) {
+	key := matchMemoKey{sig: n.Signature(), view: v.Name}
+	if e, ok := mm.m.Load(key); ok {
+		m := e.(*Match)
+		return m, m != nil
+	}
+	m, ok := MatchNode(n, v)
+	if !ok {
+		m = nil
+	}
+	mm.m.Store(key, m)
+	return m, ok
+}
+
 // Set is a named collection of views (one store's design). The zero value
 // is not usable; use NewSet. The set's membership is internally locked, so
 // concurrent observers (serving-layer metrics, soak probes) can read it
@@ -248,54 +294,27 @@ func (m *Match) Rewrite() (*logical.Node, error) {
 type Set struct {
 	mu     sync.RWMutex
 	byName map[string]*View
-	// bySource indexes the views that can subsume a node — those with a
-	// Simple descriptor — by their skeleton (Desc.SourceSig), the one
-	// field a subsumption match needs equal.
-	bySource map[string][]*View
+
+	// memo, when installed with UseMemo, caches match outcomes across
+	// BestMatch calls (and across sets sharing the memo).
+	memo *MatchMemo
 }
 
 // NewSet returns an empty set.
-func NewSet() *Set {
-	return &Set{byName: map[string]*View{}, bySource: map[string][]*View{}}
-}
+func NewSet() *Set { return &Set{byName: map[string]*View{}} }
 
 // Add inserts or replaces a view.
 func (s *Set) Add(v *View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.addLocked(v)
-}
-
-func (s *Set) addLocked(v *View) {
-	s.removeLocked(v.Name)
 	s.byName[v.Name] = v
-	if v.Desc != nil && v.Desc.Simple {
-		s.bySource[v.Desc.SourceSig] = append(s.bySource[v.Desc.SourceSig], v)
-	}
 }
 
 // Remove deletes a view by name.
 func (s *Set) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(name)
-}
-
-func (s *Set) removeLocked(name string) {
-	v, ok := s.byName[name]
-	if !ok {
-		return
-	}
 	delete(s.byName, name)
-	if v.Desc == nil || !v.Desc.Simple {
-		return
-	}
-	sig := v.Desc.SourceSig
-	if peers := slices.DeleteFunc(s.bySource[sig], func(p *View) bool { return p == v }); len(peers) > 0 {
-		s.bySource[sig] = peers
-	} else {
-		delete(s.bySource, sig)
-	}
 }
 
 // Get fetches a view by name.
@@ -347,72 +366,75 @@ func (s *Set) All() []*View {
 // Clone returns a shallow copy of the set (views shared).
 func (s *Set) Clone() *Set {
 	c := NewSet()
-	c.ReplaceAll(s)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, v := range s.byName {
+		c.byName[v.Name] = v
+	}
 	return c
 }
 
 // Reset empties the set in place. Unlike reassigning a store's Views field
 // to a fresh Set, this keeps the Set pointer stable, so concurrent readers
 // holding the store never observe a torn pointer swap.
-func (s *Set) Reset() { s.ReplaceAll(nil) }
+func (s *Set) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.byName = map[string]*View{}
+}
 
 // ReplaceAll swaps the set's contents for src's (views shared, src left
-// unchanged; nil empties the set). Like Reset, it mutates in place so the
-// Set pointer held by concurrent readers stays valid across a design swap.
-// ReplaceAll(s) is a no-op.
+// unchanged). Like Reset, it mutates in place so the Set pointer held by
+// concurrent readers stays valid across a design swap. ReplaceAll(s) is a
+// no-op.
 func (s *Set) ReplaceAll(src *Set) {
 	if s == src {
 		return
 	}
-	var next []*View
+	next := map[string]*View{}
 	if src != nil {
 		src.mu.RLock()
 		for _, v := range src.byName {
-			next = append(next, v)
+			next[v.Name] = v
 		}
 		src.mu.RUnlock()
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byName = make(map[string]*View, len(next))
-	s.bySource = map[string][]*View{}
-	for _, v := range next {
-		s.addLocked(v)
-	}
+	s.byName = next
+	s.mu.Unlock()
 }
 
-// BestMatch finds the highest-value view in the set that answers n: the
-// view with n's signature if there is one, otherwise the smallest view
-// (cheapest to read) that subsumes n, the least name breaking a size tie.
-// The exact tier is one lookup under the name New derives from the
-// signature; only when it misses is n described, and then matched against
-// just the views sharing its skeleton.
+// UseMemo installs a shared match memo consulted by BestMatch. Install at
+// construction time, before the set is visible to other goroutines; the
+// tuner's what-if designs share one memo per tuning phase.
+func (s *Set) UseMemo(mm *MatchMemo) { s.memo = mm }
+
+// BestMatch finds the highest-value view in the set that answers n,
+// preferring exact matches, then the smallest view (cheapest to read).
 func (s *Set) BestMatch(n *logical.Node) (*Match, bool) {
-	sig := n.Signature()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if v, ok := s.byName[NameForSig(sig)]; ok && v.Sig == sig {
-		return &Match{View: v, Exact: true}, true
-	}
-	nd := logical.Describe(n)
-	if !nd.Simple {
-		return nil, false
-	}
 	var best *Match
-	for _, v := range s.bySource[nd.SourceSig] {
-		if v.ExactOnly || best != nil && !smaller(v, best.View) {
+	for _, v := range s.All() {
+		m, ok := s.matchNode(n, v)
+		if !ok {
 			continue
 		}
-		if m, ok := MatchDescriptor(nd, v); ok {
+		if best == nil || better(m, best) {
 			best = m
 		}
 	}
 	return best, best != nil
 }
 
-func smaller(a, b *View) bool {
-	if sa, sb := a.SizeBytes(), b.SizeBytes(); sa != sb {
-		return sa < sb
+func (s *Set) matchNode(n *logical.Node, v *View) (*Match, bool) {
+	if s.memo != nil {
+		return s.memo.match(n, v)
 	}
-	return a.Name < b.Name
+	return MatchNode(n, v)
+}
+
+func better(a, b *Match) bool {
+	if a.Exact != b.Exact {
+		return a.Exact
+	}
+	return a.View.SizeBytes() < b.View.SizeBytes()
 }
