@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc bench chaos soak serve crash govern scenarios endurance cache lint
+.PHONY: tier1 build vet test race loc bench microbench chaos soak serve crash govern scenarios endurance cache lint
 
 # tier1 is the gate every change must pass: gofmt-clean sources, clean
 # build, vet, and the full test suite under the race detector.
@@ -36,12 +36,18 @@ loc:
 # (what-if costing at several worker counts, the knapsack DP, a short
 # serving soak) and the governance pipeline — writing the
 # machine-readable reports CI uploads as artifacts, then the package
-# micro-benchmarks (view matching, plan choice on a warm design, the
-# knapsack DP). The end-to-end benchmark is its own module: bash
+# micro-benchmarks. The end-to-end benchmark is its own module: bash
 # bench/run.sh.
-bench:
+bench: microbench
 	$(GO) run ./cmd/misobench -mode bench,benchgov -scale small -out .
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/ ./internal/views/ ./internal/optimizer/ ./internal/core/
+
+# microbench runs every package micro-benchmark once (view matching, plan
+# choice on a warm design, the knapsack DP, the exec operators, an HV job's
+# map side and a whole HV query) and, with them, the allocation guards,
+# which tier1's race build has to skip. CI runs it so that a benchmark that
+# stops compiling or a guard that regresses fails the change.
+microbench:
+	$(GO) test -bench . -benchtime 1x -run Alloc ./internal/multistore/ ./internal/views/ ./internal/optimizer/ ./internal/core/ ./internal/exec/ ./internal/hv/
 
 chaos:
 	$(GO) run ./cmd/misobench -mode chaos -scale small

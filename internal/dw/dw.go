@@ -162,50 +162,16 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 	env := s.Env()
 	env.Ctx = ctx
 	env.Mem = govern.LedgerFrom(ctx)
-	tables := map[*logical.Node]*storage.Table{}
-	var run func(n *logical.Node) (*storage.Table, error)
-	run = func(n *logical.Node) (*storage.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dw: abandoned: %w", err)
-		}
-		var inputs []*storage.Table
-		switch n.Kind {
-		case logical.KindExtract, logical.KindViewScan:
-		default:
-			for _, c := range n.Children {
-				t, err := run(c)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, t)
-			}
-		}
-		t, err := exec.RunNode(n, env, inputs)
-		if err != nil {
-			return nil, err
-		}
-		// Intermediates pipelined through DW are still real memory: charge
-		// their raw bytes; the multistore releases the ledger at query end.
-		if err := env.Mem.Reserve(t.RawBytes()); err != nil {
-			return nil, err
-		}
-		tables[n] = t
-		return t, nil
-	}
-	out, err := run(plan)
+	// Only the root's table is needed: everything under it pipelines.
+	run, err := exec.RunPlan(plan, env, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}
-	for n, t := range tables {
-		s.est.Record(n.Signature(), stats.Stat{Rows: int64(t.NumRows()), Bytes: t.LogicalBytes()})
+	for n, st := range run.Stats {
+		s.est.Record(n.Signature(), stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
 	}
-	sec := s.costFromSizes(plan, func(n *logical.Node) int64 {
-		if t, ok := tables[n]; ok {
-			return t.LogicalBytes()
-		}
-		return 0
-	})
-	return &Result{Table: out, Seconds: sec}, nil
+	sec := s.costFromSizes(plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
+	return &Result{Table: run.Root, Seconds: sec}, nil
 }
 
 // CostPlan estimates execution time without running the plan (what-if

@@ -1,17 +1,21 @@
-// Fused columnar pipelines. When the morsel engine executes a subtree via
-// Run, maximal Filter/Project chains (optionally topped by an Aggregate)
-// are fused into one morsel pass over the chain's materialized input: each
-// morsel refines a selection vector through the filters, materializes
-// projected rows only for survivors, and feeds the aggregate's hash phase
-// directly — no intermediate Table per operator. Outputs stay
-// byte-identical to running the operators one at a time (and therefore to
-// the reference operators): morsel boundaries are fixed by the source input,
-// survivors keep global input order, and the aggregate's partitions visit
-// rows in that order.
+// Fused columnar pipelines. RunPlan fuses every maximal Filter/Project
+// chain (optionally topped by an Aggregate) into one morsel pass over the
+// chain's source: each morsel refines a selection vector through the
+// filters, materializes projected rows only for survivors, and feeds the
+// aggregate's hash phase directly — no intermediate Table per operator.
 //
-// Fusion applies only inside Run. RunNode executes exactly one operator —
-// hv and dw drive plans node by node (hv retains intermediates for
-// opportunistic view capture) and are unaffected.
+// The source is a materialized table or an Extract. An Extract source
+// scans each morsel's raw lines into the worker's scan buffer, which the
+// next morsel overwrites; the stages read it in place, and rows leave it
+// once, copied, for the survivors at the chain's top. An Extract with no
+// stage above it is the same pass with an empty chain: every row survives.
+//
+// Outputs stay byte-identical to running the operators one at a time (and
+// therefore to the reference operators): morsel boundaries are fixed by the
+// source input, survivors keep global input order, and the aggregate's
+// partitions visit rows in that order. The nodes inside a pass build no
+// table but report, through note, the exact row count and encoded bytes
+// that table would have had.
 package exec
 
 import (
@@ -26,45 +30,41 @@ import (
 	"miso/internal/storage"
 )
 
-// fusableChain returns the chain [n, child, ...] of fusable stages ending
-// at n — Filter/Project nodes, plus Aggregate at the top only — or nil if
-// fewer than two stages would fuse.
-func fusableChain(n *logical.Node) []*logical.Node {
-	switch n.Kind {
-	case logical.KindFilter, logical.KindProject, logical.KindAggregate:
-	default:
-		return nil
+// fusedSource is the bottom of a fused pipeline.
+type fusedSource struct {
+	// in is the source table: schema, scale factor and — for a materialized
+	// source — the rows.
+	in *storage.Table
+	// scan, when non-nil, makes the source an Extract read from raw lines;
+	// in then carries no rows.
+	scan *lineScan
+}
+
+func (s fusedSource) numRows() int {
+	if s.scan != nil {
+		return len(s.scan.lines)
 	}
-	chain := []*logical.Node{n}
-	cur := n
-	for len(cur.Children) == 1 {
-		c := cur.Children[0]
-		if c.Kind != logical.KindFilter && c.Kind != logical.KindProject {
-			break
-		}
-		chain = append(chain, c)
-		cur = c
-	}
-	if len(chain) < 2 {
-		return nil
-	}
-	return chain
+	return len(s.in.Rows)
 }
 
 // runFusedSafe wraps the fused pipeline with the same node-boundary
 // governance as runNodeSafe: cancellation checked up front, panics
 // converted to typed internal errors naming the top operator.
-func runFusedSafe(chain []*logical.Node, env *Env, src *storage.Table) (t *storage.Table, err error) {
+func runFusedSafe(chain []*logical.Node, env *Env, src fusedSource, note func(*logical.Node, NodeStat)) (t *storage.Table, err error) {
 	if cerr := env.cancelErr(); cerr != nil {
 		return nil, cerr
 	}
 	defer func() {
 		if v := recover(); v != nil {
+			op := logical.KindExtract
+			if len(chain) > 0 {
+				op = chain[0].Kind
+			}
 			t = nil
-			err = govern.NewPanicError(chain[0].Kind.String(), v, debug.Stack())
+			err = govern.NewPanicError(op.String(), v, debug.Stack())
 		}
 	}()
-	return runFusedChain(chain, env, src)
+	return runFusedChain(chain, env, src, note)
 }
 
 // fusedStage is one operator of a fused pipeline, bottom-up, bound to the
@@ -75,16 +75,17 @@ type fusedStage struct {
 }
 
 // fusedWorker holds one worker's compiled evaluators and scratch: one
-// Batch per schema segment, batch evaluators per stage, and reusable
-// selection/hash buffers. Everything obeys the expr single-goroutine
-// contract — one fusedWorker per pool worker.
+// Batch per schema segment, batch evaluators per stage, reusable
+// selection/hash buffers, and the scan buffer of an Extract source.
+// Everything obeys the expr single-goroutine contract — one fusedWorker per
+// pool worker.
 type fusedWorker struct {
 	batches []*expr.Batch
 	preds   []expr.BatchCompiled // by stage index; nil unless Filter
 	projs   [][]projEval         // by stage index; nil unless Project
 	groups  []expr.BatchCompiled // aggregate group keys (top stage only)
 	sel     []int32
-	hs      []uint64
+	scan    *scanBuf
 }
 
 func newFusedWorker(stages []fusedStage, segs []*storage.Schema, morselRows int) (*fusedWorker, error) {
@@ -127,19 +128,22 @@ func newFusedWorker(stages []fusedStage, segs []*storage.Schema, morselRows int)
 	return fw, nil
 }
 
-// fusedMorselAgg is one morsel's contribution to a fused aggregate: the
-// aggregate's input rows (post filter/project, in input order), their
-// cached group-key values, and the partition buckets of local row indices.
+// fusedMorselAgg is one morsel's contribution to an aggregate: its input
+// rows (post filter/project, in input order), their cached group-key values
+// and key hashes, and the partition buckets of local row indices.
 type fusedMorselAgg struct {
 	rows    []storage.Row
 	keys    []storage.Value
+	hashes  []uint64
 	buckets rowBuckets
 }
 
-// stageMeters accumulates per-stage stats across morsel workers.
+// stageMeters accumulates per-stage counters across morsel workers. Slot 0
+// is the Extract source (idle over a table source), slot si+1 is stage si.
 type stageMeters struct {
 	nanos   []atomic.Int64
 	rows    []atomic.Int64
+	bytes   []atomic.Int64 // encoded size of the stage's output rows; kept exact under the top only
 	rowsIn  []atomic.Int64
 	batches []atomic.Int64
 }
@@ -148,15 +152,69 @@ func newStageMeters(n int) *stageMeters {
 	return &stageMeters{
 		nanos:   make([]atomic.Int64, n),
 		rows:    make([]atomic.Int64, n),
+		bytes:   make([]atomic.Int64, n),
 		rowsIn:  make([]atomic.Int64, n),
 		batches: make([]atomic.Int64, n),
 	}
 }
 
-func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storage.Table, error) {
+func (m *stageMeters) add(slot int, since time.Time, rowsIn, rowsOut int, bytes int64) {
+	m.nanos[slot].Add(time.Since(since).Nanoseconds())
+	m.rows[slot].Add(int64(rowsOut))
+	m.bytes[slot].Add(bytes)
+	m.rowsIn[slot].Add(int64(rowsIn))
+	m.batches[slot].Add(1)
+}
+
+// selEncodedSize sums the encoded size of the selected rows.
+func selEncodedSize(rows []storage.Row, sel []int32) int64 {
+	var n int64
+	for _, i := range sel {
+		n += rows[i].EncodedSize()
+	}
+	return n
+}
+
+// gatherRows returns the selected rows (all of them when sel is nil) as a
+// dense slice. With copyValues the rows are copied into one fresh value
+// block, which is how survivors leave a scan buffer the next morsel
+// overwrites; without it the result references the input rows.
+func gatherRows(rows []storage.Row, sel []int32, copyValues bool) []storage.Row {
+	n := len(rows)
+	if sel != nil {
+		n = len(sel)
+	}
+	out := make([]storage.Row, n)
+	if !copyValues {
+		for j, i := range sel {
+			out[j] = rows[i]
+		}
+		return out
+	}
+	if n == 0 {
+		return out
+	}
+	width := len(rows[0])
+	flat := make([]storage.Value, n*width)
+	for j := range out {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		out[j] = storage.Row(flat[j*width : (j+1)*width : (j+1)*width])
+		copy(out[j], rows[i])
+	}
+	return out
+}
+
+// runFusedChain runs chain (top first; empty for a bare Extract) as one
+// morsel pass over src and returns the table of the chain's top. note, when
+// non-nil, receives the NodeStat of every node under the top: the Extract
+// of a scan source and the chain's inner stages.
+func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*logical.Node, NodeStat)) (*storage.Table, error) {
 	// Stages bottom-up; schema segments start at the source schema and
 	// advance at every Project.
-	segs := []*storage.Schema{src.Schema}
+	segs := []*storage.Schema{src.in.Schema}
 	stages := make([]fusedStage, 0, len(chain))
 	for i := len(chain) - 1; i >= 0; i-- {
 		n := chain[i]
@@ -165,27 +223,42 @@ func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storag
 			segs = append(segs, n.Schema())
 		}
 	}
-	top := stages[len(stages)-1].node
-	aggTop := top.Kind == logical.KindAggregate
+	var top *logical.Node
+	if len(stages) > 0 {
+		top = stages[len(stages)-1].node
+	}
+	aggTop := top != nil && top.Kind == logical.KindAggregate
 
-	nRows := len(src.Rows)
+	nRows := src.numRows()
 	mr := env.morselRows()
 	workers := opWorkers(env, nRows)
+	sc := env.scope()
+	defer sc.Release()
 	fws := make([]*fusedWorker, workers)
 	for w := range fws {
 		fw, err := newFusedWorker(stages, segs, mr)
 		if err != nil {
 			return nil, err
 		}
+		if src.scan != nil {
+			// The scan buffer is resident for the whole pass: it is the
+			// pass's share of what a materialized Extract table used to be.
+			capRows := min(mr, nRows)
+			if err := env.reserve(sc, src.scan.scanBufCost(capRows)); err != nil {
+				return nil, err
+			}
+			if fw.scan, err = src.scan.newScanBuf(capRows); err != nil {
+				return nil, err
+			}
+		}
 		fws[w] = fw
 	}
 
-	sc := env.scope()
-	defer sc.Release()
-	meters := newStageMeters(len(stages))
-	timed := env.Stats != nil
+	meters := newStageMeters(len(stages) + 1)
+	passStart := time.Now()
 	nMorsels := morselCount(nRows, mr)
 	var chunks [][]storage.Row
+	var sizes []int64
 	var aggParts []fusedMorselAgg
 	nG := 0
 	if aggTop {
@@ -193,25 +266,56 @@ func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storag
 		aggParts = make([]fusedMorselAgg, nMorsels)
 	} else {
 		chunks = make([][]storage.Row, nMorsels)
+		sizes = make([]int64, nMorsels)
 	}
 
 	err := forEachMorsel(env, "fused", workers, nRows, mr, func(w, m, start, end int) error {
 		fw := fws[w]
-		rows := src.Rows[start:end]
+		var rows []storage.Row
+		// size is the encoded size of the rows the pipeline currently
+		// holds — (rows, sel) — or -1 when nobody has needed it yet.
+		size := int64(-1)
+		// inScanBuf: rows alias the worker's scan buffer and must be
+		// copied before the morsel ends.
+		inScanBuf := src.scan != nil
+		if inScanBuf {
+			t0 := time.Now()
+			rows, size = src.scan.fill(fw.scan, start, end)
+			meters.add(0, t0, end-start, len(rows), size)
+		} else {
+			rows = src.in.Rows[start:end]
+		}
 		b := fw.batches[0]
 		b.Reset(rows)
 		seg := 0
 		var sel []int32 // nil = all rows of the current segment
+		// survivors returns the rows the pipeline holds as a dense slice
+		// that outlives the morsel: projected rows already are one, a
+		// trailing filter leaves a selection to gather, and rows still in
+		// the scan buffer are copied out of it, charged at their size.
+		survivors := func() ([]storage.Row, error) {
+			out := rows
+			if sel != nil || inScanBuf {
+				out = gatherRows(rows, sel, inScanBuf)
+			}
+			if inScanBuf {
+				if size < 0 {
+					size = rowsEncodedSize(out)
+				}
+				if err := env.reserve(sc, size); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
+		}
 		for si := range stages {
 			st := &stages[si]
+			inner := si < len(stages)-1
 			rowsIn := len(rows)
 			if sel != nil {
 				rowsIn = len(sel)
 			}
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
+			t0 := time.Now()
 			var rowsOut int
 			switch st.node.Kind {
 			case logical.KindFilter:
@@ -225,30 +329,31 @@ func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storag
 					return err
 				}
 				rowsOut = len(sel)
+				size = -1
+				if inner {
+					size = selEncodedSize(rows, sel)
+				}
 			case logical.KindProject:
 				out := materializeBatch(b, sel, fw.projs[si], len(st.node.Projs))
-				if err := env.reserve(sc, rowsEncodedSize(out)); err != nil {
+				size = rowsEncodedSize(out)
+				if err := env.reserve(sc, size); err != nil {
 					return err
 				}
 				rows = out
 				sel = nil
+				inScanBuf = false
 				seg++
 				b = fw.batches[seg]
 				b.Reset(rows)
 				rowsOut = len(rows)
 			case logical.KindAggregate:
-				nOut := len(rows)
-				aggRows := rows
-				if sel != nil {
-					nOut = len(sel)
-					aggRows = make([]storage.Row, nOut)
-					for j, i := range sel {
-						aggRows[j] = rows[i]
-					}
-				}
+				nOut := rowsIn
+				// Group keys are evaluated column-wise and cached; the
+				// partition hash chains the key vectors in declaration
+				// order with the fast internal mix hash (NULL keys
+				// participate — grouping treats NULL as a real key value).
 				keys := make([]storage.Value, nOut*nG)
-				fw.hs = growU64(fw.hs, nOut)
-				hs := fw.hs[:nOut]
+				hs := make([]uint64, nOut)
 				for j := range hs {
 					hs[j] = storage.HashSeed
 				}
@@ -264,93 +369,127 @@ func runFusedChain(chain []*logical.Node, env *Env, src *storage.Table) (*storag
 					p := int(hs[j] & (partitions - 1))
 					bkt[p] = append(bkt[p], int32(j))
 				}
-				if err := env.reserve(sc, int64(nOut)*(refRowCost+valueCost*int64(nG)+idxCost)); err != nil {
+				if err := env.reserve(sc, int64(nOut)*(refRowCost+valueCost*int64(nG)+hashCost+idxCost)); err != nil {
 					return err
 				}
-				aggParts[m] = fusedMorselAgg{rows: aggRows, keys: keys, buckets: bkt}
+				aggRows, err := survivors()
+				if err != nil {
+					return err
+				}
+				aggParts[m] = fusedMorselAgg{rows: aggRows, keys: keys, hashes: hs, buckets: bkt}
 				rowsOut = nOut
 			}
-			if timed {
-				meters.nanos[si].Add(time.Since(t0).Nanoseconds())
-			}
-			meters.rows[si].Add(int64(rowsOut))
-			meters.rowsIn[si].Add(int64(rowsIn))
-			meters.batches[si].Add(1)
+			meters.add(si+1, t0, rowsIn, rowsOut, max(size, 0))
 		}
 		if !aggTop {
-			// Materialize the morsel's output chunk: projected rows are
-			// already dense; a trailing filter leaves a selection to gather.
-			if sel != nil {
-				chunk := make([]storage.Row, len(sel))
-				for j, i := range sel {
-					chunk[j] = rows[i]
-				}
-				chunks[m] = chunk
-			} else {
-				chunks[m] = rows
+			chunk, err := survivors()
+			if err != nil {
+				return err
 			}
+			if size < 0 {
+				size = rowsEncodedSize(chunk)
+			}
+			chunks[m], sizes[m] = chunk, size
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	passWall := time.Since(passStart)
 
 	var out *storage.Table
-	var aggExtra time.Duration
+	tailStart := time.Now()
 	if aggTop {
-		t0 := time.Now()
-		out, err = finishFusedAggregate(top, env, sc, src, aggParts, nG)
+		out, err = finishFusedAggregate(top, env, sc, src.in, segs[len(segs)-1], aggParts)
 		if err != nil {
 			return nil, err
 		}
-		aggExtra = time.Since(t0)
 		// The meter counted the aggregate's phase-1 consumed rows as its
 		// output; the real output is the merged group rows.
-		meters.rows[len(stages)-1].Store(int64(len(out.Rows)))
+		meters.rows[len(stages)].Store(int64(len(out.Rows)))
 	} else {
-		total := 0
-		for _, c := range chunks {
-			total += len(c)
+		out = src.in // a bare Extract fills its own table
+		if top != nil {
+			out = newOutput(top, src.in)
 		}
-		out = newOutput(top, src)
-		out.Rows = make([]storage.Row, 0, total)
-		if out, err = appendChunks(env, out, chunks); err != nil {
+		if out, err = appendBlocks(env, out, chunks, sizes); err != nil {
 			return nil, err
 		}
 	}
 
-	if timed {
-		for si, st := range stages {
-			d := time.Duration(meters.nanos[si].Load())
-			if si == len(stages)-1 {
-				d += aggExtra
-			}
-			env.Stats.record(st.node.Kind, int(meters.rows[si].Load()), d)
-			env.Stats.recordColumnar(st.node.Kind, meters.batches[si].Load(), meters.rowsIn[si].Load())
+	if note != nil {
+		if src.scan != nil {
+			note(src.scan.node, NodeStat{Rows: meters.rows[0].Load(), RawBytes: meters.bytes[0].Load(), ScaleFactor: src.in.ScaleFactor})
 		}
+		sf := max(0, src.in.ScaleFactor) // what newOutput gives every stage's table
+		for si := 0; si < len(stages)-1; si++ {
+			note(stages[si].node, NodeStat{Rows: meters.rows[si+1].Load(), RawBytes: meters.bytes[si+1].Load(), ScaleFactor: sf})
+		}
+	}
+	if env.Stats != nil {
+		recordFusedStats(env.Stats, src, stages, meters, passWall, time.Since(tailStart))
 	}
 	return out, nil
 }
 
-// finishFusedAggregate runs phases 2 and 3 of the fused aggregate: per-
-// partition accumulation in global input order (ordinals are morsel-major,
-// matching the reference operators' row order exactly), then a first-seen merge.
-func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *storage.Table, parts []fusedMorselAgg, nG int) (*storage.Table, error) {
+// recordFusedStats books one fused pass in the per-kind Stats rows. The
+// stage meters sum time over workers; each stage is booked its share of
+// the pass's wall clock instead, so the rows still add up to elapsed time
+// as they do for operators run alone. The serial tail after the pass (the
+// merge, the aggregate's partition phases) belongs to the top stage.
+func recordFusedStats(stats *Stats, src fusedSource, stages []fusedStage, meters *stageMeters, passWall, tail time.Duration) {
+	var sum int64
+	for i := range meters.nanos {
+		sum += meters.nanos[i].Load()
+	}
+	share := func(slot int) time.Duration {
+		if sum == 0 {
+			return 0
+		}
+		return time.Duration(float64(passWall) * float64(meters.nanos[slot].Load()) / float64(sum))
+	}
+	topSlot := len(stages)
+	if src.scan != nil {
+		d := share(0)
+		if topSlot == 0 {
+			d += tail
+		}
+		stats.record(logical.KindExtract, int(meters.rows[0].Load()), d)
+	}
+	for si, st := range stages {
+		d := share(si + 1)
+		if si+1 == topSlot {
+			d += tail
+		}
+		stats.record(st.node.Kind, int(meters.rows[si+1].Load()), d)
+		stats.recordColumnar(st.node.Kind, meters.batches[si+1].Load(), meters.rowsIn[si+1].Load())
+	}
+}
+
+// finishFusedAggregate runs phases 2 and 3 of the hash aggregation over
+// what the morsels left in parts (phase 1: key hashes and partition
+// buckets). Phase 2 runs the partitions in parallel; each visits its rows
+// in global input order (ordinals are morsel-major), so every group
+// accumulates exactly as it would serially — float sums associate
+// identically. Group lookup is a single integer-keyed probe on the
+// precomputed hash with value-wise collision verification (the kind-tagged
+// relation the reference operators' tagged-key strings induce; the hash
+// only has to place tagged-key-equal rows together, which MixInto
+// guarantees), instead of a key string per row. Phase 3 merges groups
+// ordered by first-seen input row, the reference operators' output order.
+func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *storage.Table, inSchema *storage.Schema, parts []fusedMorselAgg) (*storage.Table, error) {
+	nG := len(n.GroupBy)
 	// Global ordinal base of each morsel's aggregate input.
 	bases := make([]int64, len(parts)+1)
 	for m := range parts {
 		bases[m+1] = bases[m] + int64(len(parts[m].rows))
 	}
 
-	workers := env.workerCount()
+	workers := min(env.workerCount(), partitions)
 	argSets := make([][]expr.Compiled, workers)
-	var aggInSchema *storage.Schema
-	if len(n.Children) == 1 && n.Children[0].Schema() != nil {
-		aggInSchema = n.Children[0].Schema()
-	}
 	for w := range argSets {
-		args, err := compileAggArgs(n, aggInSchema)
+		args, err := compileAggArgs(n, inSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -365,32 +504,42 @@ func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *stor
 	partGroups := make([][]*group, partitions)
 	err := forEachTask(env, "agg-build", workers, partitions, func(w, p int) error {
 		args := argSets[w]
-		m := make(map[string]*group)
-		var keyBuf []byte
+		// Hash collisions between distinct keys spill to the overflow
+		// chain, which stays empty in practice.
+		first := make(map[uint64]*group)
+		var overflow map[uint64][]*group
 		var groupBytes int64
 		var local []*group
 		for mi := range parts {
 			part := &parts[mi]
 			for _, j := range part.buckets[p] {
-				row := part.rows[j]
-				kv := part.keys[int(j)*nG : int(j)*nG+nG]
-				keyBuf = keyBuf[:0]
-				for _, v := range kv {
-					keyBuf = appendTaggedKey(keyBuf, v)
-					keyBuf = append(keyBuf, 0)
-				}
-				grp := m[string(keyBuf)]
-				if grp == nil {
-					grp = &group{
-						key:    append(storage.Row(nil), kv...),
-						states: newAggStates(n.Aggs),
-						first:  bases[mi] + int64(j),
+				h := part.hashes[j]
+				kv := storage.Row(part.keys[int(j)*nG : int(j)*nG+nG])
+				grp := first[h]
+				spill := false
+				if grp != nil && !distinctRowsEqual(kv, grp.key) {
+					grp, spill = nil, true
+					for _, g := range overflow[h] {
+						if distinctRowsEqual(kv, g.key) {
+							grp = g
+							break
+						}
 					}
-					m[string(keyBuf)] = grp
+				}
+				if grp == nil {
+					grp = &group{key: kv.Clone(), states: newAggStates(n.Aggs), first: bases[mi] + int64(j)}
+					if spill {
+						if overflow == nil {
+							overflow = make(map[uint64][]*group)
+						}
+						overflow[h] = append(overflow[h], grp)
+					} else {
+						first[h] = grp
+					}
 					local = append(local, grp)
 					groupBytes += grp.key.EncodedSize() + groupCost
 				}
-				accumulateRow(n.Aggs, grp.states, args, row)
+				accumulateRow(n.Aggs, grp.states, args, part.rows[j])
 			}
 		}
 		if err := env.reserve(sc, groupBytes); err != nil {

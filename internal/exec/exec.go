@@ -1,9 +1,9 @@
 // Package exec implements the physical operators shared by both stores:
 // SerDe extraction over raw JSON logs, filter, project, hash join, hash
-// aggregation, distinct, sort, and limit. The hv engine drives these
-// operators stage by stage (materializing intermediates); the dw engine
-// pipelines whole subtrees. Both produce real result tables — simulated
-// time is layered on top by each store's cost model, not here.
+// aggregation, distinct, sort, and limit. Both stores run whole plans
+// through RunPlan (plan.go): hv keeps the tables of its job boundaries, dw
+// keeps the root's only. Both produce real result tables — simulated time
+// is layered on top by each store's cost model, not here.
 package exec
 
 import (
@@ -54,35 +54,6 @@ type Env struct {
 	Inj *faults.Injector
 }
 
-// Run executes the whole subtree and returns its result. Maximal
-// Filter/Project chains (optionally topped by an Aggregate) are fused into
-// a single columnar pass over their input — see batch.go. Fused or not,
-// results are byte-identical; per-operator Stats are still recorded once
-// per fused stage.
-func Run(n *logical.Node, env *Env) (*storage.Table, error) {
-	if chain := fusableChain(n); chain != nil {
-		src, err := Run(chain[len(chain)-1].Children[0], env)
-		if err != nil {
-			return nil, err
-		}
-		return runFusedSafe(chain, env, src)
-	}
-	inputs := make([]*storage.Table, 0, len(n.Children))
-	switch n.Kind {
-	case logical.KindExtract, logical.KindViewScan, logical.KindScan:
-		// Leaf-like: children resolved inside RunNode.
-	default:
-		for _, c := range n.Children {
-			t, err := Run(c, env)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, t)
-		}
-	}
-	return RunNode(n, env, inputs)
-}
-
 // RunNode executes a single operator given its children's outputs. Extract
 // and ViewScan resolve their data through env and ignore inputs.
 //
@@ -92,7 +63,8 @@ func Run(n *logical.Node, env *Env) (*storage.Table, error) {
 // to a typed govern.ErrInternal carrying the operator name, so one bad
 // node cannot kill the process or other in-flight queries.
 func RunNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table, error) {
-	if env.Stats == nil {
+	// The stages of a fused pass meter themselves.
+	if env.Stats == nil || fusedKind(n.Kind) {
 		return runNodeSafe(n, env, inputs)
 	}
 	start := time.Now()
@@ -123,20 +95,20 @@ func runNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table
 	case logical.KindScan:
 		return nil, fmt.Errorf("exec: bare Scan cannot execute; it is consumed by Extract")
 	case logical.KindExtract:
-		return runExtractMorsel(n, env)
+		src, err := newScanSource(n, env)
+		if err != nil {
+			return nil, err
+		}
+		return runFusedChain(nil, env, src, nil)
 	case logical.KindViewScan:
 		if env.ReadView == nil {
 			return nil, fmt.Errorf("exec: no view resolver for view %q", n.ViewName)
 		}
 		return env.ReadView(n.ViewName)
-	case logical.KindFilter:
-		return runFilterMorsel(n, env, inputs[0])
-	case logical.KindProject:
-		return runProjectMorsel(n, env, inputs[0])
+	case logical.KindFilter, logical.KindProject, logical.KindAggregate:
+		return runFusedChain([]*logical.Node{n}, env, fusedSource{in: inputs[0]}, nil)
 	case logical.KindJoin:
 		return runJoinMorsel(n, env, inputs[0], inputs[1])
-	case logical.KindAggregate:
-		return runAggregateMorsel(n, env, inputs[0])
 	case logical.KindDistinct:
 		return runDistinctMorsel(n, env, inputs[0])
 	case logical.KindSort:

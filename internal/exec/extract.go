@@ -1,9 +1,12 @@
-// Parallel Extract: morsels of raw log lines are parsed by a hand-rolled
-// scanner for flat JSON objects, with a per-line fallback to the standard
-// streaming decoder whenever the fast path cannot prove it would produce
-// the exact same values (escapes, nested values, nonstandard numbers,
-// invalid UTF-8). The fallback decodes a line exactly as the reference
-// extract does, so the two outputs are byte-identical by construction.
+// Extract: morsels of raw log lines are parsed by a hand-rolled scanner for
+// flat JSON objects, with a per-line fallback to the standard streaming
+// decoder whenever the fast path cannot prove it would produce the exact
+// same values (escapes, nested values, nonstandard numbers, invalid UTF-8).
+// The fallback decodes a line exactly as the reference extract does, so the
+// two outputs are byte-identical by construction. There is no Extract
+// operator loop of its own: an Extract is the source stage of a fused
+// pipeline (batch.go), scanning each morsel into a per-worker buffer that
+// the stages above it read in place.
 package exec
 
 import (
@@ -119,12 +122,16 @@ func fastScanLine(line string, fields []scanField, row storage.Row) bool {
 			}
 			i += 4
 		case c == '-' || (c >= '0' && c <= '9'):
-			end, ok := scanJSONNumber(line, i)
+			end, small, isSmall, ok := scanJSONNumber(line, i)
 			if !ok {
 				return false
 			}
 			if want >= 0 {
-				row[fields[want].col] = coerceScannedNumber(line[i:end], fields[want].kind)
+				if isSmall && fields[want].kind == storage.KindInt {
+					row[fields[want].col] = storage.IntValue(small)
+				} else {
+					row[fields[want].col] = coerceScannedNumber(line[i:end], fields[want].kind)
+				}
 			}
 			i = end
 		default:
@@ -157,45 +164,61 @@ func skipWS(s string, i int) int {
 	return i
 }
 
+// maxSmallDigits is how many decimal digits always fit an int64.
+const maxSmallDigits = 18
+
 // scanJSONNumber validates the strict JSON number grammar starting at i and
-// returns the index one past the literal.
-func scanJSONNumber(s string, i int) (int, bool) {
+// returns the index one past the literal. When the literal is -?digits with
+// at most maxSmallDigits digits, isSmall is set and small is its value —
+// what strconv.ParseInt returns for it, accumulated by the loop that
+// validates the digits; any other literal is left to strconv.
+func scanJSONNumber(s string, i int) (end int, small int64, isSmall, ok bool) {
 	j := i
+	neg := false
 	if j < len(s) && s[j] == '-' {
+		neg = true
 		j++
 	}
+	digits := j
 	switch {
 	case j < len(s) && s[j] == '0':
 		j++
 	case j < len(s) && s[j] >= '1' && s[j] <= '9':
 		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+			small = small*10 + int64(s[j]-'0') // wraps past 18 digits, where it is not used
 			j++
 		}
 	default:
-		return 0, false
+		return 0, 0, false, false
+	}
+	isSmall = j-digits <= maxSmallDigits
+	if neg {
+		small = -small
 	}
 	if j < len(s) && s[j] == '.' {
+		isSmall = false
 		j++
 		if j >= len(s) || s[j] < '0' || s[j] > '9' {
-			return 0, false
+			return 0, 0, false, false
 		}
 		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
 			j++
 		}
 	}
 	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+		isSmall = false
 		j++
 		if j < len(s) && (s[j] == '+' || s[j] == '-') {
 			j++
 		}
 		if j >= len(s) || s[j] < '0' || s[j] > '9' {
-			return 0, false
+			return 0, 0, false, false
 		}
 		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
 			j++
 		}
 	}
-	return j, true
+	return j, small, isSmall, true
 }
 
 // The coerceScanned* helpers mirror coerceJSON exactly: a scanned string is
@@ -261,82 +284,99 @@ func fallbackScanLine(line string, fields []scanField, row storage.Row) bool {
 	return true
 }
 
-// runExtractMorsel is the morsel engine's Extract: lines are scanned per
-// morsel with fastScanLine (falling back per line to the exact legacy
-// decoder), UDF columns are computed with per-worker compiled evaluators,
-// and per-morsel row buffers are appended in morsel order.
-func runExtractMorsel(n *logical.Node, env *Env) (*storage.Table, error) {
+// lineScan is an Extract as the source stage of a fused pipeline: the raw
+// lines and the plain (non-UDF) fields the scanner fills. It is shared by
+// the pipeline's workers; each scans into its own scanBuf.
+type lineScan struct {
+	node   *logical.Node
+	lines  []string
+	fields []scanField
+	width  int
+}
+
+// newScanSource resolves the Extract's log. The source's table is the
+// Extract's own output header — signature, schema, the log's scale factor —
+// with no rows: the pipeline reads the lines, and fills the table only when
+// no stage sits above the Extract.
+func newScanSource(n *logical.Node, env *Env) (fusedSource, error) {
 	if env.ReadLog == nil {
-		return nil, fmt.Errorf("exec: no log resolver")
+		return fusedSource{}, fmt.Errorf("exec: no log resolver")
 	}
 	log, err := env.ReadLog(n.Children[0].LogName)
 	if err != nil {
-		return nil, err
+		return fusedSource{}, err
 	}
-	schema := n.Schema()
-	fields := make([]scanField, 0, len(n.Fields))
+	ls := &lineScan{node: n, lines: log.Lines, width: len(n.Fields)}
 	for i, f := range n.Fields {
 		if f.UDF == nil {
-			fields = append(fields, scanField{name: f.LogField, col: i, kind: f.Type})
+			ls.fields = append(ls.fields, scanField{name: f.LogField, col: i, kind: f.Type})
 		}
 	}
-	workers := env.workerCount()
-	// Compiled evaluators reuse scratch state between rows, so each worker
-	// gets its own set.
-	hasUDF := false
-	workerUDFs := make([][]expr.Compiled, workers)
-	for w := 0; w < workers; w++ {
-		evals := make([]expr.Compiled, len(n.Fields))
-		for i, f := range n.Fields {
-			if f.UDF == nil {
-				continue
-			}
-			hasUDF = true
-			c, err := expr.Compile(f.UDF, schema)
-			if err != nil {
-				return nil, fmt.Errorf("exec: extract UDF field %q: %w", f.OutName, err)
-			}
-			evals[i] = c
-		}
-		workerUDFs[w] = evals
+	in := storage.NewTable(n.Signature(), n.Schema().Clone())
+	in.ScaleFactor = log.ScaleFactor
+	return fusedSource{in: in, scan: ls}, nil
+}
+
+// scanBuf is one worker's scan buffer: capRows rows carved out of one flat
+// value block, overwritten morsel after morsel, plus the worker's own UDF
+// evaluators (compiled evaluators reuse scratch between rows). Rows handed
+// out by fill alias the block and are valid until the next fill.
+type scanBuf struct {
+	flat []storage.Value
+	rows []storage.Row
+	udfs []expr.Compiled
+}
+
+// scanBufCost is what a scanBuf of capRows rows charges the ledger.
+func (ls *lineScan) scanBufCost(capRows int) int64 {
+	return valueCost * int64(capRows) * int64(ls.width)
+}
+
+func (ls *lineScan) newScanBuf(capRows int) (*scanBuf, error) {
+	buf := &scanBuf{
+		flat: make([]storage.Value, capRows*ls.width),
+		rows: make([]storage.Row, capRows),
 	}
-	lines := log.Lines
-	width := len(n.Fields)
-	sc := env.scope()
-	defer sc.Release()
-	chunks := make([][]storage.Row, morselCount(len(lines), env.morselRows()))
-	err = forEachMorsel(env, "extract", workers, len(lines), env.morselRows(), func(w, m, start, end int) error {
-		evals := workerUDFs[w]
-		buf := make([]storage.Row, 0, end-start)
-		for _, line := range lines[start:end] {
-			row := make(storage.Row, width)
-			if !fastScanLine(line, fields, row) {
-				for i := range row {
-					row[i] = storage.Null // clear partial fast-path writes
-				}
-				if !fallbackScanLine(line, fields, row) {
-					continue // malformed record: skipped by the SerDe
-				}
-			}
-			if hasUDF {
-				for i, eval := range evals {
-					if eval != nil {
-						row[i] = eval(row)
-					}
-				}
-			}
-			buf = append(buf, row)
-		}
-		if err := env.reserve(sc, rowsEncodedSize(buf)); err != nil {
-			return err
-		}
-		chunks[m] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for j := range buf.rows {
+		buf.rows[j] = storage.Row(buf.flat[j*ls.width : (j+1)*ls.width : (j+1)*ls.width])
 	}
-	out := storage.NewTable(n.Signature(), schema.Clone())
-	out.ScaleFactor = log.ScaleFactor
-	return appendChunks(env, out, chunks)
+	for i, f := range ls.node.Fields {
+		if f.UDF == nil {
+			continue
+		}
+		c, err := expr.Compile(f.UDF, ls.node.Schema())
+		if err != nil {
+			return nil, fmt.Errorf("exec: extract UDF field %q: %w", f.OutName, err)
+		}
+		if buf.udfs == nil {
+			buf.udfs = make([]expr.Compiled, ls.width)
+		}
+		buf.udfs[i] = c
+	}
+	return buf, nil
+}
+
+// fill scans lines[start:end] into the buffer — fastScanLine, falling back
+// per line to the exact legacy decoder, malformed records skipped, UDF
+// columns computed from the scanned ones — and returns the extracted rows
+// with the sum of their EncodedSize.
+func (ls *lineScan) fill(buf *scanBuf, start, end int) ([]storage.Row, int64) {
+	k := 0
+	for _, line := range ls.lines[start:end] {
+		row := buf.rows[k]
+		clear(row) // the previous morsel's values: a field the line lacks is NULL
+		if !fastScanLine(line, ls.fields, row) {
+			clear(row) // partial fast-path writes
+			if !fallbackScanLine(line, ls.fields, row) {
+				continue // malformed record: skipped by the SerDe
+			}
+		}
+		for i, eval := range buf.udfs {
+			if eval != nil {
+				row[i] = eval(row)
+			}
+		}
+		k++
+	}
+	return buf.rows[:k], storage.Row(buf.flat[:k*ls.width]).EncodedSize()
 }

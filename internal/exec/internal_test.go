@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"miso/internal/data"
@@ -130,6 +132,13 @@ func TestFastScanFuzzEquivalence(t *testing.T) {
 			buf[j] = alphabet[rng.Intn(len(alphabet))]
 		}
 		line := string(buf)
+		if i%2 == 1 {
+			// Random soup rarely spells a long number: every other line is a
+			// well-formed object around one random literal, aimed at the
+			// scanner's own integer accumulation and its 18-digit boundary.
+			lit := fuzzNumber(rng)
+			line = `{"id":` + lit + `,"f":` + lit + `,"s":` + lit + `,"si":` + lit + `}`
+		}
 		fastRow := make(storage.Row, len(scannerFields))
 		slowRow := make(storage.Row, len(scannerFields))
 		if fastScanLine(line, scannerFields, fastRow) {
@@ -139,6 +148,74 @@ func TestFastScanFuzzEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(fastRow, slowRow) {
 				t.Fatalf("fuzz line %q:\n fast %v\n slow %v", line, fastRow, slowRow)
 			}
+		}
+	}
+}
+
+// fuzzNumber draws a number literal: up to 22 digits, sometimes with a
+// leading zero (invalid JSON unless alone), a fraction or an exponent.
+func fuzzNumber(rng *rand.Rand) string {
+	var b []byte
+	if rng.Intn(2) == 0 {
+		b = append(b, '-')
+	}
+	for d := 1 + rng.Intn(22); d > 0; d-- {
+		b = append(b, byte('0'+rng.Intn(10)))
+	}
+	if rng.Intn(6) == 0 {
+		b = append(b, '.', byte('0'+rng.Intn(10)))
+	}
+	if rng.Intn(6) == 0 {
+		b = append(b, 'e', byte('0'+rng.Intn(10)))
+	}
+	return string(b)
+}
+
+// TestScannedNumbersMatchStrconv pins the scanner's integer fast path — a
+// literal of at most 18 digits bound for an int column is accumulated by
+// the loop that validates it — to what strconv makes of the same literal,
+// on the boundaries where the two could part: signed zero, the int64
+// limits, 18/19/20 digits, and literals that only look integral.
+func TestScannedNumbersMatchStrconv(t *testing.T) {
+	fields := []scanField{
+		{name: "i", col: 0, kind: storage.KindInt},
+		{name: "f", col: 1, kind: storage.KindFloat},
+	}
+	for _, lit := range []string{
+		"0", "-0", "7", "-7", "10", "-10",
+		"999999999999999999", "-999999999999999999", // 18 digits: fast path
+		"1000000000000000000", "-1000000000000000000", // 19 digits: strconv
+		"9223372036854775807", "-9223372036854775808", // int64 limits
+		"9223372036854775808", "-9223372036854775809", // one past them: float path
+		"10000000000000000000", "99999999999999999999", // 20 digits
+		"123456789012345678901234567890",
+		"1e3", "1E3", "1e+3", "1e-3", "-1e3", "1.0", "-1.0", "0.0", "-0.0", "12.9", "-12.9", "1.5e300", "1e400",
+	} {
+		line := `{"i":` + lit + `,"f":` + lit + `}`
+		row := make(storage.Row, len(fields))
+		if !fastScanLine(line, fields, row) {
+			t.Errorf("%s: the fast path refused a valid number", lit)
+			continue
+		}
+		wantI, wantF := storage.Null, storage.Null
+		f, ferr := strconv.ParseFloat(lit, 64)
+		if i, err := strconv.ParseInt(lit, 10, 64); err == nil {
+			wantI = storage.IntValue(i)
+		} else if ferr == nil {
+			wantI = storage.IntValue(int64(f))
+		}
+		if ferr == nil {
+			wantF = storage.FloatValue(f)
+		}
+		if row[0] != wantI {
+			t.Errorf("%s into an int column: scanned %#v, strconv gives %#v", lit, row[0], wantI)
+		}
+		if row[1].Kind != wantF.Kind || math.Float64bits(row[1].F) != math.Float64bits(wantF.F) {
+			t.Errorf("%s into a float column: scanned %#v, strconv gives %#v", lit, row[1], wantF)
+		}
+		slow := make(storage.Row, len(fields))
+		if !fallbackScanLine(line, fields, slow) || !reflect.DeepEqual(row, slow) {
+			t.Errorf("%s: fast %v, decoder %v", lit, row, slow)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-// Morsel-engine operators. Every operator here carries the same
-// determinism contract: its output is byte-identical to the reference
-// operator at any worker count and any morsel size. Filter/Project merge
-// per-morsel buffers in morsel order; Join partitions its build side by key
-// hash but keeps every per-key row list in build-input order; Distinct and
-// Sort recover the serial order from recorded input positions.
+// The morsel-engine operators that do not fuse — Join, Distinct, Sort — and
+// the helpers they share with the fused pass (batch.go). Every operator
+// carries the same determinism contract: its output is byte-identical to
+// the reference operator at any worker count and any morsel size. A fused
+// pass merges per-morsel buffers in morsel order; Join partitions its build
+// side by key hash but keeps every per-key row list in build-input order;
+// Distinct and Sort recover the serial order from recorded input positions.
 //
 // Governance contract: operators charge the query's memory ledger (when
 // one is attached) as their transient state grows — chunk buffers, hash
@@ -51,43 +52,6 @@ func rowsEncodedSize(rows []storage.Row) int64 {
 	return n
 }
 
-// compileWorkers compiles e once per worker (Compiled evaluators are
-// single-goroutine).
-func compileWorkers(e expr.Expr, schema *storage.Schema, workers int) ([]expr.Compiled, error) {
-	out := make([]expr.Compiled, workers)
-	for w := 0; w < workers; w++ {
-		c, err := expr.Compile(e, schema)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = c
-	}
-	return out, nil
-}
-
-// compileBatchWorkers compiles a batch evaluator once per worker
-// (BatchCompiled evaluators own scratch vectors and are single-goroutine).
-func compileBatchWorkers(e expr.Expr, schema *storage.Schema, workers int) ([]expr.BatchCompiled, error) {
-	out := make([]expr.BatchCompiled, workers)
-	for w := 0; w < workers; w++ {
-		c, err := expr.CompileBatch(e, schema)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = c
-	}
-	return out, nil
-}
-
-// newBatchWorkers allocates one Batch per worker over the given schema.
-func newBatchWorkers(schema *storage.Schema, workers int) []*expr.Batch {
-	out := make([]*expr.Batch, workers)
-	for w := range out {
-		out[w] = expr.NewBatch(schema)
-	}
-	return out
-}
-
 // opWorkers clamps the worker count to the morsel count so per-worker
 // compilation and scratch are not paid for workers that would never claim a
 // morsel (forEachMorsel applies the same clamp when scheduling).
@@ -100,25 +64,6 @@ func opWorkers(env *Env, nRows int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// appendChunks merges per-morsel buffers in morsel order, polling
-// cancellation as it goes.
-func appendChunks(env *Env, out *storage.Table, chunks [][]storage.Row) (*storage.Table, error) {
-	sincePoll := 0
-	for _, c := range chunks {
-		for _, r := range c {
-			out.MustAppend(r)
-		}
-		sincePoll += len(c)
-		if sincePoll >= cancelPollRows {
-			sincePoll = 0
-			if err := env.cancelErr(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // appendBlocks merges per-morsel buffers whose encoded byte sizes were
@@ -142,104 +87,6 @@ func appendBlocks(env *Env, out *storage.Table, chunks [][]storage.Row, sizes []
 		}
 	}
 	return out, nil
-}
-
-// runFilterMorsel is the columnar filter: each morsel evaluates the
-// predicate batch-at-a-time over lazily transposed column vectors and marks
-// survivors in a selection vector instead of copying rows. All morsels
-// share one preallocated selection buffer — morsel m's survivors land in
-// selBuf[start:start+counts[m]], disjoint by construction — so no
-// per-morsel buffer is allocated or grown, which is what removed the
-// partition-merge allocation regression. Survivors are appended as row
-// references in morsel order, byte-identical to the reference operators.
-func runFilterMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Table, error) {
-	nRows := len(in.Rows)
-	mr := env.morselRows()
-	workers := opWorkers(env, nRows)
-	preds, err := compileBatchWorkers(n.Pred, in.Schema, workers)
-	if err != nil {
-		return nil, err
-	}
-	batches := newBatchWorkers(in.Schema, workers)
-	sc := env.scope()
-	defer sc.Release()
-	if err := env.reserve(sc, idxCost*int64(nRows)); err != nil {
-		return nil, err
-	}
-	selBuf := make([]int32, nRows)
-	counts := make([]int, morselCount(nRows, mr))
-	err = forEachMorsel(env, "filter", workers, nRows, mr, func(w, m, start, end int) error {
-		b := batches[w]
-		b.Reset(in.Rows[start:end])
-		vec := preds[w](b, nil)
-		sel := vec.TruesInto(selBuf[start:start:end], int32(start))
-		counts[m] = len(sel)
-		return env.reserve(sc, refRowCost*int64(len(sel)))
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	env.recordColumnar(logical.KindFilter, int64(len(counts)), int64(nRows))
-	out := newOutput(n, in)
-	out.Rows = make([]storage.Row, 0, total)
-	sincePoll := 0
-	for m, c := range counts {
-		start := m * mr
-		for _, i := range selBuf[start : start+c] {
-			out.MustAppend(in.Rows[i])
-		}
-		if sincePoll += c; sincePoll >= cancelPollRows {
-			sincePoll = 0
-			if err := env.cancelErr(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// runProjectMorsel is the columnar projection: each morsel batch-evaluates
-// every projection (vectorized kernels where possible, row fallback for
-// UDFs) and materializes the output rows into one flat value arena per
-// morsel — two allocations per morsel instead of one per row.
-func runProjectMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Table, error) {
-	nRows := len(in.Rows)
-	mr := env.morselRows()
-	workers := opWorkers(env, nRows)
-	workerEvals := make([][]projEval, workers)
-	for w := 0; w < workers; w++ {
-		evals, err := compileProjEvals(n.Projs, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		workerEvals[w] = evals
-	}
-	batches := newBatchWorkers(in.Schema, workers)
-	width := len(n.Projs)
-	sc := env.scope()
-	defer sc.Release()
-	chunks := make([][]storage.Row, morselCount(nRows, mr))
-	sizes := make([]int64, len(chunks))
-	err := forEachMorsel(env, "project", workers, nRows, mr, func(w, m, start, end int) error {
-		b := batches[w]
-		b.Reset(in.Rows[start:end])
-		buf := materializeBatch(b, nil, workerEvals[w], width)
-		sz := rowsEncodedSize(buf)
-		if err := env.reserve(sc, sz); err != nil {
-			return err
-		}
-		chunks[m], sizes[m] = buf, sz
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	env.recordColumnar(logical.KindProject, int64(len(chunks)), int64(nRows))
-	return appendBlocks(env, newOutput(n, in), chunks, sizes)
 }
 
 // projEval is one projection column's evaluator. Expressions that compile

@@ -233,16 +233,17 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node, seq int)
 // plan against the DW side without publishing any state: a Pending that is
 // simply dropped leaves the store byte-identical to one that never ran.
 type Pending struct {
-	s      *Store
-	plan   *logical.Node
-	out    *storage.Table
-	tables map[*logical.Node]*storage.Table
-	mat    map[*logical.Node]bool
+	s    *Store
+	plan *logical.Node
+	// run holds the tables of the materialized nodes only, and the
+	// statistics of every executed node.
+	run *exec.PlanResult
+	mat map[*logical.Node]bool
 }
 
 // Table returns the computed result table (available before Commit; the
 // hedge verifies it byte-identical to the other racer's output).
-func (p *Pending) Table() *storage.Table { return p.out }
+func (p *Pending) Table() *storage.Table { return p.run.Root }
 
 // Plan returns the plan whose compute finished (the rewritten HV fallback
 // plan; the commit path books its views from it).
@@ -251,52 +252,22 @@ func (p *Pending) Plan() *logical.Node { return p.plan }
 // BeginExecute runs only the compute phase of the plan: real tuples
 // through the exec engine, charged to the memory ledger ctx carries
 // (govern.WithLedger; none means unmetered), with cooperative cancellation
-// at every stage boundary and morsel claim. It performs no injector draws,
-// mutates no store state and reads no per-query state from the store, so
-// concurrent BeginExecute calls are safe alongside a serialized query
-// stream and an abandoned Pending costs nothing.
+// at every stage boundary and morsel claim. Only the materialized nodes —
+// the job outputs — become tables; a job's map side runs as one fused pass
+// (exec.RunPlan). It performs no injector draws, mutates no store state and
+// reads no per-query state from the store, so concurrent BeginExecute calls
+// are safe alongside a serialized query stream and an abandoned Pending
+// costs nothing.
 func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending, error) {
 	env := s.Env()
 	env.Ctx = ctx
 	env.Mem = govern.LedgerFrom(ctx)
 	mat := MaterializedNodes(plan)
-	tables := map[*logical.Node]*storage.Table{}
-
-	var run func(n *logical.Node) (*storage.Table, error)
-	run = func(n *logical.Node) (*storage.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hv: abandoned: %w", err)
-		}
-		var inputs []*storage.Table
-		switch n.Kind {
-		case logical.KindExtract, logical.KindViewScan:
-		default:
-			for _, c := range n.Children {
-				t, err := run(c)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, t)
-			}
-		}
-		t, err := exec.RunNode(n, env, inputs)
-		if err != nil {
-			return nil, err
-		}
-		// Materialized intermediates are the query's working set: charge
-		// their real (raw) bytes to the ledger. The multistore releases
-		// the whole ledger when the query ends.
-		if err := env.Mem.Reserve(t.RawBytes()); err != nil {
-			return nil, err
-		}
-		tables[n] = t
-		return t, nil
-	}
-	out, err := run(plan)
+	run, err := exec.RunPlan(plan, env, func(n *logical.Node) bool { return mat[n] })
 	if err != nil {
 		return nil, fmt.Errorf("hv: executing plan: %w", err)
 	}
-	return &Pending{s: s, plan: plan, out: out, tables: tables, mat: mat}, nil
+	return &Pending{s: s, plan: plan, run: run, mat: mat}, nil
 }
 
 // Commit performs the deferred bookkeeping of a computed execution, in the
@@ -307,34 +278,30 @@ func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending,
 // hedge shadow at the point the serial fallback would have executed yields
 // byte-identical state.
 func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
-	s, tables, mat, out := p.s, p.tables, p.mat, p.out
+	s, mat, nodeStats, tables := p.s, p.mat, p.run.Stats, p.run.Tables
 
-	// Iterate every map in signature order: float accumulation and view
-	// capture must not depend on Go's randomized map iteration, or two
-	// identical runs drift by an ULP and the durable digest diverges.
-	sortedNodes := func(m map[*logical.Node]*storage.Table) []*logical.Node {
-		ns := make([]*logical.Node, 0, len(m))
-		for n := range m {
-			ns = append(ns, n)
-		}
-		sort.SliceStable(ns, func(i, j int) bool { return ns[i].Signature() < ns[j].Signature() })
-		return ns
+	// Iterate in signature order: float accumulation and view capture must
+	// not depend on Go's randomized map iteration, or two identical runs
+	// drift by an ULP and the durable digest diverges.
+	allNodes := make([]*logical.Node, 0, len(nodeStats))
+	for n := range nodeStats {
+		allNodes = append(allNodes, n)
 	}
-	allNodes := sortedNodes(tables)
+	sort.SliceStable(allNodes, func(i, j int) bool { return allNodes[i].Signature() < allNodes[j].Signature() })
 	matNodes := make([]*logical.Node, 0, len(mat))
 	for _, n := range allNodes {
-		if _, ok := mat[n]; ok {
+		if mat[n] {
 			matNodes = append(matNodes, n)
 		}
 	}
 
-	// Record truth for every computed subtree.
+	// Record truth for every computed subtree, built or fused.
 	for _, n := range allNodes {
-		t := tables[n]
-		s.est.Record(n.Signature(), stats.Stat{Rows: int64(t.NumRows()), Bytes: t.LogicalBytes()})
+		st := nodeStats[n]
+		s.est.Record(n.Signature(), stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
 	}
 
-	res := &Result{Table: out}
+	res := &Result{Table: p.run.Root}
 	size := func(n *logical.Node) int64 {
 		if n.Kind == logical.KindScan {
 			log, err := s.cat.Log(n.LogName)
@@ -343,8 +310,8 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 			}
 			return log.LogicalBytes()
 		}
-		if t, ok := tables[n]; ok {
-			return t.LogicalBytes()
+		if st, ok := nodeStats[n]; ok {
+			return st.LogicalBytes()
 		}
 		if v, ok := s.Views.Get(n.ViewName); ok {
 			return v.SizeBytes()

@@ -93,12 +93,16 @@ func (t *Table) RawBytes() int64 { return t.bytes }
 
 // LogicalBytes returns the scaled size used by the cost model: RawBytes
 // multiplied by the table's ScaleFactor (default 1).
-func (t *Table) LogicalBytes() int64 {
-	sf := t.ScaleFactor
-	if sf <= 0 {
-		sf = 1
+func (t *Table) LogicalBytes() int64 { return ScaleBytes(t.bytes, t.ScaleFactor) }
+
+// ScaleBytes is the logical size of raw measured bytes under a table's
+// scale factor (<= 0 counts as 1). Anything that reports a size for a table
+// it did not build must go through it, so the truncation is the same.
+func ScaleBytes(raw int64, scaleFactor float64) int64 {
+	if scaleFactor <= 0 {
+		scaleFactor = 1
 	}
-	return int64(float64(t.bytes) * sf)
+	return int64(float64(raw) * scaleFactor)
 }
 
 // AvgRowBytes returns the mean serialized row size, or 0 for empty tables.
