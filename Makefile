@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race loc bench microbench chaos soak serve crash govern scenarios endurance cache lint
+.PHONY: tier1 build vet test race loc traffic bench microbench chaos soak serve crash govern scenarios endurance cache lint
 
 # tier1 is the gate every change must pass: gofmt-clean sources, clean
 # build, vet, and the full test suite under the race detector.
@@ -31,6 +31,34 @@ loc:
 		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 	@printf '%6d total\n' $$(find cmd internal miso -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+
+# traffic reports what the programs we ship actually execute: the two CLIs
+# and the end-to-end benchmark are built with coverage counters on every
+# miso package, run over the paper's figures, every extension mode, one
+# warmed query with reuse, checkpoints and the audit on, and all five
+# benchmark workloads (traced and untraced), and the merged counters are
+# printed as the functions never entered and the unreached statements per
+# file. It is the measurement a simplicity PR's "no traffic" claim is read
+# from; it is a report, not a gate (a mode that fails its checks under the
+# slower instrumented build still counts). miso/bench/ lines are dropped
+# because `go tool cover` cannot resolve that module from the root.
+traffic:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/cov" && \
+	$(GO) build -cover -coverpkg=miso/... -o "$$d/misobench" ./cmd/misobench && \
+	$(GO) build -cover -coverpkg=miso/... -o "$$d/misoquery" ./cmd/misoquery && \
+	$(GO) build -C bench -cover -coverpkg=miso/... -o "$$d/bench" . && \
+	{ export GOCOVERDIR="$$d/cov"; \
+	  "$$d/misobench" -all -scale small; \
+	  "$$d/misobench" -mode chaos,crash,bench,benchgov,serve,scenarios,cache,endurance -scale small; \
+	  "$$d/misoquery" -name A3v2 -warm -reuse -checkpointevery 4 -audit; \
+	  "$$d/bench" -quick -trace both -tracedir "$$d/trace"; } >"$$d/run.log" 2>&1; \
+	$(GO) tool covdata textfmt -i="$$d/cov" -o "$$d/all.txt" && \
+	grep -v '^miso/bench/' "$$d/all.txt" >"$$d/cover.txt" && \
+	echo "functions the traffic never enters:" && \
+	$(GO) tool cover -func="$$d/cover.txt" | awk '$$NF == "0.0%" { print "  " $$1, $$2 }' && \
+	echo "unreached statements per file (unreached / total):" && \
+	awk 'NR > 1 { f = $$1; sub(/:.*/, "", f); tot[f] += $$2; if (!$$3) miss[f] += $$2 } \
+	     END { for (f in miss) printf "%6d / %-6d %s\n", miss[f], tot[f], f }' "$$d/cover.txt" | sort -k1,1nr -k4
 
 # bench runs the reproducible benchmark pipelines — the tuner pipeline
 # (what-if costing at several worker counts, the knapsack DP, a short
@@ -68,8 +96,8 @@ govern:
 # closed-loop tenants with think time, bit-rot injection (SiteViewRot),
 # and the self-healing background scrubber; fails unless every acceptance
 # check holds. Add -out <dir> to write BENCH_endurance.json (the same for
-# scenarios and cache below); without it nothing is written, so a local run
-# does not overwrite the committed BENCH_*.json.
+# scenarios and cache below); without it nothing is written. The reports
+# are CI artifacts: none is committed, and .gitignore keeps `-out .` clean.
 endurance:
 	$(GO) run ./cmd/misobench -mode endurance -scale small
 

@@ -113,17 +113,17 @@ func main() {
 	var fig4 *experiments.Fig4Result
 
 	registry := []mode{
-		{"fig3", "Figure 3: per-query HV vs DW execution profile", "", plain(experiments.Fig3)},
+		{"fig3", "Figure 3: cost profile of every split plan for A1v1", "", plain(experiments.Fig3)},
 		{"fig3.2", "Section 3.2: the two-query transfer experiment", "", plain(experiments.Sec32)},
 		{"fig4", "Figure 4: five-variant TTI comparison", "", func(cfg experiments.Config) (report, error) {
 			r, err := experiments.Fig4(cfg)
 			fig4 = r
 			return r, err
 		}},
-		{"fig5", "Figure 5: TTI speedup over HV-OP", "", func(cfg experiments.Config) (report, error) {
+		{"fig5", "Figure 5: cumulative TTI and query-time distribution CDFs", "", func(cfg experiments.Config) (report, error) {
 			return experiments.Fig5(cfg, fig4)
 		}},
-		{"fig6", "Figure 6: per-query time across the evolving workload", "", func(cfg experiments.Config) (report, error) {
+		{"fig6", "Figure 6: per-query store utilization, MS-BASIC vs MS-MISO", "", func(cfg experiments.Config) (report, error) {
 			names := make([]string, 0, 32)
 			for _, q := range workload.Evolving() {
 				names = append(names, q.Name)
@@ -131,8 +131,8 @@ func main() {
 			return experiments.Fig6(cfg, names)
 		}},
 		{"fig7", "Figure 7: tuning policy comparison", "", plain(experiments.Fig7)},
-		{"fig8", "Figure 8: transfer budget sensitivity", "", plain(experiments.Fig8)},
-		{"fig9", "Figure 9: storage budget sensitivity", "", plain(experiments.Fig9)},
+		{"fig8", "Figure 8: TTI vs view storage budget, Bt held constant", "", plain(experiments.Fig8)},
+		{"fig9", "Figure 9: MS-MISO replayed on a DW with 40% spare IO", "", plain(experiments.Fig9)},
 		{"table2", "Table 2: mutual impact of sharing the DW", "", plain(experiments.Table2)},
 		{"order", "workload order sensitivity (extension)", "", plain(experiments.OrderSensitivity)},
 		{"chaos", "fault-injection sweep (robustness extension)", "", plain(experiments.Chaos)},

@@ -81,9 +81,9 @@ type fusedStage struct {
 // pool worker.
 type fusedWorker struct {
 	batches []*expr.Batch
-	preds   []expr.BatchCompiled // by stage index; nil unless Filter
-	projs   [][]projEval         // by stage index; nil unless Project
-	groups  []expr.BatchCompiled // aggregate group keys (top stage only)
+	preds   []expr.BatchCompiled   // by stage index; nil unless Filter
+	projs   [][]expr.BatchCompiled // by stage index; nil unless Project
+	groups  []expr.BatchCompiled   // aggregate group keys (top stage only)
 	sel     []int32
 	scan    *scanBuf
 }
@@ -92,7 +92,7 @@ func newFusedWorker(stages []fusedStage, segs []*storage.Schema, morselRows int)
 	fw := &fusedWorker{
 		batches: make([]*expr.Batch, len(segs)),
 		preds:   make([]expr.BatchCompiled, len(stages)),
-		projs:   make([][]projEval, len(stages)),
+		projs:   make([][]expr.BatchCompiled, len(stages)),
 		sel:     make([]int32, 0, morselRows),
 	}
 	for i, s := range segs {
@@ -108,7 +108,7 @@ func newFusedWorker(stages []fusedStage, segs []*storage.Schema, morselRows int)
 			}
 			fw.preds[si] = c
 		case logical.KindProject:
-			evals, err := compileProjEvals(st.node.Projs, in)
+			evals, err := compileProjs(st.node.Projs, in)
 			if err != nil {
 				return nil, err
 			}

@@ -89,33 +89,15 @@ func appendBlocks(env *Env, out *storage.Table, chunks [][]storage.Row, sizes []
 	return out, nil
 }
 
-// projEval is one projection column's evaluator. Expressions that compile
-// to batch kernels end-to-end evaluate vectorized; expressions containing
-// a function call evaluate row-at-a-time directly into the output — for
-// them a vector round-trip would only add copying on top of the same
-// per-row work.
-type projEval struct {
-	batch expr.BatchCompiled
-	row   expr.Compiled
-}
-
-// compileProjEvals compiles one projection list for one worker.
-func compileProjEvals(projs []logical.Proj, schema *storage.Schema) ([]projEval, error) {
-	evals := make([]projEval, len(projs))
+// compileProjs compiles one projection list for one worker.
+func compileProjs(projs []logical.Proj, schema *storage.Schema) ([]expr.BatchCompiled, error) {
+	evals := make([]expr.BatchCompiled, len(projs))
 	for i, p := range projs {
-		if expr.HasFunc(p.Expr) {
-			c, err := expr.Compile(p.Expr, schema)
-			if err != nil {
-				return nil, err
-			}
-			evals[i].row = c
-			continue
-		}
 		c, err := expr.CompileBatch(p.Expr, schema)
 		if err != nil {
 			return nil, err
 		}
-		evals[i].batch = c
+		evals[i] = c
 	}
 	return evals, nil
 }
@@ -123,27 +105,16 @@ func compileProjEvals(projs []logical.Proj, schema *storage.Schema) ([]projEval,
 // materializeBatch evaluates the projection list over (b, sel) and carves
 // the output rows out of one flat value slice. The rows alias the slice;
 // they are immutable once returned, like every materialized row.
-func materializeBatch(b *expr.Batch, sel []int32, evals []projEval, width int) []storage.Row {
+func materializeBatch(b *expr.Batch, sel []int32, evals []expr.BatchCompiled, width int) []storage.Row {
 	nOut := b.Len()
 	if sel != nil {
 		nOut = len(sel)
 	}
 	flat := make([]storage.Value, nOut*width)
-	inRows := b.Rows()
-	for k := range evals {
-		if ev := evals[k].batch; ev != nil {
-			vec := ev(b, sel)
-			for j := 0; j < nOut; j++ {
-				flat[j*width+k] = vec.Value(j)
-			}
-		} else if sel == nil {
-			for j := 0; j < nOut; j++ {
-				flat[j*width+k] = evals[k].row(inRows[j])
-			}
-		} else {
-			for j, i := range sel {
-				flat[j*width+k] = evals[k].row(inRows[i])
-			}
+	for k, ev := range evals {
+		vec := ev(b, sel)
+		for j := 0; j < nOut; j++ {
+			flat[j*width+k] = vec.Value(j)
 		}
 	}
 	rows := make([]storage.Row, nOut)

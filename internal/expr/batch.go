@@ -40,9 +40,6 @@ func (b *Batch) Reset(rows []storage.Row) {
 	}
 }
 
-// Rows returns the current row window.
-func (b *Batch) Rows() []storage.Row { return b.rows }
-
 // Len returns the number of rows in the window.
 func (b *Batch) Len() int { return len(b.rows) }
 
@@ -71,21 +68,90 @@ type BatchCompiled func(b *Batch, sel []int32) *storage.Vector
 
 // CompileBatch binds e to the schema and returns a batch evaluator that
 // computes, for every row, exactly the value Compile's row evaluator would.
-// Comparisons, arithmetic, boolean connectives, LIKE, IN, IS NULL, negation
-// and constants run as vectorized per-kind kernels; subtrees the compiler
-// cannot vectorize — user-defined function calls, and connectives whose
-// operands contain them (to preserve short-circuit evaluation around
-// non-builtin code) — fall back to the row evaluator, batched over the
-// selection.
+// Compile is the one definition of the language; CompileBatch accelerates
+// the shapes the benchmark's traffic compiles and hands every other node to
+// the row evaluator, batched over the selection (scalarFallback):
+//
+//   - a column reference (the batch's vector, gathered under a selection);
+//   - <subtree> <cmp> <literal constant>, the constant on the right;
+//   - AND / OR with no function call on either side (the row evaluator
+//     short-circuits, so a call must not run unconditionally);
+//   - IN / NOT IN over literal constants.
+//
+// A kernel's operands compile recursively, so a fallback subtree can sit
+// under a kernel and the other way round. A new kernel lands together with
+// a BENCHMARK.json workload whose traffic compiles its shape.
 func CompileBatch(e Expr, schema *storage.Schema) (BatchCompiled, error) {
-	if _, already := e.(*Const); !already && isConstExpr(e) {
-		c, err := Compile(e, schema)
+	switch v := e.(type) {
+	case *ColRef:
+		idx := schema.Index(v.Name)
+		if idx < 0 {
+			return nil, fmt.Errorf("expr: unknown column %q in schema %s", v.Name, schema)
+		}
+		kind := schema.Columns[idx].Type
+		out := &storage.Vector{}
+		return func(b *Batch, sel []int32) *storage.Vector {
+			if sel == nil {
+				return b.Col(idx)
+			}
+			if b.built[idx] {
+				out.Gather(&b.cols[idx], sel)
+				return out
+			}
+			out.FromRowsSel(b.rows, idx, kind, sel)
+			return out
+		}, nil
+	case *BinOp:
+		switch v.Op {
+		case "AND", "OR":
+			if containsFunc(v.L) || containsFunc(v.R) {
+				break
+			}
+			l, err := CompileBatch(v.L, schema)
+			if err != nil {
+				return nil, err
+			}
+			r, err := CompileBatch(v.R, schema)
+			if err != nil {
+				return nil, err
+			}
+			return logicKernel(v.Op, l, r), nil
+		case "=", "!=", "<", "<=", ">", ">=":
+			c, ok := v.R.(*Const)
+			if !ok {
+				break
+			}
+			l, err := CompileBatch(v.L, schema)
+			if err != nil {
+				return nil, err
+			}
+			return compareConstKernel(v.Op, l, c.Val), nil
+		}
+	case *In:
+		items, ok := constValues(v.Items)
+		if !ok {
+			break
+		}
+		in, err := CompileBatch(v.E, schema)
 		if err != nil {
 			return nil, err
 		}
-		return broadcastKernel(c(nil)), nil
+		return inConstKernel(in, items, v.Neg), nil
 	}
-	return compileBatchNode(e, schema)
+	return scalarFallback(e, schema)
+}
+
+// constValues returns the items' values when every item is a literal.
+func constValues(items []Expr) ([]storage.Value, bool) {
+	vals := make([]storage.Value, len(items))
+	for i, it := range items {
+		c, ok := it.(*Const)
+		if !ok {
+			return nil, false
+		}
+		vals[i] = c.Val
+	}
+	return vals, true
 }
 
 // RefineSelection compacts sel to the entries whose corresponding element
@@ -101,13 +167,8 @@ func RefineSelection(sel []int32, v *storage.Vector) []int32 {
 	return out
 }
 
-// HasFunc reports whether e contains a function call (builtin or UDF)
-// anywhere in its tree. Such expressions cannot be fully vectorized —
-// CompileBatch routes them through a row-at-a-time fallback — so operators
-// that materialize per-row results anyway may prefer the plain Compile
-// path for them and skip the vector round-trip.
-func HasFunc(e Expr) bool { return containsFunc(e) }
-
+// containsFunc reports whether e contains a function call (builtin or UDF)
+// anywhere in its tree.
 func containsFunc(e Expr) bool {
 	found := false
 	e.Walk(func(x Expr) {
@@ -116,26 +177,6 @@ func containsFunc(e Expr) bool {
 		}
 	})
 	return found
-}
-
-// constValueOf folds a row-independent subtree to its value at compile
-// time. It mirrors Compile's folding rule: function calls never fold.
-func constValueOf(e Expr, schema *storage.Schema) (storage.Value, bool) {
-	if !isConstExpr(e) {
-		return storage.Null, false
-	}
-	c, err := Compile(e, schema)
-	if err != nil {
-		return storage.Null, false
-	}
-	return c(nil), true
-}
-
-func selLen(b *Batch, sel []int32) int {
-	if sel == nil {
-		return b.Len()
-	}
-	return len(sel)
 }
 
 // truthAt returns (isNull, truthy) for element i under Value.Bool
@@ -169,15 +210,6 @@ func isNumericKind(k storage.Kind) bool {
 	}
 }
 
-// typedFloat reads the float64 image of a non-NULL element of a typed
-// numeric vector — the same image Compare and HashInto use.
-func typedFloat(v *storage.Vector, i int) float64 {
-	if v.Kind() == storage.KindFloat {
-		return v.Floats[i]
-	}
-	return float64(v.Ints[i])
-}
-
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -206,206 +238,18 @@ func cmpHolds(op string, c int) bool {
 	}
 }
 
-func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
-	switch v := e.(type) {
-	case *ColRef:
-		idx := schema.Index(v.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("expr: unknown column %q in schema %s", v.Name, schema)
-		}
-		kind := schema.Columns[idx].Type
-		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			if sel == nil {
-				return b.Col(idx)
-			}
-			if b.built[idx] {
-				out.Gather(&b.cols[idx], sel)
-				return out
-			}
-			out.FromRowsSel(b.rows, idx, kind, sel)
-			return out
-		}, nil
-	case *Const:
-		return broadcastKernel(v.Val), nil
-	case *BinOp:
-		return compileBatchBinOp(v, schema)
-	case *Not:
-		in, err := compileBatchNode(v.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
-			n := x.Len()
-			out.Reset(storage.KindBool)
-			for i := 0; i < n; i++ {
-				if null, t := truthAt(x, i); null {
-					out.AppendNull()
-				} else {
-					out.AppendBool(!t)
-				}
-			}
-			return out
-		}, nil
-	case *Neg:
-		in, err := compileBatchNode(v.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
-			n := x.Len()
-			if !x.Generic() {
-				switch x.Kind() {
-				case storage.KindInt:
-					out.Reset(storage.KindInt)
-					for i, xi := range x.Ints {
-						if x.NullAt(i) {
-							out.AppendNull()
-						} else {
-							out.AppendInt(-xi)
-						}
-					}
-					return out
-				case storage.KindFloat:
-					out.Reset(storage.KindFloat)
-					for i, xf := range x.Floats {
-						if x.NullAt(i) {
-							out.AppendNull()
-						} else {
-							out.AppendFloat(-xf)
-						}
-					}
-					return out
-				}
-			}
-			// Generic storage, or a kind whose negation is NULL.
-			out.Reset(storage.KindNull)
-			for i := 0; i < n; i++ {
-				xv := x.Value(i)
-				switch xv.Kind {
-				case storage.KindInt:
-					out.Append(storage.IntValue(-xv.I))
-				case storage.KindFloat:
-					out.Append(storage.FloatValue(-xv.F))
-				default:
-					out.AppendNull()
-				}
-			}
-			return out
-		}, nil
-	case *IsNull:
-		in, err := compileBatchNode(v.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		neg := v.Neg
-		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
-			n := x.Len()
-			out.Reset(storage.KindBool)
-			for i := 0; i < n; i++ {
-				isNull := x.NullAt(i)
-				if neg {
-					isNull = !isNull
-				}
-				out.AppendBool(isNull)
-			}
-			return out
-		}, nil
-	case *In:
-		// The row evaluator probes items lazily, so function calls inside
-		// the item list must keep their short-circuit behaviour.
-		for _, it := range v.Items {
-			if containsFunc(it) {
-				return scalarFallback(e, schema)
-			}
-		}
-		in, err := compileBatchNode(v.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		var constItems []storage.Value
-		var dynItems []BatchCompiled
-		for _, it := range v.Items {
-			if cv, ok := constValueOf(it, schema); ok {
-				constItems = append(constItems, cv)
-				continue
-			}
-			c, err := compileBatchNode(it, schema)
-			if err != nil {
-				return nil, err
-			}
-			dynItems = append(dynItems, c)
-		}
-		neg := v.Neg
-		out := &storage.Vector{}
-		dynVecs := make([]*storage.Vector, len(dynItems))
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
-			n := x.Len()
-			for k, it := range dynItems {
-				dynVecs[k] = it(b, sel)
-			}
-			out.Reset(storage.KindBool)
-			for i := 0; i < n; i++ {
-				xv := x.Value(i)
-				if xv.IsNull() {
-					out.AppendNull()
-					continue
-				}
-				found := false
-				for _, cv := range constItems {
-					if storage.Equal(xv, cv) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					for _, dv := range dynVecs {
-						if storage.Equal(xv, dv.Value(i)) {
-							found = true
-							break
-						}
-					}
-				}
-				if neg {
-					found = !found
-				}
-				out.AppendBool(found)
-			}
-			return out
-		}, nil
-	case *Func:
-		return scalarFallback(e, schema)
-	default:
-		return nil, fmt.Errorf("expr: cannot compile %T", e)
-	}
-}
+// fallbackHook, when a test sets it, is told every node CompileBatch hands
+// to the row evaluator.
+var fallbackHook func(Expr)
 
-// broadcastKernel fills its scratch vector with one value per selected row.
-func broadcastKernel(val storage.Value) BatchCompiled {
-	out := &storage.Vector{}
-	kind := val.Kind
-	return func(b *Batch, sel []int32) *storage.Vector {
-		n := selLen(b, sel)
-		out.Reset(kind)
-		for i := 0; i < n; i++ {
-			out.Append(val)
-		}
-		return out
-	}
-}
-
-// scalarFallback wraps the row evaluator for subtrees the vectorizer does
-// not handle. The result vector declares the statically inferred kind and
+// scalarFallback wraps the row evaluator for every node CompileBatch has no
+// kernel for. The result vector declares the statically inferred kind and
 // degrades to generic storage if runtime values disagree, so values
 // round-trip exactly either way.
 func scalarFallback(e Expr, schema *storage.Schema) (BatchCompiled, error) {
+	if fallbackHook != nil {
+		fallbackHook(e)
+	}
 	row, err := Compile(e, schema)
 	if err != nil {
 		return nil, err
@@ -430,92 +274,9 @@ func scalarFallback(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 	}, nil
 }
 
-func compileBatchBinOp(v *BinOp, schema *storage.Schema) (BatchCompiled, error) {
-	switch v.Op {
-	case "AND", "OR":
-		// The row evaluator short-circuits, so a function call on either
-		// side must not be batch-evaluated unconditionally.
-		if containsFunc(v.L) || containsFunc(v.R) {
-			return scalarFallback(v, schema)
-		}
-		l, err := compileBatchNode(v.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileBatchNode(v.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		return logicKernel(v.Op, l, r), nil
-	case "=", "!=", "<", "<=", ">", ">=":
-		if cv, ok := constValueOf(v.R, schema); ok {
-			l, err := compileBatchNode(v.L, schema)
-			if err != nil {
-				return nil, err
-			}
-			return compareConstKernel(v.Op, l, cv, false), nil
-		}
-		if cv, ok := constValueOf(v.L, schema); ok {
-			r, err := compileBatchNode(v.R, schema)
-			if err != nil {
-				return nil, err
-			}
-			return compareConstKernel(v.Op, r, cv, true), nil
-		}
-		l, err := compileBatchNode(v.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileBatchNode(v.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		return compareVecKernel(v.Op, l, r), nil
-	case "LIKE":
-		l, err := compileBatchNode(v.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		if cv, ok := constValueOf(v.R, schema); ok {
-			return likeConstKernel(l, cv), nil
-		}
-		r, err := compileBatchNode(v.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		return likeVecKernel(l, r), nil
-	case "+", "-", "*", "/", "%":
-		if cv, ok := constValueOf(v.R, schema); ok {
-			l, err := compileBatchNode(v.L, schema)
-			if err != nil {
-				return nil, err
-			}
-			return arithConstKernel(v.Op, l, cv, false), nil
-		}
-		if cv, ok := constValueOf(v.L, schema); ok {
-			r, err := compileBatchNode(v.R, schema)
-			if err != nil {
-				return nil, err
-			}
-			return arithConstKernel(v.Op, r, cv, true), nil
-		}
-		l, err := compileBatchNode(v.L, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileBatchNode(v.R, schema)
-		if err != nil {
-			return nil, err
-		}
-		return arithVecKernel(v.Op, l, r), nil
-	default:
-		return nil, fmt.Errorf("expr: unknown operator %q", v.Op)
-	}
-}
-
 // logicKernel evaluates AND/OR with the row evaluator's three-valued
 // semantics. Both sides are evaluated for the whole batch — safe because
-// function calls were excluded above and all remaining node kinds are pure.
+// CompileBatch excluded function calls and all remaining node kinds are pure.
 func logicKernel(op string, l, r BatchCompiled) BatchCompiled {
 	isAnd := op == "AND"
 	out := &storage.Vector{}
@@ -551,7 +312,37 @@ func logicKernel(op string, l, r BatchCompiled) BatchCompiled {
 	}
 }
 
-func compareConstKernel(op string, child BatchCompiled, cv storage.Value, reversed bool) BatchCompiled {
+// inConstKernel evaluates IN / NOT IN against a list of constants: NULL for
+// a NULL operand, otherwise whether any item is Equal to it.
+func inConstKernel(in BatchCompiled, items []storage.Value, neg bool) BatchCompiled {
+	out := &storage.Vector{}
+	return func(b *Batch, sel []int32) *storage.Vector {
+		x := in(b, sel)
+		n := x.Len()
+		out.Reset(storage.KindBool)
+		for i := 0; i < n; i++ {
+			xv := x.Value(i)
+			if xv.IsNull() {
+				out.AppendNull()
+				continue
+			}
+			found := false
+			for _, cv := range items {
+				if storage.Equal(xv, cv) {
+					found = true
+					break
+				}
+			}
+			out.AppendBool(found != neg)
+		}
+		return out
+	}
+}
+
+// compareConstKernel compares every element of child with the constant cv:
+// typed numeric and string vectors on their native slices, generic or
+// mixed-kind ones through storage.Compare. NULL on either side gives NULL.
+func compareConstKernel(op string, child BatchCompiled, cv storage.Value) BatchCompiled {
 	out := &storage.Vector{}
 	return func(b *Batch, sel []int32) *storage.Vector {
 		x := child(b, sel)
@@ -573,11 +364,7 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 							out.AppendNull()
 							continue
 						}
-						c := cmpFloat(xf, cf)
-						if reversed {
-							c = -c
-						}
-						out.AppendBool(cmpHolds(op, c))
+						out.AppendBool(cmpHolds(op, cmpFloat(xf, cf)))
 					}
 				} else {
 					for i, xi := range x.Ints {
@@ -585,11 +372,7 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 							out.AppendNull()
 							continue
 						}
-						c := cmpFloat(float64(xi), cf)
-						if reversed {
-							c = -c
-						}
-						out.AppendBool(cmpHolds(op, c))
+						out.AppendBool(cmpHolds(op, cmpFloat(float64(xi), cf)))
 					}
 				}
 				return out
@@ -607,9 +390,6 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 					case s > cs:
 						c = 1
 					}
-					if reversed {
-						c = -c
-					}
 					out.AppendBool(cmpHolds(op, c))
 				}
 				return out
@@ -621,286 +401,7 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 				out.AppendNull()
 				continue
 			}
-			var c int
-			if reversed {
-				c = storage.Compare(cv, xv)
-			} else {
-				c = storage.Compare(xv, cv)
-			}
-			out.AppendBool(cmpHolds(op, c))
-		}
-		return out
-	}
-}
-
-func compareVecKernel(op string, l, r BatchCompiled) BatchCompiled {
-	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
-		n := lv.Len()
-		out.Reset(storage.KindBool)
-		if !lv.Generic() && !rv.Generic() &&
-			isNumericKind(lv.Kind()) && isNumericKind(rv.Kind()) {
-			for i := 0; i < n; i++ {
-				if lv.NullAt(i) || rv.NullAt(i) {
-					out.AppendNull()
-					continue
-				}
-				out.AppendBool(cmpHolds(op, cmpFloat(typedFloat(lv, i), typedFloat(rv, i))))
-			}
-			return out
-		}
-		if !lv.Generic() && !rv.Generic() &&
-			lv.Kind() == storage.KindString && rv.Kind() == storage.KindString {
-			for i := 0; i < n; i++ {
-				if lv.NullAt(i) || rv.NullAt(i) {
-					out.AppendNull()
-					continue
-				}
-				a, bs := lv.Strs[i], rv.Strs[i]
-				c := 0
-				switch {
-				case a < bs:
-					c = -1
-				case a > bs:
-					c = 1
-				}
-				out.AppendBool(cmpHolds(op, c))
-			}
-			return out
-		}
-		for i := 0; i < n; i++ {
-			a, bv := lv.Value(i), rv.Value(i)
-			if a.IsNull() || bv.IsNull() {
-				out.AppendNull()
-				continue
-			}
-			out.AppendBool(cmpHolds(op, storage.Compare(a, bv)))
-		}
-		return out
-	}
-}
-
-func likeConstKernel(l BatchCompiled, cv storage.Value) BatchCompiled {
-	out := &storage.Vector{}
-	pattern := cv.String()
-	constNull := cv.IsNull()
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		n := lv.Len()
-		out.Reset(storage.KindBool)
-		if constNull {
-			for i := 0; i < n; i++ {
-				out.AppendNull()
-			}
-			return out
-		}
-		if !lv.Generic() && lv.Kind() == storage.KindString {
-			for i, s := range lv.Strs {
-				if lv.NullAt(i) {
-					out.AppendNull()
-				} else {
-					out.AppendBool(likeMatch(s, pattern))
-				}
-			}
-			return out
-		}
-		for i := 0; i < n; i++ {
-			xv := lv.Value(i)
-			if xv.IsNull() {
-				out.AppendNull()
-			} else {
-				out.AppendBool(likeMatch(xv.String(), pattern))
-			}
-		}
-		return out
-	}
-}
-
-func likeVecKernel(l, r BatchCompiled) BatchCompiled {
-	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
-		n := lv.Len()
-		out.Reset(storage.KindBool)
-		for i := 0; i < n; i++ {
-			a, p := lv.Value(i), rv.Value(i)
-			if a.IsNull() || p.IsNull() {
-				out.AppendNull()
-				continue
-			}
-			out.AppendBool(likeMatch(a.String(), p.String()))
-		}
-		return out
-	}
-}
-
-// arithFloat applies a float-path arithmetic op with the row evaluator's
-// zero-divide and modulo semantics. ok=false means NULL.
-func arithFloat(op string, af, bf float64) (float64, bool) {
-	switch op {
-	case "+":
-		return af + bf, true
-	case "-":
-		return af - bf, true
-	case "*":
-		return af * bf, true
-	case "/":
-		if bf == 0 {
-			return 0, false
-		}
-		return af / bf, true
-	case "%":
-		if bf == 0 {
-			return 0, false
-		}
-		return float64(int64(af) % int64(bf)), true
-	default:
-		return 0, false
-	}
-}
-
-func arithConstKernel(op string, child BatchCompiled, cv storage.Value, reversed bool) BatchCompiled {
-	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		x := child(b, sel)
-		n := x.Len()
-		if cv.IsNull() {
-			out.Reset(storage.KindNull)
-			for i := 0; i < n; i++ {
-				out.AppendNull()
-			}
-			return out
-		}
-		if !x.Generic() {
-			// Int×int stays in int64 (wrapping), exactly like arith's fast
-			// path; everything else numeric goes through the float image.
-			if x.Kind() == storage.KindInt && cv.Kind == storage.KindInt && op != "/" {
-				ci := cv.I
-				out.Reset(storage.KindInt)
-				for i, xi := range x.Ints {
-					if x.NullAt(i) {
-						out.AppendNull()
-						continue
-					}
-					a, bi := xi, ci
-					if reversed {
-						a, bi = ci, xi
-					}
-					switch op {
-					case "+":
-						out.AppendInt(a + bi)
-					case "-":
-						out.AppendInt(a - bi)
-					case "*":
-						out.AppendInt(a * bi)
-					case "%":
-						if bi == 0 {
-							out.AppendNull()
-						} else {
-							out.AppendInt(a % bi)
-						}
-					}
-				}
-				return out
-			}
-			if isNumericKind(x.Kind()) && isNumericKind(cv.Kind) {
-				cf, _ := cv.AsFloat()
-				out.Reset(storage.KindFloat)
-				for i := 0; i < n; i++ {
-					if x.NullAt(i) {
-						out.AppendNull()
-						continue
-					}
-					af, bf := typedFloat(x, i), cf
-					if reversed {
-						af, bf = cf, af
-					}
-					if f, ok := arithFloat(op, af, bf); ok {
-						out.AppendFloat(f)
-					} else {
-						out.AppendNull()
-					}
-				}
-				return out
-			}
-		}
-		// Generic path (mixed kinds, strings that may parse as numbers).
-		out.Reset(storage.KindNull)
-		for i := 0; i < n; i++ {
-			xv := x.Value(i)
-			if xv.IsNull() {
-				out.AppendNull()
-				continue
-			}
-			a, bv := xv, cv
-			if reversed {
-				a, bv = cv, xv
-			}
-			out.Append(arith(op, a, bv))
-		}
-		return out
-	}
-}
-
-func arithVecKernel(op string, l, r BatchCompiled) BatchCompiled {
-	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
-		n := lv.Len()
-		if !lv.Generic() && !rv.Generic() {
-			if lv.Kind() == storage.KindInt && rv.Kind() == storage.KindInt && op != "/" {
-				out.Reset(storage.KindInt)
-				for i, a := range lv.Ints {
-					if lv.NullAt(i) || rv.NullAt(i) {
-						out.AppendNull()
-						continue
-					}
-					bi := rv.Ints[i]
-					switch op {
-					case "+":
-						out.AppendInt(a + bi)
-					case "-":
-						out.AppendInt(a - bi)
-					case "*":
-						out.AppendInt(a * bi)
-					case "%":
-						if bi == 0 {
-							out.AppendNull()
-						} else {
-							out.AppendInt(a % bi)
-						}
-					}
-				}
-				return out
-			}
-			if isNumericKind(lv.Kind()) && isNumericKind(rv.Kind()) {
-				out.Reset(storage.KindFloat)
-				for i := 0; i < n; i++ {
-					if lv.NullAt(i) || rv.NullAt(i) {
-						out.AppendNull()
-						continue
-					}
-					if f, ok := arithFloat(op, typedFloat(lv, i), typedFloat(rv, i)); ok {
-						out.AppendFloat(f)
-					} else {
-						out.AppendNull()
-					}
-				}
-				return out
-			}
-		}
-		out.Reset(storage.KindNull)
-		for i := 0; i < n; i++ {
-			a, bv := lv.Value(i), rv.Value(i)
-			if a.IsNull() || bv.IsNull() {
-				out.AppendNull()
-				continue
-			}
-			out.Append(arith(op, a, bv))
+			out.AppendBool(cmpHolds(op, storage.Compare(xv, cv)))
 		}
 		return out
 	}

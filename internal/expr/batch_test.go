@@ -8,8 +8,8 @@ import (
 	"miso/internal/storage"
 )
 
-// batchTestSchema declares one column per kind plus a second int column so
-// vec-vec kernels get exercised. Columns deliberately hold occasional
+// batchTestSchema declares one column per kind plus a second int column for
+// column-against-column shapes. Columns deliberately hold occasional
 // off-kind values (via the mixed generator) to hit the generic paths.
 func batchTestSchema(t *testing.T) *storage.Schema {
 	t.Helper()
@@ -96,6 +96,15 @@ func batchTestExprs() map[string]Expr {
 		"const_fold":      bin("+", ic(2), ic(3)),
 		"const_null_cmp":  bin("=", col("i"), &Const{Val: storage.Null}),
 		"nested":          bin("AND", bin(">", bin("*", col("i"), ic(2)), col("j")), &IsNull{E: col("f"), Neg: true}),
+		// The kernel/fallback boundary: shapes the row evaluator serves
+		// sitting under and over the accelerated ones.
+		"fb_arith_under_cmp": bin("AND", bin(">", bin("+", col("i"), ic(1)), ic(3)), &In{E: col("s"), Items: []Expr{sc("en"), sc("es")}}),
+		"fb_not_under_or":    bin("OR", &Not{E: bin(">", col("i"), ic(1))}, bin("=", col("j"), ic(2))),
+		"fb_const_left":      bin("<", ic(5), col("i")),
+		"fb_in_dyn_item":     &In{E: col("i"), Items: []Expr{ic(1), col("j")}},
+		"fb_like_under_and":  bin("AND", bin("LIKE", col("s"), sc("m%")), bin(">=", col("i"), ic(0))),
+		"fb_neg_under_cmp":   bin("<", &Neg{E: col("i")}, ic(0)),
+		"fb_isnull_under_or": bin("OR", &IsNull{E: col("i")}, bin("=", col("i"), ic(1))),
 	}
 }
 

@@ -230,39 +230,3 @@ func AndAll(es []Expr) Expr {
 	}
 	return out
 }
-
-// Rename returns a copy of e with column names mapped through ren; names
-// absent from ren are kept.
-func Rename(e Expr, ren map[string]string) Expr {
-	switch v := e.(type) {
-	case *ColRef:
-		if n, ok := ren[v.Name]; ok {
-			return &ColRef{Name: n}
-		}
-		return &ColRef{Name: v.Name}
-	case *Const:
-		return v
-	case *BinOp:
-		return &BinOp{Op: v.Op, L: Rename(v.L, ren), R: Rename(v.R, ren)}
-	case *Not:
-		return &Not{E: Rename(v.E, ren)}
-	case *Neg:
-		return &Neg{E: Rename(v.E, ren)}
-	case *Func:
-		args := make([]Expr, len(v.Args))
-		for i, a := range v.Args {
-			args[i] = Rename(a, ren)
-		}
-		return &Func{Name: v.Name, Args: args}
-	case *IsNull:
-		return &IsNull{E: Rename(v.E, ren), Neg: v.Neg}
-	case *In:
-		items := make([]Expr, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = Rename(it, ren)
-		}
-		return &In{E: Rename(v.E, ren), Items: items, Neg: v.Neg}
-	default:
-		return e
-	}
-}

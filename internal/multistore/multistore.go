@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"miso/internal/core"
-	"miso/internal/data"
 	"miso/internal/durability"
 	"miso/internal/dw"
 	"miso/internal/exec"
@@ -477,20 +476,8 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	return s
 }
 
-// NewDefault builds a system with the default paper-scale dataset.
-func NewDefault(cfg Config) (*System, error) {
-	cat, err := data.Generate(data.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg, cat), nil
-}
-
 // Catalog returns the system's catalog.
 func (s *System) Catalog() *storage.Catalog { return s.cat }
-
-// Estimator exposes the shared statistics estimator.
-func (s *System) Estimator() *stats.Estimator { return s.est }
 
 // HV returns the big data store.
 func (s *System) HV() *hv.Store { return s.hv }
@@ -521,10 +508,6 @@ func (s *System) Metrics() Metrics {
 // FaultInjector returns the system's fault injector (nil when injection
 // is disabled); useful for inspecting injected-failure counts.
 func (s *System) FaultInjector() *faults.Injector { return s.inj }
-
-// ExecFaultInjector returns the separate injector arming the exec engine's
-// fault sites (nil when no exec-plane rates are configured).
-func (s *System) ExecFaultInjector() *faults.Injector { return s.execInj }
 
 // MemPool returns the server-wide execution-memory pool (nil when
 // MemPoolBytes is 0).

@@ -67,10 +67,6 @@ func (v *Vector) Kind() Kind { return v.kind }
 // Generic reports whether the vector degraded to generic []Value storage.
 func (v *Vector) Generic() bool { return v.generic }
 
-// AnyNull reports whether any element is NULL. Kernels use it to skip the
-// bitmap entirely on fully-valid vectors.
-func (v *Vector) AnyNull() bool { return v.anyNull }
-
 // NullAt reports whether element i is NULL.
 func (v *Vector) NullAt(i int) bool {
 	if v.generic {
@@ -162,28 +158,6 @@ func (v *Vector) AppendNull() {
 	v.n++
 }
 
-// AppendInt adds a non-NULL int element to an int vector.
-func (v *Vector) AppendInt(i int64) {
-	if v.generic || v.kind != KindInt {
-		v.Append(IntValue(i))
-		return
-	}
-	v.pushNullBit(false)
-	v.Ints = append(v.Ints, i)
-	v.n++
-}
-
-// AppendFloat adds a non-NULL float element to a float vector.
-func (v *Vector) AppendFloat(f float64) {
-	if v.generic || v.kind != KindFloat {
-		v.Append(FloatValue(f))
-		return
-	}
-	v.pushNullBit(false)
-	v.Floats = append(v.Floats, f)
-	v.n++
-}
-
 // AppendBool adds a non-NULL bool element to a bool vector.
 func (v *Vector) AppendBool(b bool) {
 	if v.generic || v.kind != KindBool {
@@ -196,17 +170,6 @@ func (v *Vector) AppendBool(b bool) {
 	} else {
 		v.Ints = append(v.Ints, 0)
 	}
-	v.n++
-}
-
-// AppendString adds a non-NULL string element to a string vector.
-func (v *Vector) AppendString(s string) {
-	if v.generic || v.kind != KindString {
-		v.Append(StringValue(s))
-		return
-	}
-	v.pushNullBit(false)
-	v.Strs = append(v.Strs, s)
 	v.n++
 }
 

@@ -269,15 +269,15 @@ func TestVectorNullsInto(t *testing.T) {
 func TestVectorResetReusesCapacity(t *testing.T) {
 	v := NewVector(KindInt)
 	for i := 0; i < 1024; i++ {
-		v.AppendInt(int64(i))
+		v.Append(IntValue(int64(i)))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		v.Reset(KindInt)
 		for i := 0; i < 1024; i++ {
-			v.AppendInt(int64(i))
+			v.Append(IntValue(int64(i)))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reset+AppendInt allocated %v per run, want 0", allocs)
+		t.Fatalf("Reset+Append allocated %v per run, want 0", allocs)
 	}
 }
