@@ -107,13 +107,26 @@ func BenchmarkTunerCostKey(b *testing.B) {
 	}
 }
 
-// BenchmarkPackKnapsack isolates the DP itself at a realistic size.
+// BenchmarkPackKnapsack isolates the DP itself at two realistic sizes: the
+// benchmark pipeline's 48 movers into a DW-like budget, and the HV phase at
+// the paper's budgets, whose candidates weigh far less than the budget.
 func BenchmarkPackKnapsack(b *testing.B) {
 	gb := int64(1) << 30
-	items := knapsack48()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		packKnapsack(items, 400*gb, 10*gb, 0, dwDims)
+	hvItems, bh, bt := knapsackHVBudget()
+	for _, c := range []struct {
+		name        string
+		items       []*Item
+		storage, bt int64
+		dims        func(*Item) (int64, float64)
+	}{
+		{"48items", knapsack48(), 400 * gb, 10 * gb, dwDims},
+		{"hv-budget", hvItems, bh, bt, hvDims},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				packKnapsack(c.items, c.storage, c.bt, 0, c.dims)
+			}
+		})
 	}
 }

@@ -6,7 +6,10 @@ package core
 // transfer budget; dims returns an item's transfer consumption and benefit
 // for the store being packed (Case 1 of the recurrence is an item with
 // nonzero transfer need; Case 2 consumes storage only). Items that do not
-// fit either dimension, or have no benefit, are skipped.
+// fit either dimension, or have no benefit, are skipped; the table then
+// spans the budgets only as far as the remaining candidates can fill them,
+// which at the paper's HV budget is a few hundred cells instead of 2 806 x
+// 65, and chooses what the full table would.
 func packKnapsack(items []*Item, storageCap, xferCap, d int64,
 	dims func(*Item) (int64, float64)) []*Item {
 
@@ -27,15 +30,13 @@ func packKnapsack(items []*Item, storageCap, xferCap, d int64,
 	if cb < 0 {
 		cb = 0
 	}
-	width := cb + 1
-	cells := (ca + 1) * width
-
 	type weighted struct {
 		item   *Item
 		wa, wb int
 		bn     float64
 	}
 	var cands []weighted
+	var sumA, sumB int
 	for _, it := range items {
 		move, bn := dims(it)
 		if bn <= 0 {
@@ -46,10 +47,20 @@ func packKnapsack(items []*Item, storageCap, xferCap, d int64,
 			continue
 		}
 		cands = append(cands, w)
+		sumA += w.wa
+		sumB += w.wb
 	}
 	if len(cands) == 0 {
 		return nil
 	}
+	// The table stops at the candidates' total weight: no subset reaches a
+	// capacity beyond it, so past that point every cell of a layer repeats
+	// the cell at the running weight sum, the strict > below fires for the
+	// same candidates, and the walk back from the capped corner chooses the
+	// same items in the same order (DESIGN.md §11).
+	ca, cb = min(ca, sumA), min(cb, sumB)
+	width := cb + 1
+	cells := (ca + 1) * width
 
 	// One value table updated in place, both capacities descending so a
 	// cell still reads the previous candidate's layer (an item of weight
@@ -73,7 +84,7 @@ func packKnapsack(items []*Item, storageCap, xferCap, d int64,
 		}
 	}
 
-	// Reconstruct from the full-capacity cell.
+	// Reconstruct from the corner cell.
 	var chosen []*Item
 	cell := ca*width + cb
 	for i := len(cands) - 1; i >= 0; i-- {

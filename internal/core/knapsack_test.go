@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -150,22 +151,49 @@ func TestCeilDivAndClampUnit(t *testing.T) {
 	}
 }
 
+func hvDims(it *Item) (int64, float64) { return it.MoveToHV, it.BnHV }
+
+// sameChoice fails unless packKnapsack and the layered reference, which
+// walks the full table at the uncapped capacities, choose the same items in
+// the same order.
+func sameChoice(t *testing.T, what string, items []*Item, storageCap, xferCap, d int64,
+	dims func(*Item) (int64, float64)) int {
+	t.Helper()
+	got := packKnapsack(items, storageCap, xferCap, d, dims)
+	want := packKnapsackLayered(items, storageCap, xferCap, d, dims)
+	if len(got) != len(want) {
+		t.Fatalf("%s: in-place chose %d items, layered %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: chosen item %d differs", what, i)
+		}
+	}
+	return len(got)
+}
+
 // TestKnapsackInPlaceEqualsLayered compares the in-place DP to the layered
 // reference on random instances that cover the corners the descending
-// update has to get right: items of zero storage weight, of zero transfer
+// update has to get right — items of zero storage weight, of zero transfer
 // weight and of both (such an item reads its own cell), an explicit unit
-// and the automatic one, and capacities smaller than any item. The chosen
-// sets must be the same items in the same order, not merely as valuable.
+// and the automatic one, capacities smaller than any item — and the ones
+// the capped table has to: a capacity beyond the candidates' total weight
+// in neither dimension, in one, in both, and a dimension nobody weighs
+// anything in. The chosen sets must be the same items in the same order,
+// not merely as valuable.
 func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const mb = int64(1) << 20
 	packed := 0
-	for trial := 0; trial < 600; trial++ {
+	slack := map[[2]bool]int{} // {storage beyond Σwa, transfer beyond Σwb}, explicit-unit trials
+	for trial := 0; trial < 1200; trial++ {
 		d, unit := int64(1), int64(1)
 		if trial%2 == 1 {
 			d, unit = 0, mb // automatic units clamp to at least 1 MB
 		}
+		resident := trial%5 == 0 // every item already in the store: Σwb = 0
 		items := make([]*Item, 1+rng.Intn(24))
+		var sumSize, sumMove int64
 		for i := range items {
 			size := int64(rng.Intn(12)) * unit
 			move := size
@@ -175,31 +203,90 @@ func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 			case 1:
 				move = int64(rng.Intn(12)) * unit
 			}
+			if resident {
+				move = 0
+			}
 			// Few distinct benefits, so equal-value packings are common
 			// and the strict comparison decides.
 			items[i] = item(size, move, float64(rng.Intn(6)))
+			if items[i].BnDW > 0 {
+				sumSize, sumMove = sumSize+size, sumMove+move
+			}
 		}
 		storageCap, xferCap := int64(rng.Intn(40))*unit, int64(rng.Intn(30))*unit
 		if d == 0 {
 			storageCap, xferCap = storageCap*512, xferCap*64
 		}
+		// A quarter of the trials each: budgets as drawn, storage beyond
+		// what every item together weighs, transfer beyond it, both.
+		if trial/2%4&1 != 0 {
+			storageCap += sumSize
+		}
+		if trial/2%4&2 != 0 {
+			xferCap += sumMove
+		}
 		if trial%7 == 0 {
 			storageCap, xferCap = 0, 0 // smaller than any weighted item
 		}
-		got := packKnapsack(items, storageCap, xferCap, d, dwDims)
-		want := packKnapsackLayered(items, storageCap, xferCap, d, dwDims)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: in-place chose %d items, layered %d", trial, len(got), len(want))
+		if d == 1 {
+			// At unit 1 weights are sizes, and a sum over all items with a
+			// benefit bounds the sum over those that also fit.
+			slack[[2]bool{storageCap > sumSize, xferCap > sumMove}]++
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: chosen item %d differs", trial, i)
-			}
-		}
-		packed += len(got)
+		packed += sameChoice(t, fmt.Sprintf("trial %d", trial), items, storageCap, xferCap, d, dwDims)
 	}
 	if packed == 0 {
 		t.Fatal("no trial packed anything")
+	}
+	for _, k := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		if slack[k] < 20 {
+			t.Fatalf("only %d trials with storage slack %v and transfer slack %v", slack[k], k[0], k[1])
+		}
+	}
+
+	// The production HV phase: every candidate already sits in HV.
+	items, bh, bt := knapsackHVBudget()
+	if n := sameChoice(t, "HV budget", items, bh, bt, 0, hvDims); n != len(items) {
+		t.Fatalf("HV budget: chose %d of %d items that all fit", n, len(items))
+	}
+	// The same items under a storage budget that binds, and at the paper's
+	// explicit 1 GB unit.
+	sameChoice(t, "HV budget, binding", items, 100<<30, bt, 0, hvDims)
+	sameChoice(t, "HV budget, d = 1 GB", items, bh, bt, 1<<30, hvDims)
+	sameChoice(t, "HV budget, binding, d = 1 GB", items, 100<<30, bt, 1<<30, hvDims)
+}
+
+// knapsackHVBudget is the HV phase at the paper's budgets (Bh 2 805 GB, Bt
+// 10 GB): the storage unit clamps at 1 GB, so the full table is 2 806 x 65
+// cells, while 36 views of 1-12 GB that are already in HV (MoveToHV = 0)
+// weigh 234 units of storage in total and nothing in transfer.
+func knapsackHVBudget() (items []*Item, bh, bt int64) {
+	const gb = int64(1) << 30
+	items = make([]*Item, 36)
+	for i := range items {
+		items[i] = &Item{
+			Views: []*views.View{{Name: "v"}},
+			Size:  int64(i*7%12+1) * gb,
+			BnHV:  float64(50 + i*11%83),
+		}
+	}
+	return items, 2805 * gb, 10 * gb
+}
+
+// TestKnapsackHVBudgetAllocUnder64KB pins the point of stopping the table
+// at the candidates' weight: the HV phase's full 2 806 x 65 table and its
+// take-bits were ~2.3 MB per call.
+func TestKnapsackHVBudgetAllocUnder64KB(t *testing.T) {
+	items, bh, bt := knapsackHVBudget()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	chosen := packKnapsack(items, bh, bt, 0, hvDims)
+	runtime.ReadMemStats(&after)
+	if len(chosen) != len(items) {
+		t.Fatalf("packed %d of %d", len(chosen), len(items))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("the HV-budget knapsack allocates %d bytes, want < 64 KB", got)
 	}
 }
 

@@ -87,6 +87,9 @@ type Tuner struct {
 
 	cache *costCache
 	memo  *views.MatchMemo
+	// spaces holds, by window sequence number, the design-independent half
+	// of costing each window query for the Tune call in progress.
+	spaces map[int]*optimizer.PlanSpace
 
 	// Debug, when set, receives the knapsack candidates and the chosen
 	// DW/HV items after each Tune call (used by tests and diagnostics).
@@ -190,6 +193,17 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 		relevant[i] = relevantViews(entries[i].Plan, universe)
 	}); err != nil {
 		return nil, err
+	}
+
+	// Every probe of an entry shares the design-independent half of its
+	// costing. The spaces are built here, serially, so they are immutable
+	// before the probes fan out, and afresh on every call: each query
+	// execution since the last one rewrote the estimator they read.
+	t.spaces = make(map[int]*optimizer.PlanSpace, len(entries))
+	for i, e := range entries {
+		if len(relevant[i]) > 0 {
+			t.spaces[e.Seq] = t.opt.PlanSpace(e.Plan)
+		}
 	}
 
 	// Warm the cost cache by fanning every what-if probe — per-entry
@@ -349,8 +363,10 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 // cost evaluates (with caching) the what-if cost of the entry's query under
 // a hypothetical design of the given HV and DW views. Hits allocate
 // nothing: the cache key is a fixed-size struct built from inline hashes,
-// and the hypothetical Design is only assembled on a miss. Safe for
-// concurrent use once the entry plans' signatures are prewarmed.
+// and the hypothetical Design is only assembled on a miss, which costs it
+// against the entry's plan space (a call outside Tune builds a throwaway
+// one), so a probe re-costs only what its views touch. Safe for concurrent
+// use once the entry plans' signatures are prewarmed.
 func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
 	key := costKey{seq: e.Seq, hv: viewSetHash(hvViews), dw: viewSetHash(dwViews)}
 	if c, ok := t.cache.get(key); ok {
@@ -368,7 +384,11 @@ func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
 	for _, v := range dwViews {
 		d.DW.Add(v)
 	}
-	c := t.opt.Cost(e.Plan, d)
+	sp := t.spaces[e.Seq]
+	if sp == nil {
+		sp = t.opt.PlanSpace(e.Plan)
+	}
+	c := sp.Cost(d)
 	t.cache.put(key, c)
 	return c
 }

@@ -458,7 +458,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		s.reuse = newReusePlane(cfg.Reuse, s)
 		// Costing sees the cache: a cut whose subresult is resident costs
 		// no HV time, steering plan choice toward reuse. The probe reads
-		// only mutex-guarded reuse state, keeping EnumeratePlans safe for
+		// only mutex-guarded reuse state, keeping plan costing safe for
 		// the tuner's concurrent what-if workers; the cache is cleared at
 		// reorg start, so tuning itself probes an empty cache and stays
 		// deterministic.

@@ -121,7 +121,7 @@ type Optimizer struct {
 	// ReuseProbe, when set, reports whether the cross-query reuse cache
 	// holds the materialized subresult for a cut subtree; such a cut then
 	// charges no HV execution cost, steering plan choice toward cached
-	// work. The probe must be safe for concurrent calls (EnumeratePlans
+	// work. The probe must be safe for concurrent calls (PlanSpace.Cost
 	// runs under the tuner's parallel what-if workers) and must not
 	// mutate optimizer state; costing with a nil probe is unchanged.
 	ReuseProbe func(*logical.Node) bool
@@ -212,7 +212,10 @@ func (o *Optimizer) enumerateCuts(n *logical.Node, limit int) [][]*logical.Node 
 // dominant repeated work from the what-if path. Only the migrated working
 // set's temp name differs per frontier (it is positional), so that stays
 // in buildPlan. Every memoized value is a pure function of the node and
-// the design, which EnumeratePlans holds fixed.
+// the design, which EnumeratePlans holds fixed. base, when given, is a plan
+// space's evaluation of the same cuts against the empty design, whose
+// estimated output and transfer cost hold under every design and whose HV
+// cost holds whenever no HV view rewrites the cut.
 type cutEval struct {
 	dwView *logical.Node // non-nil when a DW-resident view answers the cut
 	hvPlan *logical.Node
@@ -221,7 +224,7 @@ type cutEval struct {
 	xfer   float64
 }
 
-func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo map[*logical.Node]*cutEval) *cutEval {
+func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo, base map[*logical.Node]*cutEval) *cutEval {
 	if ce, ok := memo[cutNode]; ok {
 		return ce
 	}
@@ -235,10 +238,20 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo map[*logical.N
 			}
 		}
 	}
-	ce.st = o.est.Estimate(cutNode)
 	ce.hvPlan = RewriteWithViews(cutNode, d.HV)
+	if b := base[cutNode]; b != nil {
+		// A plan space already holds the cut's design-independent values;
+		// only an HV side that a view rewrote is costed again.
+		if ce.hvPlan == cutNode {
+			memo[cutNode] = b
+			return b
+		}
+		ce.st, ce.xfer = b.st, b.xfer
+	} else {
+		ce.st = o.est.Estimate(cutNode)
+		ce.xfer = transfer.Cost(o.tcfg, ce.st.Bytes).Total()
+	}
 	ce.hvCost = o.hv.CostPlan(ce.hvPlan)
-	ce.xfer = transfer.Cost(o.tcfg, ce.st.Bytes).Total()
 	return ce
 }
 
@@ -247,7 +260,7 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo map[*logical.N
 // plan-local overlay rather than the shared estimator cache, so buildPlan
 // never mutates shared state: concurrent costing calls reusing the same
 // temp names (ws_0, ws_1, ...) cannot clobber each other.
-func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Design, memo map[*logical.Node]*cutEval) (*MultiPlan, error) {
+func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Design, memo, base map[*logical.Node]*cutEval) (*MultiPlan, error) {
 	plan := &MultiPlan{}
 	var totalBytes int64
 
@@ -256,7 +269,7 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 	var overlay map[string]stats.Stat
 	for i, cutNode := range frontier {
 		cut := Cut{Node: cutNode, TempName: fmt.Sprintf("ws_%d", i)}
-		ce := o.evalCut(cutNode, d, memo)
+		ce := o.evalCut(cutNode, d, memo, base)
 		if ce.dwView != nil {
 			cut.DWView = ce.dwView
 			replace[cutNode] = ce.dwView
@@ -316,26 +329,38 @@ func (o *Optimizer) hvOnlyPlan(raw *logical.Node, d Design) *MultiPlan {
 	return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: o.hv.CostPlan(p)}
 }
 
-// EnumeratePlans returns every candidate multistore plan with estimated
-// costs: the HV-only plan first, then one plan per enumerated split.
-//
-// Concurrency contract: EnumeratePlans (and Choose/Cost above it) is a
-// pure read of the stores, the estimator, and the design — it records no
-// stats, stages no tables, and draws no faults — so any number of
-// goroutines may cost plans concurrently, provided the raw plan's node
-// signatures were prewarmed (logical.Node.PrewarmSignatures) and nothing
-// concurrently mutates the design's view sets or the catalog.
-func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	plans := []*MultiPlan{o.hvOnlyPlan(raw, d)}
+// splitFrontiers lists the frontiers of the query's split plans: every
+// enumerated frontier but {root}, which is the HV-only plan.
+func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 	if o.DisableSplits {
-		return plans
+		return nil
 	}
-	memo := map[*logical.Node]*cutEval{}
-	for _, frontier := range o.enumerateCuts(raw, o.MaxPlans) {
+	all := o.enumerateCuts(raw, o.MaxPlans)
+	out := all[:0]
+	for _, frontier := range all {
 		if len(frontier) == 1 && frontier[0] == raw {
 			continue // HV-only already covered
 		}
-		p, err := o.buildPlan(raw, frontier, d, memo)
+		out = append(out, frontier)
+	}
+	return out
+}
+
+// EnumeratePlans returns every candidate multistore plan with estimated
+// costs: the HV-only plan first, then one plan per enumerated split.
+//
+// Concurrency contract: EnumeratePlans (and Choose above it, and
+// PlanSpace.Cost beside it) is a pure read of the stores, the estimator,
+// and the design — it records no stats, stages no tables, and draws no
+// faults — so any number of goroutines may cost plans concurrently,
+// provided the raw plan's node signatures were prewarmed
+// (logical.Node.PrewarmSignatures) and nothing concurrently mutates the
+// design's view sets or the catalog.
+func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
+	plans := []*MultiPlan{o.hvOnlyPlan(raw, d)}
+	memo := map[*logical.Node]*cutEval{}
+	for _, frontier := range o.splitFrontiers(raw) {
+		p, err := o.buildPlan(raw, frontier, d, memo, nil)
 		if err != nil {
 			continue // invalid split (UDF above the cut, etc.)
 		}
@@ -360,12 +385,76 @@ func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
 	return best, nil
 }
 
-// Cost is the what-if interface: the estimated cost of the query's best
-// plan under a hypothetical design.
-func (o *Optimizer) Cost(raw *logical.Node, d Design) float64 {
-	best, err := o.Choose(raw, d)
-	if err != nil {
-		return 0
+// PlanSpace is the design-independent half of what-if costing one query:
+// its split frontiers and, for each, what buildPlan produces against the
+// empty design — every cut's estimated output, transfer cost and no-view HV
+// cost, and the DW remainder's cost when no DW view answers a cut. All of
+// it is a function of the plan and the estimator alone, so the many probes
+// of one tuning phase share one space; it is immutable once built and goes
+// stale with the next query execution, which rewrites the estimator.
+type PlanSpace struct {
+	o         *Optimizer
+	raw       *logical.Node
+	frontiers []spaceFrontier
+	base      map[*logical.Node]*cutEval
+}
+
+type spaceFrontier struct {
+	cuts  []*logical.Node
+	estDW float64 // the DW remainder's cost when no DW view answers a cut
+}
+
+// PlanSpace builds the query's plan space. The raw plan's signatures must be
+// prewarmed before the space is shared between goroutines.
+func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
+	s := &PlanSpace{o: o, raw: raw, base: map[*logical.Node]*cutEval{}}
+	empty := EmptyDesign()
+	for _, frontier := range o.splitFrontiers(raw) {
+		p, err := o.buildPlan(raw, frontier, empty, s.base, nil)
+		if err != nil {
+			continue // refused for what lies above the cuts, so under every design
+		}
+		s.frontiers = append(s.frontiers, spaceFrontier{cuts: frontier, estDW: p.EstDW})
 	}
-	return best.EstTotal()
+	return s
+}
+
+// Cost is the what-if answer: the estimated cost of the query's best plan
+// under a hypothetical design, bit-identical to the minimum EstTotal over
+// EnumeratePlans(raw, d). It visits the plans in EnumeratePlans' order and
+// re-costs only what the design's views touch: a cut's HV side when an HV
+// view rewrote it, and — through buildPlan, the one place a DW remainder is
+// built and costed — a frontier one of whose cuts a DW view answers. Every
+// other frontier sums the stored floats in buildPlan's order.
+func (s *PlanSpace) Cost(d Design) float64 {
+	o := s.o
+	best := o.hvOnlyPlan(s.raw, d).EstTotal()
+	memo := map[*logical.Node]*cutEval{}
+frontiers:
+	for _, f := range s.frontiers {
+		var estHV, estTransfer float64
+		for _, cutNode := range f.cuts {
+			ce := o.evalCut(cutNode, d, memo, s.base)
+			if ce.dwView != nil {
+				if p, err := o.buildPlan(s.raw, f.cuts, d, memo, s.base); err == nil && p.EstTotal() < best {
+					best = p.EstTotal()
+				}
+				continue frontiers
+			}
+			if o.ReuseProbe == nil || !o.ReuseProbe(cutNode) {
+				estHV += ce.hvCost
+			}
+			estTransfer += ce.xfer
+		}
+		if total := estHV + estTransfer + f.estDW; total < best {
+			best = total
+		}
+	}
+	return best
+}
+
+// Cost is the what-if interface for a single probe; a caller with many
+// designs to cost for one query builds the PlanSpace once.
+func (o *Optimizer) Cost(raw *logical.Node, d Design) float64 {
+	return o.PlanSpace(raw).Cost(d)
 }

@@ -8,13 +8,11 @@ import (
 	"miso/internal/exec"
 	"miso/internal/hv"
 	"miso/internal/logical"
-	"miso/internal/multistore"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
 	"miso/internal/transfer"
 	"miso/internal/views"
-	"miso/internal/workload"
 )
 
 type fixture struct {
@@ -232,29 +230,8 @@ func TestDisableSplitsRestrictsToHVOnly(t *testing.T) {
 // the workload — split enumeration, view matching on every node of every
 // candidate, and costing.
 func BenchmarkChooseWarm(b *testing.B) {
-	cat, err := data.Generate(data.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, 2.0, 10<<30)
-	sys := multistore.New(cfg, cat)
-	builder := logical.NewBuilder(cat)
-	var plans []*logical.Node
-	for _, sql := range workload.SQLs() {
-		if _, err := sys.Run(sql); err != nil {
-			b.Fatal(err)
-		}
-		p, err := builder.BuildSQL(sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plans = append(plans, p)
-	}
+	sys, plans, _ := warmSystem(b)
 	opt, d := sys.Optimizer(), sys.Design()
-	if d.HV.Len() == 0 || d.DW.Len() == 0 {
-		b.Fatalf("design not warm: %d HV views, %d DW views", d.HV.Len(), d.DW.Len())
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
