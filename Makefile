@@ -5,7 +5,7 @@ GO ?= go
 # tier1 is the gate every change must pass: gofmt-clean sources, clean
 # build, vet, and the full test suite under the race detector.
 tier1:
-	@out=$$(gofmt -l cmd internal miso bench *.go); \
+	@out=$$(gofmt -l cmd internal miso bench); \
 		if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -34,11 +34,12 @@ loc:
 
 # traffic reports what the programs we ship actually execute: the two CLIs
 # and the end-to-end benchmark are built with coverage counters on every
-# miso package, run over the paper's figures, every extension mode, one
-# warmed query with reuse, checkpoints and the audit on, and all five
-# benchmark workloads (traced and untraced), and the merged counters are
-# printed as the functions never entered and the unreached statements per
-# file. It is the measurement a simplicity PR's "no traffic" claim is read
+# miso package, run over the paper's figures, the tuner ablations (at four
+# what-if workers, the only run of the parallel warm phase), every
+# extension mode, one warmed query with reuse, checkpoints and the audit on,
+# and all five benchmark workloads (traced and untraced), and the merged
+# counters are printed as the functions never entered and the unreached
+# statements per file. It is the measurement a simplicity PR's "no traffic" claim is read
 # from; it is a report, not a gate (a mode that fails its checks under the
 # slower instrumented build still counts). miso/bench/ lines are dropped
 # because `go tool cover` cannot resolve that module from the root.
@@ -49,7 +50,8 @@ traffic:
 	$(GO) build -C bench -cover -coverpkg=miso/... -o "$$d/bench" . && \
 	{ export GOCOVERDIR="$$d/cov"; \
 	  "$$d/misobench" -all -scale small; \
-	  "$$d/misobench" -mode chaos,crash,bench,benchgov,serve,scenarios,cache,endurance -scale small; \
+	  "$$d/misobench" -mode ablate -scale small -tuneworkers 4; \
+	  "$$d/misobench" -mode chaos,crash,benchgov,serve,scenarios,cache,endurance -scale small; \
 	  "$$d/misoquery" -name A3v2 -warm -reuse -checkpointevery 4 -audit; \
 	  "$$d/bench" -quick -trace both -tracedir "$$d/trace"; } >"$$d/run.log" 2>&1; \
 	$(GO) tool covdata textfmt -i="$$d/cov" -o "$$d/all.txt" && \
@@ -60,14 +62,13 @@ traffic:
 	awk 'NR > 1 { f = $$1; sub(/:.*/, "", f); tot[f] += $$2; if (!$$3) miss[f] += $$2 } \
 	     END { for (f in miss) printf "%6d / %-6d %s\n", miss[f], tot[f], f }' "$$d/cover.txt" | sort -k1,1nr -k4
 
-# bench runs the reproducible benchmark pipelines — the tuner pipeline
-# (what-if costing at several worker counts, the knapsack DP, a short
-# serving soak) and the governance pipeline — writing the
-# machine-readable reports CI uploads as artifacts, then the package
-# micro-benchmarks. The end-to-end benchmark is its own module: bash
-# bench/run.sh.
+# bench runs the package micro-benchmarks (the tuner's reorganization
+# decision, the knapsack DP, plan choice, view matching, the exec operators)
+# and the governance pipeline, which writes the machine-readable report CI
+# uploads as an artifact. The end-to-end benchmark, served soak included, is
+# its own module: bash bench/run.sh.
 bench: microbench
-	$(GO) run ./cmd/misobench -mode bench,benchgov -scale small -out .
+	$(GO) run ./cmd/misobench -mode benchgov -scale small -out .
 
 # microbench runs every package micro-benchmark once (view matching, plan
 # choice on a warm design, the knapsack DP, the exec operators, an HV job's

@@ -17,7 +17,8 @@
 //	misobench -mode chaos                # fault-injection sweep (extension)
 //	misobench -mode crash                # crash-recovery sweep (durability extension)
 //	misobench -mode serve -scale small -sessions 8 -workers 4    # concurrent soak
-//	misobench -mode bench,benchgov -out .  # pipelines -> ./BENCH_tuner.json, ./BENCH_governance.json
+//	misobench -mode ablate -scale small  # the tuner's design choices, one changed at a time
+//	misobench -mode benchgov -out .      # governance pipeline -> ./BENCH_governance.json
 //	misobench -mode scenarios -dur 2s    # overload scenario matrix, 2s per load phase
 //	misobench -mode endurance -sessions 60 -dur 90s  # adversarial endurance harness, 60 tenants, 90s cap
 //	misobench -mode cache -scale small   # cross-query reuse soak
@@ -135,9 +136,9 @@ func main() {
 		{"fig9", "Figure 9: MS-MISO replayed on a DW with 40% spare IO", "", plain(experiments.Fig9)},
 		{"table2", "Table 2: mutual impact of sharing the DW", "", plain(experiments.Table2)},
 		{"order", "workload order sensitivity (extension)", "", plain(experiments.OrderSensitivity)},
+		{"ablate", "tuner ablations: knapsack order, sparsification, decay, replication, transfer budget", "", plain(experiments.Ablate)},
 		{"chaos", "fault-injection sweep (robustness extension)", "", plain(experiments.Chaos)},
 		{"crash", "crash-recovery sweep (durability extension)", "", plain(experiments.CrashSweep)},
-		{"bench", "benchmark pipeline: tuner, knapsack, serving", "BENCH_tuner.json", plain(experiments.Bench)},
 		{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", plain(experiments.BenchGovern)},
 		{"serve", "concurrent-serving soak (robustness extension)", "", func(cfg experiments.Config) (report, error) {
 			sc := experiments.DefaultSoak(cfg)

@@ -69,8 +69,15 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 			t.Errorf("%v: exit code %d, output:\n%s", args, code, out)
 		}
 	}
-	if code, out := runMain(t, "-mode", "benchexec"); code != 2 || !strings.Contains(out, "unknown mode") {
-		t.Errorf("-mode benchexec: exit code %d, output:\n%s", code, out)
+	// So are the modes whose numbers moved to make microbench and bench/;
+	// the ablations the root benchmarks carried are a mode now.
+	for _, m := range []string{"benchexec", "bench"} {
+		if code, out := runMain(t, "-mode", m); code != 2 || !strings.Contains(out, "unknown mode") {
+			t.Errorf("-mode %s: exit code %d, output:\n%s", m, code, out)
+		}
+	}
+	if code, out := runMain(t, "-modes"); code != 0 || !strings.Contains(out, "\nablate ") || strings.Contains(out, "\nbench ") {
+		t.Errorf("-modes: exit code %d, want ablate listed and bench not:\n%s", code, out)
 	}
 }
 

@@ -11,6 +11,7 @@
 package bgwork
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -244,7 +245,7 @@ func (w *Workload) MeasureLatencies() (q3, q83 float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	r3, err := w.store.Execute(p3)
+	r3, err := w.store.ExecuteContext(context.Background(), p3)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bgwork: q3: %w", err)
 	}
@@ -252,7 +253,7 @@ func (w *Workload) MeasureLatencies() (q3, q83 float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	r83, err := w.store.Execute(p83)
+	r83, err := w.store.ExecuteContext(context.Background(), p83)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bgwork: q83: %w", err)
 	}

@@ -1,6 +1,7 @@
 package bgwork_test
 
 import (
+	"context"
 	"testing"
 
 	"miso/internal/bgwork"
@@ -39,7 +40,7 @@ func TestQ3ProducesYearlyRevenue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := store.Execute(p)
+	res, err := store.ExecuteContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestQ83GroupsByBrandAndMonth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := store.Execute(p)
+	res, err := store.ExecuteContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,7 +37,7 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.Execute(plan, i); err != nil {
+		if _, err := h.ExecuteContext(context.Background(), plan, i); err != nil {
 			b.Fatal(err)
 		}
 		win.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})
@@ -125,7 +126,7 @@ func BenchmarkPackKnapsack(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				packKnapsack(c.items, c.storage, c.bt, 0, c.dims)
+				packKnapsack(c.items, c.storage, c.bt, c.dims)
 			}
 		})
 	}

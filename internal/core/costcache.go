@@ -10,7 +10,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"miso/internal/views"
 )
@@ -36,12 +35,9 @@ type costShard struct {
 	m  map[costKey]float64
 }
 
-// costCache is the sharded, lock-striped what-if cost cache. Hit and miss
-// counters are atomic so the benchmark pipeline can report hit rates
-// without taking any stripe lock.
+// costCache is the sharded, lock-striped what-if cost cache.
 type costCache struct {
-	shards       [costShards]costShard
-	hits, misses atomic.Uint64
+	shards [costShards]costShard
 }
 
 func newCostCache() *costCache {
@@ -62,11 +58,6 @@ func (c *costCache) get(k costKey) (float64, bool) {
 	s.mu.Lock()
 	v, ok := s.m[k]
 	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return v, ok
 }
 
@@ -75,10 +66,6 @@ func (c *costCache) put(k costKey, v float64) {
 	s.mu.Lock()
 	s.m[k] = v
 	s.mu.Unlock()
-}
-
-func (c *costCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // hashName is FNV-64a inlined so hashing never allocates (hash/fnv returns

@@ -14,9 +14,9 @@ type part struct {
 // computeInteractingSets produces a stable partition of the view universe:
 // views within a part interact strongly; views in different parts do not.
 // An interaction is "strong" when its magnitude is a significant fraction
-// (DoiThresholdFrac) of the weaker view's own predicted benefit — i.e. the
+// (doiThresholdFrac) of the weaker view's own predicted benefit — i.e. the
 // presence of one view substantially changes what the other is worth.
-// Parts are bounded by MaxPartSize: once a part is full, weaker edges that
+// Parts are bounded by maxPartSize: once a part is full, weaker edges that
 // would grow it further are ignored, which keeps only the strongest
 // interactions — the same effect as the paper's threshold choice.
 func (t *Tuner) computeInteractingSets(universe []*views.View, doi map[[2]string]float64, bn map[string]float64) []*part {
@@ -25,7 +25,7 @@ func (t *Tuner) computeInteractingSets(universe []*views.View, doi map[[2]string
 		if bn[b] < lo {
 			lo = bn[b]
 		}
-		return lo * t.cfg.DoiThresholdFrac
+		return lo * doiThresholdFrac
 	}
 
 	// Union-find seeded with singletons.
@@ -66,7 +66,7 @@ func (t *Tuner) computeInteractingSets(universe []*views.View, doi map[[2]string
 		if ra == rb {
 			continue
 		}
-		if size[ra]+size[rb] > t.cfg.MaxPartSize {
+		if size[ra]+size[rb] > maxPartSize {
 			continue
 		}
 		parent[rb] = ra

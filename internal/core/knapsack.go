@@ -10,18 +10,14 @@ package core
 // spans the budgets only as far as the remaining candidates can fill them,
 // which at the paper's HV budget is a few hundred cells instead of 2 806 x
 // 65, and chooses what the full table would.
-func packKnapsack(items []*Item, storageCap, xferCap, d int64,
+func packKnapsack(items []*Item, storageCap, xferCap int64,
 	dims func(*Item) (int64, float64)) []*Item {
 
-	// Discretization: an explicit d (the paper's 1 GB) applies to both
-	// dimensions; otherwise each dimension picks a budget-relative unit
-	// so small budgets keep enough resolution and huge budgets keep the
-	// DP table small.
-	da, db := d, d
-	if d <= 0 {
-		da = clampUnit(storageCap / 512)
-		db = clampUnit(xferCap / 64)
-	}
+	// Discretization: each dimension picks a budget-relative unit, so small
+	// budgets keep enough resolution and huge budgets keep the DP table
+	// small.
+	da := clampUnit(storageCap / 512)
+	db := clampUnit(xferCap / 64)
 	ca := int(storageCap / da)
 	cb := int(xferCap / db)
 	if ca < 0 {
@@ -113,13 +109,4 @@ func clampUnit(u int64) int64 {
 		return gb
 	}
 	return u
-}
-
-// PackKnapsackDW packs items into the DW knapsack — dimensions (MoveToDW,
-// BnDW) under the given storage, transfer, and discretization parameters.
-// It is the benchmark pipeline's entry point to the DP; Tune itself calls
-// the unexported form.
-func PackKnapsackDW(items []*Item, storage, transfer, discretize int64) []*Item {
-	return packKnapsack(items, storage, transfer, discretize,
-		func(it *Item) (int64, float64) { return it.MoveToDW, it.BnDW })
 }

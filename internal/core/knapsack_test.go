@@ -49,23 +49,28 @@ func bruteForce(items []*Item, storageCap, xferCap int64) float64 {
 	return best
 }
 
+// mb is the floor of the automatic discretization unit: budgets of at most
+// 512 MB of storage and 64 MB of transfer are packed in whole megabytes.
+const mb = int64(1) << 20
+
 func TestKnapsackMatchesBruteForceExactUnits(t *testing.T) {
-	// With d=1 and small integer weights the DP must be exactly optimal.
+	// With every weight and budget a whole number of the 1 MB unit the DP
+	// must be exactly optimal.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(8)
 		items := make([]*Item, n)
 		for i := range items {
-			size := int64(1 + rng.Intn(10))
+			size := int64(1+rng.Intn(10)) * mb
 			move := size
 			if rng.Intn(3) == 0 {
 				move = 0 // already resident: consumes no transfer
 			}
 			items[i] = item(size, move, float64(rng.Intn(100)))
 		}
-		storageCap := int64(5 + rng.Intn(30))
-		xferCap := int64(5 + rng.Intn(20))
-		chosen := packKnapsack(items, storageCap, xferCap, 1, dwDims)
+		storageCap := int64(5+rng.Intn(30)) * mb
+		xferCap := int64(5+rng.Intn(20)) * mb
+		chosen := packKnapsack(items, storageCap, xferCap, dwDims)
 		got := totalBenefit(chosen)
 		want := bruteForce(items, storageCap, xferCap)
 		if got != want {
@@ -85,34 +90,35 @@ func TestKnapsackMatchesBruteForceExactUnits(t *testing.T) {
 
 func TestKnapsackSkipsUselessAndOversized(t *testing.T) {
 	items := []*Item{
-		item(5, 5, 0),    // no benefit
-		item(100, 0, 50), // exceeds storage
-		item(5, 100, 50), // exceeds transfer
-		item(5, 5, 10),   // fits
+		item(5*mb, 5*mb, 0),    // no benefit
+		item(100*mb, 0, 50),    // exceeds storage
+		item(5*mb, 100*mb, 50), // exceeds transfer
+		item(5*mb, 5*mb, 10),   // fits
 	}
-	chosen := packKnapsack(items, 10, 10, 1, dwDims)
+	chosen := packKnapsack(items, 10*mb, 10*mb, dwDims)
 	if len(chosen) != 1 || chosen[0] != items[3] {
 		t.Fatalf("chosen = %v", chosen)
 	}
 }
 
 func TestKnapsackZeroCapacity(t *testing.T) {
-	items := []*Item{item(1, 1, 10)}
-	if got := packKnapsack(items, 0, 10, 1, dwDims); len(got) != 0 {
+	items := []*Item{item(mb, mb, 10)}
+	if got := packKnapsack(items, 0, 10*mb, dwDims); len(got) != 0 {
 		t.Error("packed into zero storage")
 	}
-	if got := packKnapsack(items, 10, 0, 1, dwDims); len(got) != 0 {
+	if got := packKnapsack(items, 10*mb, 0, dwDims); len(got) != 0 {
 		t.Error("packed a mover into zero transfer budget")
 	}
 	// Zero transfer budget still admits already-resident items.
-	resident := item(1, 0, 10)
-	if got := packKnapsack([]*Item{resident}, 10, 0, 1, dwDims); len(got) != 1 {
+	resident := item(mb, 0, 10)
+	if got := packKnapsack([]*Item{resident}, 10*mb, 0, dwDims); len(got) != 1 {
 		t.Error("resident item rejected under zero transfer budget")
 	}
 }
 
 func TestKnapsackAutoDiscretization(t *testing.T) {
-	// With auto units (d=0), large-byte items still pack correctly.
+	// Above the 1 MB floor the units are budget-relative; large-byte items
+	// still pack correctly.
 	gb := int64(1) << 30
 	items := []*Item{
 		item(5*gb, 5*gb, 100),
@@ -122,7 +128,7 @@ func TestKnapsackAutoDiscretization(t *testing.T) {
 	// Storage fits all; transfer fits ~11GB: best is 120+80 (the 5+7
 	// pair busts the budget). Auto discretization rounds sizes up, so
 	// the budget carries a little headroom.
-	chosen := packKnapsack(items, 100*gb, 11*gb, 0, dwDims)
+	chosen := packKnapsack(items, 100*gb, 11*gb, dwDims)
 	if got := totalBenefit(chosen); got != 200 {
 		t.Errorf("benefit = %.0f, want 200", got)
 	}
@@ -156,11 +162,11 @@ func hvDims(it *Item) (int64, float64) { return it.MoveToHV, it.BnHV }
 // sameChoice fails unless packKnapsack and the layered reference, which
 // walks the full table at the uncapped capacities, choose the same items in
 // the same order.
-func sameChoice(t *testing.T, what string, items []*Item, storageCap, xferCap, d int64,
+func sameChoice(t *testing.T, what string, items []*Item, storageCap, xferCap int64,
 	dims func(*Item) (int64, float64)) int {
 	t.Helper()
-	got := packKnapsack(items, storageCap, xferCap, d, dims)
-	want := packKnapsackLayered(items, storageCap, xferCap, d, dims)
+	got := packKnapsack(items, storageCap, xferCap, dims)
+	want := packKnapsackLayered(items, storageCap, xferCap, dims)
 	if len(got) != len(want) {
 		t.Fatalf("%s: in-place chose %d items, layered %d", what, len(got), len(want))
 	}
@@ -175,33 +181,32 @@ func sameChoice(t *testing.T, what string, items []*Item, storageCap, xferCap, d
 // TestKnapsackInPlaceEqualsLayered compares the in-place DP to the layered
 // reference on random instances that cover the corners the descending
 // update has to get right — items of zero storage weight, of zero transfer
-// weight and of both (such an item reads its own cell), an explicit unit
-// and the automatic one, capacities smaller than any item — and the ones
+// weight and of both (such an item reads its own cell), units at the 1 MB
+// floor and budget-relative ones, capacities smaller than any item — and the ones
 // the capped table has to: a capacity beyond the candidates' total weight
 // in neither dimension, in one, in both, and a dimension nobody weighs
 // anything in. The chosen sets must be the same items in the same order,
 // not merely as valuable.
 func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const mb = int64(1) << 20
 	packed := 0
-	slack := map[[2]bool]int{} // {storage beyond Σwa, transfer beyond Σwb}, explicit-unit trials
+	slack := map[[2]bool]int{} // {storage beyond Σwa, transfer beyond Σwb}
 	for trial := 0; trial < 1200; trial++ {
-		d, unit := int64(1), int64(1)
-		if trial%2 == 1 {
-			d, unit = 0, mb // automatic units clamp to at least 1 MB
-		}
+		// Even trials draw budgets of tens of MB, packed at (or just above)
+		// the 1 MB floor; odd trials scale them so each unit is the drawn
+		// number of MB.
+		scaled := trial%2 == 1
 		resident := trial%5 == 0 // every item already in the store: Σwb = 0
 		items := make([]*Item, 1+rng.Intn(24))
 		var sumSize, sumMove int64
 		for i := range items {
-			size := int64(rng.Intn(12)) * unit
+			size := int64(rng.Intn(12)) * mb
 			move := size
 			switch rng.Intn(4) {
 			case 0:
 				move = 0
 			case 1:
-				move = int64(rng.Intn(12)) * unit
+				move = int64(rng.Intn(12)) * mb
 			}
 			if resident {
 				move = 0
@@ -213,8 +218,8 @@ func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 				sumSize, sumMove = sumSize+size, sumMove+move
 			}
 		}
-		storageCap, xferCap := int64(rng.Intn(40))*unit, int64(rng.Intn(30))*unit
-		if d == 0 {
+		storageCap, xferCap := int64(rng.Intn(40))*mb, int64(rng.Intn(30))*mb
+		if scaled {
 			storageCap, xferCap = storageCap*512, xferCap*64
 		}
 		// A quarter of the trials each: budgets as drawn, storage beyond
@@ -228,12 +233,19 @@ func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 		if trial%7 == 0 {
 			storageCap, xferCap = 0, 0 // smaller than any weighted item
 		}
-		if d == 1 {
-			// At unit 1 weights are sizes, and a sum over all items with a
-			// benefit bounds the sum over those that also fit.
-			slack[[2]bool{storageCap > sumSize, xferCap > sumMove}]++
+		if !scaled {
+			// Weights are sizes rounded up to the unit, and a sum over all
+			// items with a benefit bounds the sum over those that also fit.
+			da, db := clampUnit(storageCap/512), clampUnit(xferCap/64)
+			var sumA, sumB int
+			for _, it := range items {
+				if it.BnDW > 0 {
+					sumA, sumB = sumA+ceilDiv(it.Size, da), sumB+ceilDiv(it.MoveToDW, db)
+				}
+			}
+			slack[[2]bool{int(storageCap/da) > sumA, int(xferCap/db) > sumB}]++
 		}
-		packed += sameChoice(t, fmt.Sprintf("trial %d", trial), items, storageCap, xferCap, d, dwDims)
+		packed += sameChoice(t, fmt.Sprintf("trial %d", trial), items, storageCap, xferCap, dwDims)
 	}
 	if packed == 0 {
 		t.Fatal("no trial packed anything")
@@ -246,14 +258,11 @@ func TestKnapsackInPlaceEqualsLayered(t *testing.T) {
 
 	// The production HV phase: every candidate already sits in HV.
 	items, bh, bt := knapsackHVBudget()
-	if n := sameChoice(t, "HV budget", items, bh, bt, 0, hvDims); n != len(items) {
+	if n := sameChoice(t, "HV budget", items, bh, bt, hvDims); n != len(items) {
 		t.Fatalf("HV budget: chose %d of %d items that all fit", n, len(items))
 	}
-	// The same items under a storage budget that binds, and at the paper's
-	// explicit 1 GB unit.
-	sameChoice(t, "HV budget, binding", items, 100<<30, bt, 0, hvDims)
-	sameChoice(t, "HV budget, d = 1 GB", items, bh, bt, 1<<30, hvDims)
-	sameChoice(t, "HV budget, binding, d = 1 GB", items, 100<<30, bt, 1<<30, hvDims)
+	// The same items under a storage budget that binds.
+	sameChoice(t, "HV budget, binding", items, 100<<30, bt, hvDims)
 }
 
 // knapsackHVBudget is the HV phase at the paper's budgets (Bh 2 805 GB, Bt
@@ -280,7 +289,7 @@ func TestKnapsackHVBudgetAllocUnder64KB(t *testing.T) {
 	items, bh, bt := knapsackHVBudget()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	chosen := packKnapsack(items, bh, bt, 0, hvDims)
+	chosen := packKnapsack(items, bh, bt, hvDims)
 	runtime.ReadMemStats(&after)
 	if len(chosen) != len(items) {
 		t.Fatalf("packed %d of %d", len(chosen), len(items))
@@ -310,7 +319,7 @@ func TestKnapsackAllocatesUnderOneMB(t *testing.T) {
 	items := knapsack48()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	chosen := packKnapsack(items, 400*gb, 10*gb, 0, dwDims)
+	chosen := packKnapsack(items, 400*gb, 10*gb, dwDims)
 	runtime.ReadMemStats(&after)
 	if len(chosen) == 0 {
 		t.Fatal("packed nothing")

@@ -2,22 +2,18 @@ package core
 
 // Reference knapsack: the layered dynamic program packKnapsack ran before it
 // packed in place — one freshly allocated value table per candidate, the
-// chosen set read back by comparing adjacent layers — moved here unchanged
-// when the production build kept only the in-place form. It is the oracle
+// chosen set read back by comparing adjacent layers — moved here unchanged (but
+// for the explicit-unit parameter, dropped from both) when the production build kept only the in-place form. It is the oracle
 // TestKnapsackInPlaceEqualsLayered compares chosen sets against.
 
-func packKnapsackLayered(items []*Item, storageCap, xferCap, d int64,
+func packKnapsackLayered(items []*Item, storageCap, xferCap int64,
 	dims func(*Item) (int64, float64)) []*Item {
 
-	// Discretization: an explicit d (the paper's 1 GB) applies to both
-	// dimensions; otherwise each dimension picks a budget-relative unit
-	// so small budgets keep enough resolution and huge budgets keep the
-	// DP table small.
-	da, db := d, d
-	if d <= 0 {
-		da = clampUnit(storageCap / 512)
-		db = clampUnit(xferCap / 64)
-	}
+	// Discretization: each dimension picks a budget-relative unit, so small
+	// budgets keep enough resolution and huge budgets keep the DP table
+	// small.
+	da := clampUnit(storageCap / 512)
+	db := clampUnit(xferCap / 64)
 	ca := int(storageCap / da)
 	cb := int(xferCap / db)
 	if ca < 0 {

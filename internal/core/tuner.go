@@ -27,16 +27,6 @@ type Config struct {
 	Bh, Bd int64
 	// Bt is the per-reorganization view transfer budget in bytes.
 	Bt int64
-	// DiscretizeBytes is the knapsack discretization factor d (1 GB in
-	// the paper's complexity analysis).
-	DiscretizeBytes int64
-	// DoiThresholdFrac scales the interaction threshold: a pair of views
-	// interacts only when |doi| is at least this fraction of the weaker
-	// view's own predicted benefit.
-	DoiThresholdFrac float64
-	// MaxPartSize bounds interacting-set size (the paper keeps parts
-	// small, around 4).
-	MaxPartSize int
 	// MovePenaltyPerByteDW / MovePenaltyPerByteHV charge each candidate
 	// the time its placement would spend moving data (seconds per byte),
 	// so a view is only placed when its predicted benefit exceeds the
@@ -55,11 +45,6 @@ type Config struct {
 	// AllowReplication relaxes Vh ∩ Vd = ∅: views placed in DW remain
 	// candidates for HV.
 	AllowReplication bool
-	// ReserveReturnFrac reserves this fraction of Bt for the second
-	// phase's transfers (the paper's §4.4 alternative to letting the
-	// first phase consume the whole budget). Zero is the paper's default
-	// heuristic.
-	ReserveReturnFrac float64
 
 	// TuneWorkers bounds the worker pool evaluating what-if cost probes
 	// during Tune. Values <= 1 keep costing fully serial (the default).
@@ -70,15 +55,19 @@ type Config struct {
 	TuneWorkers int
 }
 
-// DefaultConfig returns paper-like tuning knobs (budgets must still be set
-// by the caller).
-func DefaultConfig() Config {
-	return Config{
-		DiscretizeBytes:  0, // auto: budget-relative per dimension
-		DoiThresholdFrac: 0.5,
-		MaxPartSize:      4,
-	}
-}
+// DefaultConfig returns the paper's tuner: no ablation, serial costing
+// (budgets must still be set by the caller).
+func DefaultConfig() Config { return Config{} }
+
+const (
+	// doiThresholdFrac scales the interaction threshold: a pair of views
+	// interacts only when |doi| is at least this fraction of the weaker
+	// view's own predicted benefit.
+	doiThresholdFrac = 0.5
+	// maxPartSize bounds interacting-set size (the paper keeps parts
+	// small, around 4).
+	maxPartSize = 4
+)
 
 // Tuner computes new multistore designs.
 type Tuner struct {
@@ -98,16 +87,7 @@ type Tuner struct {
 
 // NewTuner creates a tuner using the optimizer's what-if interface.
 func NewTuner(cfg Config, opt *optimizer.Optimizer) *Tuner {
-	if cfg.MaxPartSize <= 0 {
-		cfg.MaxPartSize = 4
-	}
 	return &Tuner{cfg: cfg, opt: opt, cache: newCostCache(), memo: views.NewMatchMemo()}
-}
-
-// CacheStats reports the what-if cost cache's cumulative hit and miss
-// counters; the benchmark pipeline derives its hit rate from them.
-func (t *Tuner) CacheStats() (hits, misses uint64) {
-	return t.cache.stats()
 }
 
 // Item is one knapsack candidate: a single view or a merged group of
@@ -271,7 +251,7 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 	var dwChosen, hvChosen []*Item
 	if t.cfg.HVFirst {
 		// Ablation: pack HV first, DW from the remainder.
-		hvChosen = packKnapsack(items, t.cfg.Bh, t.cfg.Bt, t.cfg.DiscretizeBytes, hvDims)
+		hvChosen = packKnapsack(items, t.cfg.Bh, t.cfg.Bt, hvDims)
 		var used int64
 		taken := map[*Item]bool{}
 		for _, it := range hvChosen {
@@ -287,17 +267,11 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 				}
 			}
 		}
-		dwChosen = packKnapsack(rest, t.cfg.Bd, remainingBudget(t.cfg.Bt, used),
-			t.cfg.DiscretizeBytes, dwDims)
+		dwChosen = packKnapsack(rest, t.cfg.Bd, remainingBudget(t.cfg.Bt, used), dwDims)
 	} else {
 		// Phase 1: pack DW with dimensions (Bd, Bt) — the paper's order,
-		// since DW offers the superior execution performance. An optional
-		// fraction of Bt is held back for the HV phase's return moves.
-		phase1Bt := t.cfg.Bt
-		if f := t.cfg.ReserveReturnFrac; f > 0 && f < 1 {
-			phase1Bt = int64(float64(phase1Bt) * (1 - f))
-		}
-		dwChosen = packKnapsack(items, t.cfg.Bd, phase1Bt, t.cfg.DiscretizeBytes, dwDims)
+		// since DW offers the superior execution performance.
+		dwChosen = packKnapsack(items, t.cfg.Bd, t.cfg.Bt, dwDims)
 		var used int64
 		taken := map[*Item]bool{}
 		for _, it := range dwChosen {
@@ -314,8 +288,7 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 				}
 			}
 		}
-		hvChosen = packKnapsack(rest, t.cfg.Bh, remainingBudget(t.cfg.Bt, used),
-			t.cfg.DiscretizeBytes, hvDims)
+		hvChosen = packKnapsack(rest, t.cfg.Bh, remainingBudget(t.cfg.Bt, used), hvDims)
 	}
 	if t.Debug != nil {
 		t.Debug(items, dwChosen, hvChosen)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"miso/internal/data"
@@ -35,7 +36,7 @@ func TestTunerInternals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := h.Execute(plan, i); err != nil {
+		if _, err := h.ExecuteContext(context.Background(), plan, i); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		w.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})

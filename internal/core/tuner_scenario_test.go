@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"miso/internal/data"
@@ -32,7 +33,7 @@ func TestTunerAfterSplitExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mp.HVOnly {
-			if _, err := h.Execute(mp.HVPlan, i); err != nil {
+			if _, err := h.ExecuteContext(context.Background(), mp.HVPlan, i); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -40,13 +41,13 @@ func TestTunerAfterSplitExecution(t *testing.T) {
 				if cut.DWView != nil {
 					continue
 				}
-				res, err := h.Execute(cut.HVPlan, i)
+				res, err := h.ExecuteContext(context.Background(), cut.HVPlan, i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				d.StageTemp(cut.TempName, res.Table)
 			}
-			if _, err := d.Execute(mp.DWPart); err != nil {
+			if _, err := d.ExecuteContext(context.Background(), mp.DWPart); err != nil {
 				t.Fatal(err)
 			}
 			d.ClearTemp()

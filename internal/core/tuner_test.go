@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"miso/internal/data"
@@ -46,7 +47,7 @@ func newTunerFixture(t *testing.T, names []string, cfgEdit func(*Config)) *tuner
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Execute(plan, i); err != nil {
+		if _, err := h.ExecuteContext(context.Background(), plan, i); err != nil {
 			t.Fatal(err)
 		}
 		win.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})

@@ -42,9 +42,6 @@ type Config struct {
 	Startup float64
 	// ScanMBps is the per-node processing throughput.
 	ScanMBps float64
-	// IndexSelectivityFloor bounds how much an index scan can skip; the
-	// loader builds an index on each permanent view's leading column.
-	IndexSelectivityFloor float64
 	// ExecWorkers bounds the execution engine's worker pool
 	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
 	// n workers. Results are byte-identical at every setting.
@@ -54,12 +51,15 @@ type Config struct {
 // DefaultConfig matches the paper's 9-node commercial parallel row store.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:                 9,
-		Startup:               0.5,
-		ScanMBps:              450,
-		IndexSelectivityFloor: 0.05,
+		Nodes:    9,
+		Startup:  0.5,
+		ScanMBps: 450,
 	}
 }
+
+// indexSelectivityFloor bounds how much an index scan can skip; the loader
+// builds an index on each permanent view's leading column.
+const indexSelectivityFloor = 0.05
 
 // Result reports one (sub)plan execution in DW.
 type Result struct {
@@ -90,9 +90,6 @@ type Store struct {
 func NewStore(cfg Config, est *stats.Estimator) *Store {
 	return &Store{cfg: cfg, est: est, Views: views.NewSet(), temp: map[string]*storage.Table{}}
 }
-
-// Config returns the store configuration.
-func (s *Store) Config() Config { return s.cfg }
 
 // StageTemp registers a migrated working set under the given name in
 // temporary table space (not part of the physical design).
@@ -146,15 +143,10 @@ func (s *Store) Env() *exec.Env {
 	}
 }
 
-// Execute runs a subplan entirely inside DW. The plan must be UDF-free and
-// leaf only on resolvable views/temp tables.
-func (s *Store) Execute(plan *logical.Node) (*Result, error) {
-	return s.ExecuteContext(context.Background(), plan)
-}
-
-// ExecuteContext runs a subplan inside DW, abandoning it at the next
-// operator boundary once ctx is done (the error then wraps ctx.Err()).
-// Execution memory is charged to the ledger ctx carries, if any.
+// ExecuteContext runs a subplan entirely inside DW; the plan must be
+// UDF-free and leaf only on resolvable views/temp tables. It abandons the
+// plan at the next operator boundary once ctx is done (the error then wraps
+// ctx.Err()). Execution memory is charged to the ledger ctx carries, if any.
 func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result, error) {
 	if plan.UsesUDF() {
 		return nil, ErrUDF
@@ -174,18 +166,14 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 	return &Result{Table: run.Root, Seconds: sec}, nil
 }
 
-// CostPlan estimates execution time without running the plan (what-if
+// CostPlanWith estimates execution time without running the plan (what-if
 // mode). This is the store's "what-if interface" in the paper's terms: its
-// optimizer units are already normalized to seconds.
-func (s *Store) CostPlan(plan *logical.Node) float64 {
-	return s.CostPlanWith(plan, nil)
-}
-
-// CostPlanWith costs like CostPlan but resolves node sizes through a local
-// stat overlay (signature -> stat) before the shared estimator cache. The
-// optimizer uses it to cost DW remainders that read hypothetical migrated
-// working sets (ws_0, ws_1, ...) without publishing their stats, keeping
-// the what-if path read-only and safe for concurrent use.
+// optimizer units are already normalized to seconds. Node sizes resolve
+// through a local stat overlay (signature -> stat; nil for none) before the
+// shared estimator cache. The optimizer uses it to cost DW remainders that
+// read hypothetical migrated working sets (ws_0, ws_1, ...) without
+// publishing their stats, keeping the what-if path read-only and safe for
+// concurrent use.
 func (s *Store) CostPlanWith(plan *logical.Node, overlay map[string]stats.Stat) float64 {
 	// The cost walk sizes each node once per parent visit; memoize per
 	// call so a node's subtree is estimated once, not once per appearance
@@ -242,20 +230,20 @@ func (s *Store) indexSelectivity(filter, scan *logical.Node) (float64, bool) {
 				continue
 			}
 			if refsColumn(e.L, lead) || refsColumn(e.R, lead) {
-				return s.floorSel(0.1), true
+				return floorSel(0.1), true
 			}
 		case *expr.In:
 			if !e.Neg && refsColumn(e.E, lead) {
-				return s.floorSel(0.1 * float64(len(e.Items))), true
+				return floorSel(0.1 * float64(len(e.Items))), true
 			}
 		}
 	}
 	return 0, false
 }
 
-func (s *Store) floorSel(sel float64) float64 {
-	if sel < s.cfg.IndexSelectivityFloor {
-		return s.cfg.IndexSelectivityFloor
+func floorSel(sel float64) float64 {
+	if sel < indexSelectivityFloor {
+		return indexSelectivityFloor
 	}
 	if sel > 1 {
 		return 1

@@ -1,6 +1,7 @@
 package dw_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestExecuteOverPermanentView(t *testing.T) {
 	f := setup(t)
 	v := f.loadView(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
 	scan := logical.NewViewScan(v.Name, v.Table.Schema)
-	res, err := f.dw.Execute(scan)
+	res, err := f.dw.ExecuteContext(context.Background(), scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExecuteRejectsUDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.dw.Execute(plan); err == nil {
+	if _, err := f.dw.ExecuteContext(context.Background(), plan); err == nil {
 		t.Fatal("UDF plan executed in DW")
 	} else if !strings.Contains(err.Error(), "UDF") {
 		t.Errorf("unexpected error: %v", err)
@@ -97,7 +98,7 @@ func TestExecuteRejectsRawLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.dw.Execute(plan); err == nil {
+	if _, err := f.dw.ExecuteContext(context.Background(), plan); err == nil {
 		t.Fatal("raw-log scan executed in DW")
 	}
 }
@@ -112,7 +113,7 @@ func TestTempSpaceLifecycle(t *testing.T) {
 		t.Fatalf("temp not resolvable: %v", err)
 	}
 	scan := logical.NewViewScan("ws_0", tbl.Schema)
-	res, err := f.dw.Execute(scan)
+	res, err := f.dw.ExecuteContext(context.Background(), scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +156,8 @@ func TestIndexSelectivityDiscountsCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := f.dw.CostPlan(indexed)
-	cu := f.dw.CostPlan(unindexed)
+	ci := f.dw.CostPlanWith(indexed, nil)
+	cu := f.dw.CostPlanWith(unindexed, nil)
 	if ci >= cu {
 		t.Errorf("indexed filter cost %.4f not below unindexed %.4f", ci, cu)
 	}

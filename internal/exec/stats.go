@@ -104,20 +104,6 @@ func (s *Stats) Breakdown() []OpStat {
 	return out
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	if s == nil {
-		return
-	}
-	for k := range s.ops {
-		s.ops[k].calls.Store(0)
-		s.ops[k].rows.Store(0)
-		s.ops[k].nanos.Store(0)
-		s.ops[k].batches.Store(0)
-		s.ops[k].rowsIn.Store(0)
-	}
-}
-
 // WriteBreakdown renders the breakdown as an aligned table.
 func (s *Stats) WriteBreakdown(w io.Writer) {
 	rows := s.Breakdown()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"sort"
 
@@ -49,7 +50,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 	// Warm the estimator with one real execution so plan costs reflect
 	// observed intermediate sizes (the paper measured real executions).
-	if _, err := sys.HV().Execute(plan, 0); err != nil {
+	if _, err := sys.HV().ExecuteContext(context.Background(), plan, 0); err != nil {
 		return nil, err
 	}
 	sys.HV().Views.Reset()

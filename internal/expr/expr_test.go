@@ -339,15 +339,6 @@ func TestRegisterAndLookup(t *testing.T) {
 	if _, ok := LookupFunc("SENTIMENT"); !ok {
 		t.Error("SENTIMENT missing")
 	}
-	names := UDFNames()
-	if len(names) < 5 {
-		t.Errorf("UDFs registered = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Error("UDFNames not sorted")
-		}
-	}
 	if IsAggregateName("COUNT") != true || IsAggregateName("UPPER") != false {
 		t.Error("IsAggregateName wrong")
 	}

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,16 +40,6 @@ func LookupFunc(name string) (*FuncImpl, bool) {
 	}
 	f, ok := udfs[name]
 	return f, ok
-}
-
-// UDFNames returns the sorted names of registered UDFs.
-func UDFNames() []string {
-	out := make([]string, 0, len(udfs))
-	for n := range udfs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IsAggregateName reports whether the name is one of the aggregate

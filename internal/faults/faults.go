@@ -321,6 +321,48 @@ func (r RetryPolicy) Backoff(attempt int) float64 {
 	return b
 }
 
+// GiveUp is the one give-up rule. After an injected failure at site was
+// drawn and charged as the given 1-based attempt of op, it decides whether
+// another attempt may be paid, in a fixed order: the per-phase policy
+// (an error wrapping ErrExhausted), then the caller's deadline (an error
+// wrapping ctx.Err(): no retry fits inside an expired deadline), then the
+// retry budget ctx carries (WithBudget; an error wrapping ErrBudget), from
+// which a granted retry is taken. Nil means try again.
+func (r RetryPolicy) GiveUp(ctx context.Context, site Site, op string, attempt int) error {
+	f := &Fault{Site: site, Op: op, Attempt: attempt}
+	switch {
+	case attempt >= r.MaxAttempts:
+		return Exhausted(f)
+	case ctx.Err() != nil:
+		return fmt.Errorf("abandoned before retry: %w", ctx.Err())
+	case !BudgetFrom(ctx).Take():
+		return BudgetExhausted(f)
+	}
+	return nil
+}
+
+// Replay is the one transactional recovery loop: it draws site's outcome
+// for an operation that takes sec simulated seconds, and for every injected
+// failure counts a retry, charges the fraction of the operation completed
+// before the failure plus the backoff wait to *recovery, and asks GiveUp
+// whether to go on. It returns nil once a draw succeeds. The charges are
+// added to the caller's accumulators one failure at a time, so a caller's
+// running sums see the same additions in the same order wherever the
+// replay is called from.
+func (r RetryPolicy) Replay(ctx context.Context, inj *Injector, site Site, op string, sec float64, retries *int, recovery *float64) error {
+	for attempt := 1; ; attempt++ {
+		failed, frac := inj.Check(site)
+		if !failed {
+			return nil
+		}
+		*retries++
+		*recovery += frac*sec + r.Backoff(attempt)
+		if err := r.GiveUp(ctx, site, op, attempt); err != nil {
+			return err
+		}
+	}
+}
+
 // Budget caps how many retries one query (or one reorganization phase)
 // may pay across every recovery path it touches — HV stage retries, the
 // resumable transfer pipeline, and DW query replays. The per-phase

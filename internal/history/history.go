@@ -74,10 +74,3 @@ func (w *Window) Weights() []float64 {
 	}
 	return out
 }
-
-// Clone returns an independent copy of the window.
-func (w *Window) Clone() *Window {
-	c := NewWindow(w.maxLen, w.epochLen, w.decay)
-	c.entries = append([]Entry(nil), w.entries...)
-	return c
-}

@@ -75,13 +75,3 @@ func TestDegenerateParamsClamped(t *testing.T) {
 		t.Error("invalid decay not clamped to 1")
 	}
 }
-
-func TestCloneIndependence(t *testing.T) {
-	w := NewWindow(5, 2, 0.5)
-	w.Add(entry(1))
-	c := w.Clone()
-	c.Add(entry(2))
-	if w.Len() != 1 || c.Len() != 2 {
-		t.Error("clone shares storage")
-	}
-}

@@ -101,9 +101,6 @@ func NewStore(cfg Config, cat *storage.Catalog, est *stats.Estimator) *Store {
 	return &Store{cfg: cfg, cat: cat, est: est, Views: views.NewSet()}
 }
 
-// Config returns the store configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // SetFaults arms the store with a fault injector and recovery policy. A
 // nil injector disables injection entirely (the default).
 func (s *Store) SetFaults(inj *faults.Injector, retry faults.RetryPolicy) {
@@ -206,18 +203,13 @@ func (s *Store) jobSeconds(normal, serde, out int64) float64 {
 	return sec
 }
 
-// Execute runs the plan, materializing every stage, charging simulated time,
-// recording observed statistics, and capturing new opportunistic views.
-// seq is the workload sequence number (for view bookkeeping).
-func (s *Store) Execute(plan *logical.Node, seq int) (*Result, error) {
-	return s.ExecuteContext(context.Background(), plan, seq)
-}
-
-// ExecuteContext runs the plan like Execute but abandons it at the next
-// stage boundary once ctx is done. An abandoned execution returns a nil
-// Result and an error wrapping ctx.Err(); any simulated time the caller
-// had already accrued for earlier phases is its to charge (the multistore
-// books it under RECOVERY).
+// ExecuteContext runs the plan, materializing every stage, charging
+// simulated time, recording observed statistics, and capturing new
+// opportunistic views; seq is the workload sequence number (for view
+// bookkeeping). It abandons the plan at the next stage boundary once ctx is
+// done: an abandoned execution returns a nil Result and an error wrapping
+// ctx.Err(); any simulated time the caller had already accrued for earlier
+// phases is its to charge (the multistore books it under RECOVERY).
 func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node, seq int) (*Result, error) {
 	p, err := s.BeginExecute(ctx, plan)
 	if err != nil {
@@ -340,13 +332,16 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 	// re-executes from its materialized inputs — the last job boundary —
 	// so only that stage's partial work plus backoff is lost, never the
 	// whole plan. This is exactly the fault tolerance the paper's
-	// by-product materializations buy.
+	// by-product materializations buy. Each injected failure wastes the
+	// completed fraction of the phase plus a backoff wait, charged to
+	// RecoverySeconds; giving up (faults.RetryPolicy.GiveUp) fails the whole
+	// execution with a typed fault error.
 	if s.inj.Enabled() {
 		for i, st := range stages {
-			if err := s.recoverPhase(ctx, faults.SiteHVStage, st.sec, res); err != nil {
+			if err := s.retry.Replay(ctx, s.inj, faults.SiteHVStage, "hv job", st.sec, &res.Retries, &res.RecoverySeconds); err != nil {
 				return nil, fmt.Errorf("hv: stage %d/%d: %w", i+1, len(stages), err)
 			}
-			if err := s.recoverPhase(ctx, faults.SiteHDFSWrite, st.writeSec, res); err != nil {
+			if err := s.retry.Replay(ctx, s.inj, faults.SiteHDFSWrite, "hv job", st.writeSec, &res.Retries, &res.RecoverySeconds); err != nil {
 				return nil, fmt.Errorf("hv: materializing stage %d/%d: %w", i+1, len(stages), err)
 			}
 		}
@@ -382,32 +377,6 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 		res.NewViews = append(res.NewViews, v)
 	}
 	return res, nil
-}
-
-// recoverPhase simulates one stage phase (execution or HDFS write) under
-// the injector: each injected failure wastes the completed fraction of the
-// phase plus a backoff wait, all charged to RecoverySeconds. Exhausting
-// the retry policy — or the retry budget ctx carries (faults.WithBudget),
-// or the caller's deadline (no retry fits inside an expired deadline) —
-// fails the whole execution with a typed fault error.
-func (s *Store) recoverPhase(ctx context.Context, site faults.Site, sec float64, res *Result) error {
-	for attempt := 1; ; attempt++ {
-		failed, frac := s.inj.Check(site)
-		if !failed {
-			return nil
-		}
-		res.Retries++
-		res.RecoverySeconds += frac*sec + s.retry.Backoff(attempt)
-		f := &faults.Fault{Site: site, Op: "hv job", Attempt: attempt}
-		switch {
-		case attempt >= s.retry.MaxAttempts:
-			return faults.Exhausted(f)
-		case ctx.Err() != nil:
-			return fmt.Errorf("abandoned before retry: %w", ctx.Err())
-		case !faults.BudgetFrom(ctx).Take():
-			return faults.BudgetExhausted(f)
-		}
-	}
 }
 
 // ExpandViews rewrites ViewScan leaves back to their base-data definitions,
@@ -485,12 +454,4 @@ func (s *Store) logGeneration(name string) (int, bool) {
 		return 0, false
 	}
 	return log.Generation, true
-}
-
-// EnforceBudget evicts least-recently-used views until the set fits in
-// budgetBytes. It returns the evicted views. This implements the simple LRU
-// policy used by the HV-OP and MS-LRU variants and HV temporary-space
-// trimming at reorganization time; the ordering is views.EvictLRU's.
-func (s *Store) EnforceBudget(budgetBytes int64) []*views.View {
-	return views.EvictLRU(s.Views, budgetBytes)
 }

@@ -1,6 +1,7 @@
 package hv_test
 
 import (
+	"context"
 	"testing"
 
 	"errors"
@@ -58,7 +59,7 @@ func TestExecuteCreatesOpportunisticViews(t *testing.T) {
 	_, b, store := setup(t)
 	plan := build(t, b, `SELECT lang, COUNT(*) AS n FROM tweets
 		WHERE retweets > 50 GROUP BY lang`)
-	res, err := store.Execute(plan, 1)
+	res, err := store.ExecuteContext(context.Background(), plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestExecuteCreatesOpportunisticViews(t *testing.T) {
 		t.Errorf("store has %d views, result reports %d", store.Views.Len(), len(res.NewViews))
 	}
 	// Re-executing the identical plan creates nothing new.
-	res2, err := store.Execute(plan, 2)
+	res2, err := store.ExecuteContext(context.Background(), plan, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExecuteCreatesOpportunisticViews(t *testing.T) {
 func TestViewDefsAreRawAndNormalized(t *testing.T) {
 	_, b, store := setup(t)
 	plan := build(t, b, "SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > 50 GROUP BY lang")
-	if _, err := store.Execute(plan, 1); err != nil {
+	if _, err := store.ExecuteContext(context.Background(), plan, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Every view definition must be in base-data terms (no ViewScans) and
@@ -111,7 +112,7 @@ func TestCostPlanTracksExecution(t *testing.T) {
 	}
 	// After execution, the estimate uses observed sizes and the real cost
 	// equals the re-estimated cost for the same plan.
-	res, err := store.Execute(cheap, 1)
+	res, err := store.ExecuteContext(context.Background(), cheap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestExpandViewsRestoresRawDefinition(t *testing.T) {
 	// The aggregate's map-phase input (the wide filtered extract) is one
 	// of the materialized stages, so it becomes a reusable view.
 	v1 := build(t, b, "SELECT lang, COUNT(*) AS n FROM tweets WHERE lang = 'en' GROUP BY lang")
-	if _, err := store.Execute(v1, 1); err != nil {
+	if _, err := store.ExecuteContext(context.Background(), v1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite a refined query against the store's views, then expand.
@@ -146,35 +147,6 @@ func TestExpandViewsRestoresRawDefinition(t *testing.T) {
 	}
 	if expanded.Signature() != core.Signature() {
 		t.Errorf("expanded signature differs:\n%s\n%s", expanded.Signature(), core.Signature())
-	}
-}
-
-func TestEnforceBudgetEvictsLRU(t *testing.T) {
-	_, b, store := setup(t)
-	for i, sql := range []string{
-		"SELECT tweet_id FROM tweets WHERE lang = 'en'",
-		"SELECT tweet_id FROM tweets WHERE lang = 'es'",
-	} {
-		if _, err := store.Execute(build(t, b, sql), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := store.Views.Len()
-	evicted := store.EnforceBudget(store.Views.TotalBytes() / 2)
-	if len(evicted) == 0 {
-		t.Fatal("nothing evicted")
-	}
-	if store.Views.Len() != before-len(evicted) {
-		t.Error("eviction accounting wrong")
-	}
-	// The survivors are the most recently used.
-	for _, v := range store.Views.All() {
-		for _, e := range evicted {
-			if v.LastUsedSeq < e.LastUsedSeq {
-				t.Errorf("kept %s (seq %d) but evicted %s (seq %d)",
-					v.Name, v.LastUsedSeq, e.Name, e.LastUsedSeq)
-			}
-		}
 	}
 }
 
@@ -200,13 +172,13 @@ func TestCostScalesWithClusterSize(t *testing.T) {
 func TestExecuteFaultFreeWithInjectorArmedButZeroRate(t *testing.T) {
 	_, b, store := setup(t)
 	plan := build(t, b, `SELECT lang, COUNT(*) AS n FROM tweets GROUP BY lang`)
-	base, err := store.Execute(plan, 1)
+	base, err := store.ExecuteContext(context.Background(), plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A zero-rate profile yields a nil injector: strictly additive plane.
 	store.SetFaults(faults.NewInjector(faults.Profile{}, 1), faults.DefaultRetry())
-	again, err := store.Execute(plan, 2)
+	again, err := store.ExecuteContext(context.Background(), plan, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +199,7 @@ func TestExecuteRetriesChargeRecovery(t *testing.T) {
 		JOIN landmarks l ON c.venue_id = l.venue_id GROUP BY l.city`)
 	var sawRetry bool
 	for seq := 1; seq <= 10; seq++ {
-		res, err := store.Execute(plan, seq)
+		res, err := store.ExecuteContext(context.Background(), plan, seq)
 		if err != nil {
 			// Exhaustion is possible at 50% rate; it must be typed.
 			if !errors.Is(err, faults.ErrExhausted) {
@@ -262,7 +234,7 @@ func TestExecuteFaultsDeterministic(t *testing.T) {
 		plan := build(t, b, `SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > 50 GROUP BY lang`)
 		var out []float64
 		for seq := 1; seq <= 5; seq++ {
-			res, err := store.Execute(plan, seq)
+			res, err := store.ExecuteContext(context.Background(), plan, seq)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"miso/internal/durability"
 	"miso/internal/faults"
@@ -181,13 +182,82 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 	return viols, next, nil
 }
 
+// brokenInvariants is the one walk over the system invariants: Vh ∩ Vd
+// disjointness, the storage budgets, transfer-budget conservation over the
+// reorganization ledger, non-negative TTI components, and the query counter
+// against the report log. Each breach is yielded as the audit's violation
+// and in CheckInvariants' wording, in that order of checks; yield returns
+// false to stop the walk. The walk is lazy: a yield that repairs a breach
+// (AuditInvariants evicting a duplicate) is seen by the checks after it.
+// Callers hold s.mu.
+func (s *System) brokenInvariants(yield func(v AuditViolation, msg string) bool) {
+	for _, v := range s.hv.Views.All() {
+		if !s.dw.Views.Has(v.Name) {
+			continue
+		}
+		if !yield(AuditViolation{Invariant: InvDisjoint, View: v.Name, Store: "hv", Detail: "view resident in both stores"},
+			fmt.Sprintf("view %q present in both HV and DW", v.Name)) {
+			return
+		}
+	}
+	for _, b := range []struct {
+		set       *views.Set
+		tag, name string // the store as the audit tags it; its budget as CheckInvariants names it
+		limit     int64
+	}{{s.hv.Views, "hv", "Bh", s.cfg.Tuner.Bh}, {s.dw.Views, "dw", "Bd", s.cfg.Tuner.Bd}} {
+		got := b.set.TotalBytes()
+		if got <= b.limit {
+			continue
+		}
+		if !yield(AuditViolation{Invariant: InvBudget, Store: b.tag,
+			Detail: fmt.Sprintf("%s views %d bytes exceed budget %d", b.tag, got, b.limit)},
+			fmt.Sprintf("%s views %d bytes exceed %s %d", strings.ToUpper(b.tag), got, b.name, b.limit)) {
+			return
+		}
+	}
+	for _, rec := range s.reorgLog {
+		var detail, msg string
+		switch {
+		case rec.Bytes < 0 || rec.RefundedBytes < 0:
+			detail = fmt.Sprintf("reorg before query %d has negative byte accounting", rec.BeforeSeq)
+			msg = detail
+		case rec.Bytes > s.cfg.Tuner.Bt:
+			detail = fmt.Sprintf("reorg before query %d moved %d bytes over transfer budget %d", rec.BeforeSeq, rec.Bytes, s.cfg.Tuner.Bt)
+			msg = fmt.Sprintf("reorg before query %d moved %d bytes, transfer budget %d", rec.BeforeSeq, rec.Bytes, s.cfg.Tuner.Bt)
+		default:
+			continue
+		}
+		if !yield(AuditViolation{Invariant: InvBudget, Detail: detail}, msg) {
+			return
+		}
+	}
+	m := s.metrics
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"HVExe", m.HVExe}, {"DWExe", m.DWExe}, {"Transfer", m.Transfer},
+		{"Tune", m.Tune}, {"ETL", m.ETL}, {"Recovery", m.Recovery},
+	} {
+		if c.v < 0 {
+			detail := fmt.Sprintf("negative %s component %f", c.name, c.v)
+			if !yield(AuditViolation{Invariant: InvAccounting, Detail: detail}, detail) {
+				return
+			}
+		}
+	}
+	if n := s.reports.total(); m.Queries != n {
+		detail := fmt.Sprintf("%d queries counted but %d reports", m.Queries, n)
+		yield(AuditViolation{Invariant: InvAccounting, Detail: detail}, detail)
+	}
+}
+
 // AuditInvariants verifies the system-wide invariants in one atomic
-// critical section: Vh ∩ Vd disjointness, storage- and transfer-budget
-// conservation, TTI accounting sanity, and WAL/state consistency. With
-// repair set, a disjointness breach is healed by evicting the HV copy
-// (the DW placement wins, matching the capture veto's semantics), a
-// storage-budget overflow by LRU eviction back under budget, and a
-// mismatched durable view payload by re-journaling the verified live
+// critical section: the five brokenInvariants walks, then WAL/state
+// consistency. With repair set, a disjointness breach is healed by evicting
+// the HV copy (the DW placement wins, matching the capture veto's
+// semantics), a storage-budget overflow by LRU eviction back under budget,
+// and a mismatched durable view payload by re-journaling the verified live
 // copy; ledger and accounting violations are report-only. The error
 // return is reserved for a torn WAL append while journaling a repair.
 func (s *System) AuditInvariants(repair bool) ([]AuditViolation, error) {
@@ -204,75 +274,27 @@ func (s *System) AuditInvariants(repair bool) ([]AuditViolation, error) {
 		viols = append(viols, v)
 	}
 
-	// Vh ∩ Vd = ∅.
 	changed := false
-	for _, v := range s.hv.Views.All() {
-		if !s.dw.Views.Has(v.Name) {
-			continue
-		}
-		viol := AuditViolation{Invariant: InvDisjoint, View: v.Name, Store: "hv",
-			Detail: "view resident in both stores"}
-		if repair {
-			s.hv.Views.Remove(v.Name)
+	s.brokenInvariants(func(v AuditViolation, _ string) bool {
+		if repair && v.Invariant == InvDisjoint {
+			s.hv.Views.Remove(v.View)
 			changed = true
-			viol.Repaired = true
-			viol.Detail += "; evicted HV copy, DW placement wins"
+			v.Repaired = true
+			v.Detail += "; evicted HV copy, DW placement wins"
 		}
-		add(viol)
-	}
-
-	// Storage budgets.
-	for _, b := range []struct {
-		set   *views.Set
-		tag   string
-		limit int64
-	}{{s.hv.Views, "hv", s.cfg.Tuner.Bh}, {s.dw.Views, "dw", s.cfg.Tuner.Bd}} {
-		got := b.set.TotalBytes()
-		if got <= b.limit {
-			continue
-		}
-		viol := AuditViolation{Invariant: InvBudget, Store: b.tag,
-			Detail: fmt.Sprintf("%s views %d bytes exceed budget %d", b.tag, got, b.limit)}
-		if repair {
-			evicted := views.EvictLRU(b.set, b.limit)
+		if repair && v.Invariant == InvBudget && v.Store != "" { // a storage budget, not the ledger
+			set, limit := s.hv.Views, s.cfg.Tuner.Bh
+			if v.Store == "dw" {
+				set, limit = s.dw.Views, s.cfg.Tuner.Bd
+			}
+			evicted := views.EvictLRU(set, limit)
 			changed = changed || len(evicted) > 0
-			viol.Repaired = true
-			viol.Detail += fmt.Sprintf("; evicted %d views back under budget", len(evicted))
+			v.Repaired = true
+			v.Detail += fmt.Sprintf("; evicted %d views back under budget", len(evicted))
 		}
-		add(viol)
-	}
-
-	// Transfer-budget conservation over the reorganization ledger.
-	for _, rec := range s.reorgLog {
-		switch {
-		case rec.Bytes < 0 || rec.RefundedBytes < 0:
-			add(AuditViolation{Invariant: InvBudget,
-				Detail: fmt.Sprintf("reorg before query %d has negative byte accounting", rec.BeforeSeq)})
-		case rec.Bytes > s.cfg.Tuner.Bt:
-			add(AuditViolation{Invariant: InvBudget,
-				Detail: fmt.Sprintf("reorg before query %d moved %d bytes over transfer budget %d",
-					rec.BeforeSeq, rec.Bytes, s.cfg.Tuner.Bt)})
-		}
-	}
-
-	// TTI accounting.
-	m := s.metrics
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"HVExe", m.HVExe}, {"DWExe", m.DWExe}, {"Transfer", m.Transfer},
-		{"Tune", m.Tune}, {"ETL", m.ETL}, {"Recovery", m.Recovery},
-	} {
-		if c.v < 0 {
-			add(AuditViolation{Invariant: InvAccounting,
-				Detail: fmt.Sprintf("negative %s component %f", c.name, c.v)})
-		}
-	}
-	if n := s.reports.total(); m.Queries != n {
-		add(AuditViolation{Invariant: InvAccounting,
-			Detail: fmt.Sprintf("%d queries counted but %d reports", m.Queries, n)})
-	}
+		add(v)
+		return true
+	})
 
 	// WAL/state consistency.
 	if s.dur != nil {

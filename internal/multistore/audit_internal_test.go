@@ -8,6 +8,7 @@ package multistore
 // corruption, so they live inside the package.
 
 import (
+	"fmt"
 	"testing"
 
 	"miso/internal/data"
@@ -246,5 +247,84 @@ func TestAuditInvariantsRepairsDisjointness(t *testing.T) {
 	}
 	if len(clean) != 0 {
 		t.Fatalf("second pass still dirty: %v", clean)
+	}
+}
+
+// TestPlantedInvariantBreachesAreReportedBothWays plants each of the five
+// system-invariant breaches, one at a time, and checks that CheckInvariants
+// (which returns the first) and AuditInvariants(false) (which lists them)
+// both report it, each in its own wording — the two are one walk now, and
+// neither's messages may drift.
+func TestPlantedInvariantBreachesAreReportedBothWays(t *testing.T) {
+	sys := newAuditSystem(t, VariantMSMiso, nil)
+	runPrefix(t, sys, 6)
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatalf("dirty before planting: %v", err)
+	}
+	hvViews := sys.hv.Views.All()
+	if len(hvViews) == 0 {
+		t.Fatal("no HV views materialized")
+	}
+	dup := hvViews[0]
+	hvBytes, dwBytes := sys.hv.Views.TotalBytes(), sys.dw.Views.TotalBytes()
+	bh, bd, bt := sys.cfg.Tuner.Bh, sys.cfg.Tuner.Bd, sys.cfg.Tuner.Bt
+	queries, tune := sys.metrics.Queries, sys.metrics.Tune
+
+	for _, c := range []struct {
+		name        string
+		plant, undo func()
+		check       string
+		audit       AuditViolation
+	}{
+		{"disjointness",
+			func() { sys.dw.Views.Add(dup.Clone()) }, func() { sys.dw.Views.Remove(dup.Name) },
+			fmt.Sprintf("multistore: view %q present in both HV and DW", dup.Name),
+			AuditViolation{Invariant: InvDisjoint, View: dup.Name, Store: "hv", Detail: "view resident in both stores"}},
+		{"HV storage budget",
+			func() { sys.cfg.Tuner.Bh = 1 }, func() { sys.cfg.Tuner.Bh = bh },
+			fmt.Sprintf("multistore: HV views %d bytes exceed Bh 1", hvBytes),
+			AuditViolation{Invariant: InvBudget, Store: "hv", Detail: fmt.Sprintf("hv views %d bytes exceed budget 1", hvBytes)}},
+		{"DW storage budget",
+			func() { sys.cfg.Tuner.Bd = -1 }, func() { sys.cfg.Tuner.Bd = bd },
+			fmt.Sprintf("multistore: DW views %d bytes exceed Bd -1", dwBytes),
+			AuditViolation{Invariant: InvBudget, Store: "dw", Detail: fmt.Sprintf("dw views %d bytes exceed budget -1", dwBytes)}},
+		{"negative ledger bytes",
+			func() { sys.reorgLog = append(sys.reorgLog, ReorgRecord{BeforeSeq: 7, RefundedBytes: -1}) },
+			func() { sys.reorgLog = sys.reorgLog[:len(sys.reorgLog)-1] },
+			"multistore: reorg before query 7 has negative byte accounting",
+			AuditViolation{Invariant: InvBudget, Detail: "reorg before query 7 has negative byte accounting"}},
+		{"transfer budget",
+			func() { sys.reorgLog = append(sys.reorgLog, ReorgRecord{BeforeSeq: 8, Bytes: bt + 1}) },
+			func() { sys.reorgLog = sys.reorgLog[:len(sys.reorgLog)-1] },
+			fmt.Sprintf("multistore: reorg before query 8 moved %d bytes, transfer budget %d", bt+1, bt),
+			AuditViolation{Invariant: InvBudget, Detail: fmt.Sprintf("reorg before query 8 moved %d bytes over transfer budget %d", bt+1, bt)}},
+		{"negative TTI component",
+			func() { sys.metrics.Tune = -2.5 }, func() { sys.metrics.Tune = tune },
+			"multistore: negative Tune component -2.500000",
+			AuditViolation{Invariant: InvAccounting, Detail: "negative Tune component -2.500000"}},
+		{"query count",
+			func() { sys.metrics.Queries++ }, func() { sys.metrics.Queries-- },
+			fmt.Sprintf("multistore: %d queries counted but %d reports", queries+1, queries),
+			AuditViolation{Invariant: InvAccounting, Detail: fmt.Sprintf("%d queries counted but %d reports", queries+1, queries)}},
+	} {
+		c.plant()
+		err := sys.CheckInvariants()
+		viols, aerr := sys.AuditInvariants(false)
+		c.undo()
+		if aerr != nil {
+			t.Fatalf("%s: audit: %v", c.name, aerr)
+		}
+		if len(viols) != 1 {
+			t.Fatalf("%s: audit reported %d violations, want the planted one: %v", c.name, len(viols), viols)
+		}
+		if err == nil || err.Error() != c.check {
+			t.Errorf("%s: CheckInvariants = %v, want %q", c.name, err, c.check)
+		}
+		if viols[0] != c.audit {
+			t.Errorf("%s: AuditInvariants = %+v, want %+v", c.name, viols[0], c.audit)
+		}
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatalf("dirty after undoing every plant: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package multistore_test
 
 import (
+	"errors"
 	"testing"
 
 	"miso/internal/data"
@@ -69,4 +70,32 @@ func TestRetryBudgetCapsRecovery(t *testing.T) {
 	t.Logf("retries: unlimited %d, budget-1 %d; recovery: %.1fs vs %.1fs; fallbacks: %d vs %d",
 		unlimited.Retries, capped.Retries, unlimited.Recovery, capped.Recovery,
 		unlimited.Fallbacks, capped.Fallbacks)
+}
+
+// TestRetryBudgetCoversETLExtraction: DW-ONLY's ETL is one phase under one
+// retry budget, and its HV extraction stages draw on that budget like its
+// loads do. Under a storm in which every HV stage fails, a budget of 1 stops
+// the ETL at the second failure with ErrBudget; the extraction once ran
+// under a background context and burned its whole per-phase allowance.
+func TestRetryBudgetCoversETLExtraction(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantDWOnly)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	cfg.Faults = faults.Profile{}.With(faults.SiteHVStage, 1)
+	cfg.RetryBudget = 1
+	sys := multistore.New(cfg, cat)
+	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
+		t.Fatalf("future workload: %v", err)
+	}
+	_, err = sys.Run(workload.SQLs()[0])
+	if !errors.Is(err, faults.ErrBudget) {
+		t.Fatalf("ETL under an HV-stage storm with a retry budget of 1: %v, want an error wrapping faults.ErrBudget", err)
+	}
+	var f *faults.Fault
+	if !errors.As(err, &f) || f.Site != faults.SiteHVStage || f.Attempt != 2 {
+		t.Fatalf("the budget should refuse the HV stage's second failure, got %v", err)
+	}
 }

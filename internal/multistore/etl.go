@@ -67,7 +67,7 @@ func (s *System) runETL() error {
 		if err != nil {
 			return err
 		}
-		res, err := s.hv.Execute(node, 0)
+		res, err := s.hv.ExecuteContext(rctx, node, 0)
 		if err != nil {
 			return fmt.Errorf("multistore: ETL of %q: %w", logName, err)
 		}
@@ -83,14 +83,16 @@ func (s *System) runETL() error {
 		// The bulk load into DW permanent space runs through the fault-
 		// injected pipeline; ETL is one-time and has nothing to degrade
 		// to, so an exhausted load fails the ETL with a typed error.
-		mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, bytes, transfer.KindPermanent, s.inj, s.retry)
-		s.metrics.Retries += mv.Retries
-		s.metrics.Recovery += mv.RecoverySeconds
+		productive, recovery, retries, mvErr := s.move(rctx, bytes, transfer.KindPermanent)
+		s.metrics.Retries += retries
+		s.metrics.Recovery += recovery
 		if mvErr != nil {
-			s.metrics.Recovery += mv.Breakdown.Total()
+			// Two additions, in this order: the sums recorded at this site
+			// were made that way.
+			s.metrics.Recovery += productive
 			return fmt.Errorf("multistore: ETL load of %q: %w", logName, mvErr)
 		}
-		s.metrics.ETL += mv.Breakdown.Total()
+		s.metrics.ETL += productive
 		v := views.New(node, res.Table, 0)
 		v.StampGenerations(s.catalogGen())
 		s.dw.Views.Add(v)

@@ -629,42 +629,12 @@ func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, err
 func (s *System) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, v := range s.hv.Views.All() {
-		if s.dw.Views.Has(v.Name) {
-			return fmt.Errorf("multistore: view %q present in both HV and DW", v.Name)
-		}
-	}
-	if got, bh := s.hv.Views.TotalBytes(), s.cfg.Tuner.Bh; got > bh {
-		return fmt.Errorf("multistore: HV views %d bytes exceed Bh %d", got, bh)
-	}
-	if got, bd := s.dw.Views.TotalBytes(), s.cfg.Tuner.Bd; got > bd {
-		return fmt.Errorf("multistore: DW views %d bytes exceed Bd %d", got, bd)
-	}
-	for _, rec := range s.reorgLog {
-		if rec.Bytes < 0 || rec.RefundedBytes < 0 {
-			return fmt.Errorf("multistore: reorg before query %d has negative byte accounting", rec.BeforeSeq)
-		}
-		if rec.Bytes > s.cfg.Tuner.Bt {
-			return fmt.Errorf("multistore: reorg before query %d moved %d bytes, transfer budget %d",
-				rec.BeforeSeq, rec.Bytes, s.cfg.Tuner.Bt)
-		}
-	}
-	m := s.metrics
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"HVExe", m.HVExe}, {"DWExe", m.DWExe}, {"Transfer", m.Transfer},
-		{"Tune", m.Tune}, {"ETL", m.ETL}, {"Recovery", m.Recovery},
-	} {
-		if c.v < 0 {
-			return fmt.Errorf("multistore: negative %s component %f", c.name, c.v)
-		}
-	}
-	if n := s.reports.total(); m.Queries != n {
-		return fmt.Errorf("multistore: %d queries counted but %d reports", m.Queries, n)
-	}
-	return nil
+	var first error
+	s.brokenInvariants(func(_ AuditViolation, msg string) bool {
+		first = fmt.Errorf("multistore: %s", msg)
+		return false
+	})
+	return first
 }
 
 // reorgDue reports whether a reorganization phase precedes this query.

@@ -376,7 +376,8 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 		hr.discard()
 		return s.failedIn(q, "DW", err)
 	}
-	if err := s.simulateDWQuery(q, dwRes.Seconds); err != nil {
+	// Replay injected DW-side failures against the query's report.
+	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", dwRes.Seconds, &rep.Retries, &rep.RecoverySeconds); err != nil {
 		// DW gave out mid-query: degrade to HV. If the hedge shadow
 		// already computed the fallback plan, commit it in place of the
 		// serial re-execution (byte-identical state, wall-clock saved); a
@@ -418,25 +419,24 @@ func (s *System) migrateCut(q *query, name string, ws *storage.Table) (cause, er
 	if failed, _ := s.inj.Check(faults.SiteCrashTransfer); failed {
 		return nil, fmt.Errorf("multistore: query %d transfer: %w", seq, faults.Crash(faults.SiteCrashTransfer))
 	}
-	mv, mvErr := transfer.MoveContext(q.ctx, s.cfg.Transfer, bytes, transfer.KindWorkingSet, s.inj, s.retry)
-	rep.Retries += mv.Retries
-	if mvErr != nil {
-		rep.RecoverySeconds += mv.WastedSeconds()
-		cause = mvErr
-	} else if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
+	productive, recovery, retries, cause := s.move(q.ctx, bytes, transfer.KindWorkingSet)
+	rep.Retries += retries
+	if cause == nil {
 		// The working set's checksum is verified as DW stages it; injected
 		// corruption means the bytes were damaged in flight. The cause is
 		// ErrCorrupt, not exhaustion, so the serving layer's circuit
 		// breaker ignores it.
-		rep.RecoverySeconds += mv.Breakdown.Total() + mv.RecoverySeconds
-		cause = faults.Corrupt(name)
+		if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
+			cause = faults.Corrupt(name)
+		}
 	}
 	if cause != nil {
+		rep.RecoverySeconds += productive + recovery
 		return cause, s.journal(&durability.Record{Kind: durability.KindTransferAbort, Name: name, Seq: seq})
 	}
-	rep.RecoverySeconds += mv.RecoverySeconds
+	rep.RecoverySeconds += recovery
 	rep.TransferBytes += bytes
-	rep.TransferSeconds += mv.Breakdown.Total()
+	rep.TransferSeconds += productive
 	s.dw.StageTemp(name, ws)
 	return nil, s.journal(&durability.Record{Kind: durability.KindTransferCommit, Name: name, Seq: seq})
 }
@@ -449,32 +449,17 @@ func (s *System) answerFromDW(q *query, plan *logical.Node, res *dw.Result) {
 	q.answer(res.Table)
 }
 
-// simulateDWQuery replays injected DW-side failures for a query that took
-// sec seconds: each failure wastes the completed fraction plus a backoff,
-// and giving up — per-phase retry exhaustion, a dead deadline, or a dry
-// retry budget — returns the typed fault error (the caller decides whether
-// to degrade to HV). Returns nil when the query eventually sticks.
-func (s *System) simulateDWQuery(q *query, sec float64) error {
-	if !s.inj.Enabled() {
-		return nil
-	}
-	for attempt := 1; ; attempt++ {
-		failed, frac := s.inj.Check(faults.SiteDWQuery)
-		if !failed {
-			return nil
-		}
-		q.rep.Retries++
-		q.rep.RecoverySeconds += frac*sec + s.retry.Backoff(attempt)
-		f := &faults.Fault{Site: faults.SiteDWQuery, Op: "dw query", Attempt: attempt}
-		switch {
-		case attempt >= s.retry.MaxAttempts:
-			return faults.Exhausted(f)
-		case q.ctx.Err() != nil:
-			return fmt.Errorf("abandoned before retry: %w", q.ctx.Err())
-		case !faults.BudgetFrom(q.ctx).Take():
-			return faults.BudgetExhausted(f)
-		}
-	}
+// move is the one accounting site for data movement: it runs bytes through
+// the fault-injected transfer pipeline under ctx and returns what the move
+// paid — productive seconds (the whole fault-free breakdown when err is
+// nil, the part that finished before the abort otherwise), the recovery
+// seconds lost to failures, and the failures drawn. A move that aborts, or
+// that its caller then discards (a failed commit draw, damaged bytes), has
+// wasted productive + recovery; which counter the seconds land in is the
+// caller's.
+func (s *System) move(ctx context.Context, bytes int64, kind transfer.Kind) (productive, recovery float64, retries int, err error) {
+	mv, err := transfer.MoveContext(ctx, s.cfg.Transfer, bytes, kind, s.inj, s.retry)
+	return mv.Breakdown.Total(), mv.RecoverySeconds, mv.Retries, err
 }
 
 // fallbackHV completes a query entirely in HV after its multistore plan

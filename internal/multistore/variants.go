@@ -108,7 +108,7 @@ func (s *System) runDWOnly(q *query) error {
 	}
 	// DW-ONLY has no other store to degrade to: injected query failures
 	// retry in place and exhaustion fails the query.
-	if err := s.simulateDWQuery(q, res.Seconds); err != nil {
+	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", res.Seconds, &q.rep.Retries, &q.rep.RecoverySeconds); err != nil {
 		return fmt.Errorf("multistore: query %d in DW: %w", q.entry.Seq, err)
 	}
 	q.rep.BypassedHV = true
@@ -166,26 +166,24 @@ func (s *System) reorg(w *history.Window) error {
 			rollBack(v, src, srcLimit, 0)
 			return
 		}
-		mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, size, kind, s.inj, s.retry)
+		productive, recovery, retries, mvErr := s.move(rctx, size, kind)
 		committed := mvErr == nil
-		wasted := mv.WastedSeconds()
 		if committed {
 			// The catalog commit itself can fail: the fully transferred
 			// view is discarded at the destination, atomically.
 			if failed, _ := s.inj.Check(faults.SiteReorgMove); failed {
 				committed = false
-				wasted = mv.Breakdown.Total() + mv.RecoverySeconds
-				mv.Retries++
+				retries++
 			}
 		}
-		s.metrics.Retries += mv.Retries
+		s.metrics.Retries += retries
 		if !committed {
 			dst.Remove(v.Name)
-			rollBack(v, src, srcLimit, wasted)
+			rollBack(v, src, srcLimit, productive+recovery)
 			return
 		}
-		rec.RecoverySeconds += mv.RecoverySeconds
-		rec.Seconds += mv.Breakdown.Total()
+		rec.RecoverySeconds += recovery
+		rec.Seconds += productive
 		rec.Bytes += size
 		if kind == transfer.KindToHV {
 			rec.MovedToHV++
@@ -269,7 +267,7 @@ func (s *System) offlineTune() error {
 		return fmt.Errorf("multistore: MS-OFF requires ProvideFutureWorkload")
 	}
 	for _, e := range s.future {
-		if _, err := s.hv.Execute(e.Plan, e.Seq); err != nil {
+		if _, err := s.hv.ExecuteContext(context.Background(), e.Plan, e.Seq); err != nil {
 			return fmt.Errorf("multistore: offline analysis of query %d: %w", e.Seq, err)
 		}
 	}
@@ -308,17 +306,17 @@ func (s *System) trimHVToDesign() {
 		switch {
 		case s.offTargetDW[v.Name]:
 			if !s.dw.Views.Has(v.Name) {
-				mv, mvErr := transfer.MoveContext(rctx, s.cfg.Transfer, v.SizeBytes(), transfer.KindPermanent, s.inj, s.retry)
-				s.metrics.Retries += mv.Retries
+				productive, recovery, retries, mvErr := s.move(rctx, v.SizeBytes(), transfer.KindPermanent)
+				s.metrics.Retries += retries
 				if mvErr != nil {
 					// Rolled back: the view stays in HV and the design
 					// realization retries after a later query.
 					rec.FailedMoves++
-					rec.RecoverySeconds += mv.WastedSeconds()
+					rec.RecoverySeconds += productive + recovery
 					continue
 				}
-				rec.RecoverySeconds += mv.RecoverySeconds
-				rec.Seconds += mv.Breakdown.Total()
+				rec.RecoverySeconds += recovery
+				rec.Seconds += productive
 				rec.Bytes += v.SizeBytes()
 				rec.MovedToDW++
 				s.dw.Views.Add(v)

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"testing"
 
 	"miso/internal/data"
@@ -93,7 +94,7 @@ func TestSplitPlansKeepUDFsInHV(t *testing.T) {
 func TestSplitExecutionMatchesHVOnly(t *testing.T) {
 	f := setup(t)
 	p := f.plan(t, joinAgg)
-	hvRes, err := f.hv.Execute(p, 0)
+	hvRes, err := f.hv.ExecuteContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +107,13 @@ func TestSplitExecutionMatchesHVOnly(t *testing.T) {
 			if cut.DWView != nil {
 				continue
 			}
-			res, err := f.hv.Execute(cut.HVPlan, 0)
+			res, err := f.hv.ExecuteContext(context.Background(), cut.HVPlan, 0)
 			if err != nil {
 				t.Fatalf("plan %d cut: %v", i, err)
 			}
 			f.dw.StageTemp(cut.TempName, res.Table)
 		}
-		dwRes, err := f.dw.Execute(mp.DWPart)
+		dwRes, err := f.dw.ExecuteContext(context.Background(), mp.DWPart)
 		if err != nil {
 			t.Fatalf("plan %d DW part: %v", i, err)
 		}
@@ -194,7 +195,7 @@ func TestHVViewLowersHVCost(t *testing.T) {
 	coldCost := f.opt.Cost(p, empty)
 
 	// Execute once so opportunistic views exist in HV.
-	if _, err := f.hv.Execute(p, 0); err != nil {
+	if _, err := f.hv.ExecuteContext(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
 	warm := optimizer.Design{HV: f.hv.Views, DW: views.NewSet()}

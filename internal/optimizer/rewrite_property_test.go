@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -47,7 +48,7 @@ func TestRewriteWithViewsPreservesSemantics(t *testing.T) {
 			WHERE c.category = 'bar' GROUP BY l.city`,
 	}
 	for i, sql := range warm {
-		if _, err := f.hv.Execute(f.plan(t, sql), i); err != nil {
+		if _, err := f.hv.ExecuteContext(context.Background(), f.plan(t, sql), i); err != nil {
 			t.Fatal(err)
 		}
 	}

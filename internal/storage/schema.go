@@ -67,20 +67,6 @@ func (s *Schema) Names() []string {
 	return names
 }
 
-// Project returns a new schema with only the named columns, in the given
-// order.
-func (s *Schema) Project(names []string) (*Schema, error) {
-	cols := make([]Column, 0, len(names))
-	for _, n := range names {
-		i := s.Index(n)
-		if i < 0 {
-			return nil, fmt.Errorf("storage: column %q not in schema %s", n, s)
-		}
-		cols = append(cols, s.Columns[i])
-	}
-	return NewSchema(cols...)
-}
-
 // Concat returns the concatenation of two schemas, renaming collisions on the
 // right side with the given prefix (e.g. "r_" for join right inputs).
 func (s *Schema) Concat(other *Schema, collisionPrefix string) (*Schema, error) {

@@ -172,21 +172,6 @@ func TestSchemaValidation(t *testing.T) {
 	}
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := MustSchema(Column{Name: "a", Type: KindInt}, Column{Name: "b", Type: KindString},
-		Column{Name: "c", Type: KindFloat})
-	p, err := s.Project([]string{"c", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Columns[0].Name != "c" || p.Columns[1].Name != "a" {
-		t.Errorf("Project = %s", p)
-	}
-	if _, err := s.Project([]string{"nope"}); err == nil {
-		t.Error("projecting missing column succeeded")
-	}
-}
-
 func TestSchemaConcatRenamesCollisions(t *testing.T) {
 	l := MustSchema(Column{Name: "id", Type: KindInt})
 	r := MustSchema(Column{Name: "id", Type: KindInt}, Column{Name: "x", Type: KindInt})
@@ -237,13 +222,6 @@ func TestTableCloneIndependent(t *testing.T) {
 	c.MustAppend(Row{IntValue(2)})
 	if tb.NumRows() != 1 || c.NumRows() != 2 {
 		t.Error("clone shares row slice")
-	}
-	tb.Truncate()
-	if tb.NumRows() != 0 || tb.RawBytes() != 0 {
-		t.Error("truncate incomplete")
-	}
-	if c.NumRows() != 2 {
-		t.Error("truncate affected clone")
 	}
 }
 

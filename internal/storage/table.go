@@ -128,9 +128,3 @@ func (t *Table) Clone() *Table {
 	}
 	return c
 }
-
-// Truncate drops all rows but keeps the schema.
-func (t *Table) Truncate() {
-	t.Rows = nil
-	t.bytes = 0
-}

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,17 +11,17 @@ import (
 func TestMoveNoInjectorMatchesCost(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, bytes := range []int64{0, 1 << 20, 3 << 30} {
-		res, err := Move(cfg, bytes, KindWorkingSet, nil, faults.RetryPolicy{})
+		res, err := MoveContext(context.Background(), cfg, bytes, KindWorkingSet, nil, faults.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Completed || res.Retries != 0 || res.RecoverySeconds != 0 {
+		if res.Retries != 0 || res.RecoverySeconds != 0 {
 			t.Fatalf("fault-free move not clean: %+v", res)
 		}
 		if res.Breakdown != Cost(cfg, bytes) {
 			t.Errorf("breakdown %+v != Cost %+v", res.Breakdown, Cost(cfg, bytes))
 		}
-		back, err := Move(cfg, bytes, KindToHV, nil, faults.RetryPolicy{})
+		back, err := MoveContext(context.Background(), cfg, bytes, KindToHV, nil, faults.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestMoveDeterministic(t *testing.T) {
 		inj := faults.NewInjector(faults.Uniform(0.3), 11)
 		var out []MoveResult
 		for i := 0; i < 20; i++ {
-			res, _ := Move(cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry())
+			res, _ := MoveContext(context.Background(), cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry())
 			out = append(out, *res)
 		}
 		return out
@@ -55,21 +56,15 @@ func TestMoveSurvivesFailuresWithRecovery(t *testing.T) {
 	var completed, aborted int
 	var sawRecovery bool
 	for i := 0; i < 50; i++ {
-		res, err := Move(cfg, 2<<30, KindWorkingSet, inj, faults.DefaultRetry())
+		res, err := MoveContext(context.Background(), cfg, 2<<30, KindWorkingSet, inj, faults.DefaultRetry())
 		if err != nil {
 			aborted++
-			if res.Completed {
-				t.Fatal("error with Completed=true")
-			}
 			if !errors.Is(err, faults.ErrExhausted) {
 				t.Fatalf("abort error not ErrExhausted: %v", err)
 			}
 			var f *faults.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("abort error carries no *Fault: %v", err)
-			}
-			if res.WastedSeconds() < res.RecoverySeconds {
-				t.Error("aborted move wasted less than its recovery time")
 			}
 			continue
 		}
@@ -100,7 +95,7 @@ func TestMoveBackoffIsCharged(t *testing.T) {
 	cfg := DefaultConfig()
 	inj := faults.NewInjector(faults.Profile{TransferDump: 1}, 3)
 	retry := faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2, BackoffFactor: 2, MaxBackoff: 100}
-	res, err := Move(cfg, 1<<30, KindWorkingSet, inj, retry)
+	res, err := MoveContext(context.Background(), cfg, 1<<30, KindWorkingSet, inj, retry)
 	if err == nil {
 		t.Fatal("move completed under certain dump failure")
 	}
@@ -116,17 +111,17 @@ func TestMoveLoadSiteDependsOnKind(t *testing.T) {
 	cfg := DefaultConfig()
 	// Working-set moves must not draw the permanent DW-load site.
 	inj := faults.NewInjector(faults.Profile{DWLoad: 1}, 5)
-	if _, err := Move(cfg, 1<<30, KindWorkingSet, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindWorkingSet, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("working-set move hit the permanent-load site: %v", err)
 	}
 	// Permanent moves must not draw the temp-load site.
 	inj = faults.NewInjector(faults.Profile{TransferLoad: 1}, 5)
-	if _, err := Move(cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("permanent move hit the temp-load site: %v", err)
 	}
 	// Reverse moves have no load phase at all.
 	inj = faults.NewInjector(faults.Profile{TransferLoad: 1, DWLoad: 1}, 5)
-	if _, err := Move(cfg, 1<<30, KindToHV, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindToHV, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("reverse move drew a load site: %v", err)
 	}
 }
