@@ -229,6 +229,10 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 	}
 	aggTop := top != nil && top.Kind == logical.KindAggregate
 
+	if src.scan != nil && len(stages) > 0 && stages[0].node.Kind == logical.KindFilter {
+		src.scan.deferUnread(stages[0].node.Pred)
+	}
+
 	nRows := src.numRows()
 	mr := env.morselRows()
 	workers := opWorkers(env, nRows)
@@ -241,13 +245,7 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 			return nil, err
 		}
 		if src.scan != nil {
-			// The scan buffer is resident for the whole pass: it is the
-			// pass's share of what a materialized Extract table used to be.
-			capRows := min(mr, nRows)
-			if err := env.reserve(sc, src.scan.scanBufCost(capRows)); err != nil {
-				return nil, err
-			}
-			if fw.scan, err = src.scan.newScanBuf(capRows); err != nil {
+			if fw.scan, err = src.scan.borrowBuf(env, w, min(mr, nRows)); err != nil {
 				return nil, err
 			}
 		}
@@ -327,6 +325,16 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 				}
 				if err := env.reserve(sc, refRowCost*int64(len(sel))); err != nil {
 					return err
+				}
+				if si == 0 && inScanBuf && len(src.scan.pendCols) > 0 {
+					// The survivors' deferred literals become values before
+					// anything can read them. That is the Extract's work:
+					// its meter gets the time and the filter's start moves.
+					tc := time.Now()
+					src.scan.finish(fw.scan, sel)
+					d := time.Since(tc)
+					meters.nanos[0].Add(d.Nanoseconds())
+					t0 = t0.Add(d)
 				}
 				rowsOut = len(sel)
 				size = -1

@@ -95,7 +95,9 @@ func runNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table
 	case logical.KindScan:
 		return nil, fmt.Errorf("exec: bare Scan cannot execute; it is consumed by Extract")
 	case logical.KindExtract:
-		src, err := newScanSource(n, env)
+		var bufs scanBufs
+		defer bufs.release()
+		src, err := newScanSource(n, env, &bufs)
 		if err != nil {
 			return nil, err
 		}

@@ -199,4 +199,116 @@ func TestFusedScanChargesItsBuffers(t *testing.T) {
 		t.Errorf("%d B reserved after the pass, want the root table's %d B: buffers and scopes are released", mem.Used(), out.RawBytes())
 	}
 	t.Logf("high water %d B under a %d B limit; the Extract table alone is %d B", mem.HighWater(), limit, full.RawBytes())
+
+	// A run holds its scan buffers from the first Extract pass to its end:
+	// when the second pass opens its log the ledger still carries the first
+	// pass's buffers, beside the table that pass built, and the run releases
+	// them with everything else it built and did not keep. (That the second
+	// pass scans into them is TestHVQueryAllocationBounded's to show.)
+	join, err := logical.NewBuilder(cat).BuildSQL(`SELECT t.tweet_id, c.lat FROM tweets t JOIN checkins c ON t.user_id = c.user_id
+		WHERE t.retweets > 450 AND c.ts >= 1357257600 AND c.ts < 1357516800`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem = govern.NewLedger(1<<40, nil)
+	var between int64
+	res, err := exec.RunPlan(join, &exec.Env{Workers: 2, MorselRows: morselRows, Mem: mem,
+		ReadLog: func(name string) (*storage.LogFile, error) {
+			if name == data.CheckinsLog {
+				between = mem.Used()
+			}
+			return cat.Log(name)
+		}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tweetsSide int64
+	join.Walk(func(n *logical.Node) {
+		if n.Kind == logical.KindFilter && n.Children[0].Children[0].LogName == data.TweetsLog {
+			tweetsSide = res.Stats[n].RawBytes
+		}
+	})
+	if between != 2*oneBuffer+tweetsSide {
+		t.Errorf("%d B reserved when the second pass starts, want the two held buffers' %d B plus the first pass's table, %d B",
+			between, 2*oneBuffer, tweetsSide)
+	}
+	if mem.Used() != res.Root.RawBytes() {
+		t.Errorf("%d B reserved after the run, want the root table's %d B", mem.Used(), res.Root.RawBytes())
+	}
+}
+
+// TestDeferredFloatsAcrossChainShapes: checkins carries two float columns
+// (lat, lon) that its window filter does not read, so a pass whose bottom
+// stage is that filter leaves their literals unconverted until the selection
+// is known. Every way a chain can read them afterwards — a second filter, a
+// projection, a grouping key — and every shape that must defer nothing sees
+// exactly the reference operators' rows, and every node reports their
+// table's statistics.
+func TestDeferredFloatsAcrossChainShapes(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	readLog := func(name string) (*storage.LogFile, error) { return cat.Log(name) }
+	build := func(sql string) *logical.Node {
+		t.Helper()
+		plan, err := logical.NewBuilder(cat).BuildSQL(sql)
+		if err != nil {
+			t.Fatalf("build %q: %v", sql, err)
+		}
+		return plan
+	}
+	under := func(n *logical.Node, k logical.Kind) *logical.Node {
+		for n.Kind != k {
+			n = n.Children[0]
+		}
+		return n
+	}
+	const window = "ts >= 1357257600 AND ts < 1357516800"
+	// The builder folds a WHERE into one Filter: the second filter is the
+	// north-of-40 query's, grafted over the window query's.
+	twoFilters := under(build("SELECT checkin_id FROM checkins WHERE lat > 40"), logical.KindFilter)
+	twoFilters.Children[0] = under(build("SELECT checkin_id FROM checkins WHERE "+window), logical.KindFilter)
+
+	keepExtract := func(n *logical.Node) bool { return n.Kind == logical.KindExtract }
+	for _, tc := range []struct {
+		name string
+		plan *logical.Node
+		keep func(*logical.Node) bool
+	}{
+		{"filter, filter on a deferred float", twoFilters, nil},
+		{"filter, project of deferred floats", build("SELECT checkin_id, lat, lon FROM checkins WHERE " + window), nil},
+		{"filter, aggregate grouped on a deferred float", build("SELECT lat, COUNT(*) AS n, MAX(lon) AS east FROM checkins WHERE " + window + " GROUP BY lat"), nil},
+		{"project, no filter: nothing deferred", build("SELECT checkin_id, lat FROM checkins"), nil},
+		{"filter over a kept extract: nothing deferred", build("SELECT checkin_id, lat, lon FROM checkins WHERE " + window), keepExtract},
+		{"filter that keeps nothing", build("SELECT lat, lon FROM checkins WHERE ts < 0"), nil},
+		{"filter on the float itself", build("SELECT name, rating FROM landmarks WHERE rating >= 3.5"), nil},
+	} {
+		for _, workers := range []int{1, 4} {
+			res, err := exec.RunPlan(tc.plan, &exec.Env{ReadLog: readLog, Workers: workers, MorselRows: 7}, tc.keep)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
+			}
+			tc.plan.Walk(func(n *logical.Node) {
+				if n.Kind == logical.KindScan {
+					return
+				}
+				ref, err := exec.RunReference(n, &exec.Env{ReadLog: readLog})
+				if err != nil {
+					t.Fatalf("%s: reference %s: %v", tc.name, n.Kind, err)
+				}
+				want := exec.NodeStat{Rows: int64(ref.NumRows()), RawBytes: ref.RawBytes(), ScaleFactor: ref.ScaleFactor}
+				if got := res.Stats[n]; got != want {
+					t.Errorf("%s, %d workers: %s stat %+v, reference table %+v", tc.name, workers, n.Kind, got, want)
+				}
+				built := res.Tables[n]
+				if n == tc.plan {
+					built = res.Root
+				}
+				if built != nil && storage.ChecksumTable(built) != storage.ChecksumTable(ref) {
+					t.Errorf("%s, %d workers: %s table differs from the reference's", tc.name, workers, n.Kind)
+				}
+			})
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"miso/internal/data"
@@ -62,25 +63,121 @@ var trickyLines = []string{
 	"{\"s\":\"tab\tchar\"}",                 // control char in string: fallback
 	`[1,2,3]`,                               // non-object root: malformed for extract
 	`{"b":true,"extra":false,"id":3,"f":7}`, // wanted fields after skipped ones
+	// A deferred float's pending literal under duplicate keys (last wins):
+	// the later occurrence must cancel or replace what the first one left.
+	`{"f":1.5,"f":null}`,
+	`{"f":1.5,"f":"x"}`,
+	`{"f":1.5,"f":2e3}`,
+	`{"f":1.5,"f":2.5,"id":1}`,
+	`{"f":1.5,"f":true}`,
+	// The learned key layout: a line in the layout of the line before it,
+	// then one whose order differs, keys that prefix one another, and
+	// whitespace inside the key token.
+	`{"id":1,"f":2.5,"s":"a"}`,
+	`{"id":2,"f":3.5,"s":"b"}`,
+	`{"s":"c","f":4.5,"id":3}`,
+	`{"idx":9,"id":4,"fx":1.5,"f":5.5}`,
+	`{"id":5,"idx":9,"f":6.5,"fx":1.5}`,
+	`{"id" :6,"f"  :7.5}`,
+	`{"id" :7,"f"  :8.5}`,
+	`{"id":8,"f":9.5}`,
+	// The deferral rule's edges: 299 bytes defers, 300 converts as scanned;
+	// an exponent is never deferred (1e999 is ErrRange: NULL, one byte).
+	`{"f":` + strings.Repeat("9", 299) + `,"id":` + strings.Repeat("9", 299) + `}`,
+	`{"f":` + strings.Repeat("9", 300) + `,"id":` + strings.Repeat("9", 300) + `}`,
+	`{"f":` + strings.Repeat("9", 400) + `}`,
+	`{"f":1e999,"id":1e999}`,
+	`{"f":-0.0,"id":-0.0}`,
+	`{"f":"3.5","id":"3.5"}`, // a float column's string: coerced as scanned
+	`{"f":0.` + strings.Repeat("0", 290) + `1}`,
 }
 
-// TestFastScanMatchesFallback is the scanner's equivalence property: for
-// every line, whenever the fast path accepts, its row must equal the
-// fallback decoder's exactly; and the fast path must accept only when the
-// fallback also accepts.
-func TestFastScanMatchesFallback(t *testing.T) {
-	for _, line := range trickyLines {
-		fastRow := make(storage.Row, len(scannerFields))
-		slowRow := make(storage.Row, len(scannerFields))
-		fastOK := fastScanLine(line, scannerFields, fastRow)
-		slowOK := fallbackScanLine(line, scannerFields, slowRow)
-		if fastOK && !slowOK {
-			t.Errorf("line %q: fast path accepted a line the decoder rejects", line)
+// pipelineScanner scans one line at a time the way a pass's worker does:
+// into a row of a scan buffer whose key hints the lines before taught it,
+// with every float field deferred, finished as the pass finishes a
+// survivor.
+type pipelineScanner struct {
+	ls  *lineScan
+	buf *scanBuf
+}
+
+func newPipelineScanner(t testing.TB, fields []scanField) *pipelineScanner {
+	ls := &lineScan{node: &logical.Node{Kind: logical.KindExtract}, pool: new(scanBufs)}
+	for _, f := range fields {
+		ls.width = max(ls.width, f.col+1)
+		if f.kind == storage.KindFloat {
+			ls.pendCols = append(ls.pendCols, f.col)
+			f.pend = len(ls.pendCols)
+		}
+		ls.fields = append(ls.fields, f)
+	}
+	buf, err := ls.borrowBuf(&Env{}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pipelineScanner{ls: ls, buf: buf}
+}
+
+// scan returns the finished row, the encoded size fill would have counted
+// for it — taken while deferred floats are still placeholders — and whether
+// the fast path accepted the line. The row is valid until the next scan.
+func (p *pipelineScanner) scan(line string) (storage.Row, int64, bool) {
+	row := p.buf.rows[0]
+	clear(row)
+	clear(p.buf.pend)
+	if !fastScanLine(line, p.ls.fields, &p.buf.hints, row, p.buf.pend) {
+		return nil, 0, false
+	}
+	size := row.EncodedSize()
+	p.ls.finish(p.buf, []int32{0})
+	return row, size, true
+}
+
+// sameRow is bit equality: -0.0 is not 0.0.
+func sameRow(a, b storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].I != b[i].I || a[i].S != b[i].S || math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
+			return false
+		}
+	}
+	return true
+}
+
+// check is the scanner's equivalence property for one line: whenever the
+// fast path accepts, the decoder accepts too, and row and encoded size are
+// the decoder's exactly. The line is scanned twice, under the hints the
+// previous line left and under its own. It reports whether the fast path
+// accepted.
+func (p *pipelineScanner) check(t testing.TB, line string) bool {
+	t.Helper()
+	slow := make(storage.Row, p.ls.width)
+	slowOK := fallbackScanLine(line, p.ls.fields, slow)
+	accepted := false
+	for _, hints := range []string{"the previous line's", "its own"} {
+		row, size, ok := p.scan(line)
+		if !ok {
 			continue
 		}
-		if fastOK && !reflect.DeepEqual(fastRow, slowRow) {
-			t.Errorf("line %q:\n fast %v\n slow %v", line, fastRow, slowRow)
+		accepted = true
+		if !slowOK {
+			t.Errorf("line %q (hints: %s): fast path accepted a line the decoder rejects", line, hints)
+		} else if !sameRow(row, slow) || size != slow.EncodedSize() {
+			t.Errorf("line %q (hints: %s):\n fast %v (%d B)\n slow %v (%d B)", line, hints, row, size, slow, slow.EncodedSize())
 		}
+	}
+	return accepted
+}
+
+// TestFastScanMatchesFallback is the scanner's equivalence property over the
+// hand-written lines, in order: each line meets the key layout the line
+// before it left behind.
+func TestFastScanMatchesFallback(t *testing.T) {
+	p := newPipelineScanner(t, scannerFields)
+	for _, line := range trickyLines {
+		p.check(t, line)
 	}
 }
 
@@ -101,17 +198,11 @@ func TestFastScanMatchesFallbackOnGeneratedLogs(t *testing.T) {
 		for i, c := range log.FieldTypes.Columns {
 			fields[i] = scanField{name: c.Name, col: i, kind: c.Type}
 		}
+		p := newPipelineScanner(t, fields)
 		accepted := 0
 		for _, line := range log.Lines {
-			fastRow := make(storage.Row, len(fields))
-			slowRow := make(storage.Row, len(fields))
-			fastOK := fastScanLine(line, fields, fastRow)
-			slowOK := fallbackScanLine(line, fields, slowRow)
-			if fastOK {
+			if p.check(t, line) {
 				accepted++
-				if !slowOK || !reflect.DeepEqual(fastRow, slowRow) {
-					t.Fatalf("%s line %q: fast/slow divergence", logName, line)
-				}
 			}
 		}
 		if frac := float64(accepted) / float64(len(log.Lines)); frac < 0.99 {
@@ -125,6 +216,7 @@ func TestFastScanMatchesFallbackOnGeneratedLogs(t *testing.T) {
 func TestFastScanFuzzEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alphabet := []byte(`{}[]":,.\0123456789eE+-truefalsenull aé` + "\x00\xff\t")
+	p := newPipelineScanner(t, scannerFields)
 	for i := 0; i < 5000; i++ {
 		n := 1 + rng.Intn(60)
 		buf := make([]byte, n)
@@ -139,15 +231,66 @@ func TestFastScanFuzzEquivalence(t *testing.T) {
 			lit := fuzzNumber(rng)
 			line = `{"id":` + lit + `,"f":` + lit + `,"s":` + lit + `,"si":` + lit + `}`
 		}
-		fastRow := make(storage.Row, len(scannerFields))
-		slowRow := make(storage.Row, len(scannerFields))
-		if fastScanLine(line, scannerFields, fastRow) {
-			if !fallbackScanLine(line, scannerFields, slowRow) {
-				t.Fatalf("fuzz line %q: fast accepted, decoder rejected", line)
-			}
-			if !reflect.DeepEqual(fastRow, slowRow) {
-				t.Fatalf("fuzz line %q:\n fast %v\n slow %v", line, fastRow, slowRow)
-			}
+		p.check(t, line)
+	}
+}
+
+// FuzzScanLine is the same property under the native fuzzer: line is checked
+// by a scanner that has just learned prev's key layout. The seeds are the
+// hand-written lines, each after the one before it.
+func FuzzScanLine(f *testing.F) {
+	for i, line := range trickyLines {
+		f.Add(trickyLines[max(i-1, 0)], line)
+	}
+	f.Fuzz(func(t *testing.T, prev, line string) {
+		p := newPipelineScanner(t, scannerFields)
+		p.scan(prev)
+		p.check(t, line)
+	})
+}
+
+// TestDeferrableLiteralsAlwaysParse is the rule the deferral rests on: a
+// JSON number with no exponent and fewer than maxDeferredLen bytes is a
+// float64 to strconv, never an error — so its column holds a float, of
+// encoded size 8, before anyone has looked at the digits.
+func TestDeferrableLiteralsAlwaysParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	digits := func(b []byte, n int) []byte {
+		for ; n > 0; n-- {
+			b = append(b, byte('0'+rng.Intn(10)))
+		}
+		return b
+	}
+	for i := 0; i < 10000; i++ {
+		var b []byte
+		if rng.Intn(2) == 0 {
+			b = append(b, '-')
+		}
+		// Half the literals fill the rule's budget to the byte; a quarter
+		// are all integer digits, the largest magnitudes it lets through.
+		room := maxDeferredLen - 1 - len(b)
+		if rng.Intn(2) == 0 {
+			room = 1 + rng.Intn(room)
+		}
+		whole := 1 + rng.Intn(room)
+		if rng.Intn(4) == 0 {
+			whole = room
+		}
+		if rng.Intn(8) == 0 {
+			b, whole = append(b, '0'), 1 // the one integer part that may start with a zero
+		} else {
+			b = digits(append(b, byte('1'+rng.Intn(9))), whole-1)
+		}
+		if frac := room - whole - 1; frac > 0 {
+			b = digits(append(b, '.'), frac)
+		}
+		lit := string(b)
+		end, _, class, ok := scanJSONNumber(lit, 0)
+		if !ok || end != len(lit) || class == numExp || len(lit) >= maxDeferredLen {
+			t.Fatalf("generator wrote %q, which rule (a) does not cover", lit)
+		}
+		if _, err := strconv.ParseFloat(lit, 64); err != nil {
+			t.Fatalf("ParseFloat(%q): %v", lit, err)
 		}
 	}
 }
@@ -181,6 +324,7 @@ func TestScannedNumbersMatchStrconv(t *testing.T) {
 		{name: "i", col: 0, kind: storage.KindInt},
 		{name: "f", col: 1, kind: storage.KindFloat},
 	}
+	p := newPipelineScanner(t, fields)
 	for _, lit := range []string{
 		"0", "-0", "7", "-7", "10", "-10",
 		"999999999999999999", "-999999999999999999", // 18 digits: fast path
@@ -192,8 +336,8 @@ func TestScannedNumbersMatchStrconv(t *testing.T) {
 		"1e3", "1E3", "1e+3", "1e-3", "-1e3", "1.0", "-1.0", "0.0", "-0.0", "12.9", "-12.9", "1.5e300", "1e400",
 	} {
 		line := `{"i":` + lit + `,"f":` + lit + `}`
-		row := make(storage.Row, len(fields))
-		if !fastScanLine(line, fields, row) {
+		row, _, ok := p.scan(line)
+		if !ok {
 			t.Errorf("%s: the fast path refused a valid number", lit)
 			continue
 		}
@@ -214,7 +358,7 @@ func TestScannedNumbersMatchStrconv(t *testing.T) {
 			t.Errorf("%s into a float column: scanned %#v, strconv gives %#v", lit, row[1], wantF)
 		}
 		slow := make(storage.Row, len(fields))
-		if !fallbackScanLine(line, fields, slow) || !reflect.DeepEqual(row, slow) {
+		if !fallbackScanLine(line, fields, slow) || !sameRow(row, slow) {
 			t.Errorf("%s: fast %v, decoder %v", lit, row, slow)
 		}
 	}

@@ -39,6 +39,7 @@ const (
 	idxCost    = 4  // bytes per int32 row index
 	hashCost   = 8  // bytes per uint64 row hash
 	valueCost  = 24 // bytes per precomputed storage.Value (keys)
+	spanCost   = 16 // bytes per pending-literal slot of a scan buffer
 	vecKeyCost = 16 // bytes per typed key-vector element (sort columns)
 	groupCost  = 64 // fixed overhead per hash-table group entry
 )

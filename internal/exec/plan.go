@@ -49,6 +49,7 @@ func RunPlan(plan *logical.Node, env *Env, keep func(*logical.Node) bool) (*Plan
 		Tables: map[*logical.Node]*storage.Table{},
 		Stats:  map[*logical.Node]NodeStat{},
 	}}
+	defer r.scanBufs.release()
 	root, err := r.run(plan)
 	if err != nil {
 		return nil, err
@@ -68,9 +69,10 @@ func Run(n *logical.Node, env *Env) (*storage.Table, error) {
 }
 
 type planRun struct {
-	env  *Env
-	keep func(*logical.Node) bool
-	res  *PlanResult
+	env      *Env
+	keep     func(*logical.Node) bool
+	res      *PlanResult
+	scanBufs scanBufs // handed from each Extract pass of the run to the next
 }
 
 func (r *planRun) kept(n *logical.Node) bool { return r.keep != nil && r.keep(n) }
@@ -104,7 +106,7 @@ func (r *planRun) exec(n *logical.Node) (*storage.Table, error) {
 	chain, below := r.chainAt(n)
 	switch {
 	case below.Kind == logical.KindExtract && (below == n || !r.kept(below)):
-		src, err := newScanSource(below, r.env)
+		src, err := newScanSource(below, r.env, &r.scanBufs)
 		if err != nil {
 			return nil, err
 		}
