@@ -149,8 +149,10 @@ type Scrubber struct {
 	cfg Config
 	sys *multistore.System
 
-	mu     sync.Mutex
-	rep    Report
+	mu  sync.Mutex
+	rep Report
+	// cursor is where the background walk resumes; only the loop goroutine
+	// touches it (Stop waits that goroutine out before Start launches another).
 	cursor string
 
 	stop chan struct{}
@@ -198,7 +200,8 @@ func (sc *Scrubber) loop(stop chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			if err := sc.step(); err != nil {
+			_, next, err := sc.step(sc.cursor, sc.cfg.ChunkViews)
+			if err != nil {
 				// A torn WAL append means the simulated process is dead;
 				// scrubbing on would only compound the damage.
 				sc.mu.Lock()
@@ -206,39 +209,30 @@ func (sc *Scrubber) loop(stop chan struct{}) {
 				sc.mu.Unlock()
 				return
 			}
+			sc.cursor = next
 		}
 	}
 }
 
-// step runs one scrub chunk — and, when the catalog walk wraps, the
-// full-pass system-invariant audit — under the drain barrier.
-func (sc *Scrubber) step() error {
-	sc.mu.Lock()
-	cursor := sc.cursor
-	sc.mu.Unlock()
-
+// step runs one scrub chunk of at most chunk views past cursor (<= 0: all
+// of them) — and, when the catalog walk wraps, the full-pass
+// system-invariant audit — under the drain barrier. It returns what it
+// found and where the next chunk starts ("" after a wrap).
+func (sc *Scrubber) step(cursor string, chunk int) ([]multistore.AuditViolation, string, error) {
 	release := func() {}
 	if sc.cfg.Quiesce != nil {
 		release = sc.cfg.Quiesce()
 	}
 	defer release()
 
-	viols, next, err := sc.sys.AuditViews(cursor, sc.cfg.ChunkViews, sc.cfg.Repair)
+	viols, next, err := sc.sys.AuditViews(cursor, chunk, sc.cfg.Repair)
 	sc.record(viols, true, next == "")
-	if err != nil {
-		return err
+	if err != nil || next != "" {
+		return viols, next, err
 	}
-	if next == "" {
-		iviols, ierr := sc.sys.AuditInvariants(sc.cfg.Repair)
-		sc.record(iviols, false, false)
-		if ierr != nil {
-			return ierr
-		}
-	}
-	sc.mu.Lock()
-	sc.cursor = next
-	sc.mu.Unlock()
-	return nil
+	iviols, err := sc.sys.AuditInvariants(sc.cfg.Repair)
+	sc.record(iviols, false, false)
+	return append(viols, iviols...), "", err
 }
 
 func (sc *Scrubber) record(viols []multistore.AuditViolation, chunk, wrapped bool) {
@@ -271,36 +265,14 @@ func (sc *Scrubber) record(viols []multistore.AuditViolation, chunk, wrapped boo
 	}
 }
 
-// RunOnce performs one complete synchronous audit pass — the full
-// catalog walk in one chunk plus the system-invariant audit — and
-// returns the violations it found. The pass is recorded in the report
+// RunOnce performs one complete synchronous audit pass — step with an
+// unbounded chunk: the full catalog walk plus the system-invariant audit —
+// and returns the violations it found. The pass is recorded in the report
 // like any background pass. The error return is reserved for a torn WAL
 // append while journaling a repair.
 func (sc *Scrubber) RunOnce() ([]multistore.AuditViolation, error) {
-	release := func() {}
-	if sc.cfg.Quiesce != nil {
-		release = sc.cfg.Quiesce()
-	}
-	defer release()
-
-	var all []multistore.AuditViolation
-	cursor := ""
-	for {
-		viols, next, err := sc.sys.AuditViews(cursor, 0, sc.cfg.Repair)
-		all = append(all, viols...)
-		sc.record(viols, true, next == "")
-		if err != nil {
-			return all, err
-		}
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	iviols, err := sc.sys.AuditInvariants(sc.cfg.Repair)
-	all = append(all, iviols...)
-	sc.record(iviols, false, false)
-	return all, err
+	viols, _, err := sc.step("", 0)
+	return viols, err
 }
 
 // Report returns a snapshot of the scrubber's counters and retained

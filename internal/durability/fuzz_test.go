@@ -95,3 +95,102 @@ func FuzzReplayTornTail(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFoldTornLog journals one record per fuzzed byte (the byte picks the
+// kind and one of four names), tears a tail, and folds whatever Replay
+// returns. Fold must not panic and must agree with the journal's contract
+// read positionally: an admit or evict whose nearest earlier window mark is
+// a begin takes effect at the next window mark if that is a commit and
+// never otherwise; every other record except the window marks' begin and
+// abort and the transfer lifecycle takes effect where it stands, exactly
+// once; the log is open iff its last window mark is a begin; a transfer
+// begin is pending iff no later transfer record bears its name. The seeds
+// are testdata/fuzz/FuzzFoldTornLog (byte%10 + 1 is the Kind, byte>>6 the
+// name).
+func FuzzFoldTornLog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape []byte, tear uint16) {
+		if len(shape) > 64 {
+			shape = shape[:64] // long logs add nothing: every interleaving fits
+		}
+		w := NewWAL(nil)
+		for i, s := range shape {
+			rec := &Record{Kind: Kind(s%byte(kindEnd-1)) + 1, Name: string('a' + rune(s>>6)), Seq: int64(i)}
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Tear(int(tear))
+		recs, _ := w.Replay(0)
+		d := Fold(recs)
+
+		mark := func(k Kind) bool { return k == KindReorgBegin || k == KindReorgCommit || k == KindReorgAbort }
+		transfer := func(k Kind) bool {
+			return k == KindTransferBegin || k == KindTransferCommit || k == KindTransferAbort
+		}
+		// at[i] is where recs[i] takes effect (its own position, or its
+		// window's commit); -1 when it never does.
+		at := make([]int, len(recs))
+		lastMark := Kind(0)
+		var wantPending []*Record
+		for i, rec := range recs {
+			at[i] = i
+			switch {
+			case mark(rec.Kind):
+				lastMark = rec.Kind
+				if rec.Kind != KindReorgCommit {
+					at[i] = -1
+				}
+			case transfer(rec.Kind):
+				at[i] = -1
+				closed := false
+				for _, later := range recs[i+1:] {
+					closed = closed || transfer(later.Kind) && later.Name == rec.Name
+				}
+				if rec.Kind == KindTransferBegin && !closed {
+					wantPending = append(wantPending, rec)
+				}
+			case rec.Kind == KindViewAdmit || rec.Kind == KindViewEvict:
+				if lastMark != KindReorgBegin {
+					break
+				}
+				at[i] = -1
+				for j := i + 1; j < len(recs); j++ {
+					if mark(recs[j].Kind) {
+						if recs[j].Kind == KindReorgCommit {
+							at[i] = j
+						}
+						break
+					}
+				}
+			}
+		}
+		var want []*Record
+		for pos := range recs { // effect order: by position, a window's records before its commit
+			for i := 0; i < pos; i++ {
+				if at[i] == pos {
+					want = append(want, recs[i])
+				}
+			}
+			if at[pos] == pos {
+				want = append(want, recs[pos])
+			}
+		}
+		if !reflect.DeepEqual(d.Applied, want) {
+			t.Fatalf("applied %v, want %v over %v", seqs(d.Applied), seqs(want), recs)
+		}
+		if d.OpenReorg != (lastMark == KindReorgBegin) {
+			t.Fatalf("open window %v after a last mark of %v", d.OpenReorg, lastMark)
+		}
+		if !reflect.DeepEqual(d.PendingTransfers, wantPending) {
+			t.Fatalf("pending transfers %v, want %v", seqs(d.PendingTransfers), seqs(wantPending))
+		}
+	})
+}
+
+func seqs(recs []*Record) []int64 {
+	out := make([]int64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Seq
+	}
+	return out
+}

@@ -39,8 +39,9 @@ const (
 	// KindReorgCommit closes a reorganization window and carries its
 	// outcome statistics.
 	KindReorgCommit
-	// KindReorgAbort closes a reorganization window whose moves were
-	// rolled back live (injected move failure), with budget refunds.
+	// KindReorgAbort closes a reorganization window that will never commit
+	// although the process lives on: multistore's reorg writes it when
+	// tuning fails after the begin was journaled.
 	KindReorgAbort
 	// KindTransferBegin opens a working-set transfer into DW temp space,
 	// carrying the staged bytes and their content checksum.
@@ -101,7 +102,7 @@ type Record struct {
 	Checksum uint64
 	// Gen is the log generation for KindLogGen and view admits.
 	Gen int64
-	// Reorganization outcome statistics (KindReorgCommit / KindReorgAbort).
+	// Reorganization outcome statistics (KindReorgCommit).
 	MovedToDW     int64
 	MovedToHV     int64
 	Dropped       int64
@@ -115,8 +116,9 @@ type Record struct {
 	HVSeconds       float64
 	TransferSeconds float64
 	DWSeconds       float64
-	// Retries and Flags complete the query-done bookkeeping; Flags is a
-	// bitmask (see FlagFellBack and friends).
+	// Retries is the injected failures survived (KindQueryDone: by the
+	// query; KindReorgCommit: by the phase's moves); Flags is KindQueryDone's
+	// route bitmask (see FlagFellBack and friends).
 	Retries int64
 	Flags   uint64
 }

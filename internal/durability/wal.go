@@ -105,6 +105,59 @@ func (w *WAL) Replay(lsn int) (recs []*Record, tornBytes int) {
 	return recs, 0
 }
 
+// Durable is what a replayed record stream amounts to once its
+// transactions are resolved.
+type Durable struct {
+	// Applied holds the records that took effect, in the order they did: a
+	// record outside a reorganization window where it stands, a window's
+	// admits and evicts at its commit, followed by the commit record.
+	Applied []*Record
+	// OpenReorg reports a reorganization window with neither commit nor
+	// abort by end of log: an in-flight reorganization, rolled back.
+	OpenReorg bool
+	// PendingTransfers are the transfer begins, in log order, that no
+	// commit or abort closed: temp loads that were in flight.
+	PendingTransfers []*Record
+}
+
+// Fold resolves the transactions in a replayed record stream. It is the
+// one reader of the journal's begin..commit windows — recovery applies what
+// it returns, the online audit checks the live state against it. Admits
+// and evicts inside a reorganization window take effect only at a durable
+// commit; an abort, a second begin or the end of the log drops them.
+func Fold(recs []*Record) Durable {
+	var d Durable
+	var window []*Record
+	pending := map[string]*Record{}
+	for _, rec := range recs {
+		switch rec.Kind {
+		case KindReorgBegin, KindReorgAbort:
+			d.OpenReorg, window = rec.Kind == KindReorgBegin, window[:0]
+		case KindReorgCommit:
+			d.Applied = append(append(d.Applied, window...), rec)
+			d.OpenReorg, window = false, window[:0]
+		case KindTransferBegin:
+			pending[rec.Name] = rec
+		case KindTransferCommit, KindTransferAbort:
+			delete(pending, rec.Name)
+		case KindViewAdmit, KindViewEvict:
+			if d.OpenReorg {
+				window = append(window, rec)
+				continue
+			}
+			fallthrough
+		default:
+			d.Applied = append(d.Applied, rec)
+		}
+	}
+	for _, rec := range recs {
+		if pending[rec.Name] == rec {
+			d.PendingTransfers = append(d.PendingTransfers, rec)
+		}
+	}
+	return d
+}
+
 // PutPayload stores the durable copy of an admitted view. The copy is
 // deep-cloned; when SiteViewCorrupt fires, one value inside the stored
 // clone is flipped (size-preserving), so the payload's recomputed checksum
@@ -112,7 +165,7 @@ func (w *WAL) Replay(lsn int) (recs []*Record, tornBytes int) {
 func (w *WAL) PutPayload(v *views.View) {
 	c := v.Clone()
 	if failed, frac := w.inj.Check(faults.SiteViewCorrupt); failed {
-		corruptTable(c.Table, frac)
+		CorruptTable(c.Table, frac)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -127,30 +180,24 @@ func (w *WAL) Payload(name string) (*views.View, bool) {
 	return v, ok
 }
 
-// corruptTable flips one value in the table, chosen by frac, without
+// CorruptTable flips one value in the table, chosen by frac, without
 // changing its encoded size (so byte accounting stays intact and only the
-// checksum betrays the damage). Tables with no mutable value are left
-// unchanged.
-func corruptTable(t *storage.Table, frac float64) {
-	if t == nil || len(t.Rows) == 0 {
+// checksum betrays the damage): the one model of silent damage, applied by
+// SiteViewCorrupt to a durable payload here and by SiteViewRot to a live
+// view in multistore. Tables with no mutable value are left unchanged.
+func CorruptTable(t *storage.Table, frac float64) {
+	if t == nil {
 		return
 	}
-	nvals := 0
-	for _, r := range t.Rows {
-		nvals += len(r)
+	var cells []*storage.Value
+	for _, row := range t.Rows {
+		for c := range row {
+			cells = append(cells, &row[c])
+		}
 	}
-	if nvals == 0 {
-		return
-	}
-	start := int(frac * float64(nvals))
-	if start >= nvals {
-		start = nvals - 1
-	}
-	for i := 0; i < nvals; i++ {
-		idx := (start + i) % nvals
-		row, col := locate(t, idx)
-		v := &t.Rows[row][col]
-		switch v.Kind {
+	start := min(int(frac*float64(len(cells))), len(cells)-1)
+	for i := range cells {
+		switch v := cells[(start+i)%len(cells)]; v.Kind {
 		case storage.KindInt:
 			v.I++
 			return
@@ -169,14 +216,4 @@ func corruptTable(t *storage.Table, frac float64) {
 			}
 		}
 	}
-}
-
-func locate(t *storage.Table, idx int) (row, col int) {
-	for r := range t.Rows {
-		if idx < len(t.Rows[r]) {
-			return r, idx
-		}
-		idx -= len(t.Rows[r])
-	}
-	return 0, 0
 }

@@ -230,7 +230,7 @@ func TestCorruptTableEveryKind(t *testing.T) {
 		tbl.MustAppend(storage.Row{val})
 		before := storage.ChecksumTable(tbl)
 		size := tbl.RawBytes()
-		corruptTable(tbl, float64(i)/float64(len(cases)))
+		CorruptTable(tbl, float64(i)/float64(len(cases)))
 		if storage.ChecksumTable(tbl) == before {
 			t.Errorf("case %d: flip not visible to checksum", i)
 		}
@@ -239,9 +239,9 @@ func TestCorruptTableEveryKind(t *testing.T) {
 		}
 	}
 	// Tables with nothing to flip are left alone.
-	corruptTable(nil, 0.5)
+	CorruptTable(nil, 0.5)
 	empty := storage.NewTable("e", sch)
-	corruptTable(empty, 0.5)
+	CorruptTable(empty, 0.5)
 }
 
 func TestManagerCadence(t *testing.T) {
@@ -275,5 +275,40 @@ func TestManagerCadence(t *testing.T) {
 	// Cadence clamps to a minimum of 1.
 	if NewManager(0, w).Every() != 1 {
 		t.Error("zero cadence not clamped")
+	}
+}
+
+// TestFold pins how the one reader of the journal resolves its
+// transactions: a window takes effect at its commit, an abort or the end
+// of the log drops it, and a transfer begin nothing closed is pending.
+func TestFold(t *testing.T) {
+	rec := func(k Kind, name string) *Record { return &Record{Kind: k, Name: name} }
+	begin, commit, abort := rec(KindReorgBegin, ""), rec(KindReorgCommit, ""), rec(KindReorgAbort, "")
+	admitA, admitB, evictC := rec(KindViewAdmit, "A"), rec(KindViewAdmit, "B"), rec(KindViewEvict, "C")
+	done := rec(KindQueryDone, "")
+	tBegin, tBegin2, tCommit := rec(KindTransferBegin, "ws_1"), rec(KindTransferBegin, "ws_2"), rec(KindTransferCommit, "ws_1")
+	for _, tc := range []struct {
+		name    string
+		recs    []*Record
+		applied []*Record
+		open    bool
+		pending []*Record
+	}{
+		{name: "an aborted window is dropped and closed",
+			recs: []*Record{begin, admitA, abort, admitB}, applied: []*Record{admitB}},
+		{name: "a window open at end of log applies nothing",
+			recs: []*Record{begin, admitA}, open: true},
+		{name: "a committed window lands at its commit, the commit after it",
+			recs:    []*Record{admitB, begin, admitA, done, evictC, commit},
+			applied: []*Record{admitB, done, admitA, evictC, commit}},
+		{name: "a second begin drops the first window",
+			recs: []*Record{begin, admitA, begin, admitB, commit}, applied: []*Record{admitB, commit}},
+		{name: "a transfer begin without a close is pending",
+			recs: []*Record{tBegin, tBegin2, tCommit, done}, applied: []*Record{done}, pending: []*Record{tBegin2}},
+	} {
+		d := Fold(tc.recs)
+		if !reflect.DeepEqual(d.Applied, tc.applied) || d.OpenReorg != tc.open || !reflect.DeepEqual(d.PendingTransfers, tc.pending) {
+			t.Errorf("%s: folded to %+v", tc.name, d)
+		}
 	}
 }

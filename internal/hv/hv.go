@@ -368,7 +368,7 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 			continue
 		}
 		v := views.New(def, tables[n], seq)
-		v.StampGenerations(s.logGeneration)
+		v.StampGenerations(s.cat.Generation)
 		s.est.RecordView(v.Name, stats.Stat{
 			Rows:  int64(tables[n].NumRows()),
 			Bytes: tables[n].LogicalBytes(),
@@ -444,14 +444,4 @@ func (s *Store) CostPlan(plan *logical.Node) float64 {
 		sec += s.jobSeconds(normal, serde, s.est.Estimate(n).Bytes)
 	}
 	return sec
-}
-
-// logGeneration reports the current generation of a catalog log, for
-// stamping freshly materialized views.
-func (s *Store) logGeneration(name string) (int, bool) {
-	log, err := s.cat.Log(name)
-	if err != nil {
-		return 0, false
-	}
-	return log.Generation, true
 }

@@ -9,7 +9,6 @@ import (
 
 	"miso/internal/durability"
 	"miso/internal/faults"
-	"miso/internal/storage"
 	"miso/internal/views"
 )
 
@@ -99,28 +98,7 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	type residency struct {
-		set   *views.Set
-		store byte
-		tag   string
-	}
-	stores := []residency{
-		{s.hv.Views, durability.StoreHV, "hv"},
-		{s.dw.Views, durability.StoreDW, "dw"},
-	}
-	seen := map[string]bool{}
-	names := make([]string, 0, s.hv.Views.Len()+s.dw.Views.Len())
-	for _, st := range stores {
-		for _, v := range st.set.All() {
-			if !seen[v.Name] {
-				seen[v.Name] = true
-				names = append(names, v.Name)
-			}
-		}
-	}
-	sort.Strings(names)
-
-	gen := s.catalogGen()
+	names := sortedKeys(s.designMap())
 	var (
 		viols       []AuditViolation
 		next        string
@@ -137,24 +115,19 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 		}
 		checked++
 		cursor = name
-		for _, st := range stores {
-			v, ok := st.set.Get(name)
+		for _, st := range s.stores() {
+			v, ok := st.views.Get(name)
 			if !ok {
 				continue
 			}
-			var inv, detail string
-			switch {
-			case !v.Verify():
-				inv, detail = InvChecksum, "content checksum mismatch"
-			case v.Stale(gen):
-				inv, detail = InvFreshness, "base log generation advanced"
-			default:
+			inv, detail := s.unsound(v)
+			if inv == "" {
 				continue
 			}
 			viol := AuditViolation{Invariant: inv, View: name, Store: st.tag, Detail: detail}
 			s.metrics.AuditViolations++
 			if repair {
-				rerr := s.repairView(v, st.set, st.store)
+				rerr := s.repairView(v, st)
 				switch {
 				case rerr == nil:
 					viol.Repaired = true
@@ -162,7 +135,7 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 				case errors.Is(rerr, faults.ErrCrash):
 					return append(viols, viol), cursor, rerr
 				default:
-					s.quarantineView(name, st.set)
+					s.quarantineView(name, st.views)
 					quarantined = true
 					viol.Quarantined = true
 					viol.Detail += "; " + rerr.Error()
@@ -180,6 +153,19 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 		}
 	}
 	return viols, next, nil
+}
+
+// unsound names the per-view invariant v breaks — its content checksum
+// first, then base-log freshness — or "" for a sound view: the one check the
+// online audit and recovery's verifyDesign both hold a resident view to.
+func (s *System) unsound(v *views.View) (inv, detail string) {
+	switch {
+	case !v.Verify():
+		return InvChecksum, "content checksum mismatch"
+	case v.Stale(s.cat.Generation):
+		return InvFreshness, "base log generation advanced"
+	}
+	return "", ""
 }
 
 // brokenInvariants is the one walk over the system invariants: Vh ∩ Vd
@@ -200,18 +186,15 @@ func (s *System) brokenInvariants(yield func(v AuditViolation, msg string) bool)
 			return
 		}
 	}
-	for _, b := range []struct {
-		set       *views.Set
-		tag, name string // the store as the audit tags it; its budget as CheckInvariants names it
-		limit     int64
-	}{{s.hv.Views, "hv", "Bh", s.cfg.Tuner.Bh}, {s.dw.Views, "dw", "Bd", s.cfg.Tuner.Bd}} {
-		got := b.set.TotalBytes()
-		if got <= b.limit {
+	for _, st := range s.stores() {
+		got := st.views.TotalBytes()
+		if got <= st.budget {
 			continue
 		}
-		if !yield(AuditViolation{Invariant: InvBudget, Store: b.tag,
-			Detail: fmt.Sprintf("%s views %d bytes exceed budget %d", b.tag, got, b.limit)},
-			fmt.Sprintf("%s views %d bytes exceed %s %d", strings.ToUpper(b.tag), got, b.name, b.limit)) {
+		// CheckInvariants names the store in capitals and its budget Bh / Bd.
+		if !yield(AuditViolation{Invariant: InvBudget, Store: st.tag,
+			Detail: fmt.Sprintf("%s views %d bytes exceed budget %d", st.tag, got, st.budget)},
+			fmt.Sprintf("%s views %d bytes exceed B%s %d", strings.ToUpper(st.tag), got, st.tag[:1], st.budget)) {
 			return
 		}
 	}
@@ -282,15 +265,14 @@ func (s *System) AuditInvariants(repair bool) ([]AuditViolation, error) {
 			v.Repaired = true
 			v.Detail += "; evicted HV copy, DW placement wins"
 		}
-		if repair && v.Invariant == InvBudget && v.Store != "" { // a storage budget, not the ledger
-			set, limit := s.hv.Views, s.cfg.Tuner.Bh
-			if v.Store == "dw" {
-				set, limit = s.dw.Views, s.cfg.Tuner.Bd
+		for _, st := range s.stores() {
+			// A storage budget's breach carries its store's tag; the ledger's none.
+			if repair && v.Invariant == InvBudget && v.Store == st.tag {
+				evicted := views.EvictLRU(st.views, st.budget)
+				changed = changed || len(evicted) > 0
+				v.Repaired = true
+				v.Detail += fmt.Sprintf("; evicted %d views back under budget", len(evicted))
 			}
-			evicted := views.EvictLRU(set, limit)
-			changed = changed || len(evicted) > 0
-			v.Repaired = true
-			v.Detail += fmt.Sprintf("; evicted %d views back under budget", len(evicted))
 		}
 		add(v)
 		return true
@@ -331,11 +313,10 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 	if ckpt := s.dur.Latest(); ckpt != nil {
 		lsn = ckpt.LSN
 		if sn, ok := ckpt.State.(*snapshot); ok {
-			for _, v := range sn.HV {
-				place[v.Name] = durability.StoreHV
-			}
-			for _, v := range sn.DW {
-				place[v.Name] = durability.StoreDW
+			for i, st := range s.stores() {
+				for _, v := range sn.Views[i] {
+					place[v.Name] = st.store
+				}
 			}
 		}
 	}
@@ -346,7 +327,8 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 	}
 
 	lastAdmit := map[string]*durability.Record{}
-	apply := func(rec *durability.Record) {
+	d := durability.Fold(recs)
+	for _, rec := range d.Applied {
 		switch rec.Kind {
 		case durability.KindViewAdmit:
 			place[rec.Name] = rec.Store
@@ -357,31 +339,7 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 			}
 		}
 	}
-	inReorg := false
-	var buffered []*durability.Record
-	for _, rec := range recs {
-		switch rec.Kind {
-		case durability.KindReorgBegin:
-			inReorg = true
-			buffered = buffered[:0]
-		case durability.KindReorgCommit:
-			for _, b := range buffered {
-				apply(b)
-			}
-			buffered = buffered[:0]
-			inReorg = false
-		case durability.KindReorgAbort:
-			buffered = buffered[:0]
-			inReorg = false
-		case durability.KindViewAdmit, durability.KindViewEvict:
-			if inReorg {
-				buffered = append(buffered, rec)
-				continue
-			}
-			apply(rec)
-		}
-	}
-	if inReorg {
+	if d.OpenReorg {
 		viols = append(viols, AuditViolation{Invariant: InvWAL,
 			Detail: "reorganization window left open at an operation boundary"})
 	}
@@ -404,13 +362,8 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 			Detail: "durable payload fails its admit-record checksum"}
 		if repair {
 			// Self-heal the durable copy from the verified live view.
-			if live := s.lookupView(name, place[name]); live != nil && live.Verify() {
-				wal.PutPayload(live)
-				rec := &durability.Record{
-					Kind: durability.KindViewAdmit, Store: place[name], Name: name,
-					Seq: int64(s.seq), Bytes: live.SizeBytes(), Checksum: live.Checksum,
-				}
-				if err := wal.Append(rec); err != nil {
+			if live, ok := s.storeFor(place[name]).views.Get(name); ok && live.Verify() {
+				if err := s.journalAdmit(live, place[name]); err != nil {
 					return append(viols, viol), err
 				}
 				viol.Repaired = true
@@ -422,12 +375,7 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 
 	// Placement agreement on the intersection of journal and live design.
 	live := s.designMap()
-	liveNames := make([]string, 0, len(live))
-	for name := range live {
-		liveNames = append(liveNames, name)
-	}
-	sort.Strings(liveNames)
-	for _, name := range liveNames {
+	for _, name := range sortedKeys(live) {
 		if st, ok := place[name]; ok && st != live[name] {
 			viols = append(viols, AuditViolation{Invariant: InvWAL, View: name,
 				Detail: fmt.Sprintf("journal places view in %c, live design in %c", st, live[name])})
@@ -445,7 +393,7 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 // repair is journaled as an evict+admit pair (the placement did not
 // change, so the boundary design diff would not notice a content
 // repair). Callers hold s.mu.
-func (s *System) repairView(v *views.View, set *views.Set, store byte) error {
+func (s *System) repairView(v *views.View, st residency) error {
 	if v.Def == nil || v.Name != views.NameForSig(v.Sig) {
 		// Hand-installed tables (the bgwork mart) are not recomputable
 		// through the HV fallback path: their name is not derived from
@@ -463,27 +411,20 @@ func (s *System) repairView(v *views.View, set *views.Set, store byte) error {
 	}
 	nv.LastUsedSeq = v.LastUsedSeq
 	nv.ExactOnly = v.ExactOnly
-	nv.StampGenerations(s.catalogGen())
-	set.Remove(v.Name)
-	s.installView(nv, set)
+	nv.StampGenerations(s.cat.Generation)
+	st.views.Remove(v.Name)
+	s.installView(nv, st.views)
 	delete(s.tomb, v.Name)
 	s.metrics.Recovery += cost
-	if s.dur != nil {
-		wal := s.dur.WAL()
-		if err := wal.Append(&durability.Record{
-			Kind: durability.KindViewEvict, Store: store, Name: v.Name, Seq: int64(s.seq),
-		}); err != nil {
-			return err
-		}
-		wal.PutPayload(nv)
-		if err := wal.Append(&durability.Record{
-			Kind: durability.KindViewAdmit, Store: store, Name: v.Name,
-			Seq: int64(s.seq), Bytes: nv.SizeBytes(), Checksum: nv.Checksum,
-		}); err != nil {
-			return err
-		}
+	if s.dur == nil {
+		return nil
 	}
-	return nil
+	if err := s.journal(&durability.Record{
+		Kind: durability.KindViewEvict, Store: st.store, Name: v.Name, Seq: int64(s.seq),
+	}); err != nil {
+		return err
+	}
+	return s.journalAdmit(nv, st.store)
 }
 
 // quarantineView removes an unrepairable view from the design and
@@ -513,24 +454,7 @@ func (s *System) tombstoned(name string) bool { return s.tomb[name] }
 func (s *System) QuarantineTombstones() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.tomb))
-	for name := range s.tomb {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// catalogGen returns the generation probe for the system's catalog.
-// Callers hold s.mu.
-func (s *System) catalogGen() func(name string) (int, bool) {
-	return func(name string) (int, bool) {
-		log, err := s.cat.Log(name)
-		if err != nil {
-			return 0, false
-		}
-		return log.Generation, true
-	}
+	return sortedKeys(s.tomb)
 }
 
 // maybeRot draws the SiteViewRot bit-rot site once per operation: when it
@@ -545,15 +469,11 @@ func (s *System) maybeRot() {
 	if !failed {
 		return
 	}
-	type victim struct {
-		v   *views.View
-		set *views.Set
-	}
-	var victims []victim
-	for _, set := range []*views.Set{s.hv.Views, s.dw.Views} {
-		for _, v := range set.All() {
+	var victims []*views.View
+	for _, st := range s.stores() {
+		for _, v := range st.views.All() {
 			if v.Table != nil && len(v.Table.Rows) > 0 && v.Name == views.NameForSig(v.Sig) {
-				victims = append(victims, victim{v, set})
+				victims = append(victims, v)
 			}
 		}
 	}
@@ -564,9 +484,9 @@ func (s *System) maybeRot() {
 	if idx >= len(victims) {
 		idx = len(victims) - 1
 	}
-	v := victims[idx].v
+	v := victims[idx]
 	rotted := v.Table.Clone()
-	rotTable(rotted, frac)
+	durability.CorruptTable(rotted, frac)
 	v.Table = rotted
 	s.rotLog = append(s.rotLog, RotRecord{Name: v.Name, CreatedSeq: v.CreatedSeq})
 }
@@ -587,57 +507,4 @@ func (s *System) RotLog() []RotRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]RotRecord(nil), s.rotLog...)
-}
-
-// rotTable flips one value in the table, chosen by frac, without changing
-// its encoded size — the same size-preserving damage the durability
-// plane's payload corruption models, applied to the live in-memory copy.
-func rotTable(t *storage.Table, frac float64) {
-	if t == nil || len(t.Rows) == 0 {
-		return
-	}
-	nvals := 0
-	for _, r := range t.Rows {
-		nvals += len(r)
-	}
-	if nvals == 0 {
-		return
-	}
-	start := int(frac * float64(nvals))
-	if start >= nvals {
-		start = nvals - 1
-	}
-	for i := 0; i < nvals; i++ {
-		idx := (start + i) % nvals
-		row, col := rotLocate(t, idx)
-		v := &t.Rows[row][col]
-		switch v.Kind {
-		case storage.KindInt:
-			v.I++
-			return
-		case storage.KindFloat:
-			v.F += 1
-			return
-		case storage.KindBool:
-			v.I = 1 - v.I
-			return
-		case storage.KindString:
-			if len(v.S) > 0 {
-				b := []byte(v.S)
-				b[0] ^= 0x01
-				v.S = string(b)
-				return
-			}
-		}
-	}
-}
-
-func rotLocate(t *storage.Table, idx int) (row, col int) {
-	for r := range t.Rows {
-		if idx < len(t.Rows[r]) {
-			return r, idx
-		}
-		idx -= len(t.Rows[r])
-	}
-	return 0, 0
 }

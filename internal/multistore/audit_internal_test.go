@@ -9,9 +9,11 @@ package multistore
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"miso/internal/data"
+	"miso/internal/durability"
 	"miso/internal/views"
 	"miso/internal/workload"
 )
@@ -52,11 +54,11 @@ func runPrefix(t *testing.T, sys *System, n int) {
 func pickRecomputable(sys *System) (*views.View, *views.Set) {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
-	for _, set := range []*views.Set{sys.hv.Views, sys.dw.Views} {
-		for _, v := range set.All() {
+	for _, st := range sys.stores() {
+		for _, v := range st.views.All() {
 			if v.Def != nil && v.Name == views.NameForSig(v.Sig) &&
 				v.Table != nil && len(v.Table.Rows) > 0 {
-				return v, set
+				return v, st.views
 			}
 		}
 	}
@@ -77,7 +79,7 @@ func TestAuditRepairsCorruptView(t *testing.T) {
 		t.Fatal("no recomputable view materialized")
 	}
 	rotted := victim.Table.Clone()
-	rotTable(rotted, 0.5)
+	durability.CorruptTable(rotted, 0.5)
 	victim.Table = rotted
 	if victim.Verify() {
 		t.Fatal("rot did not break the content checksum")
@@ -142,9 +144,9 @@ func TestQuarantineTombstoneBlocksCapture(t *testing.T) {
 	runPrefix(t, sys, 5)
 
 	sys.mu.Lock()
-	for _, set := range []*views.Set{sys.hv.Views, sys.dw.Views} {
-		for _, v := range set.All() {
-			sys.quarantineView(v.Name, set)
+	for _, st := range sys.stores() {
+		for _, v := range st.views.All() {
+			sys.quarantineView(v.Name, st.views)
 		}
 	}
 	sys.mu.Unlock()
@@ -326,5 +328,63 @@ func TestPlantedInvariantBreachesAreReportedBothWays(t *testing.T) {
 	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("dirty after undoing every plant: %v", err)
+	}
+}
+
+// TestFailedTuneClosesItsReorgWindow: a reorganization whose tuning fails
+// (here a hand-installed view with no descriptor panics inside the what-if
+// costing, which the tuner contains) leaves a live process behind, so the
+// window it opened in the journal must be closed with an abort. Otherwise
+// recovery takes every admit journaled after it for part of that window
+// and drops it, and the audit reports a window left open.
+func TestFailedTuneClosesItsReorgWindow(t *testing.T) {
+	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 100 })
+	boot := sys.Durability().Latest()
+	runPrefix(t, sys, 1)
+	sys.hv.Views.Add(&views.View{Name: "no_descriptor", Sig: "no_descriptor"})
+	if err := sys.Reorganize(); err == nil {
+		t.Fatal("tuning over a view with no descriptor succeeded; the test exercises nothing")
+	}
+	sys.hv.Views.Remove("no_descriptor")
+	sqls := workload.SQLs()
+	for _, sql := range sqls[1:3] {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viols, err := sys.AuditInvariants(false)
+	if err != nil || len(viols) != 0 {
+		t.Errorf("audit after the failed tuning: %v %v", viols, err)
+	}
+	rec, rep, err := Recover(sys.cfg, sys.cat, boot, sys.dur.WAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RolledBackReorgs != 0 {
+		t.Errorf("recovery rolled back %d reorganizations; the aborted one was closed live", rep.RolledBackReorgs)
+	}
+	live := sys.designMap()
+	if len(live) == 0 {
+		t.Fatal("the queries admitted no views; nothing to find")
+	}
+	if got := rec.designMap(); !reflect.DeepEqual(got, live) {
+		t.Errorf("recovered design %v, live design %v", got, live)
+	}
+}
+
+// TestStoresWalksHVFirst pins the order of the one walk over the two
+// stores: StateDigest, designMap (where a name in both stores resolves to
+// DW) and the audit walk were all recorded HV first.
+func TestStoresWalksHVFirst(t *testing.T) {
+	sys := newAuditSystem(t, VariantMSMiso, nil)
+	want := [2]residency{
+		{sys.hv.Views, durability.StoreHV, "hv", sys.cfg.Tuner.Bh},
+		{sys.dw.Views, durability.StoreDW, "dw", sys.cfg.Tuner.Bd},
+	}
+	if got := sys.stores(); got != want {
+		t.Fatalf("stores() = %+v, want HV then DW: %+v", got, want)
+	}
+	if sys.storeFor(durability.StoreHV) != want[0] || sys.storeFor(durability.StoreDW) != want[1] {
+		t.Fatal("storeFor does not resolve the journal's tags to their stores")
 	}
 }

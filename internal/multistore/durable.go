@@ -70,14 +70,41 @@ func (s *System) endOp(final *durability.Record) error {
 	return nil
 }
 
+// residency is one of the two stores as the design, the journal and the
+// audit see it.
+type residency struct {
+	views  *views.Set
+	store  byte   // the journal's tag (durability.StoreHV / StoreDW)
+	tag    string // the audit's and the digest's tag
+	budget int64  // the storage budget its views must fit (Bh / Bd)
+}
+
+// stores returns the two residencies, HV first — the order every digest,
+// journal diff and audit walk was recorded in. It is the way to walk the
+// design; callers hold s.mu.
+func (s *System) stores() [2]residency {
+	return [2]residency{
+		{s.hv.Views, durability.StoreHV, "hv", s.cfg.Tuner.Bh},
+		{s.dw.Views, durability.StoreDW, "dw", s.cfg.Tuner.Bd},
+	}
+}
+
+// storeFor returns the residency a journal tag names.
+func (s *System) storeFor(store byte) residency {
+	st := s.stores()
+	if store == durability.StoreHV {
+		return st[0]
+	}
+	return st[1]
+}
+
 // designMap flattens the current design into view name -> store tag.
 func (s *System) designMap() map[string]byte {
 	m := make(map[string]byte, s.hv.Views.Len()+s.dw.Views.Len())
-	for _, v := range s.hv.Views.All() {
-		m[v.Name] = durability.StoreHV
-	}
-	for _, v := range s.dw.Views.All() {
-		m[v.Name] = durability.StoreDW
+	for _, st := range s.stores() {
+		for _, v := range st.views.All() {
+			m[v.Name] = st.store
+		}
 	}
 	return m
 }
@@ -100,31 +127,21 @@ func (s *System) journalDesignDiff() error {
 		}
 	}
 	sort.Strings(names)
-	wal := s.dur.WAL()
 	for _, name := range names {
 		old, wasIn := s.jbase[name]
 		now, isIn := cur[name]
 		if wasIn && (!isIn || old != now) {
 			rec := &durability.Record{Kind: durability.KindViewEvict, Store: old, Name: name, Seq: int64(s.seq)}
-			if err := wal.Append(rec); err != nil {
+			if err := s.journal(rec); err != nil {
 				return err
 			}
 		}
 		if isIn && (!wasIn || old != now) {
-			v := s.lookupView(name, now)
-			if v == nil {
+			v, ok := s.storeFor(now).views.Get(name)
+			if !ok {
 				continue
 			}
-			wal.PutPayload(v)
-			rec := &durability.Record{
-				Kind:     durability.KindViewAdmit,
-				Store:    now,
-				Name:     name,
-				Seq:      int64(s.seq),
-				Bytes:    v.SizeBytes(),
-				Checksum: v.Checksum,
-			}
-			if err := wal.Append(rec); err != nil {
+			if err := s.journalAdmit(v, now); err != nil {
 				return err
 			}
 		}
@@ -133,34 +150,30 @@ func (s *System) journalDesignDiff() error {
 	return nil
 }
 
-func (s *System) lookupView(name string, store byte) *views.View {
-	if store == durability.StoreHV {
-		v, _ := s.hv.Views.Get(name)
-		return v
-	}
-	v, _ := s.dw.Views.Get(name)
-	return v
+// journalAdmit makes v's bytes durable in the WAL's payload space and
+// journals its admission to store.
+func (s *System) journalAdmit(v *views.View, store byte) error {
+	s.dur.WAL().PutPayload(v)
+	return s.journal(&durability.Record{
+		Kind: durability.KindViewAdmit, Store: store, Name: v.Name,
+		Seq: int64(s.seq), Bytes: v.SizeBytes(), Checksum: v.Checksum,
+	})
+}
+
+// routeBits packs the report's four route flags the way the journal and
+// StateDigest both carry them.
+func (r *QueryReport) routeBits() uint64 {
+	return uint64(b2i(r.FellBackToHV))*durability.FlagFellBack |
+		uint64(b2i(r.Degraded))*durability.FlagDegraded |
+		uint64(b2i(r.HVOnly))*durability.FlagHVOnly |
+		uint64(b2i(r.BypassedHV))*durability.FlagBypassedHV
 }
 
 // queryDoneRecord journals one completed query: sequence, SQL (so replay
 // can rebuild the workload window), and its TTI contribution.
 func queryDoneRecord(rep *QueryReport) *durability.Record {
-	var flags uint64
-	if rep.FellBackToHV {
-		flags |= durability.FlagFellBack
-	}
-	if rep.Degraded {
-		flags |= durability.FlagDegraded
-	}
-	if rep.HVOnly {
-		flags |= durability.FlagHVOnly
-	}
-	if rep.BypassedHV {
-		flags |= durability.FlagBypassedHV
-	}
 	return &durability.Record{
 		Kind:            durability.KindQueryDone,
-		Name:            "",
 		SQL:             rep.SQL,
 		Seq:             int64(rep.Seq),
 		Bytes:           rep.TransferBytes,
@@ -169,7 +182,60 @@ func queryDoneRecord(rep *QueryReport) *durability.Record {
 		DWSeconds:       rep.DWSeconds,
 		RecoverySeconds: rep.RecoverySeconds,
 		Retries:         int64(rep.Retries),
-		Flags:           flags,
+		Flags:           rep.routeBits(),
+	}
+}
+
+// journaledReport is queryDoneRecord's inverse: the report replay books
+// (result data itself is not journaled).
+func journaledReport(rec *durability.Record) *QueryReport {
+	return &QueryReport{
+		Seq:             int(rec.Seq),
+		SQL:             rec.SQL,
+		HVSeconds:       rec.HVSeconds,
+		TransferSeconds: rec.TransferSeconds,
+		DWSeconds:       rec.DWSeconds,
+		RecoverySeconds: rec.RecoverySeconds,
+		TransferBytes:   rec.Bytes,
+		Retries:         int(rec.Retries),
+		FellBackToHV:    rec.Flags&durability.FlagFellBack != 0,
+		Degraded:        rec.Flags&durability.FlagDegraded != 0,
+		HVOnly:          rec.Flags&durability.FlagHVOnly != 0,
+		BypassedHV:      rec.Flags&durability.FlagBypassedHV != 0,
+	}
+}
+
+// reorgCommitRecord journals a committed reorganization's outcome and the
+// injected failures its moves survived (ReorgRecord does not keep those).
+func reorgCommitRecord(rec ReorgRecord, retries int) *durability.Record {
+	return &durability.Record{
+		Kind:            durability.KindReorgCommit,
+		Seq:             int64(rec.BeforeSeq),
+		Bytes:           rec.Bytes,
+		MovedToDW:       int64(rec.MovedToDW),
+		MovedToHV:       int64(rec.MovedToHV),
+		Dropped:         int64(rec.Dropped),
+		FailedMoves:     int64(rec.FailedMoves),
+		RefundedBytes:   rec.RefundedBytes,
+		Seconds:         rec.Seconds,
+		RecoverySeconds: rec.RecoverySeconds,
+		Retries:         int64(retries),
+	}
+}
+
+// journaledReorg is reorgCommitRecord's inverse (the retries stay in the
+// record).
+func journaledReorg(rec *durability.Record) ReorgRecord {
+	return ReorgRecord{
+		BeforeSeq:       int(rec.Seq),
+		MovedToDW:       int(rec.MovedToDW),
+		MovedToHV:       int(rec.MovedToHV),
+		Dropped:         int(rec.Dropped),
+		Bytes:           rec.Bytes,
+		Seconds:         rec.Seconds,
+		FailedMoves:     int(rec.FailedMoves),
+		RefundedBytes:   rec.RefundedBytes,
+		RecoverySeconds: rec.RecoverySeconds,
 	}
 }
 
@@ -178,12 +244,11 @@ func queryDoneRecord(rep *QueryReport) *durability.Record {
 // otherwise let them silently answer queries over data that no longer
 // exists. Callers hold s.mu.
 func (s *System) quarantineStale() {
-	gen := s.catalogGen()
 	quarantined := false
-	for _, set := range []*views.Set{s.hv.Views, s.dw.Views} {
-		for _, v := range set.All() {
-			if v.Stale(gen) {
-				set.Remove(v.Name)
+	for _, st := range s.stores() {
+		for _, v := range st.views.All() {
+			if v.Stale(s.cat.Generation) {
+				st.views.Remove(v.Name)
 				s.metrics.Quarantined++
 				quarantined = true
 			}
@@ -210,8 +275,8 @@ type snapshot struct {
 	OffTuned bool
 	OffHV    []string
 	OffDW    []string
-	HV       []*views.View
-	DW       []*views.View
+	// Views holds each store's views, indexed as stores() orders them.
+	Views    [2][]*views.View
 	Window   []snapEntry
 	Future   []snapEntry
 	ReorgLog []ReorgRecord
@@ -237,19 +302,11 @@ func (s *System) snapshotLocked() *snapshot {
 		OffTuned: s.offTuned,
 		ReorgLog: append([]ReorgRecord(nil), s.reorgLog...),
 	}
-	for name := range s.offTargetHV {
-		sn.OffHV = append(sn.OffHV, name)
-	}
-	for name := range s.offTargetDW {
-		sn.OffDW = append(sn.OffDW, name)
-	}
-	sort.Strings(sn.OffHV)
-	sort.Strings(sn.OffDW)
-	for _, v := range s.hv.Views.All() {
-		sn.HV = append(sn.HV, v.Clone())
-	}
-	for _, v := range s.dw.Views.All() {
-		sn.DW = append(sn.DW, v.Clone())
+	sn.OffHV, sn.OffDW = sortedKeys(s.offTargetHV), sortedKeys(s.offTargetDW)
+	for i, st := range s.stores() {
+		for _, v := range st.views.All() {
+			sn.Views[i] = append(sn.Views[i], v.Clone())
+		}
 	}
 	for _, e := range s.window.Entries() {
 		sn.Window = append(sn.Window, snapEntry{Seq: e.Seq, SQL: e.SQL})
@@ -281,11 +338,10 @@ func (s *System) restoreSnapshot(sn *snapshot) error {
 		}
 	}
 	s.reorgLog = append([]ReorgRecord(nil), sn.ReorgLog...)
-	for _, v := range sn.HV {
-		s.installView(v.Clone(), s.hv.Views)
-	}
-	for _, v := range sn.DW {
-		s.installView(v.Clone(), s.dw.Views)
+	for i, st := range s.stores() {
+		for _, v := range sn.Views[i] {
+			s.installView(v.Clone(), st.views)
+		}
 	}
 	for _, e := range sn.Window {
 		plan, err := s.builder.BuildSQL(e.SQL)
@@ -401,13 +457,7 @@ func (d digester) report(r *QueryReport) {
 	d.ws(r.SQL)
 	d.w(f(r.HVSeconds), f(r.TransferSeconds), f(r.DWSeconds), f(r.RecoverySeconds),
 		uint64(r.TransferBytes), uint64(r.Retries), uint64(r.ResultRows))
-	var flags uint64
-	for i, b := range []bool{r.FellBackToHV, r.Degraded, r.HVOnly, r.BypassedHV} {
-		if b {
-			flags |= 1 << uint(i)
-		}
-	}
-	d.w(flags)
+	d.w(r.routeBits())
 	for _, u := range r.UsedViews {
 		d.ws(u)
 	}
@@ -439,21 +489,13 @@ func (s *System) StateDigest() uint64 {
 	w(f(m.HVExe), f(m.DWExe), f(m.Transfer), f(m.Tune), f(m.ETL), f(m.Recovery))
 	w(uint64(m.Queries), uint64(m.Reorgs), uint64(m.Fallbacks), uint64(m.Retries),
 		uint64(m.Canceled), uint64(m.Degraded), uint64(m.Quarantined))
-	for _, set := range []struct {
-		tag string
-		vs  []*views.View
-	}{{"hv", s.hv.Views.All()}, {"dw", s.dw.Views.All()}} {
-		ws(set.tag)
-		for _, v := range set.vs {
+	for _, st := range s.stores() {
+		ws(st.tag)
+		for _, v := range st.views.All() {
 			ws(v.Name)
 			ws(v.Sig)
 			w(v.Checksum, uint64(v.CreatedSeq), uint64(v.LastUsedSeq), uint64(v.SizeBytes()))
-			logs := make([]string, 0, len(v.LogGens))
-			for name := range v.LogGens {
-				logs = append(logs, name)
-			}
-			sort.Strings(logs)
-			for _, name := range logs {
+			for _, name := range sortedKeys(v.LogGens) {
 				ws(name)
 				w(uint64(v.LogGens[name]))
 			}

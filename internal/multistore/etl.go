@@ -94,7 +94,7 @@ func (s *System) runETL() error {
 		}
 		s.metrics.ETL += productive
 		v := views.New(node, res.Table, 0)
-		v.StampGenerations(s.catalogGen())
+		v.StampGenerations(s.cat.Generation)
 		s.dw.Views.Add(v)
 	}
 	// The ETL engine's by-products are not retained: DW-ONLY serves
@@ -136,7 +136,7 @@ func buildETLExtract(logName string, plain, udf map[string]logical.ExtractField)
 	return ex, nil
 }
 
-func sortedKeys(m map[string]logical.ExtractField) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -13,6 +13,7 @@ import (
 	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/multistore"
+	"miso/internal/serve"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
@@ -90,7 +91,31 @@ func matrixRows() []matrixRow {
 			t.Fatalf("clean run reported violations: %v %v", viols, iviols)
 		}
 	}
+	// The serving frontend with zero-value Quota/Adaptive configs must
+	// leave the plane exactly as before: full worker concurrency, no quota
+	// sheds, no limit adjustments, per-tenant accounting still working.
+	var srv *serve.Server
 	rows := []matrixRow{
+		{name: "served, overload plane disabled",
+			run: func(sys *multistore.System, _ int, sql string) (*multistore.QueryReport, error) {
+				if srv == nil {
+					srv = serve.NewServer(serve.Config{Workers: 2, QueueDepth: 8}, sys)
+				}
+				return srv.DoAs(context.Background(), "t0", sql)
+			},
+			done: func(t *testing.T, _ *multistore.System) {
+				defer srv.Close()
+				if lim := srv.ConcurrencyLimit(); lim != 2 {
+					t.Fatalf("disabled limiter reports concurrency %d, want the worker count 2", lim)
+				}
+				if m := srv.Metrics(); m.QuotaSheds != 0 || m.LimitIncreases != 0 || m.LimitDecreases != 0 {
+					t.Fatalf("disabled overload plane touched its counters: %+v", m)
+				}
+				n := len(workload.Evolving())
+				if ts := srv.TenantStats(); len(ts) != 1 || ts[0].Tenant != "t0" || ts[0].Served != n || ts[0].Shed != 0 {
+					t.Fatalf("tenant accounting off: %+v", ts)
+				}
+			}},
 		// Hedge off and reuse zero-config are the defaults.
 		{name: "defaults: hedge off, reuse zero-config"},
 		{name: "exec workers=1", set: func(c *multistore.Config) { c.ExecWorkers = 1 }},

@@ -200,13 +200,20 @@ func b2i(b bool) int {
 	return 0
 }
 
-// bookLocked commits a completed query into the window, sequence, report log
-// and durability journal. Callers hold s.mu.
-func (s *System) bookLocked(q *query) (*QueryReport, error) {
+// book commits a completed query into the window, sequence, query count
+// and report log — the one place a query enters them, for the live path
+// and for journal replay alike. Callers hold s.mu.
+func (s *System) book(q *query) {
 	s.window.Add(q.entry)
-	s.seq++
+	s.seq = q.entry.Seq + 1
 	s.metrics.Queries++
 	s.reports.add(q.rep)
+}
+
+// bookLocked books a completed query and journals its completion. Callers
+// hold s.mu.
+func (s *System) bookLocked(q *query) (*QueryReport, error) {
+	s.book(q)
 	if err := s.endOp(queryDoneRecord(q.rep)); err != nil {
 		// The WAL append tore: the process is considered dead and the
 		// query's completion never became durable.

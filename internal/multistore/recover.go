@@ -6,7 +6,6 @@ import (
 	"miso/internal/durability"
 	"miso/internal/history"
 	"miso/internal/storage"
-	"miso/internal/views"
 )
 
 // Recover rebuilds a System after a simulated process crash: it restores
@@ -76,95 +75,46 @@ func Recover(cfg Config, cat *storage.Catalog, ckpt *durability.Checkpoint, wal 
 	return s, report, nil
 }
 
-// applyWAL replays decoded records over the restored checkpoint. Records
-// inside a reorg window (begin..commit) are buffered and applied only when
-// the commit is durable; a begin with no commit by end-of-log is an
-// in-flight reorganization that recovery rolls back by discarding the
-// buffer. Transfers likewise: a begin with no commit or abort means the
-// temp load was in flight, and DW temp space is per-query, so rollback is
-// simply not restoring it.
+// applyWAL replays what durability.Fold says is durable over the restored
+// checkpoint: a committed reorganization's design diff lands with its
+// commit, an in-flight one (begin, no commit by end-of-log) is rolled back
+// by never being applied. Transfers likewise: a begin with no commit or
+// abort means the temp load was in flight, and DW temp space is per-query,
+// so rollback is simply not restoring it.
 func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report *durability.RecoveryReport) error {
-	var inReorg bool
-	var buffered []*durability.Record
-	pendingTransfers := map[string]*durability.Record{}
-
-	apply := func(rec *durability.Record) error {
+	report.ReplayedRecords = len(recs)
+	d := durability.Fold(recs)
+	for _, rec := range d.Applied {
 		switch rec.Kind {
 		case durability.KindViewAdmit:
 			s.replayAdmit(wal, rec, report)
 		case durability.KindViewEvict:
-			s.hv.Views.Remove(rec.Name)
-			s.dw.Views.Remove(rec.Name)
-		case durability.KindQueryDone:
-			if err := s.replayQueryDone(rec); err != nil {
-				return err
+			for _, st := range s.stores() {
+				st.views.Remove(rec.Name)
 			}
+		case durability.KindQueryDone:
+			// Re-book the query through the live path's own charge and book
+			// (window entry, sequence, count, TTI contribution, report).
+			plan, err := s.builder.BuildSQL(rec.SQL)
+			if err != nil {
+				return fmt.Errorf("multistore: replaying query %d: %w", rec.Seq, err)
+			}
+			rep := journaledReport(rec)
+			s.charge(rep)
+			s.book(&query{entry: history.Entry{Seq: rep.Seq, SQL: rep.SQL, Plan: plan}, rep: rep})
 			report.ReplayedQueries++
 		case durability.KindReorgCommit:
-			s.reorgLog = append(s.reorgLog, ReorgRecord{
-				BeforeSeq:       int(rec.Seq),
-				MovedToDW:       int(rec.MovedToDW),
-				MovedToHV:       int(rec.MovedToHV),
-				Dropped:         int(rec.Dropped),
-				Bytes:           rec.Bytes,
-				Seconds:         rec.Seconds,
-				FailedMoves:     int(rec.FailedMoves),
-				RefundedBytes:   rec.RefundedBytes,
-				RecoverySeconds: rec.RecoverySeconds,
-			})
-			s.metrics.Tune += rec.Seconds
-			s.metrics.Recovery += rec.RecoverySeconds
+			s.bookReorg(journaledReorg(rec))
 			s.metrics.Retries += int(rec.Retries)
-			s.metrics.Reorgs++
-		case durability.KindTransferCommit, durability.KindTransferAbort:
-			delete(pendingTransfers, rec.Name)
 		case durability.KindLogGen:
 			// The catalog survives the process; nothing to re-apply. The
 			// post-replay verifyDesign pass re-quarantines stale views.
 		}
-		return nil
 	}
-
-	for _, rec := range recs {
-		report.ReplayedRecords++
-		switch rec.Kind {
-		case durability.KindReorgBegin:
-			inReorg = true
-			buffered = buffered[:0]
-		case durability.KindReorgCommit:
-			for _, b := range buffered {
-				if err := apply(b); err != nil {
-					return err
-				}
-			}
-			buffered = buffered[:0]
-			inReorg = false
-			if err := apply(rec); err != nil {
-				return err
-			}
-		case durability.KindReorgAbort:
-			buffered = buffered[:0]
-			inReorg = false
-		case durability.KindTransferBegin:
-			pendingTransfers[rec.Name] = rec
-		case durability.KindViewAdmit, durability.KindViewEvict:
-			if inReorg {
-				buffered = append(buffered, rec)
-				continue
-			}
-			if err := apply(rec); err != nil {
-				return err
-			}
-		default:
-			if err := apply(rec); err != nil {
-				return err
-			}
-		}
-	}
-	if inReorg {
+	if d.OpenReorg {
 		report.RolledBackReorgs++
 	}
-	for _, rec := range pendingTransfers {
+	for _, rec := range d.PendingTransfers {
 		report.RolledBackTransfers++
 		report.RefundedTransferBytes += rec.Bytes
 	}
@@ -189,76 +139,27 @@ func (s *System) replayAdmit(wal *durability.WAL, rec *durability.Record, report
 	}
 	// An admit replaces any previous placement (a moved view is journaled
 	// as evict+admit, but be defensive about either ordering).
-	s.hv.Views.Remove(rec.Name)
-	s.dw.Views.Remove(rec.Name)
-	if rec.Store == durability.StoreHV {
-		s.installView(v, s.hv.Views)
-	} else {
-		s.installView(v, s.dw.Views)
+	for _, st := range s.stores() {
+		st.views.Remove(rec.Name)
 	}
-}
-
-// replayQueryDone re-applies a completed query's bookkeeping: workload
-// window entry, sequence counter, query count, TTI contribution, and a
-// reconstructed report (result data itself is not journaled).
-func (s *System) replayQueryDone(rec *durability.Record) error {
-	plan, err := s.builder.BuildSQL(rec.SQL)
-	if err != nil {
-		return fmt.Errorf("multistore: replaying query %d: %w", rec.Seq, err)
-	}
-	s.window.Add(history.Entry{Seq: int(rec.Seq), SQL: rec.SQL, Plan: plan})
-	s.seq = int(rec.Seq) + 1
-	s.metrics.Queries++
-	s.metrics.HVExe += rec.HVSeconds
-	s.metrics.Transfer += rec.TransferSeconds
-	s.metrics.DWExe += rec.DWSeconds
-	s.metrics.Recovery += rec.RecoverySeconds
-	s.metrics.Retries += int(rec.Retries)
-	rep := &QueryReport{
-		Seq:             int(rec.Seq),
-		SQL:             rec.SQL,
-		HVSeconds:       rec.HVSeconds,
-		TransferSeconds: rec.TransferSeconds,
-		DWSeconds:       rec.DWSeconds,
-		RecoverySeconds: rec.RecoverySeconds,
-		TransferBytes:   rec.Bytes,
-		Retries:         int(rec.Retries),
-		FellBackToHV:    rec.Flags&durability.FlagFellBack != 0,
-		Degraded:        rec.Flags&durability.FlagDegraded != 0,
-		HVOnly:          rec.Flags&durability.FlagHVOnly != 0,
-		BypassedHV:      rec.Flags&durability.FlagBypassedHV != 0,
-	}
-	if rep.FellBackToHV {
-		s.metrics.Fallbacks++
-	}
-	if rep.Degraded {
-		s.metrics.Degraded++
-	}
-	s.reports.add(rep)
-	return nil
+	s.installView(v, s.storeFor(rec.Store).views)
 }
 
 // verifyDesign runs the post-replay integrity pass: every view in the
 // recovered design must pass its content checksum and be no older than its
 // base logs' current generation; failures are quarantined out.
 func (s *System) verifyDesign(report *durability.RecoveryReport) {
-	gen := func(name string) (int, bool) {
-		log, err := s.cat.Log(name)
-		if err != nil {
-			return 0, false
-		}
-		return log.Generation, true
-	}
-	for _, set := range []*views.Set{s.hv.Views, s.dw.Views} {
-		for _, v := range set.All() {
-			switch {
-			case !v.Verify():
-				set.Remove(v.Name)
-				report.Quarantined = append(report.Quarantined, v.Name)
+	for _, st := range s.stores() {
+		for _, v := range st.views.All() {
+			inv, _ := s.unsound(v)
+			if inv == "" {
+				continue
+			}
+			st.views.Remove(v.Name)
+			report.Quarantined = append(report.Quarantined, v.Name)
+			if inv == InvChecksum {
 				report.CorruptViews++
-			case v.Stale(gen):
-				set.Remove(v.Name)
-				report.Quarantined = append(report.Quarantined, v.Name)
+			} else {
 				report.StaleViews++
 			}
 		}

@@ -3,6 +3,7 @@ package multistore_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -184,6 +185,37 @@ func TestRecoverRollsBackUncommittedReorg(t *testing.T) {
 	}
 	if rec.Metrics().Reorgs != 0 {
 		t.Errorf("uncommitted reorganization counted in metrics")
+	}
+}
+
+// TestRecoverReplaysReorgRetries: a reorganization replayed from the journal
+// must book what the live phase booked, the injected failures its moves
+// survived included — the commit record carries them.
+func TestRecoverReplaysReorgRetries(t *testing.T) {
+	p := faults.Profile{}.With(faults.SiteDWLoad, 0.3).With(faults.SiteReorgMove, 0.3)
+	sys, cfg := newDurableSystem(t, p, 7, 100)
+	boot := sys.Durability().Latest()
+	for i, sql := range workload.SQLs()[:12] {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	live, failed := sys.Metrics(), 0
+	for _, r := range sys.ReorgLog() {
+		failed += r.FailedMoves
+	}
+	if live.Retries == 0 || failed == 0 {
+		t.Fatalf("%d retries, %d failed moves: the run exercises nothing", live.Retries, failed)
+	}
+	rec, _, err := multistore.Recover(cfg, sys.Catalog(), boot, sys.Durability().WAL())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if got := rec.Metrics(); got.Retries != live.Retries || got.Tune != live.Tune {
+		t.Errorf("recovered retries %d, tune %v; live %d, %v", got.Retries, got.Tune, live.Retries, live.Tune)
+	}
+	if got, want := rec.ReorgLog(), sys.ReorgLog(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered reorg log %+v, live %+v", got, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"miso/internal/data"
+	"miso/internal/durability"
 	"miso/internal/logical"
 	"miso/internal/mqo"
 	"miso/internal/storage"
@@ -288,7 +289,7 @@ func TestReuseInvalidationOnAuditQuarantine(t *testing.T) {
 		t.Fatal("no view materialized")
 	}
 	rotted := victim.Table.Clone()
-	rotTable(rotted, 0.5)
+	durability.CorruptTable(rotted, 0.5)
 	victim.Table = rotted
 	// Break the name↔signature link (keeping the registered name, which
 	// is the store's map key) so the repair path cannot recompute the

@@ -2,10 +2,10 @@ package multistore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"miso/internal/durability"
-	"miso/internal/logical"
 )
 
 // AppendToLog ingests new records into a base log — the append-only update
@@ -39,25 +39,12 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, err err
 		log.AppendLine(l)
 	}
 
-	scans := func(def *logical.Node) bool {
-		found := false
-		def.Walk(func(n *logical.Node) {
-			if n.Kind == logical.KindScan && n.LogName == name {
-				found = true
+	for _, st := range s.stores() {
+		for _, v := range st.views.All() {
+			if slices.Contains(v.BaseLogs(), name) {
+				st.views.Remove(v.Name)
+				dropped++
 			}
-		})
-		return found
-	}
-	for _, v := range s.hv.Views.All() {
-		if scans(v.Def) {
-			s.hv.Views.Remove(v.Name)
-			dropped++
-		}
-	}
-	for _, v := range s.dw.Views.All() {
-		if scans(v.Def) {
-			s.dw.Views.Remove(v.Name)
-			dropped++
 		}
 	}
 	s.est.InvalidateMatching(func(sig string) bool {

@@ -82,7 +82,7 @@ func (s *System) retainWorkingSet(q *query, cut *logical.Node, ws *storage.Table
 		return
 	}
 	v := views.New(def, ws, q.entry.Seq)
-	v.StampGenerations(s.catalogGen())
+	v.StampGenerations(s.cat.Generation)
 	// A quarantine-tombstoned name must not resurrect through passive
 	// retention any more than through capture.
 	if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
@@ -134,9 +134,15 @@ func (s *System) reorg(w *history.Window) error {
 	tuner := core.NewTuner(s.cfg.Tuner, s.opt)
 	r, err := tuner.Tune(s.design(), w)
 	if err != nil {
+		// The process lives on (a contained what-if panic): close the window,
+		// or recovery would take everything journaled after it for its own.
+		if jerr := s.journal(&durability.Record{Kind: durability.KindReorgAbort, Seq: int64(s.seq)}); jerr != nil {
+			return jerr
+		}
 		return fmt.Errorf("multistore: tuning: %w", err)
 	}
 	rec := ReorgRecord{BeforeSeq: s.seq, Dropped: len(r.DropHV)}
+	moveRetries := 0 // the commit record's: ReorgRecord does not keep them
 	bud := transfer.NewBudget(s.cfg.Tuner.Bt)
 	// Each reorganization gets its own retry budget, sized like a query's:
 	// the phase degrades (moves roll back) instead of amplifying a fault
@@ -177,6 +183,7 @@ func (s *System) reorg(w *history.Window) error {
 			}
 		}
 		s.metrics.Retries += retries
+		moveRetries += retries
 		if !committed {
 			dst.Remove(v.Name)
 			rollBack(v, src, srcLimit, productive+recovery)
@@ -206,40 +213,34 @@ func (s *System) reorg(w *history.Window) error {
 		return fmt.Errorf("multistore: reorg before query %d: %w", s.seq, faults.Crash(faults.SiteCrashReorg))
 	}
 
-	s.metrics.Tune += rec.Seconds
-	s.metrics.Recovery += rec.RecoverySeconds
 	s.hv.Views.ReplaceAll(r.NewHV)
 	s.dw.Views.ReplaceAll(r.NewDW)
 	// The tuner rebuilt the design from the surviving views, so quarantine
 	// tombstones have served their purpose: any future materialization of
 	// a tombstoned name is a legitimately fresh recomputation.
 	s.tomb = nil
-	s.metrics.Reorgs++
-	s.reorgLog = append(s.reorgLog, rec)
+	s.bookReorg(rec)
 
 	// Commit the reorg transaction: the design diff lands inside the
 	// begin..commit window, so recovery applies it atomically — all of it
 	// when the commit record is durable, none of it otherwise.
-	if s.dur != nil {
-		if err := s.journalDesignDiff(); err != nil {
-			return err
-		}
-		if err := s.journal(&durability.Record{
-			Kind:            durability.KindReorgCommit,
-			Seq:             int64(rec.BeforeSeq),
-			Bytes:           rec.Bytes,
-			MovedToDW:       int64(rec.MovedToDW),
-			MovedToHV:       int64(rec.MovedToHV),
-			Dropped:         int64(rec.Dropped),
-			FailedMoves:     int64(rec.FailedMoves),
-			RefundedBytes:   rec.RefundedBytes,
-			Seconds:         rec.Seconds,
-			RecoverySeconds: rec.RecoverySeconds,
-		}); err != nil {
-			return err
-		}
+	if s.dur == nil {
+		return nil
 	}
-	return nil
+	if err := s.journalDesignDiff(); err != nil {
+		return err
+	}
+	return s.journal(reorgCommitRecord(rec, moveRetries))
+}
+
+// bookReorg enters a committed reorganization into the TTI breakdown, the
+// counter and the ledger: the one booking, for the live phase and for
+// journal replay alike.
+func (s *System) bookReorg(rec ReorgRecord) {
+	s.metrics.Tune += rec.Seconds
+	s.metrics.Recovery += rec.RecoverySeconds
+	s.metrics.Reorgs++
+	s.reorgLog = append(s.reorgLog, rec)
 }
 
 // phaseContext is the context a system phase (reorganization, ETL, MS-OFF
@@ -345,14 +346,12 @@ func (s *System) markUsedViews(plan *logical.Node, seq int) []string {
 		if n.Kind != logical.KindViewScan {
 			return
 		}
-		if v, ok := s.hv.Views.Get(n.ViewName); ok {
-			v.LastUsedSeq = seq
-			used = append(used, n.ViewName)
-			return
-		}
-		if v, ok := s.dw.Views.Get(n.ViewName); ok {
-			v.LastUsedSeq = seq
-			used = append(used, n.ViewName)
+		for _, st := range s.stores() {
+			if v, ok := st.views.Get(n.ViewName); ok {
+				v.LastUsedSeq = seq
+				used = append(used, n.ViewName)
+				return
+			}
 		}
 	})
 	return used

@@ -202,32 +202,6 @@ func TestAdaptiveLimiterBlocksAtLimit(t *testing.T) {
 	l.release()
 }
 
-// TestOverloadPlaneDisabledIsNoOp: the zero-value Quota/Adaptive configs
-// must leave the serving plane exactly as before — full worker
-// concurrency, no quota sheds, no limit adjustments — while per-tenant
-// accounting still works.
-func TestOverloadPlaneDisabledIsNoOp(t *testing.T) {
-	srv := NewServer(Config{Workers: 2, QueueDepth: 8}, &stubBackend{})
-	defer srv.Close()
-
-	if lim := srv.ConcurrencyLimit(); lim != 2 {
-		t.Fatalf("disabled limiter reports concurrency %d, want the worker count 2", lim)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := srv.DoAs(context.Background(), "t0", "q"); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	m := srv.Metrics()
-	if m.QuotaSheds != 0 || m.LimitIncreases != 0 || m.LimitDecreases != 0 {
-		t.Fatalf("disabled overload plane touched its counters: %+v", m)
-	}
-	ts := srv.TenantStats()
-	if len(ts) != 1 || ts[0].Tenant != "t0" || ts[0].Served != 6 || ts[0].Shed != 0 {
-		t.Fatalf("tenant accounting off: %+v", ts)
-	}
-}
-
 // TestQuotaShedsAreTenantScoped: with quotas on, a tenant whose bucket is
 // empty sheds with ErrQuotaShed (which also matches ErrShed), the serve
 // metrics count it under both Sheds and QuotaSheds, and other tenants

@@ -40,6 +40,17 @@ func (c *Catalog) Log(name string) (*LogFile, error) {
 	return l, nil
 }
 
+// Generation reports the named log's current generation (ok=false for an
+// unknown log): the probe views stamp themselves with at materialization
+// (View.StampGenerations) and are checked for staleness against (View.Stale).
+func (c *Catalog) Generation(name string) (int, bool) {
+	l, err := c.Log(name)
+	if err != nil {
+		return 0, false
+	}
+	return l.Generation, true
+}
+
 // HasLog reports whether a log with this name exists.
 func (c *Catalog) HasLog(name string) bool {
 	c.mu.RLock()
