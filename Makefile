@@ -34,9 +34,9 @@ loc:
 
 # traffic reports what the programs we ship actually execute: the two CLIs
 # and the end-to-end benchmark are built with coverage counters on every
-# miso package, run over the paper's figures, the tuner ablations (at four
-# what-if workers, the only run of the parallel warm phase), every
-# extension mode, one warmed query with reuse, checkpoints and the audit on,
+# miso package, run over the paper's figures, every extension mode (the
+# tuner ablations among them), one warmed query with reuse, checkpoints and
+# the audit on,
 # and all five benchmark workloads (traced and untraced), and the merged
 # counters are printed as the functions never entered and the unreached
 # statements per file. It is the measurement a simplicity PR's "no traffic" claim is read
@@ -50,8 +50,7 @@ traffic:
 	$(GO) build -C bench -cover -coverpkg=miso/... -o "$$d/bench" . && \
 	{ export GOCOVERDIR="$$d/cov"; \
 	  "$$d/misobench" -all -scale small; \
-	  "$$d/misobench" -mode ablate -scale small -tuneworkers 4; \
-	  "$$d/misobench" -mode chaos,crash,benchgov,serve,scenarios,cache,endurance -scale small; \
+	  "$$d/misobench" -mode ablate,chaos,crash,benchgov,serve,scenarios,cache,endurance -scale small; \
 	  "$$d/misoquery" -name A3v2 -warm -reuse -checkpointevery 4 -audit; \
 	  "$$d/bench" -quick -trace both -tracedir "$$d/trace"; } >"$$d/run.log" 2>&1; \
 	$(GO) tool covdata textfmt -i="$$d/cov" -o "$$d/all.txt" && \
@@ -73,10 +72,14 @@ bench: microbench
 # microbench runs every package micro-benchmark once (view matching, plan
 # choice on a warm design, the knapsack DP, the exec operators, an HV job's
 # map side and a whole HV query) and, with them, the allocation guards,
-# which tier1's race build has to skip. CI runs it so that a benchmark that
-# stops compiling or a guard that regresses fails the change.
+# which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
+# tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
+# and the fanned-out reorganization, each checked against the golden. CI
+# runs it so that a benchmark that stops compiling, a guard that regresses
+# or a design that diverges fails the change.
 microbench:
-	$(GO) test -bench . -benchtime 1x -run Alloc ./internal/multistore/ ./internal/views/ ./internal/optimizer/ ./internal/core/ ./internal/exec/ ./internal/hv/
+	$(GO) test -bench . -benchtime 1x -run Alloc ./internal/multistore/ ./internal/views/ ./internal/optimizer/ ./internal/exec/ ./internal/hv/
+	$(GO) test -bench . -benchtime 1x -run Alloc -cpu 1,2 ./internal/core/
 
 chaos:
 	$(GO) run ./cmd/misobench -mode chaos -scale small

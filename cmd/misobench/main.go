@@ -75,15 +75,10 @@ func main() {
 	faultSeed := flag.Int64("faultseed", 42, "seed for the deterministic fault injector")
 	sessions := flag.Int("sessions", 0, "serve, cache, endurance: concurrent client sessions / tenants (0 = the mode's default: 8, 4, 200)")
 	dur := flag.Duration("dur", 0, "scenarios: duration of each load phase; endurance: wall-clock cap (0 = the mode's default: 2s, 3m)")
-	squeries := flag.Int("squeries", 32, "soak: queries per session (cycles the 32-query workload)")
 	workers := flag.Int("workers", 4, "soak, scenarios, cache: serving worker pool size")
 	queue := flag.Int("queue", 0, "soak, scenarios, cache: admission queue depth (0 = the mode's default)")
-	timeout := flag.Duration("timeout", 0, "soak: per-query wall-clock deadline (0 disables)")
-	reorgEvery := flag.Int("reorgevery", 0, "soak: force an online reorganization every n submissions (0 disables)")
 	cacheRounds := flag.Int("cacherounds", 0, "cache soak: workload passes per session (0 = default 3)")
-	enduranceReorgs := flag.Int("endurancereorgs", 0, "endurance: reorganization-cycle horizon (0 = default 3)")
 	enduranceQueries := flag.Int("endurancequeries", 0, "endurance: served-query horizon (0 = default 150)")
-	tuneWorkers := flag.Int("tuneworkers", 0, "tuner what-if worker pool size for all experiments (<= 1 keeps costing serial)")
 	execWorkers := flag.Int("execworkers", 0, "execution worker pool size for all experiments: 0 = GOMAXPROCS, n = n workers")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -100,7 +95,6 @@ func main() {
 	}
 	cfg.FaultRate = *faultRate
 	cfg.FaultSeed = *faultSeed
-	cfg.TuneWorkers = *tuneWorkers
 	cfg.ExecWorkers = *execWorkers
 
 	// override replaces a mode's default with a flag's value when set.
@@ -143,11 +137,8 @@ func main() {
 		{"serve", "concurrent-serving soak (robustness extension)", "", func(cfg experiments.Config) (report, error) {
 			sc := experiments.DefaultSoak(cfg)
 			override(&sc.Sessions, *sessions)
-			sc.Queries = *squeries
 			sc.Workers = *workers
 			sc.Queue = *queue
-			sc.Timeout = *timeout
-			sc.ReorgEvery = *reorgEvery
 			return experiments.Soak(sc)
 		}},
 		{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", func(cfg experiments.Config) (report, error) {
@@ -170,7 +161,6 @@ func main() {
 		{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", func(cfg experiments.Config) (report, error) {
 			ec := experiments.DefaultEndurance(cfg)
 			override(&ec.Tenants, *sessions)
-			override(&ec.MinReorgs, *enduranceReorgs)
 			override(&ec.MinQueries, *enduranceQueries)
 			if *dur > 0 {
 				ec.MaxDuration = *dur

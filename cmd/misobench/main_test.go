@@ -63,6 +63,8 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 		{"-benchout", "x.json"}, {"-benchgovout", "x.json"}, {"-scenariosout", "x.json"},
 		{"-cacheout", "x.json"}, {"-enduranceout", "x.json"},
 		{"-cachesessions", "2"}, {"-endurancetenants", "2"}, {"-phasedur", "1s"}, {"-endurancedur", "1s"},
+		// Passed by nobody: the soak and the endurance run keep their defaults.
+		{"-squeries", "1"}, {"-timeout", "1s"}, {"-reorgevery", "1"}, {"-endurancereorgs", "1"},
 	} {
 		code, out := runMain(t, args...)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {

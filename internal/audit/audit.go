@@ -78,9 +78,6 @@ type Config struct {
 	// drain barrier (serve.Server.Quiesce) and returns the release
 	// function. Nil is fine when no serving frontend is running.
 	Quiesce func() (release func())
-	// OnViolation, when set, is called for every violation as it is
-	// found, from the scrubber goroutine (or the RunOnce caller).
-	OnViolation func(multistore.AuditViolation)
 }
 
 func (c Config) withDefaults() Config {
@@ -256,13 +253,7 @@ func (sc *Scrubber) record(viols []multistore.AuditViolation, chunk, wrapped boo
 			sc.rep.DroppedViolations++
 		}
 	}
-	cb := sc.cfg.OnViolation
 	sc.mu.Unlock()
-	if cb != nil {
-		for _, v := range viols {
-			cb(v)
-		}
-	}
 }
 
 // RunOnce performs one complete synchronous audit pass — step with an

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"miso/internal/data"
@@ -13,7 +12,6 @@ import (
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/transfer"
-	"miso/internal/views"
 	"miso/internal/workload"
 )
 
@@ -50,62 +48,29 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 }
 
 // BenchmarkTunerReorganization measures one full reorganization decision —
-// benefits, interactions, sparsification, and both knapsacks — over a
-// 6-query window with a realistic view universe. The paper's claim is that
+// the probe table, interactions, sparsification, and both knapsacks — over
+// a 6-query window with a realistic view universe. The paper's claim is that
 // tuning is lightweight relative to query execution; this quantifies the
-// computational side of that claim at each what-if pool size, and checks
-// every measured decision against the committed golden.
+// computational side of that claim (`-cpu 1,2` gives the serial and the
+// fanned-out table), and checks the measured decision against the committed
+// golden.
 func BenchmarkTunerReorganization(b *testing.B) {
 	cfg, opt, win, cur := benchTunerSetup(b)
 	want := tuneGolden(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			c := cfg
-			c.TuneWorkers = w
-			b.ReportAllocs()
-			var r *Reorg
-			for i := 0; i < b.N; i++ {
-				// A fresh tuner per iteration: the cost cache is part of
-				// the work being measured.
-				var err error
-				if r, err = NewTuner(c, opt).Tune(cur, win); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if got := reorgFingerprint(r); got != want {
-				b.Fatalf("reorganization diverged from testdata/tune_reorg.golden:\n got %s\nwant %s", got, want)
-			}
-			b.ReportMetric(float64(cur.HV.Len()), "candidate-views")
-		})
-	}
-}
-
-// BenchmarkTunerCostKey regresses the cost-cache hot path: a cache hit
-// must build its fixed-size (seq, view-set hash) key without allocating.
-// The companion TestTunerCostKeyZeroAllocOnHit asserts the 0 allocs/op
-// this benchmark reports.
-func BenchmarkTunerCostKey(b *testing.B) {
-	cfg, opt, win, cur := benchTunerSetup(b)
-	tuner := NewTuner(cfg, opt)
-	e := win.Entries()[0]
-	universe := cur.HV.All()
-	if len(universe) < 2 {
-		b.Fatalf("need >= 2 candidate views, have %d", len(universe))
-	}
-	pair := []*views.View{universe[0], universe[1]}
-	// Warm the entries so every measured call is a hit.
-	tuner.cost(e, nil, nil)
-	tuner.cost(e, nil, pair[:1])
-	tuner.cost(e, pair[:1], pair[1:])
-	tuner.cost(e, nil, pair)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var r *Reorg
 	for i := 0; i < b.N; i++ {
-		tuner.cost(e, nil, nil)
-		tuner.cost(e, nil, pair[:1])
-		tuner.cost(e, pair[:1], pair[1:])
-		tuner.cost(e, nil, pair)
+		// A fresh tuner per iteration, as multistore.reorg builds one.
+		var err error
+		if r, err = NewTuner(cfg, opt).Tune(cur, win); err != nil {
+			b.Fatal(err)
+		}
 	}
+	if got := reorgFingerprint(r); got != want {
+		b.Fatalf("reorganization diverged from testdata/tune_reorg.golden:\n got %s\nwant %s", got, want)
+	}
+	b.ReportMetric(float64(cur.HV.Len()), "candidate-views")
 }
 
 // BenchmarkPackKnapsack isolates the DP itself at two realistic sizes: the

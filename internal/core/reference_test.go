@@ -1,5 +1,121 @@
 package core
 
+import (
+	"math"
+	"testing"
+
+	"miso/internal/history"
+	"miso/internal/optimizer"
+	"miso/internal/views"
+)
+
+// referenceBenefits recomputes the predicted benefits and the degrees of
+// interaction the way Tune did before it read them from a probe table: the
+// benefit loop and the doi loop each walk the window and ask PlanSpace.Cost
+// for every term where it is used. It shares no table, slot arithmetic,
+// match memo or worker pool with the path under test.
+func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *history.Window) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
+	cost := func(sp *optimizer.PlanSpace, hv, dw []*views.View) float64 {
+		d := optimizer.EmptyDesign()
+		for _, v := range hv {
+			d.HV.Add(v)
+		}
+		for _, v := range dw {
+			d.DW.Add(v)
+		}
+		return sp.Cost(d)
+	}
+	entries, weights := w.Entries(), w.Weights()
+	relevant := make([][]*views.View, len(entries))
+	spaces := make([]*optimizer.PlanSpace, len(entries))
+	for i, e := range entries {
+		relevant[i] = relevantViews(e.Plan, universe)
+		spaces[i] = opt.PlanSpace(e.Plan)
+	}
+	bnDW = map[string]float64{}
+	bnHV = map[string]float64{}
+	for i, rel := range relevant {
+		if len(rel) == 0 {
+			continue
+		}
+		sp := spaces[i]
+		base := cost(sp, nil, nil)
+		for _, v := range rel {
+			bnDW[v.Name] += weights[i] * max0(base-cost(sp, nil, []*views.View{v}))
+			bnHV[v.Name] += weights[i] * max0(base-cost(sp, []*views.View{v}, nil))
+		}
+	}
+	doi = map[[2]string]float64{}
+	for i, rel := range relevant {
+		if len(rel) < 2 {
+			continue
+		}
+		sp := spaces[i]
+		base := cost(sp, nil, nil)
+		for a := 0; a < len(rel); a++ {
+			for b := a + 1; b < len(rel); b++ {
+				va, vb := rel[a], rel[b]
+				bA := max0(base - cost(sp, nil, []*views.View{va}))
+				bB := max0(base - cost(sp, nil, []*views.View{vb}))
+				bAB := max0(base - cost(sp, nil, []*views.View{va, vb}))
+				doi[pairKey(va.Name, vb.Name)] += weights[i] * (bAB - bA - bB)
+			}
+		}
+	}
+	return bnDW, bnHV, doi
+}
+
+// sameBits reports whether two maps hold the same keys with bit-identical
+// values.
+func sameBits[K comparable](got, want map[K]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchTunerSetup and CheckProbeTable are exported to the external test
+// package, which (unlike this one) may import multistore and so can hold
+// the probe table against the reference on a live system's reorganizations.
+var BenchTunerSetup = benchTunerSetup
+
+// CheckProbeTable fails t unless the benefits and interactions read from
+// the probe table of (d, w) equal referenceBenefits' bit for bit — and stop
+// doing so once two neighbouring slots of the table trade places, so a
+// reader that walks the slots in another order than they were listed
+// cannot pass.
+func CheckProbeTable(t testing.TB, opt *optimizer.Optimizer, d optimizer.Design, w *history.Window) {
+	t.Helper()
+	universe, _ := candidates(d)
+	relevant, costs, err := NewTuner(Config{}, opt).probeTable(w.Entries(), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDW, wantHV, wantDoi := referenceBenefits(opt, universe, w)
+	matches := func() bool {
+		bnDW, bnHV, doi := readTable(relevant, w.Weights(), costs)
+		return sameBits(bnDW, wantDW) && sameBits(bnHV, wantHV) && sameBits(doi, wantDoi)
+	}
+	if !matches() {
+		t.Fatalf("probe table of %d slots over %d views diverged from the reference loops", len(costs), len(universe))
+	}
+	for i := 0; i+1 < len(costs); i++ {
+		if costs[i] != costs[i+1] {
+			costs[i], costs[i+1] = costs[i+1], costs[i]
+			if matches() {
+				t.Fatalf("slots %d and %d swapped, yet the table still matches the reference", i, i+1)
+			}
+			return
+		}
+	}
+	t.Fatalf("all %d slots hold one cost; the window exercises nothing", len(costs))
+}
+
 // Reference knapsack: the layered dynamic program packKnapsack ran before it
 // packed in place — one freshly allocated value table per candidate, the
 // chosen set read back by comparing adjacent layers — moved here unchanged (but

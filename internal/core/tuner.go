@@ -10,6 +10,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,18 +47,10 @@ type Config struct {
 	// AllowReplication relaxes Vh ∩ Vd = ∅: views placed in DW remain
 	// candidates for HV.
 	AllowReplication bool
-
-	// TuneWorkers bounds the worker pool evaluating what-if cost probes
-	// during Tune. Values <= 1 keep costing fully serial (the default).
-	// Any worker count produces byte-identical designs: parallel probes
-	// only warm the cost cache, and accumulation always runs serially in
-	// a fixed (entry, pair) order, so float64 rounding never depends on
-	// scheduling.
-	TuneWorkers int
 }
 
-// DefaultConfig returns the paper's tuner: no ablation, serial costing
-// (budgets must still be set by the caller).
+// DefaultConfig returns the paper's tuner: no ablation (budgets must still
+// be set by the caller).
 func DefaultConfig() Config { return Config{} }
 
 const (
@@ -74,11 +68,10 @@ type Tuner struct {
 	cfg Config
 	opt *optimizer.Optimizer
 
-	cache *costCache
-	memo  *views.MatchMemo
-	// spaces holds, by window sequence number, the design-independent half
-	// of costing each window query for the Tune call in progress.
-	spaces map[int]*optimizer.PlanSpace
+	memo *views.MatchMemo
+	// workers bounds the what-if pool: GOMAXPROCS, as exec.Env.Workers == 0
+	// means. The design is the same at any count (see probeTable).
+	workers int
 
 	// Debug, when set, receives the knapsack candidates and the chosen
 	// DW/HV items after each Tune call (used by tests and diagnostics).
@@ -87,7 +80,7 @@ type Tuner struct {
 
 // NewTuner creates a tuner using the optimizer's what-if interface.
 func NewTuner(cfg Config, opt *optimizer.Optimizer) *Tuner {
-	return &Tuner{cfg: cfg, opt: opt, cache: newCostCache(), memo: views.NewMatchMemo()}
+	return &Tuner{cfg: cfg, opt: opt, memo: views.NewMatchMemo(), workers: runtime.GOMAXPROCS(0)}
 }
 
 // Item is one knapsack candidate: a single view or a merged group of
@@ -131,109 +124,16 @@ type Reorg struct {
 
 // Tune computes the new multistore design for the recent window.
 func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error) {
-	all := map[string]*views.View{}
-	inDW := map[string]bool{}
-	for _, v := range current.HV.All() {
-		all[v.Name] = v
-	}
-	for _, v := range current.DW.All() {
-		all[v.Name] = v
-		inDW[v.Name] = true
-	}
-	if len(all) == 0 {
+	universe, inDW := candidates(current)
+	if len(universe) == 0 {
 		return &Reorg{NewHV: views.NewSet(), NewDW: views.NewSet()}, nil
 	}
-	universe := make([]*views.View, 0, len(all))
-	for _, v := range all {
-		universe = append(universe, v)
-	}
-	sort.Slice(universe, func(i, j int) bool { return universe[i].Name < universe[j].Name })
 
-	entries := w.Entries()
-	weights := w.Weights()
-	workers := t.cfg.TuneWorkers
-
-	// Serially prewarm every window plan's node signatures: Signature
-	// memoizes lazily into the node, a write that must not first happen
-	// on two what-if workers at once.
-	for _, e := range entries {
-		e.Plan.PrewarmSignatures()
-	}
-
-	// Per-query relevant views: only those matching some plan node can
-	// have benefit or interactions for that query. Each plan's node
-	// signatures and subsumption descriptors are computed once here and
-	// matched against every view, instead of re-walking (and
-	// re-describing) the plan per view. Entries are independent, so the
-	// matching fans out across the worker pool; each slot is written by
-	// exactly one task and the per-entry view order follows the sorted
-	// universe, keeping the result identical at any worker count.
-	relevant := make([][]*views.View, len(entries))
-	if err := runParallel(workers, "tuner relevant-views", len(entries), func(i int) {
-		relevant[i] = relevantViews(entries[i].Plan, universe)
-	}); err != nil {
+	relevant, costs, err := t.probeTable(w.Entries(), universe)
+	if err != nil {
 		return nil, err
 	}
-
-	// Every probe of an entry shares the design-independent half of its
-	// costing. The spaces are built here, serially, so they are immutable
-	// before the probes fan out, and afresh on every call: each query
-	// execution since the last one rewrote the estimator they read.
-	t.spaces = make(map[int]*optimizer.PlanSpace, len(entries))
-	for i, e := range entries {
-		if len(relevant[i]) > 0 {
-			t.spaces[e.Seq] = t.opt.PlanSpace(e.Plan)
-		}
-	}
-
-	// Warm the cost cache by fanning every what-if probe — per-entry
-	// base and benefit probes, per-pair doi probes — out across the
-	// worker pool. The optimizer's cost path is a pure read (see
-	// optimizer.EnumeratePlans), so every probe computes the same value
-	// regardless of which worker runs it; the serial accumulation below
-	// then reads each probe back as a cache hit in the original fixed
-	// (entry, pair) order, making the float64 sums — and every design
-	// decision downstream — byte-identical to the serial tuner.
-	if workers > 1 {
-		if err := t.warmProbes(entries, relevant, workers); err != nil {
-			return nil, err
-		}
-	}
-
-	// Predicted per-store benefits for each view.
-	bnDW := map[string]float64{}
-	bnHV := map[string]float64{}
-	for i, e := range entries {
-		if len(relevant[i]) == 0 {
-			continue
-		}
-		base := t.cost(e, nil, nil)
-		for _, v := range relevant[i] {
-			bnDW[v.Name] += weights[i] * max0(base-t.cost(e, nil, []*views.View{v}))
-			bnHV[v.Name] += weights[i] * max0(base-t.cost(e, []*views.View{v}, nil))
-		}
-	}
-
-	// Signed degrees of interaction between co-relevant pairs, measured
-	// in DW placement (where the benefit differences are largest).
-	doi := map[[2]string]float64{}
-	for i, e := range entries {
-		rel := relevant[i]
-		if len(rel) < 2 {
-			continue
-		}
-		base := t.cost(e, nil, nil)
-		for a := 0; a < len(rel); a++ {
-			for b := a + 1; b < len(rel); b++ {
-				va, vb := rel[a], rel[b]
-				bA := max0(base - t.cost(e, nil, []*views.View{va}))
-				bB := max0(base - t.cost(e, nil, []*views.View{vb}))
-				bAB := max0(base - t.cost(e, nil, []*views.View{va, vb}))
-				key := pairKey(va.Name, vb.Name)
-				doi[key] += weights[i] * (bAB - bA - bB)
-			}
-		}
-	}
+	bnDW, bnHV, doi := readTable(relevant, w.Weights(), costs)
 
 	var items []*Item
 	if t.cfg.SkipSparsify {
@@ -245,50 +145,16 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 		items = t.sparsifySets(parts, doi, bnDW, bnHV, inDW)
 	}
 
-	dwDims := func(it *Item) (int64, float64) { return it.MoveToDW, it.BnDW }
-	hvDims := func(it *Item) (int64, float64) { return it.MoveToHV, it.BnHV }
-
+	// Two knapsacks in sequence. The paper packs DW first with dimensions
+	// (Bd, Bt), since DW offers the superior execution performance, then HV
+	// with (Bh, remaining Bt); the HVFirst ablation swaps the order.
+	dw := packPhase{t.cfg.Bd, func(it *Item) (int64, float64) { return it.MoveToDW, it.BnDW }}
+	hv := packPhase{t.cfg.Bh, func(it *Item) (int64, float64) { return it.MoveToHV, it.BnHV }}
 	var dwChosen, hvChosen []*Item
 	if t.cfg.HVFirst {
-		// Ablation: pack HV first, DW from the remainder.
-		hvChosen = packKnapsack(items, t.cfg.Bh, t.cfg.Bt, hvDims)
-		var used int64
-		taken := map[*Item]bool{}
-		for _, it := range hvChosen {
-			taken[it] = true
-			used += it.MoveToHV
-		}
-		rest := items
-		if !t.cfg.AllowReplication {
-			rest = nil
-			for _, it := range items {
-				if !taken[it] {
-					rest = append(rest, it)
-				}
-			}
-		}
-		dwChosen = packKnapsack(rest, t.cfg.Bd, remainingBudget(t.cfg.Bt, used), dwDims)
+		hvChosen, dwChosen = t.packTwoPhase(items, hv, dw)
 	} else {
-		// Phase 1: pack DW with dimensions (Bd, Bt) — the paper's order,
-		// since DW offers the superior execution performance.
-		dwChosen = packKnapsack(items, t.cfg.Bd, t.cfg.Bt, dwDims)
-		var used int64
-		taken := map[*Item]bool{}
-		for _, it := range dwChosen {
-			taken[it] = true
-			used += it.MoveToDW
-		}
-		// Phase 2: pack HV with dimensions (Bh, remaining Bt).
-		rest := items
-		if !t.cfg.AllowReplication {
-			rest = nil
-			for _, it := range items {
-				if !taken[it] {
-					rest = append(rest, it)
-				}
-			}
-		}
-		hvChosen = packKnapsack(rest, t.cfg.Bh, remainingBudget(t.cfg.Bt, used), hvDims)
+		dwChosen, hvChosen = t.packTwoPhase(items, dw, hv)
 	}
 	if t.Debug != nil {
 		t.Debug(items, dwChosen, hvChosen)
@@ -333,122 +199,204 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 	return reorg, nil
 }
 
-// cost evaluates (with caching) the what-if cost of the entry's query under
-// a hypothetical design of the given HV and DW views. Hits allocate
-// nothing: the cache key is a fixed-size struct built from inline hashes,
-// and the hypothetical Design is only assembled on a miss, which costs it
-// against the entry's plan space (a call outside Tune builds a throwaway
-// one), so a probe re-costs only what its views touch. Safe for concurrent
-// use once the entry plans' signatures are prewarmed.
-func (t *Tuner) cost(e history.Entry, hvViews, dwViews []*views.View) float64 {
-	key := costKey{seq: e.Seq, hv: viewSetHash(hvViews), dw: viewSetHash(dwViews)}
-	if c, ok := t.cache.get(key); ok {
-		return c
+// candidates lists the views of both stores in name order, and which of
+// them DW holds.
+func candidates(current optimizer.Design) ([]*views.View, map[string]bool) {
+	all := map[string]*views.View{}
+	inDW := map[string]bool{}
+	for _, v := range current.HV.All() {
+		all[v.Name] = v
 	}
+	for _, v := range current.DW.All() {
+		all[v.Name] = v
+		inDW[v.Name] = true
+	}
+	universe := make([]*views.View, 0, len(all))
+	for _, v := range all {
+		universe = append(universe, v)
+	}
+	sort.Slice(universe, func(i, j int) bool { return universe[i].Name < universe[j].Name })
+	return universe, inDW
+}
+
+// packPhase is one store's side of the two-phase pack: its storage budget
+// and an item's knapsack dimensions (bytes moved, benefit) there.
+type packPhase struct {
+	capacity int64
+	dims     func(*Item) (int64, float64)
+}
+
+// packTwoPhase packs the first store from all the items and the whole
+// transfer budget, then the second from what the first left of both (of
+// the budget only, under AllowReplication).
+func (t *Tuner) packTwoPhase(items []*Item, first, second packPhase) (firstChosen, secondChosen []*Item) {
+	firstChosen = packKnapsack(items, first.capacity, t.cfg.Bt, first.dims)
+	var used int64
+	taken := map[*Item]bool{}
+	for _, it := range firstChosen {
+		taken[it] = true
+		moved, _ := first.dims(it)
+		used += moved
+	}
+	rest := items
+	if !t.cfg.AllowReplication {
+		rest = slices.DeleteFunc(slices.Clone(items), func(it *Item) bool { return taken[it] })
+	}
+	return firstChosen, packKnapsack(rest, second.capacity, max(t.cfg.Bt-used, 0), second.dims)
+}
+
+// probe is one what-if question: what the query behind space costs under a
+// hypothetical design holding just the given HV and DW views.
+type probe struct {
+	space  *optimizer.PlanSpace
+	hv, dw []*views.View
+}
+
+// cost answers a probe. It only reads the plan space and the shared match
+// memo, so probes of one phase may be answered concurrently once the entry
+// plans' signatures are prewarmed.
+func (t *Tuner) cost(p probe) float64 {
 	d := optimizer.EmptyDesign()
 	// Every hypothetical design of this tuning phase shares one match
 	// memo, so a (subtree, view) pair is described and checked once
 	// across all probes instead of once per probe.
 	d.HV.UseMemo(t.memo)
 	d.DW.UseMemo(t.memo)
-	for _, v := range hvViews {
+	for _, v := range p.hv {
 		d.HV.Add(v)
 	}
-	for _, v := range dwViews {
+	for _, v := range p.dw {
 		d.DW.Add(v)
 	}
-	sp := t.spaces[e.Seq]
-	if sp == nil {
-		sp = t.opt.PlanSpace(e.Plan)
+	return p.space.Cost(d)
+}
+
+// probeTable asks every what-if question of one tuning phase once and
+// returns the answers by position, beside each entry's relevant views. An
+// entry with relevant views v0..vn-1 owns consecutive slots — its base
+// cost; the cost with {vk} in DW, then with {vk} in HV, for each k; the
+// cost with {va, vb} in DW for each a < b — and entries follow one another
+// in window order (one with no relevant view owns none). readTable walks
+// the same order.
+//
+// Costing is a pure read (see optimizer.EnumeratePlans) and each task
+// writes only its own slot, so the table, and every design derived from
+// it, is identical at any worker count.
+func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) ([][]*views.View, []float64, error) {
+	// Serially prewarm every window plan's node signatures: Signature
+	// memoizes lazily into the node, a write that must not first happen
+	// on two workers at once.
+	for _, e := range entries {
+		e.Plan.PrewarmSignatures()
 	}
-	c := sp.Cost(d)
-	t.cache.put(key, c)
-	return c
-}
 
-// probe is one independent what-if cost task.
-type probe struct {
-	e      history.Entry
-	hv, dw []*views.View
-}
+	// Only the views matching some plan node can have benefit or
+	// interactions for that query. Entries are independent, so the
+	// matching fans out too, one slot per task.
+	relevant := make([][]*views.View, len(entries))
+	if err := runParallel(t.workers, "tuner relevant-views", len(entries), func(i int) {
+		relevant[i] = relevantViews(entries[i].Plan, universe)
+	}); err != nil {
+		return nil, nil, err
+	}
 
-// warmProbes lists every what-if probe Tune's accumulation loops will
-// read — in their own right independent, pure cost tasks — and evaluates
-// them across the worker pool, filling the cost cache. Two workers racing
-// to the same key both compute the same pure value, so the final cached
-// float is scheduling-independent.
-func (t *Tuner) warmProbes(entries []history.Entry, relevant [][]*views.View, workers int) error {
-	var tasks []probe
+	// Every probe of an entry shares the design-independent half of its
+	// costing. The spaces are built here, serially, so they are immutable
+	// before the probes fan out, and afresh on every call: each query
+	// execution since the last one rewrote the estimator they read.
+	var probes []probe
 	for i, e := range entries {
 		rel := relevant[i]
 		if len(rel) == 0 {
 			continue
 		}
-		tasks = append(tasks, probe{e: e})
-		for _, v := range rel {
-			tasks = append(tasks,
-				probe{e: e, dw: []*views.View{v}},
-				probe{e: e, hv: []*views.View{v}})
+		sp := t.opt.PlanSpace(e.Plan)
+		probes = append(probes, probe{space: sp})
+		for k := range rel {
+			probes = append(probes, probe{space: sp, dw: rel[k : k+1]}, probe{space: sp, hv: rel[k : k+1]})
 		}
 		for a := 0; a < len(rel); a++ {
 			for b := a + 1; b < len(rel); b++ {
-				tasks = append(tasks, probe{e: e, dw: []*views.View{rel[a], rel[b]}})
+				probes = append(probes, probe{space: sp, dw: []*views.View{rel[a], rel[b]}})
 			}
 		}
 	}
-	return runParallel(workers, "tuner what-if", len(tasks), func(i int) {
-		t.cost(tasks[i].e, tasks[i].hv, tasks[i].dw)
+	costs := make([]float64, len(probes))
+	err := runParallel(t.workers, "tuner what-if", len(probes), func(i int) {
+		costs[i] = t.cost(probes[i])
 	})
+	return relevant, costs, err
 }
 
-// runParallel runs fn(0..n-1) across at most `workers` goroutines, pulling
-// indices from an atomic counter so uneven task costs balance themselves.
-// workers <= 1 (or a trivial n) degenerates to a plain serial loop on the
-// calling goroutine. A panicking task — serial or pooled — is contained
-// by govern.Capture and returned as a typed govern.ErrInternal carrying
-// op, so a bad what-if probe fails one Tune call, not the process; the
-// remaining workers stop claiming tasks once any task fails.
-func runParallel(workers int, op string, n int, fn func(int)) error {
-	if workers > n {
-		workers = n
+// readTable folds a probe table into each view's predicted benefit per
+// store and each co-relevant pair's signed degree of interaction, measured
+// in DW placement (where the benefit differences are largest). It consumes
+// the slots in probeTable's order and sums serially in (entry, view, pair)
+// order, so float64 rounding never depends on how the table was filled.
+func readTable(relevant [][]*views.View, weights, costs []float64) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
+	bnDW = map[string]float64{}
+	bnHV = map[string]float64{}
+	doi = map[[2]string]float64{}
+	next := func() float64 {
+		c := costs[0]
+		costs = costs[1:]
+		return c
 	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := govern.Capture(op, func() error { fn(i); return nil }); err != nil {
-				return err
+	for i, rel := range relevant {
+		if len(rel) == 0 {
+			continue
+		}
+		base := next()
+		alone := make([]float64, len(rel)) // each view's benefit alone in DW
+		for k, v := range rel {
+			alone[k] = max0(base - next())
+			bnDW[v.Name] += weights[i] * alone[k]
+			bnHV[v.Name] += weights[i] * max0(base-next())
+		}
+		for a := 0; a < len(rel); a++ {
+			for b := a + 1; b < len(rel); b++ {
+				together := max0(base - next())
+				doi[pairKey(rel[a].Name, rel[b].Name)] += weights[i] * (together - alone[a] - alone[b])
 			}
 		}
-		return nil
 	}
+	return bnDW, bnHV, doi
+}
+
+// runParallel runs fn(0..n-1) on the calling goroutine and up to workers-1
+// more, each pulling the next index from an atomic counter so uneven task
+// costs balance themselves; at one worker (or one task) that is a plain
+// serial loop. A panicking task is contained by govern.Capture and
+// returned as a typed govern.ErrInternal carrying op, so a bad what-if
+// probe fails one Tune call, not the process; the workers stop claiming
+// tasks once any task fails.
+func runParallel(workers int, op string, n int, fn func(int)) error {
 	var next atomic.Int64
-	var wg sync.WaitGroup
 	var failed atomic.Bool
-	var mu sync.Mutex
-	var firstErr error
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	var firstErr error // written by the one task that flips failed
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := govern.Capture(op, func() error { fn(i); return nil }); err != nil {
+				if failed.CompareAndSwap(false, true) {
+					firstErr = err
+				}
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := govern.Capture(op, func() error { fn(i); return nil }); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return firstErr
 }
@@ -490,14 +438,6 @@ func pairKey(a, b string) [2]string {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-func remainingBudget(total, used int64) int64 {
-	r := total - used
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 func max0(f float64) float64 {

@@ -60,8 +60,9 @@ func TestTunerInternals(t *testing.T) {
 				continue
 			}
 			rel++
-			b := tuner.cost(e, nil, nil)
-			bnD += weights[i] * max0(b-tuner.cost(e, nil, []*views.View{v}))
+			sp := opt.PlanSpace(e.Plan)
+			b := tuner.cost(probe{space: sp})
+			bnD += weights[i] * max0(b-tuner.cost(probe{space: sp, dw: []*views.View{v}}))
 		}
 		t.Logf("bnDW(%s kind=%v %.2fGB) = %.0f over %d relevant queries",
 			v.Name, v.Def.Kind, float64(v.SizeBytes())/1e9, bnD, rel)

@@ -25,7 +25,7 @@ func viewNames(vs []*views.View) []string {
 // BenchmarkTuneWarm measures one reorganization decision on a warm system:
 // the design MS-MISO holds after the 32-query workload (both stores
 // populated, the estimator holding every executed node), and the window the
-// next reorganization would see — the last HistoryLen workload plans at the
+// next reorganization would see — the last six workload plans at the
 // system's epoch length and decay, refilled here because System exports no
 // window accessor. One iteration is what multistore.reorg pays before it
 // moves anything: a fresh Tuner and one Tune.
@@ -41,7 +41,7 @@ func BenchmarkTuneWarm(b *testing.B) {
 	cfg.Tuner.MovePenaltyPerByteHV = 3 * transfer.CostToHV(cfg.Transfer, 1<<30).Total() / float64(1<<30)
 	sys := multistore.New(cfg, cat)
 	builder := logical.NewBuilder(cat)
-	win := history.NewWindow(cfg.HistoryLen, cfg.EpochLen, cfg.Decay)
+	win := history.NewWindow(6, 3, cfg.Decay)
 	for i, sql := range workload.SQLs() {
 		if _, err := sys.Run(sql); err != nil {
 			b.Fatal(err)
@@ -74,4 +74,47 @@ func BenchmarkTuneWarm(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(d.HV.Len()+d.DW.Len()), "candidate-views")
+}
+
+// TestProbeTableMatchesReference holds the tuner's probe table against the
+// reference loops (core.CheckProbeTable) on the micro-benchmark's window and
+// at every reorganization of the MS-MISO small run: after each third query
+// the system's design and the window of the last six plans are what the
+// reorganization preceding the next query tunes over (every 4th of them
+// under -short).
+func TestProbeTableMatchesReference(t *testing.T) {
+	t.Run("bench window", func(t *testing.T) {
+		_, opt, win, cur := core.BenchTunerSetup(t)
+		core.CheckProbeTable(t, opt, cur, win)
+	})
+	t.Run("MS-MISO small", func(t *testing.T) {
+		cat, err := data.Generate(data.SmallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+		cfg.SetBudgets(cat, 2.0, 10<<30)
+		sys := multistore.New(cfg, cat)
+		builder := logical.NewBuilder(cat)
+		win := history.NewWindow(6, 3, cfg.Decay)
+		reorgs := 0
+		for i, sql := range workload.SQLs() {
+			if i > 0 && i%cfg.ReorgEvery == 0 {
+				if reorgs++; !testing.Short() || reorgs%4 == 1 {
+					core.CheckProbeTable(t, sys.Optimizer(), sys.Design(), win)
+				}
+			}
+			if _, err := sys.Run(sql); err != nil {
+				t.Fatal(err)
+			}
+			p, err := builder.BuildSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			win.Add(history.Entry{Seq: i, SQL: sql, Plan: p})
+		}
+		if got := len(sys.ReorgLog()); got != reorgs {
+			t.Fatalf("the system reorganized %d times, the test checked for %d", got, reorgs)
+		}
+	})
 }

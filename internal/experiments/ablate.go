@@ -39,10 +39,8 @@ func Ablate(cfg Config) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i, sql := range workload.SQLs() {
-			if _, err := sys.Run(sql); err != nil {
-				return nil, fmt.Errorf("experiments: ablation %s query %d: %w", a.name, i, err)
-			}
+		if _, err := runSQLs(sys, workload.SQLs()); err != nil {
+			return nil, fmt.Errorf("experiments: ablation %s: %w", a.name, err)
 		}
 		m := sys.Metrics()
 		res.Rows = append(res.Rows, AblationRow{a.name, m.TTI(), m.Tune})

@@ -189,13 +189,11 @@ func auditChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
 		Interval: time.Millisecond, ChunkViews: 4, Repair: true,
 	})
 	scrub.Start()
-	for i, sql := range workload.SQLs() {
-		if _, err := sys.Run(sql); err != nil {
-			scrub.Stop()
-			return ChaosPoint{}, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
+	_, err = runSQLs(sys, workload.SQLs())
 	scrub.Stop()
+	if err != nil {
+		return ChaosPoint{}, err
+	}
 	// Catch rot injected after the scrubber's last chunk, then verify.
 	if _, err := scrub.RunOnce(); err != nil {
 		return ChaosPoint{}, err

@@ -18,12 +18,9 @@ import (
 	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/multistore"
-	"miso/internal/optimizer"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
-
-func emptyDesign() optimizer.Design { return optimizer.EmptyDesign() }
 
 // Config parameterizes an experiment run.
 type Config struct {
@@ -40,10 +37,6 @@ type Config struct {
 	FaultRate float64
 	// FaultSeed seeds the injector's deterministic RNG.
 	FaultSeed int64
-	// TuneWorkers bounds the tuner's what-if worker pool (core.Config.
-	// TuneWorkers); <= 1 keeps costing serial. Designs are identical at
-	// any worker count, only Tune wall-clock changes.
-	TuneWorkers int
 	// ExecWorkers bounds both stores' execution worker pools
 	// (multistore.Config.ExecWorkers): 0 means GOMAXPROCS, n > 0 means n
 	// workers. Results are byte-identical at every setting.
@@ -70,9 +63,9 @@ func Small() Config {
 
 // multistoreConfig is the one place an experiment's backend configuration
 // is assembled: a fresh catalog, the variant's defaults, the budgets, the
-// uniform fault rate and seed, the worker pools, and then mutate — where a
-// harness arms its own fault profile, durability, hedging or limits over
-// those (nil leaves them as they are).
+// uniform fault rate and seed, the exec worker pool, and then mutate —
+// where a harness arms its own fault profile, durability, hedging or limits
+// over those (nil leaves them as they are).
 func (c Config) multistoreConfig(v multistore.Variant, mutate func(*multistore.Config)) (multistore.Config, *storage.Catalog, error) {
 	cat, err := data.Generate(c.Data)
 	if err != nil {
@@ -82,7 +75,6 @@ func (c Config) multistoreConfig(v multistore.Variant, mutate func(*multistore.C
 	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
 	cfg.Faults = faults.Uniform(c.FaultRate)
 	cfg.FaultSeed = c.FaultSeed
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
 	cfg.ExecWorkers = c.ExecWorkers
 	if mutate != nil {
 		mutate(&cfg)
@@ -110,13 +102,56 @@ func (c Config) runWorkload(v multistore.Variant) (*multistore.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, sql := range workload.SQLs() {
-		if _, err := sys.Run(sql); err != nil {
-			return nil, fmt.Errorf("experiments: %s query %d (%s): %w",
-				v, i, workload.Evolving()[i].Name, err)
-		}
+	if _, err := runSQLs(sys, workload.SQLs()); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", v, err)
 	}
 	return sys, nil
+}
+
+// runSQLs submits the queries to the system in order and returns their
+// reports; the first failure stops the run.
+func runSQLs(sys *multistore.System, sqls []string) ([]*multistore.QueryReport, error) {
+	reps := make([]*multistore.QueryReport, 0, len(sqls))
+	for i, sql := range sqls {
+		rep, err := sys.Run(sql)
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+}
+
+// runVariants runs the full workload on each variant in turn.
+func runVariants(cfg Config, variants []multistore.Variant) ([]VariantOutcome, error) {
+	var outs []VariantOutcome
+	for _, v := range variants {
+		sys, err := cfg.runWorkload(v)
+		if err != nil {
+			return nil, err
+		}
+		out := VariantOutcome{
+			Variant: v,
+			Metrics: sys.Metrics(),
+			CumTTI:  cumulativeTTI(sys),
+			Reports: sys.Reports(),
+		}
+		for _, r := range sys.Reports() {
+			out.QueryTimes = append(out.QueryTimes, r.Total())
+		}
+		outs = append(outs, out)
+	}
+	return outs, nil
+}
+
+// tti returns the named variant's total TTI among the outcomes, or 0.
+func tti(outcomes []VariantOutcome, v multistore.Variant) float64 {
+	for _, o := range outcomes {
+		if o.Variant == v {
+			return o.Metrics.TTI()
+		}
+	}
+	return 0
 }
 
 // cumulativeTTI reconstructs the per-query cumulative TTI series: ETL is

@@ -7,6 +7,7 @@ import (
 
 	"miso/internal/logical"
 	"miso/internal/multistore"
+	"miso/internal/optimizer"
 	"miso/internal/transfer"
 	"miso/internal/workload"
 )
@@ -56,7 +57,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	sys.HV().Views.Reset()
 
 	res := &Fig3Result{Query: q.Name}
-	plans := sys.Optimizer().EnumeratePlans(plan, emptyDesign())
+	plans := sys.Optimizer().EnumeratePlans(plan, optimizer.EmptyDesign())
 	for _, mp := range plans {
 		p := Fig3Plan{HV: mp.EstHV, DW: mp.EstDW, Cuts: len(mp.Cuts), TransferBytes: mp.EstTransferBytes}
 		b := transfer.Cost(mcfg.Transfer, mp.EstTransferBytes)

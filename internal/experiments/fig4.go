@@ -35,35 +35,15 @@ var Fig4Variants = []multistore.Variant{
 
 // Fig4 runs the full workload on each variant.
 func Fig4(cfg Config) (*Fig4Result, error) {
-	res := &Fig4Result{}
-	for _, v := range Fig4Variants {
-		sys, err := cfg.runWorkload(v)
-		if err != nil {
-			return nil, err
-		}
-		out := VariantOutcome{
-			Variant: v,
-			Metrics: sys.Metrics(),
-			CumTTI:  cumulativeTTI(sys),
-			Reports: sys.Reports(),
-		}
-		for _, r := range sys.Reports() {
-			out.QueryTimes = append(out.QueryTimes, r.Total())
-		}
-		res.Outcomes = append(res.Outcomes, out)
+	outs, err := runVariants(cfg, Fig4Variants)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig4Result{Outcomes: outs}, nil
 }
 
 // TTI returns the named variant's total TTI, or 0.
-func (r *Fig4Result) TTI(v multistore.Variant) float64 {
-	for _, o := range r.Outcomes {
-		if o.Variant == v {
-			return o.Metrics.TTI()
-		}
-	}
-	return 0
-}
+func (r *Fig4Result) TTI(v multistore.Variant) float64 { return tti(r.Outcomes, v) }
 
 // Outcome returns the named variant's outcome, or nil.
 func (r *Fig4Result) Outcome(v multistore.Variant) *VariantOutcome {

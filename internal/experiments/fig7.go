@@ -24,37 +24,16 @@ type Fig7Result struct {
 // Fig7 runs the tuning comparison. The paper uses Bh=Bd=0.125x with
 // Bt=10GB, "a more constrained environment".
 func Fig7(cfg Config) (*Fig7Result, error) {
-	c := cfg
-	c.BudgetMultiple = 0.125
-	res := &Fig7Result{}
-	for _, v := range Fig7Variants {
-		sys, err := c.runWorkload(v)
-		if err != nil {
-			return nil, err
-		}
-		out := VariantOutcome{
-			Variant: v,
-			Metrics: sys.Metrics(),
-			CumTTI:  cumulativeTTI(sys),
-			Reports: sys.Reports(),
-		}
-		for _, r := range sys.Reports() {
-			out.QueryTimes = append(out.QueryTimes, r.Total())
-		}
-		res.Outcomes = append(res.Outcomes, out)
+	cfg.BudgetMultiple = 0.125
+	outs, err := runVariants(cfg, Fig7Variants)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig7Result{Outcomes: outs}, nil
 }
 
 // TTI returns the named variant's TTI, or 0.
-func (r *Fig7Result) TTI(v multistore.Variant) float64 {
-	for _, o := range r.Outcomes {
-		if o.Variant == v {
-			return o.Metrics.TTI()
-		}
-	}
-	return 0
-}
+func (r *Fig7Result) TTI(v multistore.Variant) float64 { return tti(r.Outcomes, v) }
 
 // WriteText renders the comparison.
 func (r *Fig7Result) WriteText(w io.Writer) {

@@ -42,10 +42,8 @@ func OrderSensitivity(cfg Config) (*OrderSensResult, error) {
 			if err := sys.ProvideFutureWorkload(sqls); err != nil {
 				return nil, err
 			}
-			for _, q := range order {
-				if _, err := sys.Run(q.SQL); err != nil {
-					return nil, err
-				}
+			if _, err := runSQLs(sys, sqls); err != nil {
+				return nil, err
 			}
 			ttis[oi] = sys.Metrics().TTI()
 		}

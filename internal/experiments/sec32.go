@@ -29,15 +29,11 @@ func Sec32(cfg Config) (*Sec32Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r1, err := sys.Run(q1.SQL)
+		reps, err := runSQLs(sys, []string{q1.SQL, q2.SQL})
 		if err != nil {
 			return nil, err
 		}
-		r2, err := sys.Run(q2.SQL)
-		if err != nil {
-			return nil, err
-		}
-		res.Totals[v] = [3]float64{r1.Total(), r2.Total(), sys.Metrics().Tune}
+		res.Totals[v] = [3]float64{reps[0].Total(), reps[1].Total(), sys.Metrics().Tune}
 	}
 	return res, nil
 }

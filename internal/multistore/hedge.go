@@ -27,10 +27,10 @@ type HedgeConfig struct {
 	// MinDelay floors the threshold so cold starts and microsecond DW
 	// queries don't hedge every call. Zero means 25ms.
 	MinDelay time.Duration
-	// Window is the sliding-window size for observed durations. Zero
-	// means 32.
-	Window int
 }
+
+// hedgeWindow is the sliding-window size for observed DW durations.
+const hedgeWindow = 32
 
 func (c HedgeConfig) withDefaults() HedgeConfig {
 	if c.Multiplier <= 0 {
@@ -38,9 +38,6 @@ func (c HedgeConfig) withDefaults() HedgeConfig {
 	}
 	if c.MinDelay <= 0 {
 		c.MinDelay = 25 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 32
 	}
 	return c
 }
@@ -60,19 +57,19 @@ func newHedgeTracker(cfg HedgeConfig) *hedgeTracker {
 	if !cfg.Enabled {
 		return nil
 	}
-	return &hedgeTracker{cfg: cfg, durs: make([]time.Duration, 0, cfg.Window)}
+	return &hedgeTracker{cfg: cfg, durs: make([]time.Duration, 0, hedgeWindow)}
 }
 
 func (t *hedgeTracker) observe(d time.Duration) {
 	if t == nil {
 		return
 	}
-	if len(t.durs) < t.cfg.Window {
+	if len(t.durs) < hedgeWindow {
 		t.durs = append(t.durs, d)
 		return
 	}
 	t.durs[t.next] = d
-	t.next = (t.next + 1) % t.cfg.Window
+	t.next = (t.next + 1) % hedgeWindow
 }
 
 // threshold returns MinDelay until enough samples exist, then

@@ -46,6 +46,10 @@ const (
 	VariantMSOra   Variant = "MS-ORA"
 )
 
+// The tuning window holds the last historyLen queries in epochs of
+// epochLen (the paper's values).
+const historyLen, epochLen = 6, 3
+
 // Config assembles the full system configuration.
 type Config struct {
 	Variant  Variant
@@ -61,11 +65,8 @@ type Config struct {
 	// or activity-based invocation, which callers implement by invoking
 	// Reorganize directly (e.g. when the system is idle).
 	ReorgEvery int
-	// HistoryLen and EpochLen configure the tuning window (6 and 3 in
-	// the paper); Decay weights older epochs down.
-	HistoryLen int
-	EpochLen   int
-	Decay      float64
+	// Decay weights the older epochs of the tuning window down.
+	Decay float64
 
 	// Faults is the fault-injection profile (all-zero disables injection,
 	// making the failure plane strictly additive: timings are then
@@ -144,8 +145,6 @@ func DefaultConfig(v Variant) Config {
 		Transfer:   transfer.DefaultConfig(),
 		Tuner:      core.DefaultConfig(),
 		ReorgEvery: 3,
-		HistoryLen: 6,
-		EpochLen:   3,
 		Decay:      0.5,
 	}
 }
@@ -439,7 +438,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		hv:      h,
 		dw:      d,
 		opt:     opt,
-		window:  history.NewWindow(cfg.HistoryLen, cfg.EpochLen, cfg.Decay),
+		window:  history.NewWindow(historyLen, epochLen, cfg.Decay),
 		inj:     inj,
 		execInj: execInj,
 		memPool: govern.NewPool(cfg.MemPoolBytes), // nil when unlimited
@@ -676,8 +675,8 @@ func (s *System) tuningWindow() *history.Window {
 // oracleWindow builds the MS-ORA tuning window from the actual upcoming
 // queries rather than history.
 func (s *System) oracleWindow() *history.Window {
-	w := history.NewWindow(s.cfg.HistoryLen, s.cfg.EpochLen, 1.0)
-	end := s.seq + s.cfg.HistoryLen
+	w := history.NewWindow(historyLen, epochLen, 1.0)
+	end := s.seq + historyLen
 	if end > len(s.future) {
 		end = len(s.future)
 	}

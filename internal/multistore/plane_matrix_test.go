@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,6 +73,15 @@ func midPlanStorm(c *multistore.Config) {
 	c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
 }
 
+// atGOMAXPROCS runs a default MS-MISO row with the scheduler at n
+// processors, restoring the previous setting once the row is done.
+func atGOMAXPROCS(n int) matrixRow {
+	var prev int
+	return matrixRow{name: fmt.Sprintf("GOMAXPROCS=%d", n),
+		set:  func(*multistore.Config) { prev = runtime.GOMAXPROCS(n) },
+		done: func(*testing.T, *multistore.System) { runtime.GOMAXPROCS(prev) }}
+}
+
 func matrixRows() []matrixRow {
 	viaRunContext := func(sys *multistore.System, _ int, sql string) (*multistore.QueryReport, error) {
 		return sys.RunContext(context.Background(), sql)
@@ -120,8 +130,9 @@ func matrixRows() []matrixRow {
 		{name: "defaults: hedge off, reuse zero-config"},
 		{name: "exec workers=1", set: func(c *multistore.Config) { c.ExecWorkers = 1 }},
 		{name: "exec workers=8", set: func(c *multistore.Config) { c.ExecWorkers = 8 }},
-		{name: "tune workers=1", set: func(c *multistore.Config) { c.Tuner.TuneWorkers = 1 }},
-		{name: "tune workers=8", set: func(c *multistore.Config) { c.Tuner.TuneWorkers = 8 }},
+		// The tuner's what-if pool and exec's default pool both size
+		// themselves from GOMAXPROCS (rows run one after another).
+		atGOMAXPROCS(1), atGOMAXPROCS(8),
 		{name: "hedge enabled but idle", set: func(c *multistore.Config) {
 			c.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 1000, MinDelay: time.Hour}
 		}},

@@ -54,11 +54,9 @@ const (
 // Config is the full system configuration.
 type Config = multistore.Config
 
-// TunerConfig holds the MISO tuner's budgets and knobs (Config.Tuner).
-// TunerConfig.TuneWorkers bounds the worker pool the tuner fans what-if
-// cost probes across during reorganization; any worker count — including
-// the serial default — produces byte-identical designs, only tuning
-// wall-clock changes.
+// TunerConfig holds the MISO tuner's budgets and ablation knobs
+// (Config.Tuner). The tuner fans its what-if cost probes across GOMAXPROCS
+// workers; the design is byte-identical at any count.
 type TunerConfig = core.Config
 
 // System is a running multistore instance.
