@@ -113,16 +113,15 @@ func Load(cfg Config, store *dw.Store, est *stats.Estimator) (*Workload, error) 
 	for _, t := range []*storage.Table{dates, items, sales} {
 		// The content checksum is stamped at load so the integrity scrubber
 		// can verify these tables like any opportunistic view.
-		v := &views.View{
+		def := logical.NewViewScan(t.Name, t.Schema)
+		store.Views.Add(&views.View{
 			Name:     t.Name,
 			Sig:      "bgtable(" + t.Name + ")",
-			Def:      logical.NewViewScan(t.Name, t.Schema),
-			Desc:     nil,
+			Def:      def,
+			Desc:     logical.DescribeView(def),
 			Table:    t,
 			Checksum: storage.ChecksumTable(t),
-		}
-		v.Desc = logical.Describe(v.Def)
-		store.Views.Add(v)
+		})
 		est.RecordView(t.Name, stats.Stat{Rows: int64(t.NumRows()), Bytes: t.LogicalBytes()})
 	}
 	return w, nil

@@ -25,9 +25,11 @@ type Descriptor struct {
 	// Conjuncts maps canonical form to the filter conjuncts applied
 	// anywhere in the subtree.
 	Conjuncts map[string]expr.Expr
-	// Columns is the set of output column names.
+	// Columns is the set of output column names. Only a view's descriptor
+	// (DescribeView) carries it: matching reads it on the view alone.
 	Columns map[string]bool
-	// ColOrder is the output column order (matching the schema).
+	// ColOrder is the output column order (matching the schema). Describe
+	// sets it at the top level only; no parent reads a child's.
 	ColOrder []string
 	// HasUDF reports whether any expression in the subtree calls a UDF.
 	HasUDF bool
@@ -70,23 +72,39 @@ func (d *Descriptor) ResidualConjuncts(view *Descriptor) []expr.Expr {
 	return out
 }
 
-// Describe computes the descriptor of a subtree.
+// Describe computes the descriptor a plan node is matched with: what the
+// subtree computes, plus the node's output column order.
 func Describe(n *Node) *Descriptor {
+	d := describe(n)
+	d.ColOrder = n.Schema().Names()
+	return d
+}
+
+// DescribeView computes a view's descriptor from its definition: the
+// node's, plus the column set a rewrite's needed columns are checked
+// against. Every view's Desc is built here.
+func DescribeView(def *Node) *Descriptor {
+	d := Describe(def)
+	d.Columns = make(map[string]bool, len(d.ColOrder))
+	for _, c := range d.ColOrder {
+		d.Columns[c] = true
+	}
+	return d
+}
+
+// describe builds what matching reads of a subtree below the top level:
+// Simple, SourceSig, Conjuncts and HasUDF.
+func describe(n *Node) *Descriptor {
 	d := &Descriptor{
 		Conjuncts: map[string]expr.Expr{},
-		Columns:   map[string]bool{},
 		HasUDF:    n.UsesUDFHere(),
-	}
-	for _, c := range n.Schema().Columns {
-		d.Columns[c.Name] = true
-		d.ColOrder = append(d.ColOrder, c.Name)
 	}
 	switch n.Kind {
 	case KindExtract:
 		d.Simple = true
 		d.SourceSig = fmt.Sprintf("extract(%s)", n.Children[0].LogName)
 	case KindFilter:
-		cd := Describe(n.Children[0])
+		cd := describe(n.Children[0])
 		d.HasUDF = d.HasUDF || cd.HasUDF
 		d.Simple = cd.Simple
 		d.SourceSig = cd.SourceSig
@@ -97,8 +115,8 @@ func Describe(n *Node) *Descriptor {
 			d.Conjuncts[c.Canon()] = c
 		}
 	case KindJoin:
-		ld := Describe(n.Children[0])
-		rd := Describe(n.Children[1])
+		ld := describe(n.Children[0])
+		rd := describe(n.Children[1])
 		d.HasUDF = d.HasUDF || ld.HasUDF || rd.HasUDF
 		d.Simple = ld.Simple && rd.Simple
 		keys := make([]string, len(n.LeftKeys))
@@ -115,7 +133,7 @@ func Describe(n *Node) *Descriptor {
 			d.Conjuncts[k] = v
 		}
 	case KindProject:
-		cd := Describe(n.Children[0])
+		cd := describe(n.Children[0])
 		d.HasUDF = d.HasUDF || cd.HasUDF
 		passThrough := true
 		for _, p := range n.Projs {

@@ -250,8 +250,9 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestDescribeSimpleChain(t *testing.T) {
 	n := build(t, `SELECT c.checkin_id, c.user_id FROM checkins c WHERE c.category = 'bar'`)
-	// Descriptor of the filter node (below the projection).
-	d := Describe(n.Children[0])
+	// Descriptor of the filter node (below the projection), as a view's:
+	// only a view's descriptor carries the column set.
+	d := DescribeView(n.Children[0])
 	if !d.Simple {
 		t.Fatal("filter chain not Simple")
 	}

@@ -38,14 +38,10 @@ func warmDesign(tb testing.TB, f *fixture) *views.Set {
 	return set
 }
 
-// BenchmarkBestMatch measures view matching against a populated design —
-// the optimizer's hottest path (called for every node of every enumerated
-// plan during what-if costing). One iteration probes every node of five
-// plans: a few exact hits, a few subsumed nodes, and mostly misses, as on
-// a served system.
-func BenchmarkBestMatch(b *testing.B) {
-	f := newFixture(b)
-	set := warmDesign(b, f)
+// warmProbes returns every node of five plans which, against warmDesign,
+// give a few exact hits, a few nodes several views subsume, and mostly
+// misses, as on a served system.
+func warmProbes(tb testing.TB, f *fixture) []*logical.Node {
 	var probes []*logical.Node
 	for _, sql := range []string{
 		"SELECT user_id FROM tweets WHERE retweets > 100",
@@ -54,8 +50,18 @@ func BenchmarkBestMatch(b *testing.B) {
 		"SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > 100 GROUP BY lang",
 		"SELECT l.city, COUNT(*) AS n FROM landmarks l GROUP BY l.city",
 	} {
-		probes = append(probes, f.corePlan(b, sql).Nodes()...)
+		probes = append(probes, f.corePlan(tb, sql).Nodes()...)
 	}
+	return probes
+}
+
+// BenchmarkBestMatch measures view matching against a populated design —
+// the optimizer's hottest path (called for every node of every enumerated
+// plan during what-if costing). One iteration looks up every warm probe.
+func BenchmarkBestMatch(b *testing.B) {
+	f := newFixture(b)
+	set := warmDesign(b, f)
+	probes := warmProbes(b, f)
 	var exact, subsumed int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,6 +77,33 @@ func BenchmarkBestMatch(b *testing.B) {
 	}
 	if exact == 0 || subsumed == 0 || exact+subsumed == len(probes) {
 		b.Fatalf("%d probes: %d exact, %d subsumed; want some of each and some misses", len(probes), exact, subsumed)
+	}
+}
+
+// TestBestMatchAllocsIndependentOfSetSize guards the single description:
+// a lookup no view answers allocates the same on an 8-view design as on
+// the 67-view warm design, where describing the node per view, or sorting
+// the set per call, would allocate in proportion to the set.
+func TestBestMatchAllocsIndependentOfSetSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	f := newFixture(t)
+	warm := warmDesign(t, f)
+	small := views.NewSet()
+	for _, v := range warm.All()[:8] {
+		small.Add(v)
+	}
+	n := f.corePlan(t, "SELECT l.city FROM landmarks l WHERE l.rating >= 2.5")
+	n.PrewarmSignatures()
+	if m, ok := warm.BestMatch(n); ok {
+		t.Fatalf("%s answers the probe", m.View.Name)
+	}
+	allocs := func(s *views.Set) float64 {
+		return testing.AllocsPerRun(50, func() { s.BestMatch(n) })
+	}
+	if a8, a67 := allocs(small), allocs(warm); a8 != a67 {
+		t.Fatalf("BestMatch allocates %.0f times over 8 views, %.0f over 67", a8, a67)
 	}
 }
 

@@ -10,7 +10,8 @@ package views
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"miso/internal/expr"
@@ -26,7 +27,7 @@ type View struct {
 	Sig string
 	// Def is the defining logical subtree (owned clone).
 	Def *logical.Node
-	// Desc is the subsumption descriptor of Def.
+	// Desc is the subsumption descriptor of Def (logical.DescribeView).
 	Desc *logical.Descriptor
 	// Table is the materialized result.
 	Table *storage.Table
@@ -65,7 +66,7 @@ func New(def *logical.Node, table *storage.Table, seq int) *View {
 		Name:        NameForSig(sig),
 		Sig:         sig,
 		Def:         def.Clone(),
-		Desc:        logical.Describe(def),
+		Desc:        logical.DescribeView(def),
 		Table:       table,
 		CreatedSeq:  seq,
 		LastUsedSeq: seq,
@@ -177,13 +178,29 @@ type Match struct {
 // node signatures have been computed (Signature memoizes lazily; see
 // logical.Node.PrewarmSignatures).
 func MatchNode(n *logical.Node, v *View) (*Match, bool) {
-	if n.Signature() == v.Sig {
+	return (&lookup{node: n, sig: n.Signature()}).match(v)
+}
+
+// lookup is one node being matched against views. The node is described
+// at most once, by the first view that gets past the exact tier, and every
+// later view matches against that descriptor.
+type lookup struct {
+	node *logical.Node
+	sig  string
+	desc *logical.Descriptor
+}
+
+func (l *lookup) match(v *View) (*Match, bool) {
+	if l.sig == v.Sig {
 		return &Match{View: v, Exact: true}, true
 	}
 	if v.ExactOnly {
 		return nil, false
 	}
-	return MatchDescriptor(logical.Describe(n), v)
+	if l.desc == nil {
+		l.desc = logical.Describe(l.node)
+	}
+	return MatchDescriptor(l.desc, v)
 }
 
 // MatchDescriptor matches a precomputed node descriptor against a view's
@@ -256,9 +273,11 @@ func (m *Match) Rewrite() (*logical.Node, error) {
 // name). A node's signature fully determines its descriptor, and a view
 // is immutable after creation, so the match outcome is a pure function of
 // the key — the memo only avoids re-describing and re-checking, never
-// changes a result. Safe for concurrent use (sync.Map); share one memo
-// across every hypothetical design of a tuning phase so repeated probes
-// of the same (subtree, view) pair match once.
+// changes a result. Within one BestMatch the node is described once
+// anyway; what the memo saves is describing and checking the same
+// (subtree, view) pair again across lookups, which is what the tuner's
+// what-if probes do: every hypothetical design of the tuner shares one
+// memo. Safe for concurrent use (sync.Map).
 type MatchMemo struct {
 	m sync.Map // matchMemoKey -> *Match (nil = no match)
 }
@@ -271,13 +290,13 @@ type matchMemoKey struct {
 // NewMatchMemo returns an empty match memo.
 func NewMatchMemo() *MatchMemo { return &MatchMemo{} }
 
-func (mm *MatchMemo) match(n *logical.Node, v *View) (*Match, bool) {
-	key := matchMemoKey{sig: n.Signature(), view: v.Name}
+func (mm *MatchMemo) match(l *lookup, v *View) (*Match, bool) {
+	key := matchMemoKey{sig: l.sig, view: v.Name}
 	if e, ok := mm.m.Load(key); ok {
 		m := e.(*Match)
 		return m, m != nil
 	}
-	m, ok := MatchNode(n, v)
+	m, ok := l.match(v)
 	if !ok {
 		m = nil
 	}
@@ -285,15 +304,18 @@ func (mm *MatchMemo) match(n *logical.Node, v *View) (*Match, bool) {
 	return m, ok
 }
 
-// Set is a named collection of views (one store's design). The zero value
-// is not usable; use NewSet. The set's membership is internally locked, so
-// concurrent observers (serving-layer metrics, soak probes) can read it
-// while the owning store mutates it; compound read-modify-write sequences
-// and mutation of the View structs themselves are still serialized by the
-// multistore system's mutex (see DESIGN.md "Concurrency model").
+// Set is a named collection of views (one store's design). The set's
+// membership is internally locked, so concurrent observers (serving-layer
+// metrics, soak probes) can read it while the owning store mutates it;
+// compound read-modify-write sequences and mutation of the View structs
+// themselves are still serialized by the multistore system's mutex (see
+// DESIGN.md "Concurrency model").
 type Set struct {
-	mu     sync.RWMutex
-	byName map[string]*View
+	mu sync.RWMutex
+	// views holds the members in name order. Writers replace the slice
+	// under mu and never write into it, so a reader may keep it after
+	// unlocking and clones may share it.
+	views []*View
 
 	// memo, when installed with UseMemo, caches match outcomes across
 	// BestMatch calls (and across sets sharing the memo).
@@ -301,35 +323,51 @@ type Set struct {
 }
 
 // NewSet returns an empty set.
-func NewSet() *Set { return &Set{byName: map[string]*View{}} }
+func NewSet() *Set { return &Set{} }
+
+// find returns where name is, or would be inserted, in views.
+func find(views []*View, name string) (int, bool) {
+	return slices.BinarySearchFunc(views, name, func(v *View, name string) int {
+		return strings.Compare(v.Name, name)
+	})
+}
 
 // Add inserts or replaces a view.
 func (s *Set) Add(v *View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byName[v.Name] = v
+	i, ok := find(s.views, v.Name)
+	next := append(make([]*View, 0, len(s.views)+1), s.views...)
+	if ok {
+		next[i] = v
+	} else {
+		next = slices.Insert(next, i, v)
+	}
+	s.views = next
 }
 
 // Remove deletes a view by name.
 func (s *Set) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.byName, name)
+	if i, ok := find(s.views, name); ok {
+		s.views = slices.Delete(slices.Clone(s.views), i, i+1)
+	}
 }
 
 // Get fetches a view by name.
 func (s *Set) Get(name string) (*View, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.byName[name]
-	return v, ok
+	if i, ok := find(s.views, name); ok {
+		return s.views[i], true
+	}
+	return nil, false
 }
 
 // Has reports whether the named view is present.
 func (s *Set) Has(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.byName[name]
+	_, ok := s.Get(name)
 	return ok
 }
 
@@ -337,42 +375,33 @@ func (s *Set) Has(name string) bool {
 func (s *Set) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byName)
+	return len(s.views)
 }
 
 // TotalBytes sums the logical sizes of all views.
 func (s *Set) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var n int64
-	for _, v := range s.byName {
+	for _, v := range s.kept() {
 		n += v.SizeBytes()
 	}
 	return n
 }
 
-// All returns the views sorted by name for determinism.
+// All returns the views sorted by name, in a slice the caller owns.
 func (s *Set) All() []*View {
+	views := s.kept()
+	return append(make([]*View, 0, len(views)), views...)
+}
+
+// kept returns the current name-ordered slice, which no writer touches.
+func (s *Set) kept() []*View {
 	s.mu.RLock()
-	out := make([]*View, 0, len(s.byName))
-	for _, v := range s.byName {
-		out = append(out, v)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	defer s.mu.RUnlock()
+	return s.views
 }
 
 // Clone returns a shallow copy of the set (views shared).
-func (s *Set) Clone() *Set {
-	c := NewSet()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, v := range s.byName {
-		c.byName[v.Name] = v
-	}
-	return c
-}
+func (s *Set) Clone() *Set { return &Set{views: s.kept()} }
 
 // Reset empties the set in place. Unlike reassigning a store's Views field
 // to a fresh Set, this keeps the Set pointer stable, so concurrent readers
@@ -380,7 +409,7 @@ func (s *Set) Clone() *Set {
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byName = map[string]*View{}
+	s.views = nil
 }
 
 // ReplaceAll swaps the set's contents for src's (views shared, src left
@@ -391,45 +420,39 @@ func (s *Set) ReplaceAll(src *Set) {
 	if s == src {
 		return
 	}
-	next := map[string]*View{}
+	var next []*View
 	if src != nil {
-		src.mu.RLock()
-		for _, v := range src.byName {
-			next[v.Name] = v
-		}
-		src.mu.RUnlock()
+		next = src.kept()
 	}
 	s.mu.Lock()
-	s.byName = next
+	s.views = next
 	s.mu.Unlock()
 }
 
 // UseMemo installs a shared match memo consulted by BestMatch. Install at
 // construction time, before the set is visible to other goroutines; the
-// tuner's what-if designs share one memo per tuning phase.
+// tuner's what-if designs share one memo.
 func (s *Set) UseMemo(mm *MatchMemo) { s.memo = mm }
 
 // BestMatch finds the highest-value view in the set that answers n,
-// preferring exact matches, then the smallest view (cheapest to read).
+// preferring exact matches, then the smallest view (cheapest to read),
+// then the least name. The node is described at most once per call.
 func (s *Set) BestMatch(n *logical.Node) (*Match, bool) {
+	l := lookup{node: n, sig: n.Signature()}
 	var best *Match
-	for _, v := range s.All() {
-		m, ok := s.matchNode(n, v)
-		if !ok {
-			continue
-		}
-		if best == nil || better(m, best) {
+	for _, v := range s.kept() {
+		if m, ok := s.match(&l, v); ok && (best == nil || better(m, best)) {
 			best = m
 		}
 	}
 	return best, best != nil
 }
 
-func (s *Set) matchNode(n *logical.Node, v *View) (*Match, bool) {
+func (s *Set) match(l *lookup, v *View) (*Match, bool) {
 	if s.memo != nil {
-		return s.memo.match(n, v)
+		return s.memo.match(l, v)
 	}
-	return MatchNode(n, v)
+	return l.match(v)
 }
 
 func better(a, b *Match) bool {

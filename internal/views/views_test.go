@@ -1,6 +1,10 @@
 package views_test
 
 import (
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"miso/internal/data"
@@ -215,6 +219,131 @@ func TestSetOperations(t *testing.T) {
 	if !s.Has(v1.Name) || c.Has(v1.Name) {
 		t.Error("clone not independent")
 	}
+}
+
+// TestSetKeepsNameOrder applies Add, Remove, Reset, ReplaceAll and Clone
+// in turn and checks after each step that All() is the model's views in
+// name order, and that the slice All() returns is the caller's own.
+func TestSetKeepsNameOrder(t *testing.T) {
+	view := func(name string) *views.View { return &views.View{Name: name} }
+	a, b, c, d, a2 := view("a"), view("b"), view("c"), view("d"), view("a")
+	s, src := views.NewSet(), views.NewSet()
+	src.Add(d)
+	src.Add(b)
+	model := map[string]*views.View{}
+	var clone *views.Set
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"add c", func() { s.Add(c); model["c"] = c }},
+		{"add a", func() { s.Add(a); model["a"] = a }},
+		{"add b", func() { s.Add(b); model["b"] = b }},
+		{"replace a", func() { s.Add(a2); model["a"] = a2 }},
+		{"remove b", func() { s.Remove("b"); delete(model, "b") }},
+		{"remove a missing name", func() { s.Remove("zz") }},
+		{"clone, then grow the clone", func() {
+			clone = s.Clone()
+			clone.Add(d)
+			if got, want := clone.All(), []*views.View{a2, c, d}; !slices.Equal(got, want) {
+				t.Errorf("clone holds %v, want %v", got, want)
+			}
+		}},
+		{"shrink the clone", func() { clone.Remove("c"); clone.Remove("a") }},
+		{"replace all", func() {
+			s.ReplaceAll(src)
+			model = map[string]*views.View{"b": b, "d": d}
+		}},
+		{"add after replace all", func() { s.Add(c); model["c"] = c }},
+		{"replace all with itself", func() { s.ReplaceAll(s) }},
+		{"reset", func() { s.Reset(); model = map[string]*views.View{} }},
+		{"add after reset", func() { s.Add(a); model["a"] = a }},
+		{"replace all with nil", func() { s.ReplaceAll(nil); model = map[string]*views.View{} }},
+	}
+	for _, st := range steps {
+		st.do()
+		want := make([]*views.View, 0, len(model))
+		for _, v := range model {
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
+		got := s.All()
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %s: All() = %v, want %v", st.name, got, want)
+		}
+		slices.Reverse(got)
+		if len(got) > 0 {
+			got[0] = d
+		}
+		_ = append(got, d)
+		if !slices.Equal(s.All(), want) || s.Len() != len(want) {
+			t.Fatalf("after %s: writing into All()'s result changed the set to %v", st.name, s.All())
+		}
+		for name, v := range model {
+			if got, ok := s.Get(name); !ok || got != v {
+				t.Fatalf("after %s: Get(%q) = %v, %v", st.name, name, got, ok)
+			}
+		}
+		if got := src.All(); !slices.Equal(got, []*views.View{b, d}) {
+			t.Fatalf("after %s: ReplaceAll's source changed to %v", st.name, got)
+		}
+	}
+}
+
+// TestSetWritersBesideBestMatch runs writers beside BestMatch and All
+// readers; under -race it checks that a reader's kept slice is never
+// written.
+func TestSetWritersBesideBestMatch(t *testing.T) {
+	f := newFixture(t)
+	var pool []*views.View
+	for _, sql := range []string{
+		"SELECT tweet_id FROM tweets WHERE lang = 'en'",
+		"SELECT tweet_id FROM tweets WHERE retweets > 100",
+		"SELECT tweet_id FROM tweets",
+		"SELECT checkin_id FROM checkins WHERE category = 'bar'",
+		"SELECT lang, COUNT(*) AS n FROM tweets GROUP BY lang",
+	} {
+		pool = append(pool, f.makeView(t, sql))
+	}
+	n := f.corePlan(t, "SELECT tweet_id FROM tweets WHERE lang = 'en' AND retweets > 100")
+	n.PrewarmSignatures()
+	s, src := views.NewSet(), views.NewSet()
+	src.Add(pool[0])
+	src.Add(pool[3])
+	const iters = 3000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			switch i % 3 {
+			case 0:
+				s.Add(pool[i%len(pool)])
+			case 1:
+				s.Remove(pool[(i/3)%len(pool)].Name)
+			default:
+				s.ReplaceAll(src)
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if m, ok := s.BestMatch(n); ok && !slices.Contains(pool, m.View) {
+					t.Errorf("BestMatch returned a view outside the pool: %s", m.View.Name)
+					return
+				}
+				all := s.All()
+				if !slices.IsSortedFunc(all, func(a, b *views.View) int { return strings.Compare(a.Name, b.Name) }) {
+					t.Errorf("All() out of name order: %v", all)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBestMatchPrefersExact(t *testing.T) {
