@@ -16,7 +16,7 @@
 //	misobench -all -scale small          # every paper figure/table, quickly
 //	misobench -mode chaos                # fault-injection sweep (extension)
 //	misobench -mode crash                # crash-recovery sweep (durability extension)
-//	misobench -mode serve -scale small -sessions 8 -workers 4    # concurrent soak
+//	misobench -mode serve -scale small -sessions 8   # concurrent soak
 //	misobench -mode ablate -scale small  # the tuner's design choices, one changed at a time
 //	misobench -mode benchgov -out .      # governance pipeline -> ./BENCH_governance.json
 //	misobench -mode scenarios -dur 2s    # overload scenario matrix, 2s per load phase
@@ -75,9 +75,6 @@ func main() {
 	faultSeed := flag.Int64("faultseed", 42, "seed for the deterministic fault injector")
 	sessions := flag.Int("sessions", 0, "serve, cache, endurance: concurrent client sessions / tenants (0 = the mode's default: 8, 4, 200)")
 	dur := flag.Duration("dur", 0, "scenarios: duration of each load phase; endurance: wall-clock cap (0 = the mode's default: 2s, 3m)")
-	workers := flag.Int("workers", 4, "soak, scenarios, cache: serving worker pool size")
-	queue := flag.Int("queue", 0, "soak, scenarios, cache: admission queue depth (0 = the mode's default)")
-	cacheRounds := flag.Int("cacherounds", 0, "cache soak: workload passes per session (0 = default 3)")
 	enduranceQueries := flag.Int("endurancequeries", 0, "endurance: served-query horizon (0 = default 150)")
 	execWorkers := flag.Int("execworkers", 0, "execution worker pool size for all experiments: 0 = GOMAXPROCS, n = n workers")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
@@ -96,13 +93,6 @@ func main() {
 	cfg.FaultRate = *faultRate
 	cfg.FaultSeed = *faultSeed
 	cfg.ExecWorkers = *execWorkers
-
-	// override replaces a mode's default with a flag's value when set.
-	override := func(dst *int, v int) {
-		if v > 0 {
-			*dst = v
-		}
-	}
 
 	// fig5 reuses fig4's result when both run in one invocation.
 	var fig4 *experiments.Fig4Result
@@ -131,42 +121,13 @@ func main() {
 		{"table2", "Table 2: mutual impact of sharing the DW", "", plain(experiments.Table2)},
 		{"order", "workload order sensitivity (extension)", "", plain(experiments.OrderSensitivity)},
 		{"ablate", "tuner ablations: knapsack order, sparsification, decay, replication, transfer budget", "", plain(experiments.Ablate)},
-		{"chaos", "fault-injection sweep (robustness extension)", "", plain(experiments.Chaos)},
-		{"crash", "crash-recovery sweep (durability extension)", "", plain(experiments.CrashSweep)},
-		{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", plain(experiments.BenchGovern)},
-		{"serve", "concurrent-serving soak (robustness extension)", "", func(cfg experiments.Config) (report, error) {
-			sc := experiments.DefaultSoak(cfg)
-			override(&sc.Sessions, *sessions)
-			sc.Workers = *workers
-			sc.Queue = *queue
-			return experiments.Soak(sc)
-		}},
-		{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", func(cfg experiments.Config) (report, error) {
-			sc := experiments.DefaultScenarios(cfg)
-			sc.Workers = *workers
-			sc.Queue = *queue
-			if *dur > 0 {
-				sc.PhaseDur = *dur
-			}
-			return experiments.RunScenarios(sc)
-		}},
-		{"cache", "cross-query reuse soak: semantic result cache + shared-flight piggybacking vs cold execution", "BENCH_cache.json", func(cfg experiments.Config) (report, error) {
-			cc := experiments.DefaultCache(cfg)
-			override(&cc.Sessions, *sessions)
-			override(&cc.Rounds, *cacheRounds)
-			cc.Workers = *workers
-			cc.Queue = *queue
-			return experiments.BenchCache(cc)
-		}},
-		{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", func(cfg experiments.Config) (report, error) {
-			ec := experiments.DefaultEndurance(cfg)
-			override(&ec.Tenants, *sessions)
-			override(&ec.MinQueries, *enduranceQueries)
-			if *dur > 0 {
-				ec.MaxDuration = *dur
-			}
-			return experiments.RunEndurance(ec)
-		}},
+	}
+	// The plane harnesses are modes of one scenario table.
+	shape := experiments.Shape{Sessions: *sessions, Dur: *dur, Queries: *enduranceQueries}
+	for _, t := range experiments.Modes {
+		registry = append(registry, mode{t.Name, t.Desc, t.Artifact, func(cfg experiments.Config) (report, error) {
+			return t.Run(cfg, shape)
+		}})
 	}
 	known := map[string]bool{}
 	for _, m := range registry {

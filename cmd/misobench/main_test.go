@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"miso/internal/experiments"
 )
 
 // TestMain lets the tests below re-execute this test binary as the
@@ -65,6 +67,8 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 		{"-cachesessions", "2"}, {"-endurancetenants", "2"}, {"-phasedur", "1s"}, {"-endurancedur", "1s"},
 		// Passed by nobody: the soak and the endurance run keep their defaults.
 		{"-squeries", "1"}, {"-timeout", "1s"}, {"-reorgevery", "1"}, {"-endurancereorgs", "1"},
+		// One value each: every row of the scenario table carries its own.
+		{"-workers", "4"}, {"-queue", "8"}, {"-cacherounds", "1"},
 	} {
 		code, out := runMain(t, args...)
 		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
@@ -90,7 +94,7 @@ func TestRemovedSpellingsAreUsageErrors(t *testing.T) {
 // exit code is not asserted.
 func TestArtifactsAreWrittenOnlyUnderOut(t *testing.T) {
 	cwd, outDir := t.TempDir(), t.TempDir()
-	_, out := runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2", "-cacherounds", "1")
+	_, out := runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2")
 	if !strings.Contains(out, "cache soak") || strings.Contains(out, "wrote ") {
 		t.Fatalf("unexpected output without -out:\n%s", out)
 	}
@@ -98,7 +102,7 @@ func TestArtifactsAreWrittenOnlyUnderOut(t *testing.T) {
 		t.Fatalf("run without -out left %d files behind, first %s", len(left), left[0].Name())
 	}
 
-	_, out = runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2", "-cacherounds", "1", "-out", outDir)
+	_, out = runMainIn(t, cwd, "-mode", "cache", "-scale", "small", "-sessions", "2", "-out", outDir)
 	art, err := os.ReadFile(filepath.Join(outDir, "BENCH_cache.json"))
 	if err != nil {
 		t.Fatalf("%v; output:\n%s", err, out)
@@ -108,5 +112,21 @@ func TestArtifactsAreWrittenOnlyUnderOut(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(cwd); len(left) != 0 {
 		t.Fatalf("run with -out wrote into the working directory too")
+	}
+}
+
+// TestAFailedCheckFailsTheMode: runMode returns an error — which main turns
+// into exit 1 — when one check of one row of the report failed.
+func TestAFailedCheckFailsTheMode(t *testing.T) {
+	rep := &experiments.Report{Rows: []*experiments.Outcome{{Row: "r", Checks: []experiments.Check{
+		{Name: "holds", Pass: true}, {Name: "breaks", Pass: false, Detail: "planted"},
+	}}}}
+	m := mode{name: "planted", run: func(experiments.Config) (report, error) { return rep, nil }}
+	if err := runMode(m, experiments.Small(), ""); err == nil {
+		t.Fatal("runMode passed a report with a failed check")
+	}
+	rep.Rows[0].Checks[1].Pass = true
+	if err := runMode(m, experiments.Small(), ""); err != nil {
+		t.Fatalf("runMode failed a report whose checks all passed: %v", err)
 	}
 }

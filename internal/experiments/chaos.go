@@ -2,212 +2,60 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"math/rand"
 	"time"
 
-	"miso/internal/audit"
 	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
 )
 
-// ChaosPoint is one (failure rate, variant, mode) cell of the chaos
-// sweep. Mode "seq" replays the workload single-stream through
-// System.Run; mode "serve" replays it through the concurrent serving
-// frontend, where the extra columns (sheds, breaker trips, degraded
-// queries) become meaningful.
-type ChaosPoint struct {
-	Rate      float64
-	Variant   multistore.Variant
-	Mode      string
-	TTI       float64
-	Recovery  float64
-	Retries   int
-	Fallbacks int
-	// Completed counts queries that produced a result (all of them, if
-	// recovery holds up; the sweep fails the run otherwise).
-	Completed int
-	// Sheds / BreakerTrips / Timeouts / Degraded are the serving-plane
-	// outcomes; always zero in mode "seq".
-	Sheds        int
-	BreakerTrips int
-	Timeouts     int
-	Degraded     int
-	// Recoveries / Replayed / Quarantined are the crash-plane outcomes:
-	// process crashes survived via Recover, WAL records replayed across
-	// those recoveries, and views quarantined (corrupt or stale) on the way
-	// back. Always zero in modes "seq" and "serve", which crash nothing.
-	Recoveries  int
-	Replayed    int
-	Quarantined int
-	// Canceled / MemAborted / PanicsContained / CancelP99Ms are the
-	// governance-plane outcomes (mode "govern"): queries abandoned by
-	// caller cancellation, aborted over their memory budget, failed by a
-	// worker panic contained to a typed error, and the 99th-percentile
-	// cancel-to-idle latency in wall-clock milliseconds. Zero elsewhere.
-	Canceled        int
-	MemAborted      int
-	PanicsContained int
-	CancelP99Ms     float64
-	// ViolationsDetected / ViolationsRepaired / ViolationsUnrepaired are
-	// the audit-plane outcomes (mode "audit"): integrity violations found
-	// by the background scrubber while SiteViewRot corrupts resident
-	// views at the sweep rate, how many were self-healed online, and how
-	// many could only be quarantined. Zero elsewhere.
-	ViolationsDetected   int
-	ViolationsRepaired   int
-	ViolationsUnrepaired int
-}
-
-// ChaosResult is the fault-injection experiment (robustness extension, not
-// in the paper): the 32-query workload replayed under increasing uniform
-// failure rates, comparing the tuned system against the untuned multistore
-// baseline, sequentially and through the concurrent serving frontend. All
-// runs share one seed; the sequential rows are byte-reproducible, the
-// serve rows are reproducible up to worker interleaving.
-type ChaosResult struct {
-	Seed   int64
-	Points []ChaosPoint
-}
+// The chaos sweep (robustness extension, not in the paper): the 32-query
+// workload replayed under increasing uniform failure rates, comparing the
+// tuned system against the untuned multistore baseline. At every rate the
+// same six rows run: both variants sequentially ("seq"), the tuned system
+// through the concurrent serving frontend ("serve"), with the crash plane
+// armed ("crash"), with the exec-plane governance sites armed under a
+// cancellation storm ("govern"), and with bit rot and the repairing
+// scrubber ("audit"). All rows share one seed; the sequential rows are
+// byte-reproducible, the serve and govern rows are reproducible up to
+// worker interleaving.
 
 // ChaosRates are the uniform per-operation failure rates swept.
 var ChaosRates = []float64{0, 0.01, 0.02, 0.05, 0.10}
 
-// chaosServeSessions shapes the serve-mode rows: more concurrent
-// sessions than worker-pool-plus-queue capacity, so admission control
-// has real work to do, without drowning the sweep in wall time.
-const (
-	chaosServeSessions = 6
-	chaosServeWorkers  = 2
-	chaosServeQueue    = 2
-)
+// chaosSeed is the injector seed every sweep row runs under.
+const chaosSeed = 42
 
-// Chaos runs the sweep. Each point uses a fresh system; the injector seed
-// is fixed so repeated invocations reproduce the sequential rows
-// byte-identically.
-func Chaos(cfg Config) (*ChaosResult, error) {
-	const seed = 42
-	res := &ChaosResult{Seed: seed}
-	// Per rate: both variants single-stream, then the tuned system in each
-	// extension mode. A row runs under c, which carries the sweep's
-	// uniform rate and seed.
-	rows := []struct {
-		mode    string
-		variant multistore.Variant
-		run     func(c Config, v multistore.Variant) (ChaosPoint, error)
-	}{
-		{"seq", multistore.VariantMSBasic, seqChaosPoint},
-		{"seq", multistore.VariantMSMiso, seqChaosPoint},
-		{"serve", multistore.VariantMSMiso, serveChaosPoint},
-		{"crash", multistore.VariantMSMiso, crashChaosPoint},
-		{"govern", multistore.VariantMSMiso, governChaosPoint},
-		{"audit", multistore.VariantMSMiso, auditChaosPoint},
-	}
-	for _, rate := range ChaosRates {
-		c := cfg
-		c.FaultRate = rate
-		c.FaultSeed = seed
-		for _, row := range rows {
-			p, err := row.run(c, row.variant)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: chaos %s %s rate %.2f: %w", row.mode, row.variant, rate, err)
-			}
-			p.Rate, p.Variant, p.Mode = rate, row.variant, row.mode
-			res.Points = append(res.Points, p)
-		}
-	}
-	return res, nil
+// chaosServe shapes the serve rows: more concurrent sessions than
+// worker-pool-plus-queue capacity, so admission control has real work to
+// do, without drowning the sweep in wall time.
+var chaosServe = serve.Config{Workers: 2, QueueDepth: 2}
+
+const chaosServeSessions = 6
+
+// soakRows is the concurrent-serving soak: 8 sessions by default
+// (-sessions), each replaying the full workload once against one server
+// over a single MS-MISO system. Errors other than sheds and governed
+// abandons fail the run, as does a breach of the serving metrics'
+// accounting or of the backend's catalog invariants at exit.
+func soakRows(c Config, sh Shape) (layout, []row, error) {
+	sc := serve.Config{Workers: 4, QueueDepth: 8, QueryTimeout: 30 * time.Second}
+	sessions := orDefault(sh.Sessions, 8)
+	r := row{name: "soak", desc: fmt.Sprintf("%d sessions, %d workers, queue %d, %s deadline, uniform fault rate %.2f",
+		sessions, sc.Workers, sc.QueueDepth, sc.QueryTimeout, c.FaultRate),
+		serve: sc, phases: []phase{soakPhase(sessions)}}
+	return layout{title: fmt.Sprintf("serving soak (%s)", c.host())}, []row{r}, nil
 }
 
-// chaosPoint starts a sweep cell from the backend's accounting, which
-// every mode reports.
-func chaosPoint(m multistore.Metrics) ChaosPoint {
-	return ChaosPoint{TTI: m.TTI(), Recovery: m.Recovery, Retries: m.Retries, Fallbacks: m.Fallbacks, Completed: m.Queries}
-}
-
-// seqChaosPoint replays the workload single-stream under the uniform rate.
-func seqChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
-	sys, err := c.runWorkload(v)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	return chaosPoint(sys.Metrics()), nil
-}
-
-// serveChaosPoint replays it through the concurrent serving frontend.
-func serveChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
-	sr, err := Soak(SoakConfig{
-		Config: c, Variant: v,
-		Sessions: chaosServeSessions, Workers: chaosServeWorkers, Queue: chaosServeQueue,
-	})
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	p := chaosPoint(sr.System)
-	p.fromServe(sr.Serve)
-	return p, nil
-}
-
-// crashChaosPoint replays it with the durability plane on and the crash
-// sites scaled with the rate, every death recovered from checkpoint + WAL
-// and the killed query resubmitted. The rate-0 row doubles as the
-// journaling-overhead control: its TTI must equal the rate-0 seq row
-// (journaling charges no simulated time).
-func crashChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
-	mcfg, cat, err := c.multistoreConfig(v, durable(chaosCrashProfile(c.FaultRate), c.FaultSeed))
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	sys, st, err := runCrashWorkload(mcfg, cat)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	m := sys.Metrics()
-	p := chaosPoint(m)
-	p.Degraded = m.Degraded
-	p.Recoveries, p.Replayed, p.Quarantined = st.recoveries, st.replayed, st.quarantined
-	return p, nil
-}
-
-// fromServe fills the serving-plane columns.
-func (p *ChaosPoint) fromServe(m serve.Metrics) {
-	p.Completed, p.Sheds, p.Timeouts = m.Completed, m.Sheds, m.Timeouts
-	p.BreakerTrips, p.Degraded = m.BreakerTrips, m.Degraded
-}
-
-// auditChaosPoint replays it with SiteViewRot corrupting resident views at
-// the sweep rate and the integrity scrubber running in repair mode. The
-// run must end clean: a final verification pass with repair off may find
-// nothing, or the audit plane failed to converge and the sweep errors out.
-func auditChaosPoint(c Config, v multistore.Variant) (ChaosPoint, error) {
-	sys, err := c.newSystem(v, durable(faults.Profile{}.With(faults.SiteViewRot, c.FaultRate), c.FaultSeed))
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	scrub := audit.New(sys, audit.Config{
-		Interval: time.Millisecond, ChunkViews: 4, Repair: true,
-	})
-	scrub.Start()
-	_, err = runSQLs(sys, workload.SQLs())
-	scrub.Stop()
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	// Catch rot injected after the scrubber's last chunk, then verify.
-	if _, err := scrub.RunOnce(); err != nil {
-		return ChaosPoint{}, err
-	}
-	if viols, err := audit.RunOnce(sys, false); err != nil {
-		return ChaosPoint{}, err
-	} else if len(viols) > 0 {
-		return ChaosPoint{}, fmt.Errorf("%d violations survived the repair passes (first: %s)",
-			len(viols), viols[0])
-	}
-	m := sys.Metrics()
-	p := chaosPoint(m)
-	p.ViolationsDetected, p.ViolationsRepaired, p.ViolationsUnrepaired = m.AuditViolations, m.AuditRepaired, m.AuditUnrepaired
-	return p, nil
+// soakPhase is the serving soak's closed loop: sessions clients each
+// submitting the workload once, starting at their own offset.
+func soakPhase(sessions int) phase {
+	sqls := workload.SQLs()
+	return phase{name: "soak", closed: closedLoop{clients: sessions, count: len(sqls), next: func(session, i int, _ *rand.Rand) request {
+		return request{sql: sqls[(session+i)%len(sqls)]}
+	}}}
 }
 
 // chaosCrashProfile arms the crash-plane sites at the sweep rate: process
@@ -223,35 +71,68 @@ func chaosCrashProfile(rate float64) faults.Profile {
 		With(faults.SiteWALWrite, rate/10)
 }
 
-// WriteText renders the sweep as a table: TTI and its recovery share per
-// failure rate, for each variant and serving mode.
-func (r *ChaosResult) WriteText(w io.Writer) {
-	fprintf(w, "Chaos sweep: uniform failure rate vs TTI (seed %d)\n", r.Seed)
-	fprintf(w, "%6s %-10s %-6s %12s %12s %8s %8s %6s %6s %6s %9s %6s %8s %6s %6s %6s %6s %8s %6s %6s %6s\n",
-		"rate", "variant", "mode", "TTI(s)", "recovery(s)", "rec%", "retries", "fallbk", "sheds", "trips", "degraded",
-		"recov", "replayed", "quarn", "cancel", "memab", "panics", "cp99ms", "vdet", "vrep", "vunrep")
-	for _, p := range r.Points {
-		pct := 0.0
-		if p.TTI > 0 {
-			pct = 100 * p.Recovery / p.TTI
+// completed is the check of every sequential sweep row: the whole
+// workload produced a result.
+var completed = check{"completed", func(o *Outcome) (bool, string) {
+	n := len(workload.SQLs())
+	return o.System.Queries == n, fmt.Sprintf("%d of %d queries completed", o.System.Queries, n)
+}}
+
+// chaosRows builds the six rows at every rate. The crash row's rate-0 run
+// doubles as the journaling-overhead control: its TTI must equal the rate-0
+// seq row's (journaling charges no simulated time).
+func chaosRows(Config, Shape) (layout, []row, error) {
+	sqls := workload.SQLs()
+	var rows []row
+	for _, rate := range ChaosRates {
+		at := func(kind string, v multistore.Variant, mutate func(*multistore.Config)) row {
+			return row{name: fmt.Sprintf("%s %s %.0f%%", kind, v, 100*rate), desc: kind, variant: v, rate: rate, mutate: mutate,
+				phases: []phase{sequential(sqls)}, checks: []check{completed}}
 		}
-		fprintf(w, "%5.0f%% %-10s %-6s %12.1f %12.1f %7.1f%% %8d %6d %6d %6d %9d %6d %8d %6d %6d %6d %6d %8.1f %6d %6d %6d\n",
-			100*p.Rate, p.Variant, p.Mode, p.TTI, p.Recovery, pct,
-			p.Retries, p.Fallbacks, p.Sheds, p.BreakerTrips, p.Degraded,
-			p.Recoveries, p.Replayed, p.Quarantined,
-			p.Canceled, p.MemAborted, p.PanicsContained, p.CancelP99Ms,
-			p.ViolationsDetected, p.ViolationsRepaired, p.ViolationsUnrepaired)
+		uniform := armed(faults.Uniform(rate), chaosSeed)
+		basic, miso := at("seq", multistore.VariantMSBasic, uniform), at("seq", multistore.VariantMSMiso, uniform)
+		served := at("serve", multistore.VariantMSMiso, uniform)
+		served.serve, served.phases = chaosServe, []phase{soakPhase(chaosServeSessions)}
+		served.checks = []check{{"served", func(o *Outcome) (bool, string) {
+			return o.Serve.Completed > 0, fmt.Sprintf("%d of %d submissions completed", o.Serve.Completed, o.Serve.Submitted)
+		}}}
+		crash := at("crash", multistore.VariantMSMiso, durable(chaosCrashProfile(rate), chaosSeed))
+		crash.checks = append(crash.checks, crashChecks...)
+		govern := at("govern", multistore.VariantMSMiso, armed(governProfile(rate), chaosSeed))
+		govern.serve, govern.phases, govern.checks = governServe, []phase{cancelStorm(4, 16)}, nil
+		// SiteViewRot corrupts resident views at the sweep rate while the
+		// scrubber repairs; the row must end clean.
+		audited := at("audit", multistore.VariantMSMiso, durable(faults.Profile{}.With(faults.SiteViewRot, rate), chaosSeed))
+		audited.scrub = time.Millisecond
+		audited.checks = append(audited.checks, finalPassClean)
+		rows = append(rows, basic, miso, served, crash, govern, audited)
 	}
-	n := 0
-	if len(r.Points) > 0 {
-		n = r.Points[0].Completed
+	lay := layout{
+		title: fmt.Sprintf("Chaos sweep: uniform failure rate vs TTI (seed %d)", chaosSeed),
+		header: fmt.Sprintf("%6s %-10s %-6s %12s %12s %8s %8s %6s %6s %6s %9s %6s %8s %6s %6s %6s %6s %8s %6s %6s %6s",
+			"rate", "variant", "mode", "TTI(s)", "recovery(s)", "rec%", "retries", "fallbk", "sheds", "trips", "degraded",
+			"recov", "replayed", "quarn", "cancel", "memab", "panics", "cp99ms", "vdet", "vrep", "vunrep"),
+		line: func(o *Outcome) string {
+			m, s := o.System, o.Serve
+			pct := 0.0
+			if m.TTI() > 0 {
+				pct = 100 * m.Recovery / m.TTI()
+			}
+			return fmt.Sprintf("%5.0f%% %-10s %-6s %12.1f %12.1f %7.1f%% %8d %6d %6d %6d %9d %6d %8d %6d %6d %6d %6d %8.1f %6d %6d %6d",
+				100*o.Rate, o.Variant, o.Desc, m.TTI(), m.Recovery, pct,
+				m.Retries, m.Fallbacks, s.Sheds, s.BreakerTrips, m.Degraded,
+				o.Recovery.Recoveries, o.Recovery.Replayed, o.Recovery.Quarantined,
+				s.Canceled, s.Aborted, s.PanicsContained, o.CancelP99Ms,
+				m.AuditViolations, m.AuditRepaired, m.AuditUnrepaired)
+		},
+		footer: fmt.Sprintf("all %d-query sequential runs completed under every rate; serve rows add\n", len(sqls)) +
+			"admission sheds, DW breaker trips and degraded HV-only service; crash rows\n" +
+			"add process kills survived via checkpoint+WAL recovery (recoveries,\n" +
+			"replayed records, quarantined views); govern rows add caller cancellation,\n" +
+			"memory-budget aborts and contained worker panics with the p99\n" +
+			"cancel-to-idle latency; audit rows add bit-rot corruptions detected,\n" +
+			"self-healed and left unrepaired by the background integrity scrubber,\n" +
+			"on top of the retries, backoff and HV fallbacks charged by the fault plane\n",
 	}
-	fprintf(w, "all %d-query sequential runs completed under every rate; serve rows add\n", n)
-	fprintf(w, "admission sheds, DW breaker trips and degraded HV-only service; crash rows\n")
-	fprintf(w, "add process kills survived via checkpoint+WAL recovery (recoveries,\n")
-	fprintf(w, "replayed records, quarantined views); govern rows add caller cancellation,\n")
-	fprintf(w, "memory-budget aborts and contained worker panics with the p99\n")
-	fprintf(w, "cancel-to-idle latency; audit rows add bit-rot corruptions detected,\n")
-	fprintf(w, "self-healed and left unrepaired by the background integrity scrubber,\n")
-	fprintf(w, "on top of the retries, backoff and HV fallbacks charged by the fault plane\n")
+	return lay, rows, nil
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"miso/internal/faults"
 	"miso/internal/multistore"
-	"miso/internal/storage"
 	"miso/internal/workload"
 )
 
@@ -20,38 +17,6 @@ import (
 // check: a final checkpoint, a recovery from it, and a StateDigest
 // comparison that must find the twin byte-identical to the live system.
 
-// CrashPoint is one armed-site row of the sweep.
-type CrashPoint struct {
-	// Site is the armed injection site and Rate its per-draw probability.
-	Site string
-	Rate float64
-	// Crashes counts process deaths, Recoveries successful Recover calls
-	// (equal when the run completes), Replayed the WAL records applied
-	// across them, and TornBytes the unreadable WAL tails discarded.
-	Crashes    int
-	Recoveries int
-	Replayed   int
-	TornBytes  int
-	// Quarantined counts views removed during recovery (corrupt payloads
-	// plus stale generations); RolledBack counts in-flight reorgs and
-	// transfers undone.
-	Quarantined int
-	RolledBack  int
-	// RecoverySeconds is the simulated recovery time charged across all
-	// recoveries; TTI the final run total; Completed the queries served.
-	RecoverySeconds float64
-	TTI             float64
-	Completed       int
-	// CleanMatch reports the clean-shutdown byte-identity check.
-	CleanMatch bool
-}
-
-// CrashResult is the full sweep.
-type CrashResult struct {
-	Seed   int64
-	Points []CrashPoint
-}
-
 // crashCheckpointEvery is the sweep's checkpoint cadence: frequent enough
 // that replay tails stay short, sparse enough that replay actually happens.
 const crashCheckpointEvery = 4
@@ -60,19 +25,8 @@ const crashCheckpointEvery = 4
 // deaths means the harness is not making progress.
 const maxCrashes = 64
 
-// crashStats aggregates the recovery telemetry of one crash-harness run.
-type crashStats struct {
-	crashes     int
-	recoveries  int
-	replayed    int
-	torn        int
-	quarantined int
-	rolledBack  int
-	seconds     float64
-}
-
-// durable is the builder mutation of a crash-harness run: the given fault
-// profile and seed, and the durability plane enabled.
+// durable is the builder mutation of a crash-surviving row: the given
+// fault profile and seed, and the durability plane enabled.
 func durable(p faults.Profile, seed int64) func(*multistore.Config) {
 	return func(mc *multistore.Config) {
 		armed(p, seed)(mc)
@@ -80,111 +34,37 @@ func durable(p faults.Profile, seed int64) func(*multistore.Config) {
 	}
 }
 
-// runCrashWorkload drives the full workload through the crash harness: on
-// faults.ErrCrash the dead system is discarded, Recover rebuilds its state
-// from the last checkpoint and the WAL, invariants are re-checked, and the
-// killed query is resubmitted. Each recovery perturbs the seed so a
-// deterministic injector cannot replay the exact crash forever.
-func runCrashWorkload(cfg multistore.Config, cat *storage.Catalog) (*multistore.System, *crashStats, error) {
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, nil, err
+// recover replaces the dead system with one rebuilt from its last
+// checkpoint and the WAL, re-checks its invariants, and books the
+// recovery. Each recovery perturbs the seed so a deterministic injector
+// cannot replay the exact crash forever.
+func (d *driver) recover() error {
+	st := &d.rec
+	st.Crashes++
+	if st.Crashes > maxCrashes {
+		return fmt.Errorf("crash harness exceeded %d deaths", maxCrashes)
 	}
-	st := &crashStats{}
-	sqls := workload.SQLs()
-	for i := 0; i < len(sqls); {
-		_, err := sys.Run(sqls[i])
-		if err == nil {
-			i = sys.Metrics().Queries
-			continue
-		}
-		if !errors.Is(err, faults.ErrCrash) {
-			return nil, nil, err
-		}
-		st.crashes++
-		if st.crashes > maxCrashes {
-			return nil, nil, fmt.Errorf("experiments: crash harness exceeded %d deaths at query %d", maxCrashes, i)
-		}
-		mgr := sys.Durability()
-		if mgr == nil {
-			return nil, nil, fmt.Errorf("experiments: crash harness requires CheckpointEvery > 0")
-		}
-		rcfg := cfg
-		rcfg.FaultSeed = cfg.FaultSeed + int64(st.crashes)
-		recovered, rep, rerr := multistore.Recover(rcfg, sys.Catalog(), mgr.Latest(), mgr.WAL())
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("experiments: recovering from crash %d: %w", st.crashes, rerr)
-		}
-		if err := recovered.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("experiments: recovered system after crash %d: %w", st.crashes, err)
-		}
-		st.recoveries++
-		st.replayed += rep.ReplayedRecords
-		st.torn += rep.TornBytes
-		st.quarantined += len(rep.Quarantined)
-		st.rolledBack += rep.RolledBackReorgs + rep.RolledBackTransfers
-		st.seconds += rep.Seconds
-		sys = recovered
-		i = sys.Metrics().Queries
+	mgr := d.sys.Durability()
+	if mgr == nil {
+		return fmt.Errorf("crash harness requires CheckpointEvery > 0")
 	}
-	return sys, st, nil
-}
-
-// crashCases arms one site per row. View corruption does not kill the
-// process by itself, so its row keeps a serve-crash rate alongside —
-// recovery is what replays the corrupted durable copies and must
-// quarantine them.
-var crashCases = []struct {
-	site  faults.Site
-	rate  float64
-	extra faults.Site
-	xrate float64
-}{
-	{site: faults.SiteCrashServe, rate: 0.10},
-	{site: faults.SiteCrashTransfer, rate: 0.05},
-	{site: faults.SiteCrashReorg, rate: 0.25},
-	{site: faults.SiteWALWrite, rate: 0.01},
-	{site: faults.SiteViewCorrupt, rate: 0.20, extra: faults.SiteCrashServe, xrate: 0.10},
-}
-
-// CrashSweep runs the per-site crash-recovery sweep on MS-MISO.
-func CrashSweep(cfg Config) (*CrashResult, error) {
-	const seed = 42
-	res := &CrashResult{Seed: seed}
-	for _, cse := range crashCases {
-		p := faults.Profile{}.With(cse.site, cse.rate)
-		if cse.xrate > 0 {
-			p = p.With(cse.extra, cse.xrate)
-		}
-		mcfg, cat, err := cfg.multistoreConfig(multistore.VariantMSMiso, durable(p, seed))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: crash sweep %s: %w", cse.site, err)
-		}
-		sys, st, err := runCrashWorkload(mcfg, cat)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: crash sweep %s: %w", cse.site, err)
-		}
-		match, err := cleanShutdownMatches(mcfg, sys)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: crash sweep %s clean shutdown: %w", cse.site, err)
-		}
-		m := sys.Metrics()
-		res.Points = append(res.Points, CrashPoint{
-			Site:            cse.site.String(),
-			Rate:            cse.rate,
-			Crashes:         st.crashes,
-			Recoveries:      st.recoveries,
-			Replayed:        st.replayed,
-			TornBytes:       st.torn,
-			Quarantined:     st.quarantined,
-			RolledBack:      st.rolledBack,
-			RecoverySeconds: st.seconds,
-			TTI:             m.TTI(),
-			Completed:       m.Queries,
-			CleanMatch:      match,
-		})
+	rcfg := d.mcfg
+	rcfg.FaultSeed = d.mcfg.FaultSeed + int64(st.Crashes)
+	recovered, rep, err := multistore.Recover(rcfg, d.sys.Catalog(), mgr.Latest(), mgr.WAL())
+	if err != nil {
+		return fmt.Errorf("recovering from crash %d: %w", st.Crashes, err)
 	}
-	return res, nil
+	if err := recovered.CheckInvariants(); err != nil {
+		return fmt.Errorf("recovered system after crash %d: %w", st.Crashes, err)
+	}
+	st.Recoveries++
+	st.Replayed += rep.ReplayedRecords
+	st.TornBytes += rep.TornBytes
+	st.Quarantined += len(rep.Quarantined)
+	st.RolledBack += rep.RolledBackReorgs + rep.RolledBackTransfers
+	st.Seconds += rep.Seconds
+	d.sys = recovered
+	return nil
 }
 
 // cleanShutdownMatches checkpoints the live system, recovers a twin from
@@ -192,9 +72,6 @@ func CrashSweep(cfg Config) (*CrashResult, error) {
 // replay, recovery must reproduce the live state byte-identically.
 func cleanShutdownMatches(cfg multistore.Config, sys *multistore.System) (bool, error) {
 	ckpt := sys.Checkpoint()
-	if ckpt == nil {
-		return false, fmt.Errorf("durability disabled")
-	}
 	twin, rep, err := multistore.Recover(cfg, sys.Catalog(), ckpt, sys.Durability().WAL())
 	if err != nil {
 		return false, err
@@ -205,18 +82,63 @@ func cleanShutdownMatches(cfg multistore.Config, sys *multistore.System) (bool, 
 	return twin.StateDigest() == sys.StateDigest(), nil
 }
 
-// WriteText renders the sweep.
-func (r *CrashResult) WriteText(w io.Writer) {
-	fprintf(w, "Crash-recovery sweep: per-site process kills on MS-MISO (seed %d, checkpoint every %d ops)\n",
-		r.Seed, crashCheckpointEvery)
-	fprintf(w, "%-15s %5s %7s %6s %8s %6s %6s %7s %10s %12s %6s %6s\n",
-		"site", "rate", "crashes", "recov", "replayed", "torn", "quarn", "rolled", "recov(s)", "TTI(s)", "done", "clean")
-	for _, p := range r.Points {
-		fprintf(w, "%-15s %4.0f%% %7d %6d %8d %6d %6d %7d %10.1f %12.1f %6d %6v\n",
-			p.Site, 100*p.Rate, p.Crashes, p.Recoveries, p.Replayed, p.TornBytes,
-			p.Quarantined, p.RolledBack, p.RecoverySeconds, p.TTI, p.Completed, p.CleanMatch)
+// crashChecks are the checks of every crash-surviving row, after
+// completed: every death recovered, a recovery replays the journal, and
+// the clean-shutdown byte-identity check.
+var crashChecks = []check{{"recovered", func(o *Outcome) (bool, string) {
+	r := o.Recovery
+	return r.Recoveries == r.Crashes, fmt.Sprintf("%d crashes, %d recoveries", r.Crashes, r.Recoveries)
+}}, {"replayed", func(o *Outcome) (bool, string) {
+	r := o.Recovery
+	return r.Crashes == 0 || r.Replayed > 0, fmt.Sprintf("%d WAL records replayed across %d recoveries", r.Replayed, r.Recoveries)
+}}, {"clean", func(o *Outcome) (bool, string) {
+	return o.Clean, fmt.Sprintf("checkpoint -> recover -> equal state digests: %v", o.Clean)
+}}}
+
+// crashCases arms one site per row. View corruption does not kill the
+// process by itself, so its row keeps a serve-crash rate alongside —
+// recovery is what replays the corrupted durable copies and must
+// quarantine them.
+var crashCases = []struct {
+	site    faults.Site
+	rate    float64
+	profile faults.Profile
+	also    []check
+}{
+	{site: faults.SiteCrashServe, rate: 0.10},
+	{site: faults.SiteCrashTransfer, rate: 0.05},
+	{site: faults.SiteCrashReorg, rate: 0.25},
+	{site: faults.SiteWALWrite, rate: 0.01, also: []check{{"torn", func(o *Outcome) (bool, string) {
+		r := o.Recovery
+		return r.Crashes == 0 || r.TornBytes > 0, fmt.Sprintf("%d WAL-write crashes tore %d bytes", r.Crashes, r.TornBytes)
+	}}}},
+	{site: faults.SiteViewCorrupt, rate: 0.20, profile: faults.Profile{}.With(faults.SiteCrashServe, 0.10), also: []check{{"quarantined", func(o *Outcome) (bool, string) {
+		return o.Recovery.Quarantined > 0, fmt.Sprintf("%d corrupt views quarantined", o.Recovery.Quarantined)
+	}}}},
+}
+
+// crashRows is the per-site crash-recovery sweep on MS-MISO.
+func crashRows(Config, Shape) (layout, []row, error) {
+	var rows []row
+	for _, cse := range crashCases {
+		checks := append(append([]check{completed}, crashChecks...), cse.also...)
+		rows = append(rows, row{name: cse.site.String(), rate: cse.rate, mutate: durable(cse.profile.With(cse.site, cse.rate), chaosSeed),
+			phases: []phase{sequential(workload.SQLs())}, checks: checks})
 	}
-	fprintf(w, "every kill recovered from checkpoint+WAL, the dead query resubmitted, and\n")
-	fprintf(w, "invariants re-checked; 'clean' is the clean-shutdown byte-identity check\n")
-	fprintf(w, "(checkpoint -> recover -> equal state digests)\n")
+	lay := layout{
+		title: fmt.Sprintf("Crash-recovery sweep: per-site process kills on MS-MISO (seed %d, checkpoint every %d ops)",
+			chaosSeed, crashCheckpointEvery),
+		header: fmt.Sprintf("%-15s %5s %7s %6s %8s %6s %6s %7s %10s %12s %6s %6s",
+			"site", "rate", "crashes", "recov", "replayed", "torn", "quarn", "rolled", "recov(s)", "TTI(s)", "done", "clean"),
+		line: func(o *Outcome) string {
+			r := o.Recovery
+			return fmt.Sprintf("%-15s %4.0f%% %7d %6d %8d %6d %6d %7d %10.1f %12.1f %6d %6v",
+				o.Row, 100*o.Rate, r.Crashes, r.Recoveries, r.Replayed, r.TornBytes,
+				r.Quarantined, r.RolledBack, r.Seconds, o.System.TTI(), o.System.Queries, o.Clean)
+		},
+		footer: "every kill recovered from checkpoint+WAL, the dead query resubmitted, and\n" +
+			"invariants re-checked; 'clean' is the clean-shutdown byte-identity check\n" +
+			"(checkpoint -> recover -> equal state digests)\n",
+	}
+	return lay, rows, nil
 }

@@ -1,14 +1,17 @@
-// The load driver every serving harness shares. One driver submits
-// requests to one serve.Server and books each outcome in one tally through
-// one classifier; a harness is a configuration of it. There are two loop
-// shapes. Closed loop: N clients, each holding at most one query in flight,
-// optionally pausing a jittered think time between a response and the next
-// submission, until a per-client count is reached or a stop channel closes.
-// Open loop: every tenant offers its rate for a duration without waiting
-// for responses, paced by target count (want = rate × elapsed) rather than
-// per tick, so the offered load stays honest when the scheduler starves the
-// pacer and its ticker coalesces — a saturated 1-CPU box must still see
-// true overload.
+// The load driver every row of the scenario table runs through. One driver
+// submits requests to one serve.Server — or, for a sequential row, straight
+// to the system, one query at a time — and books each outcome in one tally
+// through one classifier. There are two loop shapes. Closed loop: N
+// clients, each holding at most one query in flight, optionally pausing a
+// jittered think time between a response and the next submission, until a
+// per-client count is reached or a stop channel closes. Open loop: every
+// tenant offers its rate for a duration without waiting for responses,
+// paced by target count (want = rate × elapsed) rather than per tick, so
+// the offered load stays honest when the scheduler starves the pacer and
+// its ticker coalesces — a saturated 1-CPU box must still see true
+// overload. Side traffic (the ETL storm, the endurance horizon, forced
+// reorganizations) is the driver's too: it runs beside a loop and stops
+// with it.
 package experiments
 
 import (
@@ -17,8 +20,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"miso/internal/data"
+	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
@@ -35,7 +41,7 @@ type request struct {
 	release func()
 }
 
-// outcome is what a submission came to, as the harnesses count it.
+// outcome is what a submission came to, as the tally counts it.
 type outcome int
 
 const (
@@ -51,7 +57,7 @@ const (
 	outHard
 )
 
-// classify maps what serve.Server returned to an outcome.
+// classify maps what serve.Server (or the system) returned to an outcome.
 func classify(err error) outcome {
 	switch {
 	case err == nil:
@@ -68,14 +74,26 @@ func classify(err error) outcome {
 	}
 }
 
-// tally is what one driver run counted. Its fields are read once the run
-// has returned.
+// tally is what one phase of a driver run counted; once the phase has
+// returned it is also the phase's record in its row's outcome.
 type tally struct {
-	mu sync.Mutex
-	// submitted counts dispatches; served + shed + failed counts
-	// resolutions, and equals submitted once the run has returned.
-	submitted, served, shed, failed int
-	tenantServed, tenantShed        map[string]int
+	mu   sync.Mutex
+	Name string `json:"name"`
+	// Submitted counts dispatches; Served + Shed + Failed counts
+	// resolutions, and equals Submitted once the run has returned.
+	Submitted    int            `json:"submitted"`
+	Served       int            `json:"served"`
+	Shed         int            `json:"shed"`
+	Failed       int            `json:"failed"`
+	TenantServed map[string]int `json:"tenant_served,omitempty"`
+	TenantShed   map[string]int `json:"tenant_shed,omitempty"`
+	// The summary of a finished phase (summarize).
+	Seconds      float64 `json:"seconds"`
+	OfferedQPS   float64 `json:"offered_qps,omitempty"`
+	GoodputQPS   float64 `json:"goodput_qps"`
+	P50Ms        float64 `json:"p50_ms"`
+	P99Ms        float64 `json:"p99_ms"`
+	CacheEntries int     `json:"cache_entries,omitempty"`
 	// latencies holds the wall-clock latency of every served query.
 	latencies []time.Duration
 	// hardErr is the first outHard error (or onResult error) seen.
@@ -84,7 +102,7 @@ type tally struct {
 
 func (t *tally) submit() {
 	t.mu.Lock()
-	t.submitted++
+	t.Submitted++
 	t.mu.Unlock()
 }
 
@@ -95,21 +113,21 @@ func (t *tally) record(tenant string, lat time.Duration, err error) int {
 	defer t.mu.Unlock()
 	switch classify(err) {
 	case outServed:
-		t.served++
-		t.tenantServed[tenant]++
+		t.Served++
+		t.TenantServed[tenant]++
 		t.latencies = append(t.latencies, lat)
 	case outShed:
-		t.shed++
-		t.tenantShed[tenant]++
+		t.Shed++
+		t.TenantShed[tenant]++
 	case outGoverned:
-		t.failed++
+		t.Failed++
 	case outHard:
-		t.failed++
+		t.Failed++
 		if t.hardErr == nil {
 			t.hardErr = fmt.Errorf("tenant %q: %w", tenant, err)
 		}
 	}
-	return t.served + t.shed + t.failed
+	return t.Served + t.Shed + t.Failed
 }
 
 // fail books err as the run's hard error unless one is already held.
@@ -126,8 +144,8 @@ func (t *tally) fail(err error) {
 func (t *tally) check() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.hardErr == nil && t.submitted != t.served+t.shed+t.failed {
-		return fmt.Errorf("tally: %d submitted != %d served + %d shed + %d failed", t.submitted, t.served, t.shed, t.failed)
+	if t.hardErr == nil && t.Submitted != t.Served+t.Shed+t.Failed {
+		return fmt.Errorf("tally: %d submitted != %d served + %d shed + %d failed", t.Submitted, t.Served, t.Shed, t.Failed)
 	}
 	return t.hardErr
 }
@@ -136,22 +154,51 @@ func (t *tally) check() error {
 // nearest-rank rule, the one every gate in the tree is calibrated to.
 func (t *tally) percentile(p int) time.Duration { return govern.Percentile(t.latencies, p) }
 
-// driver submits requests to srv and books what comes back. A harness
-// that makes several runs against one server gives each a fresh tally.
+// driver submits requests and books what comes back. A row that runs
+// several phases gives each a fresh tally.
 type driver struct {
-	srv   *serve.Server
+	// srv serves the row's queries; nil runs them on sys in order.
+	srv *serve.Server
+	sys *multistore.System
+	// mcfg is what sys was built from; a sequential row recovers from it
+	// after a simulated process death (recover), which replaces sys.
+	mcfg  multistore.Config
+	rec   RecoveryStats
 	tally *tally
 	// onResult, when set, sees every resolved query outside the tally
-	// lock: its completion ordinal, the request, and what the server
-	// returned. An error it returns is booked as a hard error.
+	// lock: its completion ordinal, the request, and what came back. An
+	// error it returns is booked as a hard error.
 	onResult func(n int, q request, rep *multistore.QueryReport, err error) error
+	// reorgEvery forces an online reorganization through the drain
+	// barrier after every n-th completion; 0 forces none.
+	reorgEvery int
 }
 
-func newTally() *tally {
-	return &tally{tenantServed: map[string]int{}, tenantShed: map[string]int{}}
+func newTally(name string) *tally {
+	return &tally{Name: name, TenantServed: map[string]int{}, TenantShed: map[string]int{}}
 }
 
-func newDriver(srv *serve.Server) *driver { return &driver{srv: srv, tally: newTally()} }
+func newDriver(srv *serve.Server, sys *multistore.System) *driver {
+	return &driver{srv: srv, sys: sys, tally: newTally("")}
+}
+
+// do runs one query through the server, or on the system when there is
+// none; there a simulated process death is survived by recovering the
+// system and resubmitting the query that died.
+func (d *driver) do(ctx context.Context, q request) (*multistore.QueryReport, error) {
+	if d.srv != nil {
+		return d.srv.DoAs(ctx, q.tenant, q.sql)
+	}
+	for {
+		rep, err := d.sys.RunContext(ctx, q.sql)
+		if !errors.Is(err, faults.ErrCrash) {
+			return rep, err
+		}
+		if err := d.recover(); err != nil {
+			return nil, err
+		}
+	}
+}
 
 // resolve runs one already-counted submission to completion.
 func (d *driver) resolve(q request) {
@@ -160,7 +207,7 @@ func (d *driver) resolve(q request) {
 		ctx = context.Background()
 	}
 	t0 := time.Now()
-	rep, err := d.srv.DoAs(ctx, q.tenant, q.sql)
+	rep, err := d.do(ctx, q)
 	lat := time.Since(t0)
 	if q.release != nil {
 		q.release()
@@ -171,21 +218,29 @@ func (d *driver) resolve(q request) {
 			d.tally.fail(err)
 		}
 	}
+	if d.reorgEvery > 0 && n%d.reorgEvery == 0 {
+		if err := d.srv.Reorganize(); err != nil {
+			d.tally.fail(fmt.Errorf("online reorg: %w", err))
+		}
+	}
 }
 
 // finish closes the server and returns its counters, provided the run's
-// verdict, the server's own accounting and the backend's catalog
-// invariants all hold.
-func (d *driver) finish(sys *multistore.System) (serve.Metrics, error) {
-	d.srv.Close()
-	m := d.srv.Metrics()
+// verdict, the server's own accounting and the system's catalog
+// invariants all hold. A sequential row has no server to check.
+func (d *driver) finish() (serve.Metrics, error) {
+	var m serve.Metrics
+	if d.srv != nil {
+		d.srv.Close()
+		m = d.srv.Metrics()
+	}
 	if err := d.tally.check(); err != nil {
 		return m, err
 	}
 	if err := m.Check(); err != nil {
 		return m, err
 	}
-	if err := sys.CheckInvariants(); err != nil {
+	if err := d.sys.CheckInvariants(); err != nil {
 		return m, fmt.Errorf("invariants: %w", err)
 	}
 	return m, nil
@@ -290,23 +345,96 @@ func (d *driver) open(ol openLoop) {
 	inflight.Wait()
 }
 
-// digestCheck is the onResult helper of the runs that compare answers: the
-// first digest observed for a SQL text pins it, and every later one —
-// from any client, from either of two systems — must equal it.
-type digestCheck struct {
-	mu    sync.Mutex
-	want  map[string]uint64
-	match bool
+// side is side traffic: it runs on its own goroutine beside a loop until
+// stop closes. A side that returns before then ends a closed loop early;
+// an error it returns fails the run.
+type side func(stop <-chan struct{}) error
+
+// load runs one phase's loop with its side traffic, and returns once the
+// loop and every side have ended.
+func (d *driver) load(ph phase, sides []side) {
+	stop, ended := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	for _, s := range sides {
+		wg.Add(1)
+		go func(s side) {
+			defer wg.Done()
+			if err := s(stop); err != nil {
+				d.tally.fail(err)
+			}
+			once.Do(func() { close(ended) })
+		}(s)
+	}
+	if ph.open.rates != nil {
+		d.open(ph.open)
+	} else {
+		cl := ph.closed
+		cl.stop = ended
+		d.closed(cl)
+	}
+	close(stop)
+	wg.Wait()
 }
 
-func newDigestCheck() *digestCheck { return &digestCheck{want: map[string]uint64{}, match: true} }
+// storm appends records to the tweets log in a tight loop — the update
+// path racing live queries through the backend's serialization.
+func (d *driver) storm(stop <-chan struct{}) error {
+	id := int64(10_000_000)
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		lines := make([]string, 0, 4)
+		for i := 0; i < 4; i++ {
+			id++
+			lines = append(lines, fmt.Sprintf(
+				`{"tweet_id":%d,"user_id":1,"ts":1357000000,"text":"storm #etl","hashtag":"etl","lang":"en","retweets":1,"followers":10}`, id))
+		}
+		if _, err := d.sys.AppendToLog(data.TweetsLog, lines); err != nil {
+			return fmt.Errorf("etl storm append: %w", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// horizon returns the side that ends an endurance loop once the system has
+// completed h.reorgs reorganizations and the server h.queries queries, or
+// once h.max has passed, which it reports through timedOut.
+func (d *driver) horizon(h horizon, timedOut *bool) side {
+	deadline := time.Now().Add(h.max)
+	return func(stop <-chan struct{}) error {
+		t := time.NewTicker(20 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return nil
+			case <-t.C:
+			}
+			if d.sys.Metrics().Reorgs >= h.reorgs && d.srv.Metrics().Completed >= h.queries {
+				return nil
+			}
+			if time.Now().After(deadline) {
+				*timedOut = true
+				return nil
+			}
+		}
+	}
+}
+
+// digestCheck pins answers across the rows of a mode: the first digest
+// observed for a SQL text pins it, and every later one — from any client,
+// from any pinning row — must equal it.
+type digestCheck struct {
+	want     sync.Map // SQL text -> digest
+	diverged atomic.Bool
+}
 
 func (c *digestCheck) observe(sql string, digest uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if want, ok := c.want[sql]; !ok {
-		c.want[sql] = digest
-	} else if want != digest {
-		c.match = false
+	if want, seen := c.want.LoadOrStore(sql, digest); seen && want != digest {
+		c.diverged.Store(true)
 	}
 }

@@ -40,13 +40,13 @@ func stubDriver(t *testing.T, b stubBackend) *driver {
 	t.Helper()
 	srv := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 4096}, b)
 	t.Cleanup(srv.Close)
-	return newDriver(srv)
+	return newDriver(srv, nil)
 }
 
 func checkTally(t *testing.T, tl *tally) {
 	t.Helper()
-	if tl.submitted != tl.served+tl.shed+tl.failed {
-		t.Fatalf("submitted %d != served %d + shed %d + failed %d", tl.submitted, tl.served, tl.shed, tl.failed)
+	if tl.Submitted != tl.Served+tl.Shed+tl.Failed {
+		t.Fatalf("submitted %d != served %d + shed %d + failed %d", tl.Submitted, tl.Served, tl.Shed, tl.Failed)
 	}
 }
 
@@ -78,11 +78,11 @@ func TestClosedLoopSubmitsClientsTimesCount(t *testing.T) {
 	}})
 	tl := d.tally
 	checkTally(t, tl)
-	if tl.submitted != 35 || tl.served != 35 || len(tl.latencies) != 35 {
-		t.Fatalf("submitted %d served %d latencies %d, want 35 each", tl.submitted, tl.served, len(tl.latencies))
+	if tl.Submitted != 35 || tl.Served != 35 || len(tl.latencies) != 35 {
+		t.Fatalf("submitted %d served %d latencies %d, want 35 each", tl.Submitted, tl.Served, len(tl.latencies))
 	}
 	for c := 0; c < 5; c++ {
-		if got := tl.tenantServed[fmt.Sprintf("t%d", c)]; got != 7 {
+		if got := tl.TenantServed[fmt.Sprintf("t%d", c)]; got != 7 {
 			t.Errorf("tenant t%d served %d, want 7", c, got)
 		}
 	}
@@ -106,7 +106,7 @@ func TestOpenLoopOffersRateTimesDuration(t *testing.T) {
 	// for a test box that starves the pacer over the last ticks.
 	for tenant, rate := range rates {
 		want := rate * dur.Seconds()
-		got := float64(tl.tenantServed[tenant])
+		got := float64(tl.TenantServed[tenant])
 		if got > want || got < 0.8*want-1 {
 			t.Errorf("tenant %s: offered %v, want at most %v and within a few ticks of it", tenant, got, want)
 		}
@@ -127,8 +127,8 @@ func TestThinkTimeAndStopEndARun(t *testing.T) {
 	}
 	tl := d.tally
 	checkTally(t, tl)
-	if tl.served < 3 || tl.served > 3*16 {
-		t.Fatalf("served %d, want between 3 and %d (think time must pace the clients)", tl.served, 3*16)
+	if tl.Served < 3 || tl.Served > 3*16 {
+		t.Fatalf("served %d, want between 3 and %d (think time must pace the clients)", tl.Served, 3*16)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestFirstHardErrorIsReturned(t *testing.T) {
 	}})
 	tl := d.tally
 	checkTally(t, tl)
-	if tl.served != 2 || tl.failed != 3 {
-		t.Fatalf("served %d failed %d, want 2 and 3", tl.served, tl.failed)
+	if tl.Served != 2 || tl.Failed != 3 {
+		t.Fatalf("served %d failed %d, want 2 and 3", tl.Served, tl.Failed)
 	}
 	if err := tl.check(); err == nil || !strings.Contains(err.Error(), "hard-1") {
 		t.Fatalf("first hard error = %v, want the one naming hard-1", err)

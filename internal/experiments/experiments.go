@@ -195,9 +195,12 @@ func (c Config) host() Host {
 	return Host{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(), Scale: scale}
 }
 
-// WriteJSON renders a machine-readable report (one of the BENCH_*.json
-// artifacts: BenchReport, GovernReport, ScenarioReport, CacheReport,
-// EnduranceReport) as indented JSON.
+func (h Host) String() string {
+	return fmt.Sprintf("%s/%s, %d CPU, scale=%s", h.GOOS, h.GOARCH, h.NumCPU, h.Scale)
+}
+
+// WriteJSON renders a machine-readable report (a mode's Report, written
+// as its BENCH_*.json artifact) as indented JSON.
 func WriteJSON(w io.Writer, report any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

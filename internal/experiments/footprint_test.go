@@ -24,13 +24,8 @@ func TestServedFootprintIsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 8}, sys)
-	d := newDriver(srv)
-	d.onResult = func(n int, _ request, _ *multistore.QueryReport, _ error) error {
-		if n%100 != 0 {
-			return nil
-		}
-		return srv.Reorganize()
-	}
+	d := newDriver(srv, sys)
+	d.reorgEvery = 100
 	sqls := workload.SQLs()
 	type footprint struct {
 		heapMB              float64
@@ -50,7 +45,7 @@ func TestServedFootprintIsFlat(t *testing.T) {
 		if got := sys.Metrics().Queries; got != served {
 			t.Fatalf("answered %d of %d queries", got, served)
 		}
-		d.tally = newTally()
+		d.tally = newTally("")
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -68,7 +63,7 @@ func TestServedFootprintIsFlat(t *testing.T) {
 	if at10k.reports != at1k.reports {
 		t.Errorf("len(Reports()) went from %d to %d", at1k.reports, at10k.reports)
 	}
-	if _, err := d.finish(sys); err != nil {
+	if _, err := d.finish(); err != nil {
 		t.Fatal(err)
 	}
 }
