@@ -6,9 +6,9 @@ import "sync"
 // opaque snapshot owned by the multistore package (design, view metadata,
 // budgets, sliding workload window, TTI accounting); durability only needs
 // the LSN to know where replay resumes. In a real deployment State would be
-// a serialized byte image — here it is a deep-cloned in-memory snapshot,
-// which keeps the same recovery semantics (the checkpoint shares no mutable
-// structure with the live system) without a logical-plan serializer.
+// a serialized byte image — here it is an in-memory snapshot with the same
+// recovery semantics, sharing with the live system only what nothing writes
+// after it is built, without a logical-plan serializer.
 type Checkpoint struct {
 	// LSN is the WAL byte offset at checkpoint time: every record at or
 	// past it post-dates the checkpoint and must be replayed.

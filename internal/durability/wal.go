@@ -10,8 +10,8 @@ import (
 
 // WAL is the append-only write-ahead log plus the durable view payload
 // space. Records carry the design mutations; payloads carry the view bytes
-// an admit record points at, cloned so that later mutation (or injected
-// corruption) of the durable copy never touches the live design.
+// an admit record points at, each a View struct of its own over the live
+// view's write-once table (see PutPayload).
 //
 // Both fault sites the WAL owns are drawn at write time, mirroring when
 // real storage breaks: SiteWALWrite tears the append (only a seeded prefix
@@ -158,13 +158,14 @@ func Fold(recs []*Record) Durable {
 	return d
 }
 
-// PutPayload stores the durable copy of an admitted view. The copy is
-// deep-cloned; when SiteViewCorrupt fires, one value inside the stored
-// clone is flipped (size-preserving), so the payload's recomputed checksum
-// no longer matches the admit record and recovery quarantines the view.
+// PutPayload stores the durable copy of an admitted view, sharing its table.
+// When SiteViewCorrupt fires, the payload gets a copy of the table with one
+// value flipped (size-preserving), so its recomputed checksum no longer
+// matches the admit record and recovery quarantines the view.
 func (w *WAL) PutPayload(v *views.View) {
 	c := v.Clone()
-	if failed, frac := w.inj.Check(faults.SiteViewCorrupt); failed {
+	if failed, frac := w.inj.Check(faults.SiteViewCorrupt); failed && c.Table != nil {
+		c.Table = c.Table.Clone()
 		CorruptTable(c.Table, frac)
 	}
 	w.mu.Lock()
@@ -184,7 +185,8 @@ func (w *WAL) Payload(name string) (*views.View, bool) {
 // changing its encoded size (so byte accounting stays intact and only the
 // checksum betrays the damage): the one model of silent damage, applied by
 // SiteViewCorrupt to a durable payload here and by SiteViewRot to a live
-// view in multistore. Tables with no mutable value are left unchanged.
+// view in multistore, each to a Table.Clone nothing else holds. Tables
+// with no mutable value are left unchanged.
 func CorruptTable(t *storage.Table, frac float64) {
 	if t == nil {
 		return

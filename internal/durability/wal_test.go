@@ -176,7 +176,10 @@ func testView(t *testing.T, name string) *views.View {
 	return &views.View{Name: name, Table: tbl, Checksum: storage.ChecksumTable(tbl)}
 }
 
-func TestPayloadCloneIsolation(t *testing.T) {
+// TestCleanPayloadSharesLiveTable: with no corruption drawn, the payload
+// holds the live view's write-once table rather than a copy, in a View
+// struct of its own that the live view's later writes do not reach.
+func TestCleanPayloadSharesLiveTable(t *testing.T) {
 	w := NewWAL(nil)
 	v := testView(t, "v_payload")
 	w.PutPayload(v)
@@ -184,11 +187,12 @@ func TestPayloadCloneIsolation(t *testing.T) {
 	if !ok {
 		t.Fatal("payload missing")
 	}
-	if stored == v || stored.Table == v.Table {
-		t.Fatal("payload shares structure with the live view")
+	if stored == v || stored.Table != v.Table {
+		t.Fatal("clean payload is not its own struct over the live table")
 	}
-	if !stored.Verify() {
-		t.Error("clean payload fails verification")
+	v.Table, v.LastUsedSeq = nil, 9
+	if stored.Table == nil || stored.LastUsedSeq == 9 || !stored.Verify() {
+		t.Error("a write to the live view reached the payload")
 	}
 }
 

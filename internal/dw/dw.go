@@ -92,12 +92,12 @@ func NewStore(cfg Config, est *stats.Estimator) *Store {
 }
 
 // StageTemp registers a migrated working set under the given name in
-// temporary table space (not part of the physical design).
+// temporary table space (not part of the physical design). ExecuteContext
+// records its statistic, at the ViewScan leaf that reads it.
 func (s *Store) StageTemp(name string, t *storage.Table) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.temp[name] = t
-	s.mu.Unlock()
-	s.est.RecordView(name, stats.Stat{Rows: int64(t.NumRows()), Bytes: t.LogicalBytes()})
 }
 
 // ClearTemp discards all temporary tables (end of query).

@@ -123,7 +123,7 @@ func runNode(n *logical.Node, env *Env, inputs []*storage.Table) (*storage.Table
 }
 
 func newOutput(n *logical.Node, inputs ...*storage.Table) *storage.Table {
-	t := storage.NewTable(n.Signature(), n.Schema().Clone())
+	t := storage.NewTable(n.Signature(), n.Schema())
 	for _, in := range inputs {
 		if in != nil && in.ScaleFactor > t.ScaleFactor {
 			t.ScaleFactor = in.ScaleFactor

@@ -373,7 +373,7 @@ func newScanSource(n *logical.Node, env *Env, pool *scanBufs) (fusedSource, erro
 			ls.fields = append(ls.fields, scanField{name: f.LogField, col: i, kind: f.Type})
 		}
 	}
-	in := storage.NewTable(n.Signature(), n.Schema().Clone())
+	in := storage.NewTable(n.Signature(), n.Schema())
 	in.ScaleFactor = log.ScaleFactor
 	return fusedSource{in: in, scan: ls}, nil
 }

@@ -369,7 +369,7 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 		// Filter.
 		f := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
 			Pred: propPred(rng, left.Schema, 3)}
-		f.SetSchema(left.Schema.Clone())
+		f.SetSchema(left.Schema)
 		plans = append(plans, f)
 
 		// Project.
@@ -383,7 +383,7 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 
 		// Distinct.
 		d := &logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{scanL()}}
-		d.SetSchema(left.Schema.Clone())
+		d.SetSchema(left.Schema)
 		plans = append(plans, d)
 
 		// Sort (full-row tie-break makes any key set deterministic).
@@ -394,7 +394,7 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 				Desc: rng.Intn(2) == 0}
 		}
 		srt := &logical.Node{Kind: logical.KindSort, Children: []*logical.Node{scanL()}, SortKeys: keys}
-		srt.SetSchema(left.Schema.Clone())
+		srt.SetSchema(left.Schema)
 		plans = append(plans, srt)
 
 		// Join on same-kind key columns when the tables share one.
@@ -426,13 +426,13 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 		// exercised through exec.Run's fusion hook.
 		cf := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
 			Pred: propPred(rng, left.Schema, 2)}
-		cf.SetSchema(left.Schema.Clone())
+		cf.SetSchema(left.Schema)
 		cprojs, cps := propProjs(rng, left.Schema, "q", 2)
 		cp := &logical.Node{Kind: logical.KindProject, Children: []*logical.Node{cf}, Projs: cprojs}
 		cp.SetSchema(cps)
 		chain := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{cp},
 			Pred: propPred(rng, cps, 2)}
-		chain.SetSchema(cps.Clone())
+		chain.SetSchema(cps)
 		if rng.Intn(2) == 0 {
 			plans = append(plans, propAggregate(rng, chain))
 		} else {

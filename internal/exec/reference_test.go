@@ -71,7 +71,7 @@ func runExtract(n *logical.Node, env *Env) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := storage.NewTable(n.Signature(), n.Schema().Clone())
+	out := storage.NewTable(n.Signature(), n.Schema())
 	out.ScaleFactor = log.ScaleFactor
 	// Precompile computed (UDF) fields against the extract schema; they
 	// reference plain fields, which come first.

@@ -381,37 +381,16 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 
 // ExpandViews rewrites ViewScan leaves back to their base-data definitions,
 // producing a definition whose signature matches raw (unrewritten) plans.
-// Returns nil when a referenced view is unknown to this store.
+// Returns nil when a referenced view is unknown to this store. The result
+// is Normalize's copy, the only one made: n and the spliced definitions are
+// read, never copied or written.
 func (s *Store) ExpandViews(n *logical.Node) *logical.Node {
-	if n.Kind == logical.KindViewScan {
-		v, ok := s.Views.Get(n.ViewName)
-		if !ok {
-			return nil
+	return logical.NormalizeExpanded(n, func(name string) *logical.Node {
+		if v, ok := s.Views.Get(name); ok {
+			return v.Def
 		}
-		return logical.Normalize(v.Def.Clone())
-	}
-	c := n.Clone()
-	if s.expandInPlace(c) == nil {
 		return nil
-	}
-	return logical.Normalize(c)
-}
-
-func (s *Store) expandInPlace(n *logical.Node) *logical.Node {
-	for i, c := range n.Children {
-		if c.Kind == logical.KindViewScan {
-			v, ok := s.Views.Get(c.ViewName)
-			if !ok {
-				return nil
-			}
-			n.Children[i] = v.Def.Clone()
-			continue
-		}
-		if s.expandInPlace(c) == nil {
-			return nil
-		}
-	}
-	return n
+	})
 }
 
 // CostPlan estimates the simulated execution time of the plan without

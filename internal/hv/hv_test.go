@@ -150,6 +150,74 @@ func TestExpandViewsRestoresRawDefinition(t *testing.T) {
 	}
 }
 
+// spliceCopy is the reference expansion: every node of the plan and of each
+// spliced definition copied, to be normalized afterwards. ExpandViews, which
+// copies only inside Normalize, must agree with it.
+func spliceCopy(n *logical.Node, store *hv.Store) *logical.Node {
+	if n.Kind == logical.KindViewScan {
+		v, _ := store.Views.Get(n.ViewName)
+		n = v.Def
+	}
+	c := n.CloneShallow()
+	for i, ch := range c.Children {
+		c.Children[i] = spliceCopy(ch, store)
+	}
+	return c
+}
+
+// TestExpandViewsSelfJoinIsATree: a plan that reads one view on both sides
+// of a join splices the one shared definition twice, and still expands
+// into a tree — MaterializedNodes and exec.RunPlan key on node pointers —
+// with the signature the copying expansion gave it.
+func TestExpandViewsSelfJoinIsATree(t *testing.T) {
+	_, b, store := setup(t)
+	plan := build(t, b, `SELECT a.tweet_id FROM tweets a JOIN checkins c ON a.user_id = c.user_id
+		WHERE a.lang = 'en'`)
+	if _, err := store.ExecuteContext(context.Background(), plan, 1); err != nil {
+		t.Fatal(err)
+	}
+	var join *logical.Node
+	plan.Walk(func(n *logical.Node) {
+		if n.Kind == logical.KindJoin {
+			join = n
+		}
+	})
+	if join == nil {
+		t.Fatal("plan has no join")
+	}
+	// The join's left input, captured as a view, joined with itself: raw
+	// reads the input subtree twice, rw reads its view twice.
+	m, ok := store.Views.BestMatch(join.Child(0))
+	if !ok || !m.Exact {
+		t.Fatal("join input not captured as a view")
+	}
+	raw, rw := join.CloneShallow(), join.CloneShallow()
+	raw.RightKeys, rw.RightKeys = join.LeftKeys, join.LeftKeys
+	raw.Children = []*logical.Node{join.Child(0), join.Child(0)}
+	for i := range rw.Children {
+		if rw.Children[i], _ = m.Rewrite(); rw.Children[i].Kind != logical.KindViewScan {
+			t.Fatalf("join input rewrote to %v", rw.Children[i].Kind)
+		}
+	}
+	expanded := store.ExpandViews(rw)
+	if expanded == nil {
+		t.Fatal("expansion failed")
+	}
+	seen := map[*logical.Node]bool{}
+	expanded.Walk(func(n *logical.Node) {
+		if seen[n] {
+			t.Fatalf("node %s appears twice in the expansion", n.Signature())
+		}
+		seen[n] = true
+	})
+	if want := logical.Normalize(spliceCopy(rw, store)).Signature(); expanded.Signature() != want {
+		t.Errorf("expanded signature differs from the copying expansion:\n%s\n%s", expanded.Signature(), want)
+	}
+	if expanded.Signature() != raw.Signature() {
+		t.Errorf("expanded signature differs from the raw self-join:\n%s\n%s", expanded.Signature(), raw.Signature())
+	}
+}
+
 func TestCostScalesWithClusterSize(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {

@@ -537,7 +537,7 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 	}
 
 	if q.Distinct {
-		plan = newUnary(KindDistinct, plan, plan.Schema().Clone())
+		plan = newUnary(KindDistinct, plan, plan.Schema())
 	}
 
 	// 10. ORDER BY over the projected schema.
@@ -566,13 +566,13 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 			}
 			keys = append(keys, SortKey{Expr: key, Desc: o.Desc})
 		}
-		sorted := newUnary(KindSort, plan, plan.Schema().Clone())
+		sorted := newUnary(KindSort, plan, plan.Schema())
 		sorted.SortKeys = keys
 		plan = sorted
 	}
 
 	if q.Limit >= 0 {
-		lim := newUnary(KindLimit, plan, plan.Schema().Clone())
+		lim := newUnary(KindLimit, plan, plan.Schema())
 		lim.LimitN = q.Limit
 		plan = lim
 	}
@@ -994,7 +994,7 @@ func newFilter(child *Node, pred expr.Expr) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{Kind: KindFilter, Children: []*Node{child}, Pred: pred}
-	n.SetSchema(child.Schema().Clone())
+	n.SetSchema(child.Schema())
 	return n, nil
 }
 
@@ -1089,7 +1089,7 @@ func newAggregate(child *Node, groups []Proj, aggs []AggSpec) (*Node, error) {
 // NewViewScan builds a leaf that reads a materialized view.
 func NewViewScan(name string, sch *storage.Schema) *Node {
 	n := &Node{Kind: KindViewScan, ViewName: name, ViewSchema: sch}
-	n.SetSchema(sch.Clone())
+	n.SetSchema(sch)
 	return n
 }
 

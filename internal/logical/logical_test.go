@@ -230,21 +230,23 @@ func TestSignatureStability(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestCloneShallowIndependence(t *testing.T) {
 	n := build(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	c1 := n.Clone()
-	if c1.Signature() != n.Signature() {
+	want := n.Signature()
+	c1 := n.CloneShallow()
+	if c1.Signature() != want {
 		t.Error("clone signature differs")
 	}
-	// Mutate a fresh clone before its signature is memoized: the change
-	// must be reflected, and the original must be unaffected.
-	c2 := n.Clone()
+	// Overwrite a child slot of a fresh clone after the original's
+	// signature is memoized: the change must be reflected, and the
+	// original must be unaffected.
+	c2 := n.CloneShallow()
 	c2.Children[0] = c2.Children[0].Children[0] // drop the filter
-	if c2.Signature() == n.Signature() {
-		t.Error("mutated clone kept the original signature")
+	if c2.Signature() == want {
+		t.Error("rewritten clone kept the original signature")
 	}
-	if n.Signature() != c1.Signature() {
-		t.Error("original signature changed")
+	if n.Signature() != want || n.Children[0].Kind != KindFilter {
+		t.Error("original changed")
 	}
 }
 

@@ -12,12 +12,27 @@ import (
 // acquire exactly the signature a raw plan for the same relation would
 // have, which is what makes opportunistic views created from rewritten
 // plans matchable by future raw queries.
-func Normalize(n *Node) *Node {
+func Normalize(n *Node) *Node { return NormalizeExpanded(n, nil) }
+
+// NormalizeExpanded is Normalize over n with each ViewScan leaf replaced by
+// def's subtree for its view, or nil if def has none for one. The subtrees
+// are only read: Normalize's copy is the one copy made, so a subtree spliced
+// at two leaves comes out as two disjoint copies and the result is a tree.
+func NormalizeExpanded(n *Node, def func(view string) *Node) *Node {
+	if n.Kind == KindViewScan && def != nil {
+		d := def(n.ViewName)
+		if d == nil {
+			return nil
+		}
+		return Normalize(d)
+	}
 	c := *n
 	c.sig = ""
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
-		c.Children[i] = Normalize(ch)
+		if c.Children[i] = NormalizeExpanded(ch, def); c.Children[i] == nil {
+			return nil
+		}
 	}
 	switch c.Kind {
 	case KindFilter:

@@ -368,28 +368,11 @@ func (n *Node) render(b *strings.Builder, depth int) {
 	}
 }
 
-// Clone deep-copies the plan tree. Expressions and schemas are shared
-// (both are immutable once built).
-func (n *Node) Clone() *Node {
-	c := *n
-	c.sig = ""
-	c.Children = make([]*Node, len(n.Children))
-	for i, ch := range n.Children {
-		c.Children[i] = ch.Clone()
-	}
-	// The schema pointer is shared: schemas are immutable once built —
-	// every rewrite installs a freshly constructed schema via SetSchema —
-	// so the deep copy was pure overhead on the optimizer's clone-heavy
-	// plan enumeration path.
-	return &c
-}
-
-// CloneShallow copies only the node itself: the schema pointer is shared
-// (as in Clone) and Children is a fresh slice still holding the original
-// child pointers. Rewrites that overwrite every child slot use it to
-// avoid cloning subtrees that are about to be replaced; unchanged
-// subtrees are then shared between the original and rewritten plans,
-// which is safe because plan nodes are never mutated after construction.
+// CloneShallow copies only the node itself, the rewrite primitive: schema
+// and expressions are shared, and Children is a fresh slice still holding
+// the original child pointers, for the caller to overwrite. Unchanged
+// subtrees are shared between the original and rewritten plans, which is
+// safe because plan nodes are never mutated after construction.
 func (n *Node) CloneShallow() *Node {
 	c := *n
 	c.sig = ""

@@ -461,9 +461,10 @@ func (s *System) QuarantineTombstones() []string {
 // fires, one resident recomputable view's table is silently replaced by a
 // clone with a single value flipped (size-preserving) while its catalog
 // checksum is left stale — damage no query path notices until a checksum
-// audit re-verifies it. Victim choice is deterministic in the draw's
-// fraction over the sorted resident view names. A zero rate draws no
-// randomness. Callers hold s.mu.
+// audit re-verifies it; the original, shared with checkpoints and payloads,
+// stays intact. Victim choice is deterministic in the draw's fraction over
+// the sorted resident view names. A zero rate draws no randomness. Callers
+// hold s.mu.
 func (s *System) maybeRot() {
 	failed, frac := s.inj.Check(faults.SiteViewRot)
 	if !failed {

@@ -261,12 +261,12 @@ func (s *System) quarantineStale() {
 	}
 }
 
-// snapshot is the checkpoint state: a deep-cloned image of everything a
-// restart needs — design and view metadata, budgets travel in Config,
-// sliding workload window, TTI accounting, variant progress flags, reorg
-// history, and the report log (retained reports, evicted count and fold).
-// Result tables are shared, not cloned: they are write-once and immutable
-// after execution.
+// snapshot is the checkpoint state: an image of everything a restart
+// needs — design and view metadata, budgets travel in Config, sliding
+// workload window, TTI accounting, variant progress flags, reorg history,
+// and the report log (retained reports, evicted count and fold). Booked
+// reports and view tables are shared: nothing writes them after they are
+// built. Each view is its own View struct (View.Clone).
 type snapshot struct {
 	Variant  Variant
 	Seq      int
@@ -292,7 +292,7 @@ type snapEntry struct {
 	SQL string
 }
 
-// snapshotLocked deep-clones the system state. Callers hold s.mu.
+// snapshotLocked images the system state. Callers hold s.mu.
 func (s *System) snapshotLocked() *snapshot {
 	sn := &snapshot{
 		Variant:  s.cfg.Variant,
@@ -314,14 +314,14 @@ func (s *System) snapshotLocked() *snapshot {
 	for _, e := range s.future {
 		sn.Future = append(sn.Future, snapEntry{Seq: e.Seq, SQL: e.SQL})
 	}
-	sn.Reports = s.reports.copies()
+	s.reports.each(func(r *QueryReport) { sn.Reports = append(sn.Reports, r) })
 	sn.Evicted, sn.EvictedFold = s.reports.evicted, s.reports.fold
 	return sn
 }
 
 // restoreSnapshot installs a checkpoint image into a freshly constructed
-// system. View and report structures are cloned again on the way in, so
-// the recovered system never shares mutable state with the checkpoint.
+// system. Each view gets its own View struct again on the way in, so the
+// recovered system's writes to a view never reach the checkpoint.
 func (s *System) restoreSnapshot(sn *snapshot) error {
 	s.seq = sn.Seq
 	s.metrics = sn.Metrics
@@ -359,7 +359,7 @@ func (s *System) restoreSnapshot(sn *snapshot) error {
 	}
 	s.reports = reportLog{evicted: sn.Evicted, fold: sn.EvictedFold}
 	for _, r := range sn.Reports {
-		s.reports.add(r.clone())
+		s.reports.add(r)
 	}
 	return nil
 }

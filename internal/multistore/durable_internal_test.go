@@ -1,0 +1,79 @@
+package multistore
+
+// White-box tests of what the durability plane shares with the live system:
+// a checkpoint and a WAL payload hold their own View structs over the live
+// views' write-once tables, so taking one costs nothing per row, and the
+// one write that replaces a live table — bit rot — never reaches them.
+
+import (
+	"testing"
+
+	"miso/internal/faults"
+	"miso/internal/views"
+)
+
+// TestCheckpointAllocsIndependentOfRows guards the sharing: a checkpoint
+// of a warm MS-MISO system allocates fewer times than its resident views
+// hold rows, where copying every view's table allocates once per row.
+func TestCheckpointAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 4 })
+	runPrefix(t, sys, 32)
+	rows := 0
+	for _, st := range sys.stores() {
+		for _, v := range st.views.All() {
+			if v.Table != nil {
+				rows += v.Table.NumRows()
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { sys.Checkpoint() })
+	t.Logf("checkpoint: %.0f allocations, %d rows in resident views", allocs, rows)
+	if allocs >= float64(rows) {
+		t.Fatalf("a checkpoint allocates %.0f times over %d resident rows", allocs, rows)
+	}
+}
+
+// TestRotLeavesCheckpointCopyIntact: SiteViewRot swaps a corrupted copy
+// into the live view, so the latest checkpoint's copy of the rotted view,
+// and its WAL payload, still verify.
+func TestRotLeavesCheckpointCopyIntact(t *testing.T) {
+	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 4 })
+	runPrefix(t, sys, 6)
+	ck := sys.Checkpoint()
+	sys.mu.Lock()
+	sys.inj = faults.NewInjector(faults.Profile{}.With(faults.SiteViewRot, 1), 1)
+	sys.maybeRot()
+	sys.mu.Unlock()
+	rots := sys.RotLog()
+	if len(rots) != 1 {
+		t.Fatalf("rot log %v, want one entry", rots)
+	}
+	name := rots[0].Name
+
+	var live, kept *views.View
+	for i, st := range sys.stores() {
+		if v, ok := st.views.Get(name); ok {
+			live = v
+		}
+		for _, v := range ck.State.(*snapshot).Views[i] {
+			if v.Name == name {
+				kept = v
+			}
+		}
+	}
+	if live == nil || kept == nil {
+		t.Fatalf("rotted view %s: live %v, in checkpoint %v", name, live != nil, kept != nil)
+	}
+	if live.Verify() {
+		t.Fatal("rot did not reach the live view")
+	}
+	if !kept.Verify() {
+		t.Error("rot reached the checkpoint's copy")
+	}
+	if p, ok := sys.dur.WAL().Payload(name); ok && !p.Verify() {
+		t.Error("rot reached the WAL payload")
+	}
+}

@@ -123,7 +123,7 @@ func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report
 
 // replayAdmit restores one journaled view admission from the WAL's durable
 // payload space, verifying its content against the admit record's checksum
-// before it may rejoin the design.
+// before it may rejoin the design, as a View struct of its own.
 func (s *System) replayAdmit(wal *durability.WAL, rec *durability.Record, report *durability.RecoveryReport) {
 	payload, ok := wal.Payload(rec.Name)
 	if !ok {

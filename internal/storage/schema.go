@@ -12,7 +12,8 @@ type Column struct {
 }
 
 // Schema is an ordered list of columns. Column names are case-sensitive and
-// unique within a schema.
+// unique within a schema. A schema is immutable once built: plan nodes and
+// the tables they produce share one pointer and never write Columns.
 type Schema struct {
 	Columns []Column
 }
@@ -108,11 +109,4 @@ func (s *Schema) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	cols := make([]Column, len(s.Columns))
-	copy(cols, s.Columns)
-	return &Schema{Columns: cols}
 }

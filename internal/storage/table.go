@@ -31,8 +31,8 @@ func (r Row) EncodedSize() int64 {
 //
 // Tables are write-once: built by an operator or loader, then never
 // mutated. That immutability is what lets snapshot accessors (for
-// example multistore.System.Reports) share Table pointers across
-// goroutines without copying or locking.
+// example multistore.System.Reports), checkpoints and WAL payloads share
+// Table pointers across goroutines without copying or locking.
 type Table struct {
 	Name        string
 	Schema      *Schema
@@ -113,12 +113,13 @@ func (t *Table) AvgRowBytes() int64 {
 	return t.bytes / int64(len(t.Rows))
 }
 
-// Clone deep-copies the table (rows share Value structs, which are
-// immutable).
+// Clone copies the table's rows so the copy's values can be written without
+// touching the original; the schema is shared. Tables are write-once, so it
+// is called only where a fault corrupts a copy (durability.CorruptTable).
 func (t *Table) Clone() *Table {
 	c := &Table{
 		Name:        t.Name,
-		Schema:      t.Schema.Clone(),
+		Schema:      t.Schema,
 		Rows:        make([]Row, len(t.Rows)),
 		ScaleFactor: t.ScaleFactor,
 		bytes:       t.bytes,

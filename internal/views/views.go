@@ -25,7 +25,7 @@ type View struct {
 	Name string
 	// Sig is the canonical signature of the defining subtree.
 	Sig string
-	// Def is the defining logical subtree (owned clone).
+	// Def is the defining logical subtree, as handed to New.
 	Def *logical.Node
 	// Desc is the subsumption descriptor of Def (logical.DescribeView).
 	Desc *logical.Descriptor
@@ -59,13 +59,14 @@ func NameForSig(sig string) string {
 }
 
 // New creates a view from a defining subtree and its materialization,
-// stamping the content checksum.
+// stamping the content checksum. The view keeps def and table, which, like
+// every built plan node and table, nothing writes afterwards.
 func New(def *logical.Node, table *storage.Table, seq int) *View {
 	sig := def.Signature()
 	return &View{
 		Name:        NameForSig(sig),
 		Sig:         sig,
-		Def:         def.Clone(),
+		Def:         def,
 		Desc:        logical.DescribeView(def),
 		Table:       table,
 		CreatedSeq:  seq,
@@ -141,23 +142,14 @@ func (v *View) SizeBytes() int64 {
 	return v.Table.LogicalBytes()
 }
 
-// Clone deep-copies the view: the definition and table are cloned, the
-// generation stamps copied. The descriptor is shared — it is derived from
-// the definition and immutable after creation.
+// Clone copies the view struct and nothing below it: the definition,
+// descriptor, table and generation stamps are shared, since none is written
+// once the view is installed. The two fields that are — LastUsedSeq (query
+// bookkeeping) and the Table pointer (bit rot swaps in a corrupted copy) —
+// are the clone's own, so a checkpoint or WAL payload holding a clone keeps
+// the values it was taken with.
 func (v *View) Clone() *View {
 	c := *v
-	if v.Def != nil {
-		c.Def = v.Def.Clone()
-	}
-	if v.Table != nil {
-		c.Table = v.Table.Clone()
-	}
-	if v.LogGens != nil {
-		c.LogGens = make(map[string]int, len(v.LogGens))
-		for k, g := range v.LogGens {
-			c.LogGens[k] = g
-		}
-	}
 	return &c
 }
 
