@@ -13,6 +13,7 @@ package bgwork
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 
 	"miso/internal/dw"
@@ -112,11 +113,17 @@ func Load(cfg Config, store *dw.Store, est *stats.Estimator) (*Workload, error) 
 
 	for _, t := range []*storage.Table{dates, items, sales} {
 		// The content checksum is stamped at load so the integrity scrubber
-		// can verify these tables like any opportunistic view.
+		// can verify these tables like any opportunistic view. Sig is no
+		// plan node's signature, so ID (a hash of Sig) is no node's id and
+		// the exact tier never offers the table for a ViewScan of itself.
 		def := logical.NewViewScan(t.Name, t.Schema)
+		sig := "bgtable(" + t.Name + ")"
+		id := fnv.New64a()
+		id.Write([]byte(sig))
 		store.Views.Add(&views.View{
 			Name:     t.Name,
-			Sig:      "bgtable(" + t.Name + ")",
+			Sig:      sig,
+			ID:       id.Sum64(),
 			Def:      def,
 			Desc:     logical.DescribeView(def),
 			Table:    t,
@@ -142,18 +149,17 @@ func (w *Workload) Q3Plan() (*logical.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	join := &logical.Node{
+	sch, err := salesScan.Schema().Concat(dateFilter.Schema(), "r_")
+	if err != nil {
+		return nil, err
+	}
+	join := logical.NewNode(logical.Node{
 		Kind:      logical.KindJoin,
 		Children:  []*logical.Node{salesScan, dateFilter},
 		JoinType:  logical.JoinInner,
 		LeftKeys:  []string{"ss_sold_date_sk"},
 		RightKeys: []string{"d_date_sk"},
-	}
-	sch, err := salesScan.Schema().Concat(dateFilter.Schema(), "r_")
-	if err != nil {
-		return nil, err
-	}
-	join.SetSchema(sch)
+	}, sch)
 	return newAgg(join,
 		[]logical.Proj{{Expr: colRef("d_year"), Name: "d_year"}},
 		[]logical.AggSpec{
@@ -167,30 +173,28 @@ func (w *Workload) Q83Plan() (*logical.Node, error) {
 	salesScan := logical.NewViewScan(StoreSales, w.salesSchema)
 	dateScan := logical.NewViewScan(DateDim, w.dateSchema)
 	itemScan := logical.NewViewScan(ItemDim, w.itemSchema)
-	j1 := &logical.Node{
+	s1, err := salesScan.Schema().Concat(dateScan.Schema(), "r_")
+	if err != nil {
+		return nil, err
+	}
+	j1 := logical.NewNode(logical.Node{
 		Kind:      logical.KindJoin,
 		Children:  []*logical.Node{salesScan, dateScan},
 		JoinType:  logical.JoinInner,
 		LeftKeys:  []string{"ss_sold_date_sk"},
 		RightKeys: []string{"d_date_sk"},
-	}
-	s1, err := salesScan.Schema().Concat(dateScan.Schema(), "r_")
+	}, s1)
+	s2, err := j1.Schema().Concat(itemScan.Schema(), "r_")
 	if err != nil {
 		return nil, err
 	}
-	j1.SetSchema(s1)
-	j2 := &logical.Node{
+	j2 := logical.NewNode(logical.Node{
 		Kind:      logical.KindJoin,
 		Children:  []*logical.Node{j1, itemScan},
 		JoinType:  logical.JoinInner,
 		LeftKeys:  []string{"ss_item_sk"},
 		RightKeys: []string{"i_item_sk"},
-	}
-	s2, err := j1.Schema().Concat(itemScan.Schema(), "r_")
-	if err != nil {
-		return nil, err
-	}
-	j2.SetSchema(s2)
+	}, s2)
 	// Expression-heavy aggregate argument: quantity-weighted price.
 	weighted := &expr.BinOp{Op: "*",
 		L: colRef("ss_ext_sales_price"),
@@ -231,10 +235,8 @@ func newAgg(child *logical.Node, groups []logical.Proj, aggs []logical.AggSpec) 
 	if err != nil {
 		return nil, err
 	}
-	n := &logical.Node{Kind: logical.KindAggregate, Children: []*logical.Node{child},
-		GroupBy: groups, Aggs: aggs}
-	n.SetSchema(sch)
-	return n, nil
+	return logical.NewNode(logical.Node{Kind: logical.KindAggregate, Children: []*logical.Node{child},
+		GroupBy: groups, Aggs: aggs}, sch), nil
 }
 
 // MeasureLatencies executes both reporting queries in DW and returns their

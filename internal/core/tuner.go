@@ -285,7 +285,8 @@ func (t *Tuner) cost(p probe) float64 {
 func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) ([][]*views.View, []float64, error) {
 	// Serially prewarm every window plan's node signatures: Signature
 	// memoizes lazily into the node, a write that must not first happen
-	// on two workers at once.
+	// on two workers at once, and the probes' hv.CostPlan orders stages by
+	// signature.
 	for _, e := range entries {
 		e.Plan.PrewarmSignatures()
 	}
@@ -404,20 +405,18 @@ func runParallel(workers int, op string, n int, fn func(int)) error {
 // relevantViews returns the subset of the (name-sorted) universe matching
 // some node of the plan, in universe order. The plan is walked and
 // described exactly once; each view then matches against the precomputed
-// per-node signatures and descriptors (views.MatchDescriptor) instead of
+// per-node ids and descriptors (views.MatchDescriptor) instead of
 // re-walking the plan.
 func relevantViews(plan *logical.Node, universe []*views.View) []*views.View {
 	nodes := plan.Nodes()
-	sigs := make([]string, len(nodes))
 	descs := make([]*logical.Descriptor, len(nodes))
 	for i, n := range nodes {
-		sigs[i] = n.Signature()
 		descs[i] = logical.Describe(n)
 	}
 	var rel []*views.View
 	for _, v := range universe {
-		for i := range nodes {
-			if sigs[i] == v.Sig {
+		for i, n := range nodes {
+			if n.ID() == v.ID {
 				rel = append(rel, v)
 				break
 			}

@@ -160,7 +160,7 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}
 	for n, st := range run.Stats {
-		s.est.Record(n.Signature(), stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
+		s.est.Record(n, stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
 	}
 	sec := s.costFromSizes(plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
 	return &Result{Table: run.Root, Seconds: sec}, nil
@@ -169,12 +169,12 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 // CostPlanWith estimates execution time without running the plan (what-if
 // mode). This is the store's "what-if interface" in the paper's terms: its
 // optimizer units are already normalized to seconds. Node sizes resolve
-// through a local stat overlay (signature -> stat; nil for none) before the
+// through a local stat overlay (node id -> stat; nil for none) before the
 // shared estimator cache. The optimizer uses it to cost DW remainders that
 // read hypothetical migrated working sets (ws_0, ws_1, ...) without
 // publishing their stats, keeping the what-if path read-only and safe for
-// concurrent use.
-func (s *Store) CostPlanWith(plan *logical.Node, overlay map[string]stats.Stat) float64 {
+// concurrent use; like stats.EstimateWith it reads no signature.
+func (s *Store) CostPlanWith(plan *logical.Node, overlay map[uint64]stats.Stat) float64 {
 	// The cost walk sizes each node once per parent visit; memoize per
 	// call so a node's subtree is estimated once, not once per appearance
 	// as an input.

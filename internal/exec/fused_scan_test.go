@@ -267,8 +267,8 @@ func TestDeferredFloatsAcrossChainShapes(t *testing.T) {
 	const window = "ts >= 1357257600 AND ts < 1357516800"
 	// The builder folds a WHERE into one Filter: the second filter is the
 	// north-of-40 query's, grafted over the window query's.
-	twoFilters := under(build("SELECT checkin_id FROM checkins WHERE lat > 40"), logical.KindFilter)
-	twoFilters.Children[0] = under(build("SELECT checkin_id FROM checkins WHERE "+window), logical.KindFilter)
+	twoFilters := under(build("SELECT checkin_id FROM checkins WHERE lat > 40"), logical.KindFilter).WithChildren(
+		[]*logical.Node{under(build("SELECT checkin_id FROM checkins WHERE "+window), logical.KindFilter)})
 
 	keepExtract := func(n *logical.Node) bool { return n.Kind == logical.KindExtract }
 	for _, tc := range []struct {

@@ -418,11 +418,8 @@ func TestDistinctNullVersusLiteralNullString(t *testing.T) {
 	in.MustAppend(storage.Row{storage.Null})
 	in.MustAppend(storage.Row{storage.StringValue("NULL")})
 
-	n := &logical.Node{
-		Kind:     logical.KindDistinct,
-		Children: []*logical.Node{{Kind: logical.KindScan, LogName: "in"}},
-	}
-	n.SetSchema(schema)
+	scan := logical.NewNode(logical.Node{Kind: logical.KindScan, LogName: "in"}, nil)
+	n := logical.NewNode(logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{scan}}, schema)
 	serialOut, err := runDistinct(n, in)
 	if err != nil {
 		t.Fatal(err)

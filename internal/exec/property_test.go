@@ -329,10 +329,8 @@ func propAggregate(rng *rand.Rand, child *logical.Node) *logical.Node {
 		}
 		cols = append(cols, storage.Column{Name: name, Type: k})
 	}
-	n := &logical.Node{Kind: logical.KindAggregate, Children: []*logical.Node{child},
-		GroupBy: groupBy, Aggs: aggs}
-	n.SetSchema(&storage.Schema{Columns: cols})
-	return n
+	return logical.NewNode(logical.Node{Kind: logical.KindAggregate, Children: []*logical.Node{child},
+		GroupBy: groupBy, Aggs: aggs}, &storage.Schema{Columns: cols})
 }
 
 // propEnv wires an Env that resolves the given tables as views.
@@ -367,23 +365,20 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 		var plans []*logical.Node
 
 		// Filter.
-		f := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
-			Pred: propPred(rng, left.Schema, 3)}
-		f.SetSchema(left.Schema)
+		f := logical.NewNode(logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
+			Pred: propPred(rng, left.Schema, 3)}, left.Schema)
 		plans = append(plans, f)
 
 		// Project.
 		projs, ps := propProjs(rng, left.Schema, "p", 1+rng.Intn(3))
-		p := &logical.Node{Kind: logical.KindProject, Children: []*logical.Node{scanL()}, Projs: projs}
-		p.SetSchema(ps)
+		p := logical.NewNode(logical.Node{Kind: logical.KindProject, Children: []*logical.Node{scanL()}, Projs: projs}, ps)
 		plans = append(plans, p)
 
 		// Aggregate (grouped or global).
 		plans = append(plans, propAggregate(rng, scanL()))
 
 		// Distinct.
-		d := &logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{scanL()}}
-		d.SetSchema(left.Schema)
+		d := logical.NewNode(logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{scanL()}}, left.Schema)
 		plans = append(plans, d)
 
 		// Sort (full-row tie-break makes any key set deterministic).
@@ -393,8 +388,7 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 			keys[i] = logical.SortKey{Expr: &expr.ColRef{Name: propCol(rng, left.Schema).Name},
 				Desc: rng.Intn(2) == 0}
 		}
-		srt := &logical.Node{Kind: logical.KindSort, Children: []*logical.Node{scanL()}, SortKeys: keys}
-		srt.SetSchema(left.Schema)
+		srt := logical.NewNode(logical.Node{Kind: logical.KindSort, Children: []*logical.Node{scanL()}, SortKeys: keys}, left.Schema)
 		plans = append(plans, srt)
 
 		// Join on same-kind key columns when the tables share one.
@@ -413,26 +407,23 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				jt = logical.JoinLeft
 			}
-			j := &logical.Node{Kind: logical.KindJoin,
+			j := logical.NewNode(logical.Node{Kind: logical.KindJoin,
 				Children: []*logical.Node{scanL(), scanR()},
-				JoinType: jt, LeftKeys: []string{lc.Name}, RightKeys: []string{rKey}}
-			j.SetSchema(&storage.Schema{Columns: append(
-				append([]storage.Column{}, left.Schema.Columns...), right.Schema.Columns...)})
+				JoinType: jt, LeftKeys: []string{lc.Name}, RightKeys: []string{rKey}},
+				&storage.Schema{Columns: append(
+					append([]storage.Column{}, left.Schema.Columns...), right.Schema.Columns...)})
 			plans = append(plans, j)
 			break
 		}
 
 		// Fused chain: Filter → Project → Filter (→ Aggregate half the time),
 		// exercised through exec.Run's fusion hook.
-		cf := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
-			Pred: propPred(rng, left.Schema, 2)}
-		cf.SetSchema(left.Schema)
+		cf := logical.NewNode(logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
+			Pred: propPred(rng, left.Schema, 2)}, left.Schema)
 		cprojs, cps := propProjs(rng, left.Schema, "q", 2)
-		cp := &logical.Node{Kind: logical.KindProject, Children: []*logical.Node{cf}, Projs: cprojs}
-		cp.SetSchema(cps)
-		chain := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{cp},
-			Pred: propPred(rng, cps, 2)}
-		chain.SetSchema(cps)
+		cp := logical.NewNode(logical.Node{Kind: logical.KindProject, Children: []*logical.Node{cf}, Projs: cprojs}, cps)
+		chain := logical.NewNode(logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{cp},
+			Pred: propPred(rng, cps, 2)}, cps)
 		if rng.Intn(2) == 0 {
 			plans = append(plans, propAggregate(rng, chain))
 		} else {

@@ -290,7 +290,7 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 	// Record truth for every computed subtree, built or fused.
 	for _, n := range allNodes {
 		st := nodeStats[n]
-		s.est.Record(n.Signature(), stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
+		s.est.Record(n, stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
 	}
 
 	res := &Result{Table: p.run.Root}

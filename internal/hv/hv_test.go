@@ -158,11 +158,11 @@ func spliceCopy(n *logical.Node, store *hv.Store) *logical.Node {
 		v, _ := store.Views.Get(n.ViewName)
 		n = v.Def
 	}
-	c := n.CloneShallow()
-	for i, ch := range c.Children {
-		c.Children[i] = spliceCopy(ch, store)
+	kids := make([]*logical.Node, len(n.Children))
+	for i, ch := range n.Children {
+		kids[i] = spliceCopy(ch, store)
 	}
-	return c
+	return n.WithChildren(kids)
 }
 
 // TestExpandViewsSelfJoinIsATree: a plan that reads one view on both sides
@@ -191,14 +191,19 @@ func TestExpandViewsSelfJoinIsATree(t *testing.T) {
 	if !ok || !m.Exact {
 		t.Fatal("join input not captured as a view")
 	}
-	raw, rw := join.CloneShallow(), join.CloneShallow()
-	raw.RightKeys, rw.RightKeys = join.LeftKeys, join.LeftKeys
-	raw.Children = []*logical.Node{join.Child(0), join.Child(0)}
-	for i := range rw.Children {
-		if rw.Children[i], _ = m.Rewrite(); rw.Children[i].Kind != logical.KindViewScan {
-			t.Fatalf("join input rewrote to %v", rw.Children[i].Kind)
+	selfJoin := func(l, r *logical.Node) *logical.Node {
+		n := *join
+		n.RightKeys, n.Children = join.LeftKeys, []*logical.Node{l, r}
+		return logical.NewNode(n, join.Schema())
+	}
+	raw := selfJoin(join.Child(0), join.Child(0))
+	var scans [2]*logical.Node
+	for i := range scans {
+		if scans[i], _ = m.Rewrite(); scans[i].Kind != logical.KindViewScan {
+			t.Fatalf("join input rewrote to %v", scans[i].Kind)
 		}
 	}
+	rw := selfJoin(scans[0], scans[1])
 	expanded := store.ExpandViews(rw)
 	if expanded == nil {
 		t.Fatal("expansion failed")

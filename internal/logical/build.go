@@ -537,7 +537,7 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 	}
 
 	if q.Distinct {
-		plan = newUnary(KindDistinct, plan, plan.Schema())
+		plan = (&Node{Kind: KindDistinct, Children: []*Node{plan}}).built(plan.Schema())
 	}
 
 	// 10. ORDER BY over the projected schema.
@@ -566,15 +566,11 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 			}
 			keys = append(keys, SortKey{Expr: key, Desc: o.Desc})
 		}
-		sorted := newUnary(KindSort, plan, plan.Schema())
-		sorted.SortKeys = keys
-		plan = sorted
+		plan = (&Node{Kind: KindSort, Children: []*Node{plan}, SortKeys: keys}).built(plan.Schema())
 	}
 
 	if q.Limit >= 0 {
-		lim := newUnary(KindLimit, plan, plan.Schema())
-		lim.LimitN = q.Limit
-		plan = lim
+		plan = (&Node{Kind: KindLimit, Children: []*Node{plan}, LimitN: q.Limit}).built(plan.Schema())
 	}
 	return plan, nil
 }
@@ -609,8 +605,8 @@ func buildLogLeaf(e *tableEntry) (*Node, error) {
 		fields = append(fields, c.Name)
 	}
 	sort.Strings(fields)
-	scan := &Node{Kind: KindScan, LogName: e.log.Name}
-	scan.SetSchema(storage.MustSchema(storage.Column{Name: "_raw", Type: storage.KindString}))
+	scan := (&Node{Kind: KindScan, LogName: e.log.Name}).built(
+		storage.MustSchema(storage.Column{Name: "_raw", Type: storage.KindString}))
 	ex := &Node{Kind: KindExtract, Children: []*Node{scan}}
 	cols := make([]storage.Column, 0, len(fields)+len(e.udfCols))
 	for _, f := range fields {
@@ -646,8 +642,7 @@ func buildLogLeaf(e *tableEntry) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex.SetSchema(sch)
-	return ex, nil
+	return ex.built(sch), nil
 }
 
 // hoistUDFs rewrites UDF calls whose column inputs all come from one base
@@ -983,19 +978,11 @@ func resolveOrderKey(oe expr.Expr, o sqlparser.OrderItem, projs []Proj, sch *sto
 
 // --- Node constructors with schema computation ---
 
-func newUnary(k Kind, child *Node, sch *storage.Schema) *Node {
-	n := &Node{Kind: k, Children: []*Node{child}}
-	n.SetSchema(sch)
-	return n
-}
-
 func newFilter(child *Node, pred expr.Expr) (*Node, error) {
 	if _, err := expr.TypeOf(pred, child.Schema()); err != nil {
 		return nil, err
 	}
-	n := &Node{Kind: KindFilter, Children: []*Node{child}, Pred: pred}
-	n.SetSchema(child.Schema())
-	return n, nil
+	return (&Node{Kind: KindFilter, Children: []*Node{child}, Pred: pred}).built(child.Schema()), nil
 }
 
 func newProject(child *Node, projs []Proj) (*Node, error) {
@@ -1011,9 +998,7 @@ func newProject(child *Node, projs []Proj) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Kind: KindProject, Children: []*Node{child}, Projs: projs}
-	n.SetSchema(sch)
-	return n, nil
+	return (&Node{Kind: KindProject, Children: []*Node{child}, Projs: projs}).built(sch), nil
 }
 
 func newJoin(l, r *Node, jt JoinType, leftKeys, rightKeys []string) (*Node, error) {
@@ -1031,12 +1016,10 @@ func newJoin(l, r *Node, jt JoinType, leftKeys, rightKeys []string) (*Node, erro
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
+	return (&Node{
 		Kind: KindJoin, Children: []*Node{l, r},
 		JoinType: jt, LeftKeys: leftKeys, RightKeys: rightKeys,
-	}
-	n.SetSchema(sch)
-	return n, nil
+	}).built(sch), nil
 }
 
 func newAggregate(child *Node, groups []Proj, aggs []AggSpec) (*Node, error) {
@@ -1081,16 +1064,12 @@ func newAggregate(child *Node, groups []Proj, aggs []AggSpec) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groups, Aggs: aggs}
-	n.SetSchema(sch)
-	return n, nil
+	return (&Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groups, Aggs: aggs}).built(sch), nil
 }
 
 // NewViewScan builds a leaf that reads a materialized view.
 func NewViewScan(name string, sch *storage.Schema) *Node {
-	n := &Node{Kind: KindViewScan, ViewName: name, ViewSchema: sch}
-	n.SetSchema(sch)
-	return n
+	return (&Node{Kind: KindViewScan, ViewName: name, ViewSchema: sch}).built(sch)
 }
 
 // NewFilterNode exposes filter construction for plan rewrites.

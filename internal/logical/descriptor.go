@@ -20,7 +20,8 @@ type Descriptor struct {
 	Simple bool
 	// SourceSig identifies the join/extract skeleton with filters and
 	// field sets stripped, so views extracting a superset of fields can
-	// still serve the node.
+	// still serve the node. Only a Simple descriptor has one: matching
+	// reads it for no other.
 	SourceSig string
 	// Conjuncts maps canonical form to the filter conjuncts applied
 	// anywhere in the subtree.
@@ -119,13 +120,15 @@ func describe(n *Node) *Descriptor {
 		rd := describe(n.Children[1])
 		d.HasUDF = d.HasUDF || ld.HasUDF || rd.HasUDF
 		d.Simple = ld.Simple && rd.Simple
-		keys := make([]string, len(n.LeftKeys))
-		for i := range n.LeftKeys {
-			keys[i] = n.LeftKeys[i] + "=" + n.RightKeys[i]
+		if d.Simple {
+			keys := make([]string, len(n.LeftKeys))
+			for i := range n.LeftKeys {
+				keys[i] = n.LeftKeys[i] + "=" + n.RightKeys[i]
+			}
+			sort.Strings(keys)
+			d.SourceSig = fmt.Sprintf("join(%s,%s,%s,[%s])",
+				n.JoinType, ld.SourceSig, rd.SourceSig, strings.Join(keys, ","))
 		}
-		sort.Strings(keys)
-		d.SourceSig = fmt.Sprintf("join(%s,%s,%s,[%s])",
-			n.JoinType, ld.SourceSig, rd.SourceSig, strings.Join(keys, ","))
 		for k, v := range ld.Conjuncts {
 			d.Conjuncts[k] = v
 		}
@@ -149,18 +152,11 @@ func describe(n *Node) *Descriptor {
 			for k, v := range cd.Conjuncts {
 				d.Conjuncts[k] = v
 			}
-		} else {
-			d.Simple = false
-			d.SourceSig = n.Signature()
 		}
 	case KindViewScan:
-		// A view scan is opaque: only exact signature matching applies.
-		d.Simple = false
-		d.SourceSig = n.Signature()
+		// A view scan is opaque: only exact matching applies.
 	default:
 		d.HasUDF = n.UsesUDF()
-		d.Simple = false
-		d.SourceSig = n.Signature()
 	}
 	return d
 }

@@ -8,18 +8,12 @@ import (
 	"miso/internal/data"
 )
 
-// TestBuilderRobustOnGeneratedSQL generates a few thousand structured
-// pseudo-random queries over the real catalog. Every input must either
-// fail with an error or produce a plan whose schema is fully resolved —
-// never a panic.
-func TestBuilderRobustOnGeneratedSQL(t *testing.T) {
-	cat, err := data.Generate(data.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(cat)
-	rng := rand.New(rand.NewSource(5))
-
+// GeneratedSQL draws count structured pseudo-random queries over the three
+// logs from seed: joins, pushed and residual predicates, UDF calls,
+// aggregates with HAVING, ORDER BY and LIMIT. Some do not build (a join key
+// or UDF that does not resolve); callers keep the ones that do.
+func GeneratedSQL(seed int64, count int) []string {
+	rng := rand.New(rand.NewSource(seed))
 	tables := []string{"tweets", "checkins", "landmarks"}
 	cols := map[string][]string{
 		"tweets":    {"tweet_id", "user_id", "ts", "text", "hashtag", "lang", "retweets", "followers"},
@@ -44,8 +38,8 @@ func TestBuilderRobustOnGeneratedSQL(t *testing.T) {
 		}
 	}
 
-	built, failed := 0, 0
-	for trial := 0; trial < 3000; trial++ {
+	sqls := make([]string, count)
+	for trial := range sqls {
 		ta := pick(tables)
 		sql := fmt.Sprintf("SELECT a.%s FROM %s a", pick(cols[ta]), ta)
 		if rng.Intn(2) == 0 {
@@ -66,6 +60,23 @@ func TestBuilderRobustOnGeneratedSQL(t *testing.T) {
 				sql += " HAVING COUNT(*) > 1 ORDER BY n DESC LIMIT 5"
 			}
 		}
+		sqls[trial] = sql
+	}
+	return sqls
+}
+
+// TestBuilderRobustOnGeneratedSQL builds a few thousand generated queries
+// over the real catalog. Every input must either fail with an error or
+// produce a plan whose schema is fully resolved — never a panic.
+func TestBuilderRobustOnGeneratedSQL(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(cat)
+
+	built, failed := 0, 0
+	for _, sql := range GeneratedSQL(5, 3000) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -84,12 +95,12 @@ func TestBuilderRobustOnGeneratedSQL(t *testing.T) {
 					t.Fatalf("nil schema in plan for %q", sql)
 				}
 			})
-			// The signature must be computable and stable. The generator
-			// writes no stacked filters and no identity projections, so
-			// Normalize keeps the plan's shape, and its copy recomputes
-			// every signature anew.
-			if plan.Signature() != Normalize(plan).Signature() {
-				t.Fatalf("unstable signature for %q", sql)
+			// The signature and id must be computable and stable. The
+			// generator writes no stacked filters and no identity
+			// projections, so Normalize keeps the plan's shape, and its copy
+			// recomputes every signature and id anew.
+			if norm := Normalize(plan); plan.Signature() != norm.Signature() || plan.ID() != norm.ID() {
+				t.Fatalf("unstable signature or id for %q", sql)
 			}
 		}()
 	}

@@ -1,0 +1,82 @@
+package logical_test
+
+import (
+	"testing"
+
+	"miso/internal/data"
+	"miso/internal/logical"
+	"miso/internal/multistore"
+	"miso/internal/optimizer"
+	"miso/internal/workload"
+)
+
+// TestIDsAgreeWithSignatures holds every node's structural id to the
+// signature it stands for, over the nodes the system meets: the 32 paper
+// plans, their rewrites against the warm MS-MISO design, every plan part
+// EnumeratePlans builds for them under it (HV plans, cuts, DW parts), and the
+// plans of the generated SQL. Two nodes have equal ids exactly when they
+// have equal signatures, and no id is zero.
+func TestIDsAgreeWithSignatures(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	sys := multistore.New(cfg, cat)
+	b := logical.NewBuilder(cat)
+	var nodes []*logical.Node
+	add := func(n *logical.Node) {
+		if n != nil {
+			nodes = append(nodes, n.Nodes()...)
+		}
+	}
+	var plans []*logical.Node
+	for _, sql := range workload.SQLs() {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	o, d := sys.Optimizer(), sys.Design()
+	if d.HV.Len() == 0 || d.DW.Len() == 0 {
+		t.Fatalf("design not warm: %d HV views, %d DW views", d.HV.Len(), d.DW.Len())
+	}
+	for _, raw := range plans {
+		add(raw)
+		add(optimizer.RewriteWithViews(raw, d.HV))
+		for _, p := range o.EnumeratePlans(raw, d) {
+			add(p.HVPlan)
+			add(p.DWPart)
+			for _, c := range p.Cuts {
+				add(c.HVPlan)
+				add(c.DWView)
+			}
+		}
+	}
+	for _, sql := range logical.GeneratedSQL(5, 3000) {
+		if plan, err := b.BuildSQL(sql); err == nil {
+			add(plan)
+		}
+	}
+
+	bySig, byID := map[string]uint64{}, map[uint64]string{}
+	for _, n := range nodes {
+		id, sig := n.ID(), n.Signature()
+		if id == 0 {
+			t.Fatalf("zero id: %s", sig)
+		}
+		if other, ok := bySig[sig]; ok && other != id {
+			t.Fatalf("one signature, ids %x and %x: %s", other, id, sig)
+		}
+		if other, ok := byID[id]; ok && other != sig {
+			t.Fatalf("id %x for two signatures:\n%s\n%s", id, other, sig)
+		}
+		bySig[sig], byID[id] = id, sig
+	}
+	t.Logf("%d nodes, %d distinct signatures", len(nodes), len(bySig))
+}

@@ -1,6 +1,8 @@
 package logical
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,22 +232,54 @@ func TestSignatureStability(t *testing.T) {
 	}
 }
 
-func TestCloneShallowIndependence(t *testing.T) {
+// TestIDFollowsThePayload: the id moves with one conjunct, one join key or
+// one limit, and not with the order conjuncts or join keys are written in.
+func TestIDFollowsThePayload(t *testing.T) {
+	b := NewBuilder(testCatalog(t))
+	id := func(sql string) uint64 {
+		t.Helper()
+		n, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatalf("build %q: %v", sql, err)
+		}
+		return n.ID()
+	}
+	const q = `SELECT t.tweet_id FROM tweets t JOIN checkins c ON %s WHERE %s LIMIT %d`
+	base := id(fmt.Sprintf(q, "t.user_id = c.user_id AND t.ts = c.ts", "t.lang = 'en' AND t.retweets > 10", 5))
+	for what, sql := range map[string]string{
+		"conjuncts reordered": fmt.Sprintf(q, "t.user_id = c.user_id AND t.ts = c.ts", "t.retweets > 10 AND t.lang = 'en'", 5),
+		"join keys reordered": fmt.Sprintf(q, "t.ts = c.ts AND t.user_id = c.user_id", "t.lang = 'en' AND t.retweets > 10", 5),
+	} {
+		if id(sql) != base {
+			t.Errorf("%s: the id changed", what)
+		}
+	}
+	for what, sql := range map[string]string{
+		"one conjunct": fmt.Sprintf(q, "t.user_id = c.user_id AND t.ts = c.ts", "t.lang = 'en' AND t.retweets > 11", 5),
+		"one join key": fmt.Sprintf(q, "t.user_id = c.user_id AND t.tweet_id = c.ts", "t.lang = 'en' AND t.retweets > 10", 5),
+		"one limit":    fmt.Sprintf(q, "t.user_id = c.user_id AND t.ts = c.ts", "t.lang = 'en' AND t.retweets > 10", 6),
+	} {
+		if id(sql) == base {
+			t.Errorf("%s changed, the id did not", what)
+		}
+	}
+}
+
+func TestWithChildrenIndependence(t *testing.T) {
 	n := build(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	want := n.Signature()
-	c1 := n.CloneShallow()
-	if c1.Signature() != want {
-		t.Error("clone signature differs")
+	want, wantID := n.Signature(), n.ID()
+	c1 := n.WithChildren(slices.Clone(n.Children))
+	if c1.Signature() != want || c1.ID() != wantID {
+		t.Error("copy over the same children differs")
 	}
-	// Overwrite a child slot of a fresh clone after the original's
-	// signature is memoized: the change must be reflected, and the
-	// original must be unaffected.
-	c2 := n.CloneShallow()
-	c2.Children[0] = c2.Children[0].Children[0] // drop the filter
-	if c2.Signature() == want {
-		t.Error("rewritten clone kept the original signature")
+	// A copy over other children, taken after the original's signature is
+	// memoized: the change must be reflected in the signature and the id,
+	// and the original must be unaffected.
+	c2 := n.WithChildren([]*Node{n.Children[0].Children[0]}) // drop the filter
+	if c2.Signature() == want || c2.ID() == wantID {
+		t.Error("rewritten copy kept the original identity")
 	}
-	if n.Signature() != want || n.Children[0].Kind != KindFilter {
+	if n.Signature() != want || n.ID() != wantID || n.Children[0].Kind != KindFilter {
 		t.Error("original changed")
 	}
 }
@@ -393,16 +427,14 @@ func TestDescribeIsLinearInDepth(t *testing.T) {
 	n := build(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'").Children[0].Children[0] // the extract
 	walks := 0
 	for i := 0; i < depth; i++ {
-		f := &Node{Kind: KindFilter, Children: []*Node{n}, Pred: walkCounter{
+		n = NewNode(Node{Kind: KindFilter, Children: []*Node{n}, Pred: walkCounter{
 			Expr: &expr.BinOp{
 				Op: ">",
 				L:  &expr.ColRef{Name: "tweets.retweets"},
 				R:  &expr.Const{Val: storage.IntValue(int64(i))},
 			},
 			walks: &walks,
-		}}
-		f.SetSchema(n.Schema())
-		n = f
+		}}, n.Schema())
 	}
 	d := Describe(n)
 	if !d.Simple || len(d.Conjuncts) != depth || d.HasUDF {

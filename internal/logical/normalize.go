@@ -18,6 +18,8 @@ func Normalize(n *Node) *Node { return NormalizeExpanded(n, nil) }
 // def's subtree for its view, or nil if def has none for one. The subtrees
 // are only read: Normalize's copy is the one copy made, so a subtree spliced
 // at two leaves comes out as two disjoint copies and the result is a tree.
+// A copy keeps its original's payload (a merged filter gets a new one) and
+// takes its id from its new children.
 func NormalizeExpanded(n *Node, def func(view string) *Node) *Node {
 	if n.Kind == KindViewScan && def != nil {
 		d := def(n.ViewName)
@@ -41,6 +43,7 @@ func NormalizeExpanded(n *Node, def func(view string) *Node) *Node {
 			merged := append(expr.Conjuncts(child.Pred), expr.Conjuncts(c.Pred)...)
 			c.Pred = expr.AndAll(merged)
 			c.Children = []*Node{child.Children[0]}
+			return c.built(c.schema) // a new conjunct set is a new payload
 		}
 	case KindProject:
 		child := c.Children[0]
@@ -48,7 +51,7 @@ func NormalizeExpanded(n *Node, def func(view string) *Node) *Node {
 			return child
 		}
 	}
-	return &c
+	return c.link()
 }
 
 func isIdentityProjection(projs []Proj, childSchema interface {

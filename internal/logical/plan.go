@@ -1,14 +1,16 @@
 // Package logical defines the logical query plan: a DAG of relational
 // operators built from the parsed HiveQL AST. Plans carry canonical
-// signatures used to identify opportunistic materialized views, and
-// descriptors that support subsumption-based view matching. The package is
-// store-agnostic; the hv and dw engines execute (sub)plans, and the
-// multistore optimizer chooses where each part runs.
+// signatures used to name opportunistic materialized views, 64-bit
+// structural ids that stand for the signatures wherever a subtree is looked
+// up, and descriptors that support subsumption-based view matching. The
+// package is store-agnostic; the hv and dw engines execute (sub)plans, and
+// the multistore optimizer chooses where each part runs.
 package logical
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"miso/internal/expr"
@@ -155,7 +157,12 @@ type Node struct {
 	ViewSchema *storage.Schema
 
 	schema *storage.Schema // computed output schema
-	sig    string          // memoized signature
+	// head and tail are the node-local payload (see payload), local its
+	// hash and id the node's structural id; all are set when the node is
+	// built and never written afterwards.
+	head, tail string
+	local, id  uint64
+	sig        string // memoized signature, the one field written lazily
 }
 
 // Child returns the i-th child.
@@ -164,8 +171,71 @@ func (n *Node) Child(i int) *Node { return n.Children[i] }
 // Schema returns the node's output schema (computed by the builder).
 func (n *Node) Schema() *storage.Schema { return n.schema }
 
-// SetSchema installs the output schema; used by the builder and by rewrites.
-func (n *Node) SetSchema(s *storage.Schema) { n.schema = s }
+// NewNode builds a node from a literal (or a copy of a node with fields
+// changed) whose children are built: it installs the output schema and
+// computes the payload and id. Plans assembled outside this package go
+// through it, so no node of theirs reports the zero id.
+func NewNode(n Node, sch *storage.Schema) *Node { return n.built(sch) }
+
+// built installs the schema, payload and id: the last write a node gets
+// (the signature memo aside).
+func (n *Node) built(sch *storage.Schema) *Node {
+	n.schema, n.sig = sch, ""
+	n.head, n.tail = n.payload()
+	n.local = hashString(hashString(hashUint(fnvOffset64, uint64(n.Kind)), n.head), n.tail)
+	return n.link()
+}
+
+// link derives the id from the payload's hash and the children's ids.
+func (n *Node) link() *Node {
+	h := n.local
+	for _, c := range n.Children {
+		h = hashUint(h, c.id)
+	}
+	if h == 0 {
+		h = fnvPrime64 // the zero id means "not built"
+	}
+	n.id = h
+	return n
+}
+
+// WithChildren returns a copy of the node over children, which it takes as
+// its own: the rewrite primitive. The copy keeps the payload and schema, so
+// its id costs one hash over the children's ids. Unchanged subtrees are
+// shared between the original and rewritten plans, which is safe because a
+// built node is never written again.
+func (n *Node) WithChildren(children []*Node) *Node {
+	c := *n
+	c.sig = ""
+	c.Children = children
+	return c.link()
+}
+
+// ID returns the node's structural id: a hash of its kind, its node-local
+// payload and its children's ids, so two built nodes have equal ids exactly
+// when their signatures are equal (up to a 64-bit collision). It is set at
+// build and reading it writes nothing; only a Node literal that never went
+// through NewNode reports zero.
+func (n *Node) ID() uint64 { return n.id }
+
+// FNV-64a over the payload's bytes, then one multiply-xorshift round per
+// word; deterministic, so a collision would reproduce.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return (h ^ 0xff) * fnvPrime64 // terminator so "ab","c" != "a","bc"
+}
+
+func hashUint(h, u uint64) uint64 {
+	h = (h ^ u) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
 
 // Walk visits the node and all descendants pre-order.
 func (n *Node) Walk(fn func(*Node)) {
@@ -187,7 +257,7 @@ func (n *Node) Nodes() []*Node {
 // is a benign write on a single goroutine but a data race when multiple
 // goroutines first touch a shared plan concurrently — the tuner prewarms
 // its window's plans serially before fanning what-if probes out to a
-// worker pool.
+// worker pool, whose hv.CostPlan sorts stages by signature.
 func (n *Node) PrewarmSignatures() {
 	n.Walk(func(m *Node) { m.Signature() })
 }
@@ -246,15 +316,43 @@ func (n *Node) UsesUDF() bool {
 // Signature returns the canonical structural signature of the subtree.
 // Conjuncts of filters are sorted so AND order does not matter; extract
 // fields are sorted by the builder. Two subtrees with equal signatures
-// compute the same relation with the same column set.
+// compute the same relation with the same column set. The text is what
+// names views and stage tables and orders HV stages; lookups key on ID.
 func (n *Node) Signature() string {
 	if n.sig != "" {
 		return n.sig
 	}
-	var b strings.Builder
+	name := n.Kind.String()
+	if n.Kind == KindAggregate {
+		name = "agg"
+	}
+	var buf [4]string
+	parts := buf[:0]
+	if n.head != "" {
+		parts = append(parts, n.head)
+	}
+	for _, c := range n.Children {
+		parts = append(parts, c.Signature())
+	}
+	if n.tail != "" {
+		parts = append(parts, n.tail)
+	}
+	n.sig = name + "(" + strings.Join(parts, ",") + ")"
+	return n.sig
+}
+
+// payload encodes the node-local part of the signature in canonical text:
+// what Signature prints before (head) and after (tail) the children's
+// signatures — conjuncts and join keys sorted, so AND order and key order do
+// not matter. ID hashes the same two strings, so the id and the signature
+// cannot disagree about which nodes are the same.
+func (n *Node) payload() (head, tail string) {
+	list := func(parts []string, sep string) string { return "[" + strings.Join(parts, sep) + "]" }
 	switch n.Kind {
 	case KindScan:
-		fmt.Fprintf(&b, "scan(%s)", n.LogName)
+		return n.LogName, ""
+	case KindViewScan:
+		return n.ViewName, ""
 	case KindExtract:
 		fields := make([]string, len(n.Fields))
 		for i, f := range n.Fields {
@@ -264,7 +362,7 @@ func (n *Node) Signature() string {
 				fields[i] = f.LogField + ">" + f.OutName
 			}
 		}
-		fmt.Fprintf(&b, "extract(%s,[%s])", n.Children[0].Signature(), strings.Join(fields, ","))
+		return "", list(fields, ",")
 	case KindFilter:
 		cs := expr.Conjuncts(n.Pred)
 		canon := make([]string, len(cs))
@@ -272,21 +370,20 @@ func (n *Node) Signature() string {
 			canon[i] = c.Canon()
 		}
 		sort.Strings(canon)
-		fmt.Fprintf(&b, "filter(%s,[%s])", n.Children[0].Signature(), strings.Join(canon, "&"))
+		return "", list(canon, "&")
 	case KindProject:
 		ps := make([]string, len(n.Projs))
 		for i, p := range n.Projs {
 			ps[i] = p.Expr.Canon() + ">" + p.Name
 		}
-		fmt.Fprintf(&b, "project(%s,[%s])", n.Children[0].Signature(), strings.Join(ps, ","))
+		return "", list(ps, ",")
 	case KindJoin:
 		keys := make([]string, len(n.LeftKeys))
 		for i := range n.LeftKeys {
 			keys[i] = n.LeftKeys[i] + "=" + n.RightKeys[i]
 		}
 		sort.Strings(keys)
-		fmt.Fprintf(&b, "join(%s,%s,%s,[%s])", n.JoinType,
-			n.Children[0].Signature(), n.Children[1].Signature(), strings.Join(keys, ","))
+		return n.JoinType.String(), list(keys, ",")
 	case KindAggregate:
 		gs := make([]string, len(n.GroupBy))
 		for i, g := range n.GroupBy {
@@ -296,10 +393,7 @@ func (n *Node) Signature() string {
 		for i, a := range n.Aggs {
 			as[i] = a.Canon() + ">" + a.Name
 		}
-		fmt.Fprintf(&b, "agg(%s,gb=[%s],aggs=[%s])", n.Children[0].Signature(),
-			strings.Join(gs, ","), strings.Join(as, ","))
-	case KindDistinct:
-		fmt.Fprintf(&b, "distinct(%s)", n.Children[0].Signature())
+		return "", "gb=" + list(gs, ",") + ",aggs=" + list(as, ",")
 	case KindSort:
 		ks := make([]string, len(n.SortKeys))
 		for i, k := range n.SortKeys {
@@ -309,14 +403,11 @@ func (n *Node) Signature() string {
 			}
 			ks[i] = k.Expr.Canon() + ":" + dir
 		}
-		fmt.Fprintf(&b, "sort(%s,[%s])", n.Children[0].Signature(), strings.Join(ks, ","))
+		return "", list(ks, ",")
 	case KindLimit:
-		fmt.Fprintf(&b, "limit(%s,%d)", n.Children[0].Signature(), n.LimitN)
-	case KindViewScan:
-		fmt.Fprintf(&b, "viewscan(%s)", n.ViewName)
+		return "", strconv.Itoa(n.LimitN)
 	}
-	n.sig = b.String()
-	return n.sig
+	return "", ""
 }
 
 // String renders an indented operator tree for debugging.
@@ -366,16 +457,4 @@ func (n *Node) render(b *strings.Builder, depth int) {
 	for _, c := range n.Children {
 		c.render(b, depth+1)
 	}
-}
-
-// CloneShallow copies only the node itself, the rewrite primitive: schema
-// and expressions are shared, and Children is a fresh slice still holding
-// the original child pointers, for the caller to overwrite. Unchanged
-// subtrees are shared between the original and rewritten plans, which is
-// safe because plan nodes are never mutated after construction.
-func (n *Node) CloneShallow() *Node {
-	c := *n
-	c.sig = ""
-	c.Children = append([]*Node(nil), n.Children...)
-	return &c
 }

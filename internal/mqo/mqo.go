@@ -4,8 +4,8 @@
 //
 // It provides three pieces, all keyed by a canonical plan fingerprint:
 //
-//   - HashPlan folds a normalized logical plan's structural signature and
-//     the content version of every base log it scans into one FNV-64a
+//   - HashPlan folds a normalized logical plan's structural id and the
+//     content version of every base log it scans into one FNV-64a
 //     fingerprint. Two plans with equal fingerprints compute the same
 //     relation over the same data, so their results are interchangeable.
 //   - Registry is a single-flight table of in-flight executions: the first
@@ -44,13 +44,6 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return (h ^ 0xff) * fnvPrime64 // terminator so "ab","c" != "a","bc"
-}
-
 func hashUint(h, u uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (u >> (8 * i) & 0xff)) * fnvPrime64
@@ -59,20 +52,20 @@ func hashUint(h, u uint64) uint64 {
 }
 
 // HashPlan returns the canonical fingerprint of a plan: an FNV-64a fold of
-// the root's structural signature (canonical — sorted conjuncts, sorted
-// join keys; see logical.Node.Signature) and the (name, generation, lines)
-// content version of every base log the plan scans. ok is false when the
-// plan is not fingerprintable — it reads a view (whose content is not
-// identified by base-log versions alone) or scans a log the source does
-// not know — and such plans must not be cached or deduplicated.
+// the root's structural id (which stands for its canonical signature —
+// sorted conjuncts, sorted join keys; see logical.Node.ID) and the
+// (generation, lines) content version of every base log the plan scans. ok
+// is false when the plan is not fingerprintable — it reads a view (whose
+// content is not identified by base-log versions alone) or scans a log the
+// source does not know — and such plans must not be cached or deduplicated.
 //
-// HashPlan allocates nothing once the plan's signatures are memoized
-// (logical.Node.PrewarmSignatures, or any prior Signature call).
+// HashPlan allocates nothing and writes nothing: the id is set when the
+// node is built.
 func HashPlan(root *logical.Node, src VersionSource) (Fingerprint, bool) {
 	if root == nil || src == nil {
 		return 0, false
 	}
-	h := hashString(fnvOffset64, root.Signature())
+	h := hashUint(fnvOffset64, root.ID())
 	h, ok := foldScans(h, root, src)
 	if !ok {
 		return 0, false
@@ -83,8 +76,9 @@ func HashPlan(root *logical.Node, src VersionSource) (Fingerprint, bool) {
 	return Fingerprint(h), true
 }
 
-// foldScans folds every Scan leaf's content version into h, pre-order.
-// A ViewScan anywhere makes the plan unfingerprintable.
+// foldScans folds every Scan leaf's content version into h, pre-order (the
+// root's id already names the logs in that order). A ViewScan anywhere
+// makes the plan unfingerprintable.
 func foldScans(h uint64, n *logical.Node, src VersionSource) (uint64, bool) {
 	switch n.Kind {
 	case logical.KindViewScan:
@@ -94,7 +88,6 @@ func foldScans(h uint64, n *logical.Node, src VersionSource) (uint64, bool) {
 		if !ok {
 			return h, false
 		}
-		h = hashString(h, n.LogName)
 		h = hashUint(h, uint64(gen))
 		h = hashUint(h, uint64(lines))
 	}

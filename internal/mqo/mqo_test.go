@@ -20,19 +20,19 @@ func (m mapSource) LogVersion(name string) (gen, lines int, ok bool) {
 }
 
 // testPlan builds Limit(Distinct(Extract(Scan(log)))) by hand — enough
-// operator variety to exercise signature folding without a catalog.
+// operator variety to exercise id folding without a catalog.
 func testPlan(log string) *logical.Node {
-	scan := &logical.Node{Kind: logical.KindScan, LogName: log}
-	ext := &logical.Node{
+	scan := logical.NewNode(logical.Node{Kind: logical.KindScan, LogName: log}, nil)
+	ext := logical.NewNode(logical.Node{
 		Kind:     logical.KindExtract,
 		Children: []*logical.Node{scan},
 		Fields: []logical.ExtractField{
 			{LogField: "user", OutName: "user", Type: storage.KindString},
 			{LogField: "bytes", OutName: "bytes", Type: storage.KindInt},
 		},
-	}
-	dist := &logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{ext}}
-	return &logical.Node{Kind: logical.KindLimit, LimitN: 10, Children: []*logical.Node{dist}}
+	}, nil)
+	dist := logical.NewNode(logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{ext}}, nil)
+	return logical.NewNode(logical.Node{Kind: logical.KindLimit, LimitN: 10, Children: []*logical.Node{dist}}, nil)
 }
 
 func TestHashPlanDeterministicAndVersionAware(t *testing.T) {
@@ -63,8 +63,8 @@ func TestHashPlanRejectsViewsAndUnknownLogs(t *testing.T) {
 	if _, ok := HashPlan(testPlan("logs_zzz"), src); ok {
 		t.Fatal("unknown log must not fingerprint")
 	}
-	vs := &logical.Node{Kind: logical.KindViewScan, ViewName: "v1"}
-	root := &logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{vs}}
+	vs := logical.NewViewScan("v1", nil)
+	root := logical.NewNode(logical.Node{Kind: logical.KindDistinct, Children: []*logical.Node{vs}}, nil)
 	if _, ok := HashPlan(root, src); ok {
 		t.Fatal("a plan reading a view must not fingerprint")
 	}
@@ -74,16 +74,12 @@ func TestHashPlanRejectsViewsAndUnknownLogs(t *testing.T) {
 }
 
 // TestPlanHashZeroAlloc is the fingerprint counterpart of the exec
-// package's TestBatchHashZeroAlloc: once the plan's signatures are
-// memoized, hashing must not allocate — it runs on the hot serving path
-// for every query and every cut probe.
+// package's TestBatchHashZeroAlloc: hashing a freshly built plan must not
+// allocate — it runs on the hot serving path for every query and every cut
+// probe — and needs no signature computed first.
 func TestPlanHashZeroAlloc(t *testing.T) {
 	plan := testPlan("logs_a")
 	var src VersionSource = mapSource{"logs_a": {3, 12345}}
-	plan.PrewarmSignatures()
-	if _, ok := HashPlan(plan, src); !ok {
-		t.Fatal("warmup hash failed")
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := HashPlan(plan, src); !ok {
 			t.Fatal("hash failed")
@@ -97,7 +93,6 @@ func TestPlanHashZeroAlloc(t *testing.T) {
 func BenchmarkPlanHash(b *testing.B) {
 	plan := testPlan("logs_a")
 	var src VersionSource = mapSource{"logs_a": {3, 12345}}
-	plan.PrewarmSignatures()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, ok := HashPlan(plan, src); !ok {

@@ -372,7 +372,9 @@ func (s *System) installView(v *views.View, set *views.Set) {
 	if v.Table != nil {
 		st := stats.Stat{Rows: int64(v.Table.NumRows()), Bytes: v.Table.LogicalBytes()}
 		s.est.RecordView(v.Name, st)
-		s.est.Record(v.Sig, st)
+		if v.Def != nil {
+			s.est.Record(v.Def, st)
+		}
 	}
 }
 

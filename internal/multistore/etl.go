@@ -107,9 +107,9 @@ func (s *System) runETL() error {
 // (sorted) and UDF fields (sorted), mirroring the builder's leaf layout so
 // query leaves subsume against the ETL view.
 func buildETLExtract(logName string, plain, udf map[string]logical.ExtractField) (*logical.Node, error) {
-	scan := &logical.Node{Kind: logical.KindScan, LogName: logName}
-	scan.SetSchema(storage.MustSchema(storage.Column{Name: "_raw", Type: storage.KindString}))
-	ex := &logical.Node{Kind: logical.KindExtract, Children: []*logical.Node{scan}}
+	scan := logical.NewNode(logical.Node{Kind: logical.KindScan, LogName: logName},
+		storage.MustSchema(storage.Column{Name: "_raw", Type: storage.KindString}))
+	ex := logical.Node{Kind: logical.KindExtract, Children: []*logical.Node{scan}}
 
 	var cols []storage.Column
 	for _, name := range sortedKeys(plain) {
@@ -132,8 +132,7 @@ func buildETLExtract(logName string, plain, udf map[string]logical.ExtractField)
 	if err != nil {
 		return nil, err
 	}
-	ex.SetSchema(sch)
-	return ex, nil
+	return logical.NewNode(ex, sch), nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -3,7 +3,6 @@ package multistore
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"miso/internal/durability"
 )
@@ -47,9 +46,7 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, err err
 			}
 		}
 	}
-	s.est.InvalidateMatching(func(sig string) bool {
-		return strings.Contains(sig, "scan("+name+")")
-	})
+	s.est.InvalidateLog(name)
 	// The log's content version advanced: refresh the reuse plane's
 	// version mirror (fingerprints over the new content differ, making old
 	// entries unreachable) and drop the cached results outright.

@@ -12,6 +12,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"miso/internal/dw"
@@ -136,31 +137,45 @@ func New(h *hv.Store, d *dw.Store, est *stats.Estimator, tcfg transfer.Config) *
 // subtree by the best matching view in the set. It returns the (possibly
 // unchanged) plan.
 func RewriteWithViews(n *logical.Node, set *views.Set) *logical.Node {
-	if set != nil && set.Len() > 0 {
-		if m, ok := set.BestMatch(n); ok {
-			if r, err := m.Rewrite(); err == nil {
-				return r
+	return rewrite(n, set, map[*logical.Node]*logical.Node{})
+}
+
+// rewrite is RewriteWithViews remembering each node's result in done, so
+// one plan choice — hvOnlyPlan's walk and every cut's rewrite — matches each
+// raw node against the set at most once. A rewrite is a pure function of
+// the node and the set, and raw plans are trees, so a remembered result is
+// what rewriting again would build.
+func rewrite(n *logical.Node, set *views.Set, done map[*logical.Node]*logical.Node) *logical.Node {
+	if set == nil || set.Len() == 0 {
+		return n
+	}
+	if out, ok := done[n]; ok {
+		return out
+	}
+	out := n
+	if m, ok := set.BestMatch(n); ok {
+		if rw, err := m.Rewrite(); err == nil {
+			out = rw
+		}
+	}
+	if out == n {
+		// Only the nodes above a rewritten subtree are copied; subtrees the
+		// rewrite leaves alone stay shared.
+		var kids []*logical.Node
+		for i, c := range n.Children {
+			if nc := rewrite(c, set, done); nc != c {
+				if kids == nil {
+					kids = slices.Clone(n.Children)
+				}
+				kids[i] = nc
 			}
 		}
-	}
-	if len(n.Children) == 0 {
-		return n
-	}
-	// The rewrite overwrites every child slot, so only the node itself
-	// needs copying; subtrees the rewrite leaves alone stay shared.
-	c := n.CloneShallow()
-	changed := false
-	for i := range c.Children {
-		nc := RewriteWithViews(c.Children[i], set)
-		if nc != c.Children[i] {
-			changed = true
+		if kids != nil {
+			out = n.WithChildren(kids)
 		}
-		c.Children[i] = nc
 	}
-	if !changed {
-		return n
-	}
-	return c
+	done[n] = out
+	return out
 }
 
 // enumerateCuts lists candidate frontiers: each frontier is a set of
@@ -224,26 +239,42 @@ type cutEval struct {
 	xfer   float64
 }
 
-func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo, base map[*logical.Node]*cutEval) *cutEval {
-	if ce, ok := memo[cutNode]; ok {
+// choice is what one plan choice under one design shares across its
+// frontiers: the design, the HV rewrites of raw nodes (hvOnlyPlan's and
+// every cut's), and the cuts' evaluations, with a plan space's (base) when
+// it costs a probe.
+type choice struct {
+	d          Design
+	rewritten  map[*logical.Node]*logical.Node
+	cuts, base map[*logical.Node]*cutEval
+}
+
+func newChoice(d Design, base map[*logical.Node]*cutEval) *choice {
+	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base}
+}
+
+func (c *choice) rewriteHV(n *logical.Node) *logical.Node { return rewrite(n, c.d.HV, c.rewritten) }
+
+func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice) *cutEval {
+	if ce, ok := c.cuts[cutNode]; ok {
 		return ce
 	}
 	ce := &cutEval{}
-	memo[cutNode] = ce
-	if d.DW != nil {
-		if m, ok := d.DW.BestMatch(cutNode); ok {
+	c.cuts[cutNode] = ce
+	if c.d.DW != nil {
+		if m, ok := c.d.DW.BestMatch(cutNode); ok {
 			if r, err := m.Rewrite(); err == nil {
 				ce.dwView = r
 				return ce
 			}
 		}
 	}
-	ce.hvPlan = RewriteWithViews(cutNode, d.HV)
-	if b := base[cutNode]; b != nil {
+	ce.hvPlan = c.rewriteHV(cutNode)
+	if b := c.base[cutNode]; b != nil {
 		// A plan space already holds the cut's design-independent values;
 		// only an HV side that a view rewrote is costed again.
 		if ce.hvPlan == cutNode {
-			memo[cutNode] = b
+			c.cuts[cutNode] = b
 			return b
 		}
 		ce.st, ce.xfer = b.st, b.xfer
@@ -255,21 +286,32 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo, base map[*log
 	return ce
 }
 
+// tempNames are the migrated working sets' temp names by cut position,
+// formatted once; tempName formats a wider frontier's.
+var tempNames = [...]string{"ws_0", "ws_1", "ws_2", "ws_3", "ws_4", "ws_5", "ws_6", "ws_7"}
+
+func tempName(i int) string {
+	if i < len(tempNames) {
+		return tempNames[i]
+	}
+	return fmt.Sprintf("ws_%d", i)
+}
+
 // buildPlan assembles and costs the multistore plan for one frontier.
 // The what-if stats of the hypothetical migrated working sets live in a
 // plan-local overlay rather than the shared estimator cache, so buildPlan
 // never mutates shared state: concurrent costing calls reusing the same
 // temp names (ws_0, ws_1, ...) cannot clobber each other.
-func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Design, memo, base map[*logical.Node]*cutEval) (*MultiPlan, error) {
+func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, c *choice) (*MultiPlan, error) {
 	plan := &MultiPlan{}
 	var totalBytes int64
 
 	// Replace each frontier subtree in the DW part.
 	replace := map[*logical.Node]*logical.Node{}
-	var overlay map[string]stats.Stat
+	var overlay map[uint64]stats.Stat
 	for i, cutNode := range frontier {
-		cut := Cut{Node: cutNode, TempName: fmt.Sprintf("ws_%d", i)}
-		ce := o.evalCut(cutNode, d, memo, base)
+		cut := Cut{Node: cutNode, TempName: tempName(i)}
+		ce := o.evalCut(cutNode, c)
 		if ce.dwView != nil {
 			cut.DWView = ce.dwView
 			replace[cutNode] = ce.dwView
@@ -280,10 +322,11 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 		cut.EstBytes = ce.st.Bytes
 		totalBytes += ce.st.Bytes
 		if overlay == nil {
-			overlay = make(map[string]stats.Stat, len(frontier))
+			overlay = make(map[uint64]stats.Stat, len(frontier))
 		}
-		overlay["viewscan("+cut.TempName+")"] = ce.st
-		replace[cutNode] = logical.NewViewScan(cut.TempName, cutNode.Schema())
+		ws := logical.NewViewScan(cut.TempName, cutNode.Schema())
+		overlay[ws.ID()] = ce.st
+		replace[cutNode] = ws
 		if o.ReuseProbe == nil || !o.ReuseProbe(cutNode) {
 			plan.EstHV += ce.hvCost
 		}
@@ -304,7 +347,7 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 	return plan, nil
 }
 
-// substitute clones the tree, swapping replaced subtrees.
+// substitute copies the tree above the replaced subtrees, swapping them.
 func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node) (*logical.Node, error) {
 	if r, ok := replace[n]; ok {
 		return r, nil
@@ -312,20 +355,19 @@ func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node) (*logi
 	if len(n.Children) == 0 {
 		return nil, fmt.Errorf("optimizer: leaf %s not covered by any cut", n.Kind)
 	}
-	c := n.CloneShallow()
-	for i := range n.Children {
-		nc, err := substitute(n.Children[i], replace)
-		if err != nil {
+	kids := make([]*logical.Node, len(n.Children))
+	for i, c := range n.Children {
+		var err error
+		if kids[i], err = substitute(c, replace); err != nil {
 			return nil, err
 		}
-		c.Children[i] = nc
 	}
-	return c, nil
+	return n.WithChildren(kids), nil
 }
 
 // hvOnlyPlan builds and costs full-HV execution.
-func (o *Optimizer) hvOnlyPlan(raw *logical.Node, d Design) *MultiPlan {
-	p := RewriteWithViews(raw, d.HV)
+func (o *Optimizer) hvOnlyPlan(raw *logical.Node, c *choice) *MultiPlan {
+	p := c.rewriteHV(raw)
 	return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: o.hv.CostPlan(p)}
 }
 
@@ -349,18 +391,24 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // EnumeratePlans returns every candidate multistore plan with estimated
 // costs: the HV-only plan first, then one plan per enumerated split.
 //
+// One call rewrites each raw node against the HV views at most once (the
+// HV-only plan and every cut share the rewrites), so a cut's HVPlan may be a
+// subtree of the HV-only plan's HVPlan.
+//
 // Concurrency contract: EnumeratePlans (and Choose above it, and
 // PlanSpace.Cost beside it) is a pure read of the stores, the estimator,
 // and the design — it records no stats, stages no tables, and draws no
 // faults — so any number of goroutines may cost plans concurrently,
-// provided the raw plan's node signatures were prewarmed
-// (logical.Node.PrewarmSignatures) and nothing concurrently mutates the
-// design's view sets or the catalog.
+// provided nothing concurrently mutates the design's view sets or the
+// catalog, and the raw plan's node signatures were prewarmed
+// (logical.Node.PrewarmSignatures). View lookup and estimation read only
+// node ids, set at build; the prewarm is for hv.CostPlan, which orders a
+// plan's stages by signature.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	plans := []*MultiPlan{o.hvOnlyPlan(raw, d)}
-	memo := map[*logical.Node]*cutEval{}
+	c := newChoice(d, nil)
+	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
 	for _, frontier := range o.splitFrontiers(raw) {
-		p, err := o.buildPlan(raw, frontier, d, memo, nil)
+		p, err := o.buildPlan(raw, frontier, c)
 		if err != nil {
 			continue // invalid split (UDF above the cut, etc.)
 		}
@@ -407,10 +455,10 @@ type spaceFrontier struct {
 // PlanSpace builds the query's plan space. The raw plan's signatures must be
 // prewarmed before the space is shared between goroutines.
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
-	s := &PlanSpace{o: o, raw: raw, base: map[*logical.Node]*cutEval{}}
-	empty := EmptyDesign()
+	c := newChoice(EmptyDesign(), nil)
+	s := &PlanSpace{o: o, raw: raw, base: c.cuts}
 	for _, frontier := range o.splitFrontiers(raw) {
-		p, err := o.buildPlan(raw, frontier, empty, s.base, nil)
+		p, err := o.buildPlan(raw, frontier, c)
 		if err != nil {
 			continue // refused for what lies above the cuts, so under every design
 		}
@@ -428,15 +476,15 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 // other frontier sums the stored floats in buildPlan's order.
 func (s *PlanSpace) Cost(d Design) float64 {
 	o := s.o
-	best := o.hvOnlyPlan(s.raw, d).EstTotal()
-	memo := map[*logical.Node]*cutEval{}
+	c := newChoice(d, s.base)
+	best := o.hvOnlyPlan(s.raw, c).EstTotal()
 frontiers:
 	for _, f := range s.frontiers {
 		var estHV, estTransfer float64
 		for _, cutNode := range f.cuts {
-			ce := o.evalCut(cutNode, d, memo, s.base)
+			ce := o.evalCut(cutNode, c)
 			if ce.dwView != nil {
-				if p, err := o.buildPlan(s.raw, f.cuts, d, memo, s.base); err == nil && p.EstTotal() < best {
+				if p, err := o.buildPlan(s.raw, f.cuts, c); err == nil && p.EstTotal() < best {
 					best = p.EstTotal()
 				}
 				continue frontiers

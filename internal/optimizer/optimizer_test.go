@@ -14,6 +14,7 @@ import (
 	"miso/internal/storage"
 	"miso/internal/transfer"
 	"miso/internal/views"
+	"miso/internal/workload"
 )
 
 type fixture struct {
@@ -237,6 +238,31 @@ func BenchmarkChooseWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
+			if _, err := opt.Choose(p, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildChooseWarm is BenchmarkChooseWarm as a served query meets
+// it: every iteration builds each query's plan afresh from its SQL and then
+// chooses, so no node arrives with anything computed beyond what building
+// sets — which BenchmarkChooseWarm's reused plans hide after its first
+// iteration.
+func BenchmarkBuildChooseWarm(b *testing.B) {
+	sys, _, _ := warmSystem(b)
+	opt, d := sys.Optimizer(), sys.Design()
+	builder := logical.NewBuilder(sys.Catalog())
+	sqls := workload.SQLs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sql := range sqls {
+			p, err := builder.BuildSQL(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := opt.Choose(p, d); err != nil {
 				b.Fatal(err)
 			}

@@ -1,12 +1,14 @@
 // Package stats provides cardinality and byte-size estimation for logical
 // plans. Estimates feed the what-if cost models of both stores. A feedback
-// cache keyed by canonical subtree signature records actual sizes observed
-// during execution, so repeated subexpressions — the common case in the
+// cache keyed by a subtree's structural id (logical.Node.ID, which stands
+// for its canonical signature) records actual sizes observed during
+// execution, so repeated subexpressions — the common case in the
 // evolving-analyst workload — are costed from truth rather than heuristics.
 package stats
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"miso/internal/expr"
@@ -34,56 +36,56 @@ func (s Stat) AvgRowBytes() int64 {
 // goroutines estimate. Estimates are monotone in observation order but
 // otherwise independent of interleaving — concurrent recording never
 // corrupts a stat, it only decides which observation of the same
-// signature lands last.
+// subtree lands last.
 type Estimator struct {
 	cat *storage.Catalog
 
 	mu    sync.RWMutex
-	cache map[string]Stat
+	cache map[uint64]observed // by logical.Node.ID
+}
+
+// observed is one recorded truth and the logs its subtree's Scan leaves
+// read, which decide whether an append to a log makes it stale.
+type observed struct {
+	stat Stat
+	logs []string
 }
 
 // NewEstimator builds an estimator over the catalog's base data.
 func NewEstimator(cat *storage.Catalog) *Estimator {
-	return &Estimator{cat: cat, cache: map[string]Stat{}}
+	return &Estimator{cat: cat, cache: map[uint64]observed{}}
 }
 
-// Record stores the observed size for a subtree signature.
-func (e *Estimator) Record(sig string, s Stat) {
+// Record stores the observed size of a subtree.
+func (e *Estimator) Record(n *logical.Node, s Stat) {
+	o := observed{stat: s}
+	n.Walk(func(m *logical.Node) {
+		if m.Kind == logical.KindScan && !slices.Contains(o.logs, m.LogName) {
+			o.logs = append(o.logs, m.LogName)
+		}
+	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cache[sig] = s
+	e.cache[n.ID()] = o
 }
 
-// RecordView stores the observed size of a materialized view under its
-// viewscan signature so plans rewritten to use the view are costed
+// RecordView stores the observed size of a materialized view under the id
+// of a ViewScan of it, so plans rewritten to use the view are costed
 // accurately.
 func (e *Estimator) RecordView(name string, s Stat) {
-	e.Record("viewscan("+name+")", s)
+	e.Record(logical.NewViewScan(name, nil), s)
 }
 
-// Lookup returns the recorded stat for a signature, if any.
-func (e *Estimator) Lookup(sig string) (Stat, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s, ok := e.cache[sig]
-	return s, ok
-}
-
-// Observed reports whether the signature has recorded truth.
-func (e *Estimator) Observed(sig string) bool {
-	_, ok := e.Lookup(sig)
-	return ok
-}
-
-// InvalidateMatching drops every cached stat whose signature satisfies the
-// predicate; used when base data changes and derived truths go stale.
-func (e *Estimator) InvalidateMatching(pred func(sig string) bool) int {
+// InvalidateLog drops every recorded stat whose subtree scans the log and
+// reports how many it dropped; used when the log's data changes and the
+// truths derived from it go stale.
+func (e *Estimator) InvalidateLog(name string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for sig := range e.cache {
-		if pred(sig) {
-			delete(e.cache, sig)
+	for id, o := range e.cache {
+		if slices.Contains(o.logs, name) {
+			delete(e.cache, id)
 			n++
 		}
 	}
@@ -97,21 +99,24 @@ func (e *Estimator) Estimate(n *logical.Node) Stat {
 }
 
 // EstimateWith estimates like Estimate but consults the local overlay map
-// (signature -> stat) before the shared feedback cache, at every level of
+// (node id -> stat) before the shared feedback cache, at every level of
 // the recursion. The overlay lets a caller cost a plan against hypothetical
 // relations — the optimizer's migrated working sets — without publishing
 // their stats into the shared cache, which keeps the what-if cost path
 // read-only and therefore safe for concurrent use: parallel costing calls
 // reusing the same temp names (ws_0, ws_1, ...) can no longer clobber each
-// other. A nil overlay makes EstimateWith identical to Estimate.
-func (e *Estimator) EstimateWith(n *logical.Node, overlay map[string]Stat) Stat {
-	if overlay != nil {
-		if s, ok := overlay[n.Signature()]; ok {
-			return s
-		}
-	}
-	if s, ok := e.Lookup(n.Signature()); ok {
+// other. It reads only ids, which are set when a node is built, so it needs
+// no signature prewarm. A nil overlay makes EstimateWith identical to
+// Estimate.
+func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat {
+	if s, ok := overlay[n.ID()]; ok {
 		return s
+	}
+	e.mu.RLock()
+	o, ok := e.cache[n.ID()]
+	e.mu.RUnlock()
+	if ok {
+		return o.stat
 	}
 	var s Stat
 	switch n.Kind {

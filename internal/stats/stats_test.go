@@ -1,14 +1,19 @@
 package stats_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"miso/internal/data"
 	"miso/internal/exec"
 	"miso/internal/expr"
+	"miso/internal/hv"
 	"miso/internal/logical"
+	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
+	"miso/internal/workload"
 )
 
 func setup(t *testing.T) (*storage.Catalog, *logical.Builder, *stats.Estimator, *exec.Env) {
@@ -77,15 +82,69 @@ func TestFeedbackOverridesHeuristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.Record(plan.Signature(), stats.Stat{Rows: int64(table.NumRows()), Bytes: table.LogicalBytes()})
+	est.Record(plan, stats.Stat{Rows: int64(table.NumRows()), Bytes: table.LogicalBytes()})
 	after := est.Estimate(plan)
 	if after.Rows != int64(table.NumRows()) {
 		t.Errorf("recorded truth ignored: %d vs %d", after.Rows, table.NumRows())
 	}
-	if !est.Observed(plan.Signature()) {
-		t.Error("Observed false after Record")
+	if !est.Recorded(plan.ID()) {
+		t.Error("no record after Record")
 	}
 	_ = before
+}
+
+// TestInvalidateLogDropsWhatTheSignaturePredicateDropped warms an estimator
+// the way the system does — the 32 paper queries in order through an HV
+// store, each rewritten over the views captured so far, so the cache holds
+// raw subtrees, subtrees over views and the views' own records — and holds
+// InvalidateLog to the predicate it replaced: drop exactly the entries whose
+// signature contains scan(<log>).
+func TestInvalidateLogDropsWhatTheSignaturePredicateDropped(t *testing.T) {
+	cat, b, est, _ := setup(t)
+	store := hv.NewStore(hv.DefaultConfig(), cat, est)
+	sigs := map[uint64]string{} // every id the warm-up can have recorded
+	for seq, sql := range workload.SQLs() {
+		raw, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := optimizer.RewriteWithViews(raw, store.Views)
+		if _, err := store.ExecuteContext(context.Background(), plan, seq+1); err != nil {
+			t.Fatal(err)
+		}
+		plan.Walk(func(n *logical.Node) { sigs[n.ID()] = n.Signature() })
+	}
+	for _, v := range store.Views.All() {
+		vs := logical.NewViewScan(v.Name, nil)
+		sigs[vs.ID()] = vs.Signature()
+	}
+	recorded, held := map[uint64]bool{}, 0
+	for id := range sigs {
+		if recorded[id] = est.Recorded(id); recorded[id] {
+			held++
+		}
+	}
+	if held != est.Len() {
+		t.Fatalf("the estimator holds %d entries, the warm-up named %d of them", est.Len(), held)
+	}
+	oracle := func(sig string) bool { return strings.Contains(sig, "scan(tweets)") }
+	want := 0
+	for id, sig := range sigs {
+		if recorded[id] && oracle(sig) {
+			want++
+		}
+	}
+	if want == 0 || want == est.Len() {
+		t.Fatalf("%d of %d entries scan tweets: the check is vacuous", want, est.Len())
+	}
+	if got := est.InvalidateLog("tweets"); got != want {
+		t.Errorf("InvalidateLog dropped %d entries, the signature predicate %d", got, want)
+	}
+	for id, sig := range sigs {
+		if got := est.Recorded(id); got != (recorded[id] && !oracle(sig)) {
+			t.Errorf("recorded after invalidation = %v: %s", got, sig)
+		}
+	}
 }
 
 func TestRecordView(t *testing.T) {

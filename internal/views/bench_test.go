@@ -95,7 +95,6 @@ func TestBestMatchAllocsIndependentOfSetSize(t *testing.T) {
 		small.Add(v)
 	}
 	n := f.corePlan(t, "SELECT l.city FROM landmarks l WHERE l.rating >= 2.5")
-	n.PrewarmSignatures()
 	if m, ok := warm.BestMatch(n); ok {
 		t.Fatalf("%s answers the probe", m.View.Name)
 	}
@@ -107,12 +106,11 @@ func TestBestMatchAllocsIndependentOfSetSize(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchNodeExact measures the cheap path: signature equality.
+// BenchmarkMatchNodeExact measures the cheap path: id equality.
 func BenchmarkMatchNodeExact(b *testing.B) {
 	f := newFixture(b)
 	v := f.makeView(b, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
 	n := f.corePlan(b, "SELECT user_id FROM tweets WHERE lang = 'en'")
-	n.Signature() // memoize, as the optimizer's reuse does
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m, ok := views.MatchNode(n, v); !ok || !m.Exact {

@@ -1,8 +1,9 @@
 // Package views implements opportunistic materialized views: the
 // by-products of query processing that MISO places across the two stores.
 // A view pairs a defining logical subtree (and its descriptor) with its
-// materialized table. Matching supports two tiers: exact signature equality,
-// and SPJ subsumption (same extract/join skeleton, view filters a subset of
+// materialized table. Matching supports two tiers: exact signature equality
+// (tested on the structural ids that stand for signatures), and SPJ
+// subsumption (same extract/join skeleton, view filters a subset of
 // the node's, view columns a superset of what the node needs), in which case
 // the node is rewritten as ViewScan -> residual Filter -> Project.
 package views
@@ -25,6 +26,10 @@ type View struct {
 	Name string
 	// Sig is the canonical signature of the defining subtree.
 	Sig string
+	// ID is the defining subtree's structural id (logical.Node.ID), which
+	// the exact tier compares: equal to a node's exactly when Sig equals the
+	// node's signature. Zero never matches.
+	ID uint64
 	// Def is the defining logical subtree, as handed to New.
 	Def *logical.Node
 	// Desc is the subsumption descriptor of Def (logical.DescribeView).
@@ -66,6 +71,7 @@ func New(def *logical.Node, table *storage.Table, seq int) *View {
 	return &View{
 		Name:        NameForSig(sig),
 		Sig:         sig,
+		ID:          def.ID(),
 		Def:         def,
 		Desc:        logical.DescribeView(def),
 		Table:       table,
@@ -165,12 +171,11 @@ type Match struct {
 	OutCols []string
 }
 
-// MatchNode reports whether v can answer node n and how. It reads the node
-// and view without mutating either, so it is safe to call concurrently once
-// node signatures have been computed (Signature memoizes lazily; see
-// logical.Node.PrewarmSignatures).
+// MatchNode reports whether v can answer node n and how. It reads the node's
+// id and structure and the view, writing neither, so it is safe to call
+// concurrently on a shared plan with no signature prewarm.
 func MatchNode(n *logical.Node, v *View) (*Match, bool) {
-	return (&lookup{node: n, sig: n.Signature()}).match(v)
+	return (&lookup{node: n, id: n.ID()}).match(v)
 }
 
 // lookup is one node being matched against views. The node is described
@@ -178,12 +183,12 @@ func MatchNode(n *logical.Node, v *View) (*Match, bool) {
 // later view matches against that descriptor.
 type lookup struct {
 	node *logical.Node
-	sig  string
+	id   uint64
 	desc *logical.Descriptor
 }
 
 func (l *lookup) match(v *View) (*Match, bool) {
-	if l.sig == v.Sig {
+	if l.id != 0 && l.id == v.ID {
 		return &Match{View: v, Exact: true}, true
 	}
 	if v.ExactOnly {
@@ -261,8 +266,8 @@ func (m *Match) Rewrite() (*logical.Node, error) {
 	return node, nil
 }
 
-// MatchMemo caches MatchNode outcomes keyed by (node signature, view
-// name). A node's signature fully determines its descriptor, and a view
+// MatchMemo caches MatchNode outcomes keyed by (node id, view name). A
+// node's id, like its signature, fully determines its descriptor, and a view
 // is immutable after creation, so the match outcome is a pure function of
 // the key — the memo only avoids re-describing and re-checking, never
 // changes a result. Within one BestMatch the node is described once
@@ -275,7 +280,7 @@ type MatchMemo struct {
 }
 
 type matchMemoKey struct {
-	sig  string
+	id   uint64
 	view string
 }
 
@@ -283,7 +288,7 @@ type matchMemoKey struct {
 func NewMatchMemo() *MatchMemo { return &MatchMemo{} }
 
 func (mm *MatchMemo) match(l *lookup, v *View) (*Match, bool) {
-	key := matchMemoKey{sig: l.sig, view: v.Name}
+	key := matchMemoKey{id: l.id, view: v.Name}
 	if e, ok := mm.m.Load(key); ok {
 		m := e.(*Match)
 		return m, m != nil
@@ -430,7 +435,7 @@ func (s *Set) UseMemo(mm *MatchMemo) { s.memo = mm }
 // preferring exact matches, then the smallest view (cheapest to read),
 // then the least name. The node is described at most once per call.
 func (s *Set) BestMatch(n *logical.Node) (*Match, bool) {
-	l := lookup{node: n, sig: n.Signature()}
+	l := lookup{node: n, id: n.ID()}
 	var best *Match
 	for _, v := range s.kept() {
 		if m, ok := s.match(&l, v); ok && (best == nil || better(m, best)) {

@@ -292,7 +292,8 @@ func TestSetKeepsNameOrder(t *testing.T) {
 
 // TestSetWritersBesideBestMatch runs writers beside BestMatch and All
 // readers; under -race it checks that a reader's kept slice is never
-// written.
+// written, and that two lookups of one node with no signature computed
+// write nothing into it.
 func TestSetWritersBesideBestMatch(t *testing.T) {
 	f := newFixture(t)
 	var pool []*views.View
@@ -306,7 +307,6 @@ func TestSetWritersBesideBestMatch(t *testing.T) {
 		pool = append(pool, f.makeView(t, sql))
 	}
 	n := f.corePlan(t, "SELECT tweet_id FROM tweets WHERE lang = 'en' AND retweets > 100")
-	n.PrewarmSignatures()
 	s, src := views.NewSet(), views.NewSet()
 	src.Add(pool[0])
 	src.Add(pool[3])
