@@ -9,7 +9,6 @@ import (
 	"miso/internal/dw"
 	"miso/internal/logical"
 	"miso/internal/stats"
-	"miso/internal/views"
 )
 
 func load(t *testing.T) (*bgwork.Workload, *dw.Store) {
@@ -40,9 +39,7 @@ func TestLoadInstallsTables(t *testing.T) {
 // have always answered: their Sig is bgtable(name), which is no plan node's
 // signature, so even a ViewScan of the table itself matches none of them —
 // not on the exact tier (their ID agrees with Sig, not with Def), and not
-// by subsumption (a ViewScan is opaque). A zero id never exact-matches: a
-// view assembled without an ID is not offered for a node literal that was
-// never built.
+// by subsumption (a ViewScan is opaque).
 func TestMartTablesAnswerNoLookup(t *testing.T) {
 	_, store := load(t)
 	for _, v := range store.Views.All() {
@@ -51,12 +48,6 @@ func TestMartTablesAnswerNoLookup(t *testing.T) {
 		}
 		if m, ok := store.Views.BestMatch(logical.NewViewScan(v.Name, v.Table.Schema)); ok {
 			t.Errorf("a ViewScan of %s matched %s", v.Name, m.View.Name)
-		}
-		anonymous := *v
-		anonymous.ID, anonymous.ExactOnly = 0, true
-		unbuilt := &logical.Node{Kind: logical.KindViewScan, ViewName: v.Name}
-		if m, ok := views.MatchNode(unbuilt, &anonymous); ok && m.Exact {
-			t.Errorf("%s without an ID matched an unbuilt node exactly", v.Name)
 		}
 	}
 }

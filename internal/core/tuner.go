@@ -420,9 +420,6 @@ func relevantViews(plan *logical.Node, universe []*views.View) []*views.View {
 				rel = append(rel, v)
 				break
 			}
-			if v.ExactOnly {
-				continue
-			}
 			if _, ok := views.MatchDescriptor(descs[i], v); ok {
 				rel = append(rel, v)
 				break

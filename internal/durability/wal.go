@@ -10,8 +10,8 @@ import (
 
 // WAL is the append-only write-ahead log plus the durable view payload
 // space. Records carry the design mutations; payloads carry the view bytes
-// an admit record points at, each a View struct of its own over the live
-// view's write-once table (see PutPayload).
+// an admit record points at: the admitted view itself, shared with the live
+// set that later replaces rather than writes it (see PutPayload).
 //
 // Both fault sites the WAL owns are drawn at write time, mirroring when
 // real storage breaks: SiteWALWrite tears the append (only a seeded prefix
@@ -158,19 +158,20 @@ func Fold(recs []*Record) Durable {
 	return d
 }
 
-// PutPayload stores the durable copy of an admitted view, sharing its table.
-// When SiteViewCorrupt fires, the payload gets a copy of the table with one
-// value flipped (size-preserving), so its recomputed checksum no longer
+// PutPayload stores the admitted view itself as its durable payload. When
+// SiteViewCorrupt fires, the payload is a copy over a copy of the table with
+// one value flipped (size-preserving), so its recomputed checksum no longer
 // matches the admit record and recovery quarantines the view.
 func (w *WAL) PutPayload(v *views.View) {
-	c := v.Clone()
-	if failed, frac := w.inj.Check(faults.SiteViewCorrupt); failed && c.Table != nil {
-		c.Table = c.Table.Clone()
+	if failed, frac := w.inj.Check(faults.SiteViewCorrupt); failed && v.Table != nil {
+		c := *v
+		c.Table = v.Table.Clone()
 		CorruptTable(c.Table, frac)
+		v = &c
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.payloads[c.Name] = c
+	w.payloads[v.Name] = v
 }
 
 // Payload fetches the durable copy of a view by name.

@@ -176,23 +176,39 @@ func testView(t *testing.T, name string) *views.View {
 	return &views.View{Name: name, Table: tbl, Checksum: storage.ChecksumTable(tbl)}
 }
 
-// TestCleanPayloadSharesLiveTable: with no corruption drawn, the payload
-// holds the live view's write-once table rather than a copy, in a View
-// struct of its own that the live view's later writes do not reach.
-func TestCleanPayloadSharesLiveTable(t *testing.T) {
+// TestCleanPayloadIsTheLiveView: with no corruption drawn, the payload is
+// the admitted view itself. A Touch and a rot, each through the live set,
+// install new structs, so the payload, and a checkpoint taken before them,
+// stay exactly as admitted.
+func TestCleanPayloadIsTheLiveView(t *testing.T) {
 	w := NewWAL(nil)
 	v := testView(t, "v_payload")
+	live := views.NewSet()
+	live.Add(v)
 	w.PutPayload(v)
+	ck := NewManager(1, w).Checkpoint(0, live.All())
 	stored, ok := w.Payload("v_payload")
 	if !ok {
 		t.Fatal("payload missing")
 	}
-	if stored == v || stored.Table != v.Table {
-		t.Fatal("clean payload is not its own struct over the live table")
+	if stored != v {
+		t.Fatal("clean payload is not the admitted view")
 	}
-	v.Table, v.LastUsedSeq = nil, 9
-	if stored.Table == nil || stored.LastUsedSeq == 9 || !stored.Verify() {
-		t.Error("a write to the live view reached the payload")
+
+	live.Touch(v.Name, 9)
+	touched, _ := live.Get(v.Name)
+	rotted := *touched
+	rotted.Table = touched.Table.Clone()
+	CorruptTable(rotted.Table, 0.5)
+	live.Add(&rotted)
+	if now, _ := live.Get(v.Name); now.LastUsedSeq != 9 || now.Verify() {
+		t.Fatalf("live view: LastUsedSeq %d, verifies %v; want the touched, rotted one", now.LastUsedSeq, now.Verify())
+	}
+	kept := ck.State.([]*views.View)[0]
+	for what, held := range map[string]*views.View{"payload": stored, "checkpoint": kept} {
+		if held != v || held.LastUsedSeq != 0 || !held.Verify() {
+			t.Errorf("the %s followed the live set: LastUsedSeq %d, verifies %v", what, held.LastUsedSeq, held.Verify())
+		}
 	}
 }
 

@@ -361,10 +361,7 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 		if s.captureVeto != nil && s.captureVeto(name) {
 			continue
 		}
-		if s.Views.Has(name) {
-			if v, _ := s.Views.Get(name); v != nil {
-				v.LastUsedSeq = seq
-			}
+		if s.Views.Touch(name, seq) {
 			continue
 		}
 		v := views.New(def, tables[n], seq)

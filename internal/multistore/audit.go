@@ -410,7 +410,6 @@ func (s *System) repairView(v *views.View, st residency) error {
 		return fmt.Errorf("multistore: view %s definition drifted (recomputed name %s)", v.Name, nv.Name)
 	}
 	nv.LastUsedSeq = v.LastUsedSeq
-	nv.ExactOnly = v.ExactOnly
 	nv.StampGenerations(s.cat.Generation)
 	st.views.Remove(v.Name)
 	s.installView(nv, st.views)
@@ -458,38 +457,37 @@ func (s *System) QuarantineTombstones() []string {
 }
 
 // maybeRot draws the SiteViewRot bit-rot site once per operation: when it
-// fires, one resident recomputable view's table is silently replaced by a
-// clone with a single value flipped (size-preserving) while its catalog
-// checksum is left stale — damage no query path notices until a checksum
-// audit re-verifies it; the original, shared with checkpoints and payloads,
-// stays intact. Victim choice is deterministic in the draw's fraction over
-// the sorted resident view names. A zero rate draws no randomness. Callers
-// hold s.mu.
+// fires, one resident recomputable view is silently replaced, through its
+// set, by a copy whose table has a single value flipped (size-preserving)
+// and whose catalog checksum is left stale — damage no query path notices
+// until a checksum audit re-verifies it; the original, shared with
+// checkpoints and payloads, stays intact. Victim choice is deterministic in
+// the draw's fraction over the sorted resident view names. A zero rate draws
+// no randomness. Callers hold s.mu.
 func (s *System) maybeRot() {
 	failed, frac := s.inj.Check(faults.SiteViewRot)
 	if !failed {
 		return
 	}
 	var victims []*views.View
+	var sets []*views.Set // each victim's
 	for _, st := range s.stores() {
 		for _, v := range st.views.All() {
 			if v.Table != nil && len(v.Table.Rows) > 0 && v.Name == views.NameForSig(v.Sig) {
 				victims = append(victims, v)
+				sets = append(sets, st.views)
 			}
 		}
 	}
 	if len(victims) == 0 {
 		return
 	}
-	idx := int(frac * float64(len(victims)))
-	if idx >= len(victims) {
-		idx = len(victims) - 1
-	}
-	v := victims[idx]
-	rotted := v.Table.Clone()
-	durability.CorruptTable(rotted, frac)
-	v.Table = rotted
-	s.rotLog = append(s.rotLog, RotRecord{Name: v.Name, CreatedSeq: v.CreatedSeq})
+	idx := min(int(frac*float64(len(victims))), len(victims)-1)
+	rotted := *victims[idx]
+	rotted.Table = rotted.Table.Clone()
+	durability.CorruptTable(rotted.Table, frac)
+	sets[idx].Add(&rotted)
+	s.rotLog = append(s.rotLog, RotRecord{Name: rotted.Name, CreatedSeq: rotted.CreatedSeq})
 }
 
 // RotRecord identifies one copy of a view corrupted by SiteViewRot. Names

@@ -78,10 +78,11 @@ func TestAuditRepairsCorruptView(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no recomputable view materialized")
 	}
-	rotted := victim.Table.Clone()
-	durability.CorruptTable(rotted, 0.5)
-	victim.Table = rotted
-	if victim.Verify() {
+	rotted := *victim
+	rotted.Table = victim.Table.Clone()
+	durability.CorruptTable(rotted.Table, 0.5)
+	set.Add(&rotted)
+	if rotted.Verify() {
 		t.Fatal("rot did not break the content checksum")
 	}
 	recoveryBefore := sys.Metrics().Recovery
@@ -218,7 +219,7 @@ func TestAuditInvariantsRepairsDisjointness(t *testing.T) {
 		t.Fatal("no HV views materialized")
 	}
 	planted := all[0]
-	sys.dw.Views.Add(planted.Clone())
+	sys.dw.Views.Add(planted)
 	sys.mu.Unlock()
 
 	viols, err := sys.AuditInvariants(true)
@@ -279,7 +280,7 @@ func TestPlantedInvariantBreachesAreReportedBothWays(t *testing.T) {
 		audit       AuditViolation
 	}{
 		{"disjointness",
-			func() { sys.dw.Views.Add(dup.Clone()) }, func() { sys.dw.Views.Remove(dup.Name) },
+			func() { sys.dw.Views.Add(dup) }, func() { sys.dw.Views.Remove(dup.Name) },
 			fmt.Sprintf("multistore: view %q present in both HV and DW", dup.Name),
 			AuditViolation{Invariant: InvDisjoint, View: dup.Name, Store: "hv", Detail: "view resident in both stores"}},
 		{"HV storage budget",

@@ -265,8 +265,8 @@ func (s *System) quarantineStale() {
 // needs — design and view metadata, budgets travel in Config, sliding
 // workload window, TTI accounting, variant progress flags, reorg history,
 // and the report log (retained reports, evicted count and fold). Booked
-// reports and view tables are shared: nothing writes them after they are
-// built. Each view is its own View struct (View.Clone).
+// reports and views are shared: nothing writes them after they are built
+// (a view's later recency or rot is a new struct in the live set).
 type snapshot struct {
 	Variant  Variant
 	Seq      int
@@ -304,9 +304,7 @@ func (s *System) snapshotLocked() *snapshot {
 	}
 	sn.OffHV, sn.OffDW = sortedKeys(s.offTargetHV), sortedKeys(s.offTargetDW)
 	for i, st := range s.stores() {
-		for _, v := range st.views.All() {
-			sn.Views[i] = append(sn.Views[i], v.Clone())
-		}
+		sn.Views[i] = st.views.All()
 	}
 	for _, e := range s.window.Entries() {
 		sn.Window = append(sn.Window, snapEntry{Seq: e.Seq, SQL: e.SQL})
@@ -320,8 +318,8 @@ func (s *System) snapshotLocked() *snapshot {
 }
 
 // restoreSnapshot installs a checkpoint image into a freshly constructed
-// system. Each view gets its own View struct again on the way in, so the
-// recovered system's writes to a view never reach the checkpoint.
+// system, sharing its views: the recovered system's sets replace a view
+// rather than write it, so nothing reaches the checkpoint.
 func (s *System) restoreSnapshot(sn *snapshot) error {
 	s.seq = sn.Seq
 	s.metrics = sn.Metrics
@@ -340,7 +338,7 @@ func (s *System) restoreSnapshot(sn *snapshot) error {
 	s.reorgLog = append([]ReorgRecord(nil), sn.ReorgLog...)
 	for i, st := range s.stores() {
 		for _, v := range sn.Views[i] {
-			s.installView(v.Clone(), st.views)
+			s.installView(v, st.views)
 		}
 	}
 	for _, e := range sn.Window {

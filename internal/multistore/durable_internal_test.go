@@ -1,11 +1,12 @@
 package multistore
 
 // White-box tests of what the durability plane shares with the live system:
-// a checkpoint and a WAL payload hold their own View structs over the live
-// views' write-once tables, so taking one costs nothing per row, and the
-// one write that replaces a live table — bit rot — never reaches them.
+// a checkpoint and a WAL payload hold the live views themselves, so taking
+// one costs nothing per row or per view, and bit rot, which installs a
+// corrupted copy through the view's set, never reaches them.
 
 import (
+	"fmt"
 	"testing"
 
 	"miso/internal/faults"
@@ -14,31 +15,49 @@ import (
 
 // TestCheckpointAllocsIndependentOfRows guards the sharing: a checkpoint
 // of a warm MS-MISO system allocates fewer times than its resident views
-// hold rows, where copying every view's table allocates once per row.
+// hold rows, where copying every view's table allocates once per row, and
+// as many times again once more views are planted, where copying every View
+// struct allocates once per view.
 func TestCheckpointAllocsIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 4 })
 	runPrefix(t, sys, 32)
-	rows := 0
+	rows, resident := 0, 0
 	for _, st := range sys.stores() {
 		for _, v := range st.views.All() {
+			resident++
 			if v.Table != nil {
 				rows += v.Table.NumRows()
 			}
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() { sys.Checkpoint() })
-	t.Logf("checkpoint: %.0f allocations, %d rows in resident views", allocs, rows)
+	t.Logf("checkpoint: %.0f allocations, %d views holding %d rows", allocs, resident, rows)
 	if allocs >= float64(rows) {
 		t.Fatalf("a checkpoint allocates %.0f times over %d resident rows", allocs, rows)
 	}
+
+	const planted = 8
+	sys.mu.Lock()
+	all := append(sys.hv.Views.All(), sys.dw.Views.All()...)
+	for i := 0; i < planted; i++ {
+		v := *all[i%len(all)]
+		v.Name = fmt.Sprintf("v_planted_%d", i)
+		sys.dw.Views.Add(&v)
+	}
+	sys.mu.Unlock()
+	more := testing.AllocsPerRun(20, func() { sys.Checkpoint() })
+	t.Logf("checkpoint: %.0f allocations with %d views planted", more, planted)
+	if more != allocs {
+		t.Fatalf("a checkpoint allocates %.0f times over %d views, %.0f over %d", allocs, resident, more, resident+planted)
+	}
 }
 
-// TestRotLeavesCheckpointCopyIntact: SiteViewRot swaps a corrupted copy
-// into the live view, so the latest checkpoint's copy of the rotted view,
-// and its WAL payload, still verify.
+// TestRotLeavesCheckpointCopyIntact: SiteViewRot installs a corrupted copy
+// of the live view through its set, so the latest checkpoint's view, and
+// its WAL payload, still verify.
 func TestRotLeavesCheckpointCopyIntact(t *testing.T) {
 	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 4 })
 	runPrefix(t, sys, 6)

@@ -123,15 +123,14 @@ func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report
 
 // replayAdmit restores one journaled view admission from the WAL's durable
 // payload space, verifying its content against the admit record's checksum
-// before it may rejoin the design, as a View struct of its own.
+// before it may rejoin the design.
 func (s *System) replayAdmit(wal *durability.WAL, rec *durability.Record, report *durability.RecoveryReport) {
-	payload, ok := wal.Payload(rec.Name)
+	v, ok := wal.Payload(rec.Name)
 	if !ok {
 		report.Quarantined = append(report.Quarantined, rec.Name)
 		report.CorruptViews++
 		return
 	}
-	v := payload.Clone()
 	if !v.Verify() || v.Checksum != rec.Checksum {
 		report.Quarantined = append(report.Quarantined, rec.Name)
 		report.CorruptViews++

@@ -284,17 +284,18 @@ func TestReuseInvalidationOnAuditQuarantine(t *testing.T) {
 		t.Fatal("nothing cached before quarantine")
 	}
 
-	victim, _ := pickRecomputable(sys)
+	victim, set := pickRecomputable(sys)
 	if victim == nil {
 		t.Fatal("no view materialized")
 	}
-	rotted := victim.Table.Clone()
-	durability.CorruptTable(rotted, 0.5)
-	victim.Table = rotted
+	rotted := *victim
+	rotted.Table = victim.Table.Clone()
+	durability.CorruptTable(rotted.Table, 0.5)
 	// Break the name↔signature link (keeping the registered name, which
 	// is the store's map key) so the repair path cannot recompute the
 	// view: the audit must quarantine instead.
-	victim.Sig = "scan(bogus)"
+	rotted.Sig = "scan(bogus)"
+	set.Add(&rotted)
 
 	viols, _, err := sys.AuditViews("", 0, true)
 	if err != nil {

@@ -338,7 +338,7 @@ func (s *System) trimHVToDesign() {
 	}
 }
 
-// markUsedViews bumps LastUsedSeq on every view the plan reads and returns
+// markUsedViews touches every view the plan reads (Set.Touch) and returns
 // their names.
 func (s *System) markUsedViews(plan *logical.Node, seq int) []string {
 	var used []string
@@ -347,8 +347,7 @@ func (s *System) markUsedViews(plan *logical.Node, seq int) []string {
 			return
 		}
 		for _, st := range s.stores() {
-			if v, ok := st.views.Get(n.ViewName); ok {
-				v.LastUsedSeq = seq
+			if st.views.Touch(n.ViewName, seq) {
 				used = append(used, n.ViewName)
 				return
 			}

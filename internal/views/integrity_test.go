@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"miso/internal/storage"
+	"miso/internal/views"
 )
 
 func TestVerifyDetectsCorruption(t *testing.T) {
@@ -24,24 +25,42 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCloneKeepsWhatItWasTakenWith: a clone shares everything nothing
-// writes after install, and owns the two fields that are written:
-// LastUsedSeq, and the Table pointer bit rot swaps for a corrupted copy.
-func TestCloneKeepsWhatItWasTakenWith(t *testing.T) {
+// TestTouchReplacesTheView: Touch installs a new struct stamped with the
+// query's sequence over everything the old one shared, and a pointer held
+// from before keeps its recency; an absent name is refused without a write,
+// and a repeat sequence writes — and allocates — nothing.
+func TestTouchReplacesTheView(t *testing.T) {
 	f := newFixture(t)
 	v := f.makeView(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	c := v.Clone()
-	if c.Table != v.Table || c.Def != v.Def || c.Desc != v.Desc {
-		t.Fatal("clone copied structure nothing writes")
+	s := views.NewSet()
+	s.Add(v)
+	if !s.Touch(v.Name, 7) {
+		t.Fatal("Touch refused a member")
 	}
-	rotted := v.Table.Clone()
-	rotted.Rows[0][0] = storage.StringValue("tampered")
-	v.Table, v.LastUsedSeq = rotted, v.LastUsedSeq+7
-	if v.Verify() {
-		t.Error("rotted original still verifies")
+	got, _ := s.Get(v.Name)
+	if got == v || got.LastUsedSeq != 7 {
+		t.Fatalf("touched view %p LastUsedSeq %d, held %p", got, got.LastUsedSeq, v)
 	}
-	if !c.Verify() || c.LastUsedSeq == v.LastUsedSeq {
-		t.Error("clone followed the original's writes")
+	if got.Table != v.Table || got.Def != v.Def || got.Desc != v.Desc || got.Checksum != v.Checksum {
+		t.Error("Touch copied or changed what it should share")
+	}
+	if v.LastUsedSeq != 0 || !v.Verify() {
+		t.Error("Touch wrote the held view")
+	}
+	if s.Touch("v_absent", 8) || s.Len() != 1 || s.Has("v_absent") {
+		t.Error("Touch of an absent name changed the set")
+	}
+	if !s.Touch(v.Name, 7) {
+		t.Fatal("repeat Touch refused a member")
+	}
+	if again, _ := s.Get(v.Name); again != got {
+		t.Error("a repeat sequence replaced the view")
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	if a := testing.AllocsPerRun(20, func() { s.Touch(v.Name, 7) }); a != 0 {
+		t.Errorf("a repeat Touch allocates %.0f times", a)
 	}
 }
 

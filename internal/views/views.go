@@ -20,7 +20,9 @@ import (
 	"miso/internal/storage"
 )
 
-// View is one opportunistic materialized view.
+// View is one opportunistic materialized view. A view is a value: once a Set
+// holds it nothing writes it; recency (Set.Touch) and bit rot install a new
+// struct in its place, so every holder keeps exactly what it took.
 type View struct {
 	// Name is a stable identifier derived from the signature.
 	Name string
@@ -39,13 +41,8 @@ type View struct {
 	// CreatedSeq is the workload sequence number at creation time; used
 	// by LRU-style policies and by the benefit decay.
 	CreatedSeq int
-	// LastUsedSeq tracks the last query that used the view.
+	// LastUsedSeq tracks the last query that used the view (Set.Touch).
 	LastUsedSeq int
-	// ExactOnly restricts matching to exact signature equality. Passive
-	// caches (MS-LRU) retain working sets syntactically: the cached
-	// bytes answer only the identical subexpression, not a subsuming
-	// rewrite.
-	ExactOnly bool
 	// Checksum is the FNV-64a content fingerprint of Table, stamped at
 	// materialization. Verify recomputes it to detect corruption before
 	// the view is matched or restored from a checkpoint.
@@ -148,17 +145,6 @@ func (v *View) SizeBytes() int64 {
 	return v.Table.LogicalBytes()
 }
 
-// Clone copies the view struct and nothing below it: the definition,
-// descriptor, table and generation stamps are shared, since none is written
-// once the view is installed. The two fields that are — LastUsedSeq (query
-// bookkeeping) and the Table pointer (bit rot swaps in a corrupted copy) —
-// are the clone's own, so a checkpoint or WAL payload holding a clone keeps
-// the values it was taken with.
-func (v *View) Clone() *View {
-	c := *v
-	return &c
-}
-
 // Match describes how a view can answer a plan node.
 type Match struct {
 	View *View
@@ -191,9 +177,6 @@ func (l *lookup) match(v *View) (*Match, bool) {
 	if l.id != 0 && l.id == v.ID {
 		return &Match{View: v, Exact: true}, true
 	}
-	if v.ExactOnly {
-		return nil, false
-	}
 	if l.desc == nil {
 		l.desc = logical.Describe(l.node)
 	}
@@ -203,9 +186,8 @@ func (l *lookup) match(v *View) (*Match, bool) {
 // MatchDescriptor matches a precomputed node descriptor against a view's
 // subsumption descriptor. Callers that probe many views against the same
 // node (the tuner's what-if loop) describe the node once and reuse the
-// descriptor, instead of re-walking the plan per view. ExactOnly views and
-// exact signature matches are the caller's to handle: this is subsumption
-// only.
+// descriptor, instead of re-walking the plan per view. Exact signature
+// matches are the caller's to handle: this is subsumption only.
 func MatchDescriptor(nd *logical.Descriptor, v *View) (*Match, bool) {
 	if !nd.Simple || !v.Desc.Simple {
 		return nil, false
@@ -267,12 +249,13 @@ func (m *Match) Rewrite() (*logical.Node, error) {
 }
 
 // MatchMemo caches MatchNode outcomes keyed by (node id, view name). A
-// node's id, like its signature, fully determines its descriptor, and a view
-// is immutable after creation, so the match outcome is a pure function of
-// the key — the memo only avoids re-describing and re-checking, never
-// changes a result. Within one BestMatch the node is described once
-// anyway; what the memo saves is describing and checking the same
-// (subtree, view) pair again across lookups, which is what the tuner's
+// node's id, like its signature, fully determines its descriptor, and a
+// view's name its definition (a struct Touch or rot installs in its place
+// differs only in what matching never reads), so the match outcome is a
+// pure function of the key — the memo only avoids re-describing and
+// re-checking, never changes a result. Within one BestMatch the node is
+// described once anyway; what the memo saves is describing and checking the
+// same (subtree, view) pair again across lookups, which is what the tuner's
 // what-if probes do: every hypothetical design of the tuner shares one
 // memo. Safe for concurrent use (sync.Map).
 type MatchMemo struct {
@@ -301,17 +284,18 @@ func (mm *MatchMemo) match(l *lookup, v *View) (*Match, bool) {
 	return m, ok
 }
 
-// Set is a named collection of views (one store's design). The set's
-// membership is internally locked, so concurrent observers (serving-layer
-// metrics, soak probes) can read it while the owning store mutates it;
-// compound read-modify-write sequences and mutation of the View structs
-// themselves are still serialized by the multistore system's mutex (see
-// DESIGN.md "Concurrency model").
+// Set is a named collection of views (one store's design), and the only
+// thing that changes one: every write — Add, Remove, Touch, Reset,
+// ReplaceAll — installs a new slice, and Touch a new View struct, under the
+// set's lock. So concurrent observers (serving-layer metrics, soak probes)
+// can read the set and the views in it while the owning store writes it;
+// compound read-modify-write sequences are still serialized by the
+// multistore system's mutex (see DESIGN.md "Concurrency model").
 type Set struct {
 	mu sync.RWMutex
 	// views holds the members in name order. Writers replace the slice
-	// under mu and never write into it, so a reader may keep it after
-	// unlocking and clones may share it.
+	// under mu and never write into it or into a view it holds, so a reader
+	// may keep it after unlocking and clones may share it.
 	views []*View
 
 	// memo, when installed with UseMemo, caches match outcomes across
@@ -350,6 +334,25 @@ func (s *Set) Remove(name string) {
 	if i, ok := find(s.views, name); ok {
 		s.views = slices.Delete(slices.Clone(s.views), i, i+1)
 	}
+}
+
+// Touch records that the named view served query seq: it installs a copy of
+// the view stamped LastUsedSeq = seq, leaving the old struct to whoever holds
+// it. It reports whether the set holds the name, and writes nothing when the
+// name is absent or the view already carries seq.
+func (s *Set) Touch(name string, seq int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := find(s.views, name)
+	if !ok || s.views[i].LastUsedSeq == seq {
+		return ok
+	}
+	v := *s.views[i]
+	v.LastUsedSeq = seq
+	next := slices.Clone(s.views)
+	next[i] = &v
+	s.views = next
+	return true
 }
 
 // Get fetches a view by name.

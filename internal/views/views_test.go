@@ -158,21 +158,6 @@ func TestJoinViewSubsumesRefinedJoin(t *testing.T) {
 	}
 }
 
-func TestExactOnlyViewsSkipSubsumption(t *testing.T) {
-	f := newFixture(t)
-	v := f.makeView(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	v.ExactOnly = true
-	n := f.corePlan(t, "SELECT tweet_id FROM tweets WHERE lang = 'en' AND retweets > 100")
-	if _, ok := views.MatchNode(n, v); ok {
-		t.Error("exact-only view matched via subsumption")
-	}
-	// Exact still works.
-	same := f.corePlan(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	if _, ok := views.MatchNode(same, v); !ok {
-		t.Error("exact-only view failed exact match")
-	}
-}
-
 func TestAggregateViewsMatchExactOnly(t *testing.T) {
 	f := newFixture(t)
 	plan, err := f.b.BuildSQL("SELECT lang, COUNT(*) AS n FROM tweets GROUP BY lang")
@@ -221,9 +206,9 @@ func TestSetOperations(t *testing.T) {
 	}
 }
 
-// TestSetKeepsNameOrder applies Add, Remove, Reset, ReplaceAll and Clone
-// in turn and checks after each step that All() is the model's views in
-// name order, and that the slice All() returns is the caller's own.
+// TestSetKeepsNameOrder applies Add, Remove, Touch, Reset, ReplaceAll and
+// Clone in turn and checks after each step that All() is the model's views
+// in name order, and that the slice All() returns is the caller's own.
 func TestSetKeepsNameOrder(t *testing.T) {
 	view := func(name string) *views.View { return &views.View{Name: name} }
 	a, b, c, d, a2 := view("a"), view("b"), view("c"), view("d"), view("a")
@@ -232,6 +217,22 @@ func TestSetKeepsNameOrder(t *testing.T) {
 	src.Add(b)
 	model := map[string]*views.View{}
 	var clone *views.Set
+	// touch stamps a member through s and moves the model to the struct s
+	// now holds: a new one unless the view already carried seq, and the
+	// one held before keeps its recency either way.
+	touch := func(name string, seq int) {
+		held := model[name]
+		was := held.LastUsedSeq
+		if !s.Touch(name, seq) {
+			t.Fatalf("Touch(%q) refused a member", name)
+		}
+		v, _ := s.Get(name)
+		if v.LastUsedSeq != seq || held.LastUsedSeq != was || (v == held) != (was == seq) {
+			t.Fatalf("Touch(%q, %d): set holds seq %d (the held struct: %v), held struct now %d",
+				name, seq, v.LastUsedSeq, v == held, held.LastUsedSeq)
+		}
+		model[name] = v
+	}
 	steps := []struct {
 		name string
 		do   func()
@@ -250,10 +251,18 @@ func TestSetKeepsNameOrder(t *testing.T) {
 			}
 		}},
 		{"shrink the clone", func() { clone.Remove("c"); clone.Remove("a") }},
+		{"touch c", func() { touch("c", 5) }},
+		{"touch c at the seq it carries", func() { touch("c", 5) }},
+		{"touch a missing name", func() {
+			if s.Touch("zz", 5) {
+				t.Error("Touch accepted a missing name")
+			}
+		}},
 		{"replace all", func() {
 			s.ReplaceAll(src)
 			model = map[string]*views.View{"b": b, "d": d}
 		}},
+		{"touch b, which the source shares", func() { touch("b", 6) }},
 		{"add after replace all", func() { s.Add(c); model["c"] = c }},
 		{"replace all with itself", func() { s.ReplaceAll(s) }},
 		{"reset", func() { s.Reset(); model = map[string]*views.View{} }},
@@ -290,10 +299,10 @@ func TestSetKeepsNameOrder(t *testing.T) {
 	}
 }
 
-// TestSetWritersBesideBestMatch runs writers beside BestMatch and All
-// readers; under -race it checks that a reader's kept slice is never
-// written, and that two lookups of one node with no signature computed
-// write nothing into it.
+// TestSetWritersBesideBestMatch runs writers, Touch among them, beside
+// BestMatch and All readers; under -race it checks that neither a reader's
+// kept slice nor a view in it is ever written, and that two lookups of one
+// node with no signature computed write nothing into it.
 func TestSetWritersBesideBestMatch(t *testing.T) {
 	f := newFixture(t)
 	var pool []*views.View
@@ -310,17 +319,22 @@ func TestSetWritersBesideBestMatch(t *testing.T) {
 	s, src := views.NewSet(), views.NewSet()
 	src.Add(pool[0])
 	src.Add(pool[3])
-	const iters = 3000
+	inPool := func(v *views.View) bool {
+		return slices.ContainsFunc(pool, func(p *views.View) bool { return p.Name == v.Name })
+	}
+	const iters = 4000
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			switch i % 3 {
+			switch i % 4 {
 			case 0:
 				s.Add(pool[i%len(pool)])
 			case 1:
-				s.Remove(pool[(i/3)%len(pool)].Name)
+				s.Remove(pool[(i/4)%len(pool)].Name)
+			case 2:
+				s.Touch(pool[(i/4)%len(pool)].Name, i)
 			default:
 				s.ReplaceAll(src)
 			}
@@ -331,7 +345,7 @@ func TestSetWritersBesideBestMatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if m, ok := s.BestMatch(n); ok && !slices.Contains(pool, m.View) {
+				if m, ok := s.BestMatch(n); ok && !inPool(m.View) {
 					t.Errorf("BestMatch returned a view outside the pool: %s", m.View.Name)
 					return
 				}
@@ -339,6 +353,12 @@ func TestSetWritersBesideBestMatch(t *testing.T) {
 				if !slices.IsSortedFunc(all, func(a, b *views.View) int { return strings.Compare(a.Name, b.Name) }) {
 					t.Errorf("All() out of name order: %v", all)
 					return
+				}
+				for _, v := range all {
+					if v.LastUsedSeq >= iters {
+						t.Errorf("%s touched at %d, past the writer's last step", v.Name, v.LastUsedSeq)
+						return
+					}
 				}
 			}
 		}()
