@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 
 	"miso/internal/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all_small.golden")
 
 // TestMain lets the tests below re-execute this test binary as the
 // command itself: with MISO_RUN_MAIN set it runs main() on the given
@@ -39,6 +42,44 @@ func runMainIn(t *testing.T, dir string, args ...string) (int, string) {
 		t.Fatalf("run %v: %v", args, err)
 	}
 	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// TestAllSmallMatchesGolden: every paper figure and table at small scale
+// prints exactly testdata/all_small.golden, apart from the per-mode
+// "[... done in ... wall clock]" lines. The output is deterministic across
+// runs and worker counts, so any difference is a change in a simulated
+// time, a plan or a design. -update rewrites the golden.
+func TestAllSmallMatchesGolden(t *testing.T) {
+	code, out := runMain(t, "-all", "-scale", "small")
+	if code != 0 {
+		t.Fatalf("exit code %d; output:\n%s", code, out)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.Contains(line, " wall clock]") {
+			kept = append(kept, line)
+		}
+	}
+	got := strings.Join(kept, "")
+	const path = "testdata/all_small.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("-all -scale small diverged from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("-all -scale small printed %d lines, %s holds %d", len(gl), path, len(wl))
+	}
 }
 
 // TestNegativeExecWorkersIsUsageError: -execworkers < 0 once selected a
