@@ -18,7 +18,7 @@ func load(t *testing.T) (*bgwork.Workload, *dw.Store) {
 		t.Fatal(err)
 	}
 	est := stats.NewEstimator(cat)
-	store := dw.NewStore(dw.DefaultConfig(), est)
+	store := dw.NewStore(est, 0)
 	w, err := bgwork.Load(bgwork.DefaultConfig(), store, est)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestMeasuredLatencyProfiles(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cat, _ := data.Generate(data.SmallConfig())
 	est := stats.NewEstimator(cat)
-	store := dw.NewStore(dw.DefaultConfig(), est)
+	store := dw.NewStore(est, 0)
 	bad := bgwork.DefaultConfig()
 	bad.Sales = 0
 	if _, err := bgwork.Load(bad, store, est); err == nil {

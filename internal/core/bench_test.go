@@ -11,7 +11,6 @@ import (
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
-	"miso/internal/transfer"
 	"miso/internal/workload"
 )
 
@@ -25,9 +24,9 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 		b.Fatal(err)
 	}
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(hv.DefaultConfig(), cat, est)
-	d := dw.NewStore(dw.DefaultConfig(), est)
-	opt := optimizer.New(h, d, est, transfer.DefaultConfig())
+	h := hv.NewStore(cat, est, 0)
+	d := dw.NewStore(est, 0)
+	opt := optimizer.New(h, d, est)
 	builder := logical.NewBuilder(cat)
 	win := history.NewWindow(6, 3, 0.5)
 	for i, q := range workload.Evolving()[:6] {
@@ -40,7 +39,7 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 		}
 		win.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})
 	}
-	cfg := DefaultConfig()
+	var cfg Config
 	base := cat.TotalLogicalBytes()
 	cfg.Bh, cfg.Bd, cfg.Bt = 2*base, 2*base/10, 10<<30
 	cur := optimizer.Design{HV: h.Views, DW: d.Views}

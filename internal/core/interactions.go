@@ -169,8 +169,8 @@ func (t *Tuner) singleton(v *views.View, bnDW, bnHV map[string]float64, inDW map
 	}
 	// Net out the cost of realizing the placement: moving a view only
 	// pays off when its predicted benefit exceeds the move time.
-	it.BnDW -= float64(it.MoveToDW) * t.cfg.MovePenaltyPerByteDW
-	it.BnHV -= float64(it.MoveToHV) * t.cfg.MovePenaltyPerByteHV
+	it.BnDW -= float64(it.MoveToDW) * movePenaltyDW
+	it.BnHV -= float64(it.MoveToHV) * movePenaltyHV
 	if it.BnDW < 0 {
 		it.BnDW = 0
 	}

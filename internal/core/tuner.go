@@ -20,21 +20,17 @@ import (
 	"miso/internal/history"
 	"miso/internal/logical"
 	"miso/internal/optimizer"
+	"miso/internal/transfer"
 	"miso/internal/views"
 )
 
-// Config holds the tuner's constraints and knobs.
+// Config holds the tuner's constraints and knobs. The zero value is the
+// paper's tuner with no budgets (the caller sets them).
 type Config struct {
 	// Bh, Bd are the view storage budgets in (logical) bytes.
 	Bh, Bd int64
 	// Bt is the per-reorganization view transfer budget in bytes.
 	Bt int64
-	// MovePenaltyPerByteDW / MovePenaltyPerByteHV charge each candidate
-	// the time its placement would spend moving data (seconds per byte),
-	// so a view is only placed when its predicted benefit exceeds the
-	// cost of moving it. Zero disables netting.
-	MovePenaltyPerByteDW float64
-	MovePenaltyPerByteHV float64
 
 	// Ablation knobs (all default off = the paper's design).
 
@@ -49,9 +45,16 @@ type Config struct {
 	AllowReplication bool
 }
 
-// DefaultConfig returns the paper's tuner: no ablation (budgets must still
-// be set by the caller).
-func DefaultConfig() Config { return Config{} }
+// The move penalties charge each candidate the time its placement would
+// spend moving data, in seconds per byte: three times what the transfer
+// pipeline takes (to DW, or back to HV). The factor is hysteresis:
+// predicted benefits come from the recent window, which overstates
+// recurrence for ad-hoc queries, so a move must clearly pay for itself
+// before the tuner performs it.
+var (
+	movePenaltyDW = 3 * transfer.Cost(1<<30).Total() / float64(1<<30)
+	movePenaltyHV = 3 * transfer.CostToHV(1<<30).Total() / float64(1<<30)
+)
 
 const (
 	// doiThresholdFrac scales the interaction threshold: a pair of views
@@ -253,8 +256,7 @@ type probe struct {
 }
 
 // cost answers a probe. It only reads the plan space and the shared match
-// memo, so probes of one phase may be answered concurrently once the entry
-// plans' signatures are prewarmed.
+// memo, so probes of one phase may be answered concurrently.
 func (t *Tuner) cost(p probe) float64 {
 	d := optimizer.EmptyDesign()
 	// Every hypothetical design of this tuning phase shares one match
@@ -283,14 +285,6 @@ func (t *Tuner) cost(p probe) float64 {
 // writes only its own slot, so the table, and every design derived from
 // it, is identical at any worker count.
 func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) ([][]*views.View, []float64, error) {
-	// Serially prewarm every window plan's node signatures: Signature
-	// memoizes lazily into the node, a write that must not first happen
-	// on two workers at once, and the probes' hv.CostPlan orders stages by
-	// signature.
-	for _, e := range entries {
-		e.Plan.PrewarmSignatures()
-	}
-
 	// Only the views matching some plan node can have benefit or
 	// interactions for that query. Entries are independent, so the
 	// matching fans out too, one slot per task.

@@ -11,7 +11,6 @@ import (
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
-	"miso/internal/transfer"
 	"miso/internal/views"
 	"miso/internal/workload"
 )
@@ -24,9 +23,9 @@ func TestTunerInternals(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(hv.DefaultConfig(), cat, est)
-	d := dw.NewStore(dw.DefaultConfig(), est)
-	opt := optimizer.New(h, d, est, transfer.DefaultConfig())
+	h := hv.NewStore(cat, est, 0)
+	d := dw.NewStore(est, 0)
+	opt := optimizer.New(h, d, est)
 	builder := logical.NewBuilder(cat)
 
 	w := history.NewWindow(6, 3, 0.5)
@@ -42,7 +41,7 @@ func TestTunerInternals(t *testing.T) {
 		w.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})
 	}
 
-	cfg := DefaultConfig()
+	var cfg Config
 	base := cat.TotalLogicalBytes()
 	cfg.Bh = 2 * base
 	cfg.Bd = base / 5

@@ -11,7 +11,6 @@ import (
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
-	"miso/internal/transfer"
 	"miso/internal/workload"
 )
 
@@ -20,9 +19,9 @@ import (
 func TestTunerAfterSplitExecution(t *testing.T) {
 	cat, _ := data.Generate(data.SmallConfig())
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(hv.DefaultConfig(), cat, est)
-	d := dw.NewStore(dw.DefaultConfig(), est)
-	opt := optimizer.New(h, d, est, transfer.DefaultConfig())
+	h := hv.NewStore(cat, est, 0)
+	d := dw.NewStore(est, 0)
+	opt := optimizer.New(h, d, est)
 	builder := logical.NewBuilder(cat)
 	w := history.NewWindow(6, 3, 0.5)
 	for i, name := range []string{"A1v1", "A1v2", "A1v3"} {
@@ -54,7 +53,7 @@ func TestTunerAfterSplitExecution(t *testing.T) {
 		}
 		w.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})
 	}
-	cfg := DefaultConfig()
+	var cfg Config
 	base := cat.TotalLogicalBytes()
 	cfg.Bh, cfg.Bd, cfg.Bt = 2*base, 2*base/10, 10<<30
 	tuner := NewTuner(cfg, opt)

@@ -11,7 +11,6 @@ import (
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/stats"
-	"miso/internal/transfer"
 	"miso/internal/workload"
 )
 
@@ -33,9 +32,9 @@ func newTunerFixture(t *testing.T, names []string, cfgEdit func(*Config)) *tuner
 		t.Fatal(err)
 	}
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(hv.DefaultConfig(), cat, est)
-	d := dw.NewStore(dw.DefaultConfig(), est)
-	opt := optimizer.New(h, d, est, transfer.DefaultConfig())
+	h := hv.NewStore(cat, est, 0)
+	d := dw.NewStore(est, 0)
+	opt := optimizer.New(h, d, est)
 	b := logical.NewBuilder(cat)
 	win := history.NewWindow(6, 3, 0.5)
 	for i, name := range names {
@@ -53,7 +52,7 @@ func newTunerFixture(t *testing.T, names []string, cfgEdit func(*Config)) *tuner
 		win.Add(history.Entry{Seq: i, SQL: q.SQL, Plan: plan})
 	}
 	base := cat.TotalLogicalBytes()
-	cfg := DefaultConfig()
+	var cfg Config
 	cfg.Bh = 2 * base
 	cfg.Bd = 2 * base / 10
 	cfg.Bt = 10 << 30

@@ -9,7 +9,6 @@ import (
 	"miso/internal/history"
 	"miso/internal/logical"
 	"miso/internal/multistore"
-	"miso/internal/transfer"
 	"miso/internal/views"
 	"miso/internal/workload"
 )
@@ -36,9 +35,6 @@ func BenchmarkTuneWarm(b *testing.B) {
 	}
 	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
 	cfg.SetBudgets(cat, 2.0, 10<<30)
-	// The move penalties multistore.New derives for a tuner left at zero.
-	cfg.Tuner.MovePenaltyPerByteDW = 3 * transfer.Cost(cfg.Transfer, 1<<30).Total() / float64(1<<30)
-	cfg.Tuner.MovePenaltyPerByteHV = 3 * transfer.CostToHV(cfg.Transfer, 1<<30).Total() / float64(1<<30)
 	sys := multistore.New(cfg, cat)
 	builder := logical.NewBuilder(cat)
 	win := history.NewWindow(6, 3, cfg.Decay)

@@ -53,6 +53,10 @@ const (
 	// KindLogGen records a base-log generation reset (storage.LogFile
 	// Reset), so recovery can re-quarantine stale views.
 	KindLogGen
+	// KindRealize records MS-OFF's realization of its fixed design after a
+	// query: moves charged to TUNE outside any reorganization, with the
+	// outcome fields of KindReorgCommit. It follows the query's KindQueryDone.
+	KindRealize
 
 	kindEnd
 )
@@ -68,6 +72,7 @@ var kindNames = map[Kind]string{
 	KindTransferCommit: "transfer-commit",
 	KindTransferAbort:  "transfer-abort",
 	KindLogGen:         "log-gen",
+	KindRealize:        "realize",
 }
 
 func (k Kind) String() string {
@@ -102,22 +107,22 @@ type Record struct {
 	Checksum uint64
 	// Gen is the log generation for KindLogGen and view admits.
 	Gen int64
-	// Reorganization outcome statistics (KindReorgCommit).
+	// Reorganization outcome statistics (KindReorgCommit, KindRealize).
 	MovedToDW     int64
 	MovedToHV     int64
 	Dropped       int64
 	FailedMoves   int64
 	RefundedBytes int64
 	// Timing carried by KindQueryDone (the query's TTI contribution, so
-	// replay reconstructs the breakdown) and KindReorgCommit (move time
-	// in Seconds, recovery time in RecoverySeconds).
+	// replay reconstructs the breakdown) and KindReorgCommit/KindRealize
+	// (move time in Seconds, recovery time in RecoverySeconds).
 	Seconds         float64
 	RecoverySeconds float64
 	HVSeconds       float64
 	TransferSeconds float64
 	DWSeconds       float64
 	// Retries is the injected failures survived (KindQueryDone: by the
-	// query; KindReorgCommit: by the phase's moves); Flags is KindQueryDone's
+	// query; KindReorgCommit, KindRealize: by the moves); Flags is KindQueryDone's
 	// route bitmask (see FlagFellBack and friends).
 	Retries int64
 	Flags   uint64

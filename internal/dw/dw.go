@@ -34,28 +34,15 @@ var (
 	ErrUDF = errors.New("dw: plan contains a UDF, which only HV can execute")
 )
 
-// Config calibrates the DW cluster and cost model.
-type Config struct {
-	// Nodes is the cluster size (9 in the paper).
-	Nodes int
-	// Startup is the fixed per-query overhead in seconds.
-	Startup float64
-	// ScanMBps is the per-node processing throughput.
-	ScanMBps float64
-	// ExecWorkers bounds the execution engine's worker pool
-	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
-	// n workers. Results are byte-identical at every setting.
-	ExecWorkers int
-}
-
-// DefaultConfig matches the paper's 9-node commercial parallel row store.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:    9,
-		Startup:  0.5,
-		ScanMBps: 450,
-	}
-}
+// The cost model's calibration: the paper's 9-node commercial parallel row
+// store (§5).
+const (
+	nodes = 9
+	// startup is the fixed per-query overhead in seconds.
+	startup = 0.5
+	// scanMBps is the per-node processing throughput.
+	scanMBps = 450
+)
 
 // indexSelectivityFloor bounds how much an index scan can skip; the loader
 // builds an index on each permanent view's leading column.
@@ -73,7 +60,9 @@ type Result struct {
 // locked itself, and reassignment of the Views field is serialized by the
 // multistore system's mutex.
 type Store struct {
-	cfg       Config
+	// workers bounds the execution engine's worker pool (exec.Env.Workers):
+	// 0 means GOMAXPROCS. Results are byte-identical at every setting.
+	workers   int
 	est       *stats.Estimator
 	execStats *exec.Stats
 	execInj   *faults.Injector
@@ -86,9 +75,10 @@ type Store struct {
 	temp map[string]*storage.Table
 }
 
-// NewStore creates an empty DW store.
-func NewStore(cfg Config, est *stats.Estimator) *Store {
-	return &Store{cfg: cfg, est: est, Views: views.NewSet(), temp: map[string]*storage.Table{}}
+// NewStore creates an empty DW store whose execution engine runs on workers
+// workers (0 means GOMAXPROCS).
+func NewStore(est *stats.Estimator, workers int) *Store {
+	return &Store{workers: workers, est: est, Views: views.NewSet(), temp: map[string]*storage.Table{}}
 }
 
 // StageTemp registers a migrated working set under the given name in
@@ -137,7 +127,7 @@ func (s *Store) Env() *exec.Env {
 			return nil, fmt.Errorf("%w: cannot scan raw log %q", ErrNoBaseLogs, name)
 		},
 		ReadView: s.Resolve,
-		Workers:  s.cfg.ExecWorkers,
+		Workers:  s.workers,
 		Stats:    s.execStats,
 		Inj:      s.execInj,
 	}
@@ -192,7 +182,7 @@ func (s *Store) CostPlanWith(plan *logical.Node, overlay map[uint64]stats.Stat) 
 // costFromSizes charges each operator its input bytes through the cluster
 // throughput. Filters directly over an indexed permanent view scan less.
 func (s *Store) costFromSizes(plan *logical.Node, size func(*logical.Node) int64) float64 {
-	throughput := s.cfg.ScanMBps * float64(s.cfg.Nodes) * 1e6
+	const throughput = scanMBps * nodes * 1e6
 	var bytes float64
 	var walk func(n *logical.Node)
 	walk = func(n *logical.Node) {
@@ -210,7 +200,7 @@ func (s *Store) costFromSizes(plan *logical.Node, size func(*logical.Node) int64
 	walk(plan)
 	// The root's output is returned to the client; charge it once.
 	bytes += float64(size(plan))
-	return s.cfg.Startup + bytes/throughput
+	return startup + bytes/throughput
 }
 
 // indexSelectivity reports the fraction of an indexed view a filter must

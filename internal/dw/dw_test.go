@@ -35,8 +35,8 @@ func setup(t *testing.T) *fixture {
 		cat: cat,
 		b:   logical.NewBuilder(cat),
 		est: est,
-		hv:  hv.NewStore(hv.DefaultConfig(), cat, est),
-		dw:  dw.NewStore(dw.DefaultConfig(), est),
+		hv:  hv.NewStore(cat, est, 0),
+		dw:  dw.NewStore(est, 0),
 	}
 }
 

@@ -60,7 +60,7 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	plans := sys.Optimizer().EnumeratePlans(plan, optimizer.EmptyDesign())
 	for _, mp := range plans {
 		p := Fig3Plan{HV: mp.EstHV, DW: mp.EstDW, Cuts: len(mp.Cuts), TransferBytes: mp.EstTransferBytes}
-		b := transfer.Cost(mcfg.Transfer, mp.EstTransferBytes)
+		b := transfer.Cost(mp.EstTransferBytes)
 		p.Dump = b.Dump
 		p.TransferLoad = b.Network + b.Load
 		if mp.HVOnly {

@@ -67,7 +67,7 @@ func measuredScenarios() ([]sim.Background, error) {
 		return nil, err
 	}
 	est := stats.NewEstimator(cat)
-	store := dw.NewStore(dw.DefaultConfig(), est)
+	store := dw.NewStore(est, 0)
 	w, err := bgwork.Load(bgwork.DefaultConfig(), store, est)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func TestFusedExecutionBooksWhatNodeByNodeBooks(t *testing.T) {
 	}
 	newSide := func(nodeByNode bool) *side {
 		s := &side{est: stats.NewEstimator(cat)}
-		s.store = hv.NewStore(hv.DefaultConfig(), cat, s.est)
+		s.store = hv.NewStore(cat, s.est, 0)
 		s.begin = s.store.BeginExecute
 		if nodeByNode {
 			s.begin = s.store.BeginExecuteNodeByNode
@@ -105,9 +105,9 @@ func hvQueryFixture(tb testing.TB) (*hv.Store, *logical.Node) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := hv.DefaultConfig()
-	cfg.ExecWorkers = 2 // scan buffers are per worker: pin what the allocation guard measures
-	return hv.NewStore(cfg, cat, stats.NewEstimator(cat)), plan
+	// Two workers: scan buffers are per worker, so pin what the allocation
+	// guard measures.
+	return hv.NewStore(cat, stats.NewEstimator(cat), 2), plan
 }
 
 // TestHVQueryAllocationBounded guards what fusing the map side bought: an
@@ -168,7 +168,7 @@ func BenchmarkHVWorkload(b *testing.B) {
 		}
 		plans = append(plans, plan)
 	}
-	store := hv.NewStore(hv.DefaultConfig(), cat, stats.NewEstimator(cat))
+	store := hv.NewStore(cat, stats.NewEstimator(cat), 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,36 +28,27 @@ import (
 // callers test for it with errors.Is.
 var ErrViewMissing = errors.New("hv: view not in HV")
 
-// Config calibrates the HV cluster and cost model.
-type Config struct {
-	// Nodes is the cluster size (15 in the paper).
-	Nodes int
-	// StageStartup is the fixed per-job scheduling overhead in seconds.
-	StageStartup float64
-	// ScanMBps is the per-node scan throughput for already-extracted data.
-	ScanMBps float64
-	// WriteMBps is the per-node HDFS write (materialization) throughput.
-	WriteMBps float64
-	// SerDeFactor divides scan throughput when parsing raw JSON logs.
-	SerDeFactor float64
-	// ExecWorkers bounds the execution engine's worker pool
-	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
-	// n workers. Results are byte-identical at every setting; only real
-	// wall-clock changes (simulated cost is byte-based).
-	ExecWorkers int
-}
+// The cost model's calibration: the paper's 15-node Hive cluster (§5),
+// matched to its observed query times (thousands of seconds per query over
+// ~TB logs).
+const (
+	nodes = 15
+	// stageStartup is the fixed per-job scheduling overhead in seconds.
+	stageStartup = 90.0
+	// scanMBps is the per-node scan throughput for already-extracted data,
+	// writeMBps the per-node HDFS write (materialization) throughput.
+	scanMBps, writeMBps = 90, 60
+	// serDeFactor divides scan throughput when parsing raw JSON logs.
+	serDeFactor = 2.0
+)
 
-// DefaultConfig matches the paper's 15-node Hive cluster, calibrated to its
-// observed query times (thousands of seconds per query over ~TB logs).
-func DefaultConfig() Config {
-	return Config{
-		Nodes:        15,
-		StageStartup: 90,
-		ScanMBps:     90,
-		WriteMBps:    60,
-		SerDeFactor:  2.0,
-	}
-}
+// ScanBytesPerSec is the cluster's scan throughput over extracted data: the
+// rate a job reads views and materialized inputs at, and the rate recovery
+// re-reads restored views at.
+const ScanBytesPerSec = scanMBps * nodes * 1e6
+
+// writeBytesPerSec is the cluster's HDFS write throughput.
+const writeBytesPerSec = writeMBps * nodes * 1e6
 
 // Result reports one plan execution in HV.
 type Result struct {
@@ -81,7 +72,10 @@ type Result struct {
 // Store is the HV instance: it owns the raw logs (via the catalog) and the
 // HV side of the multistore design.
 type Store struct {
-	cfg       Config
+	// workers bounds the execution engine's worker pool (exec.Env.Workers):
+	// 0 means GOMAXPROCS. Results are byte-identical at every setting; only
+	// real wall-clock changes (simulated cost is byte-based).
+	workers   int
 	cat       *storage.Catalog
 	est       *stats.Estimator
 	inj       *faults.Injector
@@ -96,9 +90,10 @@ type Store struct {
 	Views *views.Set
 }
 
-// NewStore creates an HV store over the catalog.
-func NewStore(cfg Config, cat *storage.Catalog, est *stats.Estimator) *Store {
-	return &Store{cfg: cfg, cat: cat, est: est, Views: views.NewSet()}
+// NewStore creates an HV store over the catalog whose execution engine runs
+// on workers workers (0 means GOMAXPROCS).
+func NewStore(cat *storage.Catalog, est *stats.Estimator, workers int) *Store {
+	return &Store{workers: workers, cat: cat, est: est, Views: views.NewSet()}
 }
 
 // SetFaults arms the store with a fault injector and recovery policy. A
@@ -138,7 +133,7 @@ func (s *Store) Env() *exec.Env {
 			}
 			return v.Table, nil
 		},
-		Workers: s.cfg.ExecWorkers,
+		Workers: s.workers,
 		Stats:   s.execStats,
 		Inj:     s.execInj,
 	}
@@ -193,13 +188,11 @@ func stageInput(n *logical.Node, mat map[*logical.Node]bool, size func(*logical.
 }
 
 // jobSeconds costs one job from its input/output byte sizes.
-func (s *Store) jobSeconds(normal, serde, out int64) float64 {
-	scan := s.cfg.ScanMBps * float64(s.cfg.Nodes) * 1e6
-	write := s.cfg.WriteMBps * float64(s.cfg.Nodes) * 1e6
-	sec := s.cfg.StageStartup
-	sec += float64(normal) / scan
-	sec += float64(serde) * s.cfg.SerDeFactor / scan
-	sec += float64(out) / write
+func jobSeconds(normal, serde, out int64) float64 {
+	sec := stageStartup
+	sec += float64(normal) / ScanBytesPerSec
+	sec += float64(serde) * serDeFactor / ScanBytesPerSec
+	sec += float64(out) / writeBytesPerSec
 	return sec
 }
 
@@ -310,20 +303,16 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 		}
 		return 0
 	}
-	type stageCost struct {
-		sig           string
-		sec, writeSec float64
-	}
+	type stageCost struct{ sec, writeSec float64 }
 	var stages []stageCost
 	for _, n := range matNodes {
 		normal, serde := stageInput(n, mat, size)
 		outBytes := tables[n].LogicalBytes()
-		sec := s.jobSeconds(normal, serde, outBytes)
+		sec := jobSeconds(normal, serde, outBytes)
 		res.Seconds += sec
 		res.Stages++
 		if s.inj.Enabled() {
-			write := s.cfg.WriteMBps * float64(s.cfg.Nodes) * 1e6
-			stages = append(stages, stageCost{n.Signature(), sec, float64(outBytes) / write})
+			stages = append(stages, stageCost{sec, float64(outBytes) / writeBytesPerSec})
 		}
 	}
 
@@ -417,7 +406,7 @@ func (s *Store) CostPlan(plan *logical.Node) float64 {
 	var sec float64
 	for _, n := range stages {
 		normal, serde := stageInput(n, mat, size)
-		sec += s.jobSeconds(normal, serde, s.est.Estimate(n).Bytes)
+		sec += jobSeconds(normal, serde, s.est.Estimate(n).Bytes)
 	}
 	return sec
 }

@@ -537,7 +537,7 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 	}
 
 	if q.Distinct {
-		plan = (&Node{Kind: KindDistinct, Children: []*Node{plan}}).built(plan.Schema())
+		plan = NewNode(Node{Kind: KindDistinct, Children: []*Node{plan}}, plan.Schema())
 	}
 
 	// 10. ORDER BY over the projected schema.
@@ -566,11 +566,11 @@ func (b *Builder) buildQuery(q *sqlparser.Query) (*Node, error) {
 			}
 			keys = append(keys, SortKey{Expr: key, Desc: o.Desc})
 		}
-		plan = (&Node{Kind: KindSort, Children: []*Node{plan}, SortKeys: keys}).built(plan.Schema())
+		plan = NewNode(Node{Kind: KindSort, Children: []*Node{plan}, SortKeys: keys}, plan.Schema())
 	}
 
 	if q.Limit >= 0 {
-		plan = (&Node{Kind: KindLimit, Children: []*Node{plan}, LimitN: q.Limit}).built(plan.Schema())
+		plan = NewNode(Node{Kind: KindLimit, Children: []*Node{plan}, LimitN: q.Limit}, plan.Schema())
 	}
 	return plan, nil
 }
@@ -605,9 +605,9 @@ func buildLogLeaf(e *tableEntry) (*Node, error) {
 		fields = append(fields, c.Name)
 	}
 	sort.Strings(fields)
-	scan := (&Node{Kind: KindScan, LogName: e.log.Name}).built(
+	scan := NewNode(Node{Kind: KindScan, LogName: e.log.Name},
 		storage.MustSchema(storage.Column{Name: "_raw", Type: storage.KindString}))
-	ex := &Node{Kind: KindExtract, Children: []*Node{scan}}
+	ex := Node{Kind: KindExtract, Children: []*Node{scan}}
 	cols := make([]storage.Column, 0, len(fields)+len(e.udfCols))
 	for _, f := range fields {
 		i := e.log.FieldTypes.Index(f)
@@ -642,7 +642,7 @@ func buildLogLeaf(e *tableEntry) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ex.built(sch), nil
+	return NewNode(ex, sch), nil
 }
 
 // hoistUDFs rewrites UDF calls whose column inputs all come from one base
@@ -982,7 +982,7 @@ func newFilter(child *Node, pred expr.Expr) (*Node, error) {
 	if _, err := expr.TypeOf(pred, child.Schema()); err != nil {
 		return nil, err
 	}
-	return (&Node{Kind: KindFilter, Children: []*Node{child}, Pred: pred}).built(child.Schema()), nil
+	return NewNode(Node{Kind: KindFilter, Children: []*Node{child}, Pred: pred}, child.Schema()), nil
 }
 
 func newProject(child *Node, projs []Proj) (*Node, error) {
@@ -998,7 +998,7 @@ func newProject(child *Node, projs []Proj) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Node{Kind: KindProject, Children: []*Node{child}, Projs: projs}).built(sch), nil
+	return NewNode(Node{Kind: KindProject, Children: []*Node{child}, Projs: projs}, sch), nil
 }
 
 func newJoin(l, r *Node, jt JoinType, leftKeys, rightKeys []string) (*Node, error) {
@@ -1016,10 +1016,10 @@ func newJoin(l, r *Node, jt JoinType, leftKeys, rightKeys []string) (*Node, erro
 	if err != nil {
 		return nil, err
 	}
-	return (&Node{
+	return NewNode(Node{
 		Kind: KindJoin, Children: []*Node{l, r},
 		JoinType: jt, LeftKeys: leftKeys, RightKeys: rightKeys,
-	}).built(sch), nil
+	}, sch), nil
 }
 
 func newAggregate(child *Node, groups []Proj, aggs []AggSpec) (*Node, error) {
@@ -1064,12 +1064,12 @@ func newAggregate(child *Node, groups []Proj, aggs []AggSpec) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groups, Aggs: aggs}).built(sch), nil
+	return NewNode(Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groups, Aggs: aggs}, sch), nil
 }
 
 // NewViewScan builds a leaf that reads a materialized view.
 func NewViewScan(name string, sch *storage.Schema) *Node {
-	return (&Node{Kind: KindViewScan, ViewName: name, ViewSchema: sch}).built(sch)
+	return NewNode(Node{Kind: KindViewScan, ViewName: name, ViewSchema: sch}, sch)
 }
 
 // NewFilterNode exposes filter construction for plan rewrites.

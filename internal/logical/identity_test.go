@@ -1,6 +1,8 @@
 package logical_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"miso/internal/data"
@@ -79,4 +81,55 @@ func TestIDsAgreeWithSignatures(t *testing.T) {
 		bySig[sig], byID[id] = id, sig
 	}
 	t.Logf("%d nodes, %d distinct signatures", len(nodes), len(bySig))
+}
+
+// TestSignatureConcurrentFirstUse: goroutines take the first signatures of
+// freshly built paper plans and of copies over the same children at once,
+// as the tuner's what-if workers and the hedge's shadow do with shared
+// plans. No prewarm precedes them; under -race this is the memo's
+// regression, and every caller must see the text a serial walk prints.
+func TestSignatureConcurrentFirstUse(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := logical.NewBuilder(cat)
+	var fresh, copies []*logical.Node
+	for _, sql := range workload.SQLs() {
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, plan)
+		copies = append(copies, plan.WithChildren(slices.Clone(plan.Children)))
+	}
+	const workers = 8
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			plans := fresh
+			if w%2 == 1 {
+				plans = copies
+			}
+			for _, p := range plans {
+				got[w] = append(got[w], p.Signature())
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, sql := range workload.SQLs() {
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plan.Signature()
+		for w := range got {
+			if got[w][i] != want {
+				t.Fatalf("worker %d, query %d: signature %q, a serial build prints %q", w, i+1, got[w][i], want)
+			}
+		}
+	}
 }

@@ -28,8 +28,7 @@ func NormalizeExpanded(n *Node, def func(view string) *Node) *Node {
 		}
 		return Normalize(d)
 	}
-	c := *n
-	c.sig = ""
+	c := alloc(*n)
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
 		if c.Children[i] = NormalizeExpanded(ch, def); c.Children[i] == nil {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"miso/internal/expr"
 	"miso/internal/storage"
@@ -158,11 +159,12 @@ type Node struct {
 
 	schema *storage.Schema // computed output schema
 	// head and tail are the node-local payload (see payload), local its
-	// hash and id the node's structural id; all are set when the node is
-	// built and never written afterwards.
+	// hash and id the node's structural id, and sig the cell Signature
+	// memoizes into; all are set when the node is built and never written
+	// afterwards (the cell's content is published atomically).
 	head, tail string
 	local, id  uint64
-	sig        string // memoized signature, the one field written lazily
+	sig        *atomic.Pointer[string]
 }
 
 // Child returns the i-th child.
@@ -175,12 +177,25 @@ func (n *Node) Schema() *storage.Schema { return n.schema }
 // changed) whose children are built: it installs the output schema and
 // computes the payload and id. Plans assembled outside this package go
 // through it, so no node of theirs reports the zero id.
-func NewNode(n Node, sch *storage.Schema) *Node { return n.built(sch) }
+func NewNode(n Node, sch *storage.Schema) *Node { return alloc(n).built(sch) }
 
-// built installs the schema, payload and id: the last write a node gets
-// (the signature memo aside).
+// builtNode is a node and its signature cell, allocated together: every
+// built node owns a cell, and the cell costs no allocation of its own.
+type builtNode struct {
+	node Node
+	sig  atomic.Pointer[string]
+}
+
+// alloc returns a heap copy of n holding a fresh, empty signature cell.
+func alloc(n Node) *Node {
+	b := &builtNode{node: n}
+	b.node.sig = &b.sig
+	return &b.node
+}
+
+// built installs the schema, payload and id: the last write a node gets.
 func (n *Node) built(sch *storage.Schema) *Node {
-	n.schema, n.sig = sch, ""
+	n.schema = sch
 	n.head, n.tail = n.payload()
 	n.local = hashString(hashString(hashUint(fnvOffset64, uint64(n.Kind)), n.head), n.tail)
 	return n.link()
@@ -205,8 +220,7 @@ func (n *Node) link() *Node {
 // shared between the original and rewritten plans, which is safe because a
 // built node is never written again.
 func (n *Node) WithChildren(children []*Node) *Node {
-	c := *n
-	c.sig = ""
+	c := alloc(*n)
 	c.Children = children
 	return c.link()
 }
@@ -250,16 +264,6 @@ func (n *Node) Nodes() []*Node {
 	var out []*Node
 	n.Walk(func(m *Node) { out = append(out, m) })
 	return out
-}
-
-// PrewarmSignatures computes and memoizes the signature of every node in
-// the subtree. Signature caches lazily into the node on first call, which
-// is a benign write on a single goroutine but a data race when multiple
-// goroutines first touch a shared plan concurrently — the tuner prewarms
-// its window's plans serially before fanning what-if probes out to a
-// worker pool, whose hv.CostPlan sorts stages by signature.
-func (n *Node) PrewarmSignatures() {
-	n.Walk(func(m *Node) { m.Signature() })
 }
 
 // UsesUDFHere reports whether this node's own expressions call a UDF.
@@ -318,9 +322,16 @@ func (n *Node) UsesUDF() bool {
 // fields are sorted by the builder. Two subtrees with equal signatures
 // compute the same relation with the same column set. The text is what
 // names views and stage tables and orders HV stages; lookups key on ID.
+//
+// A built node computes it once and memoizes it in its cell; goroutines
+// that race on the first call each compute the same text and publish it
+// atomically, so a shared plan needs no prewarm. A node literal that never
+// went through NewNode has no cell and recomputes.
 func (n *Node) Signature() string {
-	if n.sig != "" {
-		return n.sig
+	if n.sig != nil {
+		if s := n.sig.Load(); s != nil {
+			return *s
+		}
 	}
 	name := n.Kind.String()
 	if n.Kind == KindAggregate {
@@ -337,8 +348,11 @@ func (n *Node) Signature() string {
 	if n.tail != "" {
 		parts = append(parts, n.tail)
 	}
-	n.sig = name + "(" + strings.Join(parts, ",") + ")"
-	return n.sig
+	s := name + "(" + strings.Join(parts, ",") + ")"
+	if n.sig != nil {
+		n.sig.Store(&s)
+	}
+	return s
 }
 
 // payload encodes the node-local part of the signature in canonical text:

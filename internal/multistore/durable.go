@@ -8,6 +8,7 @@ import (
 
 	"miso/internal/durability"
 	"miso/internal/history"
+	"miso/internal/hv"
 	"miso/internal/stats"
 	"miso/internal/storage"
 	"miso/internal/views"
@@ -36,6 +37,16 @@ func (s *System) Durability() *durability.Manager { return s.dur }
 func (s *System) Checkpoint() *durability.Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.checkpointLocked()
+}
+
+// checkpointLocked takes a checkpoint when durability is on. Besides the
+// cadence and explicit calls, the system takes one wherever it changes state
+// the journal does not carry: at boot, after recovery, after
+// ProvideFutureWorkload, and after DW-ONLY's ETL and MS-OFF's offline
+// design (one-time phases inside the first query; the diff and the
+// QueryDone that follow replay over it). Callers hold s.mu.
+func (s *System) checkpointLocked() *durability.Checkpoint {
 	if s.dur == nil {
 		return nil
 	}
@@ -51,18 +62,22 @@ func (s *System) beginOp() {
 	s.jbase = s.designMap()
 }
 
-// endOp journals the operation's design diff, its final record (nil for
-// operations fully described by the diff), and counts it toward the
-// checkpoint cadence. A torn WAL append surfaces as faults.ErrCrash.
-func (s *System) endOp(final *durability.Record) error {
+// endOp journals the operation's design diff, its final records in order
+// (nil ones skipped; none for operations fully described by the diff), and
+// counts it toward the checkpoint cadence. A torn WAL append surfaces as
+// faults.ErrCrash.
+func (s *System) endOp(final ...*durability.Record) error {
 	if s.dur == nil {
 		return nil
 	}
 	if err := s.journalDesignDiff(); err != nil {
 		return err
 	}
-	if final != nil {
-		if err := s.dur.WAL().Append(final); err != nil {
+	for _, rec := range final {
+		if rec == nil {
+			continue
+		}
+		if err := s.dur.WAL().Append(rec); err != nil {
 			return err
 		}
 	}
@@ -205,11 +220,12 @@ func journaledReport(rec *durability.Record) *QueryReport {
 	}
 }
 
-// reorgCommitRecord journals a committed reorganization's outcome and the
+// reorgRecord journals the outcome of a committed reorganization
+// (KindReorgCommit) or of MS-OFF's realization (KindRealize), and the
 // injected failures its moves survived (ReorgRecord does not keep those).
-func reorgCommitRecord(rec ReorgRecord, retries int) *durability.Record {
+func reorgRecord(kind durability.Kind, rec ReorgRecord, retries int) *durability.Record {
 	return &durability.Record{
-		Kind:            durability.KindReorgCommit,
+		Kind:            kind,
 		Seq:             int64(rec.BeforeSeq),
 		Bytes:           rec.Bytes,
 		MovedToDW:       int64(rec.MovedToDW),
@@ -223,8 +239,7 @@ func reorgCommitRecord(rec ReorgRecord, retries int) *durability.Record {
 	}
 }
 
-// journaledReorg is reorgCommitRecord's inverse (the retries stay in the
-// record).
+// journaledReorg is reorgRecord's inverse (the retries stay in the record).
 func journaledReorg(rec *durability.Record) ReorgRecord {
 	return ReorgRecord{
 		BeforeSeq:       int(rec.Seq),
@@ -354,6 +369,11 @@ func (s *System) restoreSnapshot(sn *snapshot) error {
 			return err
 		}
 		s.future = append(s.future, history.Entry{Seq: e.Seq, SQL: e.SQL, Plan: plan})
+	}
+	if s.offTuned {
+		if err := s.analyze(hv.NewStore(s.cat, s.est, s.cfg.ExecWorkers)); err != nil {
+			return err
+		}
 	}
 	s.reports = reportLog{evicted: sn.Evicted, fold: sn.EvictedFold}
 	for _, r := range sn.Reports {

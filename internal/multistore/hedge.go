@@ -187,16 +187,13 @@ func (hr *hedgeRun) await() (p *hv.Pending, err error, ok bool) {
 // The fallback plan is rewritten against the HV views *now*, but the DW
 // phase mutates no HV view state, so it is the same plan the serial
 // fallback would build later — that identity is what makes the committed
-// shadow byte-equivalent to the serial path. Signatures are prewarmed on
-// this (serialized) flow because logical.Node memoizes them lazily.
+// shadow byte-equivalent to the serial path.
 func (s *System) executeDWHedged(q *query, dwPart *logical.Node) (*dw.Result, *hedgeRun, error) {
 	if s.hedge == nil {
 		res, err := s.dw.ExecuteContext(q.ctx, dwPart)
 		return res, nil, err
 	}
-	plan := optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
-	plan.Walk(func(n *logical.Node) { n.Signature() })
-	hr := s.armHedge(q.ctx, plan)
+	hr := s.armHedge(q.ctx, optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views))
 	// Hedges counts armed hedges, decided here on the serialized flow —
 	// deterministic regardless of whether the shadow goroutine wins the
 	// scheduling race before the DW side finishes.

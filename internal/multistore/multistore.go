@@ -28,7 +28,6 @@ import (
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
-	"miso/internal/transfer"
 )
 
 // Variant selects the system behavior under evaluation.
@@ -50,13 +49,12 @@ const (
 // epochLen (the paper's values).
 const historyLen, epochLen = 6, 3
 
-// Config assembles the full system configuration.
+// Config assembles the full system configuration. The stores' and the
+// transfer pipeline's calibration is the paper's testbed, fixed in their
+// packages.
 type Config struct {
-	Variant  Variant
-	HV       hv.Config
-	DW       dw.Config
-	Transfer transfer.Config
-	Tuner    core.Config
+	Variant Variant
+	Tuner   core.Config
 
 	// ReorgEvery triggers a reorganization phase every n queries
 	// (MS-MISO / MS-ORA). The paper reorganizes every 1/10 of the
@@ -111,8 +109,7 @@ type Config struct {
 	// ExecWorkers bounds both stores' execution worker pools
 	// (exec.Env.Workers): 0 means GOMAXPROCS (the default), n > 0 means
 	// n workers. Results — tables, digests, TTI — are byte-identical at
-	// every setting; only real wall-clock changes. A nonzero value
-	// overrides HV.ExecWorkers and DW.ExecWorkers.
+	// every setting; only real wall-clock changes.
 	ExecWorkers int
 
 	// MemLimitBytes caps the execution memory of a single query: extract
@@ -140,10 +137,6 @@ type Config struct {
 func DefaultConfig(v Variant) Config {
 	return Config{
 		Variant:    v,
-		HV:         hv.DefaultConfig(),
-		DW:         dw.DefaultConfig(),
-		Transfer:   transfer.DefaultConfig(),
-		Tuner:      core.DefaultConfig(),
 		ReorgEvery: 3,
 		Decay:      0.5,
 	}
@@ -395,26 +388,10 @@ type ReorgRecord struct {
 
 // New creates a system over the catalog.
 func New(cfg Config, cat *storage.Catalog) *System {
-	// Movement netting: derive per-byte move times from the transfer
-	// pipeline so the tuner only places views whose benefit exceeds the
-	// cost of moving them.
-	// The 3x factor adds hysteresis: predicted benefits come from the
-	// recent window, which overstates recurrence for ad-hoc queries, so a
-	// move must clearly pay for itself before the tuner performs it.
-	if cfg.Tuner.MovePenaltyPerByteDW == 0 {
-		cfg.Tuner.MovePenaltyPerByteDW = 3 * transfer.Cost(cfg.Transfer, 1<<30).Total() / float64(1<<30)
-	}
-	if cfg.Tuner.MovePenaltyPerByteHV == 0 {
-		cfg.Tuner.MovePenaltyPerByteHV = 3 * transfer.CostToHV(cfg.Transfer, 1<<30).Total() / float64(1<<30)
-	}
-	if cfg.ExecWorkers != 0 {
-		cfg.HV.ExecWorkers = cfg.ExecWorkers
-		cfg.DW.ExecWorkers = cfg.ExecWorkers
-	}
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(cfg.HV, cat, est)
-	d := dw.NewStore(cfg.DW, est)
-	opt := optimizer.New(h, d, est, cfg.Transfer)
+	h := hv.NewStore(cat, est, cfg.ExecWorkers)
+	d := dw.NewStore(est, cfg.ExecWorkers)
+	opt := optimizer.New(h, d, est)
 	if cfg.Variant == VariantHVOnly || cfg.Variant == VariantHVOp {
 		opt.DisableSplits = true
 	}
@@ -469,7 +446,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	if cfg.CheckpointEvery > 0 {
 		s.dur = durability.NewManager(cfg.CheckpointEvery, durability.NewWAL(inj))
 		// Boot checkpoint: recovery always has a base state to replay over.
-		s.dur.Checkpoint(0, s.snapshotLocked())
+		s.checkpointLocked()
 		s.jbase = s.designMap()
 	}
 	return s
@@ -545,7 +522,8 @@ func (s *System) design() optimizer.Design {
 
 // ProvideFutureWorkload registers the upcoming queries. DW-ONLY uses it to
 // scope the ETL, MS-OFF to tune once up-front, and MS-ORA as its oracle
-// window.
+// window. The journal does not carry the workload, so with durability on
+// the call ends in a checkpoint.
 func (s *System) ProvideFutureWorkload(sqls []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,6 +535,7 @@ func (s *System) ProvideFutureWorkload(sqls []string) error {
 		}
 		s.future = append(s.future, history.Entry{Seq: i, SQL: sql, Plan: plan})
 	}
+	s.checkpointLocked()
 	return nil
 }
 
@@ -656,7 +635,7 @@ func (s *System) Reorganize() error {
 	if err := s.reorg(w); err != nil {
 		return err
 	}
-	return s.endOp(nil)
+	return s.endOp()
 }
 
 // tuningWindow is what the variant's online tuner looks at: the history

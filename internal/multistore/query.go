@@ -124,11 +124,13 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *Qu
 	}
 
 	s.charge(q.rep)
+	var settled *durability.Record
 	if ran {
 		// The variant's post-step follows the charge (MS-OFF's trim adds
 		// its own recovery time after the query's) and precedes the
-		// booking, which journals the design it leaves behind.
-		s.settleVariant()
+		// booking, which journals the design it leaves behind and then the
+		// post-step's record, so replay charges in the same order.
+		settled = s.settleVariant()
 		if fpOK && q.rep.Result != nil {
 			// Chain boundary: the finished query's materialized answer
 			// enters the cache under the fingerprint computed before
@@ -136,7 +138,7 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *Qu
 			s.reuse.cache.Put(fp, q.rep.Result)
 		}
 	}
-	return s.bookLocked(q)
+	return s.bookLocked(q, settled)
 }
 
 // begin is the prologue every query passes, in an order the fault plane
@@ -210,11 +212,11 @@ func (s *System) book(q *query) {
 	s.reports.add(q.rep)
 }
 
-// bookLocked books a completed query and journals its completion. Callers
-// hold s.mu.
-func (s *System) bookLocked(q *query) (*QueryReport, error) {
+// bookLocked books a completed query and journals its completion, then
+// settled (the variant's post-step record, nil for none). Callers hold s.mu.
+func (s *System) bookLocked(q *query, settled *durability.Record) (*QueryReport, error) {
 	s.book(q)
-	if err := s.endOp(queryDoneRecord(q.rep)); err != nil {
+	if err := s.endOp(queryDoneRecord(q.rep), settled); err != nil {
 		// The WAL append tore: the process is considered dead and the
 		// query's completion never became durable.
 		return nil, err
@@ -465,7 +467,7 @@ func (s *System) answerFromDW(q *query, plan *logical.Node, res *dw.Result) {
 // wasted productive + recovery; which counter the seconds land in is the
 // caller's.
 func (s *System) move(ctx context.Context, bytes int64, kind transfer.Kind) (productive, recovery float64, retries int, err error) {
-	mv, err := transfer.MoveContext(ctx, s.cfg.Transfer, bytes, kind, s.inj, s.retry)
+	mv, err := transfer.MoveContext(ctx, bytes, kind, s.inj, s.retry)
 	return mv.Breakdown.Total(), mv.RecoverySeconds, mv.Retries, err
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"miso/internal/durability"
 	"miso/internal/history"
+	"miso/internal/hv"
 	"miso/internal/storage"
 )
 
@@ -61,15 +62,13 @@ func Recover(cfg Config, cat *storage.Catalog, ckpt *durability.Checkpoint, wal 
 	// charges nothing, which is what makes clean-shutdown recovery
 	// byte-identical (StateDigest) to the checkpointed live state.
 	if report.ReplayedRecords > 0 || report.TornBytes > 0 {
-		scan := s.cfg.HV.ScanMBps * float64(s.cfg.HV.Nodes) * 1e6
 		bytes := s.hv.Views.TotalBytes() + s.dw.Views.TotalBytes()
-		report.Seconds = 0.01*float64(report.ReplayedRecords) + float64(bytes)/scan
+		report.Seconds = 0.01*float64(report.ReplayedRecords) + float64(bytes)/hv.ScanBytesPerSec
 		s.metrics.Recovery += report.Seconds
 	}
 	s.metrics.Quarantined += len(report.Quarantined)
 
-	if s.dur != nil {
-		s.dur.Checkpoint(s.seq, s.snapshotLocked())
+	if s.checkpointLocked() != nil {
 		s.jbase = s.designMap()
 	}
 	return s, report, nil
@@ -106,6 +105,8 @@ func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report
 		case durability.KindReorgCommit:
 			s.bookReorg(journaledReorg(rec))
 			s.metrics.Retries += int(rec.Retries)
+		case durability.KindRealize:
+			s.bookRealize(journaledReorg(rec), int(rec.Retries))
 		case durability.KindLogGen:
 			// The catalog survives the process; nothing to re-apply. The
 			// post-replay verifyDesign pass re-quarantines stale views.

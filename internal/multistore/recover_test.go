@@ -454,3 +454,58 @@ func TestRecoverPastReportRing(t *testing.T) {
 		t.Fatalf("after one more query the twin retains %d reports, seq %d..%d", len(reps), reps[0].Seq, reps[len(reps)-1].Seq)
 	}
 }
+
+// TestRecoverFromBootCheckpointPerVariant recovers every variant from its
+// boot checkpoint plus the WAL after eight queries. Everything a query
+// report does not carry — DW-ONLY's one-time ETL, MS-OFF's offline design
+// and its per-query realization, the future workload both read — must
+// come back too: every Metrics field equals the live system's, Recovery
+// plus what the recovery itself charged. The twin then answers the next
+// four queries, through the next reorganization, as the live system does.
+func TestRecoverFromBootCheckpointPerVariant(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := workload.SQLs()
+	for _, v := range []multistore.Variant{
+		multistore.VariantHVOnly, multistore.VariantDWOnly, multistore.VariantMSBasic,
+		multistore.VariantHVOp, multistore.VariantMSMiso, multistore.VariantMSOff,
+		multistore.VariantMSLru, multistore.VariantMSOra,
+	} {
+		t.Run(string(v), func(t *testing.T) {
+			cfg := multistore.DefaultConfig(v)
+			cfg.SetBudgets(cat, 2.0, 10<<30)
+			cfg.CheckpointEvery = 1000 // no checkpoint but the boot-time ones
+			live := multistore.New(cfg, cat)
+			if err := live.ProvideFutureWorkload(sqls); err != nil {
+				t.Fatal(err)
+			}
+			for i, sql := range sqls[:8] {
+				if _, err := live.Run(sql); err != nil {
+					t.Fatalf("query %d: %v", i+1, err)
+				}
+			}
+			dur := live.Durability()
+			twin, rep, err := multistore.Recover(cfg, cat, dur.Latest(), dur.WAL())
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			want := live.Metrics()
+			want.Recovery += rep.Seconds
+			if got := twin.Metrics(); got != want {
+				t.Fatalf("recovered metrics differ:\n got %+v\nwant %+v", got, want)
+			}
+			for i, sql := range sqls[8:12] {
+				lrep, lerr := live.Run(sql)
+				trep, terr := twin.Run(sql)
+				if lerr != nil || terr != nil {
+					t.Fatalf("query %d: live %v, twin %v", i+9, lerr, terr)
+				}
+				if lrep.Total() != trep.Total() {
+					t.Fatalf("query %d: twin took %vs, live %vs", i+9, trep.Total(), lrep.Total())
+				}
+			}
+		})
+	}
+}

@@ -23,7 +23,7 @@ func (s *System) AppendToLog(name string, lines []string) (dropped int, err erro
 	if err != nil {
 		return dropped, err
 	}
-	return dropped, s.endOp(nil)
+	return dropped, s.endOp()
 }
 
 func (s *System) appendLocked(name string, lines []string) (dropped int, err error) {

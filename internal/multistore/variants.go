@@ -8,6 +8,7 @@ import (
 	"miso/internal/durability"
 	"miso/internal/faults"
 	"miso/internal/history"
+	"miso/internal/hv"
 	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/storage"
@@ -44,6 +45,7 @@ func (s *System) runVariant(q *query) error {
 				return err
 			}
 			s.offTuned = true
+			s.checkpointLocked()
 		}
 		return s.runSplit(q, s.design(), nil)
 	default:
@@ -52,8 +54,9 @@ func (s *System) runVariant(q *query) error {
 }
 
 // settleVariant is the variant's post-step: what it keeps of the views
-// the query left behind.
-func (s *System) settleVariant() {
+// the query left behind. It returns the record the query's booking
+// journals after its own, or nil.
+func (s *System) settleVariant() *durability.Record {
 	switch s.cfg.Variant {
 	case VariantHVOnly, VariantMSBasic:
 		s.hv.Views.Reset() // no retention: transfers and by-products are discarded
@@ -70,8 +73,9 @@ func (s *System) settleVariant() {
 		views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
 		s.hv.Views.Reset()
 	case VariantMSOff:
-		s.trimHVToDesign()
+		return s.trimHVToDesign()
 	}
+	return nil
 }
 
 // retainWorkingSet is MS-LRU's passive retention: a working set that
@@ -97,6 +101,7 @@ func (s *System) runDWOnly(q *query) error {
 			return err
 		}
 		s.etlDone = true
+		s.checkpointLocked()
 	}
 	plan := optimizer.RewriteWithViews(q.entry.Plan, s.dw.Views)
 	if hasRawScan(plan) {
@@ -230,7 +235,7 @@ func (s *System) reorg(w *history.Window) error {
 	if err := s.journalDesignDiff(); err != nil {
 		return err
 	}
-	return s.journal(reorgCommitRecord(rec, moveRetries))
+	return s.journal(reorgRecord(durability.KindReorgCommit, rec, moveRetries))
 }
 
 // bookReorg enters a committed reorganization into the TTI breakdown, the
@@ -267,10 +272,8 @@ func (s *System) offlineTune() error {
 	if len(s.future) == 0 {
 		return fmt.Errorf("multistore: MS-OFF requires ProvideFutureWorkload")
 	}
-	for _, e := range s.future {
-		if _, err := s.hv.ExecuteContext(context.Background(), e.Plan, e.Seq); err != nil {
-			return fmt.Errorf("multistore: offline analysis of query %d: %w", e.Seq, err)
-		}
+	if err := s.analyze(s.hv); err != nil {
+		return err
 	}
 	w := history.NewWindow(len(s.future), len(s.future), 1.0)
 	for _, e := range s.future {
@@ -296,19 +299,35 @@ func (s *System) offlineTune() error {
 	return nil
 }
 
+// analyze is MS-OFF's dry run of the future workload through h. Besides the
+// views h captures, it leaves every executed node's truth in the shared
+// estimator, where later planning reads it; recovery repeats it on a
+// scratch store because no checkpoint carries the estimator.
+func (s *System) analyze(h *hv.Store) error {
+	for _, e := range s.future {
+		if _, err := h.ExecuteContext(context.Background(), e.Plan, e.Seq); err != nil {
+			return fmt.Errorf("multistore: offline analysis of query %d: %w", e.Seq, err)
+		}
+	}
+	return nil
+}
+
 // trimHVToDesign enforces the fixed offline design after each query: new
 // by-products that the design chose for DW are transferred (charged to
 // TUNE and logged as a movement before the next query), ones chosen for HV
-// are kept, everything else is dropped.
-func (s *System) trimHVToDesign() {
+// are kept, everything else is dropped. A realization that moved or failed
+// to move a view is booked by bookRealize and returned as the record to
+// journal, nil otherwise.
+func (s *System) trimHVToDesign() *durability.Record {
 	rec := ReorgRecord{BeforeSeq: s.seq + 1}
+	retries := 0
 	rctx := s.phaseContext()
 	for _, v := range s.hv.Views.All() {
 		switch {
 		case s.offTargetDW[v.Name]:
 			if !s.dw.Views.Has(v.Name) {
-				productive, recovery, retries, mvErr := s.move(rctx, v.SizeBytes(), transfer.KindPermanent)
-				s.metrics.Retries += retries
+				productive, recovery, moveRetries, mvErr := s.move(rctx, v.SizeBytes(), transfer.KindPermanent)
+				retries += moveRetries
 				if mvErr != nil {
 					// Rolled back: the view stays in HV and the design
 					// realization retries after a later query.
@@ -331,11 +350,21 @@ func (s *System) trimHVToDesign() {
 		}
 	}
 	views.EvictLRU(s.hv.Views, s.cfg.Tuner.Bh)
-	if rec.MovedToDW > 0 || rec.FailedMoves > 0 {
-		s.metrics.Tune += rec.Seconds
-		s.metrics.Recovery += rec.RecoverySeconds
-		s.reorgLog = append(s.reorgLog, rec)
+	if rec.MovedToDW == 0 && rec.FailedMoves == 0 {
+		return nil
 	}
+	s.bookRealize(rec, retries)
+	return reorgRecord(durability.KindRealize, rec, retries)
+}
+
+// bookRealize enters MS-OFF's realization of its design into the TTI
+// breakdown and the ledger (it is no reorganization: Reorgs stays): the one
+// booking, for the live path and for journal replay alike.
+func (s *System) bookRealize(rec ReorgRecord, retries int) {
+	s.metrics.Retries += retries
+	s.metrics.Tune += rec.Seconds
+	s.metrics.Recovery += rec.RecoverySeconds
+	s.reorgLog = append(s.reorgLog, rec)
 }
 
 // markUsedViews touches every view the plan reads (Set.Touch) and returns

@@ -109,13 +109,13 @@ func indent(s, prefix string) string {
 
 // Optimizer plans queries across the two stores.
 type Optimizer struct {
-	hv   *hv.Store
-	dw   *dw.Store
-	est  *stats.Estimator
-	tcfg transfer.Config
+	hv  *hv.Store
+	dw  *dw.Store
+	est *stats.Estimator
+	// maxPlans caps split enumeration per query: planCap, which only tests
+	// lower.
+	maxPlans int
 
-	// MaxPlans caps split enumeration per query.
-	MaxPlans int
 	// DisableSplits restricts planning to HV-only execution (used by the
 	// HV-ONLY and HV-OP system variants).
 	DisableSplits bool
@@ -128,9 +128,12 @@ type Optimizer struct {
 	ReuseProbe func(*logical.Node) bool
 }
 
+// planCap caps the frontiers enumerated per query.
+const planCap = 256
+
 // New creates an optimizer over the two stores.
-func New(h *hv.Store, d *dw.Store, est *stats.Estimator, tcfg transfer.Config) *Optimizer {
-	return &Optimizer{hv: h, dw: d, est: est, tcfg: tcfg, MaxPlans: 256}
+func New(h *hv.Store, d *dw.Store, est *stats.Estimator) *Optimizer {
+	return &Optimizer{hv: h, dw: d, est: est, maxPlans: planCap}
 }
 
 // RewriteWithViews rewrites the plan greedily top-down, replacing each
@@ -280,7 +283,7 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice) *cutEval {
 		ce.st, ce.xfer = b.st, b.xfer
 	} else {
 		ce.st = o.est.Estimate(cutNode)
-		ce.xfer = transfer.Cost(o.tcfg, ce.st.Bytes).Total()
+		ce.xfer = transfer.Cost(ce.st.Bytes).Total()
 	}
 	ce.hvCost = o.hv.CostPlan(ce.hvPlan)
 	return ce
@@ -377,7 +380,7 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 	if o.DisableSplits {
 		return nil
 	}
-	all := o.enumerateCuts(raw, o.MaxPlans)
+	all := o.enumerateCuts(raw, o.maxPlans)
 	out := all[:0]
 	for _, frontier := range all {
 		if len(frontier) == 1 && frontier[0] == raw {
@@ -400,10 +403,7 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // and the design — it records no stats, stages no tables, and draws no
 // faults — so any number of goroutines may cost plans concurrently,
 // provided nothing concurrently mutates the design's view sets or the
-// catalog, and the raw plan's node signatures were prewarmed
-// (logical.Node.PrewarmSignatures). View lookup and estimation read only
-// node ids, set at build; the prewarm is for hv.CostPlan, which orders a
-// plan's stages by signature.
+// catalog.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 	c := newChoice(d, nil)
 	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
@@ -452,8 +452,7 @@ type spaceFrontier struct {
 	estDW float64 // the DW remainder's cost when no DW view answers a cut
 }
 
-// PlanSpace builds the query's plan space. The raw plan's signatures must be
-// prewarmed before the space is shared between goroutines.
+// PlanSpace builds the query's plan space.
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 	c := newChoice(EmptyDesign(), nil)
 	s := &PlanSpace{o: o, raw: raw, base: c.cuts}

@@ -12,7 +12,6 @@ import (
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
-	"miso/internal/transfer"
 	"miso/internal/views"
 	"miso/internal/workload"
 )
@@ -33,11 +32,11 @@ func setup(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	est := stats.NewEstimator(cat)
-	h := hv.NewStore(hv.DefaultConfig(), cat, est)
-	d := dw.NewStore(dw.DefaultConfig(), est)
+	h := hv.NewStore(cat, est, 0)
+	d := dw.NewStore(est, 0)
 	return &fixture{
 		cat: cat, b: logical.NewBuilder(cat), est: est, hv: h, dw: d,
-		opt: optimizer.New(h, d, est, transfer.DefaultConfig()),
+		opt: optimizer.New(h, d, est),
 	}
 }
 

@@ -133,7 +133,6 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 
 	var sawExact, sawResidual, sawHVRewrite bool
 	for qi, raw := range plans {
-		raw.PrewarmSignatures() // the space is shared between goroutines below
 		sp := o.PlanSpace(raw)
 		sameCost(t, "empty design", o, sp, raw, optimizer.EmptyDesign())
 		sameCost(t, "the system's design", o, sp, raw, sys.Design())
@@ -192,7 +191,7 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 		}
 	}
 	knobs("DisableSplits", func() { o.DisableSplits = true }, func() { o.DisableSplits = false })
-	knobs("MaxPlans = 3", func() { o.MaxPlans = 3 }, func() { o.MaxPlans = 256 })
+	knobs("plan cap = 3", func() { o.SetPlanCap(3) }, func() { o.SetPlanCap(256) })
 	for _, raw := range plans {
 		// ReuseProbe answers true for one cut of one split: that cut's HV
 		// cost leaves the sums of every frontier holding it, in both paths.
@@ -305,7 +304,6 @@ func TestPlanSpaceCostUnderDWMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.PrewarmSignatures()
 	if !pinned.UsesUDFHere() {
 		t.Fatal("the hand-built filter calls no UDF")
 	}

@@ -104,14 +104,14 @@ func TestRewriteWithViewsPreservesSemantics(t *testing.T) {
 // TestMaxPlansCapsEnumeration bounds the planner on a deep plan.
 func TestMaxPlansCapsEnumeration(t *testing.T) {
 	f := setup(t)
-	f.opt.MaxPlans = 4
+	f.opt.SetPlanCap(4)
 	p := f.plan(t, `SELECT l.city, COUNT(*) AS n FROM tweets t
 		JOIN checkins c ON t.user_id = c.user_id
 		JOIN landmarks l ON c.venue_id = l.venue_id
 		WHERE t.lang = 'en' GROUP BY l.city ORDER BY n DESC LIMIT 5`)
 	plans := f.opt.EnumeratePlans(p, optimizer.EmptyDesign())
-	if len(plans) > 5 { // HV-only + at most MaxPlans splits
-		t.Errorf("enumerated %d plans with MaxPlans=4", len(plans))
+	if len(plans) > 5 { // HV-only + at most the cap's splits
+		t.Errorf("enumerated %d plans under a cap of 4", len(plans))
 	}
 	if _, err := f.opt.Choose(p, optimizer.EmptyDesign()); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,9 @@ import (
 // served-query latencies over a window exceeds TargetP99, the effective
 // worker limit halves (multiplicative decrease — brownout); while p99
 // stays under target, it creeps back up one slot per window (additive
-// increase) toward Config.Workers. The zero value disables the limiter.
+// increase) toward Config.Workers. The limit never falls below one slot,
+// so the server always makes some progress. The zero value disables the
+// limiter.
 type AdaptiveConfig struct {
 	// TargetP99 is the latency objective for served queries. Zero
 	// disables adaptive limiting.
@@ -19,9 +21,6 @@ type AdaptiveConfig struct {
 	// Window is how many served latencies feed one adjustment decision.
 	// Zero means 32.
 	Window int
-	// Min floors the limit so the server always makes some progress.
-	// Zero means 1.
-	Min int
 }
 
 // limiter is the AIMD gate workers pass through before executing. A nil
@@ -44,9 +43,6 @@ func newLimiter(cfg AdaptiveConfig, workers int) *limiter {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 32
-	}
-	if cfg.Min <= 0 {
-		cfg.Min = 1
 	}
 	l := &limiter{cfg: cfg, max: workers, lim: workers,
 		lats: make([]time.Duration, 0, cfg.Window)}
@@ -89,10 +85,7 @@ func (l *limiter) observe(d time.Duration) {
 	l.lats = append(l.lats, d)
 	if len(l.lats) >= l.cfg.Window {
 		if govern.Percentile(l.lats, 99) > l.cfg.TargetP99 {
-			l.lim /= 2
-			if l.lim < l.cfg.Min {
-				l.lim = l.cfg.Min
-			}
+			l.lim = max(l.lim/2, 1)
 			l.decs++
 		} else if l.lim < l.max {
 			l.lim++

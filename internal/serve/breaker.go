@@ -38,38 +38,18 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes the DW circuit breaker.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive DW-exhaustion fallbacks that
-	// trips the breaker. Zero means DefaultBreakerThreshold.
-	Threshold int
-	// Cooldown is how long the breaker stays open before half-opening.
-	// Zero means DefaultBreakerCooldown.
-	Cooldown time.Duration
-}
-
-// Breaker defaults: three consecutive DW exhaustions trip the breaker,
-// which then half-opens after one second of wall time.
+// The breaker's calibration: DefaultBreakerThreshold consecutive DW
+// exhaustions trip it, and it half-opens after DefaultBreakerCooldown of
+// wall time.
 const (
 	DefaultBreakerThreshold = 3
 	DefaultBreakerCooldown  = time.Second
 )
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultBreakerThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultBreakerCooldown
-	}
-	return c
-}
-
 // breaker is the state machine. The clock is injected so tests can drive
 // the cooldown deterministically.
 type breaker struct {
 	mu  sync.Mutex
-	cfg BreakerConfig
 	now func() time.Time
 
 	state    BreakerState
@@ -80,12 +60,7 @@ type breaker struct {
 	probes   int
 }
 
-func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
-	if now == nil {
-		now = time.Now
-	}
-	return &breaker{cfg: cfg.withDefaults(), now: now}
-}
+func newBreaker(now func() time.Time) *breaker { return &breaker{now: now} }
 
 // allow decides the path for the next query: true means the multistore
 // path, false means the degraded HV-only path. In the half-open state the
@@ -99,7 +74,7 @@ func (b *breaker) allow() (normal bool, probe bool) {
 	case BreakerClosed:
 		return true, false
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.now().Sub(b.openedAt) < DefaultBreakerCooldown {
 			return false, false
 		}
 		b.state = BreakerHalfOpen
@@ -140,7 +115,7 @@ func (b *breaker) recordFailure(probe bool) {
 		return
 	}
 	b.failures++
-	if b.failures >= b.cfg.Threshold {
+	if b.failures >= DefaultBreakerThreshold {
 		b.trip()
 	}
 }

@@ -15,12 +15,12 @@ import (
 // this is the double-probe regression.
 func TestBreakerHalfOpenContention(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond}, clk.Now)
-	b.recordFailure(false) // threshold 1: trips immediately
+	b := newBreaker(clk.Now)
+	trip(b)
 	if st, trips, _ := b.snapshot(); st != BreakerOpen || trips != 1 {
-		t.Fatalf("expected open after one failure, got %v with %d trips", st, trips)
+		t.Fatalf("expected open after the threshold's failures, got %v with %d trips", st, trips)
 	}
-	clk.Advance(2 * time.Millisecond) // past cooldown: next allow half-opens
+	clk.Advance(DefaultBreakerCooldown) // cooled down: next allow half-opens
 
 	const contenders = 64
 	var probes, normals atomic.Int32
@@ -65,8 +65,8 @@ func TestBreakerHalfOpenContention(t *testing.T) {
 	}
 
 	// A failed probe re-opens exactly once even after the contention round.
-	b.recordFailure(false)
-	clk.Advance(2 * time.Millisecond)
+	trip(b)
+	clk.Advance(DefaultBreakerCooldown)
 	if _, probe := b.allow(); !probe {
 		t.Fatalf("expected to claim the probe after second cooldown")
 	}
@@ -76,14 +76,22 @@ func TestBreakerHalfOpenContention(t *testing.T) {
 	}
 }
 
+// trip records the threshold's consecutive DW exhaustions on a closed
+// breaker, which opens it.
+func trip(b *breaker) {
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		b.recordFailure(false)
+	}
+}
+
 // TestBreakerProbeRelease: a probe that never reaches a DW verdict
 // returns its slot, so the next caller can probe instead of the breaker
 // wedging half-open forever.
 func TestBreakerProbeRelease(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond}, clk.Now)
-	b.recordFailure(false)
-	clk.Advance(2 * time.Millisecond)
+	b := newBreaker(clk.Now)
+	trip(b)
+	clk.Advance(DefaultBreakerCooldown)
 	if _, probe := b.allow(); !probe {
 		t.Fatal("expected first caller to claim the probe")
 	}
@@ -150,10 +158,10 @@ func TestQuotaWeightedFairness(t *testing.T) {
 }
 
 // TestAdaptiveLimiterAIMD: a window of latencies over target halves the
-// limit (repeatedly, floored at Min); windows under target creep it back
+// limit (repeatedly, floored at one slot); windows under target creep it back
 // up one slot at a time to the worker ceiling.
 func TestAdaptiveLimiterAIMD(t *testing.T) {
-	l := newLimiter(AdaptiveConfig{TargetP99: 100 * time.Millisecond, Window: 4, Min: 1}, 8)
+	l := newLimiter(AdaptiveConfig{TargetP99: 100 * time.Millisecond, Window: 4}, 8)
 	feed := func(d time.Duration, n int) {
 		for i := 0; i < n; i++ {
 			l.observe(d)
@@ -166,7 +174,7 @@ func TestAdaptiveLimiterAIMD(t *testing.T) {
 	feed(200*time.Millisecond, 4) // one slow window: 8 -> 4
 	feed(200*time.Millisecond, 4) // 4 -> 2
 	feed(200*time.Millisecond, 4) // 2 -> 1
-	feed(200*time.Millisecond, 4) // floored at Min
+	feed(200*time.Millisecond, 4) // floored at one slot
 	if lim, _, decs := l.snapshot(); lim != 1 || decs != 4 {
 		t.Fatalf("after 4 slow windows: limit %d (want 1), decreases %d (want 4)", lim, decs)
 	}
@@ -179,7 +187,7 @@ func TestAdaptiveLimiterAIMD(t *testing.T) {
 // TestAdaptiveLimiterBlocksAtLimit: with the limit squeezed to one, a
 // second acquire blocks until the first slot is released.
 func TestAdaptiveLimiterBlocksAtLimit(t *testing.T) {
-	l := newLimiter(AdaptiveConfig{TargetP99: time.Millisecond, Window: 1, Min: 1}, 2)
+	l := newLimiter(AdaptiveConfig{TargetP99: time.Millisecond, Window: 1}, 2)
 	l.observe(time.Second) // one slow window: limit 2 -> 1
 
 	l.acquire()

@@ -34,7 +34,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 // TestBreakerStateMachine walks the breaker through every transition with
 // a table of event sequences.
 func TestBreakerStateMachine(t *testing.T) {
-	const cooldown = 10 * time.Second
 	type step struct {
 		op         string // "fail" | "failProbe" | "success" | "successProbe" | "allow" | "release" | "advance"
 		wantState  BreakerState
@@ -110,7 +109,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := &fakeClock{now: time.Unix(1000, 0)}
-			b := newBreaker(BreakerConfig{Threshold: 3, Cooldown: cooldown}, clock.Now)
+			b := newBreaker(clock.Now)
 			for i, st := range tc.steps {
 				switch st.op {
 				case "fail":
@@ -124,7 +123,7 @@ func TestBreakerStateMachine(t *testing.T) {
 				case "release":
 					b.releaseProbe(true)
 				case "advance":
-					clock.Advance(cooldown)
+					clock.Advance(DefaultBreakerCooldown)
 				case "allow":
 					normal, probe := b.allow()
 					if normal != st.wantNormal || probe != st.wantProbe {
@@ -144,12 +143,12 @@ func TestBreakerStateMachine(t *testing.T) {
 
 func TestBreakerCountsTripsAndProbes(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, clock.Now)
-	b.recordFailure(false) // trip 1
-	clock.Advance(time.Second)
+	b := newBreaker(clock.Now)
+	trip(b) // trip 1
+	clock.Advance(DefaultBreakerCooldown)
 	b.allow()             // probe 1
 	b.recordFailure(true) // trip 2
-	clock.Advance(time.Second)
+	clock.Advance(DefaultBreakerCooldown)
 	b.allow() // probe 2
 	b.recordSuccess(true)
 	if _, trips, probes := b.snapshot(); trips != 2 || probes != 2 {
@@ -276,10 +275,10 @@ func TestBreakerRoutesToDegradedPath(t *testing.T) {
 			return &multistore.QueryReport{SQL: sql, FellBackToHV: true, FallbackCause: cause, HVOnly: true}, nil
 		},
 	}
-	srv := NewServer(Config{Workers: 1, Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour}}, backend)
+	srv := NewServer(Config{Workers: 1}, backend)
 	defer srv.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultBreakerThreshold; i++ {
 		if _, err := srv.Do(context.Background(), "q"); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

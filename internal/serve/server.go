@@ -49,8 +49,9 @@ type Backend interface {
 }
 
 // Config tunes the serving frontend. The zero value is usable: 4
-// workers, a queue twice the worker count, no per-query deadline, a 30s
-// drain timeout, and default breaker thresholds.
+// workers, a queue twice the worker count, no per-query deadline and a 30s
+// drain timeout. The DW circuit breaker's threshold and cooldown are
+// constants (DefaultBreakerThreshold, DefaultBreakerCooldown).
 type Config struct {
 	// Workers is the number of concurrent serving workers: how many
 	// queries run at once. It is independent of the data-path parallelism
@@ -66,8 +67,6 @@ type Config struct {
 	// DrainTimeout bounds how long Reorganize waits for in-flight queries
 	// to finish before canceling them.
 	DrainTimeout time.Duration
-	// Breaker tunes the DW circuit breaker.
-	Breaker BreakerConfig
 	// Quota gates admission per tenant with weighted-fair token buckets
 	// (the zero value admits everything, as before).
 	Quota QuotaConfig
@@ -201,7 +200,7 @@ func NewServer(cfg Config, backend Backend) *Server {
 	s := &Server{
 		cfg:      cfg,
 		backend:  backend,
-		br:       newBreaker(cfg.Breaker, nil),
+		br:       newBreaker(time.Now),
 		lim:      newLimiter(cfg.Adaptive, cfg.Workers),
 		jobs:     make(chan *job, cfg.QueueDepth),
 		inflight: map[int]context.CancelFunc{},

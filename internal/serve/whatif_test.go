@@ -29,9 +29,9 @@ func TestConcurrentWhatIfCostingDuringSoak(t *testing.T) {
 		DrainTimeout: 10 * time.Second,
 	}, sys)
 
-	// Private prewarmed plans for the cost hammer: the serving plane
-	// builds its own, so the only state shared with live traffic is the
-	// stores, the estimator, and the live design.
+	// Private plans for the cost hammer: the serving plane builds its own,
+	// so the only state shared with live traffic is the stores, the
+	// estimator, and the live design.
 	builder := logical.NewBuilder(sys.Catalog())
 	var plans []*logical.Node
 	for _, q := range workload.Evolving()[:8] {
@@ -39,7 +39,6 @@ func TestConcurrentWhatIfCostingDuringSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %s: %v", q.Name, err)
 		}
-		plan.PrewarmSignatures()
 		plans = append(plans, plan)
 	}
 

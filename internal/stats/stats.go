@@ -105,9 +105,8 @@ func (e *Estimator) Estimate(n *logical.Node) Stat {
 // their stats into the shared cache, which keeps the what-if cost path
 // read-only and therefore safe for concurrent use: parallel costing calls
 // reusing the same temp names (ws_0, ws_1, ...) can no longer clobber each
-// other. It reads only ids, which are set when a node is built, so it needs
-// no signature prewarm. A nil overlay makes EstimateWith identical to
-// Estimate.
+// other. It reads only ids, which are set when a node is built. A nil
+// overlay makes EstimateWith identical to Estimate.
 func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat {
 	if s, ok := overlay[n.ID()]; ok {
 		return s

@@ -101,7 +101,7 @@ func TestFeedbackOverridesHeuristics(t *testing.T) {
 // signature contains scan(<log>).
 func TestInvalidateLogDropsWhatTheSignaturePredicateDropped(t *testing.T) {
 	cat, b, est, _ := setup(t)
-	store := hv.NewStore(hv.DefaultConfig(), cat, est)
+	store := hv.NewStore(cat, est, 0)
 	sigs := map[uint64]string{} // every id the warm-up can have recorded
 	for seq, sql := range workload.SQLs() {
 		raw, err := b.BuildSQL(sql)

@@ -49,11 +49,11 @@ type MoveResult struct {
 //
 // With a nil injector the result is exactly the fault-free costing
 // (Cost or CostToHV), bit for bit.
-func MoveContext(ctx context.Context, cfg Config, bytes int64, kind Kind, inj *faults.Injector, retry faults.RetryPolicy) (*MoveResult, error) {
+func MoveContext(ctx context.Context, bytes int64, kind Kind, inj *faults.Injector, retry faults.RetryPolicy) (*MoveResult, error) {
 	retry = retry.OrDefault()
-	ideal := Cost(cfg, bytes)
+	ideal := Cost(bytes)
 	if kind == KindToHV {
-		ideal = CostToHV(cfg, bytes)
+		ideal = CostToHV(bytes)
 	}
 	res := &MoveResult{}
 

@@ -9,35 +9,33 @@ import (
 )
 
 func TestMoveNoInjectorMatchesCost(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, bytes := range []int64{0, 1 << 20, 3 << 30} {
-		res, err := MoveContext(context.Background(), cfg, bytes, KindWorkingSet, nil, faults.RetryPolicy{})
+		res, err := MoveContext(context.Background(), bytes, KindWorkingSet, nil, faults.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Retries != 0 || res.RecoverySeconds != 0 {
 			t.Fatalf("fault-free move not clean: %+v", res)
 		}
-		if res.Breakdown != Cost(cfg, bytes) {
-			t.Errorf("breakdown %+v != Cost %+v", res.Breakdown, Cost(cfg, bytes))
+		if res.Breakdown != Cost(bytes) {
+			t.Errorf("breakdown %+v != Cost %+v", res.Breakdown, Cost(bytes))
 		}
-		back, err := MoveContext(context.Background(), cfg, bytes, KindToHV, nil, faults.RetryPolicy{})
+		back, err := MoveContext(context.Background(), bytes, KindToHV, nil, faults.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Breakdown != CostToHV(cfg, bytes) {
-			t.Errorf("reverse breakdown %+v != CostToHV %+v", back.Breakdown, CostToHV(cfg, bytes))
+		if back.Breakdown != CostToHV(bytes) {
+			t.Errorf("reverse breakdown %+v != CostToHV %+v", back.Breakdown, CostToHV(bytes))
 		}
 	}
 }
 
 func TestMoveDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
 	run := func() []MoveResult {
 		inj := faults.NewInjector(faults.Uniform(0.3), 11)
 		var out []MoveResult
 		for i := 0; i < 20; i++ {
-			res, _ := MoveContext(context.Background(), cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry())
+			res, _ := MoveContext(context.Background(), 1<<30, KindPermanent, inj, faults.DefaultRetry())
 			out = append(out, *res)
 		}
 		return out
@@ -51,12 +49,11 @@ func TestMoveDeterministic(t *testing.T) {
 }
 
 func TestMoveSurvivesFailuresWithRecovery(t *testing.T) {
-	cfg := DefaultConfig()
 	inj := faults.NewInjector(faults.Uniform(0.4), 7)
 	var completed, aborted int
 	var sawRecovery bool
 	for i := 0; i < 50; i++ {
-		res, err := MoveContext(context.Background(), cfg, 2<<30, KindWorkingSet, inj, faults.DefaultRetry())
+		res, err := MoveContext(context.Background(), 2<<30, KindWorkingSet, inj, faults.DefaultRetry())
 		if err != nil {
 			aborted++
 			if !errors.Is(err, faults.ErrExhausted) {
@@ -71,7 +68,7 @@ func TestMoveSurvivesFailuresWithRecovery(t *testing.T) {
 		completed++
 		// A completed move always delivers the full fault-free breakdown;
 		// failures only add recovery on top.
-		if res.Breakdown != Cost(cfg, 2<<30) {
+		if res.Breakdown != Cost(2<<30) {
 			t.Fatalf("completed move breakdown %+v != ideal", res.Breakdown)
 		}
 		if res.Retries > 0 {
@@ -92,10 +89,9 @@ func TestMoveSurvivesFailuresWithRecovery(t *testing.T) {
 func TestMoveBackoffIsCharged(t *testing.T) {
 	// Rate 1 at the dump site only: every dump attempt fails, the move
 	// aborts after MaxAttempts with every backoff charged.
-	cfg := DefaultConfig()
 	inj := faults.NewInjector(faults.Profile{TransferDump: 1}, 3)
 	retry := faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2, BackoffFactor: 2, MaxBackoff: 100}
-	res, err := MoveContext(context.Background(), cfg, 1<<30, KindWorkingSet, inj, retry)
+	res, err := MoveContext(context.Background(), 1<<30, KindWorkingSet, inj, retry)
 	if err == nil {
 		t.Fatal("move completed under certain dump failure")
 	}
@@ -108,20 +104,19 @@ func TestMoveBackoffIsCharged(t *testing.T) {
 }
 
 func TestMoveLoadSiteDependsOnKind(t *testing.T) {
-	cfg := DefaultConfig()
 	// Working-set moves must not draw the permanent DW-load site.
 	inj := faults.NewInjector(faults.Profile{DWLoad: 1}, 5)
-	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindWorkingSet, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), 1<<30, KindWorkingSet, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("working-set move hit the permanent-load site: %v", err)
 	}
 	// Permanent moves must not draw the temp-load site.
 	inj = faults.NewInjector(faults.Profile{TransferLoad: 1}, 5)
-	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindPermanent, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), 1<<30, KindPermanent, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("permanent move hit the temp-load site: %v", err)
 	}
 	// Reverse moves have no load phase at all.
 	inj = faults.NewInjector(faults.Profile{TransferLoad: 1, DWLoad: 1}, 5)
-	if _, err := MoveContext(context.Background(), cfg, 1<<30, KindToHV, inj, faults.DefaultRetry()); err != nil {
+	if _, err := MoveContext(context.Background(), 1<<30, KindToHV, inj, faults.DefaultRetry()); err != nil {
 		t.Errorf("reverse move drew a load site: %v", err)
 	}
 }

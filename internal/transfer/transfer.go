@@ -7,21 +7,16 @@ package transfer
 
 import "fmt"
 
-// Config calibrates the movement pipeline. The defaults reflect the paper's
-// setup: staging-disk dump, a 1GbE inter-rack link, and DW bulk load.
-type Config struct {
-	// DumpMBps is the rate of dumping intermediate data out of HV.
-	DumpMBps float64
-	// NetMBps is the aggregate network transfer rate between clusters.
-	NetMBps float64
-	// LoadMBps is the DW bulk-load rate (including index build).
-	LoadMBps float64
-}
-
-// DefaultConfig returns paper-calibrated rates.
-func DefaultConfig() Config {
-	return Config{DumpMBps: 100, NetMBps: 117, LoadMBps: 25}
-}
+// The pipeline's calibration, in MB/s: the paper's staging-disk dump, its
+// 1GbE inter-rack link, and the DW bulk load (§5).
+const (
+	// dumpMBps is the rate of dumping intermediate data out of HV.
+	dumpMBps = 100
+	// netMBps is the aggregate network transfer rate between clusters.
+	netMBps = 117
+	// loadMBps is the DW bulk-load rate (including index build).
+	loadMBps = 25
+)
 
 // Breakdown is the simulated seconds spent in each phase of one movement.
 type Breakdown struct {
@@ -35,20 +30,20 @@ func (b Breakdown) Total() float64 { return b.Dump + b.Network + b.Load }
 
 // Cost returns the time breakdown for moving the given logical bytes from
 // HV into DW.
-func Cost(cfg Config, bytes int64) Breakdown {
+func Cost(bytes int64) Breakdown {
 	return Breakdown{
-		Dump:    float64(bytes) / (cfg.DumpMBps * 1e6),
-		Network: float64(bytes) / (cfg.NetMBps * 1e6),
-		Load:    float64(bytes) / (cfg.LoadMBps * 1e6),
+		Dump:    float64(bytes) / (dumpMBps * 1e6),
+		Network: float64(bytes) / (netMBps * 1e6),
+		Load:    float64(bytes) / (loadMBps * 1e6),
 	}
 }
 
 // CostToHV returns the time for the reverse direction (DW export to HDFS
 // write); there is no DW load phase.
-func CostToHV(cfg Config, bytes int64) Breakdown {
+func CostToHV(bytes int64) Breakdown {
 	return Breakdown{
-		Dump:    float64(bytes) / (cfg.DumpMBps * 1e6),
-		Network: float64(bytes) / (cfg.NetMBps * 1e6),
+		Dump:    float64(bytes) / (dumpMBps * 1e6),
+		Network: float64(bytes) / (netMBps * 1e6),
 	}
 }
 

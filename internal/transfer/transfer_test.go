@@ -7,21 +7,18 @@ import (
 	"testing/quick"
 )
 
+// TestCostBreakdown: 117 MB at the paper's rates — a 100 MB/s dump, the
+// 117 MB/s link, a 25 MB/s bulk load.
 func TestCostBreakdown(t *testing.T) {
-	cfg := Config{DumpMBps: 100, NetMBps: 50, LoadMBps: 25}
-	b := Cost(cfg, 100e6) // 100 MB
-	if b.Dump != 1 || b.Network != 2 || b.Load != 4 {
+	b := Cost(117e6)
+	if b.Dump != 1.17 || b.Network != 1 || b.Load != 4.68 {
 		t.Errorf("breakdown = %+v", b)
-	}
-	if b.Total() != 7 {
-		t.Errorf("total = %v", b.Total())
 	}
 }
 
 func TestCostToHVSkipsLoad(t *testing.T) {
-	cfg := DefaultConfig()
-	fwd := Cost(cfg, 1e9)
-	back := CostToHV(cfg, 1e9)
+	fwd := Cost(1e9)
+	back := CostToHV(1e9)
 	if back.Load != 0 {
 		t.Error("reverse direction charged a DW load")
 	}
@@ -31,11 +28,10 @@ func TestCostToHVSkipsLoad(t *testing.T) {
 }
 
 func TestCostLinearInBytes(t *testing.T) {
-	cfg := DefaultConfig()
 	prop := func(mb uint16) bool {
 		n := int64(mb) * 1e6
-		a := Cost(cfg, n).Total()
-		b := Cost(cfg, 2*n).Total()
+		a := Cost(n).Total()
+		b := Cost(2 * n).Total()
 		return b >= 2*a-1e-9 && b <= 2*a+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -210,15 +206,14 @@ func TestSpendErrorReportsRemaining(t *testing.T) {
 }
 
 func TestCostToHVValues(t *testing.T) {
-	cfg := Config{DumpMBps: 100, NetMBps: 50, LoadMBps: 25}
-	b := CostToHV(cfg, 100e6)
-	if b.Dump != 1 || b.Network != 2 || b.Load != 0 {
+	b := CostToHV(117e6)
+	if b.Dump != 1.17 || b.Network != 1 || b.Load != 0 {
 		t.Errorf("CostToHV breakdown = %+v", b)
 	}
-	if b.Total() != 3 {
-		t.Errorf("CostToHV total = %v, want 3", b.Total())
+	if b.Total() != 2.17 {
+		t.Errorf("CostToHV total = %v, want 2.17", b.Total())
 	}
-	if z := CostToHV(cfg, 0); z.Total() != 0 {
+	if z := CostToHV(0); z.Total() != 0 {
 		t.Errorf("zero bytes total = %v", z.Total())
 	}
 }

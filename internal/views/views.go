@@ -159,7 +159,7 @@ type Match struct {
 
 // MatchNode reports whether v can answer node n and how. It reads the node's
 // id and structure and the view, writing neither, so it is safe to call
-// concurrently on a shared plan with no signature prewarm.
+// concurrently on a shared plan.
 func MatchNode(n *logical.Node, v *View) (*Match, bool) {
 	return (&lookup{node: n, id: n.ID()}).match(v)
 }

@@ -111,11 +111,10 @@ func SmallData() DataConfig { return data.SmallConfig() }
 
 // ServeConfig tunes the concurrent serving frontend: worker pool size,
 // admission queue depth, per-query deadline, drain timeout for online
-// reorganization, and the DW circuit breaker.
+// reorganization, tenant quotas and the adaptive limiter. The DW circuit
+// breaker trips after three consecutive DW exhaustions and half-opens
+// after one second.
 type ServeConfig = serve.Config
-
-// BreakerConfig tunes the DW circuit breaker inside ServeConfig.
-type BreakerConfig = serve.BreakerConfig
 
 // QuotaConfig tunes per-tenant weighted-fair admission quotas inside
 // ServeConfig; the zero value disables them.

@@ -1,6 +1,8 @@
 package miso_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"miso/miso"
@@ -53,6 +55,36 @@ func TestVariantConstantsRoundtrip(t *testing.T) {
 	} {
 		if _, err := miso.Open(miso.DefaultConfig(v), miso.SmallData()); err != nil {
 			t.Errorf("%s: %v", v, err)
+		}
+	}
+}
+
+// TestConfigSurface pins every exported field of the configuration types
+// the facade hands out, so adding a knob is a deliberate edit of this list.
+// What no caller varies is a constant in its package instead: the stores'
+// and the transfer pipeline's calibration, the move penalties, the plan
+// cap, the breaker's threshold and cooldown, the limiter's floor.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeFor[miso.Config](), []string{
+			"Variant", "Tuner", "ReorgEvery", "Decay", "Faults", "FaultSeed", "Retry", "RetryBudget",
+			"Hedge", "CheckpointEvery", "ExecWorkers", "MemLimitBytes", "MemPoolBytes", "Reuse",
+		}},
+		{reflect.TypeFor[miso.TunerConfig](), []string{"Bh", "Bd", "Bt", "HVFirst", "SkipSparsify", "AllowReplication"}},
+		{reflect.TypeFor[miso.ServeConfig](), []string{"Workers", "QueueDepth", "QueryTimeout", "DrainTimeout", "Quota", "Adaptive"}},
+		{reflect.TypeFor[miso.AdaptiveConfig](), []string{"TargetP99", "Window"}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			if f := c.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s has fields %v, want %v", c.typ, got, c.want)
 		}
 	}
 }
