@@ -5,32 +5,77 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 
 	"miso/internal/expr"
 	"miso/internal/sqlparser"
 	"miso/internal/storage"
 )
 
+// memoCap bounds the statements a Builder remembers. A full memo is
+// cleared rather than evicted from: the paper's analyst asks 32 texts.
+const memoCap = 1024
+
 // Builder turns parsed queries into typed logical plans against a catalog.
+// It is safe for concurrent use.
 type Builder struct {
 	cat *storage.Catalog
+
+	mu sync.RWMutex
+	// memo maps SQL text to its built plan, valid while the catalog's
+	// SchemaVersion is version. Built plans are immutable, so every caller
+	// of one text shares one plan.
+	memo    map[string]*Node
+	version uint64
 }
 
 // NewBuilder returns a Builder over the catalog.
 func NewBuilder(cat *storage.Catalog) *Builder { return &Builder{cat: cat} }
 
-// BuildSQL parses and plans a query in one step.
+// BuildSQL parses and plans a query in one step. A text is parsed and
+// built once per catalog schema version: later calls return the same
+// plan. Failed builds are not remembered.
 func (b *Builder) BuildSQL(sql string) (*Node, error) {
+	version := b.cat.SchemaVersion()
+	b.mu.RLock()
+	n, ok := b.memo[sql]
+	ok = ok && b.version == version
+	b.mu.RUnlock()
+	if ok {
+		return n, nil
+	}
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return b.Build(q)
+	if n, err = b.Build(q); err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if version < b.version {
+		// Built against schemas a concurrent build has already seen
+		// replaced: right for this caller, stale for the memo.
+		return n, nil
+	}
+	if version > b.version || len(b.memo) >= memoCap {
+		b.memo, b.version = nil, version
+	}
+	if first, ok := b.memo[sql]; ok {
+		// A concurrent first build of the same text got here before us.
+		return first, nil
+	}
+	if b.memo == nil {
+		b.memo = make(map[string]*Node)
+	}
+	b.memo[sql] = n
+	return n, nil
 }
 
 // Build plans a parsed query. The plan is normalized (stacked filters
 // collapsed, identity projections dropped) so that semantically equal
-// queries written differently share canonical signatures.
+// queries written differently share canonical signatures. Unlike BuildSQL,
+// every call builds afresh.
 func (b *Builder) Build(q *sqlparser.Query) (*Node, error) {
 	n, err := b.buildQuery(q)
 	if err != nil {

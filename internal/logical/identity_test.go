@@ -120,8 +120,9 @@ func TestSignatureConcurrentFirstUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	ref := logical.NewBuilder(cat) // b would hand back the plans the workers shared
 	for i, sql := range workload.SQLs() {
-		plan, err := b.BuildSQL(sql)
+		plan, err := ref.BuildSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}

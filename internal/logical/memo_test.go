@@ -1,0 +1,149 @@
+package logical
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"miso/internal/data"
+	"miso/internal/storage"
+	"miso/internal/workload"
+)
+
+// TestBuildSQLSharesOnePlanPerText: BuildSQL builds a text once and hands
+// every later call the same plan, until a log is registered or replaced
+// (the only catalog write that can change a schema the plan read). Appends
+// and resets change contents, not schemas, and keep the plan; a failed
+// build is not remembered; the memo stays within its bound.
+func TestBuildSQLSharesOnePlanPerText(t *testing.T) {
+	cat := testCatalog(t)
+	b := NewBuilder(cat)
+	const sql = "SELECT lang, COUNT(*) AS n FROM tweets WHERE retweets > 10 GROUP BY lang"
+	first, err := b.BuildSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := b.BuildSQL(sql); again != first {
+		t.Fatal("a repeated text was built again")
+	}
+
+	tweets, err := cat.Log(data.TweetsLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tweets.AppendLine(`{"tweet_id": 1}`)
+	tweets.Reset()
+	if again, _ := b.BuildSQL(sql); again != first {
+		t.Fatal("an append or a reset rebuilt the plan")
+	}
+
+	// Replace tweets with a log whose schema has no lang field: the
+	// remembered plan is stale, and the text must now fail to build.
+	var cols []storage.Column
+	for _, c := range data.TweetFields().Columns {
+		if c.Name != "lang" {
+			cols = append(cols, c)
+		}
+	}
+	cat.AddLog(storage.NewLogFile(data.TweetsLog, storage.MustSchema(cols...)))
+	if _, err := b.BuildSQL(sql); err == nil {
+		t.Fatal("a plan built against the replaced schema was served")
+	}
+	cat.AddLog(storage.NewLogFile(data.TweetsLog, data.TweetFields()))
+	rebuilt, err := b.BuildSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt == first {
+		t.Fatal("re-registering the log kept the old plan")
+	}
+	if rebuilt.ID() != first.ID() {
+		t.Fatal("the same schema built a different plan")
+	}
+
+	const bad = "SELECT FROM WHERE"
+	for i := 0; i < 2; i++ {
+		if _, err := b.BuildSQL(bad); err == nil {
+			t.Fatal("invalid SQL built")
+		}
+	}
+	if _, ok := b.memo[bad]; ok {
+		t.Fatal("a failed build was memoized")
+	}
+
+	for i := 0; i <= memoCap; i++ {
+		if _, err := b.BuildSQL(fmt.Sprintf("SELECT tweet_id FROM tweets LIMIT %d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.memo) > memoCap {
+			t.Fatalf("memo holds %d texts, bound %d", len(b.memo), memoCap)
+		}
+	}
+}
+
+// TestBuildSQLConcurrentSharesOnePlan: goroutines building the paper's 32
+// texts at once, none built before, end with one plan per text. Meaningful
+// under -race.
+func TestBuildSQLConcurrentSharesOnePlan(t *testing.T) {
+	b := NewBuilder(testCatalog(t))
+	sqls := workload.SQLs()
+	const workers = 8
+	got := make([]map[string]*Node, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = map[string]*Node{}
+			for i := range sqls {
+				// Each worker starts at a different text, so first builds race.
+				sql := sqls[(i+w*4)%len(sqls)]
+				p, err := b.BuildSQL(sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][sql] = p
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, sql := range sqls {
+		want, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			if got[w][sql] != want {
+				t.Fatalf("worker %d holds a second plan for query %d", w, i+1)
+			}
+		}
+	}
+}
+
+// TestNormalizeIsIdempotent: a built plan is already normalized, so the
+// reuse plane fingerprints it as it is. Normalizing it again changes
+// neither its id nor its signature, over the paper plans and the
+// generated SQL.
+func TestNormalizeIsIdempotent(t *testing.T) {
+	b := NewBuilder(testCatalog(t))
+	sqls := append(workload.SQLs(), GeneratedSQL(7, 2000)...)
+	checked := 0
+	for _, sql := range sqls {
+		p, err := b.BuildSQL(sql)
+		if err != nil {
+			continue // the generator also writes texts the builder rejects
+		}
+		checked++
+		n := Normalize(p)
+		if n.ID() != p.ID() || n.Signature() != p.Signature() {
+			t.Fatalf("normalizing a built plan moved it:\n%s\n%s", p.Signature(), n.Signature())
+		}
+	}
+	if checked < len(workload.SQLs()) {
+		t.Fatalf("only %d texts built", checked)
+	}
+}

@@ -257,19 +257,21 @@ func journaledReorg(rec *durability.Record) ReorgRecord {
 // quarantineStale drops views whose base-log generation has advanced past
 // the one they were materialized from — a direct catalog Reset would
 // otherwise let them silently answer queries over data that no longer
-// exists. Callers hold s.mu.
+// exists. It runs in every query's prologue, so it reads each log's
+// generation once and copies a set only to delete from it. Callers hold s.mu.
 func (s *System) quarantineStale() {
-	quarantined := false
-	for _, st := range s.stores() {
-		for _, v := range st.views.All() {
-			if v.Stale(s.cat.Generation) {
-				st.views.Remove(v.Name)
-				s.metrics.Quarantined++
-				quarantined = true
-			}
-		}
+	gens := s.cat.Generations()
+	gen := func(log string) (int, bool) {
+		g, ok := gens[log]
+		return g, ok
 	}
-	if quarantined {
+	stale := func(v *views.View) bool { return v.Stale(gen) }
+	quarantined := 0
+	for _, st := range s.stores() {
+		quarantined += st.views.RemoveIf(stale)
+	}
+	s.metrics.Quarantined += quarantined
+	if quarantined > 0 {
 		// Results computed while the stale views were live may carry their
 		// bytes: drop every cached entry.
 		s.invalidateReuse()

@@ -437,8 +437,11 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		// only mutex-guarded reuse state, keeping plan costing safe for
 		// the tuner's concurrent what-if workers; the cache is cleared at
 		// reorg start, so tuning itself probes an empty cache and stays
-		// deterministic.
+		// deterministic — and answers every probe before expanding a view.
 		opt.ReuseProbe = func(n *logical.Node) bool {
+			if s.reuse.cache.Stats().Entries == 0 {
+				return false
+			}
 			fp, ok := s.cutFingerprint(n)
 			return ok && s.reuse.cache.Contains(fp)
 		}

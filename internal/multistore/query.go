@@ -52,8 +52,12 @@ func (q *query) answer(t *storage.Table) {
 // books the cached table, everything else runs the variant.
 //
 // Plan building reads only construction-time catalog state (schemas,
-// names), never the mutable log content, so the plan is built once, before
-// the lock. With the reuse plane on it is fingerprinted there too, against
+// names), never the mutable log content, so the plan is built before the
+// lock — and once per statement text: the builder hands every repeat of a
+// text the plan it built first (shared, since a built plan is immutable),
+// so a cache hit neither parses nor builds. The built plan is already
+// normalized, so it is the canonical plan the reuse plane fingerprints.
+// With the reuse plane on it is fingerprinted before the lock too, against
 // the version mirror, so concurrent identical queries can rendezvous while
 // the leader executes: the leader publishes its result table to the
 // flight; a follower waits for it and, if the leader failed or the
@@ -63,13 +67,9 @@ func (q *query) answer(t *storage.Table) {
 // (the query orders after the mutation).
 func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *QueryReport, err error) {
 	plan, buildErr := s.builder.BuildSQL(sql)
-	var canon *logical.Node // normalized plan; nil when this query bypasses the reuse plane
 	var shared *storage.Table
 	if s.reuse != nil && !degraded && buildErr == nil {
-		// Normalize collapses adjacent filters and identity projections so
-		// syntactic variants of one query share a fingerprint.
-		canon = logical.Normalize(plan)
-		if fp, ok := mqo.HashPlan(canon, s.reuse); ok {
+		if fp, ok := mqo.HashPlan(plan, s.reuse); ok {
 			call, leader := s.reuse.flight.Join(fp)
 			if leader {
 				defer func() {
@@ -104,10 +104,10 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *Qu
 		q.rep.Degraded = true
 		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views))
 	default:
-		if canon != nil {
+		if s.reuse != nil {
 			// The cache is keyed on the log versions the catalog has now,
 			// under the lock, not on the mirror's as of the flight join.
-			if fp, fpOK = mqo.HashPlan(canon, s.reuse); fpOK {
+			if fp, fpOK = mqo.HashPlan(plan, s.reuse); fpOK {
 				if t, ok := s.reuse.cache.Get(fp); ok {
 					q.rep.CacheHit = true
 					q.answer(t)

@@ -344,7 +344,7 @@ func TestReusePiggyback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, ok := mqo.HashPlan(logical.Normalize(plan), sys.reuse)
+	fp, ok := mqo.HashPlan(plan, sys.reuse)
 	if !ok {
 		t.Fatal("workload query did not fingerprint")
 	}
@@ -419,5 +419,82 @@ func TestZeroReuseConfigBuildsNoPlane(t *testing.T) {
 	sys := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.Reuse = ReuseConfig{} })
 	if sys.reuse != nil {
 		t.Fatal("zero Reuse config built a reuse plane")
+	}
+}
+
+// TestSubmitBuildsEachStatementOnce: the builder memo reaches the query
+// path. Every query of a second pass over the workload runs on the plan the
+// first pass built for its text — which is also the plan
+// ProvideFutureWorkload built — so a repeat neither parses nor builds.
+func TestSubmitBuildsEachStatementOnce(t *testing.T) {
+	sys := newReuseSystem(t, VariantMSMiso, nil)
+	future := map[string]*logical.Node{}
+	for _, e := range sys.future {
+		future[e.SQL] = e.Plan
+	}
+	first := map[string]*logical.Node{}
+	for pass := 0; pass < 2; pass++ {
+		for i, sql := range workload.SQLs() {
+			if _, err := sys.Run(sql); err != nil {
+				t.Fatalf("pass %d query %d: %v", pass, i, err)
+			}
+			e := sys.window.Entries()[len(sys.window.Entries())-1]
+			if e.Plan != future[sql] {
+				t.Fatalf("pass %d query %d ran on a plan the future workload does not hold", pass, i)
+			}
+			if pass == 0 {
+				first[sql] = e.Plan
+			} else if e.Plan != first[sql] {
+				t.Fatalf("query %d was built again on the second pass", i)
+			}
+		}
+	}
+}
+
+// TestCacheHitAllocs guards the hit path's allocations: with the plan
+// built once per text and the prologue's quarantine copying no view set,
+// a served cache hit allocates for its prologue, report and booking only.
+// The ceilings sit above what a hit allocates here (55, 135 and 199 for
+// queries 0, 5 and 17; 674, 491 and 573 when every hit rebuilt its plan).
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sys := newReuseSystem(t, VariantMSMiso, nil)
+	sqls := workload.SQLs()
+	for i, sql := range sqls {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		query   int
+		ceiling float64
+	}{{0, 80}, {5, 170}, {17, 250}} {
+		sql := sqls[c.query]
+		// A reorganization since the query last ran cleared the cache: the
+		// first repeat may execute and re-admit the answer.
+		for try := 0; ; try++ {
+			rep, err := sys.RunContext(ctx, sql)
+			if err != nil {
+				t.Fatalf("query %d: %v", c.query, err)
+			}
+			if rep.CacheHit {
+				break
+			}
+			if try == 2 {
+				t.Fatalf("query %d: no cache hit in three repeats", c.query)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if rep, err := sys.RunContext(ctx, sql); err != nil || !rep.CacheHit {
+				t.Fatalf("query %d: no cache hit (err %v)", c.query, err)
+			}
+		})
+		t.Logf("query %d: a cache hit allocates %.0f times", c.query, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("query %d: a cache hit allocates %.0f times, ceiling %.0f", c.query, allocs, c.ceiling)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"miso/internal/durability"
+	"miso/internal/views"
 )
 
 // AppendToLog ingests new records into a base log — the append-only update
@@ -38,13 +39,9 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, err err
 		log.AppendLine(l)
 	}
 
+	overLog := func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) }
 	for _, st := range s.stores() {
-		for _, v := range st.views.All() {
-			if slices.Contains(v.BaseLogs(), name) {
-				st.views.Remove(v.Name)
-				dropped++
-			}
-		}
+		dropped += st.views.RemoveIf(overLog)
 	}
 	s.est.InvalidateLog(name)
 	// The log's content version advanced: refresh the reuse plane's

@@ -2,10 +2,12 @@ package multistore_test
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"miso/internal/data"
 	"miso/internal/multistore"
+	"miso/internal/views"
 	"miso/internal/workload"
 )
 
@@ -68,6 +70,58 @@ func TestAppendToLogInvalidatesDerivedViews(t *testing.T) {
 	}
 	if rep1b.ResultRows < rep1.ResultRows {
 		t.Errorf("post-append run lost rows: %d -> %d", rep1.ResultRows, rep1b.ResultRows)
+	}
+}
+
+// TestStaleViewsQuarantinedAtNextQuery: a log reset behind the system's
+// back (no RefreshLog, so nothing drops views eagerly) leaves every view
+// over that log stale, and the next query's prologue quarantines all of
+// them — and only them — before anything can read one.
+func TestStaleViewsQuarantinedAtNextQuery(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	sys := multistore.New(cfg, cat)
+	for i, sql := range workload.SQLs() {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	overTweets := func() (over, other int) {
+		for _, set := range []*views.Set{sys.HV().Views, sys.DW().Views} {
+			for _, v := range set.All() {
+				if slices.Contains(v.BaseLogs(), data.TweetsLog) {
+					over++
+				} else {
+					other++
+				}
+			}
+		}
+		return over, other
+	}
+	stale, kept := overTweets()
+	if stale == 0 || kept == 0 {
+		t.Fatalf("warm design holds %d views over tweets and %d others; want both", stale, kept)
+	}
+	before := sys.Metrics().Quarantined
+
+	log, err := cat.Log(data.TweetsLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Reset()
+	q, _ := workload.ByName("A2v1") // checkins + landmarks: captures nothing over tweets
+	if _, err := sys.Run(q.SQL); err != nil {
+		t.Fatal(err)
+	}
+	if left, others := overTweets(); left != 0 || others < kept {
+		t.Errorf("after the query: %d views over tweets remain (want 0), %d others (want >= %d)", left, others, kept)
+	}
+	if got := sys.Metrics().Quarantined - before; got != stale {
+		t.Errorf("Quarantined moved by %d, want %d", got, stale)
 	}
 }
 

@@ -248,15 +248,16 @@ func BenchmarkChooseWarm(b *testing.B) {
 // it: every iteration builds each query's plan afresh from its SQL and then
 // chooses, so no node arrives with anything computed beyond what building
 // sets — which BenchmarkChooseWarm's reused plans hide after its first
-// iteration.
+// iteration. Each iteration takes a fresh Builder, whose memo would
+// otherwise hand the second iteration the first one's plans.
 func BenchmarkBuildChooseWarm(b *testing.B) {
 	sys, _, _ := warmSystem(b)
 	opt, d := sys.Optimizer(), sys.Design()
-	builder := logical.NewBuilder(sys.Catalog())
 	sqls := workload.SQLs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		builder := logical.NewBuilder(sys.Catalog())
 		for _, sql := range sqls {
 			p, err := builder.BuildSQL(sql)
 			if err != nil {

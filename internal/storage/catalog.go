@@ -14,6 +14,9 @@ import (
 type Catalog struct {
 	mu   sync.RWMutex
 	logs map[string]*LogFile
+	// adds counts AddLog calls: the only catalog writes that can change a
+	// schema a plan was built against (appends and resets change contents).
+	adds uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -27,6 +30,15 @@ func (c *Catalog) AddLog(l *LogFile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.logs[l.Name] = l
+	c.adds++
+}
+
+// SchemaVersion moves whenever a log is registered or replaced, and at no
+// other time: a plan built while it read v stays valid while it reads v.
+func (c *Catalog) SchemaVersion() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.adds
 }
 
 // Log returns the named log.
@@ -49,6 +61,17 @@ func (c *Catalog) Generation(name string) (int, bool) {
 		return 0, false
 	}
 	return l.Generation, true
+}
+
+// Generations reports every log's current generation, read under one lock.
+func (c *Catalog) Generations() map[string]int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	gens := make(map[string]int, len(c.logs))
+	for name, l := range c.logs {
+		gens[name] = l.Generation
+	}
+	return gens
 }
 
 // HasLog reports whether a log with this name exists.

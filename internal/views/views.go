@@ -285,7 +285,7 @@ func (mm *MatchMemo) match(l *lookup, v *View) (*Match, bool) {
 }
 
 // Set is a named collection of views (one store's design), and the only
-// thing that changes one: every write — Add, Remove, Touch, Reset,
+// thing that changes one: every write — Add, Remove, RemoveIf, Touch, Reset,
 // ReplaceAll — installs a new slice, and Touch a new View struct, under the
 // set's lock. So concurrent observers (serving-layer metrics, soak probes)
 // can read the set and the views in it while the owning store writes it;
@@ -334,6 +334,27 @@ func (s *Set) Remove(name string) {
 	if i, ok := find(s.views, name); ok {
 		s.views = slices.Delete(slices.Clone(s.views), i, i+1)
 	}
+}
+
+// RemoveIf deletes every view drop reports true for, in one write, and
+// returns how many it deleted; when it deletes none it copies nothing.
+// drop must not call back into the set.
+func (s *Set) RemoveIf(drop func(*View) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.IndexFunc(s.views, drop)
+	if i < 0 {
+		return 0
+	}
+	next := slices.Clone(s.views[:i])
+	for _, v := range s.views[i+1:] {
+		if !drop(v) {
+			next = append(next, v)
+		}
+	}
+	n := len(s.views) - len(next)
+	s.views = next
+	return n
 }
 
 // Touch records that the named view served query seq: it installs a copy of

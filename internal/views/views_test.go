@@ -299,7 +299,7 @@ func TestSetKeepsNameOrder(t *testing.T) {
 	}
 }
 
-// TestSetWritersBesideBestMatch runs writers, Touch among them, beside
+// TestSetWritersBesideBestMatch runs writers, Touch and RemoveIf among them, beside
 // BestMatch and All readers; under -race it checks that neither a reader's
 // kept slice nor a view in it is ever written, and that two lookups of one
 // node with no signature computed write nothing into it.
@@ -328,13 +328,16 @@ func TestSetWritersBesideBestMatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			switch i % 4 {
+			name := pool[(i/5)%len(pool)].Name
+			switch i % 5 {
 			case 0:
 				s.Add(pool[i%len(pool)])
 			case 1:
-				s.Remove(pool[(i/4)%len(pool)].Name)
+				s.Remove(name)
 			case 2:
-				s.Touch(pool[(i/4)%len(pool)].Name, i)
+				s.Touch(name, i)
+			case 3:
+				s.RemoveIf(func(v *views.View) bool { return v.Name == name })
 			default:
 				s.ReplaceAll(src)
 			}
