@@ -82,8 +82,9 @@ func NewStore(est *stats.Estimator, workers int) *Store {
 }
 
 // StageTemp registers a migrated working set under the given name in
-// temporary table space (not part of the physical design). ExecuteContext
-// records its statistic, at the ViewScan leaf that reads it.
+// temporary table space (not part of the physical design). Its statistic is
+// not recorded: the optimizer costs every working-set scan from its own
+// plan-local overlay, so nothing would read it.
 func (s *Store) StageTemp(name string, t *storage.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,6 +96,14 @@ func (s *Store) ClearTemp() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.temp = map[string]*storage.Table{}
+}
+
+// staged reports whether name is a table in temporary space.
+func (s *Store) staged(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.temp[name]
+	return ok
 }
 
 // Resolve finds a table by view name in permanent then temporary space.
@@ -150,6 +159,9 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}
 	for n, st := range run.Stats {
+		if n.Kind == logical.KindViewScan && s.staged(n.ViewName) {
+			continue // a working set's leaf: see StageTemp
+		}
 		s.est.Record(n, stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
 	}
 	sec := s.costFromSizes(plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })

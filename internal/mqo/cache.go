@@ -2,6 +2,7 @@ package mqo
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"miso/internal/govern"
 	"miso/internal/storage"
@@ -44,6 +45,7 @@ type Cache struct {
 	tail     *cacheEntry // least recently used
 	bytes    int64
 	stats    CacheStats
+	writes   atomic.Uint64 // written under mu; see Writes
 }
 
 // NewCache returns a cache bounded to capBytes of materialized results,
@@ -131,6 +133,7 @@ func (c *Cache) Put(fp Fingerprint, t *storage.Table) {
 	c.pushFrontLocked(e)
 	c.bytes += bytes
 	c.stats.Puts++
+	c.writes.Add(1)
 }
 
 // Clear drops every entry and releases their ledger reservations. It is
@@ -149,6 +152,15 @@ func (c *Cache) Clear() {
 	c.stats.Invalidations += n
 }
 
+// Writes counts every admission and every removal (eviction, Clear, a
+// corrupt entry dropped); what Contains answers holds while it stands still.
+func (c *Cache) Writes() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.writes.Load()
+}
+
 // Stats returns a snapshot of cache counters.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
@@ -163,6 +175,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 func (c *Cache) removeLocked(e *cacheEntry) {
+	c.writes.Add(1)
 	delete(c.entries, e.fp)
 	c.unlinkLocked(e)
 	c.bytes -= e.bytes

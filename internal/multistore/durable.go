@@ -261,6 +261,11 @@ func journaledReorg(rec *durability.Record) ReorgRecord {
 // generation once and copies a set only to delete from it. Callers hold s.mu.
 func (s *System) quarantineStale() {
 	gens := s.cat.Generations()
+	for name, g := range gens {
+		if s.logs.vers[name].gen != g {
+			s.syncLogVersion(name) // reset through the catalog, not RefreshLog
+		}
+	}
 	gen := func(log string) (int, bool) {
 		g, ok := gens[log]
 		return g, ok

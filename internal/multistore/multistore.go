@@ -360,6 +360,11 @@ type System struct {
 	// reuse is the cross-query reuse plane (nil when Config.Reuse is
 	// disabled — every reuse touchpoint is then a single nil check).
 	reuse *reusePlane
+	logs  logMirror
+
+	// plans is the plan cache (choose), filled while versions() read planVer.
+	plans   map[*logical.Node]*optimizer.MultiPlan
+	planVer planVersions
 }
 
 // ReorgRecord summarizes one reorganization phase.
@@ -421,6 +426,11 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		memPool: govern.NewPool(cfg.MemPoolBytes), // nil when unlimited
 		retry:   retry,
 		hedge:   newHedgeTracker(cfg.Hedge),
+		logs:    logMirror{vers: map[string]logVersion{}},
+		plans:   map[*logical.Node]*optimizer.MultiPlan{},
+	}
+	for _, name := range cat.LogNames() {
+		s.syncLogVersion(name)
 	}
 	// Vh ∩ Vd = ∅: an HV fallback recomputing the definition of a view the
 	// tuner moved to DW must not re-capture it on the HV side. A
@@ -551,7 +561,7 @@ func (s *System) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mp, err := s.opt.Choose(plan, s.design())
+	mp, err := s.choose(plan, s.design())
 	if err != nil {
 		return "", err
 	}

@@ -226,6 +226,11 @@ func parseStanzas(t *testing.T, text string) map[string]string {
 // so it is an oracle independent of the engine under test; DESIGN.md §12
 // says how to regenerate it.
 //
+// Every row runs with the plan-cache oracle armed: a cached plan must be
+// the plan a fresh Choose picks. (The rows ask each statement once per
+// reorganization epoch, so today none of them hits; the oracle guards the
+// rows to come, and TestCachedPlanEqualsFreshChoose is where hits are.)
+//
 // The variant rows pin every variant, clean and under injected faults,
 // plus the degraded route, the hedge and the reuse plane, to their stanza
 // of testdata/variants_small.golden (digest, TTI, and an FNV fold of the
@@ -249,6 +254,7 @@ func TestPlaneMatrixMatchesGolden(t *testing.T) {
 
 	for _, row := range matrixRows() {
 		t.Run(row.name, func(t *testing.T) {
+			multistore.ArmPlanOracle(t)
 			cat, err := data.Generate(data.SmallConfig())
 			if err != nil {
 				t.Fatalf("generate: %v", err)

@@ -320,7 +320,7 @@ func (s *System) runInHV(q *query, plan *logical.Node) error {
 // them reset or trim the HV view set in settleVariant. retain, when set,
 // sees every working set that reached DW (MS-LRU's passive retention).
 func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cut *logical.Node, ws *storage.Table)) error {
-	mp, err := s.opt.Choose(q.entry.Plan, d)
+	mp, err := s.choose(q.entry.Plan, d)
 	if err != nil {
 		return err
 	}
@@ -406,6 +406,55 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 	s.answerFromDW(q, mp.DWPart, dwRes)
 	s.dw.ClearTemp()
 	return nil
+}
+
+// planVersions is the version tuple of everything Optimizer.Choose reads
+// under the system's design: both view sets, the estimator, the log mirror
+// (which the estimator's base sizes and the reuse probe's fingerprints
+// follow) and the reuse cache the probe asks.
+type planVersions struct{ hv, dw, est, logs, reuse uint64 }
+
+// versions reads the tuple. Callers hold s.mu.
+func (s *System) versions() planVersions {
+	v := planVersions{hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), est: s.est.Version(), logs: s.logs.moves}
+	if s.reuse != nil {
+		v.reuse = s.reuse.cache.Writes()
+	}
+	return v
+}
+
+// planCacheCap bounds the plan cache; a full cache is dropped whole.
+const planCacheCap = 1024
+
+// planHit, when set, sees every plan-cache hit before choose returns it.
+// Tests arm it to hold a hit to a fresh Choose; it is nil otherwise.
+var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan)
+
+// choose is Optimizer.Choose behind the plan cache. Choose is a pure
+// function of the plan (one pointer per statement text), the design and what
+// versions() counts, so a plan chosen under the system's design is handed
+// out again until the tuple moves; then the whole cache goes. Another
+// design (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
+func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {
+	if d != s.design() {
+		return s.opt.Choose(plan, d)
+	}
+	if v := s.versions(); v != s.planVer || len(s.plans) >= planCacheCap {
+		clear(s.plans)
+		s.planVer = v
+	}
+	if mp, ok := s.plans[plan]; ok {
+		if planHit != nil {
+			planHit(s, plan, d, mp)
+		}
+		return mp, nil
+	}
+	mp, err := s.opt.Choose(plan, d)
+	if err != nil {
+		return nil, err
+	}
+	s.plans[plan] = mp
+	return mp, nil
 }
 
 // migrateCut is the one cut migration: it moves a cut's working set into

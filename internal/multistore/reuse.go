@@ -36,63 +36,59 @@ type ReuseStats struct {
 }
 
 // reusePlane is the per-System reuse state. It doubles as the
-// mqo.VersionSource: log content versions are mirrored here (seeded at
-// construction, maintained by every catalog mutation under s.mu) so the
-// lock-free fingerprint path never reads catalog fields that queries
-// mutate — fingerprinting must run outside s.mu or followers could never
-// overlap a leader's execution.
+// mqo.VersionSource, reading the system's log mirror.
 type reusePlane struct {
 	flight *mqo.Registry
 	cache  *mqo.Cache
-
-	verMu sync.RWMutex
-	vers  map[string]logVersion
+	logs   *logMirror
 }
-
-type logVersion struct{ gen, lines int }
 
 // LogVersion implements mqo.VersionSource.
 func (p *reusePlane) LogVersion(name string) (gen, lines int, ok bool) {
-	p.verMu.RLock()
-	defer p.verMu.RUnlock()
-	v, ok := p.vers[name]
+	p.logs.mu.RLock()
+	defer p.logs.mu.RUnlock()
+	v, ok := p.logs.vers[name]
 	return v.gen, v.lines, ok
 }
 
-// newReusePlane builds the plane and seeds the version mirror from the
-// catalog's current logs.
 func newReusePlane(cfg ReuseConfig, s *System) *reusePlane {
 	capBytes := cfg.CacheBytes
 	if capBytes <= 0 {
 		capBytes = DefaultCacheBytes
 	}
-	p := &reusePlane{
+	return &reusePlane{
 		flight: mqo.NewRegistry(),
 		cache:  mqo.NewCache(capBytes, s.memPool),
-		vers:   make(map[string]logVersion),
+		logs:   &s.logs,
 	}
-	for _, name := range s.cat.LogNames() {
-		if log, err := s.cat.Log(name); err == nil {
-			p.vers[name] = logVersion{gen: log.Generation, lines: log.NumLines()}
-		}
-	}
-	return p
 }
 
-// syncLogVersion refreshes the version mirror for one log. Callers hold
-// s.mu (the same critical section that mutated the log), so fingerprints
-// computed outside the lock always see a consistent (gen, lines) pair.
+// logMirror holds every log's (generation, line count) as of the system's
+// last catalog mutation: fingerprints, which run outside s.mu so followers
+// can overlap a leader, read it instead of catalog fields queries mutate.
+type logMirror struct {
+	mu    sync.RWMutex
+	vers  map[string]logVersion
+	moves uint64 // entries syncLogVersion changed, written under s.mu
+}
+
+type logVersion struct{ gen, lines int }
+
+// syncLogVersion refreshes the mirror for one log. Callers hold s.mu (the
+// same critical section that mutated the log), so fingerprints computed
+// outside the lock always see a consistent (gen, lines) pair.
 func (s *System) syncLogVersion(name string) {
-	if s.reuse == nil {
-		return
-	}
 	log, err := s.cat.Log(name)
 	if err != nil {
 		return
 	}
-	s.reuse.verMu.Lock()
-	s.reuse.vers[name] = logVersion{gen: log.Generation, lines: log.NumLines()}
-	s.reuse.verMu.Unlock()
+	v := logVersion{gen: log.Generation, lines: log.NumLines()}
+	s.logs.mu.Lock()
+	defer s.logs.mu.Unlock()
+	if s.logs.vers[name] != v {
+		s.logs.vers[name] = v
+		s.logs.moves++
+	}
 }
 
 // invalidateReuse drops every cached result and subresult. Callers hold

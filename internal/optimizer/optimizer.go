@@ -439,7 +439,9 @@ func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
 // cost, and the DW remainder's cost when no DW view answers a cut. All of
 // it is a function of the plan and the estimator alone, so the many probes
 // of one tuning phase share one space; it is immutable once built and goes
-// stale with the next query execution, which rewrites the estimator.
+// stale when the estimator's Version moves (or a log's size, which base
+// estimates read) — not on every execution, since recording a stat the
+// estimator already holds writes nothing.
 type PlanSpace struct {
 	o         *Optimizer
 	raw       *logical.Node

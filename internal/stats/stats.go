@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"miso/internal/expr"
 	"miso/internal/logical"
@@ -40,8 +41,9 @@ func (s Stat) AvgRowBytes() int64 {
 type Estimator struct {
 	cat *storage.Catalog
 
-	mu    sync.RWMutex
-	cache map[uint64]observed // by logical.Node.ID
+	mu      sync.RWMutex
+	cache   map[uint64]observed // by logical.Node.ID
+	version atomic.Uint64       // written under mu; see Version
 }
 
 // observed is one recorded truth and the logs its subtree's Scan leaves
@@ -56,8 +58,22 @@ func NewEstimator(cat *storage.Catalog) *Estimator {
 	return &Estimator{cat: cat, cache: map[uint64]observed{}}
 }
 
-// Record stores the observed size of a subtree.
+// Version moves whenever the feedback cache changes — a stat stored over
+// none or over a different one, stats dropped — and at no other time, so an
+// estimate computed while it read v holds while it reads v.
+func (e *Estimator) Version() uint64 { return e.version.Load() }
+
+// Record stores the observed size of a subtree. Recording the stat the
+// cache already holds for the subtree writes nothing: an id fixes its
+// subtree, so the logs it scans are the held ones too.
 func (e *Estimator) Record(n *logical.Node, s Stat) {
+	id := n.ID()
+	e.mu.RLock()
+	held, ok := e.cache[id]
+	e.mu.RUnlock()
+	if ok && held.stat == s {
+		return
+	}
 	o := observed{stat: s}
 	n.Walk(func(m *logical.Node) {
 		if m.Kind == logical.KindScan && !slices.Contains(o.logs, m.LogName) {
@@ -66,7 +82,8 @@ func (e *Estimator) Record(n *logical.Node, s Stat) {
 	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cache[n.ID()] = o
+	e.cache[id] = o
+	e.version.Add(1)
 }
 
 // RecordView stores the observed size of a materialized view under the id
@@ -88,6 +105,9 @@ func (e *Estimator) InvalidateLog(name string) int {
 			delete(e.cache, id)
 			n++
 		}
+	}
+	if n > 0 {
+		e.version.Add(1)
 	}
 	return n
 }

@@ -147,6 +147,37 @@ func TestInvalidateLogDropsWhatTheSignaturePredicateDropped(t *testing.T) {
 	}
 }
 
+// TestVersionMovesOnlyWhenTheCacheChanges: a new stat, a different stat and
+// an invalidation that drops something move the version; recording the held
+// stat again and an invalidation that drops nothing do not.
+func TestVersionMovesOnlyWhenTheCacheChanges(t *testing.T) {
+	_, b, est, _ := setup(t)
+	plan, err := b.BuildSQL("SELECT tweet_id FROM tweets WHERE lang = 'ja'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name  string
+		write func()
+		moves bool
+	}{
+		{"first record", func() { est.Record(plan, stats.Stat{Rows: 3, Bytes: 30}) }, true},
+		{"the same stat again", func() { est.Record(plan, stats.Stat{Rows: 3, Bytes: 30}) }, false},
+		{"a different stat", func() { est.Record(plan, stats.Stat{Rows: 4, Bytes: 30}) }, true},
+		{"invalidating another log", func() { est.InvalidateLog("checkins") }, false},
+		{"invalidating its log", func() { est.InvalidateLog("tweets") }, true},
+		{"invalidating it again", func() { est.InvalidateLog("tweets") }, false},
+		{"recording it afresh", func() { est.Record(plan, stats.Stat{Rows: 4, Bytes: 30}) }, true},
+	}
+	for _, s := range steps {
+		before := est.Version()
+		s.write()
+		if moved := est.Version() != before; moved != s.moves {
+			t.Errorf("%s: version moved = %v, want %v", s.name, moved, s.moves)
+		}
+	}
+}
+
 func TestRecordView(t *testing.T) {
 	_, _, est, _ := setup(t)
 	est.RecordView("v_test", stats.Stat{Rows: 5, Bytes: 500})

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"miso/internal/expr"
 	"miso/internal/logical"
@@ -296,7 +297,8 @@ type Set struct {
 	// views holds the members in name order. Writers replace the slice
 	// under mu and never write into it or into a view it holds, so a reader
 	// may keep it after unlocking and clones may share it.
-	views []*View
+	views   []*View
+	version atomic.Uint64 // written under mu; see Version
 
 	// memo, when installed with UseMemo, caches match outcomes across
 	// BestMatch calls (and across sets sharing the memo).
@@ -325,6 +327,7 @@ func (s *Set) Add(v *View) {
 		next = slices.Insert(next, i, v)
 	}
 	s.views = next
+	s.version.Add(1)
 }
 
 // Remove deletes a view by name.
@@ -333,6 +336,7 @@ func (s *Set) Remove(name string) {
 	defer s.mu.Unlock()
 	if i, ok := find(s.views, name); ok {
 		s.views = slices.Delete(slices.Clone(s.views), i, i+1)
+		s.version.Add(1)
 	}
 }
 
@@ -354,6 +358,7 @@ func (s *Set) RemoveIf(drop func(*View) bool) int {
 	}
 	n := len(s.views) - len(next)
 	s.views = next
+	s.version.Add(1)
 	return n
 }
 
@@ -391,6 +396,11 @@ func (s *Set) Has(name string) bool {
 	_, ok := s.Get(name)
 	return ok
 }
+
+// Version moves on every write but Touch, which restamps recency only: Add,
+// a Remove or RemoveIf that deletes, Reset and ReplaceAll. What a lookup
+// against the set answers holds while its version stands still.
+func (s *Set) Version() uint64 { return s.version.Load() }
 
 // Len returns the number of views.
 func (s *Set) Len() int {
@@ -431,6 +441,7 @@ func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.views = nil
+	s.version.Add(1)
 }
 
 // ReplaceAll swaps the set's contents for src's (views shared, src left
@@ -447,6 +458,7 @@ func (s *Set) ReplaceAll(src *Set) {
 	}
 	s.mu.Lock()
 	s.views = next
+	s.version.Add(1)
 	s.mu.Unlock()
 }
 

@@ -206,9 +206,11 @@ func TestSetOperations(t *testing.T) {
 	}
 }
 
-// TestSetKeepsNameOrder applies Add, Remove, Touch, Reset, ReplaceAll and
-// Clone in turn and checks after each step that All() is the model's views
-// in name order, and that the slice All() returns is the caller's own.
+// TestSetKeepsNameOrder applies Add, Remove, RemoveIf, Touch, Reset,
+// ReplaceAll and Clone in turn and checks after each step that All() is the
+// model's views in name order, that the slice All() returns is the caller's
+// own, and that the set's Version moved exactly on the steps that wrote it
+// (never on Touch).
 func TestSetKeepsNameOrder(t *testing.T) {
 	view := func(name string) *views.View { return &views.View{Name: name} }
 	a, b, c, d, a2 := view("a"), view("b"), view("c"), view("d"), view("a")
@@ -234,43 +236,58 @@ func TestSetKeepsNameOrder(t *testing.T) {
 		model[name] = v
 	}
 	steps := []struct {
-		name string
-		do   func()
+		name  string
+		moves bool // the step moves s.Version
+		do    func()
 	}{
-		{"add c", func() { s.Add(c); model["c"] = c }},
-		{"add a", func() { s.Add(a); model["a"] = a }},
-		{"add b", func() { s.Add(b); model["b"] = b }},
-		{"replace a", func() { s.Add(a2); model["a"] = a2 }},
-		{"remove b", func() { s.Remove("b"); delete(model, "b") }},
-		{"remove a missing name", func() { s.Remove("zz") }},
-		{"clone, then grow the clone", func() {
+		{"add c", true, func() { s.Add(c); model["c"] = c }},
+		{"add a", true, func() { s.Add(a); model["a"] = a }},
+		{"add b", true, func() { s.Add(b); model["b"] = b }},
+		{"replace a", true, func() { s.Add(a2); model["a"] = a2 }},
+		{"remove b", true, func() { s.Remove("b"); delete(model, "b") }},
+		{"remove a missing name", false, func() { s.Remove("zz") }},
+		{"clone, then grow the clone", false, func() {
 			clone = s.Clone()
 			clone.Add(d)
 			if got, want := clone.All(), []*views.View{a2, c, d}; !slices.Equal(got, want) {
 				t.Errorf("clone holds %v, want %v", got, want)
 			}
 		}},
-		{"shrink the clone", func() { clone.Remove("c"); clone.Remove("a") }},
-		{"touch c", func() { touch("c", 5) }},
-		{"touch c at the seq it carries", func() { touch("c", 5) }},
-		{"touch a missing name", func() {
+		{"shrink the clone", false, func() { clone.Remove("c"); clone.Remove("a") }},
+		{"remove if nothing matches", false, func() {
+			if n := s.RemoveIf(func(v *views.View) bool { return v.Name == "zz" }); n != 0 {
+				t.Errorf("RemoveIf deleted %d views, want 0", n)
+			}
+		}},
+		{"touch c", false, func() { touch("c", 5) }},
+		{"touch c at the seq it carries", false, func() { touch("c", 5) }},
+		{"touch a missing name", false, func() {
 			if s.Touch("zz", 5) {
 				t.Error("Touch accepted a missing name")
 			}
 		}},
-		{"replace all", func() {
+		{"replace all", true, func() {
 			s.ReplaceAll(src)
 			model = map[string]*views.View{"b": b, "d": d}
 		}},
-		{"touch b, which the source shares", func() { touch("b", 6) }},
-		{"add after replace all", func() { s.Add(c); model["c"] = c }},
-		{"replace all with itself", func() { s.ReplaceAll(s) }},
-		{"reset", func() { s.Reset(); model = map[string]*views.View{} }},
-		{"add after reset", func() { s.Add(a); model["a"] = a }},
-		{"replace all with nil", func() { s.ReplaceAll(nil); model = map[string]*views.View{} }},
+		{"touch b, which the source shares", false, func() { touch("b", 6) }},
+		{"add after replace all", true, func() { s.Add(c); model["c"] = c }},
+		{"replace all with itself", false, func() { s.ReplaceAll(s) }},
+		{"reset", true, func() { s.Reset(); model = map[string]*views.View{} }},
+		{"add after reset", true, func() { s.Add(a); model["a"] = a }},
+		{"remove a through RemoveIf", true, func() {
+			s.RemoveIf(func(v *views.View) bool { return v.Name == "a" })
+			delete(model, "a")
+		}},
+		{"add a again", true, func() { s.Add(a); model["a"] = a }},
+		{"replace all with nil", true, func() { s.ReplaceAll(nil); model = map[string]*views.View{} }},
 	}
 	for _, st := range steps {
+		ver := s.Version()
 		st.do()
+		if moved := s.Version() != ver; moved != st.moves {
+			t.Fatalf("after %s: Version moved = %v, want %v", st.name, moved, st.moves)
+		}
 		want := make([]*views.View, 0, len(model))
 		for _, v := range model {
 			want = append(want, v)
