@@ -397,27 +397,12 @@ func runParallel(workers int, op string, n int, fn func(int)) error {
 }
 
 // relevantViews returns the subset of the (name-sorted) universe matching
-// some node of the plan, in universe order. The plan is walked and
-// described exactly once; each view then matches against the precomputed
-// per-node ids and descriptors (views.MatchDescriptor) instead of
-// re-walking the plan.
+// some node of the plan, in universe order.
 func relevantViews(plan *logical.Node, universe []*views.View) []*views.View {
-	nodes := plan.Nodes()
-	descs := make([]*logical.Descriptor, len(nodes))
-	for i, n := range nodes {
-		descs[i] = logical.Describe(n)
-	}
 	var rel []*views.View
 	for _, v := range universe {
-		for i, n := range nodes {
-			if n.ID() == v.ID {
-				rel = append(rel, v)
-				break
-			}
-			if _, ok := views.MatchDescriptor(descs[i], v); ok {
-				rel = append(rel, v)
-				break
-			}
+		if views.MatchesSome(plan, v) {
+			rel = append(rel, v)
 		}
 	}
 	return rel

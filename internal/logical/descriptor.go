@@ -73,24 +73,36 @@ func (d *Descriptor) ResidualConjuncts(view *Descriptor) []expr.Expr {
 	return out
 }
 
-// Describe computes the descriptor a plan node is matched with: what the
-// subtree computes, plus the node's output column order.
+// Describe returns the descriptor a plan node is matched with: what the
+// subtree computes, plus the node's output column order. Callers only read
+// it. A built node computes it once and memoizes it in its cell, so every
+// call on one node returns one pointer; goroutines racing on the first call
+// each compute an equal descriptor and publish one atomically. A node
+// literal that never went through NewNode has no cell and recomputes.
 func Describe(n *Node) *Descriptor {
+	if n.desc != nil {
+		if d := n.desc.Load(); d != nil {
+			return d
+		}
+	}
 	d := describe(n)
 	d.ColOrder = n.Schema().Names()
+	if n.desc != nil && !n.desc.CompareAndSwap(nil, d) {
+		return n.desc.Load()
+	}
 	return d
 }
 
-// DescribeView computes a view's descriptor from its definition: the
-// node's, plus the column set a rewrite's needed columns are checked
+// DescribeView computes a view's descriptor from its definition: a copy of
+// the node's, plus the column set a rewrite's needed columns are checked
 // against. Every view's Desc is built here.
 func DescribeView(def *Node) *Descriptor {
-	d := Describe(def)
+	d := *Describe(def)
 	d.Columns = make(map[string]bool, len(d.ColOrder))
 	for _, c := range d.ColOrder {
 		d.Columns[c] = true
 	}
-	return d
+	return &d
 }
 
 // describe builds what matching reads of a subtree below the top level:

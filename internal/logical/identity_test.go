@@ -87,7 +87,9 @@ func TestIDsAgreeWithSignatures(t *testing.T) {
 // freshly built paper plans and of copies over the same children at once,
 // as the tuner's what-if workers and the hedge's shadow do with shared
 // plans. No prewarm precedes them; under -race this is the memo's
-// regression, and every caller must see the text a serial walk prints.
+// regression, and every caller must see the text a serial walk prints. The
+// workers describe every node too: the descriptor memo must hand all of
+// them one pointer per node, describing what a serial build's node does.
 func TestSignatureConcurrentFirstUse(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
@@ -105,6 +107,7 @@ func TestSignatureConcurrentFirstUse(t *testing.T) {
 	}
 	const workers = 8
 	got := make([][]string, workers)
+	descs := make([][]*logical.Descriptor, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -116,10 +119,16 @@ func TestSignatureConcurrentFirstUse(t *testing.T) {
 			}
 			for _, p := range plans {
 				got[w] = append(got[w], p.Signature())
+				p.Walk(func(n *logical.Node) { descs[w] = append(descs[w], logical.Describe(n)) })
 			}
 		}(w)
 	}
 	wg.Wait()
+	for w := 2; w < workers; w++ {
+		if !slices.Equal(descs[w], descs[w%2]) {
+			t.Fatalf("workers %d and %d describe one node with two descriptors", w%2, w)
+		}
+	}
 	ref := logical.NewBuilder(cat) // b would hand back the plans the workers shared
 	for i, sql := range workload.SQLs() {
 		plan, err := ref.BuildSQL(sql)
@@ -132,5 +141,12 @@ func TestSignatureConcurrentFirstUse(t *testing.T) {
 				t.Fatalf("worker %d, query %d: signature %q, a serial build prints %q", w, i+1, got[w][i], want)
 			}
 		}
+		plan.Walk(func(n *logical.Node) {
+			d, want := descs[0][0], logical.Describe(n)
+			descs[0] = descs[0][1:]
+			if d.Simple != want.Simple || d.SourceSig != want.SourceSig || !slices.Equal(d.ColOrder, want.ColOrder) {
+				t.Fatalf("query %d, %s: a worker's descriptor differs from a serial build's", i+1, n.Kind)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -145,5 +146,78 @@ func TestNormalizeIsIdempotent(t *testing.T) {
 	}
 	if checked < len(workload.SQLs()) {
 		t.Fatalf("only %d texts built", checked)
+	}
+}
+
+// TestDescribeOnePointerPerNode: a built node describes itself once, so
+// every Describe of it returns one pointer, and DescribeView works on a
+// copy: the node's descriptor never gains a column set.
+func TestDescribeOnePointerPerNode(t *testing.T) {
+	b := NewBuilder(testCatalog(t))
+	for _, sql := range workload.SQLs() {
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Walk(func(n *Node) {
+			d := Describe(n)
+			view := DescribeView(n)
+			if again := Describe(n); again != d {
+				t.Fatalf("%s: two Describe calls, two descriptors", n.Kind)
+			}
+			if view == d || d.Columns != nil {
+				t.Fatalf("%s: DescribeView wrote into the node's descriptor", n.Kind)
+			}
+		})
+	}
+}
+
+// TestUDFFlagsMatchTheWalk: the UDF flags a node gets at build equal a walk
+// of its expressions and subtree, on the 32 paper plans, on WithChildren
+// copies over the same and over UDF-free children, and on node literals
+// (which walk) and their copies.
+func TestUDFFlagsMatchTheWalk(t *testing.T) {
+	walkUDF := func(n *Node) bool {
+		found := false
+		n.Walk(func(m *Node) { found = found || m.walkUDFHere() })
+		return found
+	}
+	check := func(what string, n *Node) {
+		t.Helper()
+		if here, all := n.UsesUDFHere(), n.UsesUDF(); here != n.walkUDFHere() || all != walkUDF(n) {
+			t.Fatalf("%s %s: flags here=%v subtree=%v, walk %v %v", what, n.Kind, here, all, n.walkUDFHere(), walkUDF(n))
+		}
+	}
+	b := NewBuilder(testCatalog(t))
+	udf := 0
+	for _, sql := range workload.SQLs() {
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.UsesUDF() {
+			udf++
+		}
+		plan.Walk(func(n *Node) {
+			check("built", n)
+			if len(n.Children) == 0 {
+				return
+			}
+			check("copy", n.WithChildren(slices.Clone(n.Children)))
+			leaves := make([]*Node, len(n.Children))
+			for i, c := range n.Children {
+				leaves[i] = NewViewScan(fmt.Sprintf("v%d", i), c.Schema())
+			}
+			check("copy over view scans", n.WithChildren(leaves))
+			lit := Node{Kind: n.Kind, Children: n.Children, LogName: n.LogName, Fields: n.Fields,
+				Pred: n.Pred, Projs: n.Projs, JoinType: n.JoinType, LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
+				GroupBy: n.GroupBy, Aggs: n.Aggs, SortKeys: n.SortKeys, LimitN: n.LimitN}
+			check("literal", &lit)
+			check("literal's copy", lit.WithChildren(n.Children))
+			check("literal built", NewNode(lit, n.Schema()))
+		})
+	}
+	if udf == 0 {
+		t.Fatal("no paper plan calls a UDF: the checks are vacuous")
 	}
 }

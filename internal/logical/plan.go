@@ -9,6 +9,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,12 +160,16 @@ type Node struct {
 
 	schema *storage.Schema // computed output schema
 	// head and tail are the node-local payload (see payload), local its
-	// hash and id the node's structural id, and sig the cell Signature
-	// memoizes into; all are set when the node is built and never written
-	// afterwards (the cell's content is published atomically).
-	head, tail string
-	local, id  uint64
-	sig        *atomic.Pointer[string]
+	// hash and id the node's structural id, udfHere and udf what
+	// UsesUDFHere and UsesUDF report, and sig and desc the cells Signature
+	// and Describe memoize into; all are set when the node is built and
+	// never written afterwards (the cells' contents are published
+	// atomically).
+	head, tail   string
+	local, id    uint64
+	udfHere, udf bool
+	sig          *atomic.Pointer[string]
+	desc         *atomic.Pointer[Descriptor]
 }
 
 // Child returns the i-th child.
@@ -179,38 +184,44 @@ func (n *Node) Schema() *storage.Schema { return n.schema }
 // through it, so no node of theirs reports the zero id.
 func NewNode(n Node, sch *storage.Schema) *Node { return alloc(n).built(sch) }
 
-// builtNode is a node and its signature cell, allocated together: every
-// built node owns a cell, and the cell costs no allocation of its own.
+// builtNode is a node and its signature and descriptor cells, allocated
+// together: every built node owns both, and they cost no allocation of
+// their own.
 type builtNode struct {
 	node Node
 	sig  atomic.Pointer[string]
+	desc atomic.Pointer[Descriptor]
 }
 
-// alloc returns a heap copy of n holding a fresh, empty signature cell.
+// alloc returns a heap copy of n holding fresh, empty cells.
 func alloc(n Node) *Node {
 	b := &builtNode{node: n}
-	b.node.sig = &b.sig
+	b.node.sig, b.node.desc = &b.sig, &b.desc
 	return &b.node
 }
 
-// built installs the schema, payload and id: the last write a node gets.
+// built installs the schema, payload, UDF flag and id: the last write a
+// node gets.
 func (n *Node) built(sch *storage.Schema) *Node {
 	n.schema = sch
 	n.head, n.tail = n.payload()
 	n.local = hashString(hashString(hashUint(fnvOffset64, uint64(n.Kind)), n.head), n.tail)
+	n.udfHere = n.walkUDFHere()
 	return n.link()
 }
 
-// link derives the id from the payload's hash and the children's ids.
+// link derives the id from the payload's hash and the children's ids, and
+// the subtree's UDF flag from the node's and the children's.
 func (n *Node) link() *Node {
-	h := n.local
+	h, udf := n.local, n.udfHere
 	for _, c := range n.Children {
 		h = hashUint(h, c.id)
+		udf = udf || c.UsesUDF()
 	}
 	if h == 0 {
 		h = fnvPrime64 // the zero id means "not built"
 	}
-	n.id = h
+	n.id, n.udf = h, udf
 	return n
 }
 
@@ -222,6 +233,9 @@ func (n *Node) link() *Node {
 func (n *Node) WithChildren(children []*Node) *Node {
 	c := alloc(*n)
 	c.Children = children
+	if n.id == 0 {
+		return c.built(n.schema) // a literal's copy is built in full
+	}
 	return c.link()
 }
 
@@ -266,8 +280,17 @@ func (n *Node) Nodes() []*Node {
 	return out
 }
 
-// UsesUDFHere reports whether this node's own expressions call a UDF.
+// UsesUDFHere reports whether this node's own expressions call a UDF. A
+// built node answers from the flag set at build; a node literal walks its
+// expressions.
 func (n *Node) UsesUDFHere() bool {
+	if n.id != 0 {
+		return n.udfHere
+	}
+	return n.walkUDFHere()
+}
+
+func (n *Node) walkUDFHere() bool {
 	check := func(e expr.Expr) bool { return e != nil && expr.UsesUDF(e) }
 	switch n.Kind {
 	case KindExtract:
@@ -306,15 +329,13 @@ func (n *Node) UsesUDFHere() bool {
 }
 
 // UsesUDF reports whether any node in the subtree calls a UDF. Such
-// subtrees are pinned to HV by the multistore optimizer.
+// subtrees are pinned to HV by the multistore optimizer. A built node
+// answers from the flag set at build; a node literal walks the subtree.
 func (n *Node) UsesUDF() bool {
-	found := false
-	n.Walk(func(m *Node) {
-		if m.UsesUDFHere() {
-			found = true
-		}
-	})
-	return found
+	if n.id != 0 {
+		return n.udf
+	}
+	return n.walkUDFHere() || slices.ContainsFunc(n.Children, (*Node).UsesUDF)
 }
 
 // Signature returns the canonical structural signature of the subtree.

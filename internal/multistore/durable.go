@@ -257,20 +257,22 @@ func journaledReorg(rec *durability.Record) ReorgRecord {
 // quarantineStale drops views whose base-log generation has advanced past
 // the one they were materialized from — a direct catalog Reset would
 // otherwise let them silently answer queries over data that no longer
-// exists. It runs in every query's prologue, so it reads each log's
-// generation once and copies a set only to delete from it. Callers hold s.mu.
+// exists. It runs in every query's prologue, so it sweeps only when a log's
+// generation or either view set moved since the last sweep (a new system
+// sweeps on its first query), and copies a set only to delete from it.
+// Callers hold s.mu.
 func (s *System) quarantineStale() {
-	gens := s.cat.Generations()
-	for name, g := range gens {
-		if s.logs.vers[name].gen != g {
+	at := sweepMark{gens: s.cat.GenerationMoves(), hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), ok: true}
+	if at == s.swept {
+		return
+	}
+	s.swept = at
+	for _, name := range s.cat.LogNames() {
+		if g, _ := s.cat.Generation(name); s.logs.vers[name].gen != g {
 			s.syncLogVersion(name) // reset through the catalog, not RefreshLog
 		}
 	}
-	gen := func(log string) (int, bool) {
-		g, ok := gens[log]
-		return g, ok
-	}
-	stale := func(v *views.View) bool { return v.Stale(gen) }
+	stale := func(v *views.View) bool { return v.Stale(s.cat.Generation) }
 	quarantined := 0
 	for _, st := range s.stores() {
 		quarantined += st.views.RemoveIf(stale)

@@ -362,9 +362,21 @@ type System struct {
 	reuse *reusePlane
 	logs  logMirror
 
-	// plans is the plan cache (choose), filled while versions() read planVer.
-	plans   map[*logical.Node]*optimizer.MultiPlan
+	// swept is where the generations and both view sets stood at the last
+	// stale-view sweep (quarantineStale); the zero mark is "never swept".
+	swept sweepMark
+
+	// plans is the plan cache (choose), filled while the log mirror and
+	// the reuse cache stood where planVer has them.
+	plans   map[*logical.Node]*planEntry
 	planVer planVersions
+}
+
+// sweepMark is a sweep's reading of the catalog's generation counter and
+// both view sets' versions; ok tells a taken mark from the zero one.
+type sweepMark struct {
+	gens, hv, dw uint64
+	ok           bool
 }
 
 // ReorgRecord summarizes one reorganization phase.
@@ -427,7 +439,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		retry:   retry,
 		hedge:   newHedgeTracker(cfg.Hedge),
 		logs:    logMirror{vers: map[string]logVersion{}},
-		plans:   map[*logical.Node]*optimizer.MultiPlan{},
+		plans:   map[*logical.Node]*planEntry{},
 	}
 	for _, name := range cat.LogNames() {
 		s.syncLogVersion(name)

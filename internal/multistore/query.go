@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"miso/internal/durability"
 	"miso/internal/dw"
@@ -16,6 +17,7 @@ import (
 	"miso/internal/optimizer"
 	"miso/internal/storage"
 	"miso/internal/transfer"
+	"miso/internal/views"
 )
 
 // query is one submitted query on its way through the system: everything
@@ -423,6 +425,16 @@ func (s *System) versions() planVersions {
 	return v
 }
 
+// planEntry is a chosen plan and what its choice read: the tuple, both view
+// sets' members, and the id of every node the estimator may have been asked
+// about — the raw plan's and those of every plan EnumeratePlans returned.
+type planEntry struct {
+	mp     *optimizer.MultiPlan
+	ver    planVersions
+	hv, dw []*views.View
+	ids    []uint64
+}
+
 // planCacheCap bounds the plan cache; a full cache is dropped whole.
 const planCacheCap = 1024
 
@@ -433,28 +445,97 @@ var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimize
 // choose is Optimizer.Choose behind the plan cache. Choose is a pure
 // function of the plan (one pointer per statement text), the design and what
 // versions() counts, so a plan chosen under the system's design is handed
-// out again until the tuple moves; then the whole cache goes. Another
-// design (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
+// out again while nothing it read has changed. A move of the log mirror or
+// the reuse cache drops the whole cache; after any other move an entry is
+// checked against its own reads (holds). Another design (MS-BASIC's empty
+// one) is planned afresh. Callers hold s.mu.
 func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {
 	if d != s.design() {
 		return s.opt.Choose(plan, d)
 	}
-	if v := s.versions(); v != s.planVer || len(s.plans) >= planCacheCap {
+	v := s.versions()
+	if v.logs != s.planVer.logs || v.reuse != s.planVer.reuse || len(s.plans) >= planCacheCap {
 		clear(s.plans)
 		s.planVer = v
 	}
-	if mp, ok := s.plans[plan]; ok {
+	if e, ok := s.plans[plan]; ok && s.holds(e, plan, v) {
 		if planHit != nil {
-			planHit(s, plan, d, mp)
+			planHit(s, plan, d, e.mp)
 		}
-		return mp, nil
+		return e.mp, nil
 	}
-	mp, err := s.opt.Choose(plan, d)
+	// The members are read after the versions, so an entry never holds
+	// members older than its tuple says.
+	e := &planEntry{ver: v, hv: d.HV.Members(), dw: d.DW.Members()}
+	plans := s.opt.EnumeratePlans(plan, d)
+	mp, err := optimizer.Cheapest(plans)
 	if err != nil {
 		return nil, err
 	}
-	s.plans[plan] = mp
+	e.mp, e.ids = mp, readIDs(plan, plans)
+	s.plans[plan] = e
 	return mp, nil
+}
+
+// holds reports whether the entry's plan is still the one Choose would pick
+// under tuple v, and if so advances the entry to v. Its estimates hold while
+// no stat it may have read was stored or dropped; its design holds while no
+// view added, removed or replaced since can answer a node of the raw plan,
+// the only nodes BestMatch is asked about.
+func (s *System) holds(e *planEntry, plan *logical.Node, v planVersions) bool {
+	hv, dw := s.hv.Views.Members(), s.dw.Views.Members()
+	if e.ver.est != v.est && s.est.ChangedSince(e.ids, e.ver.est) ||
+		e.ver.hv != v.hv && viewsMoved(e.hv, hv, plan) || e.ver.dw != v.dw && viewsMoved(e.dw, dw, plan) {
+		return false
+	}
+	e.ver, e.hv, e.dw = v, hv, dw
+	return true
+}
+
+// viewsMoved walks two name-ordered member lists and reports whether a view
+// in one but not the other — a view whose Name, Desc or Table differ counts
+// as both — matches a node of plan. A Touch copy differs in nothing it reads.
+func viewsMoved(old, cur []*views.View, plan *logical.Node) bool {
+	for len(old) > 0 || len(cur) > 0 {
+		var gone, added *views.View
+		switch {
+		case len(cur) == 0 || len(old) > 0 && old[0].Name < cur[0].Name:
+			gone, old = old[0], old[1:]
+		case len(old) == 0 || cur[0].Name < old[0].Name:
+			added, cur = cur[0], cur[1:]
+		default:
+			if o, c := old[0], cur[0]; o.Desc != c.Desc || o.Table != c.Table {
+				gone, added = o, c
+			}
+			old, cur = old[1:], cur[1:]
+		}
+		if gone != nil && views.MatchesSome(plan, gone) || added != nil && views.MatchesSome(plan, added) {
+			return true
+		}
+	}
+	return false
+}
+
+// readIDs lists, sorted and without repeats, the id of every node of the
+// raw plan and of every plan in plans — its HV plan, each cut's HV plan and
+// its DW part — a superset of the subtrees the choice estimated.
+func readIDs(raw *logical.Node, plans []*optimizer.MultiPlan) []uint64 {
+	var ids []uint64
+	add := func(n *logical.Node) {
+		if n != nil {
+			n.Walk(func(m *logical.Node) { ids = append(ids, m.ID()) })
+		}
+	}
+	add(raw)
+	for _, p := range plans {
+		add(p.HVPlan)
+		for _, c := range p.Cuts {
+			add(c.HVPlan)
+		}
+		add(p.DWPart)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // migrateCut is the one cut migration: it moves a cut's working set into

@@ -420,7 +420,12 @@ func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 // Choose returns the cheapest multistore plan for the query under the
 // design.
 func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
-	plans := o.EnumeratePlans(raw, d)
+	return Cheapest(o.EnumeratePlans(raw, d))
+}
+
+// Cheapest is Choose's selection rule over EnumeratePlans' list: the first
+// plan of least EstTotal.
+func Cheapest(plans []*MultiPlan) (*MultiPlan, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("optimizer: no feasible plan")
 	}

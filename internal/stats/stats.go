@@ -44,13 +44,16 @@ type Estimator struct {
 	mu      sync.RWMutex
 	cache   map[uint64]observed // by logical.Node.ID
 	version atomic.Uint64       // written under mu; see Version
+	dropped uint64              // the version the last dropping InvalidateLog moved to
 }
 
-// observed is one recorded truth and the logs its subtree's Scan leaves
-// read, which decide whether an append to a log makes it stale.
+// observed is one recorded truth, the logs its subtree's Scan leaves read,
+// which decide whether an append to a log makes it stale, and the version
+// that stored it.
 type observed struct {
 	stat Stat
 	logs []string
+	ver  uint64
 }
 
 // NewEstimator builds an estimator over the catalog's base data.
@@ -82,8 +85,8 @@ func (e *Estimator) Record(n *logical.Node, s Stat) {
 	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	o.ver = e.version.Add(1)
 	e.cache[id] = o
-	e.version.Add(1)
 }
 
 // RecordView stores the observed size of a materialized view under the id
@@ -107,9 +110,26 @@ func (e *Estimator) InvalidateLog(name string) int {
 		}
 	}
 	if n > 0 {
-		e.version.Add(1)
+		e.dropped = e.version.Add(1)
 	}
 	return n
+}
+
+// ChangedSince reports whether an estimate that read the feedback cache at
+// version v, about subtrees among ids, may read differently now: a stat for
+// one of the ids was stored after v, or some stat was dropped after v.
+func (e *Estimator) ChangedSince(ids []uint64, v uint64) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.dropped > v {
+		return true
+	}
+	for _, id := range ids {
+		if o, ok := e.cache[id]; ok && o.ver > v {
+			return true
+		}
+	}
+	return false
 }
 
 // Estimate returns the estimated output size of the subtree, consulting the

@@ -178,6 +178,49 @@ func TestVersionMovesOnlyWhenTheCacheChanges(t *testing.T) {
 	}
 }
 
+// TestChangedSince: recording the held stat again stamps nothing, a
+// differing stat stamps its own id and no other, and a dropping
+// invalidation fails every reading taken before it, whatever its ids.
+func TestChangedSince(t *testing.T) {
+	_, b, est, _ := setup(t)
+	p, err := b.BuildSQL("SELECT tweet_id FROM tweets WHERE lang = 'ja'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := b.BuildSQL("SELECT user_id FROM checkins")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.Record(p, stats.Stat{Rows: 3, Bytes: 30})
+	est.Record(q, stats.Stat{Rows: 5, Bytes: 50})
+	both := []uint64{p.ID(), q.ID()}
+	v := est.Version()
+	if est.ChangedSince(both, v) {
+		t.Fatal("nothing was written, yet the reading changed")
+	}
+	est.Record(p, stats.Stat{Rows: 3, Bytes: 30})
+	if est.ChangedSince(both, v) {
+		t.Error("recording the held stat again stamped it")
+	}
+	est.Record(q, stats.Stat{Rows: 6, Bytes: 50})
+	if !est.ChangedSince(both, v) || !est.ChangedSince([]uint64{q.ID()}, v) {
+		t.Error("a differing stat did not stamp its id")
+	}
+	if est.ChangedSince([]uint64{p.ID()}, v) || est.ChangedSince(nil, v) {
+		t.Error("a differing stat stamped another id")
+	}
+	v = est.Version()
+	if est.InvalidateLog("tweets") == 0 {
+		t.Fatal("invalidating tweets dropped nothing")
+	}
+	if !est.ChangedSince(nil, v) || !est.ChangedSince([]uint64{q.ID()}, v) {
+		t.Error("a reading older than a drop holds")
+	}
+	if est.ChangedSince(both, est.Version()) {
+		t.Error("a reading taken after the drop fails")
+	}
+}
+
 func TestRecordView(t *testing.T) {
 	_, _, est, _ := setup(t)
 	est.RecordView("v_test", stats.Stat{Rows: 5, Bytes: 500})

@@ -17,6 +17,8 @@ type Catalog struct {
 	// adds counts AddLog calls: the only catalog writes that can change a
 	// schema a plan was built against (appends and resets change contents).
 	adds uint64
+	// retired sums the generations of the logs AddLog replaced.
+	retired uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -29,6 +31,9 @@ func NewCatalog() *Catalog {
 func (c *Catalog) AddLog(l *LogFile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if old, ok := c.logs[l.Name]; ok {
+		c.retired += uint64(old.Generation)
+	}
 	c.logs[l.Name] = l
 	c.adds++
 }
@@ -63,15 +68,18 @@ func (c *Catalog) Generation(name string) (int, bool) {
 	return l.Generation, true
 }
 
-// Generations reports every log's current generation, read under one lock.
-func (c *Catalog) Generations() map[string]int {
+// GenerationMoves moves whenever some log's generation changed (a Reset of
+// a registered log, an AddLog) and at no other time, so a sweep over
+// generations that read m holds while it reads m: it is the AddLog count
+// plus every generation the catalog's logs, current and replaced, reached.
+func (c *Catalog) GenerationMoves() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	gens := make(map[string]int, len(c.logs))
-	for name, l := range c.logs {
-		gens[name] = l.Generation
+	n := c.adds + c.retired
+	for _, l := range c.logs {
+		n += uint64(l.Generation)
 	}
-	return gens
+	return n
 }
 
 // HasLog reports whether a log with this name exists.

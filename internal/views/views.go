@@ -165,6 +165,12 @@ func MatchNode(n *logical.Node, v *View) (*Match, bool) {
 	return (&lookup{node: n, id: n.ID()}).match(v)
 }
 
+// MatchesSome reports whether v can answer n or some node below it.
+func MatchesSome(n *logical.Node, v *View) bool {
+	_, ok := MatchNode(n, v)
+	return ok || slices.ContainsFunc(n.Children, func(c *logical.Node) bool { return MatchesSome(c, v) })
+}
+
 // lookup is one node being matched against views. The node is described
 // at most once, by the first view that gets past the exact tier, and every
 // later view matches against that descriptor.
@@ -412,7 +418,7 @@ func (s *Set) Len() int {
 // TotalBytes sums the logical sizes of all views.
 func (s *Set) TotalBytes() int64 {
 	var n int64
-	for _, v := range s.kept() {
+	for _, v := range s.Members() {
 		n += v.SizeBytes()
 	}
 	return n
@@ -420,19 +426,21 @@ func (s *Set) TotalBytes() int64 {
 
 // All returns the views sorted by name, in a slice the caller owns.
 func (s *Set) All() []*View {
-	views := s.kept()
+	views := s.Members()
 	return append(make([]*View, 0, len(views)), views...)
 }
 
-// kept returns the current name-ordered slice, which no writer touches.
-func (s *Set) kept() []*View {
+// Members returns the current name-ordered slice without copying it. No
+// writer touches a slice once the set has installed it, so the caller may
+// keep it, and must not write into it.
+func (s *Set) Members() []*View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.views
 }
 
 // Clone returns a shallow copy of the set (views shared).
-func (s *Set) Clone() *Set { return &Set{views: s.kept()} }
+func (s *Set) Clone() *Set { return &Set{views: s.Members()} }
 
 // Reset empties the set in place. Unlike reassigning a store's Views field
 // to a fresh Set, this keeps the Set pointer stable, so concurrent readers
@@ -454,7 +462,7 @@ func (s *Set) ReplaceAll(src *Set) {
 	}
 	var next []*View
 	if src != nil {
-		next = src.kept()
+		next = src.Members()
 	}
 	s.mu.Lock()
 	s.views = next
@@ -473,7 +481,7 @@ func (s *Set) UseMemo(mm *MatchMemo) { s.memo = mm }
 func (s *Set) BestMatch(n *logical.Node) (*Match, bool) {
 	l := lookup{node: n, id: n.ID()}
 	var best *Match
-	for _, v := range s.kept() {
+	for _, v := range s.Members() {
 		if m, ok := s.match(&l, v); ok && (best == nil || better(m, best)) {
 			best = m
 		}
