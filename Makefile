@@ -71,7 +71,8 @@ bench: microbench
 
 # microbench runs every package micro-benchmark once (view matching, plan
 # choice on a warm design, the knapsack DP, the exec operators, an HV job's
-# map side and a whole HV query) and, with them, the allocation guards,
+# map side, a whole HV query and an append that maintains the views over
+# its log) and, with them, the allocation guards,
 # which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
 # tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
 # and the fanned-out reorganization, each checked against the golden. CI

@@ -64,9 +64,11 @@ func (m *Manager) Checkpoints() int {
 }
 
 // Checkpoint installs a new checkpoint of the given state at the current
-// end of the WAL and resets the cadence counter.
+// end of the WAL, truncates the WAL there and resets the cadence counter.
+// Recovery replays from the latest checkpoint; an older one cannot be
+// replayed once a newer one is taken.
 func (m *Manager) Checkpoint(seq int, state any) *Checkpoint {
-	ck := &Checkpoint{LSN: m.wal.LSN(), Seq: seq, State: state}
+	ck := &Checkpoint{LSN: m.wal.truncate(), Seq: seq, State: state}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.latest = ck

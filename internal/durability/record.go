@@ -57,6 +57,11 @@ const (
 	// query: moves charged to TUNE outside any reorganization, with the
 	// outcome fields of KindReorgCommit. It follows the query's KindQueryDone.
 	KindRealize
+	// KindAppend records an append to the base log Name whose HV job
+	// maintained views over it: the job's simulated time, in HVSeconds,
+	// which replay books. The maintained views are journaled as admits
+	// before it.
+	KindAppend
 
 	kindEnd
 )
@@ -73,6 +78,7 @@ var kindNames = map[Kind]string{
 	KindTransferAbort:  "transfer-abort",
 	KindLogGen:         "log-gen",
 	KindRealize:        "realize",
+	KindAppend:         "append",
 }
 
 func (k Kind) String() string {
@@ -114,8 +120,9 @@ type Record struct {
 	FailedMoves   int64
 	RefundedBytes int64
 	// Timing carried by KindQueryDone (the query's TTI contribution, so
-	// replay reconstructs the breakdown) and KindReorgCommit/KindRealize
-	// (move time in Seconds, recovery time in RecoverySeconds).
+	// replay reconstructs the breakdown), KindReorgCommit/KindRealize
+	// (move time in Seconds, recovery time in RecoverySeconds) and
+	// KindAppend (the maintenance job in HVSeconds).
 	Seconds         float64
 	RecoverySeconds float64
 	HVSeconds       float64

@@ -1,6 +1,7 @@
 package durability
 
 import (
+	"fmt"
 	"sync"
 
 	"miso/internal/faults"
@@ -19,8 +20,11 @@ import (
 // faults.ErrCrash), SiteViewCorrupt flips a value inside the durable
 // payload copy, to be caught by checksum verification at recovery.
 type WAL struct {
-	mu       sync.Mutex
-	buf      []byte
+	mu  sync.Mutex
+	buf []byte
+	// base is the LSN of buf[0]: the log before it was dropped at a
+	// checkpoint (truncate).
+	base     int
 	records  int
 	inj      *faults.Injector
 	payloads map[string]*views.View
@@ -58,7 +62,19 @@ func (w *WAL) Append(rec *Record) error {
 func (w *WAL) LSN() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buf)
+	return w.base + len(w.buf)
+}
+
+// truncate drops the whole log and returns its end LSN, where a checkpoint
+// that holds the state the log described starts replay. The log a served
+// system keeps is then what it wrote since its last checkpoint, not
+// everything it ever wrote. Payloads stay: there is one per view name.
+func (w *WAL) truncate() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.base += len(w.buf)
+	w.buf = nil
+	return w.base
 }
 
 // Records returns how many records were durably appended.
@@ -84,16 +100,20 @@ func (w *WAL) Tear(n int) {
 }
 
 // Replay decodes records starting at byte offset lsn. It stops cleanly at
-// the first torn or corrupt frame — never panicking — and reports how many
-// unreadable tail bytes it discarded.
+// the first torn or corrupt frame — never panicking on its content — and
+// reports how many unreadable tail bytes it discarded. lsn must not precede
+// the last truncate: the records before it are gone.
 func (w *WAL) Replay(lsn int) (recs []*Record, tornBytes int) {
 	w.mu.Lock()
-	buf := w.buf
+	buf, base := w.buf, w.base
 	w.mu.Unlock()
-	if lsn < 0 {
+	if lsn < base {
+		if base > 0 {
+			panic(fmt.Sprintf("durability: replay from LSN %d, but the log before %d was truncated", lsn, base))
+		}
 		lsn = 0
 	}
-	off := lsn
+	off := lsn - base
 	for off < len(buf) {
 		rec, next, err := decodeFrame(buf, off)
 		if err != nil {

@@ -298,6 +298,42 @@ func TestManagerCadence(t *testing.T) {
 	}
 }
 
+// TestCheckpointTruncatesTheLog: a checkpoint drops the log before it, LSNs
+// stay absolute across the cut, replay from the checkpoint reads exactly
+// what followed it, and replay from before the cut is refused.
+func TestCheckpointTruncatesTheLog(t *testing.T) {
+	w := NewWAL(nil)
+	m := NewManager(100, w)
+	for i := 0; i < 5; i++ {
+		if err := w.Append(&Record{Kind: KindQueryDone, SQL: "SELECT 1", Seq: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.LSN()
+	ck := m.Checkpoint(5, "state")
+	if ck.LSN != before || w.LSN() != before {
+		t.Fatalf("checkpoint at LSN %d, log ends at %d; was %d", ck.LSN, w.LSN(), before)
+	}
+	if recs, torn := w.Replay(ck.LSN); len(recs) != 0 || torn != 0 {
+		t.Fatalf("replay past the checkpoint: %d records, %d torn bytes", len(recs), torn)
+	}
+	if err := w.Append(&Record{Kind: KindQueryDone, SQL: "SELECT 2", Seq: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ := w.Replay(ck.LSN); len(recs) != 1 || recs[0].SQL != "SELECT 2" || w.LSN() <= before {
+		t.Fatalf("replay past the checkpoint: %+v, log ends at %d", recs, w.LSN())
+	}
+	if w.Records() != 6 {
+		t.Errorf("%d records appended, want 6", w.Records())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("replay from before the truncation did not panic")
+		}
+	}()
+	w.Replay(0)
+}
+
 // TestFold pins how the one reader of the journal resolves its
 // transactions: a window takes effect at its commit, an abort or the end
 // of the log drops it, and a transfer begin nothing closed is pending.

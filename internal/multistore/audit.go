@@ -376,9 +376,9 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 	// Placement agreement on the intersection of journal and live design.
 	live := s.designMap()
 	for _, name := range sortedKeys(live) {
-		if st, ok := place[name]; ok && st != live[name] {
+		if st, ok := place[name]; ok && st != live[name].store {
 			viols = append(viols, AuditViolation{Invariant: InvWAL, View: name,
-				Detail: fmt.Sprintf("journal places view in %c, live design in %c", st, live[name])})
+				Detail: fmt.Sprintf("journal places view in %c, live design in %c", st, live[name].store)})
 		}
 	}
 	return viols, nil

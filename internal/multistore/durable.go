@@ -113,12 +113,19 @@ func (s *System) storeFor(store byte) residency {
 	return st[1]
 }
 
-// designMap flattens the current design into view name -> store tag.
-func (s *System) designMap() map[string]byte {
-	m := make(map[string]byte, s.hv.Views.Len()+s.dw.Views.Len())
+// placement is where a view stands in the design and the content it holds
+// there, as its stamped checksum.
+type placement struct {
+	store byte
+	sum   uint64
+}
+
+// designMap flattens the current design into view name -> placement.
+func (s *System) designMap() map[string]placement {
+	m := make(map[string]placement, s.hv.Views.Len()+s.dw.Views.Len())
 	for _, st := range s.stores() {
-		for _, v := range st.views.All() {
-			m[v.Name] = st.store
+		for _, v := range st.views.Members() {
+			m[v.Name] = placement{st.store, v.Checksum}
 		}
 	}
 	return m
@@ -127,7 +134,11 @@ func (s *System) designMap() map[string]byte {
 // journalDesignDiff emits evict/admit records for every view whose
 // placement changed since jbase, in sorted name order (evicts before
 // admits, so a moved view is journaled as evict-from-source then
-// admit-to-destination), and advances jbase to the current design.
+// admit-to-destination), and advances jbase to the current design. A view
+// that stayed in its store under a new stamped checksum — one AppendToLog
+// brought forward — is journaled as an admit alone, which carries its new
+// content as the payload: replay's admit replaces whatever held the name.
+// Rot and Touch keep the stamp, so neither journals anything.
 func (s *System) journalDesignDiff() error {
 	cur := s.designMap()
 	names := make([]string, 0, len(s.jbase)+len(cur))
@@ -145,18 +156,18 @@ func (s *System) journalDesignDiff() error {
 	for _, name := range names {
 		old, wasIn := s.jbase[name]
 		now, isIn := cur[name]
-		if wasIn && (!isIn || old != now) {
-			rec := &durability.Record{Kind: durability.KindViewEvict, Store: old, Name: name, Seq: int64(s.seq)}
+		if wasIn && (!isIn || old.store != now.store) {
+			rec := &durability.Record{Kind: durability.KindViewEvict, Store: old.store, Name: name, Seq: int64(s.seq)}
 			if err := s.journal(rec); err != nil {
 				return err
 			}
 		}
 		if isIn && (!wasIn || old != now) {
-			v, ok := s.storeFor(now).views.Get(name)
+			v, ok := s.storeFor(now.store).views.Get(name)
 			if !ok {
 				continue
 			}
-			if err := s.journalAdmit(v, now); err != nil {
+			if err := s.journalAdmit(v, now.store); err != nil {
 				return err
 			}
 		}

@@ -342,7 +342,7 @@ type System struct {
 	// jbase is the design as of the last journaled operation boundary,
 	// diffed at each boundary to emit view admit/evict records.
 	dur   *durability.Manager
-	jbase map[string]byte
+	jbase map[string]placement
 
 	// tomb holds quarantine tombstones: names the audit plane removed from
 	// the design without repairing. The capture veto and MS-LRU passive

@@ -83,10 +83,23 @@ func Recover(cfg Config, cat *storage.Catalog, ckpt *durability.Checkpoint, wal 
 func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report *durability.RecoveryReport) error {
 	report.ReplayedRecords = len(recs)
 	d := durability.Fold(recs)
-	for _, rec := range d.Applied {
+	// The WAL keeps one payload per name, the latest admitted content, so
+	// only an admit no later admit or evict of the name supersedes is
+	// replayed: an earlier one would be checked against the newer payload
+	// and quarantined as corrupt, and its effect is undone by what follows
+	// anyway.
+	last := make(map[string]int, len(d.Applied))
+	for i, rec := range d.Applied {
+		if rec.Kind == durability.KindViewAdmit || rec.Kind == durability.KindViewEvict {
+			last[rec.Name] = i
+		}
+	}
+	for i, rec := range d.Applied {
 		switch rec.Kind {
 		case durability.KindViewAdmit:
-			s.replayAdmit(wal, rec, report)
+			if last[rec.Name] == i {
+				s.replayAdmit(wal, rec, report)
+			}
 		case durability.KindViewEvict:
 			for _, st := range s.stores() {
 				st.views.Remove(rec.Name)
@@ -107,6 +120,8 @@ func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report
 			s.metrics.Retries += int(rec.Retries)
 		case durability.KindRealize:
 			s.bookRealize(journaledReorg(rec), int(rec.Retries))
+		case durability.KindAppend:
+			s.metrics.HVExe += rec.HVSeconds
 		case durability.KindLogGen:
 			// The catalog survives the process; nothing to re-apply. The
 			// post-replay verifyDesign pass re-quarantines stale views.

@@ -3,6 +3,7 @@ package multistore_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -507,5 +508,43 @@ func TestRecoverFromBootCheckpointPerVariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverReplaysOnlyTheLastAdmitPerView: the WAL keeps one payload per
+// view name, the latest admitted content, so a view admitted, brought
+// forward or re-admitted after an append, and admitted again must recover
+// from its last admit alone, not be checked against a payload that
+// superseded its first one and quarantined as corrupt.
+func TestRecoverReplaysOnlyTheLastAdmitPerView(t *testing.T) {
+	sys, cfg := newDurableSystem(t, faults.Profile{}, 1, 1000)
+	q, _ := workload.ByName("A1v1")
+	ckpt := sys.Checkpoint()
+	if _, err := sys.Run(q.SQL); err != nil {
+		t.Fatal(err)
+	}
+	// Tweets inside A1v1's window, so its tweets view changes.
+	lines := make([]string, 100)
+	for i := range lines {
+		lines[i] = fmt.Sprintf(`{"tweet_id":%d,"user_id":%d,"ts":1357300000,"text":"great food","hashtag":"food","lang":"en","retweets":3,"followers":40}`, 3_000_000+i, i)
+	}
+	if _, err := sys.AppendToLog(data.TweetsLog, lines); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(q.SQL); err != nil {
+		t.Fatal(err)
+	}
+	twin, rep, err := multistore.Recover(cfg, sys.Catalog(), ckpt, sys.Durability().WAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptViews != 0 || len(rep.Quarantined) != 0 {
+		t.Errorf("recovery found %d corrupt views, quarantined %v", rep.CorruptViews, rep.Quarantined)
+	}
+	if got, want := twin.Metrics().Quarantined, sys.Metrics().Quarantined; got != want {
+		t.Errorf("recovered Quarantined %d, live %d", got, want)
+	}
+	if !sameNames(designNames(twin), designNames(sys)) {
+		t.Errorf("recovered design %v, live %v", designNames(twin), designNames(sys))
 	}
 }

@@ -9,47 +9,59 @@ import (
 )
 
 // AppendToLog ingests new records into a base log — the append-only update
-// model the paper's Section 6 sketches as future work. Opportunistic views
-// derived from the log become stale; this implementation invalidates them
-// conservatively: every view (in either store) whose definition scans the
-// log is dropped, and the statistics cache entries for subtrees over the
-// log are discarded so future estimates reflect the new size. Views over
-// other logs are untouched, and the next queries rebuild the dropped views
-// organically — the same opportunistic mechanism that created them.
+// model the paper's Section 6 sketches as future work — and returns how many
+// views it dropped. Views derived from the log would go stale; the ones a
+// Hive-style store can bring forward over the new lines alone are
+// maintained instead (hv.Store.MaintainAppend): an HV view whose definition
+// is Filter and Project nodes over one Extract of the log, materialized from
+// the log's current generation, gets the rows its definition yields over the
+// new lines appended, unless that would take HV past Bh. That maintenance is
+// one HV job charged to HVEXE and journaled with the append, and each
+// maintained view is journaled as an admit of its new content. Every other
+// view over the log, in either store, is dropped, and the next queries
+// rebuild it organically — the same opportunistic mechanism that created it.
+// Statistics of subtrees over the log and every cached result are
+// discarded; views over other logs are untouched.
 func (s *System) AppendToLog(name string, lines []string) (dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.beginOp()
-	dropped, err = s.appendLocked(name, lines)
+	dropped, sec, err := s.appendLocked(name, lines)
 	if err != nil {
 		return dropped, err
 	}
-	return dropped, s.endOp()
+	var rec *durability.Record
+	if sec > 0 {
+		rec = &durability.Record{Kind: durability.KindAppend, Name: name, Seq: int64(s.seq), HVSeconds: sec}
+	}
+	return dropped, s.endOp(rec)
 }
 
-func (s *System) appendLocked(name string, lines []string) (dropped int, err error) {
+// appendLocked appends the lines, maintains or drops the views over the log
+// and returns how many it dropped and the simulated seconds of the
+// maintenance job, which it charged to HVEXE.
+func (s *System) appendLocked(name string, lines []string) (dropped int, sec float64, err error) {
 	log, err := s.cat.Log(name)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(lines) == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	for _, l := range lines {
 		log.AppendLine(l)
 	}
 
-	overLog := func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) }
-	for _, st := range s.stores() {
-		dropped += st.views.RemoveIf(overLog)
-	}
+	dropped, sec = s.hv.MaintainAppend(log, lines, s.cfg.Tuner.Bh)
+	s.metrics.HVExe += sec
+	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
 	s.est.InvalidateLog(name)
 	// The log's content version advanced: refresh the reuse plane's
 	// version mirror (fingerprints over the new content differ, making old
 	// entries unreachable) and drop the cached results outright.
 	s.syncLogVersion(name)
 	s.invalidateReuse()
-	return dropped, nil
+	return dropped, sec, nil
 }
 
 // RefreshLog replaces a log wholesale (a new generation of the data set)
@@ -67,7 +79,7 @@ func (s *System) RefreshLog(name string, lines []string) (dropped int, err error
 	// the refresh carries no lines (appendLocked returns early then).
 	s.syncLogVersion(name)
 	s.invalidateReuse()
-	dropped, err = s.appendLocked(name, lines)
+	dropped, _, err = s.appendLocked(name, lines)
 	if err != nil {
 		return dropped, fmt.Errorf("multistore: refresh %q: %w", name, err)
 	}

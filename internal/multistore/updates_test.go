@@ -24,55 +24,6 @@ func tweetLine(t *testing.T, id int64) string {
 	return string(b)
 }
 
-func TestAppendToLogInvalidatesDerivedViews(t *testing.T) {
-	cat, err := data.Generate(data.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, 2.0, 10<<30)
-	sys := multistore.New(cfg, cat)
-
-	q1, _ := workload.ByName("A1v1") // touches tweets + checkins + landmarks
-	q2, _ := workload.ByName("A2v1") // touches checkins + landmarks only
-	rep1, err := sys.Run(q1.SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(q2.SQL); err != nil {
-		t.Fatal(err)
-	}
-	if sys.HV().Views.Len() == 0 {
-		t.Fatal("no views to invalidate")
-	}
-
-	total := sys.HV().Views.Len() + sys.DW().Views.Len()
-	dropped, err := sys.AppendToLog(data.TweetsLog, []string{tweetLine(t, 1_000_001)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 {
-		t.Error("appending to tweets invalidated nothing")
-	}
-	remaining := sys.HV().Views.Len() + sys.DW().Views.Len()
-	if remaining != total-dropped {
-		t.Errorf("views: %d before, %d dropped, %d remain", total, dropped, remaining)
-	}
-	// q2's checkins/landmarks views must survive a tweets append.
-	if remaining == 0 {
-		t.Error("append dropped views over unrelated logs")
-	}
-
-	// The query still runs correctly after invalidation.
-	rep1b, err := sys.Run(q1.SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1b.ResultRows < rep1.ResultRows {
-		t.Errorf("post-append run lost rows: %d -> %d", rep1.ResultRows, rep1b.ResultRows)
-	}
-}
-
 // TestStaleViewsQuarantinedAtNextQuery: a log reset behind the system's
 // back (no RefreshLog, so nothing drops views eagerly) leaves every view
 // over that log stale, and the next query's prologue quarantines all of

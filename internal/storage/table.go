@@ -85,6 +85,17 @@ func (t *Table) AppendBlock(rows []Row, encodedBytes int64) {
 	t.bytes += encodedBytes
 }
 
+// Concat returns a new table holding t's rows followed by more's, under
+// t's name, schema and scale factor. The rows themselves are shared and
+// neither input is written, so a table a view, a checkpoint or a payload
+// holds can be extended without being copied row by row; more must have
+// t's arity.
+func (t *Table) Concat(more *Table) *Table {
+	c := &Table{Name: t.Name, Schema: t.Schema, ScaleFactor: t.ScaleFactor, bytes: t.bytes + more.bytes}
+	c.Rows = append(append(make([]Row, 0, len(t.Rows)+len(more.Rows)), t.Rows...), more.Rows...)
+	return c
+}
+
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return len(t.Rows) }
 

@@ -280,15 +280,6 @@ func (v Value) HashInto(h uint64) uint64 {
 	return h
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [9]byte
-	buf[0] = 1
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
-}
-
 // EncodedSize estimates the serialized size of the value in bytes. It is the
 // unit of the byte accounting used by the cost model and the view storage
 // budgets.

@@ -79,6 +79,17 @@ func New(def *logical.Node, table *storage.Table, seq int) *View {
 	}
 }
 
+// Extend returns the view over its table followed by delta's rows — the
+// rows its definition yields over lines appended to its base log — with
+// the checksum extended over those rows alone and every other field kept.
+// The view and its table are left as they are.
+func (v *View) Extend(delta *storage.Table) *View {
+	nv := *v
+	nv.Table = v.Table.Concat(delta)
+	nv.Checksum = storage.ExtendChecksum(v.Checksum, delta.Rows)
+	return &nv
+}
+
 // BaseLogs returns the names of the base logs scanned by the view's
 // defining subtree, in first-visit order.
 func (v *View) BaseLogs() []string {
