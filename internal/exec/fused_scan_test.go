@@ -164,7 +164,7 @@ func TestFusedScanChargesItsBuffers(t *testing.T) {
 	}
 	oneBuffer := int64(morselRows * len(extract.Fields) * 24) // valueCost per slot
 	run := func(limit int64) (*govern.Ledger, error) {
-		mem := govern.NewLedger(limit, nil)
+		mem := govern.NewLedger(limit)
 		_, err := exec.Run(plan, &exec.Env{ReadLog: readLog, Workers: 2, MorselRows: morselRows, Mem: mem})
 		return mem, err
 	}
@@ -210,7 +210,7 @@ func TestFusedScanChargesItsBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem = govern.NewLedger(1<<40, nil)
+	mem = govern.NewLedger(1 << 40)
 	var between int64
 	res, err := exec.RunPlan(join, &exec.Env{Workers: 2, MorselRows: morselRows, Mem: mem,
 		ReadLog: func(name string) (*storage.LogFile, error) {

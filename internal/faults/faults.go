@@ -325,18 +325,14 @@ func (r RetryPolicy) Backoff(attempt int) float64 {
 // drawn and charged as the given 1-based attempt of op, it decides whether
 // another attempt may be paid, in a fixed order: the per-phase policy
 // (an error wrapping ErrExhausted), then the caller's deadline (an error
-// wrapping ctx.Err(): no retry fits inside an expired deadline), then the
-// retry budget ctx carries (WithBudget; an error wrapping ErrBudget), from
-// which a granted retry is taken. Nil means try again.
+// wrapping ctx.Err(): no retry fits inside an expired deadline). Nil means
+// try again.
 func (r RetryPolicy) GiveUp(ctx context.Context, site Site, op string, attempt int) error {
-	f := &Fault{Site: site, Op: op, Attempt: attempt}
 	switch {
 	case attempt >= r.MaxAttempts:
-		return Exhausted(f)
+		return Exhausted(&Fault{Site: site, Op: op, Attempt: attempt})
 	case ctx.Err() != nil:
 		return fmt.Errorf("abandoned before retry: %w", ctx.Err())
-	case !BudgetFrom(ctx).Take():
-		return BudgetExhausted(f)
 	}
 	return nil
 }
@@ -361,93 +357,6 @@ func (r RetryPolicy) Replay(ctx context.Context, inj *Injector, site Site, op st
 			return err
 		}
 	}
-}
-
-// Budget caps how many retries one query (or one reorganization phase)
-// may pay across every recovery path it touches — HV stage retries, the
-// resumable transfer pipeline, and DW query replays. The per-phase
-// RetryPolicy still bounds each individual phase; the budget bounds their
-// sum, so a fault storm degrades a query linearly instead of letting every
-// phase burn a full retry allowance. A nil Budget is valid and unlimited,
-// which keeps a zero-configured budget a strict no-op.
-type Budget struct {
-	mu        sync.Mutex
-	remaining int
-	spent     int
-}
-
-// NewBudget returns a budget of n retries, or nil when n <= 0 (unlimited),
-// so the disabled configuration attaches nothing at all.
-func NewBudget(n int) *Budget {
-	if n <= 0 {
-		return nil
-	}
-	return &Budget{remaining: n}
-}
-
-type budgetKey struct{}
-
-// WithBudget returns ctx carrying the budget, so every recovery path that
-// runs under the query's (or the phase's) context draws on the same one.
-// A nil budget returns ctx as is.
-func WithBudget(ctx context.Context, b *Budget) context.Context {
-	if b == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, budgetKey{}, b)
-}
-
-// BudgetFrom returns the budget ctx carries, or nil (unlimited).
-func BudgetFrom(ctx context.Context) *Budget {
-	b, _ := ctx.Value(budgetKey{}).(*Budget)
-	return b
-}
-
-// Take consumes one retry from the budget, reporting false when the budget
-// is exhausted (the caller then gives up with Exhausted instead of paying
-// another attempt). A nil budget always grants.
-func (b *Budget) Take() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.remaining <= 0 {
-		return false
-	}
-	b.remaining--
-	b.spent++
-	return true
-}
-
-// Spent returns how many retries the budget has granted.
-func (b *Budget) Spent() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spent
-}
-
-// Remaining returns the retries left, or -1 for a nil (unlimited) budget.
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.remaining
-}
-
-// ErrBudget marks a recovery path stopped by an exhausted retry budget
-// rather than its per-phase retry policy. It wraps ErrExhausted so every
-// existing fallback and breaker path treats it as exhaustion.
-var ErrBudget = fmt.Errorf("%w: query retry budget exhausted", ErrExhausted)
-
-// BudgetExhausted wraps the fault that the budget refused to retry.
-func BudgetExhausted(last *Fault) error {
-	return fmt.Errorf("%w (attempt %d): %w", ErrBudget, last.Attempt, last)
 }
 
 // Injector draws failures from a profile with a seeded generator. A nil

@@ -24,8 +24,6 @@ func TestReplayMatchesTheLoopsItReplaced(t *testing.T) {
 		seed    int64
 		secBits uint64 // the operation's simulated seconds
 		policy  RetryPolicy
-		budget  int  // retries the context's budget starts with (0 = none attached)
-		drained int  // retries already taken from it
 		cancel  bool // the context is already canceled
 
 		retries int
@@ -39,17 +37,13 @@ func TestReplayMatchesTheLoopsItReplaced(t *testing.T) {
 		{name: "first draw succeeds", rate: 0.5, seed: 1, secBits: 0x3fd9999ac63f69f8, policy: def},
 		{name: "policy exhausted", rate: 1, seed: 42, secBits: 0x3ff547ae5fa4555f, policy: tight,
 			retries: 4, recBits: 0x403062efb0f08b24, is: ErrExhausted},
-		{name: "budget of two", rate: 1, seed: 42, secBits: 0x3ff547ae5fa4555f, policy: def, budget: 2,
-			retries: 3, recBits: 0x4041f0052368a187, is: ErrBudget},
 		{name: "dead context", rate: 1, seed: 42, secBits: 0x3ff547ae5fa4555f, policy: def, cancel: true,
 			retries: 1, recBits: 0x401459e32da9ce26, is: context.Canceled},
-		// The give-up order: policy, then deadline, then budget.
-		{name: "policy before deadline", rate: 1, seed: 5, secBits: 0x3fb47ae5fa4555f5, policy: once, budget: 1, drained: 1, cancel: true,
+		// The give-up order: policy, then deadline.
+		{name: "policy before deadline", rate: 1, seed: 5, secBits: 0x3fb47ae5fa4555f5, policy: once, cancel: true,
 			retries: 1, recBits: 0x40142a913e5afc3f, is: ErrExhausted},
-		{name: "deadline before budget", rate: 1, seed: 5, secBits: 0x3fb47ae5fa4555f5, policy: def, budget: 1, drained: 1, cancel: true,
+		{name: "deadline before another attempt", rate: 1, seed: 5, secBits: 0x3fb47ae5fa4555f5, policy: def, cancel: true,
 			retries: 1, recBits: 0x40142a913e5afc3f, is: context.Canceled},
-		{name: "dry budget", rate: 1, seed: 5, secBits: 0x3fb47ae5fa4555f5, policy: def, budget: 1, drained: 1,
-			retries: 1, recBits: 0x40142a913e5afc3f, is: ErrBudget},
 	} {
 		ctx := context.Background()
 		if c.cancel {
@@ -57,11 +51,6 @@ func TestReplayMatchesTheLoopsItReplaced(t *testing.T) {
 			ctx, cancel = context.WithCancel(ctx)
 			cancel()
 		}
-		bud := NewBudget(c.budget)
-		for i := 0; i < c.drained; i++ {
-			bud.Take()
-		}
-		ctx = WithBudget(ctx, bud)
 		inj := NewInjector(Profile{}.With(SiteDWQuery, c.rate), c.seed)
 
 		var retries int
@@ -76,8 +65,6 @@ func TestReplayMatchesTheLoopsItReplaced(t *testing.T) {
 			t.Errorf("%s: %v, want success", c.name, err)
 		case c.is != nil && !errors.Is(err, c.is):
 			t.Errorf("%s: error %v is not %v", c.name, err, c.is)
-		case c.is == ErrExhausted && errors.Is(err, ErrBudget):
-			t.Errorf("%s: policy exhaustion reported as a budget refusal: %v", c.name, err)
 		}
 		var f *Fault
 		if c.is != nil && c.is != context.Canceled && (!errors.As(err, &f) || f.Site != SiteDWQuery || f.Attempt != c.retries) {

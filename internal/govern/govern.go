@@ -1,12 +1,12 @@
 // Package govern is the query-level resource-governance plane: per-query
-// memory reservation ledgers drawing on a server-wide pool, and panic
-// capture that converts a worker goroutine's panic into a typed error so
-// one bad operator cannot kill the process or other in-flight queries.
+// memory reservation ledgers, and panic capture that converts a worker
+// goroutine's panic into a typed error so one bad operator cannot kill
+// the process or other in-flight queries.
 //
 // The package is a leaf: exec, hv, dw, multistore, serve, and the tuner
 // all import it, so it must not import any of them. Every method is
-// nil-receiver safe — a nil *Pool, *Ledger, or *Scope is the disabled
-// governance plane and costs one branch per call.
+// nil-receiver safe — a nil *Ledger or *Scope is the disabled governance
+// plane and costs one branch per call.
 package govern
 
 import (
@@ -20,7 +20,7 @@ import (
 // Typed sentinels callers match with errors.Is.
 var (
 	// ErrMemLimit marks a query aborted because a memory reservation
-	// exceeded its per-query limit or exhausted the server-wide pool.
+	// exceeded its per-query limit.
 	ErrMemLimit = errors.New("govern: memory limit exceeded")
 	// ErrInternal marks a query that failed because a worker goroutine
 	// panicked; the panic was contained and converted to this error, so
@@ -28,86 +28,24 @@ var (
 	ErrInternal = errors.New("govern: internal error (worker panic contained)")
 )
 
-// Pool is the server-wide memory pool shared by every in-flight query's
-// ledger. A nil pool is unlimited.
-type Pool struct {
-	capacity int64
-	used     atomic.Int64
-}
-
-// NewPool returns a pool with the given capacity in bytes, or nil
-// (unlimited) when capacity <= 0.
-func NewPool(capacity int64) *Pool {
-	if capacity <= 0 {
-		return nil
-	}
-	return &Pool{capacity: capacity}
-}
-
-// tryReserve attempts to take n bytes from the pool, returning false when
-// the pool would overflow. Safe for concurrent use.
-func (p *Pool) tryReserve(n int64) bool {
-	if p == nil {
-		return true
-	}
-	for {
-		cur := p.used.Load()
-		if cur+n > p.capacity {
-			return false
-		}
-		if p.used.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
-}
-
-// release returns n bytes to the pool.
-func (p *Pool) release(n int64) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.used.Add(-n)
-}
-
-// Used reports the bytes currently reserved across all ledgers.
-func (p *Pool) Used() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.used.Load()
-}
-
-// Capacity reports the pool's capacity; 0 means unlimited (nil pool).
-func (p *Pool) Capacity() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.capacity
-}
-
 // Ledger is one query's memory reservation account. Reservations are
 // charged as extract buffers, hash partitions, sort keys, and
-// materialized intermediates grow; exceeding the per-query limit or the
-// shared pool returns an error wrapping ErrMemLimit. A nil ledger
-// disables accounting. Safe for concurrent use by morsel workers.
+// materialized intermediates grow; exceeding the per-query limit returns
+// an error wrapping ErrMemLimit. A nil ledger disables accounting. Safe
+// for concurrent use by morsel workers.
 type Ledger struct {
-	limit int64 // per-query cap; 0 = unlimited
-	pool  *Pool
+	limit int64
 	used  atomic.Int64
 	high  atomic.Int64
 }
 
-// NewLedger returns a ledger enforcing the per-query limit (0 =
-// unlimited) against the shared pool (nil = unlimited). When both are
-// unlimited it returns nil: governance fully disabled, zero overhead.
-func NewLedger(limit int64, pool *Pool) *Ledger {
-	if limit <= 0 && pool == nil {
+// NewLedger returns a ledger enforcing the per-query limit in bytes, or
+// nil when limit <= 0: governance fully disabled, zero overhead.
+func NewLedger(limit int64) *Ledger {
+	if limit <= 0 {
 		return nil
 	}
-	if limit < 0 {
-		limit = 0
-	}
-	return &Ledger{limit: limit, pool: pool}
+	return &Ledger{limit: limit}
 }
 
 type ledgerKey struct{}
@@ -129,21 +67,23 @@ func LedgerFrom(ctx context.Context) *Ledger {
 }
 
 // Reserve charges n bytes to the query, or returns an error wrapping
-// ErrMemLimit leaving the ledger unchanged. n <= 0 is a no-op.
+// ErrMemLimit leaving the ledger unchanged. n <= 0 is a no-op. A refused
+// reservation never touches used, so it cannot make a concurrent
+// reservation that fits look over the limit.
 func (l *Ledger) Reserve(n int64) error {
 	if l == nil || n <= 0 {
 		return nil
 	}
-	now := l.used.Add(n)
-	if l.limit > 0 && now > l.limit {
-		l.used.Add(-n)
-		return fmt.Errorf("%w: query needs %d B over %d B in use, per-query limit %d B",
-			ErrMemLimit, n, now-n, l.limit)
-	}
-	if !l.pool.tryReserve(n) {
-		l.used.Add(-n)
-		return fmt.Errorf("%w: query needs %d B but server pool has %d of %d B in use",
-			ErrMemLimit, n, l.pool.Used(), l.pool.Capacity())
+	var now int64
+	for {
+		cur := l.used.Load()
+		if now = cur + n; now > l.limit {
+			return fmt.Errorf("%w: query needs %d B over %d B in use, per-query limit %d B",
+				ErrMemLimit, n, cur, l.limit)
+		}
+		if l.used.CompareAndSwap(cur, now) {
+			break
+		}
 	}
 	for {
 		h := l.high.Load()
@@ -153,13 +93,12 @@ func (l *Ledger) Reserve(n int64) error {
 	}
 }
 
-// Release returns n bytes to the ledger (and pool).
+// Release returns n bytes to the ledger.
 func (l *Ledger) Release(n int64) {
 	if l == nil || n <= 0 {
 		return
 	}
 	l.used.Add(-n)
-	l.pool.release(n)
 }
 
 // ReleaseAll returns every outstanding byte, ending the query's account.
@@ -167,8 +106,7 @@ func (l *Ledger) ReleaseAll() {
 	if l == nil {
 		return
 	}
-	n := l.used.Swap(0)
-	l.pool.release(n)
+	l.used.Store(0)
 }
 
 // Used reports the bytes currently reserved.

@@ -25,16 +25,13 @@ func TestNilGovernanceIsNoop(t *testing.T) {
 		t.Fatalf("nil scope Reserve: %v", err)
 	}
 	sc.Release()
-	if NewLedger(0, nil) != nil {
+	if NewLedger(0) != nil || NewLedger(-1) != nil {
 		t.Fatal("unlimited ledger should be nil")
-	}
-	if NewPool(0) != nil {
-		t.Fatal("unlimited pool should be nil")
 	}
 }
 
 func TestLedgerLimit(t *testing.T) {
-	l := NewLedger(100, nil)
+	l := NewLedger(100)
 	if err := l.Reserve(60); err != nil {
 		t.Fatalf("first reserve: %v", err)
 	}
@@ -57,31 +54,8 @@ func TestLedgerLimit(t *testing.T) {
 	}
 }
 
-func TestPoolSharedAcrossLedgers(t *testing.T) {
-	p := NewPool(100)
-	a := NewLedger(0, p)
-	b := NewLedger(0, p)
-	if err := a.Reserve(70); err != nil {
-		t.Fatalf("a: %v", err)
-	}
-	if err := b.Reserve(40); !errors.Is(err, ErrMemLimit) {
-		t.Fatalf("pool overflow: got %v, want ErrMemLimit", err)
-	}
-	if err := b.Reserve(30); err != nil {
-		t.Fatalf("b within pool: %v", err)
-	}
-	a.ReleaseAll()
-	if p.Used() != 30 {
-		t.Fatalf("pool used = %d, want 30", p.Used())
-	}
-	b.ReleaseAll()
-	if p.Used() != 0 {
-		t.Fatalf("pool used after all released = %d", p.Used())
-	}
-}
-
 func TestScopeReleasesEverything(t *testing.T) {
-	l := NewLedger(1000, nil)
+	l := NewLedger(1000)
 	sc := l.NewScope()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

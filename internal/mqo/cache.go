@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"miso/internal/govern"
 	"miso/internal/storage"
 )
 
@@ -13,7 +12,7 @@ type CacheStats struct {
 	Hits          int // Get served a digest-verified entry
 	Misses        int // Get found nothing usable
 	Puts          int // entries admitted
-	Rejected      int // entries refused admission (too large, or ledger denied)
+	Rejected      int // entries refused admission (larger than the whole cache)
 	Evictions     int // entries displaced by LRU pressure
 	Invalidations int // entries dropped by Clear (generation bump, reorg, quarantine, ...)
 	Corrupt       int // entries dropped because the stored digest no longer matched
@@ -30,16 +29,14 @@ type cacheEntry struct {
 }
 
 // Cache is a bounded, content-hashed semantic result cache: fingerprint ->
-// materialized table + digest. Admission reserves the entry's bytes against
-// a govern ledger (evicting least-recently-used entries to make room), so
-// cached results are charged to the same memory pool as live queries.
-// Every Get re-verifies the stored digest before serving; an entry whose
-// table no longer hashes to its admission-time digest is dropped, never
-// served. A nil *Cache is a disabled cache: every operation is a no-op.
+// materialized table + digest. Admission evicts least-recently-used
+// entries until the entry's bytes fit the cache's byte bound. Every Get
+// re-verifies the stored digest before serving; an entry whose table no
+// longer hashes to its admission-time digest is dropped, never served. A
+// nil *Cache is a disabled cache: every operation is a no-op.
 type Cache struct {
 	mu       sync.Mutex
 	capBytes int64
-	ledger   *govern.Ledger
 	entries  map[Fingerprint]*cacheEntry
 	head     *cacheEntry // most recently used
 	tail     *cacheEntry // least recently used
@@ -48,16 +45,14 @@ type Cache struct {
 	writes   atomic.Uint64 // written under mu; see Writes
 }
 
-// NewCache returns a cache bounded to capBytes of materialized results,
-// accounted against pool (which may be nil for standalone accounting).
+// NewCache returns a cache bounded to capBytes of materialized results.
 // capBytes <= 0 returns nil — the disabled cache.
-func NewCache(capBytes int64, pool *govern.Pool) *Cache {
+func NewCache(capBytes int64) *Cache {
 	if capBytes <= 0 {
 		return nil
 	}
 	return &Cache{
 		capBytes: capBytes,
-		ledger:   govern.NewLedger(capBytes, pool),
 		entries:  make(map[Fingerprint]*cacheEntry),
 	}
 }
@@ -123,11 +118,6 @@ func (c *Cache) Put(fp Fingerprint, t *storage.Table) {
 		c.stats.Evictions++
 		c.removeLocked(c.tail)
 	}
-	if err := c.ledger.Reserve(bytes); err != nil {
-		// The shared pool is under live-query pressure; cede to it.
-		c.stats.Rejected++
-		return
-	}
 	e := &cacheEntry{fp: fp, table: t, digest: storage.ChecksumData(t), bytes: bytes}
 	c.entries[fp] = e
 	c.pushFrontLocked(e)
@@ -136,7 +126,7 @@ func (c *Cache) Put(fp Fingerprint, t *storage.Table) {
 	c.writes.Add(1)
 }
 
-// Clear drops every entry and releases their ledger reservations. It is
+// Clear drops every entry and releases their bytes. It is
 // the invalidation hammer: called on log generation bumps, at the start
 // of every reorganization, and when audit quarantines a view.
 func (c *Cache) Clear() {
@@ -179,7 +169,6 @@ func (c *Cache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.fp)
 	c.unlinkLocked(e)
 	c.bytes -= e.bytes
-	c.ledger.Release(e.bytes)
 }
 
 func (c *Cache) unlinkLocked(e *cacheEntry) {

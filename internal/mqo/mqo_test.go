@@ -116,7 +116,7 @@ func tbl(name string, n int) *storage.Table {
 }
 
 func TestCacheHitMissAndDigestVerify(t *testing.T) {
-	c := NewCache(1<<20, nil)
+	c := NewCache(1 << 20)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -141,7 +141,7 @@ func TestCacheHitMissAndDigestVerify(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	one := tbl("a", 100)
 	per := tableBytes(one)
-	c := NewCache(3*per, nil)
+	c := NewCache(3 * per)
 	c.Put(1, one)
 	c.Put(2, tbl("b", 100))
 	c.Put(3, tbl("c", 100))
@@ -166,7 +166,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheClear(t *testing.T) {
-	c := NewCache(1<<20, nil)
+	c := NewCache(1 << 20)
 	c.Put(1, tbl("a", 5))
 	c.Put(2, tbl("b", 5))
 	c.Clear()
@@ -190,7 +190,7 @@ func TestNilCacheAndRegistryAreSafe(t *testing.T) {
 		t.Fatal("nil cache contains")
 	}
 	_ = c.Stats()
-	if NewCache(0, nil) != nil {
+	if NewCache(0) != nil {
 		t.Fatal("zero-cap cache must be nil")
 	}
 
@@ -282,7 +282,7 @@ func TestFlightDigestMismatchNotShared(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(1<<20, nil)
+	c := NewCache(1 << 20)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

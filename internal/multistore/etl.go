@@ -1,6 +1,7 @@
 package multistore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -57,17 +58,13 @@ func (s *System) runETL() error {
 	}
 	sort.Strings(logNames)
 
-	// The whole ETL pass shares one retry budget of a query's size: it is
-	// a single phase, and a fault storm should fail it after a bounded
-	// number of extra attempts rather than one full allowance per log.
-	rctx := s.phaseContext()
 	for _, logName := range logNames {
 		need := needs[logName]
 		node, err := buildETLExtract(logName, need.plain, need.udf)
 		if err != nil {
 			return err
 		}
-		res, err := s.hv.ExecuteContext(rctx, node, 0)
+		res, err := s.hv.ExecuteContext(context.Background(), node, 0)
 		if err != nil {
 			return fmt.Errorf("multistore: ETL of %q: %w", logName, err)
 		}
@@ -83,7 +80,7 @@ func (s *System) runETL() error {
 		// The bulk load into DW permanent space runs through the fault-
 		// injected pipeline; ETL is one-time and has nothing to degrade
 		// to, so an exhausted load fails the ETL with a typed error.
-		productive, recovery, retries, mvErr := s.move(rctx, bytes, transfer.KindPermanent)
+		productive, recovery, retries, mvErr := s.move(context.Background(), bytes, transfer.KindPermanent)
 		s.metrics.Retries += retries
 		s.metrics.Recovery += recovery
 		if mvErr != nil {

@@ -76,16 +76,6 @@ type Config struct {
 	// Retry is the recovery policy for injected failures; the zero value
 	// means faults.DefaultRetry.
 	Retry faults.RetryPolicy
-	// RetryBudget caps the total retries one query may pay across every
-	// recovery path it touches (HV stage retries, transfer resume/reload
-	// attempts, DW query replays); each reorganization or ETL phase gets
-	// its own budget of the same size. When the budget runs dry the
-	// operation stops retrying with an error wrapping faults.ErrExhausted
-	// and degrades through the usual fallback paths, so a fault storm
-	// costs a query at most RetryBudget extra attempts instead of a full
-	// per-phase allowance at every phase. Zero disables the budget: retry
-	// behavior is then byte-identical to a system without one.
-	RetryBudget int
 	// Hedge enables hedged DW execution: once the DW part of a split plan
 	// has been running longer than an adaptive threshold (tracked from a
 	// sliding window of observed DW wall durations), the equivalent
@@ -116,13 +106,10 @@ type Config struct {
 	// buffers, hash partitions, sort keys, and materialized intermediates
 	// are charged against a per-query ledger, and a query that exceeds the
 	// limit aborts with an error wrapping govern.ErrMemLimit (its accrued
-	// work charged to Recovery). Zero disables the per-query limit.
+	// work charged to Recovery). Zero disables the limit: no ledger is
+	// attached and execution is byte-identical to a system with no memory
+	// governance.
 	MemLimitBytes int64
-	// MemPoolBytes caps the combined charged execution memory of every
-	// query the system runs (the server-wide reservation pool). Zero
-	// disables the pool. With both fields zero no ledger is attached and
-	// execution is byte-identical to a system with no memory governance.
-	MemPoolBytes int64
 
 	// Reuse enables the cross-query reuse plane: single-flight
 	// piggybacking of identical concurrent queries and the content-hashed
@@ -176,9 +163,9 @@ type Metrics struct {
 	// cancellation; their partial work is charged to Recovery and they do
 	// not count toward Queries.
 	Canceled int
-	// MemAborted counts queries aborted for exceeding their memory budget
-	// (per-query limit or server-wide pool); like canceled queries, their
-	// partial work is charged to Recovery.
+	// MemAborted counts queries aborted for exceeding their per-query
+	// memory limit; like canceled queries, their partial work is charged
+	// to Recovery.
 	MemAborted int
 	// PanicsContained counts queries that failed because a worker panic was
 	// caught and converted to a typed error instead of crashing the
@@ -307,8 +294,8 @@ func (r *QueryReport) Total() float64 {
 // serialized by an internal mutex, so a System is safe to share across
 // goroutines; queries still execute one at a time, as in the paper's
 // single-stream evaluation. Every field below is shared state guarded by
-// mu: what belongs to one query — its context, report, memory ledger and
-// retry budget — travels in a query value (query.go), never here.
+// mu: what belongs to one query — its context, report and memory ledger —
+// travels in a query value (query.go), never here.
 type System struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -321,9 +308,11 @@ type System struct {
 	window  *history.Window
 	inj     *faults.Injector
 	execInj *faults.Injector
-	memPool *govern.Pool
 	retry   faults.RetryPolicy
 	hedge   *hedgeTracker
+	// onLedger, when set, sees every query's memory ledger as begin
+	// opens it (a test hook; nil otherwise).
+	onLedger func(*govern.Ledger)
 
 	future  []history.Entry
 	seq     int
@@ -435,7 +424,6 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		window:  history.NewWindow(historyLen, epochLen, cfg.Decay),
 		inj:     inj,
 		execInj: execInj,
-		memPool: govern.NewPool(cfg.MemPoolBytes), // nil when unlimited
 		retry:   retry,
 		hedge:   newHedgeTracker(cfg.Hedge),
 		logs:    logMirror{vers: map[string]logVersion{}},
@@ -509,10 +497,6 @@ func (s *System) Metrics() Metrics {
 // FaultInjector returns the system's fault injector (nil when injection
 // is disabled); useful for inspecting injected-failure counts.
 func (s *System) FaultInjector() *faults.Injector { return s.inj }
-
-// MemPool returns the server-wide execution-memory pool (nil when
-// MemPoolBytes is 0).
-func (s *System) MemPool() *govern.Pool { return s.memPool }
 
 // Reports returns deep copies of the most recent per-query execution
 // reports — all of them until reportCap queries completed, the last

@@ -140,7 +140,6 @@ func matrixRows() []matrixRow {
 		// reports: a ledger attached at a limit no query reaches.
 		{name: "unreachable memory limit through RunContext",
 			set: func(c *multistore.Config) { c.MemLimitBytes = 1 << 40 }, run: viaRunContext},
-		{name: "retry budget at zero fault rate", set: func(c *multistore.Config) { c.RetryBudget = 1 }},
 		// Durability on so the WAL audit has a journal to check.
 		{name: "repair-mode audit after every query",
 			set: func(c *multistore.Config) { c.CheckpointEvery = 4 }, after: repairAudit},
@@ -156,12 +155,8 @@ func matrixRows() []matrixRow {
 			matrixRow{name: string(v) + " storm", variant: v, set: midPlanStorm, stanza: string(v) + "/storm"})
 	}
 	return append(rows,
-		matrixRow{name: "MS-MISO chaos, retry budget 3", stanza: "MS-MISO/chaos+budget3",
-			set: func(c *multistore.Config) { chaos42(c); c.RetryBudget = 3 }},
 		matrixRow{name: "MS-MISO chaos, checkpoint every 4", stanza: "MS-MISO/chaos+checkpoint4",
 			set: func(c *multistore.Config) { chaos42(c); c.CheckpointEvery = 4 }},
-		matrixRow{name: "MS-MISO storm, retry budget 1", stanza: "MS-MISO/storm+budget1",
-			set: func(c *multistore.Config) { midPlanStorm(c); c.RetryBudget = 1 }},
 		// Hedged and unhedged runs of the DW storm must be one stanza:
 		// every split plan races a shadow (the threshold fires at once),
 		// winners are committed in place of serial fallbacks, and neither

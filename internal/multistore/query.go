@@ -25,11 +25,10 @@ import (
 // System or in the stores, so where s.mu is taken is a decision about the
 // shared state only.
 type query struct {
-	// ctx is the caller's context carrying the memory ledger and the retry
-	// budget (govern.WithLedger, faults.WithBudget): the stores and the
-	// transfer layer read them from the context they execute under, so
-	// work done under any other context — a benchmark probe, a reorg
-	// phase — never lands on this query's account.
+	// ctx is the caller's context carrying the memory ledger
+	// (govern.WithLedger): the stores read it from the context they
+	// execute under, so work done under any other context — a benchmark
+	// probe, a reorg phase — never lands on this query's account.
 	ctx   context.Context
 	entry history.Entry
 	// rep is the report being filled. Every step sums what it paid into
@@ -155,10 +154,12 @@ func (s *System) begin(ctx context.Context, sql string, plan *logical.Node, buil
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("multistore: query not started: %w", err)
 	}
-	// Both are nil when unconfigured: governance then costs nothing and
-	// the budgeted retry loops behave exactly like the un-budgeted ones.
-	led := govern.NewLedger(s.cfg.MemLimitBytes, s.memPool)
-	ctx = faults.WithBudget(govern.WithLedger(ctx, led), faults.NewBudget(s.cfg.RetryBudget))
+	// Nil when unconfigured: governance then costs nothing.
+	led := govern.NewLedger(s.cfg.MemLimitBytes)
+	if s.onLedger != nil {
+		s.onLedger(led)
+	}
+	ctx = govern.WithLedger(ctx, led)
 	s.beginOp()
 	s.quarantineStale()
 	s.maybeRot()

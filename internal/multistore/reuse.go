@@ -19,9 +19,8 @@ type ReuseConfig struct {
 	// share one execution) and the semantic cache (repeated plans are
 	// answered from digest-verified materializations).
 	Enabled bool
-	// CacheBytes bounds the semantic cache's materialized results;
-	// admission charges the system memory pool when one is configured.
-	// Zero means DefaultCacheBytes.
+	// CacheBytes bounds the semantic cache's materialized results. Zero
+	// means DefaultCacheBytes.
 	CacheBytes int64
 }
 
@@ -58,7 +57,7 @@ func newReusePlane(cfg ReuseConfig, s *System) *reusePlane {
 	}
 	return &reusePlane{
 		flight: mqo.NewRegistry(),
-		cache:  mqo.NewCache(capBytes, s.memPool),
+		cache:  mqo.NewCache(capBytes),
 		logs:   &s.logs,
 	}
 }

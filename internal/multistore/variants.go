@@ -149,10 +149,6 @@ func (s *System) reorg(w *history.Window) error {
 	rec := ReorgRecord{BeforeSeq: s.seq, Dropped: len(r.DropHV)}
 	moveRetries := 0 // the commit record's: ReorgRecord does not keep them
 	bud := transfer.NewBudget(s.cfg.Tuner.Bt)
-	// Each reorganization gets its own retry budget, sized like a query's:
-	// the phase degrades (moves roll back) instead of amplifying a fault
-	// storm, but one storm-hit reorg cannot starve later ones.
-	rctx := s.phaseContext()
 
 	// rollBack undoes one failed move: v stays in its source set (or is
 	// dropped when the source has no room left) and its budget returns.
@@ -177,7 +173,7 @@ func (s *System) reorg(w *history.Window) error {
 			rollBack(v, src, srcLimit, 0)
 			return
 		}
-		productive, recovery, retries, mvErr := s.move(rctx, size, kind)
+		productive, recovery, retries, mvErr := s.move(context.Background(), size, kind)
 		committed := mvErr == nil
 		if committed {
 			// The catalog commit itself can fail: the fully transferred
@@ -248,13 +244,6 @@ func (s *System) bookReorg(rec ReorgRecord) {
 	s.reorgLog = append(s.reorgLog, rec)
 }
 
-// phaseContext is the context a system phase (reorganization, ETL, MS-OFF
-// design realization) moves views under: no deadline, and a retry budget
-// of its own, sized like a query's.
-func (s *System) phaseContext() context.Context {
-	return faults.WithBudget(context.Background(), faults.NewBudget(s.cfg.RetryBudget))
-}
-
 // journal appends one record to the WAL when durability is enabled.
 func (s *System) journal(rec *durability.Record) error {
 	if s.dur == nil {
@@ -321,12 +310,11 @@ func (s *System) analyze(h *hv.Store) error {
 func (s *System) trimHVToDesign() *durability.Record {
 	rec := ReorgRecord{BeforeSeq: s.seq + 1}
 	retries := 0
-	rctx := s.phaseContext()
 	for _, v := range s.hv.Views.All() {
 		switch {
 		case s.offTargetDW[v.Name]:
 			if !s.dw.Views.Has(v.Name) {
-				productive, recovery, moveRetries, mvErr := s.move(rctx, v.SizeBytes(), transfer.KindPermanent)
+				productive, recovery, moveRetries, mvErr := s.move(context.Background(), v.SizeBytes(), transfer.KindPermanent)
 				retries += moveRetries
 				if mvErr != nil {
 					// Rolled back: the view stays in HV and the design

@@ -105,23 +105,16 @@ func TestBreakerProbeRelease(t *testing.T) {
 }
 
 // TestQuotaWeightedFairness drives the token buckets with a fake clock:
-// tokens refill proportional to weight, a hot tenant drains only its own
-// bucket, and a cold tenant's admission is untouched by the hot tenant's
-// storm.
+// every tenant weighs the same, so tokens refill in equal shares of the
+// rate, a hot tenant drains only its own bucket, and a cold tenant's
+// admission is untouched by the hot tenant's storm.
 func TestQuotaWeightedFairness(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	q := newQuotas(QuotaConfig{
-		RatePerSec: 8,
-		Burst:      2,
-		Tenants: map[string]TenantConfig{
-			"heavy": {Weight: 3},
-			"light": {Weight: 1},
-		},
-	}, clk.Now)
+	q := newQuotas(QuotaConfig{RatePerSec: 8, Burst: 2}, clk.Now)
 
 	// First sight creates full buckets: each tenant gets its burst, then
 	// sheds with the clock frozen (no refill).
-	for _, tenant := range []string{"heavy", "light"} {
+	for _, tenant := range []string{"hot", "cold"} {
 		for i := 0; i < 2; i++ {
 			if !q.admit(tenant) {
 				t.Fatalf("%s admission %d rejected within burst", tenant, i)
@@ -132,28 +125,31 @@ func TestQuotaWeightedFairness(t *testing.T) {
 		}
 	}
 
-	// Refill is weight-proportional: over 0.5s at 8/s with weights 3:1,
-	// heavy accrues 3 tokens (capped at burst 2) and light exactly 1.
-	clk.Advance(500 * time.Millisecond)
-	heavy, light := 0, 0
-	for q.admit("heavy") {
-		heavy++
+	// Refill is an equal share: over 0.25s at 8/s across two tenants,
+	// each accrues exactly 1 token.
+	clk.Advance(250 * time.Millisecond)
+	hot, cold := 0, 0
+	for q.admit("hot") {
+		hot++
 	}
-	for q.admit("light") {
-		light++
+	for q.admit("cold") {
+		cold++
 	}
-	if heavy != 2 || light != 1 {
-		t.Fatalf("after 0.5s refill: heavy admitted %d (want 2, burst-capped), light %d (want 1)", heavy, light)
+	if hot != 1 || cold != 1 {
+		t.Fatalf("after 0.25s refill: hot admitted %d, cold %d (want 1 each)", hot, cold)
 	}
 
 	// Isolation: a hot tenant hammering its empty bucket doesn't consume
 	// anything the cold tenant is owed.
 	for i := 0; i < 1000; i++ {
-		q.admit("heavy")
+		q.admit("hot")
 	}
-	clk.Advance(500 * time.Millisecond)
-	if !q.admit("light") {
+	clk.Advance(250 * time.Millisecond)
+	if !q.admit("cold") {
 		t.Fatal("cold tenant starved by the hot tenant's shed storm")
+	}
+	if q.admit("cold") {
+		t.Fatal("cold tenant admitted past its share: the hot tenant's tokens leaked")
 	}
 }
 

@@ -11,30 +11,17 @@ import (
 // executed" keep working, callers that care can errors.Is against this.
 var ErrQuotaShed = errors.New("serve: tenant admission quota exhausted")
 
-// QuotaConfig configures weighted-fair per-tenant admission. Each tenant
-// gets a token bucket refilled at RatePerSec × weight/Σweights (weights
-// of tenants seen so far), so a hot tenant drains only its own bucket and
-// sheds against its own budget instead of filling the shared queue and
-// starving everyone. The zero value disables quotas entirely.
+// QuotaConfig configures fair per-tenant admission. Each tenant gets a
+// token bucket refilled at RatePerSec / (tenants seen so far), so a hot
+// tenant drains only its own bucket and sheds against its own budget
+// instead of filling the shared queue and starving everyone. The empty
+// tenant ID (untagged queries) is a tenant like any other. The zero value
+// disables quotas entirely.
 type QuotaConfig struct {
 	// RatePerSec is the aggregate admission rate in queries per second,
-	// shared across active tenants proportional to weight. Zero disables
-	// quotas.
+	// shared equally across active tenants. Zero disables quotas.
 	RatePerSec float64
-	// Burst is the default per-tenant bucket capacity. Zero means 8.
-	Burst float64
-	// Tenants overrides weight and burst per tenant ID; tenants not
-	// listed get weight 1 and the default burst. The empty tenant ID
-	// (untagged queries) is a tenant like any other.
-	Tenants map[string]TenantConfig
-}
-
-// TenantConfig is one tenant's share of the admission rate.
-type TenantConfig struct {
-	// Weight is the tenant's share of RatePerSec relative to the other
-	// active tenants. Zero means 1.
-	Weight float64
-	// Burst overrides the bucket capacity. Zero means QuotaConfig.Burst.
+	// Burst is every tenant's bucket capacity. Zero means 8.
 	Burst float64
 }
 
@@ -49,20 +36,16 @@ type TenantStats struct {
 }
 
 type tenantBucket struct {
-	weight float64
-	burst  float64
 	tokens float64
 	stats  TenantStats
 }
 
-// quotas is the weighted-fair token-bucket admission gate. All methods
-// are called under Server.mu; the injectable clock keeps tests
-// deterministic.
+// quotas is the fair token-bucket admission gate. All methods are called
+// under Server.mu; the injectable clock keeps tests deterministic.
 type quotas struct {
 	cfg     QuotaConfig
 	now     func() time.Time
 	last    time.Time
-	total   float64 // Σ weight over buckets
 	buckets map[string]*tenantBucket
 }
 
@@ -80,22 +63,13 @@ func newQuotas(cfg QuotaConfig, now func() time.Time) *quotas {
 }
 
 // bucket returns the tenant's bucket, creating it full on first sight.
-// A new tenant dilutes every later refill (Σweights grows), which is the
-// weighted-fair part: shares rebalance as the active set changes.
+// A new tenant dilutes every later refill, which is the fair part: shares
+// rebalance as the active set changes.
 func (q *quotas) bucket(tenant string) *tenantBucket {
 	b, ok := q.buckets[tenant]
 	if !ok {
-		tc := q.cfg.Tenants[tenant]
-		if tc.Weight <= 0 {
-			tc.Weight = 1
-		}
-		if tc.Burst <= 0 {
-			tc.Burst = q.cfg.Burst
-		}
-		b = &tenantBucket{weight: tc.Weight, burst: tc.Burst, tokens: tc.Burst,
-			stats: TenantStats{Tenant: tenant}}
+		b = &tenantBucket{tokens: q.cfg.Burst, stats: TenantStats{Tenant: tenant}}
 		q.buckets[tenant] = b
-		q.total += tc.Weight
 	}
 	return b
 }
@@ -105,14 +79,12 @@ func (q *quotas) refill() {
 	now := q.now()
 	dt := now.Sub(q.last).Seconds()
 	q.last = now
-	if dt <= 0 || q.total <= 0 {
+	if dt <= 0 || len(q.buckets) == 0 {
 		return
 	}
+	share := dt * q.cfg.RatePerSec / float64(len(q.buckets))
 	for _, b := range q.buckets {
-		b.tokens += dt * q.cfg.RatePerSec * b.weight / q.total
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
+		b.tokens = min(b.tokens+share, q.cfg.Burst)
 	}
 }
 

@@ -67,7 +67,7 @@ type Config struct {
 	// DrainTimeout bounds how long Reorganize waits for in-flight queries
 	// to finish before canceling them.
 	DrainTimeout time.Duration
-	// Quota gates admission per tenant with weighted-fair token buckets
+	// Quota gates admission per tenant with fair token buckets
 	// (the zero value admits everything, as before).
 	Quota QuotaConfig
 	// Adaptive squeezes the effective worker count when served p99

@@ -43,9 +43,9 @@ type MoveResult struct {
 // re-paid. Bulk loads are transactional per attempt (faults.RetryPolicy.
 // Replay): a failure rolls back the partial load and re-pays it after
 // backoff. Every phase gives up by the one rule, faults.RetryPolicy.GiveUp
-// — the per-phase policy, then the caller's deadline, then the retry budget
-// ctx carries (faults.WithBudget) — and the move then aborts with that
-// error; the caller refunds any budget it charged.
+// — the per-phase policy, then the caller's deadline — and the move then
+// aborts with that error; the caller refunds any transfer budget it
+// charged.
 //
 // With a nil injector the result is exactly the fault-free costing
 // (Cost or CostToHV), bit for bit.

@@ -116,13 +116,9 @@ func SmallData() DataConfig { return data.SmallConfig() }
 // after one second.
 type ServeConfig = serve.Config
 
-// QuotaConfig tunes per-tenant weighted-fair admission quotas inside
-// ServeConfig; the zero value disables them.
+// QuotaConfig tunes per-tenant fair admission quotas inside ServeConfig;
+// the zero value disables them.
 type QuotaConfig = serve.QuotaConfig
-
-// TenantConfig sets one tenant's quota weight and burst inside
-// QuotaConfig.
-type TenantConfig = serve.TenantConfig
 
 // TenantStats is one tenant's admission outcome counters
 // (Server.TenantStats).
@@ -243,7 +239,7 @@ const (
 )
 
 // ErrMemLimit marks a query aborted over its memory budget
-// (Config.MemLimitBytes / Config.MemPoolBytes); match with errors.Is.
+// (Config.MemLimitBytes); match with errors.Is.
 var ErrMemLimit = govern.ErrMemLimit
 
 // ErrInternal marks a query failed by a worker panic that was contained to

@@ -1,6 +1,10 @@
 package miso_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -61,30 +65,84 @@ func TestVariantConstantsRoundtrip(t *testing.T) {
 
 // TestConfigSurface pins every exported field of the configuration types
 // the facade hands out, so adding a knob is a deliberate edit of this list.
+// Each field names a shipped non-test file (relative to the module root)
+// that sets it — by assignment or as a composite-literal key — so a knob
+// no program turns on fails here and is deleted with the code behind it.
 // What no caller varies is a constant in its package instead: the stores'
 // and the transfer pipeline's calibration, the move penalties, the plan
 // cap, the breaker's threshold and cooldown, the limiter's floor.
 func TestConfigSurface(t *testing.T) {
+	const (
+		ablate    = "internal/experiments/ablate.go"
+		scenarios = "internal/experiments/scenarios.go"
+		misoquery = "cmd/misoquery/main.go"
+	)
+	type setter struct{ field, file string }
 	for _, c := range []struct {
 		typ  reflect.Type
-		want []string
+		want []setter
 	}{
-		{reflect.TypeFor[miso.Config](), []string{
-			"Variant", "Tuner", "ReorgEvery", "Decay", "Faults", "FaultSeed", "Retry", "RetryBudget",
-			"Hedge", "CheckpointEvery", "ExecWorkers", "MemLimitBytes", "MemPoolBytes", "Reuse",
+		{reflect.TypeFor[miso.Config](), []setter{
+			{"Variant", "internal/experiments/experiments.go"}, {"Tuner", ablate},
+			{"ReorgEvery", "examples/evolving_analyst/main.go"}, {"Decay", ablate},
+			{"Faults", misoquery}, {"FaultSeed", misoquery}, {"Retry", scenarios}, {"Hedge", scenarios},
+			{"CheckpointEvery", misoquery}, {"ExecWorkers", misoquery}, {"MemLimitBytes", misoquery}, {"Reuse", misoquery},
 		}},
-		{reflect.TypeFor[miso.TunerConfig](), []string{"Bh", "Bd", "Bt", "HVFirst", "SkipSparsify", "AllowReplication"}},
-		{reflect.TypeFor[miso.ServeConfig](), []string{"Workers", "QueueDepth", "QueryTimeout", "DrainTimeout", "Quota", "Adaptive"}},
-		{reflect.TypeFor[miso.AdaptiveConfig](), []string{"TargetP99", "Window"}},
+		{reflect.TypeFor[miso.TunerConfig](), []setter{
+			{"Bh", "internal/multistore/multistore.go"}, {"Bd", "internal/multistore/multistore.go"},
+			{"Bt", ablate}, {"HVFirst", ablate}, {"SkipSparsify", ablate}, {"AllowReplication", ablate},
+		}},
+		{reflect.TypeFor[miso.ServeConfig](), []setter{
+			{"Workers", scenarios}, {"QueueDepth", scenarios}, {"QueryTimeout", scenarios},
+			{"DrainTimeout", scenarios}, {"Quota", scenarios}, {"Adaptive", scenarios},
+		}},
+		{reflect.TypeFor[miso.AdaptiveConfig](), []setter{{"TargetP99", scenarios}, {"Window", scenarios}}},
+		{reflect.TypeFor[miso.QuotaConfig](), []setter{{"RatePerSec", scenarios}, {"Burst", scenarios}}},
+		{reflect.TypeFor[miso.HedgeConfig](), []setter{{"Enabled", scenarios}, {"Multiplier", scenarios}, {"MinDelay", scenarios}}},
+		{reflect.TypeFor[miso.ReuseConfig](), []setter{{"Enabled", misoquery}, {"CacheBytes", misoquery}}},
 	} {
-		var got []string
+		var got, want []string
 		for i := 0; i < c.typ.NumField(); i++ {
 			if f := c.typ.Field(i); f.IsExported() {
 				got = append(got, f.Name)
 			}
 		}
-		if !slices.Equal(got, c.want) {
-			t.Errorf("%s has fields %v, want %v", c.typ, got, c.want)
+		for _, s := range c.want {
+			want = append(want, s.field)
+			if !fieldsSetIn(t, s.file)[s.field] {
+				t.Errorf("%s.%s: %s neither assigns it nor sets it as a composite-literal key", c.typ, s.field, s.file)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s has fields %v, want %v", c.typ, got, want)
 		}
 	}
+}
+
+// fieldsSetIn parses one Go file of the module and returns every field
+// name it sets: a selector anywhere on the left of an assignment
+// (cfg.Tuner.Bt = b sets Tuner and Bt) or a composite-literal key.
+func fieldsSetIn(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", file), nil, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", file, err)
+	}
+	set := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+					set[sel.Sel.Name] = true
+				}
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				set[id.Name] = true
+			}
+		}
+		return true
+	})
+	return set
 }
