@@ -3,8 +3,9 @@
 // named mode in one registry: -modes lists them, -mode runs any set of
 // them, and -all runs the paper's figures and tables. A mode is data — a
 // function returning a report — and one runner prints it, writes its JSON
-// artifact when -out names a directory, and exits 1 when the report has
-// acceptance checks and they failed.
+// artifact when -out names a directory, and fails it when the report has
+// acceptance checks and they failed. Every requested mode runs; the
+// command then exits 1, naming each mode that failed.
 //
 // Usage:
 //
@@ -207,17 +208,35 @@ func main() {
 		}()
 	}
 
+	var selected []mode
 	for _, m := range registry {
-		if !targets[m.name] {
-			continue
+		if targets[m.name] {
+			selected = append(selected, m)
 		}
+	}
+	if code := runModes(selected, cfg, *out); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// runModes runs every mode in order, each one even when an earlier one
+// failed, and returns the exit status: 1 after naming every failed mode on
+// stderr, 0 when all of them passed.
+func runModes(modes []mode, cfg experiments.Config, outDir string) int {
+	var failed []string
+	for _, m := range modes {
 		start := time.Now()
-		if err := runMode(m, cfg, *out); err != nil {
+		if err := runMode(m, cfg, outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", m.name, err)
-			os.Exit(1)
+			failed = append(failed, m.name)
 		}
 		fmt.Printf("[%s done in %s wall clock]\n\n", m.name, time.Since(start).Round(time.Millisecond))
 	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "misobench: %d of %d modes failed: %s\n", len(failed), len(modes), strings.Join(failed, ", "))
+		return 1
+	}
+	return 0
 }
 
 // runMode runs one mode: print the report, write its artifact into outDir

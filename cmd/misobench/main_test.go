@@ -171,3 +171,28 @@ func TestAFailedCheckFailsTheMode(t *testing.T) {
 		t.Fatalf("runMode failed a report whose checks all passed: %v", err)
 	}
 }
+
+// TestAFailedModeHidesNoLaterMode: a mode that fails does not stop the run.
+// Every mode after it still runs, and the exit status is still 1.
+func TestAFailedModeHidesNoLaterMode(t *testing.T) {
+	failing := &experiments.Report{Rows: []*experiments.Outcome{{Row: "r", Checks: []experiments.Check{
+		{Name: "breaks", Pass: false, Detail: "planted"},
+	}}}}
+	ran := false
+	modes := []mode{
+		{name: "first", run: func(experiments.Config) (report, error) { return failing, nil }},
+		{name: "second", run: func(experiments.Config) (report, error) {
+			ran = true
+			return &experiments.Report{}, nil
+		}},
+	}
+	if code := runModes(modes, experiments.Small(), ""); code != 1 {
+		t.Fatalf("exit status %d after a failed mode, want 1", code)
+	}
+	if !ran {
+		t.Fatal("the mode after a failed one never ran")
+	}
+	if code := runModes(modes[1:], experiments.Small(), ""); code != 0 {
+		t.Fatalf("exit status %d with every mode passing, want 0", code)
+	}
+}

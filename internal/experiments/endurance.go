@@ -76,9 +76,8 @@ func (o *Outcome) exitAudit(sys *multistore.System, scrub *audit.Scrubber) error
 // adversarialSQL is the per-client query generator: mostly the evolving
 // analyst rotation, salted with the workload's heavy tail — repeated
 // view-hot queries that keep the catalogs populated (rot needs resident
-// victims), expensive late-window shapes whose working sets exhaust
-// transfer budgets, and slow multi-join shapes that trip the hedge
-// threshold when hedging is armed.
+// victims) and expensive late-window shapes whose working sets exhaust
+// transfer budgets.
 func adversarialSQL(rng *rand.Rand, sqls []string, i int) string {
 	switch p := rng.Float64(); {
 	case p < 0.15:
@@ -158,8 +157,6 @@ func enduranceRows(c Config, sh Shape) (layout, []row, error) {
 				mc.Faults = faults.Profile{}.With(faults.SiteViewRot, rotRate)
 				mc.FaultSeed = 11
 				mc.CheckpointEvery = 8
-				// Hedge-triggering slow shapes only matter if hedging is armed.
-				mc.Hedge = multistore.HedgeConfig{Enabled: true}
 			},
 			serve: serve.Config{Workers: 4, QueueDepth: 16, QueryTimeout: 20 * time.Second, DrainTimeout: 2 * time.Second},
 			phases: []phase{{name: "closed-loop", closed: closedLoop{

@@ -51,5 +51,5 @@ func (s *Store) BeginExecuteNodeByNode(ctx context.Context, plan *logical.Node) 
 		return nil, fmt.Errorf("hv: executing plan node by node: %w", err)
 	}
 	res.Root = root
-	return &Pending{s: s, plan: plan, run: res, mat: mat}, nil
+	return &Pending{s: s, run: res, mat: mat}, nil
 }

@@ -213,26 +213,19 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node, seq int)
 
 // Pending is a plan execution whose data-path compute has finished but
 // whose bookkeeping — statistics records, simulated-time costing, fault
-// replay, opportunistic view capture — has not been performed. The hedging
-// path uses it to race the real (wall-clock) compute of the HV fallback
-// plan against the DW side without publishing any state: a Pending that is
-// simply dropped leaves the store byte-identical to one that never ran.
+// replay, opportunistic view capture — has not been performed. Computing
+// publishes no state: a Pending that is simply dropped leaves the store
+// byte-identical to one that never ran.
 type Pending struct {
-	s    *Store
-	plan *logical.Node
+	s *Store
 	// run holds the tables of the materialized nodes only, and the
 	// statistics of every executed node.
 	run *exec.PlanResult
 	mat map[*logical.Node]bool
 }
 
-// Table returns the computed result table (available before Commit; the
-// hedge verifies it byte-identical to the other racer's output).
+// Table returns the computed result table (available before Commit).
 func (p *Pending) Table() *storage.Table { return p.run.Root }
-
-// Plan returns the plan whose compute finished (the rewritten HV fallback
-// plan; the commit path books its views from it).
-func (p *Pending) Plan() *logical.Node { return p.plan }
 
 // BeginExecute runs only the compute phase of the plan: real tuples
 // through the exec engine, charged to the memory ledger ctx carries
@@ -252,16 +245,14 @@ func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending,
 	if err != nil {
 		return nil, fmt.Errorf("hv: executing plan: %w", err)
 	}
-	return &Pending{s: s, plan: plan, run: run, mat: mat}, nil
+	return &Pending{s: s, run: run, mat: mat}, nil
 }
 
 // Commit performs the deferred bookkeeping of a computed execution, in the
 // caller's serialized flow: statistics records, per-stage simulated-time
 // costing, the deterministic fault replay (which consumes main-injector
 // draws exactly where an undeferred execution would), and opportunistic
-// view capture. ExecuteContext is BeginExecute + Commit, so committing a
-// hedge shadow at the point the serial fallback would have executed yields
-// byte-identical state.
+// view capture. ExecuteContext is BeginExecute + Commit.
 func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 	s, mat, nodeStats, tables := p.s, p.mat, p.run.Stats, p.run.Tables
 

@@ -85,8 +85,8 @@ func TestIDsAgreeWithSignatures(t *testing.T) {
 
 // TestSignatureConcurrentFirstUse: goroutines take the first signatures of
 // freshly built paper plans and of copies over the same children at once,
-// as the tuner's what-if workers and the hedge's shadow do with shared
-// plans. No prewarm precedes them; under -race this is the memo's
+// as the tuner's what-if workers and concurrent served sessions do with
+// shared plans. No prewarm precedes them; under -race this is the memo's
 // regression, and every caller must see the text a serial walk prints. The
 // workers describe every node too: the descriptor memo must hand all of
 // them one pointer per node, describing what a serial build's node does.

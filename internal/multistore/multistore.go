@@ -76,17 +76,6 @@ type Config struct {
 	// Retry is the recovery policy for injected failures; the zero value
 	// means faults.DefaultRetry.
 	Retry faults.RetryPolicy
-	// Hedge enables hedged DW execution: once the DW part of a split plan
-	// has been running longer than an adaptive threshold (tracked from a
-	// sliding window of observed DW wall durations), the equivalent
-	// HV-only fallback plan starts computing concurrently. If the DW side
-	// completes, the shadow is cooperatively canceled; if the DW side's
-	// injected failures exhaust their retries, the already-computed shadow
-	// is committed in place of the serial fallback re-execution. All
-	// simulated accounting is deferred to the commit point, so results and
-	// StateDigest are byte-identical with hedging on or off — only
-	// wall-clock latency and the hedge counters differ.
-	Hedge HedgeConfig
 
 	// CheckpointEvery enables the durability plane: every catalog/design
 	// mutation is journaled to a write-ahead log and a full-state
@@ -179,37 +168,23 @@ type Metrics struct {
 	// served: corrupt content (checksum mismatch) or a stale base-log
 	// generation. Quarantine work is charged to Recovery.
 	Quarantined int
-	// Hedges counts DW executions that armed an HV shadow (the hedge
-	// timer was set; whether the shadow's goroutine actually ran before
-	// the DW side finished is a scheduling race). The two counters below
-	// depend on wall-clock timing, so all three are deliberately excluded
-	// from StateDigest: hedged and unhedged runs stay digest-identical.
-	Hedges int
-	// HedgeWins counts hedged queries whose DW side exhausted its retries
-	// and were answered by committing the shadow's pre-computed fallback
-	// instead of re-executing it serially.
-	HedgeWins int
-	// HedgesCanceled counts shadows whose compute started but was
-	// cooperatively canceled — the DW side completed first, or the shadow
-	// itself failed.
-	HedgesCanceled int
 	// AuditViolations counts integrity violations detected by the online
 	// audit plane (AuditViews/AuditInvariants): checksum mismatches, stale
 	// generations, disjointness or budget breaks, WAL inconsistencies.
 	// AuditRepaired counts violations self-healed online (views recomputed
 	// through the HV fallback path, budgets evicted back under limit,
 	// durable payloads re-journaled); AuditUnrepaired counts violations
-	// that could only be quarantined or reported. Like the hedge counters,
-	// all three are excluded from StateDigest: the scrubber runs on a
-	// wall-clock schedule, and an audit-disabled run must stay
-	// byte-identical to a system with no audit plane at all.
+	// that could only be quarantined or reported. All three are excluded
+	// from StateDigest: the scrubber runs on a wall-clock schedule, and an
+	// audit-disabled run must stay byte-identical to a system with no
+	// audit plane at all.
 	AuditViolations int
 	AuditRepaired   int
 	AuditUnrepaired int
 	// The reuse-plane counters below depend on concurrent arrival timing
 	// (who rendezvouses with whom) and cache residency, so — like the
-	// hedge and audit counters — all four are excluded from StateDigest:
-	// a reuse-disabled run stays byte-identical to a system with no reuse
+	// audit counters — all four are excluded from StateDigest: a
+	// reuse-disabled run stays byte-identical to a system with no reuse
 	// plane at all. CacheHits counts queries answered from the semantic
 	// cache; CacheMisses counts fingerprintable queries that executed
 	// cold (including cut-level subresult probes); Piggybacked counts
@@ -252,16 +227,11 @@ type QueryReport struct {
 	// Degraded marks a query routed onto the forced HV-only path by the
 	// serving layer while the DW circuit breaker was open (RunDegraded).
 	Degraded bool
-	// HedgeWon marks a fallback served from the hedge shadow's
-	// pre-computed execution. Wall-clock observability only: the field is
-	// excluded from StateDigest and the durability journal, since whether
-	// the hedge timer beat the DW verdict depends on real time.
-	HedgeWon bool
 	// CacheHit marks a query answered from the semantic result cache;
 	// Piggybacked marks one that shared a concurrent identical query's
 	// in-flight execution; SubplanHits counts HV cuts answered from
-	// cached subresults. All three are reuse-plane observability and, like
-	// HedgeWon, excluded from StateDigest and the durability journal.
+	// cached subresults. All three are reuse-plane observability,
+	// excluded from StateDigest and the durability journal.
 	CacheHit    bool
 	Piggybacked bool
 	SubplanHits int
@@ -309,7 +279,6 @@ type System struct {
 	inj     *faults.Injector
 	execInj *faults.Injector
 	retry   faults.RetryPolicy
-	hedge   *hedgeTracker
 	// onLedger, when set, sees every query's memory ledger as begin
 	// opens it (a test hook; nil otherwise).
 	onLedger func(*govern.Ledger)
@@ -401,9 +370,6 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	if cfg.Variant == VariantHVOnly || cfg.Variant == VariantHVOp {
 		opt.DisableSplits = true
 	}
-	if cfg.Hedge.Enabled {
-		cfg.Hedge = cfg.Hedge.withDefaults()
-	}
 	retry := cfg.Retry.OrDefault()
 	inj := faults.NewInjector(cfg.Faults, cfg.FaultSeed) // nil for an all-zero profile
 	h.SetFaults(inj, retry)
@@ -425,7 +391,6 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		inj:     inj,
 		execInj: execInj,
 		retry:   retry,
-		hedge:   newHedgeTracker(cfg.Hedge),
 		logs:    logMirror{vers: map[string]logVersion{}},
 		plans:   map[*logical.Node]*planEntry{},
 	}

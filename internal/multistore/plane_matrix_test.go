@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"miso/internal/data"
 	"miso/internal/faults"
@@ -50,9 +49,8 @@ func chaos42(c *multistore.Config) {
 	c.FaultSeed = 42
 }
 
-// dwStorm is hedge_test's profile: a DW-side fault storm with a short
-// retry policy, so a fraction of split plans exhausts its retries and
-// falls back to HV.
+// dwStorm is a DW-side fault storm with a short retry policy, so a
+// fraction of split plans exhausts its retries and falls back to HV.
 func dwStorm(c *multistore.Config) {
 	c.Faults = faults.Profile{}.With(faults.SiteDWQuery, 0.5)
 	c.FaultSeed = 11
@@ -101,9 +99,9 @@ func matrixRows() []matrixRow {
 			t.Fatalf("clean run reported violations: %v %v", viols, iviols)
 		}
 	}
-	// The serving frontend with zero-value Quota/Adaptive configs must
-	// leave the plane exactly as before: full worker concurrency, no quota
-	// sheds, no limit adjustments, per-tenant accounting still working.
+	// The serving frontend with a zero-value Quota config must leave the
+	// plane exactly as before: no quota sheds, per-tenant accounting still
+	// working.
 	var srv *serve.Server
 	rows := []matrixRow{
 		{name: "served, overload plane disabled",
@@ -115,10 +113,7 @@ func matrixRows() []matrixRow {
 			},
 			done: func(t *testing.T, _ *multistore.System) {
 				defer srv.Close()
-				if lim := srv.ConcurrencyLimit(); lim != 2 {
-					t.Fatalf("disabled limiter reports concurrency %d, want the worker count 2", lim)
-				}
-				if m := srv.Metrics(); m.QuotaSheds != 0 || m.LimitIncreases != 0 || m.LimitDecreases != 0 {
+				if m := srv.Metrics(); m.QuotaSheds != 0 {
 					t.Fatalf("disabled overload plane touched its counters: %+v", m)
 				}
 				n := len(workload.Evolving())
@@ -126,16 +121,13 @@ func matrixRows() []matrixRow {
 					t.Fatalf("tenant accounting off: %+v", ts)
 				}
 			}},
-		// Hedge off and reuse zero-config are the defaults.
-		{name: "defaults: hedge off, reuse zero-config"},
+		// Reuse zero-config is the default.
+		{name: "defaults: reuse zero-config"},
 		{name: "exec workers=1", set: func(c *multistore.Config) { c.ExecWorkers = 1 }},
 		{name: "exec workers=8", set: func(c *multistore.Config) { c.ExecWorkers = 8 }},
 		// The tuner's what-if pool and exec's default pool both size
 		// themselves from GOMAXPROCS (rows run one after another).
 		atGOMAXPROCS(1), atGOMAXPROCS(8),
-		{name: "hedge enabled but idle", set: func(c *multistore.Config) {
-			c.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 1000, MinDelay: time.Hour}
-		}},
 		// The governance-off identity misobench -mode benchgov also
 		// reports: a ledger attached at a limit no query reaches.
 		{name: "unreachable memory limit through RunContext",
@@ -157,28 +149,11 @@ func matrixRows() []matrixRow {
 	return append(rows,
 		matrixRow{name: "MS-MISO chaos, checkpoint every 4", stanza: "MS-MISO/chaos+checkpoint4",
 			set: func(c *multistore.Config) { chaos42(c); c.CheckpointEvery = 4 }},
-		// Hedged and unhedged runs of the DW storm must be one stanza:
-		// every split plan races a shadow (the threshold fires at once),
-		// winners are committed in place of serial fallbacks, and neither
-		// an answer nor the durable state may tell. Under -race this row
-		// also exercises the shadow's concurrency.
-		matrixRow{name: "DW storm, hedge off", stanza: "MS-MISO/dw-storm", set: dwStorm,
+		matrixRow{name: "DW storm", stanza: "MS-MISO/dw-storm", set: dwStorm,
 			done: func(t *testing.T, sys *multistore.System) {
 				if sys.Metrics().Fallbacks == 0 {
 					t.Fatal("fault storm produced no fallbacks; the row exercises nothing")
 				}
-			}},
-		matrixRow{name: "DW storm, hedge on", stanza: "MS-MISO/dw-storm",
-			set: func(c *multistore.Config) {
-				dwStorm(c)
-				c.Hedge = multistore.HedgeConfig{Enabled: true, Multiplier: 0.001, MinDelay: time.Nanosecond}
-			},
-			done: func(t *testing.T, sys *multistore.System) {
-				m := sys.Metrics()
-				if m.Hedges == 0 {
-					t.Fatal("hedging enabled with an always-fire threshold but no hedges armed")
-				}
-				t.Logf("hedges %d, wins %d, canceled %d over %d fallbacks", m.Hedges, m.HedgeWins, m.HedgesCanceled, m.Fallbacks)
 			}},
 		matrixRow{name: "every 4th query degraded, chaos", stanza: "MS-MISO/chaos+degraded4", set: chaos42,
 			run: func(sys *multistore.System, i int, sql string) (*multistore.QueryReport, error) {
@@ -212,10 +187,9 @@ func parseStanzas(t *testing.T, text string) map[string]string {
 // and every answer's data checksum.
 //
 // The MS-MISO zero-fault rows must reproduce testdata/msmiso_small.golden
-// byte for byte: worker counts, an armed but idle hedge and the zero-value
-// planes may change wall clock, never an answer, a design or a simulated
-// second; nor may a ledger attached at an unreachable limit, a retry
-// budget with nothing to retry, or a repair-mode integrity audit of a
+// byte for byte: worker counts and the zero-value planes may change wall
+// clock, never an answer, a design or a simulated second; nor may a ledger
+// attached at an unreachable limit or a repair-mode integrity audit of a
 // clean run. That golden was recorded from the row-at-a-time serial
 // engine (ExecWorkers = -1) before that engine left the production build,
 // so it is an oracle independent of the engine under test; DESIGN.md §12
@@ -227,8 +201,8 @@ func parseStanzas(t *testing.T, text string) map[string]string {
 // rows to come, and TestCachedPlanEqualsFreshChoose is where hits are.)
 //
 // The variant rows pin every variant, clean and under injected faults,
-// plus the degraded route, the hedge and the reuse plane, to their stanza
-// of testdata/variants_small.golden (digest, TTI, and an FNV fold of the
+// plus the degraded route and the reuse plane, to their stanza of
+// testdata/variants_small.golden (digest, TTI, and an FNV fold of the
 // answers' checksums in submission order; a failed query folds in its
 // position and a marker). That golden was recorded from the commit before
 // the query path was folded into one, so it pins the fold: fault draws

@@ -193,7 +193,6 @@ func (s *System) charge(rep *QueryReport) {
 	m.SubplanHits += rep.SubplanHits
 	m.Fallbacks += b2i(rep.FellBackToHV)
 	m.Degraded += b2i(rep.Degraded)
-	m.HedgeWins += b2i(rep.HedgeWon)
 	m.CacheHits += b2i(rep.CacheHit)
 	m.Piggybacked += b2i(rep.Piggybacked)
 }
@@ -277,19 +276,12 @@ func (s *System) failedIn(q *query, store string, err error) error {
 	return fmt.Errorf("multistore: query %d in %s: %w", q.entry.Seq, store, err)
 }
 
-// execHV is the one HV step: run plan in HV under the query's context —
-// or, given the hedge shadow's finished compute of the same plan, commit
-// that instead — and sum what it paid into the report. What the
-// execution means to the query (its whole answer, one cut's working set,
-// a fallback whose time is a penalty) is the caller's lines around it.
-func (s *System) execHV(q *query, plan *logical.Node, shadow *hv.Pending) (*hv.Result, error) {
-	var res *hv.Result
-	var err error
-	if shadow != nil {
-		res, err = shadow.Commit(q.ctx, q.entry.Seq)
-	} else {
-		res, err = s.hv.ExecuteContext(q.ctx, plan, q.entry.Seq)
-	}
+// execHV is the one HV step: run plan in HV under the query's context and
+// sum what it paid into the report. What the execution means to the query
+// (its whole answer, one cut's working set, a fallback whose time is a
+// penalty) is the caller's lines around it.
+func (s *System) execHV(q *query, plan *logical.Node) (*hv.Result, error) {
+	res, err := s.hv.ExecuteContext(q.ctx, plan, q.entry.Seq)
 	if err != nil {
 		return nil, s.failedIn(q, "HV", err)
 	}
@@ -305,7 +297,7 @@ func (s *System) execHV(q *query, plan *logical.Node, shadow *hv.Pending) (*hv.R
 
 // runInHV answers the whole query from one HV execution of plan.
 func (s *System) runInHV(q *query, plan *logical.Node) error {
-	res, err := s.execHV(q, plan, nil)
+	res, err := s.execHV(q, plan)
 	if err != nil {
 		return err
 	}
@@ -351,7 +343,7 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 			}
 		}
 		if ws == nil {
-			res, err := s.execHV(q, cut.HVPlan, nil)
+			res, err := s.execHV(q, cut.HVPlan)
 			if err != nil {
 				return err
 			}
@@ -373,7 +365,7 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 			return err
 		}
 		if cause != nil {
-			return s.fallbackHV(q, cause, nil)
+			return s.fallbackHV(q, cause)
 		}
 		if retain != nil {
 			retain(q, cut.Node, ws)
@@ -383,28 +375,14 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 	if err := q.ctx.Err(); err != nil {
 		return s.abandon(q, err)
 	}
-	dwRes, hr, err := s.executeDWHedged(q, mp.DWPart)
+	dwRes, err := s.dw.ExecuteContext(q.ctx, mp.DWPart)
 	if err != nil {
-		hr.discard()
 		return s.failedIn(q, "DW", err)
 	}
 	// Replay injected DW-side failures against the query's report.
 	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", dwRes.Seconds, &rep.Retries, &rep.RecoverySeconds); err != nil {
-		// DW gave out mid-query: degrade to HV. If the hedge shadow
-		// already computed the fallback plan, commit it in place of the
-		// serial re-execution (byte-identical state, wall-clock saved); a
-		// shadow that failed or never started falls through to the serial
-		// path, which replays exactly the draws an unhedged run would.
-		if p, perr, ok := hr.await(); ok {
-			if perr == nil {
-				return s.fallbackHV(q, err, p)
-			}
-			s.metrics.HedgesCanceled++
-		}
-		return s.fallbackHV(q, err, nil)
-	}
-	if hr.discard() {
-		s.metrics.HedgesCanceled++
+		// DW gave out mid-query: degrade to HV.
+		return s.fallbackHV(q, err)
 	}
 	s.answerFromDW(q, mp.DWPart, dwRes)
 	s.dw.ClearTemp()
@@ -607,24 +585,12 @@ func (s *System) move(ctx context.Context, bytes int64, kind transfer.Kind) (pro
 // graceful-degradation path: HV always holds the base logs, so any query
 // can complete there. Time already paid stays in its component; the
 // fallback execution itself is the penalty, charged to RECOVERY.
-//
-// shadow, when set, is the hedge's finished compute of the same plan. Its
-// deferred Commit runs at exactly the program point the serial execution
-// would have, so it consumes the same injector draws, records the same
-// statistics and captures the same views: report and StateDigest are
-// byte-identical to the unhedged run; only the wall clock already spent
-// racing is saved.
-func (s *System) fallbackHV(q *query, cause error, shadow *hv.Pending) error {
+func (s *System) fallbackHV(q *query, cause error) error {
 	s.dw.ClearTemp()
-	var plan *logical.Node
-	if shadow != nil {
-		plan = shadow.Plan()
-	} else {
-		plan = optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
-	}
+	plan := optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
 	rep := q.rep
 	hvSec, hvOps, rec := rep.HVSeconds, rep.HVOps, rep.RecoverySeconds
-	res, err := s.execHV(q, plan, shadow)
+	res, err := s.execHV(q, plan)
 	if err != nil {
 		return fmt.Errorf("multistore: query %d failed (%v) and its HV fallback failed too: %w", q.entry.Seq, cause, err)
 	}
@@ -633,7 +599,6 @@ func (s *System) fallbackHV(q *query, cause error, shadow *hv.Pending) error {
 	rep.RecoverySeconds = rec + (res.Seconds + res.RecoverySeconds)
 	rep.FellBackToHV = true
 	rep.FallbackCause = cause
-	rep.HedgeWon = shadow != nil
 	q.answer(res.Table)
 	return nil
 }

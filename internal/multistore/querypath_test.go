@@ -14,9 +14,9 @@ import (
 )
 
 // TestForeignComputeLeavesTheRunningQuerysLedgerAlone: hv.BeginExecute is
-// callable without the system lock (the hedge shadow, the benchmark's
-// probes). A foreign compute running beside a governed query must neither
-// race on that query's memory ledger nor reserve bytes against it: the
+// callable without the system lock (the benchmark's probes call it so). A
+// foreign compute running beside a governed query must neither race on
+// that query's memory ledger nor reserve bytes against it: the
 // ledger travels in the query's own context, so a compute under any other
 // context is unmetered, so every query's ledger is empty once RunContext
 // has returned. Meaningful under -race.

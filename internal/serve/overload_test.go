@@ -153,59 +153,6 @@ func TestQuotaWeightedFairness(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLimiterAIMD: a window of latencies over target halves the
-// limit (repeatedly, floored at one slot); windows under target creep it back
-// up one slot at a time to the worker ceiling.
-func TestAdaptiveLimiterAIMD(t *testing.T) {
-	l := newLimiter(AdaptiveConfig{TargetP99: 100 * time.Millisecond, Window: 4}, 8)
-	feed := func(d time.Duration, n int) {
-		for i := 0; i < n; i++ {
-			l.observe(d)
-		}
-	}
-
-	if lim, _, _ := l.snapshot(); lim != 8 {
-		t.Fatalf("initial limit %d, want the worker ceiling 8", lim)
-	}
-	feed(200*time.Millisecond, 4) // one slow window: 8 -> 4
-	feed(200*time.Millisecond, 4) // 4 -> 2
-	feed(200*time.Millisecond, 4) // 2 -> 1
-	feed(200*time.Millisecond, 4) // floored at one slot
-	if lim, _, decs := l.snapshot(); lim != 1 || decs != 4 {
-		t.Fatalf("after 4 slow windows: limit %d (want 1), decreases %d (want 4)", lim, decs)
-	}
-	feed(time.Millisecond, 4*10) // fast windows: 1 -> 8, then saturates at max
-	if lim, incs, _ := l.snapshot(); lim != 8 || incs != 7 {
-		t.Fatalf("after recovery: limit %d (want 8), increases %d (want 7)", lim, incs)
-	}
-}
-
-// TestAdaptiveLimiterBlocksAtLimit: with the limit squeezed to one, a
-// second acquire blocks until the first slot is released.
-func TestAdaptiveLimiterBlocksAtLimit(t *testing.T) {
-	l := newLimiter(AdaptiveConfig{TargetP99: time.Millisecond, Window: 1}, 2)
-	l.observe(time.Second) // one slow window: limit 2 -> 1
-
-	l.acquire()
-	entered := make(chan struct{})
-	go func() {
-		l.acquire()
-		close(entered)
-	}()
-	select {
-	case <-entered:
-		t.Fatal("second acquire proceeded past a limit of 1")
-	case <-time.After(20 * time.Millisecond):
-	}
-	l.release()
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("second acquire never woke after release")
-	}
-	l.release()
-}
-
 // TestQuotaShedsAreTenantScoped: with quotas on, a tenant whose bucket is
 // empty sheds with ErrQuotaShed (which also matches ErrShed), the serve
 // metrics count it under both Sheds and QuotaSheds, and other tenants

@@ -70,9 +70,6 @@ type Config struct {
 	// Quota gates admission per tenant with fair token buckets
 	// (the zero value admits everything, as before).
 	Quota QuotaConfig
-	// Adaptive squeezes the effective worker count when served p99
-	// exceeds a target (the zero value leaves all Workers available).
-	Adaptive AdaptiveConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -131,11 +128,6 @@ type Metrics struct {
 	// ReorgCancels counts in-flight queries canceled by a drain barrier
 	// that hit its timeout.
 	ReorgCancels int
-	// LimitIncreases and LimitDecreases count the adaptive limiter's
-	// AIMD adjustments (additive recoveries and multiplicative
-	// brownouts).
-	LimitIncreases int
-	LimitDecreases int
 }
 
 // Check verifies the accounting invariant.
@@ -175,7 +167,6 @@ type Server struct {
 	cfg     Config
 	backend Backend
 	br      *breaker
-	lim     *limiter
 	jobs    chan *job
 	wg      sync.WaitGroup
 
@@ -201,7 +192,6 @@ func NewServer(cfg Config, backend Backend) *Server {
 		cfg:      cfg,
 		backend:  backend,
 		br:       newBreaker(time.Now),
-		lim:      newLimiter(cfg.Adaptive, cfg.Workers),
 		jobs:     make(chan *job, cfg.QueueDepth),
 		inflight: map[int]context.CancelFunc{},
 		quo:      newQuotas(cfg.Quota, nil),
@@ -305,11 +295,6 @@ func (s *Server) DoAs(ctx context.Context, tenant, sql string) (*multistore.Quer
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.jobs {
-		// The adaptive limit is taken before the drain barrier: a worker
-		// parked by a brownout holds no read lock, so Reorganize can
-		// always drain regardless of how far the limit has been squeezed.
-		s.lim.acquire()
-		start := time.Now()
 		s.gate.RLock()
 		// Stamp the moment the job's context dies so cancel-to-idle
 		// latency can be measured when the backend hands the worker back.
@@ -334,10 +319,6 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 		}
 		s.gate.RUnlock()
-		s.lim.release()
-		if res.err == nil {
-			s.lim.observe(time.Since(start))
-		}
 		j.done <- res
 	}
 }
@@ -435,8 +416,8 @@ func (s *Server) SetReorgHook(fn func()) {
 // is held for read, exactly as an executing query holds it, so scrub
 // chunks and reorganizations strictly alternate — a scrub pass observes
 // the catalog entirely before or entirely after a reorg, never during.
-// Unlike Do, Quiesce does not occupy a worker or an adaptive-limit slot;
-// the scrubber must not compete with queries for admission.
+// Unlike Do, Quiesce does not occupy a worker; the scrubber must not
+// compete with queries for admission.
 func (s *Server) Quiesce() (release func()) {
 	s.gate.RLock()
 	return s.gate.RUnlock
@@ -463,18 +444,7 @@ func (s *Server) Metrics() Metrics {
 	m := s.metrics
 	s.mu.Unlock()
 	_, m.BreakerTrips, m.BreakerProbes = s.br.snapshot()
-	_, m.LimitIncreases, m.LimitDecreases = s.lim.snapshot()
 	return m
-}
-
-// ConcurrencyLimit returns the adaptive limiter's current effective
-// worker limit, or Config.Workers when adaptive limiting is disabled.
-func (s *Server) ConcurrencyLimit() int {
-	if s.lim == nil {
-		return s.cfg.Workers
-	}
-	lim, _, _ := s.lim.snapshot()
-	return lim
 }
 
 // CancelLatencies returns the cancel-to-idle latency of every canceled or

@@ -111,9 +111,8 @@ func SmallData() DataConfig { return data.SmallConfig() }
 
 // ServeConfig tunes the concurrent serving frontend: worker pool size,
 // admission queue depth, per-query deadline, drain timeout for online
-// reorganization, tenant quotas and the adaptive limiter. The DW circuit
-// breaker trips after three consecutive DW exhaustions and half-opens
-// after one second.
+// reorganization and tenant quotas. The DW circuit breaker trips after
+// three consecutive DW exhaustions and half-opens after one second.
 type ServeConfig = serve.Config
 
 // QuotaConfig tunes per-tenant fair admission quotas inside ServeConfig;
@@ -123,14 +122,6 @@ type QuotaConfig = serve.QuotaConfig
 // TenantStats is one tenant's admission outcome counters
 // (Server.TenantStats).
 type TenantStats = serve.TenantStats
-
-// AdaptiveConfig tunes the AIMD concurrency limiter inside ServeConfig;
-// the zero value disables it.
-type AdaptiveConfig = serve.AdaptiveConfig
-
-// HedgeConfig tunes hedged DW execution inside Config (Config.Hedge);
-// the zero value disables it.
-type HedgeConfig = multistore.HedgeConfig
 
 // ReuseConfig enables the cross-query reuse plane inside Config
 // (Config.Reuse): the content-fingerprinted semantic result cache and

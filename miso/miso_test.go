@@ -70,7 +70,7 @@ func TestVariantConstantsRoundtrip(t *testing.T) {
 // no program turns on fails here and is deleted with the code behind it.
 // What no caller varies is a constant in its package instead: the stores'
 // and the transfer pipeline's calibration, the move penalties, the plan
-// cap, the breaker's threshold and cooldown, the limiter's floor.
+// cap, the breaker's threshold and cooldown.
 func TestConfigSurface(t *testing.T) {
 	const (
 		ablate    = "internal/experiments/ablate.go"
@@ -85,7 +85,7 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[miso.Config](), []setter{
 			{"Variant", "internal/experiments/experiments.go"}, {"Tuner", ablate},
 			{"ReorgEvery", "examples/evolving_analyst/main.go"}, {"Decay", ablate},
-			{"Faults", misoquery}, {"FaultSeed", misoquery}, {"Retry", scenarios}, {"Hedge", scenarios},
+			{"Faults", misoquery}, {"FaultSeed", misoquery}, {"Retry", scenarios},
 			{"CheckpointEvery", misoquery}, {"ExecWorkers", misoquery}, {"MemLimitBytes", misoquery}, {"Reuse", misoquery},
 		}},
 		{reflect.TypeFor[miso.TunerConfig](), []setter{
@@ -94,11 +94,9 @@ func TestConfigSurface(t *testing.T) {
 		}},
 		{reflect.TypeFor[miso.ServeConfig](), []setter{
 			{"Workers", scenarios}, {"QueueDepth", scenarios}, {"QueryTimeout", scenarios},
-			{"DrainTimeout", scenarios}, {"Quota", scenarios}, {"Adaptive", scenarios},
+			{"DrainTimeout", scenarios}, {"Quota", scenarios},
 		}},
-		{reflect.TypeFor[miso.AdaptiveConfig](), []setter{{"TargetP99", scenarios}, {"Window", scenarios}}},
 		{reflect.TypeFor[miso.QuotaConfig](), []setter{{"RatePerSec", scenarios}, {"Burst", scenarios}}},
-		{reflect.TypeFor[miso.HedgeConfig](), []setter{{"Enabled", scenarios}, {"Multiplier", scenarios}, {"MinDelay", scenarios}}},
 		{reflect.TypeFor[miso.ReuseConfig](), []setter{{"Enabled", misoquery}, {"CacheBytes", misoquery}}},
 	} {
 		var got, want []string
