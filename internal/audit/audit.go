@@ -1,10 +1,10 @@
 // Package audit is the always-on integrity plane: a background scrubber
 // that incrementally walks the multistore's view catalogs under live
 // serving and verifies the invariants the system otherwise only checks
-// at recovery — per-view content checksums, base-log freshness,
-// Vh ∩ Vd disjointness, storage/transfer-budget conservation, and
-// WAL/state consistency. Violations surface as typed ErrAuditViolation
-// events; in repair mode, corrupt or stale views are self-healed by
+// at recovery — per-view content checksums, Vh ∩ Vd disjointness,
+// storage/transfer-budget conservation, and WAL/state consistency.
+// Violations surface as typed ErrAuditViolation events; in repair mode,
+// corrupt views are self-healed by
 // recomputation through the HV fallback path (charged to RECOVERY) and
 // unrepairable ones are quarantined online, so the multistore converges
 // back to a clean design without a restart.
@@ -53,7 +53,6 @@ func (e *ViolationError) Unwrap() error { return ErrAuditViolation }
 func Families() []string {
 	return []string{
 		multistore.InvChecksum,
-		multistore.InvFreshness,
 		multistore.InvDisjoint,
 		multistore.InvBudget,
 		multistore.InvAccounting,

@@ -174,7 +174,7 @@ func TestScrubberLifecycle(t *testing.T) {
 	if rep := sc.Report(); rep.Passes == 0 {
 		t.Fatalf("RunOnce did not record a pass: %+v", rep)
 	}
-	if got := audit.Families(); len(got) != 6 {
-		t.Fatalf("Families() = %v, want 6 invariant families", got)
+	if got := audit.Families(); len(got) != 5 {
+		t.Fatalf("Families() = %v, want 5 invariant families", got)
 	}
 }

@@ -105,12 +105,11 @@ type RecoveryReport struct {
 	// RefundedTransferBytes the temp-space budget returned.
 	RolledBackTransfers   int
 	RefundedTransferBytes int64
-	// Quarantined names every view removed from the recovered design:
-	// corrupt payloads (checksum mismatch) and stale generations.
+	// Quarantined names every view removed from the recovered design.
 	Quarantined []string
-	// CorruptViews and StaleViews split the quarantine count by cause.
+	// CorruptViews counts the quarantined views whose payload failed its
+	// checksum.
 	CorruptViews int
-	StaleViews   int
 	// RestoredViews is how many views survived into the recovered design.
 	RestoredViews int
 	// ReplayedQueries is how many QueryDone records rebuilt window entries.

@@ -2,9 +2,9 @@
 // an append-only write-ahead log of every catalog and design mutation, plus
 // periodic checkpoints of full system state. The multistore journals view
 // admissions and evictions (for both Vh and Vd), reorganization begin and
-// commit, the transfer temp-space lifecycle, query completions, and
-// log-generation resets; Recover replays the log over the last checkpoint
-// to rebuild a System after a simulated process kill.
+// commit, the transfer temp-space lifecycle, query completions, and log
+// appends whose maintenance job ran; Recover replays the log over the last
+// checkpoint to rebuild a System after a simulated process kill.
 //
 // The WAL is a byte buffer with the framing of an on-disk log — length
 // prefix, payload, trailing FNV-64a frame checksum — so a torn tail (a
@@ -50,9 +50,6 @@ const (
 	KindTransferCommit
 	// KindTransferAbort marks the transfer as failed and rolled back.
 	KindTransferAbort
-	// KindLogGen records a base-log generation reset (storage.LogFile
-	// Reset), so recovery can re-quarantine stale views.
-	KindLogGen
 	// KindRealize records MS-OFF's realization of its fixed design after a
 	// query: moves charged to TUNE outside any reorganization, with the
 	// outcome fields of KindReorgCommit. It follows the query's KindQueryDone.
@@ -76,7 +73,6 @@ var kindNames = map[Kind]string{
 	KindTransferBegin:  "transfer-begin",
 	KindTransferCommit: "transfer-commit",
 	KindTransferAbort:  "transfer-abort",
-	KindLogGen:         "log-gen",
 	KindRealize:        "realize",
 	KindAppend:         "append",
 }
@@ -111,8 +107,6 @@ type Record struct {
 	Bytes int64
 	// Checksum is the FNV-64a content fingerprint of the object.
 	Checksum uint64
-	// Gen is the log generation for KindLogGen and view admits.
-	Gen int64
 	// Reorganization outcome statistics (KindReorgCommit, KindRealize).
 	MovedToDW     int64
 	MovedToHV     int64
@@ -165,7 +159,6 @@ func (r *Record) encodePayload(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, r.Seq)
 	dst = binary.AppendVarint(dst, r.Bytes)
 	dst = binary.LittleEndian.AppendUint64(dst, r.Checksum)
-	dst = binary.AppendVarint(dst, r.Gen)
 	dst = binary.AppendVarint(dst, r.MovedToDW)
 	dst = binary.AppendVarint(dst, r.MovedToHV)
 	dst = binary.AppendVarint(dst, r.Dropped)
@@ -228,7 +221,6 @@ func decodePayload(p []byte) (*Record, error) {
 	r.Seq = d.varint()
 	r.Bytes = d.varint()
 	r.Checksum = d.uint64()
-	r.Gen = d.varint()
 	r.MovedToDW = d.varint()
 	r.MovedToHV = d.varint()
 	r.Dropped = d.varint()

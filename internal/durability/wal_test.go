@@ -14,7 +14,7 @@ import (
 func testRecords() []*Record {
 	return []*Record{
 		{Kind: KindViewAdmit, Store: StoreHV, Name: "v_0001", Seq: 3, Bytes: 1 << 20, Checksum: 0xdeadbeefcafe},
-		{Kind: KindViewAdmit, Store: StoreDW, Name: "v_0002", Seq: 4, Bytes: 42, Checksum: 1, Gen: 2},
+		{Kind: KindViewAdmit, Store: StoreDW, Name: "v_0002", Seq: 4, Bytes: 42, Checksum: 1},
 		{Kind: KindViewEvict, Store: StoreDW, Name: "v_0001", Seq: 5},
 		{Kind: KindQueryDone, SQL: "SELECT hashtag FROM tweets", Seq: 6, Bytes: 7,
 			HVSeconds: 1.5, TransferSeconds: 0.25, DWSeconds: 3.75, RecoverySeconds: 10,
@@ -26,7 +26,8 @@ func testRecords() []*Record {
 		{Kind: KindTransferBegin, Name: "tmp_q7", Seq: 7, Bytes: 123456, Checksum: 77},
 		{Kind: KindTransferCommit, Name: "tmp_q7", Seq: 7},
 		{Kind: KindTransferAbort, Name: "tmp_q8", Seq: 8},
-		{Kind: KindLogGen, Name: "tweets", Seq: 10, Gen: 3},
+		{Kind: KindRealize, Seq: 9, MovedToDW: 1, Bytes: 4 << 20, Seconds: 12.5, Retries: 1},
+		{Kind: KindAppend, Name: "tweets", Seq: 10, HVSeconds: 3.25},
 		{Kind: KindQueryDone, SQL: "", Seq: -1, Retries: 0, Flags: 0}, // zero-ish edge
 	}
 }
@@ -48,7 +49,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindViewAdmit.String() != "view-admit" || KindLogGen.String() != "log-gen" {
+	if KindViewAdmit.String() != "view-admit" || KindAppend.String() != "append" {
 		t.Error("kind names wrong")
 	}
 	if Kind(99).String() != "kind(99)" {

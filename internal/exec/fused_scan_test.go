@@ -31,21 +31,26 @@ var handLines = []string{
 // through the tweets log.
 func fusedScanCatalog(t *testing.T) *storage.Catalog {
 	t.Helper()
-	cat, err := data.Generate(data.SmallConfig())
+	gen, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, _ := cat.Log(data.TweetsLog)
-	mixed := storage.NewLogFile(data.TweetsLog, gen.FieldTypes)
-	mixed.ScaleFactor = gen.ScaleFactor
-	every := len(gen.Lines) / len(handLines)
-	for i, line := range gen.Lines {
+	tweets, _ := gen.Log(data.TweetsLog)
+	mixed := storage.NewLogFile(data.TweetsLog, tweets.FieldTypes)
+	mixed.ScaleFactor = tweets.ScaleFactor
+	every := len(tweets.Lines) / len(handLines)
+	for i, line := range tweets.Lines {
 		if i%every == 3 && i/every < len(handLines) {
 			mixed.AppendLine(handLines[i/every])
 		}
 		mixed.AppendLine(line)
 	}
+	cat := storage.NewCatalog()
 	cat.AddLog(mixed)
+	for _, name := range []string{data.CheckinsLog, data.LandmarksLog} {
+		l, _ := gen.Log(name)
+		cat.AddLog(l)
+	}
 	return cat
 }
 

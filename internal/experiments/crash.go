@@ -12,7 +12,7 @@ import (
 // 32-query workload replayed with the durability plane on and one crash or
 // corruption site armed per row. Every simulated process death is survived
 // by multistore.Recover — restore the last checkpoint, replay the WAL,
-// roll back in-flight work, quarantine corrupt or stale views — and the
+// roll back in-flight work, quarantine corrupt views — and the
 // query that died is resubmitted. Each row finishes with a clean-shutdown
 // check: a final checkpoint, a recovery from it, and a StateDigest
 // comparison that must find the twin byte-identical to the live system.

@@ -345,7 +345,6 @@ func (p *Pending) Commit(ctx context.Context, seq int) (*Result, error) {
 			continue
 		}
 		v := views.New(def, tables[n], seq)
-		v.StampGenerations(s.cat.Generation)
 		s.est.RecordView(v.Name, stats.Stat{
 			Rows:  int64(tables[n].NumRows()),
 			Bytes: tables[n].LogicalBytes(),

@@ -13,11 +13,10 @@ import (
 // MaintainAppend brings the store's views over log forward after lines were
 // appended to it (log already holds them), the way Hive maintains a
 // materialization over an insert-only source. A view is maintained when its
-// definition is Filter and Project nodes over one Extract of the log and it
-// was materialized from the log's current generation: its definition runs
-// over the new lines alone, and the view is replaced by one whose table is
-// its old rows followed by those, with the checksum extended over the new
-// rows, its sequence stamps and generations kept and its size recorded with
+// definition is Filter and Project nodes over one Extract of the log: its
+// definition runs over the new lines alone, and the view is replaced by one
+// whose table is its old rows followed by those, with the checksum extended
+// over the new rows, its sequence stamps kept and its size recorded with
 // the estimator. Such a table is exactly what the definition yields over
 // the whole log, because every row it holds depends on one line. Every
 // other view over the log is dropped, and so is a maintained view that
@@ -41,7 +40,7 @@ func (s *Store) MaintainAppend(log *storage.LogFile, lines []string, budget int6
 			continue
 		}
 		total -= v.SizeBytes()
-		if g, ok := v.LogGens[log.Name]; ok && g == log.Generation && v.Table != nil && rowWise(v.Def, log.Name) {
+		if v.Table != nil && rowWise(v.Def, log.Name) {
 			keep = append(keep, v)
 		}
 	}

@@ -22,24 +22,21 @@ type Builder struct {
 	cat *storage.Catalog
 
 	mu sync.RWMutex
-	// memo maps SQL text to its built plan, valid while the catalog's
-	// SchemaVersion is version. Built plans are immutable, so every caller
-	// of one text shares one plan.
-	memo    map[string]*Node
-	version uint64
+	// memo maps SQL text to its built plan. A registered log only grows
+	// (storage.Catalog.AddLog), so a plan that built stays right, and built
+	// plans are immutable, so every caller of one text shares one plan.
+	memo map[string]*Node
 }
 
 // NewBuilder returns a Builder over the catalog.
 func NewBuilder(cat *storage.Catalog) *Builder { return &Builder{cat: cat} }
 
 // BuildSQL parses and plans a query in one step. A text is parsed and
-// built once per catalog schema version: later calls return the same
-// plan. Failed builds are not remembered.
+// built once: later calls return the same plan. Failed builds are not
+// remembered.
 func (b *Builder) BuildSQL(sql string) (*Node, error) {
-	version := b.cat.SchemaVersion()
 	b.mu.RLock()
 	n, ok := b.memo[sql]
-	ok = ok && b.version == version
 	b.mu.RUnlock()
 	if ok {
 		return n, nil
@@ -53,13 +50,8 @@ func (b *Builder) BuildSQL(sql string) (*Node, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if version < b.version {
-		// Built against schemas a concurrent build has already seen
-		// replaced: right for this caller, stale for the memo.
-		return n, nil
-	}
-	if version > b.version || len(b.memo) >= memoCap {
-		b.memo, b.version = nil, version
+	if len(b.memo) >= memoCap {
+		b.memo = nil
 	}
 	if first, ok := b.memo[sql]; ok {
 		// A concurrent first build of the same text got here before us.

@@ -14,7 +14,7 @@ type CacheStats struct {
 	Puts          int // entries admitted
 	Rejected      int // entries refused admission (larger than the whole cache)
 	Evictions     int // entries displaced by LRU pressure
-	Invalidations int // entries dropped by Clear (generation bump, reorg, quarantine, ...)
+	Invalidations int // entries dropped by Clear (log append, reorg, quarantine, ...)
 	Corrupt       int // entries dropped because the stored digest no longer matched
 	Entries       int // current entry count
 	Bytes         int64
@@ -127,8 +127,8 @@ func (c *Cache) Put(fp Fingerprint, t *storage.Table) {
 }
 
 // Clear drops every entry and releases their bytes. It is
-// the invalidation hammer: called on log generation bumps, at the start
-// of every reorganization, and when audit quarantines a view.
+// the invalidation hammer: called on log appends, at the start of every
+// reorganization, and when audit quarantines a view.
 func (c *Cache) Clear() {
 	if c == nil {
 		return

@@ -12,7 +12,7 @@
 //     query with a fingerprint becomes the leader and executes; concurrent
 //     identical queries become followers and piggyback on the leader's
 //     materialized result instead of re-executing.
-//   - Cache is a bounded, generation-aware, content-hashed semantic result
+//   - Cache is a bounded, log-version-aware, content-hashed semantic result
 //     cache: fingerprint -> materialized table + digest. Every hit
 //     re-verifies the stored digest before serving, so a cached answer is
 //     byte-identical to cold execution or it is not served at all.
@@ -30,10 +30,10 @@ import (
 // The zero fingerprint is never produced by HashPlan.
 type Fingerprint uint64
 
-// VersionSource reports the content version of a base log: its reset
-// generation and its current line count. Logs are append-only within a
-// generation (Reset clears and bumps the generation), so the (gen, lines)
-// pair uniquely identifies a log's content over the process lifetime.
+// VersionSource reports the content version of a base log: a generation,
+// which is always 0, and its current line count. A registered log only
+// grows (storage.Catalog.AddLog), so the line count alone identifies its
+// content over the process lifetime.
 type VersionSource interface {
 	LogVersion(name string) (gen, lines int, ok bool)
 }
@@ -54,7 +54,7 @@ func hashUint(h, u uint64) uint64 {
 // HashPlan returns the canonical fingerprint of a plan: an FNV-64a fold of
 // the root's structural id (which stands for its canonical signature —
 // sorted conjuncts, sorted join keys; see logical.Node.ID) and the
-// (generation, lines) content version of every base log the plan scans. ok
+// (gen, lines) content version of every base log the plan scans. ok
 // is false when the plan is not fingerprintable — it reads a view (whose
 // content is not identified by base-log versions alone) or scans a log the
 // source does not know — and such plans must not be cached or deduplicated.

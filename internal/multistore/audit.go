@@ -30,9 +30,6 @@ const (
 	// InvChecksum is a per-view FNV-64 content checksum mismatch against
 	// the catalog's stamped value.
 	InvChecksum = "checksum"
-	// InvFreshness is a view whose base-log generation has advanced past
-	// the one it was materialized from.
-	InvFreshness = "freshness"
 	// InvDisjoint is a violation of Vh ∩ Vd = ∅.
 	InvDisjoint = "disjointness"
 	// InvBudget is a storage- or transfer-budget conservation failure
@@ -82,13 +79,12 @@ func (v AuditViolation) String() string {
 	return fmt.Sprintf("%s: view %s in %s: %s (%s)", v.Invariant, v.View, v.Store, v.Detail, state)
 }
 
-// AuditViews incrementally verifies the per-view invariants — content
-// checksum and base-log freshness — over both stores' catalogs in sorted
-// name order, resuming after cursor ("" starts a pass) and checking at
-// most max views per call (<= 0 checks all). With repair set, a failing
-// view is self-healed by recomputing its definition through the HV
-// engine (the existing fallback path) with the estimated HV cost charged
-// to RECOVERY; a view that cannot be recomputed is quarantined out of the
+// AuditViews incrementally verifies the per-view invariant — the content
+// checksum — over both stores' catalogs in sorted name order, resuming
+// after cursor ("" starts a pass) and checking at most max views per call
+// (<= 0 checks all). With repair set, a failing view is self-healed by
+// recomputing its definition through the HV engine (the existing fallback
+// path) with the estimated HV cost charged to RECOVERY; a view that cannot be recomputed is quarantined out of the
 // design and tombstoned so opportunistic capture cannot resurrect the
 // name before the next reorganization. The next cursor is "" once the
 // walk has wrapped. The error return is reserved for a torn WAL append
@@ -120,11 +116,10 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 			if !ok {
 				continue
 			}
-			inv, detail := s.unsound(v)
-			if inv == "" {
+			if v.Verify() {
 				continue
 			}
-			viol := AuditViolation{Invariant: inv, View: name, Store: st.tag, Detail: detail}
+			viol := AuditViolation{Invariant: InvChecksum, View: name, Store: st.tag, Detail: "content checksum mismatch"}
 			s.metrics.AuditViolations++
 			if repair {
 				rerr := s.repairView(v, st)
@@ -153,19 +148,6 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 		}
 	}
 	return viols, next, nil
-}
-
-// unsound names the per-view invariant v breaks — its content checksum
-// first, then base-log freshness — or "" for a sound view: the one check the
-// online audit and recovery's verifyDesign both hold a resident view to.
-func (s *System) unsound(v *views.View) (inv, detail string) {
-	switch {
-	case !v.Verify():
-		return InvChecksum, "content checksum mismatch"
-	case v.Stale(s.cat.Generation):
-		return InvFreshness, "base log generation advanced"
-	}
-	return "", ""
 }
 
 // brokenInvariants is the one walk over the system invariants: Vh ∩ Vd
@@ -384,12 +366,11 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 	return viols, nil
 }
 
-// repairView self-heals one corrupt or stale view in place: its base-data
+// repairView self-heals one corrupt view in place: its base-data
 // definition is recomputed through the HV engine — the same path an HV
 // fallback takes, with no injector draws and no store mutation until the
-// verified result is reinstalled — restamped with current log
-// generations, and reinstalled under the same name in the same store.
-// The estimated HV cost of the recomputation is charged to RECOVERY. The
+// verified result is reinstalled — and the result is reinstalled under the
+// same name in the same store. The estimated HV cost of the recomputation is charged to RECOVERY. The
 // repair is journaled as an evict+admit pair (the placement did not
 // change, so the boundary design diff would not notice a content
 // repair). Callers hold s.mu.
@@ -410,7 +391,6 @@ func (s *System) repairView(v *views.View, st residency) error {
 		return fmt.Errorf("multistore: view %s definition drifted (recomputed name %s)", v.Name, nv.Name)
 	}
 	nv.LastUsedSeq = v.LastUsedSeq
-	nv.StampGenerations(s.cat.Generation)
 	st.views.Remove(v.Name)
 	s.installView(nv, st.views)
 	delete(s.tomb, v.Name)

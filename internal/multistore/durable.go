@@ -15,15 +15,15 @@ import (
 )
 
 // This file is the multistore side of the durability plane: journaling of
-// design mutations at operation boundaries, stale-view quarantine, the
-// checkpoint snapshot, and the canonical state digest used to verify that
-// clean-shutdown recovery is byte-identical to the live state.
+// design mutations at operation boundaries, the checkpoint snapshot, and
+// the canonical state digest used to verify that clean-shutdown recovery is
+// byte-identical to the live state.
 //
 // Journaling model: every public mutating operation (RunContext,
-// RunDegraded, Reorganize, AppendToLog, RefreshLog) captures the design at
-// entry (beginOp) and diffs it against the design at exit (endOp), emitting
+// RunDegraded, Reorganize, AppendToLog) captures the design at entry
+// (beginOp) and diffs it against the design at exit (endOp), emitting
 // ViewEvict/ViewAdmit records in deterministic name order plus the
-// operation's own record (QueryDone, LogGen, ReorgCommit inside reorg).
+// operation's own record (QueryDone, Append, ReorgCommit inside reorg).
 // Views materialized inside an operation that dies mid-flight were never
 // journaled — they are uncommitted work and recovery does not resurrect
 // them. "Committed" means: its admit record was durably appended.
@@ -262,37 +262,6 @@ func journaledReorg(rec *durability.Record) ReorgRecord {
 		FailedMoves:     int(rec.FailedMoves),
 		RefundedBytes:   rec.RefundedBytes,
 		RecoverySeconds: rec.RecoverySeconds,
-	}
-}
-
-// quarantineStale drops views whose base-log generation has advanced past
-// the one they were materialized from — a direct catalog Reset would
-// otherwise let them silently answer queries over data that no longer
-// exists. It runs in every query's prologue, so it sweeps only when a log's
-// generation or either view set moved since the last sweep (a new system
-// sweeps on its first query), and copies a set only to delete from it.
-// Callers hold s.mu.
-func (s *System) quarantineStale() {
-	at := sweepMark{gens: s.cat.GenerationMoves(), hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), ok: true}
-	if at == s.swept {
-		return
-	}
-	s.swept = at
-	for _, name := range s.cat.LogNames() {
-		if g, _ := s.cat.Generation(name); s.logs.vers[name].gen != g {
-			s.syncLogVersion(name) // reset through the catalog, not RefreshLog
-		}
-	}
-	stale := func(v *views.View) bool { return v.Stale(s.cat.Generation) }
-	quarantined := 0
-	for _, st := range s.stores() {
-		quarantined += st.views.RemoveIf(stale)
-	}
-	s.metrics.Quarantined += quarantined
-	if quarantined > 0 {
-		// Results computed while the stale views were live may carry their
-		// bytes: drop every cached entry.
-		s.invalidateReuse()
 	}
 }
 
@@ -535,10 +504,6 @@ func (s *System) StateDigest() uint64 {
 			ws(v.Name)
 			ws(v.Sig)
 			w(v.Checksum, uint64(v.CreatedSeq), uint64(v.LastUsedSeq), uint64(v.SizeBytes()))
-			for _, name := range sortedKeys(v.LogGens) {
-				ws(name)
-				w(uint64(v.LogGens[name]))
-			}
 		}
 	}
 	ws("window")

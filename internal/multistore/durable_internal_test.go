@@ -7,13 +7,10 @@ package multistore
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
-	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/views"
-	"miso/internal/workload"
 )
 
 // TestCheckpointAllocsIndependentOfRows guards the sharing: a checkpoint
@@ -97,61 +94,5 @@ func TestRotLeavesCheckpointCopyIntact(t *testing.T) {
 	}
 	if p, ok := sys.dur.WAL().Payload(name); ok && !p.Verify() {
 		t.Error("rot reached the WAL payload")
-	}
-}
-
-// TestRecoveredSystemSweepsOnFirstQuery: the prologue's stale-view sweep is
-// skipped only while no log generation and neither view set moved since the
-// last sweep. A recovered system has not swept, so its first query sweeps
-// whatever the counters read; after it, a log reset behind the system's
-// back moves the catalog's counter, and the next query quarantines every
-// view over that log.
-func TestRecoveredSystemSweepsOnFirstQuery(t *testing.T) {
-	sys := newPlanSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 8 })
-	sqls := workload.SQLs()
-	for i, sql := range sqls {
-		if _, err := sys.Run(sql); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	d := sys.Durability()
-	rec, _, err := Recover(sys.cfg, sys.Catalog(), d.Latest(), d.WAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.swept.ok {
-		t.Fatal("a recovered system counts as swept before its first query")
-	}
-	q, _ := workload.ByName("A2v1") // checkins + landmarks: captures nothing over tweets
-	if _, err := rec.Run(q.SQL); err != nil {
-		t.Fatal(err)
-	}
-	if !rec.swept.ok {
-		t.Fatal("a recovered system's first query did not sweep")
-	}
-	overTweets := func() int {
-		n := 0
-		for _, st := range rec.stores() {
-			for _, v := range st.views.Members() {
-				if slices.Contains(v.BaseLogs(), data.TweetsLog) {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	if overTweets() == 0 {
-		t.Fatal("the recovered design holds no view over tweets")
-	}
-	tweets, err := rec.Catalog().Log(data.TweetsLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tweets.Reset()
-	if _, err := rec.Run(q.SQL); err != nil {
-		t.Fatal(err)
-	}
-	if n := overTweets(); n != 0 {
-		t.Errorf("%d views over a reset log survived the next query", n)
 	}
 }

@@ -90,9 +90,7 @@ func (s *System) runETL() error {
 			return fmt.Errorf("multistore: ETL load of %q: %w", logName, mvErr)
 		}
 		s.metrics.ETL += productive
-		v := views.New(node, res.Table, 0)
-		v.StampGenerations(s.cat.Generation)
-		s.dw.Views.Add(v)
+		s.dw.Views.Add(views.New(node, res.Table, 0))
 	}
 	// The ETL engine's by-products are not retained: DW-ONLY serves
 	// queries exclusively from the warehouse.

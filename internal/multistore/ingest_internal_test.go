@@ -98,7 +98,7 @@ func checkMaintained(t *testing.T, sys *System, log string) {
 // every HV view over the log that is Filter/Project over its Extract is
 // brought forward — equal to a fresh execution over the whole log — and
 // every other view over it, in either store, is gone; views over other logs
-// are untouched, and RefreshLog leaves no view over the log at all.
+// are untouched.
 func TestAppendToLogInvalidatesDerivedViews(t *testing.T) {
 	for _, v := range []Variant{VariantMSMiso, VariantHVOp} {
 		t.Run(string(v), func(t *testing.T) {
@@ -148,15 +148,6 @@ func TestAppendToLogInvalidatesDerivedViews(t *testing.T) {
 			}
 			if maintained == 0 || dropped == 0 {
 				t.Errorf("the appends maintained %d views and dropped %d; want both", maintained, dropped)
-			}
-
-			if _, err := sys.RefreshLog(data.TweetsLog, extra[:10]); err != nil {
-				t.Fatal(err)
-			}
-			for _, st := range sys.stores() {
-				if rw, other := viewsOver(st.views, data.TweetsLog); len(rw)+len(other) > 0 {
-					t.Errorf("after RefreshLog %s holds %d views over tweets", st.tag, len(rw)+len(other))
-				}
 			}
 		})
 	}
@@ -218,11 +209,6 @@ func TestRecoverAfterIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := sys.Run(sqls[0]); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"refresh", func(t *testing.T, sys *System) {
-			if _, err := sys.RefreshLog(data.TweetsLog, extra); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -165,12 +165,12 @@ type Metrics struct {
 	// Queries; their time is charged to HVExe like any HV execution.
 	Degraded int
 	// Quarantined counts views removed from the design instead of being
-	// served: corrupt content (checksum mismatch) or a stale base-log
-	// generation. Quarantine work is charged to Recovery.
+	// served because their content failed its checksum and could not be
+	// recomputed. Quarantine work is charged to Recovery.
 	Quarantined int
 	// AuditViolations counts integrity violations detected by the online
-	// audit plane (AuditViews/AuditInvariants): checksum mismatches, stale
-	// generations, disjointness or budget breaks, WAL inconsistencies.
+	// audit plane (AuditViews/AuditInvariants): checksum mismatches,
+	// disjointness or budget breaks, WAL inconsistencies.
 	// AuditRepaired counts violations self-healed online (views recomputed
 	// through the HV fallback path, budgets evicted back under limit,
 	// durable payloads re-journaled); AuditUnrepaired counts violations
@@ -260,7 +260,7 @@ func (r *QueryReport) Total() float64 {
 }
 
 // System is one running multistore instance. Methods that mutate state
-// (Run, Reorganize, AppendToLog, RefreshLog, ProvideFutureWorkload) are
+// (Run, Reorganize, AppendToLog, ProvideFutureWorkload) are
 // serialized by an internal mutex, so a System is safe to share across
 // goroutines; queries still execute one at a time, as in the paper's
 // single-stream evaluation. Every field below is shared state guarded by
@@ -320,21 +320,10 @@ type System struct {
 	reuse *reusePlane
 	logs  logMirror
 
-	// swept is where the generations and both view sets stood at the last
-	// stale-view sweep (quarantineStale); the zero mark is "never swept".
-	swept sweepMark
-
 	// plans is the plan cache (choose), filled while the log mirror and
 	// the reuse cache stood where planVer has them.
 	plans   map[*logical.Node]*planEntry
 	planVer planVersions
-}
-
-// sweepMark is a sweep's reading of the catalog's generation counter and
-// both view sets' versions; ok tells a taken mark from the zero one.
-type sweepMark struct {
-	gens, hv, dw uint64
-	ok           bool
 }
 
 // ReorgRecord summarizes one reorganization phase.
@@ -391,7 +380,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		inj:     inj,
 		execInj: execInj,
 		retry:   retry,
-		logs:    logMirror{vers: map[string]logVersion{}},
+		logs:    logMirror{lines: map[string]int{}},
 		plans:   map[*logical.Node]*planEntry{},
 	}
 	for _, name := range cat.LogNames() {

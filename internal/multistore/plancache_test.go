@@ -85,7 +85,7 @@ func (s *System) quarantineRotted() {
 
 // TestCachedPlanEqualsFreshChoose runs the served Zipf draw on the variants
 // that plan through runSplit, interleaved with every write the tuple has to
-// see: reorganizations, appends, a refresh, bit rot with quarantine and
+// see: reorganizations, appends, bit rot with quarantine and
 // audit repair, and a crash recovery halfway. The armed oracle checks every
 // hit, and every variant that plans against its own design must hit at
 // least its floor: 1 190, 1 157, 523 and 255 hits were seen in the long run
@@ -131,9 +131,6 @@ func TestCachedPlanEqualsFreshChoose(t *testing.T) {
 					err = sys.Reorganize()
 				case i%250 == 50:
 					_, err = sys.AppendToLog(data.TweetsLog, extra[i/250*4:][:4])
-				case i%700 == 350:
-					checkins, _ := cat.Log(data.CheckinsLog)
-					_, err = sys.RefreshLog(data.CheckinsLog, slices.Clone(checkins.Lines))
 				case i%60 == 0:
 					sys.quarantineRotted()
 				case i%90 == 0:
@@ -160,7 +157,7 @@ func TestCachedPlanEqualsFreshChoose(t *testing.T) {
 // log mirror nor the reuse cache, and moves the estimator only by recording
 // a stat that differs. A plan-cache hit runs a plan whose last execution
 // moved nothing, so it records only stats held already: it moves nothing.
-// Reorganize, append, refresh and quarantine each move the tuple.
+// Reorganize, append and quarantine each move the tuple.
 func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 	sys := newPlanSystem(t, VariantMSMiso, nil)
 	sqls := workload.SQLs()
@@ -219,7 +216,6 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 	}{
 		{"reorganize", sys.Reorganize},
 		{"append", func() error { _, err := sys.AppendToLog(data.TweetsLog, lines); return err }},
-		{"refresh", func() error { _, err := sys.RefreshLog(data.TweetsLog, slices.Clone(tweets.Lines)); return err }},
 		{"quarantine", func() error {
 			sys.mu.Lock()
 			defer sys.mu.Unlock()

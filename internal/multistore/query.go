@@ -161,7 +161,6 @@ func (s *System) begin(ctx context.Context, sql string, plan *logical.Node, buil
 	}
 	ctx = govern.WithLedger(ctx, led)
 	s.beginOp()
-	s.quarantineStale()
 	s.maybeRot()
 	if buildErr != nil {
 		return nil, buildErr

@@ -121,7 +121,7 @@ func TestBuildErrorSurfacesAfterTheRotDraw(t *testing.T) {
 
 const (
 	rotDrawsOfThreeBadQueries = 1
-	digestAfterBadQueries     = 0xf114868201003e51
+	digestAfterBadQueries     = 0x7c0f4e6be94437a1
 )
 
 // TestMSLruAnswersAreTheSameWithReuse: MS-LRU runs through the one

@@ -13,12 +13,12 @@ import (
 // the last checkpoint, replays every WAL record past the checkpoint's LSN
 // (stopping cleanly at a torn tail), resolves in-flight work — committed
 // reorgs and transfers are kept, uncommitted ones rolled back — verifies
-// the content checksum and base-log generation of every restored view, and
-// quarantines the failures out of the design rather than serving them. All
-// recovery work (replay plus the integrity scan over restored view bytes)
-// is charged to the RECOVERY TTI component of the recovered system. The
-// returned System is fully operational: serve.Server can resume on it, and
-// the crash harness resubmits the query that died.
+// the content checksum of every restored view, and quarantines the
+// failures out of the design rather than serving them. All recovery work
+// (replay plus the integrity scan over restored view bytes) is charged to
+// the RECOVERY TTI component of the recovered system. The returned System
+// is fully operational: serve.Server can resume on it, and the crash
+// harness resubmits the query that died.
 //
 // The recovered system journals into a fresh WAL (created by New) and
 // takes an immediate post-recovery checkpoint, exactly as a restarted
@@ -122,9 +122,6 @@ func (s *System) applyWAL(wal *durability.WAL, recs []*durability.Record, report
 			s.bookRealize(journaledReorg(rec), int(rec.Retries))
 		case durability.KindAppend:
 			s.metrics.HVExe += rec.HVSeconds
-		case durability.KindLogGen:
-			// The catalog survives the process; nothing to re-apply. The
-			// post-replay verifyDesign pass re-quarantines stale views.
 		}
 	}
 	if d.OpenReorg {
@@ -161,22 +158,17 @@ func (s *System) replayAdmit(wal *durability.WAL, rec *durability.Record, report
 }
 
 // verifyDesign runs the post-replay integrity pass: every view in the
-// recovered design must pass its content checksum and be no older than its
-// base logs' current generation; failures are quarantined out.
+// recovered design must pass its content checksum; failures are
+// quarantined out.
 func (s *System) verifyDesign(report *durability.RecoveryReport) {
 	for _, st := range s.stores() {
 		for _, v := range st.views.All() {
-			inv, _ := s.unsound(v)
-			if inv == "" {
+			if v.Verify() {
 				continue
 			}
 			st.views.Remove(v.Name)
 			report.Quarantined = append(report.Quarantined, v.Name)
-			if inv == InvChecksum {
-				report.CorruptViews++
-			} else {
-				report.StaleViews++
-			}
+			report.CorruptViews++
 		}
 	}
 }

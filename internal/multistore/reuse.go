@@ -42,12 +42,13 @@ type reusePlane struct {
 	logs   *logMirror
 }
 
-// LogVersion implements mqo.VersionSource.
+// LogVersion implements mqo.VersionSource. A registered log only grows, so
+// its generation is 0 and its line count is its version.
 func (p *reusePlane) LogVersion(name string) (gen, lines int, ok bool) {
 	p.logs.mu.RLock()
 	defer p.logs.mu.RUnlock()
-	v, ok := p.logs.vers[name]
-	return v.gen, v.lines, ok
+	lines, ok = p.logs.lines[name]
+	return 0, lines, ok
 }
 
 func newReusePlane(cfg ReuseConfig, s *System) *reusePlane {
@@ -62,41 +63,38 @@ func newReusePlane(cfg ReuseConfig, s *System) *reusePlane {
 	}
 }
 
-// logMirror holds every log's (generation, line count) as of the system's
-// last catalog mutation: fingerprints, which run outside s.mu so followers
-// can overlap a leader, read it instead of catalog fields queries mutate.
+// logMirror holds every log's line count as of the system's last append:
+// fingerprints, which run outside s.mu so followers can overlap a leader,
+// read it instead of catalog fields appends mutate.
 type logMirror struct {
 	mu    sync.RWMutex
-	vers  map[string]logVersion
+	lines map[string]int
 	moves uint64 // entries syncLogVersion changed, written under s.mu
 }
 
-type logVersion struct{ gen, lines int }
-
 // syncLogVersion refreshes the mirror for one log. Callers hold s.mu (the
-// same critical section that mutated the log), so fingerprints computed
-// outside the lock always see a consistent (gen, lines) pair.
+// same critical section that appended to the log).
 func (s *System) syncLogVersion(name string) {
 	log, err := s.cat.Log(name)
 	if err != nil {
 		return
 	}
-	v := logVersion{gen: log.Generation, lines: log.NumLines()}
+	n := log.NumLines()
 	s.logs.mu.Lock()
 	defer s.logs.mu.Unlock()
-	if s.logs.vers[name] != v {
-		s.logs.vers[name] = v
+	if s.logs.lines[name] != n {
+		s.logs.lines[name] = n
 		s.logs.moves++
 	}
 }
 
 // invalidateReuse drops every cached result and subresult. Callers hold
 // s.mu. It fires on every trigger that can change what a fingerprinted
-// plan should answer or taint what a cached entry holds: log appends and
-// generation bumps, the start of a reorganization (which also keeps the
-// tuner's what-if probing deterministic — the optimizer's reuse probe is
-// all-false while it runs), stale-view quarantine, and audit quarantine
-// of corrupt views whose bytes may have flowed into cached results.
+// plan should answer or taint what a cached entry holds: log appends, the
+// start of a reorganization (which also keeps the tuner's what-if probing
+// deterministic — the optimizer's reuse probe is all-false while it runs),
+// and audit quarantine of corrupt views whose bytes may have flowed into
+// cached results.
 func (s *System) invalidateReuse() {
 	if s.reuse == nil {
 		return

@@ -1,7 +1,6 @@
 package multistore
 
 import (
-	"fmt"
 	"slices"
 
 	"miso/internal/durability"
@@ -13,15 +12,14 @@ import (
 // views it dropped. Views derived from the log would go stale; the ones a
 // Hive-style store can bring forward over the new lines alone are
 // maintained instead (hv.Store.MaintainAppend): an HV view whose definition
-// is Filter and Project nodes over one Extract of the log, materialized from
-// the log's current generation, gets the rows its definition yields over the
-// new lines appended, unless that would take HV past Bh. That maintenance is
-// one HV job charged to HVEXE and journaled with the append, and each
-// maintained view is journaled as an admit of its new content. Every other
-// view over the log, in either store, is dropped, and the next queries
-// rebuild it organically — the same opportunistic mechanism that created it.
-// Statistics of subtrees over the log and every cached result are
-// discarded; views over other logs are untouched.
+// is Filter and Project nodes over one Extract of the log gets the rows its
+// definition yields over the new lines appended, unless that would take HV
+// past Bh. That maintenance is one HV job charged to HVEXE and journaled
+// with the append, and each maintained view is journaled as an admit of its
+// new content. Every other view over the log, in either store, is dropped,
+// and the next queries rebuild it organically — the same opportunistic
+// mechanism that created it. Statistics of subtrees over the log and every
+// cached result are discarded; views over other logs are untouched.
 func (s *System) AppendToLog(name string, lines []string) (dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -62,29 +60,4 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 	s.syncLogVersion(name)
 	s.invalidateReuse()
 	return dropped, sec, nil
-}
-
-// RefreshLog replaces a log wholesale (a new generation of the data set)
-// and invalidates everything derived from it.
-func (s *System) RefreshLog(name string, lines []string) (dropped int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginOp()
-	log, err := s.cat.Log(name)
-	if err != nil {
-		return 0, err
-	}
-	log.Reset()
-	// The generation bump alone invalidates cached fingerprints even when
-	// the refresh carries no lines (appendLocked returns early then).
-	s.syncLogVersion(name)
-	s.invalidateReuse()
-	dropped, _, err = s.appendLocked(name, lines)
-	if err != nil {
-		return dropped, fmt.Errorf("multistore: refresh %q: %w", name, err)
-	}
-	return dropped, s.endOp(&durability.Record{
-		Kind: durability.KindLogGen, Name: name,
-		Seq: int64(s.seq), Gen: int64(log.Generation),
-	})
 }

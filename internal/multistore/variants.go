@@ -86,7 +86,6 @@ func (s *System) retainWorkingSet(q *query, cut *logical.Node, ws *storage.Table
 		return
 	}
 	v := views.New(def, ws, q.entry.Seq)
-	v.StampGenerations(s.cat.Generation)
 	// A quarantine-tombstoned name must not resurrect through passive
 	// retention any more than through capture.
 	if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {

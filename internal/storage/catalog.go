@@ -14,11 +14,6 @@ import (
 type Catalog struct {
 	mu   sync.RWMutex
 	logs map[string]*LogFile
-	// adds counts AddLog calls: the only catalog writes that can change a
-	// schema a plan was built against (appends and resets change contents).
-	adds uint64
-	// retired sums the generations of the logs AddLog replaced.
-	retired uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -26,24 +21,17 @@ func NewCatalog() *Catalog {
 	return &Catalog{logs: make(map[string]*LogFile)}
 }
 
-// AddLog registers a log file. Re-registering a name replaces the previous
-// log (logs are append-only in HDFS; replacement models a fresh generation).
+// AddLog registers a log file. A registered log only grows (logs are
+// append-only in HDFS), so registering a name twice panics, as
+// database/sql.Register does: nothing derived from the first log — views,
+// statistics, plans, cached results — would notice the second.
 func (c *Catalog) AddLog(l *LogFile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.logs[l.Name]; ok {
-		c.retired += uint64(old.Generation)
+	if _, ok := c.logs[l.Name]; ok {
+		panic(fmt.Sprintf("storage: AddLog called twice for log %q", l.Name))
 	}
 	c.logs[l.Name] = l
-	c.adds++
-}
-
-// SchemaVersion moves whenever a log is registered or replaced, and at no
-// other time: a plan built while it read v stays valid while it reads v.
-func (c *Catalog) SchemaVersion() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.adds
 }
 
 // Log returns the named log.
@@ -55,31 +43,6 @@ func (c *Catalog) Log(name string) (*LogFile, error) {
 		return nil, fmt.Errorf("storage: unknown log %q", name)
 	}
 	return l, nil
-}
-
-// Generation reports the named log's current generation (ok=false for an
-// unknown log): the probe views stamp themselves with at materialization
-// (View.StampGenerations) and are checked for staleness against (View.Stale).
-func (c *Catalog) Generation(name string) (int, bool) {
-	l, err := c.Log(name)
-	if err != nil {
-		return 0, false
-	}
-	return l.Generation, true
-}
-
-// GenerationMoves moves whenever some log's generation changed (a Reset of
-// a registered log, an AddLog) and at no other time, so a sweep over
-// generations that read m holds while it reads m: it is the AddLog count
-// plus every generation the catalog's logs, current and replaced, reached.
-func (c *Catalog) GenerationMoves() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := c.adds + c.retired
-	for _, l := range c.logs {
-		n += uint64(l.Generation)
-	}
-	return n
 }
 
 // HasLog reports whether a log with this name exists.

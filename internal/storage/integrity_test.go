@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestLogResetBumpsGeneration(t *testing.T) {
-	l := NewLogFile("tweets", nil)
-	l.AppendLine(`{"a":1}`)
-	l.AppendLine(`{"a":2}`)
-	if l.Generation != 0 {
-		t.Fatalf("fresh log generation = %d", l.Generation)
-	}
-	l.Reset()
-	if l.Generation != 1 || l.NumLines() != 0 || l.RawBytes() != 0 {
-		t.Fatalf("after reset: gen=%d lines=%d bytes=%d", l.Generation, l.NumLines(), l.RawBytes())
-	}
-	l.AppendLine(`{"a":3}`)
-	l.Reset()
-	if l.Generation != 2 {
-		t.Fatalf("second reset: gen=%d, want 2", l.Generation)
-	}
-	// Appending never bumps the generation: only wholesale replacement does.
-	l.AppendLine(`{"a":4}`)
-	if l.Generation != 2 {
-		t.Error("append bumped the generation")
-	}
-}
-
 func checksumFixture(t *testing.T) *Table {
 	t.Helper()
 	sch, err := NewSchema(

@@ -14,9 +14,8 @@ type LogFile struct {
 	FieldTypes  *Schema
 	ScaleFactor float64
 
-	// Generation counts how many times the log has been reset. A view
-	// materialized from generation g is stale — and must be quarantined,
-	// never silently served — once the log advances past g.
+	// Generation is always 0: a registered log only grows. It is read only
+	// by the end-to-end benchmark's mqo.VersionSource (bench/probe.go).
 	Generation int
 
 	bytes int64
@@ -31,14 +30,6 @@ func NewLogFile(name string, fields *Schema) *LogFile {
 func (l *LogFile) AppendLine(line string) {
 	l.Lines = append(l.Lines, line)
 	l.bytes += int64(len(line)) + 1 // +1 for the newline
-}
-
-// Reset drops all records (a new generation of the log replaces the old)
-// and bumps the generation counter that stale-view quarantine keys on.
-func (l *LogFile) Reset() {
-	l.Lines = nil
-	l.bytes = 0
-	l.Generation++
 }
 
 // NumLines returns the record count.

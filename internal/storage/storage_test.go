@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -264,6 +265,26 @@ func TestCatalog(t *testing.T) {
 	if c.TotalLogicalBytes() != la.LogicalBytes()+lb.LogicalBytes() {
 		t.Error("TotalLogicalBytes mismatch")
 	}
+}
+
+// A registered log only grows: registering its name again would let views,
+// statistics and plans built over the first log answer for the second.
+func TestAddLogRegistersANameOnce(t *testing.T) {
+	c := NewCatalog()
+	first := NewLogFile("tweets", nil)
+	first.AppendLine(`{"a":1}`)
+	c.AddLog(first)
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, `"tweets"`) {
+			t.Fatalf("second AddLog of tweets: recovered %v, want a panic naming the log", r)
+		}
+		if l, _ := c.Log("tweets"); l != first {
+			t.Error("second AddLog replaced the registered log")
+		}
+	}()
+	c.AddLog(NewLogFile("tweets", nil))
 }
 
 func TestRowEncodedSizeMatchesSum(t *testing.T) {

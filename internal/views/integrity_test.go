@@ -64,57 +64,15 @@ func TestTouchReplacesTheView(t *testing.T) {
 	}
 }
 
-func TestStampGenerationsAndStaleness(t *testing.T) {
+func TestBaseLogs(t *testing.T) {
 	f := newFixture(t)
 	v := f.makeView(t, "SELECT tweet_id FROM tweets WHERE lang = 'en'")
-	logs := v.BaseLogs()
-	if len(logs) != 1 || logs[0] != "tweets" {
+	if logs := v.BaseLogs(); len(logs) != 1 || logs[0] != "tweets" {
 		t.Fatalf("BaseLogs = %v, want [tweets]", logs)
 	}
-	gen := func(g int) func(string) (int, bool) {
-		return func(name string) (int, bool) {
-			if name != "tweets" {
-				return 0, false
-			}
-			return g, true
-		}
-	}
-	v.StampGenerations(gen(2))
-	if v.LogGens["tweets"] != 2 {
-		t.Fatalf("stamped generations %v", v.LogGens)
-	}
-	if v.Stale(gen(2)) {
-		t.Error("view stale at its own generation")
-	}
-	if !v.Stale(gen(3)) {
-		t.Error("view not stale after the log advanced")
-	}
-	// Unknown logs contribute no stamp and never staleness.
-	unknown := func(string) (int, bool) { return 0, false }
-	if v.Stale(unknown) {
-		t.Error("unknown log reported stale")
-	}
-	// A join view stamps every base log and goes stale if any advances.
 	j := f.makeView(t, `SELECT c.checkin_id FROM checkins c
 		JOIN landmarks l ON c.venue_id = l.venue_id WHERE c.category = 'bar'`)
 	if got := j.BaseLogs(); len(got) != 2 {
 		t.Fatalf("join BaseLogs = %v", got)
-	}
-	j.StampGenerations(func(string) (int, bool) { return 0, true })
-	if !j.Stale(func(name string) (int, bool) {
-		if name == "landmarks" {
-			return 1, true
-		}
-		return 0, true
-	}) {
-		t.Error("join view not stale after one base log advanced")
-	}
-}
-
-func TestUnstampedViewsNeverStale(t *testing.T) {
-	f := newFixture(t)
-	v := f.makeView(t, "SELECT tweet_id FROM tweets")
-	if v.Stale(func(string) (int, bool) { return 99, true }) {
-		t.Error("unstamped view reported stale")
 	}
 }

@@ -48,10 +48,6 @@ type View struct {
 	// materialization. Verify recomputes it to detect corruption before
 	// the view is matched or restored from a checkpoint.
 	Checksum uint64
-	// LogGens records, per base log scanned by Def, the log generation the
-	// view was materialized from. A view whose recorded generation trails
-	// the catalog's is stale and must be quarantined, not served.
-	LogGens map[string]int
 }
 
 // NameForSig derives the stable view name for a signature.
@@ -110,33 +106,6 @@ func (v *View) BaseLogs() []string {
 	}
 	walk(v.Def)
 	return logs
-}
-
-// StampGenerations records the current generation of every base log the
-// view derives from. gen reports the generation for a log name (ok=false
-// when the log is unknown, in which case no stamp is recorded for it).
-func (v *View) StampGenerations(gen func(log string) (int, bool)) {
-	logs := v.BaseLogs()
-	if len(logs) == 0 {
-		return
-	}
-	v.LogGens = make(map[string]int, len(logs))
-	for _, name := range logs {
-		if g, ok := gen(name); ok {
-			v.LogGens[name] = g
-		}
-	}
-}
-
-// Stale reports whether any base log has advanced past the generation the
-// view was materialized from. Views without stamps are never stale.
-func (v *View) Stale(gen func(log string) (int, bool)) bool {
-	for name, g := range v.LogGens {
-		if cur, ok := gen(name); ok && cur > g {
-			return true
-		}
-	}
-	return false
 }
 
 // Verify recomputes the content checksum and compares it against the

@@ -263,8 +263,8 @@ type AuditConfig = audit.Config
 type AuditReport = audit.Report
 
 // Scrubber is the background integrity scrubber: it incrementally walks
-// the view catalogs under live serving, verifies checksums, freshness,
-// design disjointness, budget conservation, and WAL consistency, and —
+// the view catalogs under live serving, verifies checksums, design
+// disjointness, budget conservation, and WAL consistency, and —
 // in repair mode — self-heals corrupt views by recomputation through the
 // HV fallback path.
 //
@@ -290,7 +290,7 @@ func AuditFamilies() []string { return audit.Families() }
 
 // Recover rebuilds a system after a crash from its last checkpoint and WAL:
 // replay, rollback of uncommitted reorganizations and transfers, checksum
-// and generation verification with quarantine, all charged to RECOVERY. If
+// verification with quarantine, all charged to RECOVERY. If
 // the config's budgets are unset, the paper defaults are applied, matching
 // Open. The returned system is fully operational:
 //
