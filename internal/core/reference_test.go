@@ -5,17 +5,19 @@ import (
 	"testing"
 
 	"miso/internal/history"
+	"miso/internal/logical"
 	"miso/internal/optimizer"
 	"miso/internal/views"
 )
 
 // referenceBenefits recomputes the predicted benefits and the degrees of
 // interaction the way Tune did before it read them from a probe table: the
-// benefit loop and the doi loop each walk the window and ask PlanSpace.Cost
-// for every term where it is used. It shares no table, slot arithmetic,
-// match memo or worker pool with the path under test.
+// benefit loop and the doi loop each walk the window, entry by entry, and
+// ask Optimizer.Cost, which builds a fresh plan space per question, for
+// every term where it is used. It shares no table, slot arithmetic, plan
+// space, match memo or worker pool with the path under test.
 func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *history.Window) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
-	cost := func(sp *optimizer.PlanSpace, hv, dw []*views.View) float64 {
+	cost := func(plan *logical.Node, hv, dw []*views.View) float64 {
 		d := optimizer.EmptyDesign()
 		for _, v := range hv {
 			d.HV.Add(v)
@@ -23,14 +25,12 @@ func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *hist
 		for _, v := range dw {
 			d.DW.Add(v)
 		}
-		return sp.Cost(d)
+		return opt.Cost(plan, d)
 	}
 	entries, weights := w.Entries(), w.Weights()
 	relevant := make([][]*views.View, len(entries))
-	spaces := make([]*optimizer.PlanSpace, len(entries))
 	for i, e := range entries {
 		relevant[i] = relevantViews(e.Plan, universe)
-		spaces[i] = opt.PlanSpace(e.Plan)
 	}
 	bnDW = map[string]float64{}
 	bnHV = map[string]float64{}
@@ -38,11 +38,11 @@ func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *hist
 		if len(rel) == 0 {
 			continue
 		}
-		sp := spaces[i]
-		base := cost(sp, nil, nil)
+		plan := entries[i].Plan
+		base := cost(plan, nil, nil)
 		for _, v := range rel {
-			bnDW[v.Name] += weights[i] * max0(base-cost(sp, nil, []*views.View{v}))
-			bnHV[v.Name] += weights[i] * max0(base-cost(sp, []*views.View{v}, nil))
+			bnDW[v.Name] += weights[i] * max0(base-cost(plan, nil, []*views.View{v}))
+			bnHV[v.Name] += weights[i] * max0(base-cost(plan, []*views.View{v}, nil))
 		}
 	}
 	doi = map[[2]string]float64{}
@@ -50,14 +50,14 @@ func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *hist
 		if len(rel) < 2 {
 			continue
 		}
-		sp := spaces[i]
-		base := cost(sp, nil, nil)
+		plan := entries[i].Plan
+		base := cost(plan, nil, nil)
 		for a := 0; a < len(rel); a++ {
 			for b := a + 1; b < len(rel); b++ {
 				va, vb := rel[a], rel[b]
-				bA := max0(base - cost(sp, nil, []*views.View{va}))
-				bB := max0(base - cost(sp, nil, []*views.View{vb}))
-				bAB := max0(base - cost(sp, nil, []*views.View{va, vb}))
+				bA := max0(base - cost(plan, nil, []*views.View{va}))
+				bB := max0(base - cost(plan, nil, []*views.View{vb}))
+				bAB := max0(base - cost(plan, nil, []*views.View{va, vb}))
 				doi[pairKey(va.Name, vb.Name)] += weights[i] * (bAB - bA - bB)
 			}
 		}
@@ -92,13 +92,13 @@ var BenchTunerSetup = benchTunerSetup
 func CheckProbeTable(t testing.TB, opt *optimizer.Optimizer, d optimizer.Design, w *history.Window) {
 	t.Helper()
 	universe, _ := candidates(d)
-	relevant, costs, err := NewTuner(Config{}, opt).probeTable(w.Entries(), universe)
+	relevant, first, costs, err := NewTuner(Config{}, opt).probeTable(w.Entries(), universe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantDW, wantHV, wantDoi := referenceBenefits(opt, universe, w)
 	matches := func() bool {
-		bnDW, bnHV, doi := readTable(relevant, w.Weights(), costs)
+		bnDW, bnHV, doi := readTable(relevant, first, w.Weights(), costs)
 		return sameBits(bnDW, wantDW) && sameBits(bnHV, wantHV) && sameBits(doi, wantDoi)
 	}
 	if !matches() {

@@ -132,11 +132,11 @@ func (t *Tuner) Tune(current optimizer.Design, w *history.Window) (*Reorg, error
 		return &Reorg{NewHV: views.NewSet(), NewDW: views.NewSet()}, nil
 	}
 
-	relevant, costs, err := t.probeTable(w.Entries(), universe)
+	relevant, first, costs, err := t.probeTable(w.Entries(), universe)
 	if err != nil {
 		return nil, err
 	}
-	bnDW, bnHV, doi := readTable(relevant, w.Weights(), costs)
+	bnDW, bnHV, doi := readTable(relevant, first, w.Weights(), costs)
 
 	var items []*Item
 	if t.cfg.SkipSparsify {
@@ -274,41 +274,56 @@ func (t *Tuner) cost(p probe) float64 {
 }
 
 // probeTable asks every what-if question of one tuning phase once and
-// returns the answers by position, beside each entry's relevant views. An
-// entry with relevant views v0..vn-1 owns consecutive slots — its base
-// cost; the cost with {vk} in DW, then with {vk} in HV, for each k; the
-// cost with {va, vb} in DW for each a < b — and entries follow one another
-// in window order (one with no relevant view owns none). readTable walks
-// the same order.
+// returns the answers by position, beside each entry's relevant views and
+// the first slot of its run. A plan with relevant views v0..vn-1 owns
+// consecutive slots — its base cost; the cost with {vk} in DW, then with
+// {vk} in HV, for each k; the cost with {va, vb} in DW for each a < b —
+// and plans follow one another in the window order of their first entry
+// (one with no relevant view owns none). Entries that hold one plan — the
+// builder hands every repeat of a statement the plan it built first —
+// share its relevant views and its run. readTable walks the same order.
 //
 // Costing is a pure read (see optimizer.EnumeratePlans) and each task
 // writes only its own slot, so the table, and every design derived from
 // it, is identical at any worker count.
-func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) ([][]*views.View, []float64, error) {
-	// Only the views matching some plan node can have benefit or
-	// interactions for that query. Entries are independent, so the
-	// matching fans out too, one slot per task.
-	relevant := make([][]*views.View, len(entries))
-	if err := runParallel(t.workers, "tuner relevant-views", len(entries), func(i int) {
-		relevant[i] = relevantViews(entries[i].Plan, universe)
-	}); err != nil {
-		return nil, nil, err
+func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) (relevant [][]*views.View, first []int, costs []float64, err error) {
+	// plans lists each plan of the window once, in the order of its first
+	// entry.
+	var plans []*logical.Node
+	index := map[*logical.Node]int{}
+	for _, e := range entries {
+		if _, ok := index[e.Plan]; !ok {
+			index[e.Plan] = len(plans)
+			plans = append(plans, e.Plan)
+		}
 	}
 
-	// Every probe of an entry shares the design-independent half of its
-	// costing. The spaces are built here, serially, so they are immutable
-	// before the probes fan out, and afresh on every call: each query
-	// execution since the last one rewrote the estimator they read.
+	// Only the views matching some plan node can have benefit or
+	// interactions for that query. Plans are independent, so the matching
+	// fans out too, one slot per task.
+	planRel := make([][]*views.View, len(plans))
+	if err := runParallel(t.workers, "tuner relevant-views", len(plans), func(k int) {
+		planRel[k] = relevantViews(plans[k], universe)
+	}); err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Every probe of a plan shares the design-independent half of its
+	// costing. The spaces are built here, serially, before the probes fan
+	// out, and afresh on every call: each query execution since the last
+	// one rewrote the estimator they read.
 	var probes []probe
-	for i, e := range entries {
-		rel := relevant[i]
+	start := make([]int, len(plans))
+	for k, plan := range plans {
+		rel := planRel[k]
+		start[k] = len(probes)
 		if len(rel) == 0 {
 			continue
 		}
-		sp := t.opt.PlanSpace(e.Plan)
+		sp := t.opt.PlanSpace(plan)
 		probes = append(probes, probe{space: sp})
-		for k := range rel {
-			probes = append(probes, probe{space: sp, dw: rel[k : k+1]}, probe{space: sp, hv: rel[k : k+1]})
+		for j := range rel {
+			probes = append(probes, probe{space: sp, dw: rel[j : j+1]}, probe{space: sp, hv: rel[j : j+1]})
 		}
 		for a := 0; a < len(rel); a++ {
 			for b := a + 1; b < len(rel); b++ {
@@ -316,31 +331,41 @@ func (t *Tuner) probeTable(entries []history.Entry, universe []*views.View) ([][
 			}
 		}
 	}
-	costs := make([]float64, len(probes))
-	err := runParallel(t.workers, "tuner what-if", len(probes), func(i int) {
+	costs = make([]float64, len(probes))
+	err = runParallel(t.workers, "tuner what-if", len(probes), func(i int) {
 		costs[i] = t.cost(probes[i])
 	})
-	return relevant, costs, err
+	relevant = make([][]*views.View, len(entries))
+	first = make([]int, len(entries))
+	for i, e := range entries {
+		k := index[e.Plan]
+		relevant[i], first[i] = planRel[k], start[k]
+	}
+	return relevant, first, costs, err
 }
 
 // readTable folds a probe table into each view's predicted benefit per
 // store and each co-relevant pair's signed degree of interaction, measured
-// in DW placement (where the benefit differences are largest). It consumes
-// the slots in probeTable's order and sums serially in (entry, view, pair)
-// order, so float64 rounding never depends on how the table was filled.
-func readTable(relevant [][]*views.View, weights, costs []float64) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
+// in DW placement (where the benefit differences are largest). It walks
+// every entry in window order, each with its own weight, reads the entry's
+// run from its first slot in probeTable's order and sums serially in
+// (entry, view, pair) order, so float64 rounding never depends on how the
+// table was filled or which entries shared a run.
+func readTable(relevant [][]*views.View, first []int, weights, costs []float64) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
 	bnDW = map[string]float64{}
 	bnHV = map[string]float64{}
 	doi = map[[2]string]float64{}
+	var run []float64
 	next := func() float64 {
-		c := costs[0]
-		costs = costs[1:]
+		c := run[0]
+		run = run[1:]
 		return c
 	}
 	for i, rel := range relevant {
 		if len(rel) == 0 {
 			continue
 		}
+		run = costs[first[i]:]
 		base := next()
 		alone := make([]float64, len(rel)) // each view's benefit alone in DW
 		for k, v := range rel {

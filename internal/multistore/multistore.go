@@ -320,10 +320,10 @@ type System struct {
 	reuse *reusePlane
 	logs  logMirror
 
-	// plans is the plan cache (choose), filled while the log mirror and
-	// the reuse cache stood where planVer has them.
-	plans   map[*logical.Node]*planEntry
-	planVer planVersions
+	// plans is the plan cache (choose), filled while the log mirror had
+	// moved planLogs times.
+	plans    map[*logical.Node]*planEntry
+	planLogs uint64
 }
 
 // ReorgRecord summarizes one reorganization phase.

@@ -404,13 +404,23 @@ func (s *System) versions() planVersions {
 }
 
 // planEntry is a chosen plan and what its choice read: the tuple, both view
-// sets' members, and the id of every node the estimator may have been asked
-// about — the raw plan's and those of every plan EnumeratePlans returned.
+// sets' members, the id of every node the estimator may have been asked
+// about — the raw plan's and those of every plan EnumeratePlans returned —
+// and every answer the reuse probe gave.
 type planEntry struct {
 	mp     *optimizer.MultiPlan
 	ver    planVersions
 	hv, dw []*views.View
 	ids    []uint64
+	reads  []reuseRead
+}
+
+// reuseRead is one answer of the reuse probe: a cut's fingerprint and
+// whether the cache held it. A cut with no fingerprint answers no under
+// every cache state until the log mirror moves, so it is not recorded.
+type reuseRead struct {
+	fp   mqo.Fingerprint
+	held bool
 }
 
 // planCacheCap bounds the plan cache; a full cache is dropped whole.
@@ -423,18 +433,18 @@ var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimize
 // choose is Optimizer.Choose behind the plan cache. Choose is a pure
 // function of the plan (one pointer per statement text), the design and what
 // versions() counts, so a plan chosen under the system's design is handed
-// out again while nothing it read has changed. A move of the log mirror or
-// the reuse cache drops the whole cache; after any other move an entry is
-// checked against its own reads (holds). Another design (MS-BASIC's empty
-// one) is planned afresh. Callers hold s.mu.
+// out again while nothing it read has changed. A move of the log mirror,
+// which every fingerprint folds in, drops the whole cache; after any other
+// move an entry is checked against its own reads (holds). Another design
+// (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
 func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {
 	if d != s.design() {
 		return s.opt.Choose(plan, d)
 	}
 	v := s.versions()
-	if v.logs != s.planVer.logs || v.reuse != s.planVer.reuse || len(s.plans) >= planCacheCap {
+	if v.logs != s.planLogs || len(s.plans) >= planCacheCap {
 		clear(s.plans)
-		s.planVer = v
+		s.planLogs = v.logs
 	}
 	if e, ok := s.plans[plan]; ok && s.holds(e, plan, v) {
 		if planHit != nil {
@@ -445,7 +455,22 @@ func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.Mult
 	// The members are read after the versions, so an entry never holds
 	// members older than its tuple says.
 	e := &planEntry{ver: v, hv: d.HV.Members(), dw: d.DW.Members()}
-	plans := s.opt.EnumeratePlans(plan, d)
+	var probe func(*logical.Node) bool
+	if s.reuse != nil {
+		// The probe New hands the optimizer, less its empty-cache shortcut
+		// (an answer is kept with the fingerprint it asked about); the
+		// choice asks it once per cut node.
+		probe = func(n *logical.Node) bool {
+			fp, ok := s.cutFingerprint(n)
+			if !ok {
+				return false
+			}
+			held := s.reuse.cache.Contains(fp)
+			e.reads = append(e.reads, reuseRead{fp, held})
+			return held
+		}
+	}
+	plans := s.opt.EnumeratePlansWith(plan, d, probe)
 	mp, err := optimizer.Cheapest(plans)
 	if err != nil {
 		return nil, err
@@ -459,15 +484,27 @@ func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.Mult
 // under tuple v, and if so advances the entry to v. Its estimates hold while
 // no stat it may have read was stored or dropped; its design holds while no
 // view added, removed or replaced since can answer a node of the raw plan,
-// the only nodes BestMatch is asked about.
+// the only nodes BestMatch is asked about; its reuse discounts hold while
+// the cache answers each fingerprint the probe asked about as it did.
 func (s *System) holds(e *planEntry, plan *logical.Node, v planVersions) bool {
 	hv, dw := s.hv.Views.Members(), s.dw.Views.Members()
 	if e.ver.est != v.est && s.est.ChangedSince(e.ids, e.ver.est) ||
-		e.ver.hv != v.hv && viewsMoved(e.hv, hv, plan) || e.ver.dw != v.dw && viewsMoved(e.dw, dw, plan) {
+		e.ver.hv != v.hv && viewsMoved(e.hv, hv, plan) || e.ver.dw != v.dw && viewsMoved(e.dw, dw, plan) ||
+		e.ver.reuse != v.reuse && s.reuseMoved(e.reads) {
 		return false
 	}
 	e.ver, e.hv, e.dw = v, hv, dw
 	return true
+}
+
+// reuseMoved reports whether the reuse cache answers one of reads otherwise.
+func (s *System) reuseMoved(reads []reuseRead) bool {
+	for _, r := range reads {
+		if s.reuse.cache.Contains(r.fp) != r.held {
+			return true
+		}
+	}
+	return false
 }
 
 // viewsMoved walks two name-ordered member lists and reports whether a view

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"miso/internal/dw"
 	"miso/internal/hv"
@@ -124,7 +125,8 @@ type Optimizer struct {
 	// charges no HV execution cost, steering plan choice toward cached
 	// work. The probe must be safe for concurrent calls (PlanSpace.Cost
 	// runs under the tuner's parallel what-if workers) and must not
-	// mutate optimizer state; costing with a nil probe is unchanged.
+	// mutate optimizer state; costing with a nil probe is unchanged. One
+	// plan choice asks it at most once per cut node.
 	ReuseProbe func(*logical.Node) bool
 }
 
@@ -236,6 +238,7 @@ func (o *Optimizer) enumerateCuts(n *logical.Node, limit int) [][]*logical.Node 
 // cost holds whenever no HV view rewrites the cut.
 type cutEval struct {
 	dwView *logical.Node // non-nil when a DW-resident view answers the cut
+	dwBy   *views.View   // the view dwView reads
 	hvPlan *logical.Node
 	st     stats.Stat
 	hvCost float64
@@ -244,19 +247,39 @@ type cutEval struct {
 
 // choice is what one plan choice under one design shares across its
 // frontiers: the design, the HV rewrites of raw nodes (hvOnlyPlan's and
-// every cut's), and the cuts' evaluations, with a plan space's (base) when
-// it costs a probe.
+// every cut's), the cuts' evaluations, with a plan space's (base) when
+// it costs a probe, and the reuse probe with its answers so far.
 type choice struct {
 	d          Design
 	rewritten  map[*logical.Node]*logical.Node
 	cuts, base map[*logical.Node]*cutEval
+	probe      func(*logical.Node) bool
+	probed     map[*logical.Node]bool
 }
 
-func newChoice(d Design, base map[*logical.Node]*cutEval) *choice {
-	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base}
+func newChoice(d Design, base map[*logical.Node]*cutEval, probe func(*logical.Node) bool) *choice {
+	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base, probe: probe}
 }
 
 func (c *choice) rewriteHV(n *logical.Node) *logical.Node { return rewrite(n, c.d.HV, c.rewritten) }
+
+// reused reports whether the reuse probe holds the cut's subresult. A cut
+// node appears in many frontiers; the probe is asked about it once per
+// choice, which holds the cache still.
+func (c *choice) reused(n *logical.Node) bool {
+	if c.probe == nil {
+		return false
+	}
+	held, ok := c.probed[n]
+	if !ok {
+		if c.probed == nil {
+			c.probed = map[*logical.Node]bool{}
+		}
+		held = c.probe(n)
+		c.probed[n] = held
+	}
+	return held
+}
 
 func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice) *cutEval {
 	if ce, ok := c.cuts[cutNode]; ok {
@@ -267,7 +290,7 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice) *cutEval {
 	if c.d.DW != nil {
 		if m, ok := c.d.DW.BestMatch(cutNode); ok {
 			if r, err := m.Rewrite(); err == nil {
-				ce.dwView = r
+				ce.dwView, ce.dwBy = r, m.View
 				return ce
 			}
 		}
@@ -330,7 +353,7 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, c *ch
 		ws := logical.NewViewScan(cut.TempName, cutNode.Schema())
 		overlay[ws.ID()] = ce.st
 		replace[cutNode] = ws
-		if o.ReuseProbe == nil || !o.ReuseProbe(cutNode) {
+		if !c.reused(cutNode) {
 			plan.EstHV += ce.hvCost
 		}
 		plan.EstTransfer += ce.xfer
@@ -405,7 +428,14 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // provided nothing concurrently mutates the design's view sets or the
 // catalog.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	c := newChoice(d, nil)
+	return o.EnumeratePlansWith(raw, d, o.ReuseProbe)
+}
+
+// EnumeratePlansWith is EnumeratePlans asking probe in place of ReuseProbe,
+// once per cut node it costs: a caller that wants to know what the choice
+// read of the reuse cache wraps the probe for this one call.
+func (o *Optimizer) EnumeratePlansWith(raw *logical.Node, d Design, probe func(*logical.Node) bool) []*MultiPlan {
+	c := newChoice(d, nil, probe)
 	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)
@@ -443,15 +473,42 @@ func Cheapest(plans []*MultiPlan) (*MultiPlan, error) {
 // empty design — every cut's estimated output, transfer cost and no-view HV
 // cost, and the DW remainder's cost when no DW view answers a cut. All of
 // it is a function of the plan and the estimator alone, so the many probes
-// of one tuning phase share one space; it is immutable once built and goes
-// stale when the estimator's Version moves (or a log's size, which base
-// estimates read) — not on every execution, since recording a stat the
-// estimator already holds writes nothing.
+// of one tuning phase share one space; it goes stale when the estimator's
+// Version moves (or a log's size, which base estimates read) — not on every
+// execution, since recording a stat the estimator already holds writes
+// nothing.
+//
+// Beside what it was built with, a space remembers the DW remainder's cost
+// of every frontier a probe's DW views answered, keyed on which view
+// answers each cut (remainderKey). The remembered costs are pure values of
+// the key under the state the space was built in, so whichever concurrent
+// Cost call fills one stores the bits every other would have.
 type PlanSpace struct {
 	o         *Optimizer
 	raw       *logical.Node
 	frontiers []spaceFrontier
 	base      map[*logical.Node]*cutEval
+
+	mu         sync.Mutex
+	remainders map[remainderKey]remainder
+}
+
+// remainderKey names one DW remainder of a space: the frontier, and per cut
+// position the view that answers the cut in DW, nil for a cut that runs in
+// HV and migrates. The remainder reads nothing else that a design sets: an
+// HV cut is a ws_i scan sized by the cut's design-independent estimate,
+// whatever HV view rewrote its HV side. Frontiers wider than the array are
+// costed afresh each time.
+type remainderKey struct {
+	frontier int
+	dw       [len(tempNames)]*views.View
+}
+
+// remainder is a remembered DW remainder's cost; ok is false when buildPlan
+// refused the frontier under the key's DW views.
+type remainder struct {
+	estDW float64
+	ok    bool
 }
 
 type spaceFrontier struct {
@@ -461,7 +518,7 @@ type spaceFrontier struct {
 
 // PlanSpace builds the query's plan space.
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
-	c := newChoice(EmptyDesign(), nil)
+	c := newChoice(EmptyDesign(), nil, nil)
 	s := &PlanSpace{o: o, raw: raw, base: c.cuts}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)
@@ -477,34 +534,76 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 // under a hypothetical design, bit-identical to the minimum EstTotal over
 // EnumeratePlans(raw, d). It visits the plans in EnumeratePlans' order and
 // re-costs only what the design's views touch: a cut's HV side when an HV
-// view rewrote it, and — through buildPlan, the one place a DW remainder is
-// built and costed — a frontier one of whose cuts a DW view answers. Every
-// other frontier sums the stored floats in buildPlan's order.
+// view rewrote it, and the DW remainder of a frontier one of whose cuts a
+// DW view answers, once per space and set of answering views (remainder).
+// Every frontier sums its HV and transfer costs in buildPlan's order and
+// adds the remainder's cost last, as EstTotal does.
 func (s *PlanSpace) Cost(d Design) float64 {
 	o := s.o
-	c := newChoice(d, s.base)
+	c := newChoice(d, s.base, o.ReuseProbe)
 	best := o.hvOnlyPlan(s.raw, c).EstTotal()
-frontiers:
-	for _, f := range s.frontiers {
+	for fi, f := range s.frontiers {
 		var estHV, estTransfer float64
+		answered := false
 		for _, cutNode := range f.cuts {
 			ce := o.evalCut(cutNode, c)
 			if ce.dwView != nil {
-				if p, err := o.buildPlan(s.raw, f.cuts, c); err == nil && p.EstTotal() < best {
-					best = p.EstTotal()
-				}
-				continue frontiers
+				answered = true
+				continue
 			}
-			if o.ReuseProbe == nil || !o.ReuseProbe(cutNode) {
+			if !c.reused(cutNode) {
 				estHV += ce.hvCost
 			}
 			estTransfer += ce.xfer
 		}
-		if total := estHV + estTransfer + f.estDW; total < best {
+		estDW := f.estDW
+		if answered {
+			r := s.remainder(fi, c)
+			if !r.ok {
+				continue
+			}
+			estDW = r.estDW
+		}
+		if total := estHV + estTransfer + estDW; total < best {
 			best = total
 		}
 	}
 	return best
+}
+
+// remainder returns the DW remainder's cost of frontier fi under the
+// choice's DW views, building and costing it through buildPlan — the one
+// place a DW remainder is built — the first time the space meets its key.
+// The lock guards only the map: two workers that miss on one key both
+// build, and store the same value.
+func (s *PlanSpace) remainder(fi int, c *choice) remainder {
+	cuts := s.frontiers[fi].cuts
+	key := remainderKey{frontier: fi}
+	keyed := len(cuts) <= len(key.dw)
+	if keyed {
+		for i, n := range cuts {
+			key.dw[i] = c.cuts[n].dwBy
+		}
+		s.mu.Lock()
+		r, ok := s.remainders[key]
+		s.mu.Unlock()
+		if ok {
+			return r
+		}
+	}
+	var r remainder
+	if p, err := s.o.buildPlan(s.raw, cuts, c); err == nil {
+		r = remainder{estDW: p.EstDW, ok: true}
+	}
+	if keyed {
+		s.mu.Lock()
+		if s.remainders == nil {
+			s.remainders = map[remainderKey]remainder{}
+		}
+		s.remainders[key] = r
+		s.mu.Unlock()
+	}
+	return r
 }
 
 // Cost is the what-if interface for a single probe; a caller with many

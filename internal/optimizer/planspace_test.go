@@ -240,6 +240,49 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	// The space's remainder memo, filled and read by whichever of four
+	// goroutines gets to a key first: through one space per plan, each
+	// costs every relevant DW singleton and pair twice, in list order and
+	// then shuffled, and every answer must be the bits of the cheapest
+	// enumerated plan.
+	for i, raw := range plans {
+		rel := relevantTo(raw, universe)
+		var dws [][]*views.View
+		for a := range rel {
+			dws = append(dws, one(rel[a]))
+			for b := a + 1; b < len(rel); b++ {
+				dws = append(dws, []*views.View{rel[a], rel[b]})
+			}
+		}
+		want := make([]uint64, len(dws))
+		for k, dw := range dws {
+			mp, err := optimizer.Cheapest(o.EnumeratePlans(raw, designOf(nil, dw)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = math.Float64bits(mp.EstTotal())
+		}
+		sp := o.PlanSpace(raw)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				order := make([]int, len(dws))
+				for k := range order {
+					order[k] = k
+				}
+				order = append(order, rand.New(rand.NewSource(int64(g))).Perm(len(dws))...)
+				for _, k := range order {
+					if got := sp.Cost(designOf(nil, dws[k])); math.Float64bits(got) != want[k] {
+						t.Errorf("remainder memo, query %d, DW design %d: %v != %v", i, k, got, math.Float64frombits(want[k]))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }
 
 // TestPlanSpaceCostUnderDWMatches builds the two DW matches by hand: a view
