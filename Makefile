@@ -112,10 +112,10 @@ endurance:
 scenarios:
 	$(GO) run ./cmd/misobench -mode scenarios -scale small
 
-# cache runs the cross-query reuse soak (semantic result cache +
-# shared-flight piggybacking vs cold execution) and fails unless reuse
-# wins >= 2x throughput with a nonzero hit rate and digest-identical
-# answers.
+# cache runs the cross-query reuse soak (semantic result cache vs cold
+# execution) and fails unless reuse wins >= 2x throughput, each distinct
+# statement executes once with every repeat a hit, and answers are
+# digest-identical.
 cache:
 	$(GO) run ./cmd/misobench -mode cache -scale small
 

@@ -174,7 +174,7 @@ var Modes = []Mode{
 	{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", governRows},
 	{"serve", "concurrent-serving soak (robustness extension)", "", soakRows},
 	{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", scenarioRows},
-	{"cache", "cross-query reuse soak: semantic result cache + shared-flight piggybacking vs cold execution", "BENCH_cache.json", cacheRows},
+	{"cache", "cross-query reuse soak: semantic result cache, concurrent repeats included, vs cold execution", "BENCH_cache.json", cacheRows},
 	{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", enduranceRows},
 }
 

@@ -1,25 +1,21 @@
 // Package mqo is the cross-query reuse plane: multi-query optimization
-// primitives that let concurrent and repeated queries share work instead
-// of re-scanning the same logs and recomputing the same subplans.
+// primitives that let repeated queries share work instead of re-scanning
+// the same logs and recomputing the same subplans.
 //
-// It provides three pieces, all keyed by a canonical plan fingerprint:
+// It provides two pieces, keyed by a canonical plan fingerprint:
 //
 //   - HashPlan folds a normalized logical plan's structural id and the
 //     content version of every base log it scans into one FNV-64a
 //     fingerprint. Two plans with equal fingerprints compute the same
 //     relation over the same data, so their results are interchangeable.
-//   - Registry is a single-flight table of in-flight executions: the first
-//     query with a fingerprint becomes the leader and executes; concurrent
-//     identical queries become followers and piggyback on the leader's
-//     materialized result instead of re-executing.
 //   - Cache is a bounded, log-version-aware, content-hashed semantic result
 //     cache: fingerprint -> materialized table + digest. Every hit
 //     re-verifies the stored digest before serving, so a cached answer is
 //     byte-identical to cold execution or it is not served at all.
 //
-// The package is a leaf below multistore: it imports only logical, storage,
-// and govern. Every method is nil-receiver safe — a nil *Registry or
-// *Cache is the disabled reuse plane and costs one branch per call.
+// The package is a leaf below multistore: it imports only logical and
+// storage. Every Cache method is nil-receiver safe — a nil *Cache is the
+// disabled reuse plane and costs one branch per call.
 package mqo
 
 import (

@@ -1,8 +1,6 @@
 package mqo
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -179,7 +177,7 @@ func TestCacheClear(t *testing.T) {
 	}
 }
 
-func TestNilCacheAndRegistryAreSafe(t *testing.T) {
+func TestNilCacheIsSafe(t *testing.T) {
 	var c *Cache
 	c.Put(1, tbl("a", 1))
 	if _, ok := c.Get(1); ok {
@@ -192,92 +190,6 @@ func TestNilCacheAndRegistryAreSafe(t *testing.T) {
 	_ = c.Stats()
 	if NewCache(0) != nil {
 		t.Fatal("zero-cap cache must be nil")
-	}
-
-	var r *Registry
-	call, leader := r.Join(1)
-	if !leader || call != nil {
-		t.Fatal("nil registry must elect the caller leader with a nil call")
-	}
-	r.Complete(1, call, nil, 0, nil)
-	if _, shared := r.Wait(context.Background(), call); shared {
-		t.Fatal("nil call shared a result")
-	}
-	_ = r.Stats()
-}
-
-func TestFlightPiggyback(t *testing.T) {
-	r := NewRegistry()
-	res := tbl("r", 7)
-	dig := storage.ChecksumData(res)
-
-	lead, leader := r.Join(42)
-	if !leader {
-		t.Fatal("first join must lead")
-	}
-	const followers = 8
-	var wg sync.WaitGroup
-	shared := make([]bool, followers)
-	for i := 0; i < followers; i++ {
-		c, l := r.Join(42)
-		if l {
-			t.Fatal("second join led")
-		}
-		wg.Add(1)
-		go func(i int, c *Call) {
-			defer wg.Done()
-			_, shared[i] = r.Wait(context.Background(), c)
-		}(i, c)
-	}
-	r.Complete(42, lead, res, dig, nil)
-	wg.Wait()
-	for i, s := range shared {
-		if !s {
-			t.Fatalf("follower %d did not share", i)
-		}
-	}
-	st := r.Stats()
-	if st.Leaders != 1 || st.Followers != followers || st.Shared != followers {
-		t.Fatalf("stats: %+v", st)
-	}
-	// The fingerprint is released: the next join leads again.
-	if _, leader := r.Join(42); !leader {
-		t.Fatal("fingerprint not released after Complete")
-	}
-}
-
-func TestFlightLeaderFailureFallsThrough(t *testing.T) {
-	r := NewRegistry()
-	lead, _ := r.Join(7)
-	fol, _ := r.Join(7)
-	r.Complete(7, lead, nil, 0, errors.New("boom"))
-	if _, shared := r.Wait(context.Background(), fol); shared {
-		t.Fatal("shared a failed leader's result")
-	}
-	if st := r.Stats(); st.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", st.Fallbacks)
-	}
-}
-
-func TestFlightWaitRespectsContext(t *testing.T) {
-	r := NewRegistry()
-	_, _ = r.Join(9) // leader never completes
-	fol, _ := r.Join(9)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, shared := r.Wait(ctx, fol); shared {
-		t.Fatal("shared after context cancellation")
-	}
-}
-
-func TestFlightDigestMismatchNotShared(t *testing.T) {
-	r := NewRegistry()
-	lead, _ := r.Join(11)
-	fol, _ := r.Join(11)
-	res := tbl("r", 3)
-	r.Complete(11, lead, res, storage.ChecksumData(res)+1, nil)
-	if _, shared := r.Wait(context.Background(), fol); shared {
-		t.Fatal("shared a result whose digest does not verify")
 	}
 }
 

@@ -100,8 +100,7 @@ type Config struct {
 	// governance.
 	MemLimitBytes int64
 
-	// Reuse enables the cross-query reuse plane: single-flight
-	// piggybacking of identical concurrent queries and the content-hashed
+	// Reuse enables the cross-query reuse plane: the content-hashed
 	// semantic result/subresult cache (see ReuseConfig). Disabled runs
 	// take the exact pre-reuse code path: results and StateDigest are
 	// byte-identical to a system without the plane.
@@ -181,15 +180,14 @@ type Metrics struct {
 	AuditViolations int
 	AuditRepaired   int
 	AuditUnrepaired int
-	// The reuse-plane counters below depend on concurrent arrival timing
-	// (who rendezvouses with whom) and cache residency, so — like the
-	// audit counters — all four are excluded from StateDigest: a
+	// The reuse-plane counters below depend on cache residency, so — like
+	// the audit counters — all four are excluded from StateDigest: a
 	// reuse-disabled run stays byte-identical to a system with no reuse
 	// plane at all. CacheHits counts queries answered from the semantic
-	// cache; CacheMisses counts fingerprintable queries that executed
-	// cold (including cut-level subresult probes); Piggybacked counts
-	// queries that shared a concurrent leader's in-flight execution;
-	// SubplanHits counts HV cuts answered from cached subresults.
+	// cache; CacheMisses counts the queries it did not answer, which
+	// executed; SubplanHits counts HV cuts answered from cached
+	// subresults. Piggybacked is always zero (queries run one at a time,
+	// so a concurrent repeat is a cache hit); the bench module reads it.
 	CacheHits   int
 	CacheMisses int
 	Piggybacked int
@@ -228,10 +226,10 @@ type QueryReport struct {
 	// serving layer while the DW circuit breaker was open (RunDegraded).
 	Degraded bool
 	// CacheHit marks a query answered from the semantic result cache;
-	// Piggybacked marks one that shared a concurrent identical query's
-	// in-flight execution; SubplanHits counts HV cuts answered from
-	// cached subresults. All three are reuse-plane observability,
-	// excluded from StateDigest and the durability journal.
+	// SubplanHits counts HV cuts answered from cached subresults. Both are
+	// reuse-plane observability, excluded from StateDigest and the
+	// durability journal. Piggybacked is always false (see
+	// Metrics.Piggybacked).
 	CacheHit    bool
 	Piggybacked bool
 	SubplanHits int
@@ -318,10 +316,10 @@ type System struct {
 	// reuse is the cross-query reuse plane (nil when Config.Reuse is
 	// disabled — every reuse touchpoint is then a single nil check).
 	reuse *reusePlane
-	logs  logMirror
+	// appends counts the appends that added lines to a log (appendLocked).
+	appends uint64
 
-	// plans is the plan cache (choose), filled while the log mirror had
-	// moved planLogs times.
+	// plans is the plan cache (choose), filled after planLogs appends.
 	plans    map[*logical.Node]*planEntry
 	planLogs uint64
 }
@@ -380,11 +378,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		inj:     inj,
 		execInj: execInj,
 		retry:   retry,
-		logs:    logMirror{lines: map[string]int{}},
 		plans:   map[*logical.Node]*planEntry{},
-	}
-	for _, name := range cat.LogNames() {
-		s.syncLogVersion(name)
 	}
 	// Vh ∩ Vd = ∅: an HV fallback recomputing the definition of a view the
 	// tuner moved to DW must not re-capture it on the HV side. A
@@ -395,12 +389,13 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		return d.Views.Has(name) || s.tombstoned(name)
 	})
 	if cfg.Reuse.Enabled {
-		s.reuse = newReusePlane(cfg.Reuse, s)
+		s.reuse = newReusePlane(cfg.Reuse, cat)
 		// Costing sees the cache: a cut whose subresult is resident costs
 		// no HV time, steering plan choice toward reuse. The probe reads
-		// only mutex-guarded reuse state, keeping plan costing safe for
-		// the tuner's concurrent what-if workers; the cache is cleared at
-		// reorg start, so tuning itself probes an empty cache and stays
+		// the mutex-guarded cache and log line counts that change only
+		// under s.mu, which the tuner holds, keeping plan costing safe for
+		// its concurrent what-if workers; the cache is cleared at reorg
+		// start, so tuning itself probes an empty cache and stays
 		// deterministic — and answers every probe before expanding a view.
 		opt.ReuseProbe = func(n *logical.Node) bool {
 			if s.reuse.cache.Stats().Entries == 0 {
@@ -537,12 +532,12 @@ func (s *System) Run(sql string) (*QueryReport, error) {
 // context and no memory limits, RunContext is byte-identical to Run.
 //
 // With the reuse plane enabled (Config.Reuse), a query may instead be
-// answered by piggybacking on a concurrent identical query's in-flight
-// execution or from the semantic result cache; both paths book a
-// zero-cost report whose result table is digest-verified against cold
-// execution. A cache hit never triggers a reorganization — it touches
-// neither store — so tuned variants reorganize on misses and via
-// Reorganize.
+// answered from the semantic result cache, which books a zero-cost report
+// whose result table is digest-verified against cold execution. Queries
+// run one at a time, so a repeat that arrives while its first copy
+// executes is answered by the cache once that copy is done. A cache hit
+// never triggers a reorganization — it touches neither store — so tuned
+// variants reorganize on misses and via Reorganize.
 func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, false)
 }

@@ -170,8 +170,8 @@ func TestCachedPlanEqualsFreshChoose(t *testing.T) {
 // TestPlanVersionsMoveOnlyOnWrites is the version tuple's contract on the
 // served_cold draw: after a warming pass, a query moves Vh or Vd only when
 // it captured a view (its recency Touch moves nothing), moves neither the
-// log mirror nor the reuse cache, and moves the estimator only by recording
-// a stat that differs. A plan-cache hit runs a plan whose last execution
+// log-append count nor the reuse cache, and moves the estimator only by
+// recording a stat that differs. A plan-cache hit runs a plan whose last execution
 // moved nothing, so it records only stats held already: it moves nothing.
 // Reorganize, append and quarantine each move the tuple.
 func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
@@ -207,7 +207,7 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 			t.Errorf("query %d captured nothing, yet the design's version moved: %+v -> %+v", i, before, after)
 		}
 		if after.logs != before.logs || after.reuse != before.reuse {
-			t.Errorf("query %d moved the log mirror or the reuse cache: %+v -> %+v", i, before, after)
+			t.Errorf("query %d moved the log-append count or the reuse cache: %+v -> %+v", i, before, after)
 		}
 		if hits.Load() > h && after != before {
 			t.Errorf("query %d was a plan-cache hit, yet it moved the tuple: %+v -> %+v", i, before, after)

@@ -48,8 +48,7 @@ func (q *query) answer(t *storage.Table) {
 // submit is the one query path. Every entry point runs the same four
 // steps — prologue (begin), HV step (execHV), cut migration (migrateCut),
 // booking (charge + bookLocked) — and differs only in the route it takes between
-// prologue and booking: a follower of an identical in-flight query books
-// the leader's table, the degraded route runs whole in HV, a cache hit
+// prologue and booking: the degraded route runs whole in HV, a cache hit
 // books the cached table, everything else runs the variant.
 //
 // Plan building reads only construction-time catalog state (schemas,
@@ -57,34 +56,13 @@ func (q *query) answer(t *storage.Table) {
 // lock — and once per statement text: the builder hands every repeat of a
 // text the plan it built first (shared, since a built plan is immutable),
 // so a cache hit neither parses nor builds. The built plan is already
-// normalized, so it is the canonical plan the reuse plane fingerprints.
-// With the reuse plane on it is fingerprinted before the lock too, against
-// the version mirror, so concurrent identical queries can rendezvous while
-// the leader executes: the leader publishes its result table to the
-// flight; a follower waits for it and, if the leader failed or the
-// published digest no longer verifies, executes cold itself. A follower
-// that joined before a concurrent catalog mutation may be handed a result
-// computed just after it; that is the usual single-flight linearization
-// (the query orders after the mutation).
-func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *QueryReport, err error) {
+// normalized, so it is the canonical plan the reuse plane fingerprints,
+// under the lock, against the log versions the catalog has now. Queries
+// run one at a time under s.mu, so a repeat that arrives while its first
+// copy executes waits for the lock and then hits the result that copy put
+// into the cache.
+func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryReport, error) {
 	plan, buildErr := s.builder.BuildSQL(sql)
-	var shared *storage.Table
-	if s.reuse != nil && !degraded && buildErr == nil {
-		if fp, ok := mqo.HashPlan(plan, s.reuse); ok {
-			call, leader := s.reuse.flight.Join(fp)
-			if leader {
-				defer func() {
-					if err != nil || rep == nil || rep.Result == nil {
-						s.reuse.flight.Complete(fp, call, nil, 0, err)
-						return
-					}
-					s.reuse.flight.Complete(fp, call, rep.Result, storage.ChecksumData(rep.Result), nil)
-				}()
-			} else {
-				shared, _ = s.reuse.flight.Wait(ctx, call)
-			}
-		}
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,17 +75,11 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (rep *Qu
 	var fp mqo.Fingerprint
 	var fpOK, ran bool
 	switch {
-	case shared != nil:
-		// The leader already paid for the execution: zero simulated cost.
-		q.rep.Piggybacked = true
-		q.answer(shared)
 	case degraded:
 		q.rep.Degraded = true
 		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views))
 	default:
 		if s.reuse != nil {
-			// The cache is keyed on the log versions the catalog has now,
-			// under the lock, not on the mirror's as of the flight join.
 			if fp, fpOK = mqo.HashPlan(plan, s.reuse); fpOK {
 				if t, ok := s.reuse.cache.Get(fp); ok {
 					q.rep.CacheHit = true
@@ -193,7 +165,6 @@ func (s *System) charge(rep *QueryReport) {
 	m.Fallbacks += b2i(rep.FellBackToHV)
 	m.Degraded += b2i(rep.Degraded)
 	m.CacheHits += b2i(rep.CacheHit)
-	m.Piggybacked += b2i(rep.Piggybacked)
 }
 
 func b2i(b bool) int {
@@ -389,14 +360,14 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 }
 
 // planVersions is the version tuple of everything Optimizer.Choose reads
-// under the system's design: both view sets, the estimator, the log mirror
-// (which the estimator's base sizes and the reuse probe's fingerprints
-// follow) and the reuse cache the probe asks.
+// under the system's design: both view sets, the estimator, the count of
+// log appends (which the estimator's base sizes and the reuse probe's
+// fingerprints follow) and the reuse cache the probe asks.
 type planVersions struct{ hv, dw, est, logs, reuse uint64 }
 
 // versions reads the tuple. Callers hold s.mu.
 func (s *System) versions() planVersions {
-	v := planVersions{hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), est: s.est.Version(), logs: s.logs.moves}
+	v := planVersions{hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), est: s.est.Version(), logs: s.appends}
 	if s.reuse != nil {
 		v.reuse = s.reuse.cache.Writes()
 	}
@@ -417,7 +388,7 @@ type planEntry struct {
 
 // reuseRead is one answer of the reuse probe: a cut's fingerprint and
 // whether the cache held it. A cut with no fingerprint answers no under
-// every cache state until the log mirror moves, so it is not recorded.
+// every cache state until a log is appended to, so it is not recorded.
 type reuseRead struct {
 	fp   mqo.Fingerprint
 	held bool
@@ -433,8 +404,8 @@ var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimize
 // choose is Optimizer.Choose behind the plan cache. Choose is a pure
 // function of the plan (one pointer per statement text), the design and what
 // versions() counts, so a plan chosen under the system's design is handed
-// out again while nothing it read has changed. A move of the log mirror,
-// which every fingerprint folds in, drops the whole cache; after any other
+// out again while nothing it read has changed. A log append, which moves
+// every fingerprint over the log, drops the whole cache; after any other
 // move an entry is checked against its own reads (holds). Another design
 // (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
 func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {

@@ -1,23 +1,20 @@
 package multistore
 
 import (
-	"sync"
-
 	"miso/internal/logical"
 	"miso/internal/mqo"
+	"miso/internal/storage"
 )
 
-// ReuseConfig configures the cross-query reuse plane: single-flight
-// piggybacking of identical concurrent queries plus the content-hashed
+// ReuseConfig configures the cross-query reuse plane: the content-hashed
 // semantic result/subresult cache. The zero value disables the plane
 // entirely — a disabled system takes the exact pre-reuse code path, so
 // its results, metrics, and StateDigest are byte-identical to a build
 // without the plane.
 type ReuseConfig struct {
-	// Enabled turns on both layers: the in-flight registry (concurrent
-	// queries with identical canonical plans over identical log content
-	// share one execution) and the semantic cache (repeated plans are
-	// answered from digest-verified materializations).
+	// Enabled turns on the semantic cache: repeated plans over unchanged
+	// logs, and HV cuts over them, are answered from digest-verified
+	// materializations.
 	Enabled bool
 	// CacheBytes bounds the semantic cache's materialized results. Zero
 	// means DefaultCacheBytes.
@@ -28,64 +25,35 @@ type ReuseConfig struct {
 // is set with CacheBytes zero.
 const DefaultCacheBytes int64 = 64 << 20
 
-// ReuseStats snapshots both reuse layers.
+// ReuseStats snapshots the reuse plane.
 type ReuseStats struct {
-	Cache  mqo.CacheStats
-	Flight mqo.FlightStats
+	Cache mqo.CacheStats
 }
 
 // reusePlane is the per-System reuse state. It doubles as the
-// mqo.VersionSource, reading the system's log mirror.
+// mqo.VersionSource, reading the catalog.
 type reusePlane struct {
-	flight *mqo.Registry
-	cache  *mqo.Cache
-	logs   *logMirror
+	cache *mqo.Cache
+	cat   *storage.Catalog
 }
 
 // LogVersion implements mqo.VersionSource. A registered log only grows, so
-// its generation is 0 and its line count is its version.
+// its generation is 0 and its line count is its version. Appends change the
+// count under s.mu, and every fingerprint is taken under s.mu too.
 func (p *reusePlane) LogVersion(name string) (gen, lines int, ok bool) {
-	p.logs.mu.RLock()
-	defer p.logs.mu.RUnlock()
-	lines, ok = p.logs.lines[name]
-	return 0, lines, ok
+	log, err := p.cat.Log(name)
+	if err != nil {
+		return 0, 0, false
+	}
+	return 0, log.NumLines(), true
 }
 
-func newReusePlane(cfg ReuseConfig, s *System) *reusePlane {
+func newReusePlane(cfg ReuseConfig, cat *storage.Catalog) *reusePlane {
 	capBytes := cfg.CacheBytes
 	if capBytes <= 0 {
 		capBytes = DefaultCacheBytes
 	}
-	return &reusePlane{
-		flight: mqo.NewRegistry(),
-		cache:  mqo.NewCache(capBytes),
-		logs:   &s.logs,
-	}
-}
-
-// logMirror holds every log's line count as of the system's last append:
-// fingerprints, which run outside s.mu so followers can overlap a leader,
-// read it instead of catalog fields appends mutate.
-type logMirror struct {
-	mu    sync.RWMutex
-	lines map[string]int
-	moves uint64 // entries syncLogVersion changed, written under s.mu
-}
-
-// syncLogVersion refreshes the mirror for one log. Callers hold s.mu (the
-// same critical section that appended to the log).
-func (s *System) syncLogVersion(name string) {
-	log, err := s.cat.Log(name)
-	if err != nil {
-		return
-	}
-	n := log.NumLines()
-	s.logs.mu.Lock()
-	defer s.logs.mu.Unlock()
-	if s.logs.lines[name] != n {
-		s.logs.lines[name] = n
-		s.logs.moves++
-	}
+	return &reusePlane{cache: mqo.NewCache(capBytes), cat: cat}
 }
 
 // invalidateReuse drops every cached result and subresult. Callers hold
@@ -112,16 +80,13 @@ func (s *System) InvalidateReuse() {
 	s.invalidateReuse()
 }
 
-// ReuseStats snapshots the reuse plane's cache and single-flight
-// counters; zero when the plane is disabled.
+// ReuseStats snapshots the reuse plane's cache counters; zero when the
+// plane is disabled.
 func (s *System) ReuseStats() ReuseStats {
 	if s.reuse == nil {
 		return ReuseStats{}
 	}
-	return ReuseStats{
-		Cache:  s.reuse.cache.Stats(),
-		Flight: s.reuse.flight.Stats(),
-	}
+	return ReuseStats{Cache: s.reuse.cache.Stats()}
 }
 
 // cutFingerprint fingerprints a cut's base-data definition, expanding any

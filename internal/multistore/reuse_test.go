@@ -2,22 +2,21 @@ package multistore
 
 // White-box tests for the cross-query reuse plane: semantic-cache hits
 // serving digest-identical answers, strict invalidation on every trigger
-// (log appends, reorganization, crash recovery, audit quarantine), deterministic single-flight piggybacking, and the
-// guarantee that reuse-enabled execution never changes what a query
-// answers. They reach into the plane's registry and version mirror, so
-// they live inside the package.
+// (log appends, reorganization, crash recovery, audit quarantine),
+// concurrent repeats answered by the cache, and the guarantee that
+// reuse-enabled execution never changes what a query answers. They reach
+// into the system's reuse plane, window and future workload, so they live
+// inside the package.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"sync"
 	"testing"
-	"time"
 
 	"miso/internal/data"
 	"miso/internal/durability"
 	"miso/internal/logical"
-	"miso/internal/mqo"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
@@ -271,99 +270,49 @@ func TestReuseInvalidationOnAuditQuarantine(t *testing.T) {
 	}
 }
 
-// waitFollowers blocks until the flight registry has seen n follower
-// joins (the counter is cumulative), failing the test after ~5s.
-func waitFollowers(t *testing.T, sys *System, n int) {
-	t.Helper()
-	for i := 0; i < 5000; i++ {
-		if sys.reuse.flight.Stats().Followers >= n {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("no follower joined the flight (stats %+v)", sys.reuse.flight.Stats())
-}
-
-// TestReusePiggyback deterministically exercises the single-flight path:
-// with a leader call held open for a fingerprint, a concurrent identical
-// query joins as follower and books the leader's published table as a
-// zero-cost piggybacked report.
-func TestReusePiggyback(t *testing.T) {
-	sys := newReuseSystem(t, VariantMSMiso, nil)
+// TestConcurrentRepeatsHitTheCache: queries run one at a time under s.mu,
+// so of eight concurrent submissions of one statement the first to take
+// the lock executes and the other seven are answered from the cache it
+// filled, at zero cost and with the reuse-off twin's answer.
+func TestConcurrentRepeatsHitTheCache(t *testing.T) {
 	sql := workload.SQLs()[0]
-	cold, err := sys.Run(sql)
+	twin := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.Reuse = ReuseConfig{} })
+	cold, err := twin.Run(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := storage.ChecksumData(cold.Result)
 
-	plan, err := sys.builder.BuildSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	sys := newReuseSystem(t, VariantMSMiso, nil)
+	const n = 8
+	reps := make([]*QueryReport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = sys.RunContext(context.Background(), sql)
+		}()
 	}
-	fp, ok := mqo.HashPlan(plan, sys.reuse)
-	if !ok {
-		t.Fatal("workload query did not fingerprint")
-	}
-	call, leader := sys.reuse.flight.Join(fp)
-	if !leader {
-		t.Fatal("fingerprint unexpectedly in flight")
-	}
-	done := make(chan *QueryReport, 1)
-	errs := make(chan error, 1)
-	go func() {
-		rep, err := sys.RunContext(context.Background(), sql)
-		if err != nil {
-			errs <- err
-			return
+	wg.Wait()
+	hits := 0
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatalf("submission %d: %v", i, errs[i])
 		}
-		done <- rep
-	}()
-	waitFollowers(t, sys, 1)
-	sys.reuse.flight.Complete(fp, call, cold.Result, storage.ChecksumData(cold.Result), nil)
-	select {
-	case err := <-errs:
-		t.Fatalf("follower: %v", err)
-	case rep := <-done:
-		if !rep.Piggybacked {
-			t.Fatal("follower did not piggyback")
+		if rep.CacheHit {
+			hits++
+			if rep.Total() != 0 {
+				t.Errorf("submission %d: cache hit charged %f seconds, want 0", i, rep.Total())
+			}
 		}
-		if rep.Total() != 0 {
-			t.Errorf("piggybacked query charged %f seconds, want 0", rep.Total())
-		}
-		if storage.ChecksumTable(rep.Result) != storage.ChecksumTable(cold.Result) {
-			t.Fatal("piggybacked answer diverged from the leader's")
+		if storage.ChecksumData(rep.Result) != want {
+			t.Errorf("submission %d: answer diverged from the reuse-off twin's", i)
 		}
 	}
-	if m := sys.Metrics(); m.Piggybacked != 1 {
-		t.Errorf("Piggybacked = %d, want 1", m.Piggybacked)
-	}
-	// A failed leader must push followers onto cold execution, never
-	// sharing the failure.
-	call2, leader2 := sys.reuse.flight.Join(fp)
-	if !leader2 {
-		t.Fatal("fingerprint still in flight")
-	}
-	done2 := make(chan *QueryReport, 1)
-	go func() {
-		rep, err := sys.RunContext(context.Background(), sql)
-		if err != nil {
-			errs <- err
-			return
-		}
-		done2 <- rep
-	}()
-	waitFollowers(t, sys, 2)
-	sys.reuse.flight.Complete(fp, call2, nil, 0, errors.New("leader failed"))
-	select {
-	case err := <-errs:
-		t.Fatalf("fallback follower: %v", err)
-	case rep := <-done2:
-		if rep.Piggybacked {
-			t.Fatal("follower shared a failed leader's flight")
-		}
-		if storage.ChecksumTable(rep.Result) != storage.ChecksumTable(cold.Result) {
-			t.Fatal("fallback answer diverged")
-		}
+	if m := sys.Metrics(); m.CacheMisses != 1 || hits != n-1 {
+		t.Errorf("%d misses and %d hits, want 1 and %d", m.CacheMisses, hits, n-1)
 	}
 }
 
@@ -410,8 +359,8 @@ func TestSubmitBuildsEachStatementOnce(t *testing.T) {
 // TestCacheHitAllocs guards the hit path's allocations: with the plan
 // built once per text and the prologue's quarantine copying no view set,
 // a served cache hit allocates for its prologue, report and booking only.
-// The ceilings sit above what a hit allocates here (55, 135 and 199 for
-// queries 0, 5 and 17; 674, 491 and 573 when every hit rebuilt its plan).
+// The ceilings sit above what a hit allocates here (3 for each of queries
+// 0, 5 and 17; 674, 491 and 573 when every hit rebuilt its plan).
 func TestCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

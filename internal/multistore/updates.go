@@ -54,10 +54,10 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 	s.metrics.HVExe += sec
 	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
 	s.est.InvalidateLog(name)
-	// The log's content version advanced: refresh the reuse plane's
-	// version mirror (fingerprints over the new content differ, making old
-	// entries unreachable) and drop the cached results outright.
-	s.syncLogVersion(name)
+	// The log's content version advanced: fingerprints over the new
+	// content differ, making old entries unreachable. The count drops the
+	// chosen plans at the next choose; the cached results go now.
+	s.appends++
 	s.invalidateReuse()
 	return dropped, sec, nil
 }

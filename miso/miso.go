@@ -124,14 +124,14 @@ type QuotaConfig = serve.QuotaConfig
 type TenantStats = serve.TenantStats
 
 // ReuseConfig enables the cross-query reuse plane inside Config
-// (Config.Reuse): the content-fingerprinted semantic result cache and
-// the single-flight registry that lets concurrent identical queries
-// piggyback on one execution. The zero value disables the plane and is
-// byte-identical to a build without it.
+// (Config.Reuse): the content-fingerprinted semantic result cache, which
+// answers repeats of a query over unchanged logs, concurrent ones
+// included. The zero value disables the plane and is byte-identical to a
+// build without it.
 type ReuseConfig = multistore.ReuseConfig
 
-// ReuseStats is a point-in-time snapshot of the reuse plane's cache and
-// in-flight registry counters (System.ReuseStats).
+// ReuseStats is a point-in-time snapshot of the reuse plane's cache
+// counters (System.ReuseStats).
 type ReuseStats = multistore.ReuseStats
 
 // Server is the concurrent query-serving frontend: a bounded worker pool
