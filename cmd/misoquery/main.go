@@ -173,22 +173,23 @@ func main() {
 		fmt.Printf("simulated time: HV %.1fs + transfer %.1fs + DW %.1fs = %.1fs\n",
 			rep.HVSeconds, rep.TransferSeconds, rep.DWSeconds, rep.Total())
 	}
+	m := sys.Metrics()
 	if rep.RecoverySeconds > 0 || rep.Retries > 0 {
 		fallback := ""
 		if rep.FellBackToHV {
 			fallback = ", fell back to HV"
 		}
-		fmt.Printf("fault recovery: %.1fs across %d retries%s (sheds %d, breaker trips %d, timeouts %d)\n",
+		fmt.Printf("fault recovery: %.1fs across %d retries%s (sheds %d, fallbacks %d, degraded %d, timeouts %d)\n",
 			rep.RecoverySeconds, rep.Retries, fallback,
-			sm.Sheds, sm.BreakerTrips, sm.Timeouts)
+			sm.Sheds, m.Fallbacks, m.Degraded, sm.Timeouts)
 	}
 	if len(rep.UsedViews) > 0 {
 		fmt.Printf("views used: %v\n", rep.UsedViews)
 	}
 	fmt.Printf("opportunistic views created: %d\n", rep.NewViews)
 	fmt.Printf("%d result rows\n", rep.ResultRows)
-	fmt.Printf("serving: sheds %d, breaker trips %d, timeouts %d%s\n",
-		sm.Sheds, sm.BreakerTrips, sm.Timeouts, tenantLine)
+	fmt.Printf("serving: sheds %d, fallbacks %d, degraded %d, timeouts %d%s\n",
+		sm.Sheds, m.Fallbacks, m.Degraded, sm.Timeouts, tenantLine)
 	if *reuse {
 		rs := sys.ReuseStats()
 		fmt.Printf("reuse: %d cached subplans fed this query; cache %d hits / %d misses (%d entries, %d bytes)\n",

@@ -109,8 +109,8 @@ func chaosRows(Config, Shape) (layout, []row, error) {
 	}
 	lay := layout{
 		title: fmt.Sprintf("Chaos sweep: uniform failure rate vs TTI (seed %d)", chaosSeed),
-		header: fmt.Sprintf("%6s %-10s %-6s %12s %12s %8s %8s %6s %6s %6s %9s %6s %8s %6s %6s %6s %6s %8s %6s %6s %6s",
-			"rate", "variant", "mode", "TTI(s)", "recovery(s)", "rec%", "retries", "fallbk", "sheds", "trips", "degraded",
+		header: fmt.Sprintf("%6s %-10s %-6s %12s %12s %8s %8s %6s %6s %6s %8s %6s %6s %6s %6s %8s %6s %6s %6s",
+			"rate", "variant", "mode", "TTI(s)", "recovery(s)", "rec%", "retries", "fallbk", "sheds",
 			"recov", "replayed", "quarn", "cancel", "memab", "panics", "cp99ms", "vdet", "vrep", "vunrep"),
 		line: func(o *Outcome) string {
 			m, s := o.System, o.Serve
@@ -118,17 +118,17 @@ func chaosRows(Config, Shape) (layout, []row, error) {
 			if m.TTI() > 0 {
 				pct = 100 * m.Recovery / m.TTI()
 			}
-			return fmt.Sprintf("%5.0f%% %-10s %-6s %12.1f %12.1f %7.1f%% %8d %6d %6d %6d %9d %6d %8d %6d %6d %6d %6d %8.1f %6d %6d %6d",
+			return fmt.Sprintf("%5.0f%% %-10s %-6s %12.1f %12.1f %7.1f%% %8d %6d %6d %6d %8d %6d %6d %6d %6d %8.1f %6d %6d %6d",
 				100*o.Rate, o.Variant, o.Desc, m.TTI(), m.Recovery, pct,
-				m.Retries, m.Fallbacks, s.Sheds, s.BreakerTrips, m.Degraded,
+				m.Retries, m.Fallbacks, s.Sheds,
 				o.Recovery.Recoveries, o.Recovery.Replayed, o.Recovery.Quarantined,
 				s.Canceled, s.Aborted, s.PanicsContained, o.CancelP99Ms,
 				m.AuditViolations, m.AuditRepaired, m.AuditUnrepaired)
 		},
 		footer: fmt.Sprintf("all %d-query sequential runs completed under every rate; serve rows add\n", len(sqls)) +
-			"admission sheds, DW breaker trips and degraded HV-only service; crash rows\n" +
-			"add process kills survived via checkpoint+WAL recovery (recoveries,\n" +
-			"replayed records, quarantined views); govern rows add caller cancellation,\n" +
+			"admission sheds under concurrent sessions; crash rows add process kills\n" +
+			"survived via checkpoint+WAL recovery (recoveries, replayed records,\n" +
+			"quarantined views); govern rows add caller cancellation,\n" +
 			"memory-budget aborts and contained worker panics with the p99\n" +
 			"cancel-to-idle latency; audit rows add bit-rot corruptions detected,\n" +
 			"self-healed and left unrepaired by the background integrity scrubber,\n" +

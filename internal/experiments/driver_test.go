@@ -29,10 +29,6 @@ func (b stubBackend) RunContext(_ context.Context, sql string) (*multistore.Quer
 	return &multistore.QueryReport{HVOnly: true}, nil
 }
 
-func (b stubBackend) RunDegraded(ctx context.Context, sql string) (*multistore.QueryReport, error) {
-	return b.RunContext(ctx, sql)
-}
-
 func (stubBackend) Reorganize() error { return nil }
 
 // stubDriver serves a stub behind a queue deep enough that nothing sheds.

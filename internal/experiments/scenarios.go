@@ -1,11 +1,11 @@
-// Overload scenario rows: the shed/quota/breaker stack measured under
+// Overload scenario rows: the shed/quota stack measured under
 // stress instead of Figure-3–9 replays. Each row serves a fresh system
 // with an open-loop, phase-structured load — flash-crowd ramps, Zipf
 // tenant skew, diurnal curves, drift bursts forcing reorganization churn,
-// ETL append storms, and a DW brownout exercising the HV fallback and the
-// breaker — and the report carries goodput, shed rate, per-tenant
-// fairness, fallbacks and latency percentiles per phase, written as
-// BENCH_scenarios.json by misobench -mode scenarios -out <dir>.
+// ETL append storms, and a DW brownout exercising the HV fallback — and
+// the report carries goodput, shed rate, per-tenant fairness, fallbacks
+// and latency percentiles per phase, written as BENCH_scenarios.json by
+// misobench -mode scenarios -out <dir>.
 package experiments
 
 import (
@@ -160,10 +160,9 @@ func scenarioRows(c Config, sh Shape) (layout, []row, error) {
 			return storm.Served > 0, fmt.Sprintf("storm-phase served %d of %d offered", storm.Served, storm.Submitted)
 		}}},
 	}, {
-		name: "dw-brownout", desc: "DW fault storm: exhausted DW calls fall back to HV, the breaker routes around DW",
+		name: "dw-brownout", desc: "DW fault storm: exhausted DW calls fall back to HV",
 		// DW-side faults force retry exhaustion on a fraction of split
-		// plans; each exhausted query completes in HV, and the exhaustions
-		// trip the breaker onto the degraded route.
+		// plans; each exhausted query completes in HV.
 		mutate: func(mc *multistore.Config) {
 			mc.Faults = faults.Profile{}.With(faults.SiteDWQuery, 0.45)
 			mc.FaultSeed = 7
@@ -175,8 +174,8 @@ func scenarioRows(c Config, sh Shape) (layout, []row, error) {
 		// answered by its HV fallback, and at least one happened.
 		checks: []check{{"fallback-serves", func(o *Outcome) (bool, string) {
 			return o.Serve.Failed == 0 && o.System.Fallbacks > 0,
-				fmt.Sprintf("failed %d, HV fallbacks %d, breaker trips %d, degraded %d under DW fault storm",
-					o.Serve.Failed, o.System.Fallbacks, o.Serve.BreakerTrips, o.Serve.Degraded)
+				fmt.Sprintf("failed %d, HV fallbacks %d under DW fault storm",
+					o.Serve.Failed, o.System.Fallbacks)
 		}}},
 	}}
 	title := fmt.Sprintf("overload scenario matrix (%s, calibrated %.1f q/s)", c.host(), capQPS)

@@ -263,8 +263,8 @@ func Crash(site Site) error {
 }
 
 // ErrCorrupt marks a content-checksum mismatch on a stored view or
-// transferred working set. It is deliberately distinct from ErrExhausted so
-// the serve-layer circuit breaker (which keys on exhaustion) ignores it.
+// transferred working set: the bytes arrived, but damaged, so it is
+// distinct from ErrExhausted.
 var ErrCorrupt = errors.New("faults: content checksum mismatch")
 
 // Corrupt wraps ErrCorrupt with the name of the damaged object.

@@ -159,9 +159,9 @@ type Metrics struct {
 	// caught and converted to a typed error instead of crashing the
 	// process; their partial work is charged to Recovery.
 	PanicsContained int
-	// Degraded counts queries forced onto the HV-only path by the serving
-	// layer (DW circuit breaker open). They complete and count toward
-	// Queries; their time is charged to HVExe like any HV execution.
+	// Degraded counts queries run through RunDegraded, the forced HV-only
+	// entry point. They complete and count toward Queries; their time is
+	// charged to HVExe like any HV execution.
 	Degraded int
 	// Quarantined counts views removed from the design instead of being
 	// served because their content failed its checksum and could not be
@@ -215,15 +215,11 @@ type QueryReport struct {
 	// Retries counts injected failures this query survived.
 	Retries int
 	// FellBackToHV marks a query whose multistore plan failed mid-flight
-	// (transfer aborted or DW side gave out) and that completed by
-	// re-running entirely in HV.
+	// (transfer aborted, damaged in flight, or DW side gave out) and that
+	// completed by re-running entirely in HV.
 	FellBackToHV bool
-	// FallbackCause is the error that forced the HV fallback; it wraps
-	// faults.ErrExhausted. Nil when FellBackToHV is false. The serving
-	// layer's DW circuit breaker keys off this field.
-	FallbackCause error
-	// Degraded marks a query routed onto the forced HV-only path by the
-	// serving layer while the DW circuit breaker was open (RunDegraded).
+	// Degraded marks a query run through RunDegraded, the forced HV-only
+	// entry point.
 	Degraded bool
 	// CacheHit marks a query answered from the semantic result cache;
 	// SubplanHits counts HV cuts answered from cached subresults. Both are
@@ -542,14 +538,12 @@ func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, erro
 	return s.submit(ctx, sql, false)
 }
 
-// RunDegraded executes the query entirely in HV regardless of variant —
-// the serving layer routes queries here while the DW circuit breaker is
-// open. HV always holds the base logs, so any query can complete on this
-// path. Opportunistic by-products are retained as usual (the store keeps
-// warming while DW is out) and the execution time is charged to HVEXE:
-// degraded service is productive work, not recovery. Reorganization is
-// never triggered from this path — moving views into a store the breaker
-// just declared unhealthy would be counterproductive.
+// RunDegraded is the forced HV-only entry point: it executes the query
+// entirely in HV regardless of variant. HV always holds the base logs, so
+// any query can complete on this path. Opportunistic by-products are
+// retained as usual and the execution time is charged to HVEXE: it is
+// productive work, not recovery. Reorganization is never triggered from
+// this path.
 func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, true)
 }

@@ -57,6 +57,14 @@ func dwStorm(c *multistore.Config) {
 	c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
 }
 
+// dwOutage is a total DW outage: every DW call fails, so every plan that
+// reaches DW exhausts its retries and completes through the HV fallback.
+func dwOutage(c *multistore.Config) {
+	c.Faults = faults.Profile{}.With(faults.SiteDWQuery, 1.0)
+	c.FaultSeed = 7
+	c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
+}
+
 // midPlanStorm makes every mid-plan exit common: working-set loads abort
 // and arrive corrupt, the DW side gives out, HV stages retry, views rot,
 // and the odd query dies at the serve crash site (a lost query folds into
@@ -153,6 +161,15 @@ func matrixRows() []matrixRow {
 			done: func(t *testing.T, sys *multistore.System) {
 				if sys.Metrics().Fallbacks == 0 {
 					t.Fatal("fault storm produced no fallbacks; the row exercises nothing")
+				}
+			}},
+		// HV holds every base log, so a dead DW costs time, never an answer:
+		// the answers fold to the clean runs'.
+		matrixRow{name: "DW outage", stanza: "MS-MISO/dw-outage", set: dwOutage,
+			done: func(t *testing.T, sys *multistore.System) {
+				if m := sys.Metrics(); m.Queries != len(workload.Evolving()) || m.Fallbacks == 0 {
+					t.Fatalf("DW outage: %d of %d queries completed, %d fallbacks; want all and some",
+						m.Queries, len(workload.Evolving()), m.Fallbacks)
 				}
 			}},
 		matrixRow{name: "every 4th query degraded, chaos", stanza: "MS-MISO/chaos+degraded4", set: chaos42,

@@ -548,9 +548,7 @@ func (s *System) migrateCut(q *query, name string, ws *storage.Table) (cause, er
 	rep.Retries += retries
 	if cause == nil {
 		// The working set's checksum is verified as DW stages it; injected
-		// corruption means the bytes were damaged in flight. The cause is
-		// ErrCorrupt, not exhaustion, so the serving layer's circuit
-		// breaker ignores it.
+		// corruption means the bytes were damaged in flight (ErrCorrupt).
 		if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
 			cause = faults.Corrupt(name)
 		}
@@ -605,7 +603,6 @@ func (s *System) fallbackHV(q *query, cause error) error {
 	rep.HVSeconds, rep.HVOps = hvSec, hvOps
 	rep.RecoverySeconds = rec + (res.Seconds + res.RecoverySeconds)
 	rep.FellBackToHV = true
-	rep.FallbackCause = cause
 	q.answer(res.Table)
 	return nil
 }

@@ -3,106 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestBreakerHalfOpenContention hammers a cooled-down breaker from many
-// goroutines: exactly one caller may claim the half-open probe slot, and
-// the open→half-open transition must happen exactly once — run with -race
-// this is the double-probe regression.
-func TestBreakerHalfOpenContention(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(clk.Now)
-	trip(b)
-	if st, trips, _ := b.snapshot(); st != BreakerOpen || trips != 1 {
-		t.Fatalf("expected open after the threshold's failures, got %v with %d trips", st, trips)
-	}
-	clk.Advance(DefaultBreakerCooldown) // cooled down: next allow half-opens
-
-	const contenders = 64
-	var probes, normals atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < contenders; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			normal, probe := b.allow()
-			if probe {
-				probes.Add(1)
-			}
-			if normal {
-				normals.Add(1)
-			}
-			if normal != probe {
-				t.Errorf("half-open allow() returned normal=%v probe=%v; they must agree", normal, probe)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := probes.Load(); got != 1 {
-		t.Fatalf("%d contenders claimed the probe slot, want exactly 1", got)
-	}
-	if got := normals.Load(); got != 1 {
-		t.Fatalf("%d contenders took the normal path, want exactly 1 (the probe)", got)
-	}
-	if st, _, p := b.snapshot(); st != BreakerHalfOpen || p != 1 {
-		t.Fatalf("expected half-open with 1 probe admitted, got %v with %d", st, p)
-	}
-
-	// The probe's verdict resolves the contention exactly once: success
-	// closes, and a fresh storm of callers all pass without probing.
-	b.recordSuccess(true)
-	if st, trips, _ := b.snapshot(); st != BreakerClosed || trips != 1 {
-		t.Fatalf("expected closed after probe success, got %v with %d trips", st, trips)
-	}
-	for i := 0; i < 8; i++ {
-		if normal, probe := b.allow(); !normal || probe {
-			t.Fatalf("closed breaker returned normal=%v probe=%v", normal, probe)
-		}
-	}
-
-	// A failed probe re-opens exactly once even after the contention round.
-	trip(b)
-	clk.Advance(DefaultBreakerCooldown)
-	if _, probe := b.allow(); !probe {
-		t.Fatalf("expected to claim the probe after second cooldown")
-	}
-	b.recordFailure(true)
-	if st, trips, _ := b.snapshot(); st != BreakerOpen || trips != 3 {
-		t.Fatalf("expected re-opened breaker after failed probe (trips: initial, re-trip, probe), got %v with %d trips", st, trips)
-	}
-}
-
-// trip records the threshold's consecutive DW exhaustions on a closed
-// breaker, which opens it.
-func trip(b *breaker) {
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		b.recordFailure(false)
-	}
-}
-
-// TestBreakerProbeRelease: a probe that never reaches a DW verdict
-// returns its slot, so the next caller can probe instead of the breaker
-// wedging half-open forever.
-func TestBreakerProbeRelease(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(clk.Now)
-	trip(b)
-	clk.Advance(DefaultBreakerCooldown)
-	if _, probe := b.allow(); !probe {
-		t.Fatal("expected first caller to claim the probe")
-	}
-	if normal, probe := b.allow(); normal || probe {
-		t.Fatal("second caller must stay degraded while the probe is in flight")
-	}
-	b.releaseProbe(true)
-	if _, probe := b.allow(); !probe {
-		t.Fatal("released probe slot must be claimable again")
-	}
-}
 
 // TestQuotaWeightedFairness drives the token buckets with a fake clock:
 // every tenant weighs the same, so tokens refill in equal shares of the

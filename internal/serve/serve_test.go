@@ -8,12 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/multistore"
 )
 
-// fakeClock drives the breaker's cooldown deterministically.
+// fakeClock drives the quota buckets' refill deterministically.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -31,140 +30,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// TestBreakerStateMachine walks the breaker through every transition with
-// a table of event sequences.
-func TestBreakerStateMachine(t *testing.T) {
-	type step struct {
-		op         string // "fail" | "failProbe" | "success" | "successProbe" | "allow" | "release" | "advance"
-		wantState  BreakerState
-		wantNormal bool // for "allow"
-		wantProbe  bool // for "allow"
-	}
-	cases := []struct {
-		name  string
-		steps []step
-	}{
-		{
-			name: "closed to open after threshold consecutive failures",
-			steps: []step{
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerOpen, wantNormal: false, wantProbe: false},
-			},
-		},
-		{
-			name: "success resets the consecutive failure count",
-			steps: []step{
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "success", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "success", wantState: BreakerClosed},
-			},
-		},
-		{
-			name: "open to half-open after cooldown, probe success closes",
-			steps: []step{
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerOpen, wantNormal: false},
-				{op: "advance", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: true, wantProbe: true},
-				// Only one probe flies at a time.
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: false},
-				{op: "successProbe", wantState: BreakerClosed},
-				{op: "allow", wantState: BreakerClosed, wantNormal: true},
-			},
-		},
-		{
-			name: "failed probe re-opens and a later probe may retry",
-			steps: []step{
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerOpen},
-				{op: "advance", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: true, wantProbe: true},
-				{op: "failProbe", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerOpen, wantNormal: false},
-				{op: "advance", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: true, wantProbe: true},
-			},
-		},
-		{
-			name: "released probe keeps the breaker half-open for the next query",
-			steps: []step{
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerClosed},
-				{op: "fail", wantState: BreakerOpen},
-				{op: "advance", wantState: BreakerOpen},
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: true, wantProbe: true},
-				{op: "release", wantState: BreakerHalfOpen},
-				{op: "allow", wantState: BreakerHalfOpen, wantNormal: true, wantProbe: true},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := &fakeClock{now: time.Unix(1000, 0)}
-			b := newBreaker(clock.Now)
-			for i, st := range tc.steps {
-				switch st.op {
-				case "fail":
-					b.recordFailure(false)
-				case "failProbe":
-					b.recordFailure(true)
-				case "success":
-					b.recordSuccess(false)
-				case "successProbe":
-					b.recordSuccess(true)
-				case "release":
-					b.releaseProbe(true)
-				case "advance":
-					clock.Advance(DefaultBreakerCooldown)
-				case "allow":
-					normal, probe := b.allow()
-					if normal != st.wantNormal || probe != st.wantProbe {
-						t.Fatalf("step %d: allow() = (%v, %v), want (%v, %v)",
-							i, normal, probe, st.wantNormal, st.wantProbe)
-					}
-				default:
-					t.Fatalf("step %d: unknown op %q", i, st.op)
-				}
-				if got, _, _ := b.snapshot(); got != st.wantState {
-					t.Fatalf("step %d (%s): state %s, want %s", i, st.op, got, st.wantState)
-				}
-			}
-		})
-	}
-}
-
-func TestBreakerCountsTripsAndProbes(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(clock.Now)
-	trip(b) // trip 1
-	clock.Advance(DefaultBreakerCooldown)
-	b.allow()             // probe 1
-	b.recordFailure(true) // trip 2
-	clock.Advance(DefaultBreakerCooldown)
-	b.allow() // probe 2
-	b.recordSuccess(true)
-	if _, trips, probes := b.snapshot(); trips != 2 || probes != 2 {
-		t.Fatalf("trips=%d probes=%d, want 2 and 2", trips, probes)
-	}
-}
-
 // stubBackend lets the serving-plane tests control execution without a
 // real multistore system.
 type stubBackend struct {
-	mu       sync.Mutex
-	started  chan string   // receives the SQL when RunContext begins
-	block    chan struct{} // RunContext waits for this (or ctx) when set
-	run      func(sql string) (*multistore.QueryReport, error)
-	degraded int
-	reorgs   int
+	mu      sync.Mutex
+	started chan string   // receives the SQL when RunContext begins
+	block   chan struct{} // RunContext waits for this (or ctx) when set
+	run     func(sql string) (*multistore.QueryReport, error)
+	reorgs  int
 }
 
 func (b *stubBackend) RunContext(ctx context.Context, sql string) (*multistore.QueryReport, error) {
@@ -182,13 +55,6 @@ func (b *stubBackend) RunContext(ctx context.Context, sql string) (*multistore.Q
 		return b.run(sql)
 	}
 	return &multistore.QueryReport{SQL: sql}, nil
-}
-
-func (b *stubBackend) RunDegraded(ctx context.Context, sql string) (*multistore.QueryReport, error) {
-	b.mu.Lock()
-	b.degraded++
-	b.mu.Unlock()
-	return &multistore.QueryReport{SQL: sql, HVOnly: true, Degraded: true}, nil
 }
 
 func (b *stubBackend) Reorganize() error {
@@ -263,42 +129,6 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBreakerRoutesToDegradedPath drives the server's breaker open with
-// DW-exhaustion fallbacks and checks queries are then served degraded.
-func TestBreakerRoutesToDegradedPath(t *testing.T) {
-	cause := faults.Exhausted(&faults.Fault{Site: faults.SiteDWQuery, Op: "query", Attempt: 6})
-	backend := &stubBackend{
-		run: func(sql string) (*multistore.QueryReport, error) {
-			return &multistore.QueryReport{SQL: sql, FellBackToHV: true, FallbackCause: cause, HVOnly: true}, nil
-		},
-	}
-	srv := NewServer(Config{Workers: 1}, backend)
-	defer srv.Close()
-
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		if _, err := srv.Do(context.Background(), "q"); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	if st := srv.BreakerState(); st != BreakerOpen {
-		t.Fatalf("breaker %s after threshold fallbacks, want open", st)
-	}
-	rep, err := srv.Do(context.Background(), "q")
-	if err != nil {
-		t.Fatalf("degraded query: %v", err)
-	}
-	if !rep.Degraded {
-		t.Fatal("query served while open is not marked degraded")
-	}
-	m := srv.Metrics()
-	if m.Degraded != 1 || m.BreakerTrips != 1 {
-		t.Fatalf("metrics = %+v, want 1 degraded / 1 trip", m)
-	}
-	if backend.degraded != 1 {
-		t.Fatalf("backend saw %d degraded runs, want 1", backend.degraded)
 	}
 }
 

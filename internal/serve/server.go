@@ -3,14 +3,14 @@
 // needs on top of multistore.System's serialized execution core: a
 // bounded worker pool fed by an admission queue that sheds load when
 // full, per-query deadlines that abandon work mid-plan through
-// context.Context, a circuit breaker that routes queries onto the
-// degraded HV-only path while DW is unhealthy, and online
-// reorganization that quiesces in-flight queries behind a drain barrier
-// before mutating the physical design.
+// context.Context, and online reorganization that quiesces in-flight
+// queries behind a drain barrier before mutating the physical design.
+// Every admitted query goes to the backend's RunContext; a failing DW is
+// the backend's to handle (multistore.System falls back to HV).
 //
 // Queries still execute one at a time inside the backend (the paper's
-// single-stream model); concurrency here is about admission, deadline
-// enforcement, and health-based routing, not parallel plan execution.
+// single-stream model); concurrency here is about admission and deadline
+// enforcement, not parallel plan execution.
 package serve
 
 import (
@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/multistore"
 )
@@ -39,10 +38,8 @@ var (
 // implements it; tests substitute stubs to exercise the serving plane in
 // isolation.
 type Backend interface {
-	// RunContext executes one query on the normal (multistore) path.
+	// RunContext executes one query.
 	RunContext(ctx context.Context, sql string) (*multistore.QueryReport, error)
-	// RunDegraded executes one query on the forced HV-only path.
-	RunDegraded(ctx context.Context, sql string) (*multistore.QueryReport, error)
 	// Reorganize runs one reorganization phase. The server guarantees no
 	// query is in flight when it is called.
 	Reorganize() error
@@ -50,8 +47,7 @@ type Backend interface {
 
 // Config tunes the serving frontend. The zero value is usable: 4
 // workers, a queue twice the worker count, no per-query deadline and a 30s
-// drain timeout. The DW circuit breaker's threshold and cooldown are
-// constants (DefaultBreakerThreshold, DefaultBreakerCooldown).
+// drain timeout.
 type Config struct {
 	// Workers is the number of concurrent serving workers: how many
 	// queries run at once. It is independent of the data-path parallelism
@@ -91,8 +87,7 @@ func (c Config) withDefaults() Config {
 type Metrics struct {
 	// Submitted counts calls to Do that passed the closed check.
 	Submitted int
-	// Completed counts queries that returned a report (including
-	// degraded ones).
+	// Completed counts queries that returned a report.
 	Completed int
 	// Sheds counts queries rejected at admission (ErrShed), whether by a
 	// full queue or an empty tenant bucket.
@@ -115,14 +110,6 @@ type Metrics struct {
 	PanicsContained int
 	// Failed counts queries that errored for any other reason.
 	Failed int
-	// Degraded counts completed queries served on the forced HV-only
-	// path while the breaker was open.
-	Degraded int
-	// BreakerTrips counts closed→open (and half-open→open) transitions.
-	BreakerTrips int
-	// BreakerProbes counts half-open probe queries admitted to the
-	// normal path.
-	BreakerProbes int
 	// Reorgs counts completed online reorganizations.
 	Reorgs int
 	// ReorgCancels counts in-flight queries canceled by a drain barrier
@@ -166,7 +153,6 @@ type job struct {
 type Server struct {
 	cfg     Config
 	backend Backend
-	br      *breaker
 	jobs    chan *job
 	wg      sync.WaitGroup
 
@@ -191,7 +177,6 @@ func NewServer(cfg Config, backend Backend) *Server {
 	s := &Server{
 		cfg:      cfg,
 		backend:  backend,
-		br:       newBreaker(time.Now),
 		jobs:     make(chan *job, cfg.QueueDepth),
 		inflight: map[int]context.CancelFunc{},
 		quo:      newQuotas(cfg.Quota, nil),
@@ -269,9 +254,6 @@ func (s *Server) DoAs(ctx context.Context, tenant, sql string) (*multistore.Quer
 	case res.err == nil:
 		s.metrics.Completed++
 		t.Served++
-		if res.rep != nil && res.rep.Degraded {
-			s.metrics.Degraded++
-		}
 	case errors.Is(res.err, context.DeadlineExceeded):
 		s.metrics.Timeouts++
 		t.Failed++
@@ -306,7 +288,7 @@ func (s *Server) worker() {
 		// recovery (or lives in the serving plane itself) fails this query
 		// with a typed error instead of crashing the whole server.
 		if err := govern.Capture("serve worker", func() error {
-			res = s.execute(j)
+			res.rep, res.err = s.backend.RunContext(j.ctx, j.sql)
 			return nil
 		}); err != nil {
 			res = jobResult{err: err}
@@ -328,31 +310,6 @@ func (s *Server) worker() {
 func isCancelErr(err error) bool {
 	return err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// execute routes one query through the breaker and records the verdict.
-func (s *Server) execute(j *job) jobResult {
-	normal, probe := s.br.allow()
-	if !normal {
-		rep, err := s.backend.RunDegraded(j.ctx, j.sql)
-		return jobResult{rep: rep, err: err}
-	}
-	rep, err := s.backend.RunContext(j.ctx, j.sql)
-	switch {
-	case err != nil:
-		// Abandoned or hard-failed before a DW verdict: the probe slot (if
-		// held) goes back so the next query can try.
-		s.br.releaseProbe(probe)
-	case rep.FellBackToHV && errors.Is(rep.FallbackCause, faults.ErrExhausted):
-		s.br.recordFailure(probe)
-	case !rep.HVOnly:
-		// DW was actually exercised and the query completed.
-		s.br.recordSuccess(probe)
-	default:
-		// An HV-only plan proves nothing about DW health.
-		s.br.releaseProbe(probe)
-	}
-	return jobResult{rep: rep, err: err}
 }
 
 // Reorganize quiesces the serving plane and runs one reorganization.
@@ -437,14 +394,11 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Metrics returns a snapshot of the serving counters, including the
-// breaker's trip and probe counts.
+// Metrics returns a snapshot of the serving counters.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	m := s.metrics
-	s.mu.Unlock()
-	_, m.BreakerTrips, m.BreakerProbes = s.br.snapshot()
-	return m
+	defer s.mu.Unlock()
+	return s.metrics
 }
 
 // CancelLatencies returns the cancel-to-idle latency of every canceled or
@@ -456,10 +410,4 @@ func (s *Server) CancelLatencies() []time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]time.Duration(nil), s.cancelLat...)
-}
-
-// BreakerState returns the breaker's current position.
-func (s *Server) BreakerState() BreakerState {
-	st, _, _ := s.br.snapshot()
-	return st
 }

@@ -14,7 +14,9 @@ import (
 	"miso/internal/workload"
 )
 
-func newSoakSystem(t *testing.T, faultRate float64) *multistore.System {
+// newSoakSystem builds a small MS-MISO system; set, when non-nil, edits
+// its configuration first.
+func newSoakSystem(t *testing.T, set func(*multistore.Config)) *multistore.System {
 	t.Helper()
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
@@ -22,9 +24,8 @@ func newSoakSystem(t *testing.T, faultRate float64) *multistore.System {
 	}
 	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
 	cfg.SetBudgets(cat, 2.0, 10<<30)
-	if faultRate > 0 {
-		cfg.Faults = faults.Uniform(faultRate)
-		cfg.FaultSeed = 42
+	if set != nil {
+		set(&cfg)
 	}
 	sys := multistore.New(cfg, cat)
 	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
@@ -41,7 +42,10 @@ func newSoakSystem(t *testing.T, faultRate float64) *multistore.System {
 // metrics, and leave the catalog invariants intact.
 func TestServeSoak(t *testing.T) {
 	const sessions = 8
-	sys := newSoakSystem(t, 0.05)
+	sys := newSoakSystem(t, func(c *multistore.Config) {
+		c.Faults = faults.Uniform(0.05)
+		c.FaultSeed = 42
+	})
 	srv := serve.NewServer(serve.Config{
 		Workers:      4,
 		QueueDepth:   sessions,
@@ -116,8 +120,8 @@ func TestServeSoak(t *testing.T) {
 		t.Fatalf("system canceled %d, server booked %d timeouts + %d cancels",
 			sm.Canceled, m.Timeouts, m.Canceled)
 	}
-	if sm.Degraded != m.Degraded {
-		t.Fatalf("system degraded %d, server counted %d", sm.Degraded, m.Degraded)
+	if sm.Degraded != 0 {
+		t.Fatalf("server sent %d queries down the forced HV-only route, want none", sm.Degraded)
 	}
 	if sm.Recovery <= 0 {
 		t.Error("expected nonzero recovery time at a 5% fault rate")
@@ -128,35 +132,47 @@ func TestServeSoak(t *testing.T) {
 }
 
 // TestServeMatchesSequentialRun checks the serving layer is a strict
-// no-op around a healthy system: one session, zero faults, no deadline —
-// the TTI breakdown must be byte-identical to calling System.Run in a
-// loop.
+// no-op around the system, faults included: one session, no deadline —
+// the system's metrics must be identical to calling System.Run in a loop,
+// both on a healthy system and under a total DW outage, where every
+// multistore plan falls back to HV inside the system.
 func TestServeMatchesSequentialRun(t *testing.T) {
-	sqls := workload.SQLs()
+	for _, tc := range []struct {
+		name string
+		set  func(*multistore.Config)
+	}{
+		{name: "clean"},
+		{name: "DW outage", set: func(c *multistore.Config) {
+			c.Faults = faults.Profile{}.With(faults.SiteDWQuery, 1.0)
+			c.FaultSeed = 7
+			c.Retry = faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: 1, BackoffFactor: 2, MaxBackoff: 4}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sqls := workload.SQLs()
 
-	seq := newSoakSystem(t, 0)
-	for i, sql := range sqls {
-		if _, err := seq.Run(sql); err != nil {
-			t.Fatalf("sequential query %d: %v", i, err)
-		}
-	}
+			seq := newSoakSystem(t, tc.set)
+			for i, sql := range sqls {
+				if _, err := seq.Run(sql); err != nil {
+					t.Fatalf("sequential query %d: %v", i, err)
+				}
+			}
 
-	served := newSoakSystem(t, 0)
-	srv := serve.NewServer(serve.Config{Workers: 1}, served)
-	for i, sql := range sqls {
-		if _, err := srv.Do(context.Background(), sql); err != nil {
-			t.Fatalf("served query %d: %v", i, err)
-		}
-	}
-	srv.Close()
+			served := newSoakSystem(t, tc.set)
+			srv := serve.NewServer(serve.Config{Workers: 1}, served)
+			for i, sql := range sqls {
+				if _, err := srv.Do(context.Background(), sql); err != nil {
+					t.Fatalf("served query %d: %v", i, err)
+				}
+			}
+			srv.Close()
 
-	if sm, qm := seq.Metrics(), served.Metrics(); sm != qm {
-		t.Fatalf("served metrics diverge from sequential run:\nseq:    %+v\nserved: %+v", sm, qm)
-	}
-	if st := srv.BreakerState(); st != serve.BreakerClosed {
-		t.Fatalf("breaker %s after a healthy run, want closed", st)
-	}
-	if err := srv.Metrics().Check(); err != nil {
-		t.Fatal(err)
+			if sm, qm := seq.Metrics(), served.Metrics(); sm != qm {
+				t.Fatalf("served metrics diverge from sequential run:\nseq:    %+v\nserved: %+v", sm, qm)
+			}
+			if err := srv.Metrics().Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 // and reorganization nor perturb them.
 func TestConcurrentWhatIfCostingDuringSoak(t *testing.T) {
 	const costers = 16
-	sys := newSoakSystem(t, 0)
+	sys := newSoakSystem(t, nil)
 	srv := serve.NewServer(serve.Config{
 		Workers:      4,
 		QueueDepth:   costers,

@@ -35,9 +35,9 @@ const (
 	// re-executed HV stages, fallback re-runs): the injected faults stall
 	// the multistore side, so DW sees no demand.
 	EventRecovery
-	// EventDegraded is query processing on the forced HV-only path while
-	// the serving layer's DW circuit breaker is open: by construction it
-	// places no demand on DW — that is the point of degrading.
+	// EventDegraded is query processing on the forced HV-only path
+	// (multistore.System.RunDegraded): by construction it places no
+	// demand on DW.
 	EventDegraded
 )
 

@@ -111,8 +111,7 @@ func SmallData() DataConfig { return data.SmallConfig() }
 
 // ServeConfig tunes the concurrent serving frontend: worker pool size,
 // admission queue depth, per-query deadline, drain timeout for online
-// reorganization and tenant quotas. The DW circuit breaker trips after
-// three consecutive DW exhaustions and half-opens after one second.
+// reorganization and tenant quotas.
 type ServeConfig = serve.Config
 
 // QuotaConfig tunes per-tenant fair admission quotas inside ServeConfig;
@@ -135,8 +134,9 @@ type ReuseConfig = multistore.ReuseConfig
 type ReuseStats = multistore.ReuseStats
 
 // Server is the concurrent query-serving frontend: a bounded worker pool
-// with admission control, per-query deadlines, a DW circuit breaker that
-// degrades to HV-only service, and drain-barrier online reorganization.
+// with admission control, per-query deadlines and drain-barrier online
+// reorganization. Every admitted query runs as System.RunContext would run
+// it; a failing DW is handled inside the system by its HV fallback.
 //
 //	srv := miso.NewServer(miso.ServeConfig{Workers: 4, QueryTimeout: time.Minute}, sys)
 //	defer srv.Close()
@@ -144,7 +144,7 @@ type ReuseStats = multistore.ReuseStats
 type Server = serve.Server
 
 // ServeMetrics counts the serving plane's outcomes (completions, sheds,
-// timeouts, breaker trips, degraded queries, reorganizations).
+// timeouts, cancellations, aborts, reorganizations).
 type ServeMetrics = serve.Metrics
 
 // ErrShed marks a query rejected at admission because the serving queue

@@ -69,8 +69,8 @@ func TestVariantConstantsRoundtrip(t *testing.T) {
 // that sets it — by assignment or as a composite-literal key — so a knob
 // no program turns on fails here and is deleted with the code behind it.
 // What no caller varies is a constant in its package instead: the stores'
-// and the transfer pipeline's calibration, the move penalties, the plan
-// cap, the breaker's threshold and cooldown.
+// and the transfer pipeline's calibration, the move penalties and the
+// plan cap.
 func TestConfigSurface(t *testing.T) {
 	const (
 		ablate    = "internal/experiments/ablate.go"
