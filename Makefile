@@ -112,7 +112,7 @@ endurance:
 scenarios:
 	$(GO) run ./cmd/misobench -mode scenarios -scale small
 
-# cache runs the cross-query reuse soak (semantic result cache vs cold
+# cache runs the cross-query reuse soak (result views vs cold
 # execution) and fails unless reuse wins >= 2x throughput, each distinct
 # statement executes once with every repeat a hit, and answers are
 # digest-identical.

@@ -36,8 +36,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock deadline (0 disables; abandoned work is charged to RECOVERY)")
 	memLimit := flag.Int64("memlimit", 0, "per-query memory budget in bytes (0 disables; exceeding aborts the query)")
 	ckptEvery := flag.Int("checkpointevery", 0, "journal design mutations and checkpoint full state every n operations (0 disables the durability plane)")
-	reuse := flag.Bool("reuse", false, "enable the cross-query reuse plane (semantic result cache); repeats of the same query over unchanged logs are served from cache")
-	cacheBytes := flag.Int64("cachebytes", 0, "with -reuse: result cache capacity in bytes (0 = default 64 MiB)")
+	reuse := flag.Bool("reuse", false, "enable the cross-query reuse plane (result views); repeats of the same query over unchanged logs are served from a result view")
+	cacheBytes := flag.Int64("cachebytes", 0, "with -reuse: bound on the result views' in-memory bytes (0 = default 64 MiB)")
 	execWorkers := flag.Int("execworkers", 0, "execution worker pool size: 0 = GOMAXPROCS, n = n workers")
 	auditFlag := flag.Bool("audit", false, "run a one-shot foreground integrity audit (standalone, or after the query when -sql/-name is given); exits 3 on violation")
 	auditRepair := flag.Bool("auditrepair", false, "with -audit: self-heal corrupt views by recomputation instead of only reporting")
@@ -159,7 +159,7 @@ func main() {
 	mode := "split execution"
 	switch {
 	case rep.CacheHit:
-		mode = "served from the semantic result cache (no execution)"
+		mode = "served from a result view (no execution)"
 	case rep.HVOnly:
 		mode = "executed entirely in HV"
 	case rep.BypassedHV:
@@ -193,7 +193,7 @@ func main() {
 	if *reuse {
 		rs := sys.ReuseStats()
 		fmt.Printf("reuse: %d cached subplans fed this query; cache %d hits / %d misses (%d entries, %d bytes)\n",
-			rep.SubplanHits, rs.Cache.Hits, rs.Cache.Misses, rs.Cache.Entries, rs.Cache.Bytes)
+			rep.SubplanHits, m.CacheHits+m.SubplanHits, m.CacheMisses, rs.Cache.Entries, rs.Cache.Bytes)
 	}
 	if mgr := sys.Durability(); mgr != nil {
 		fmt.Printf("durability: %d WAL records (%d bytes), %d checkpoints\n",

@@ -2,11 +2,11 @@
 // workload. Two identically configured MS-MISO systems serve the same
 // sessions×rounds submission schedule through the serving frontend — one
 // with the reuse plane disabled (every query executes cold), one with it
-// enabled (repeats hit the semantic result cache, concurrent ones
+// enabled (repeats are answered by result views, concurrent ones
 // included). The checks require the throughput gain, each distinct
 // statement executed once and every other submission answered by the
 // cache, every reuse-served answer digest-identical to the cold system's,
-// and the drain-barrier invalidation. misobench -mode cache -out <dir>
+// and the reorganization's clear of the result views. misobench -mode cache -out <dir>
 // writes BENCH_cache.json.
 package experiments
 
@@ -28,8 +28,8 @@ const cacheRounds = 3
 // so identical queries arrive together; queries run one at a time, so
 // each overlapping repeat is a cache hit too. Automatic reorganization is
 // off on both so the two run the same schedule against a stable design;
-// the reuse-on row then reorganizes through the drain barrier, whose hook
-// clears the cache.
+// the reuse-on row then reorganizes through the drain barrier, and the
+// reorganization clears the result views first thing.
 func cacheRows(c Config, sh Shape) (layout, []row, error) {
 	sessions := orDefault(sh.Sessions, 4)
 	sqls := workload.SQLs()

@@ -174,7 +174,7 @@ var Modes = []Mode{
 	{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", governRows},
 	{"serve", "concurrent-serving soak (robustness extension)", "", soakRows},
 	{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", scenarioRows},
-	{"cache", "cross-query reuse soak: semantic result cache, concurrent repeats included, vs cold execution", "BENCH_cache.json", cacheRows},
+	{"cache", "cross-query reuse soak: result views, concurrent repeats included, vs cold execution", "BENCH_cache.json", cacheRows},
 	{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", enduranceRows},
 }
 
@@ -226,9 +226,6 @@ func (c Config) runRow(r row, twin *Outcome, answers *digestCheck) (*Outcome, er
 	if r.serve.Workers > 0 {
 		d.srv = serve.NewServer(r.serve, sys)
 		defer d.srv.Close() // idempotent: covers the error returns below
-		if mcfg.Reuse.Enabled {
-			d.srv.SetReorgHook(sys.InvalidateReuse)
-		}
 		o.Sessions = r.phases[0].closed.clients
 	}
 	fold := storage.HashSeed
@@ -312,7 +309,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // summarize fills a finished phase's summary: its wall clock (an open
 // loop's offered duration), offered rate, goodput, latency percentiles,
-// and the result cache's size when it ended.
+// and how many result views the system held when it ended.
 func (t *tally) summarize(ph phase, wall time.Duration, sys *multistore.System) {
 	if ph.open.rates != nil {
 		wall = ph.open.dur

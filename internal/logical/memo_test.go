@@ -121,7 +121,7 @@ func TestBuildSQLConcurrentSharesOnePlan(t *testing.T) {
 }
 
 // TestNormalizeIsIdempotent: a built plan is already normalized, so the
-// reuse plane fingerprints it as it is. Normalizing it again changes
+// reuse plane keys its result views by its nodes' ids as they are. Normalizing it again changes
 // neither its id nor its signature, over the paper plans and the
 // generated SQL.
 func TestNormalizeIsIdempotent(t *testing.T) {

@@ -1,21 +1,13 @@
-// Package mqo is the cross-query reuse plane: multi-query optimization
-// primitives that let repeated queries share work instead of re-scanning
-// the same logs and recomputing the same subplans.
+// Package mqo fingerprints plans: HashPlan folds a normalized logical
+// plan's structural id and the content version of every base log it scans
+// into one FNV-64a fingerprint, so two plans with equal fingerprints
+// compute the same relation over the same data.
 //
-// It provides two pieces, keyed by a canonical plan fingerprint:
-//
-//   - HashPlan folds a normalized logical plan's structural id and the
-//     content version of every base log it scans into one FNV-64a
-//     fingerprint. Two plans with equal fingerprints compute the same
-//     relation over the same data, so their results are interchangeable.
-//   - Cache is a bounded, log-version-aware, content-hashed semantic result
-//     cache: fingerprint -> materialized table + digest. Every hit
-//     re-verifies the stored digest before serving, so a cached answer is
-//     byte-identical to cold execution or it is not served at all.
-//
-// The package is a leaf below multistore: it imports only logical and
-// storage. Every Cache method is nil-receiver safe — a nil *Cache is the
-// disabled reuse plane and costs one branch per call.
+// The query path no longer uses it: the reuse plane keys its result views
+// on node ids (multistore.System.admitResult). What remains is kept only
+// for the benchmark's layer probe (bench/probe.go), which times HashPlan
+// over a VersionSource of its own. The package is a leaf: it imports only
+// logical.
 package mqo
 
 import (

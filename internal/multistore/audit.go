@@ -417,8 +417,8 @@ func (s *System) quarantineView(name string, set *views.Set) {
 	}
 	s.tomb[name] = true
 	s.metrics.Quarantined++
-	// The quarantined view's bytes may back cached results computed while
-	// it was live: drop every reuse-cache entry.
+	// The quarantined view's bytes may back result views computed while
+	// it was live: drop every one.
 	s.invalidateReuse()
 }
 

@@ -28,6 +28,7 @@ import (
 	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
+	"miso/internal/views"
 )
 
 // Variant selects the system behavior under evaluation.
@@ -100,8 +101,8 @@ type Config struct {
 	// governance.
 	MemLimitBytes int64
 
-	// Reuse enables the cross-query reuse plane: the content-hashed
-	// semantic result/subresult cache (see ReuseConfig). Disabled runs
+	// Reuse enables the cross-query reuse plane: full-query answers and
+	// cut subresults kept as result views (see ReuseConfig). Disabled runs
 	// take the exact pre-reuse code path: results and StateDigest are
 	// byte-identical to a system without the plane.
 	Reuse ReuseConfig
@@ -183,11 +184,12 @@ type Metrics struct {
 	// The reuse-plane counters below depend on cache residency, so — like
 	// the audit counters — all four are excluded from StateDigest: a
 	// reuse-disabled run stays byte-identical to a system with no reuse
-	// plane at all. CacheHits counts queries answered from the semantic
-	// cache; CacheMisses counts the queries it did not answer, which
-	// executed; SubplanHits counts HV cuts answered from cached
-	// subresults. Piggybacked is always zero (queries run one at a time,
-	// so a concurrent repeat is a cache hit); the bench module reads it.
+	// plane at all. CacheHits counts queries answered from a result view;
+	// CacheMisses counts the queries none answered, which executed (a
+	// result view that failed its checksum is dropped and counts here);
+	// SubplanHits counts HV cuts answered from result views. Piggybacked
+	// is always zero (queries run one at a time, so a concurrent repeat is
+	// a cache hit); the bench module reads it.
 	CacheHits   int
 	CacheMisses int
 	Piggybacked int
@@ -221,8 +223,8 @@ type QueryReport struct {
 	// Degraded marks a query run through RunDegraded, the forced HV-only
 	// entry point.
 	Degraded bool
-	// CacheHit marks a query answered from the semantic result cache;
-	// SubplanHits counts HV cuts answered from cached subresults. Both are
+	// CacheHit marks a query answered from a result view; SubplanHits
+	// counts HV cuts answered from result views. Both are
 	// reuse-plane observability, excluded from StateDigest and the
 	// durability journal. Piggybacked is always false (see
 	// Metrics.Piggybacked).
@@ -309,9 +311,11 @@ type System struct {
 	// injection order.
 	rotLog []RotRecord
 
-	// reuse is the cross-query reuse plane (nil when Config.Reuse is
-	// disabled — every reuse touchpoint is then a single nil check).
-	reuse *reusePlane
+	// results is the reuse plane's view set: full-query answers and cut
+	// subresults, each a view over the raw subtree it answers (nil when
+	// Config.Reuse is disabled — every reuse touchpoint is then a single
+	// nil check). It belongs to no store's design.
+	results *views.Set
 	// appends counts the appends that added lines to a log (appendLocked).
 	appends uint64
 
@@ -385,20 +389,16 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		return d.Views.Has(name) || s.tombstoned(name)
 	})
 	if cfg.Reuse.Enabled {
-		s.reuse = newReusePlane(cfg.Reuse, cat)
-		// Costing sees the cache: a cut whose subresult is resident costs
-		// no HV time, steering plan choice toward reuse. The probe reads
-		// the mutex-guarded cache and log line counts that change only
-		// under s.mu, which the tuner holds, keeping plan costing safe for
-		// its concurrent what-if workers; the cache is cleared at reorg
-		// start, so tuning itself probes an empty cache and stays
-		// deterministic — and answers every probe before expanding a view.
+		s.results = views.NewSet()
+		// Costing sees the result views: a cut whose subresult is held
+		// costs no HV time, steering plan choice toward reuse. The probe
+		// reads the set under its own lock, which keeps plan costing safe
+		// for the tuner's concurrent what-if workers; the set is cleared at
+		// reorg start, so tuning probes an empty set and stays
+		// deterministic.
 		opt.ReuseProbe = func(n *logical.Node) bool {
-			if s.reuse.cache.Stats().Entries == 0 {
-				return false
-			}
-			fp, ok := s.cutFingerprint(n)
-			return ok && s.reuse.cache.Contains(fp)
+			_, ok := s.results.ByID(n.ID())
+			return ok
 		}
 	}
 	if cfg.CheckpointEvery > 0 {
@@ -528,12 +528,12 @@ func (s *System) Run(sql string) (*QueryReport, error) {
 // context and no memory limits, RunContext is byte-identical to Run.
 //
 // With the reuse plane enabled (Config.Reuse), a query may instead be
-// answered from the semantic result cache, which books a zero-cost report
-// whose result table is digest-verified against cold execution. Queries
-// run one at a time, so a repeat that arrives while its first copy
-// executes is answered by the cache once that copy is done. A cache hit
-// never triggers a reorganization — it touches neither store — so tuned
-// variants reorganize on misses and via Reorganize.
+// answered from a result view, which books a zero-cost report whose table
+// is checksum-verified before it is served. Queries run one at a time, so a
+// repeat that arrives while its first copy executes is answered by the view
+// that copy left. A cache hit never triggers a reorganization — it touches
+// neither store — so tuned variants reorganize on misses and via
+// Reorganize.
 func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, false)
 }

@@ -92,10 +92,12 @@ func (s *System) quarantineRotted() {
 // (124, 254, 81 and 32 in the short one) where dropping every plan on any
 // move of the tuple hit 582, 568, 198 and 0 (46, 94, 28 and 0) times.
 // MS-BASIC plans against a fresh empty design and never hits. With the
-// reuse plane on every miss writes the cache, so an entry holds only while
-// the cache answers each cut fingerprint its choice probed as it did then:
-// 109, 127, 116 and 237 hits in the long run (2, 7, 6 and 20 in the short
-// one), where dropping every plan on any cache write hit none.
+// reuse plane on every miss admits result views, so an entry holds only
+// while they hold each cut its choice probed as they did then: 109, 127,
+// 116 and 237 hits in the long run (2, 7, 6 and 20 in the short one),
+// where dropping every plan on any admission hit none, and failing an
+// entry on any view its plan's nodes carry the id of, re-admissions
+// included, hit 77, 81, 82 and 214 (1, 2, 2 and 20).
 func TestCachedPlanEqualsFreshChoose(t *testing.T) {
 	short := testing.Short() || raceEnabled
 	sqls := workload.SQLs()
@@ -170,7 +172,7 @@ func TestCachedPlanEqualsFreshChoose(t *testing.T) {
 // TestPlanVersionsMoveOnlyOnWrites is the version tuple's contract on the
 // served_cold draw: after a warming pass, a query moves Vh or Vd only when
 // it captured a view (its recency Touch moves nothing), moves neither the
-// log-append count nor the reuse cache, and moves the estimator only by
+// log-append count nor the result views, and moves the estimator only by
 // recording a stat that differs. A plan-cache hit runs a plan whose last execution
 // moved nothing, so it records only stats held already: it moves nothing.
 // Reorganize, append and quarantine each move the tuple.
@@ -206,8 +208,8 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 		if rep.NewViews == 0 && (after.hv != before.hv || after.dw != before.dw) {
 			t.Errorf("query %d captured nothing, yet the design's version moved: %+v -> %+v", i, before, after)
 		}
-		if after.logs != before.logs || after.reuse != before.reuse {
-			t.Errorf("query %d moved the log-append count or the reuse cache: %+v -> %+v", i, before, after)
+		if after.logs != before.logs || after.results != before.results {
+			t.Errorf("query %d moved the log-append count or the result views: %+v -> %+v", i, before, after)
 		}
 		if hits.Load() > h && after != before {
 			t.Errorf("query %d was a plan-cache hit, yet it moved the tuple: %+v -> %+v", i, before, after)
@@ -256,10 +258,10 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 }
 
 // TestPlanCacheSeesTheReuseCache: with the reuse plane on, the optimizer's
-// probe discounts a cut whose subresult is cached, so admitting one must
-// move the tuple. Served traffic rarely shows it — every cold run writes the
-// cache, and a repeat is answered before planning — so Explain, which plans
-// without running, asks twice around one admission.
+// probe discounts a cut a result view answers, so admitting one must move
+// the tuple and fail the kept plan. Served traffic rarely shows it — every
+// cold run admits result views, and a repeat is answered before planning —
+// so Explain, which plans without running, asks twice around one admission.
 func TestPlanCacheSeesTheReuseCache(t *testing.T) {
 	sys := newPlanSystem(t, VariantMSMiso, func(c *Config) { c.Reuse.Enabled = true })
 	sqls := workload.SQLs()
@@ -283,11 +285,7 @@ func TestPlanCacheSeesTheReuseCache(t *testing.T) {
 			}
 		}
 		if cut != nil {
-			if fp, ok := sys.cutFingerprint(cut); ok {
-				sys.reuse.cache.Put(fp, last.Result)
-			} else {
-				cut = nil
-			}
+			sys.admitResult(cut, last.Result, sys.seq)
 		}
 		sys.mu.Unlock()
 		if cut == nil {
@@ -306,7 +304,7 @@ func TestPlanCacheSeesTheReuseCache(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("no paper query plans an HV cut the reuse cache can key")
+	t.Fatal("no paper query plans an HV cut a result view can answer")
 }
 
 // TestPlanCacheHitAllocs guards what a plan-cache hit saves: on a warm

@@ -13,7 +13,6 @@ import (
 	"miso/internal/history"
 	"miso/internal/hv"
 	"miso/internal/logical"
-	"miso/internal/mqo"
 	"miso/internal/optimizer"
 	"miso/internal/storage"
 	"miso/internal/transfer"
@@ -49,18 +48,17 @@ func (q *query) answer(t *storage.Table) {
 // steps — prologue (begin), HV step (execHV), cut migration (migrateCut),
 // booking (charge + bookLocked) — and differs only in the route it takes between
 // prologue and booking: the degraded route runs whole in HV, a cache hit
-// books the cached table, everything else runs the variant.
+// books the table a result view holds, everything else runs the variant.
 //
 // Plan building reads only construction-time catalog state (schemas,
 // names), never the mutable log content, so the plan is built before the
 // lock — and once per statement text: the builder hands every repeat of a
 // text the plan it built first (shared, since a built plan is immutable),
 // so a cache hit neither parses nor builds. The built plan is already
-// normalized, so it is the canonical plan the reuse plane fingerprints,
-// under the lock, against the log versions the catalog has now. Queries
-// run one at a time under s.mu, so a repeat that arrives while its first
-// copy executes waits for the lock and then hits the result that copy put
-// into the cache.
+// normalized, so its root's id is the key of its result view. Queries run
+// one at a time under s.mu, so a repeat that arrives while its first copy
+// executes waits for the lock and then hits the result view that copy
+// admitted.
 func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryReport, error) {
 	plan, buildErr := s.builder.BuildSQL(sql)
 
@@ -72,20 +70,17 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 	}
 	defer q.led.ReleaseAll()
 
-	var fp mqo.Fingerprint
-	var fpOK, ran bool
+	var ran bool
 	switch {
 	case degraded:
 		q.rep.Degraded = true
 		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views))
 	default:
-		if s.reuse != nil {
-			if fp, fpOK = mqo.HashPlan(plan, s.reuse); fpOK {
-				if t, ok := s.reuse.cache.Get(fp); ok {
-					q.rep.CacheHit = true
-					q.answer(t)
-					break
-				}
+		if s.results != nil {
+			if t, ok := s.heldResult(plan, q.entry.Seq); ok {
+				q.rep.CacheHit = true
+				q.answer(t)
+				break
 			}
 			s.metrics.CacheMisses++
 		}
@@ -104,11 +99,8 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 		// booking, which journals the design it leaves behind and then the
 		// post-step's record, so replay charges in the same order.
 		settled = s.settleVariant()
-		if fpOK && q.rep.Result != nil {
-			// Chain boundary: the finished query's materialized answer
-			// enters the cache under the fingerprint computed before
-			// execution.
-			s.reuse.cache.Put(fp, q.rep.Result)
+		if s.results != nil && q.rep.Result != nil {
+			s.admitResult(plan, q.rep.Result, q.entry.Seq)
 		}
 	}
 	return s.bookLocked(q, settled)
@@ -277,7 +269,7 @@ func (s *System) runInHV(q *query, plan *logical.Node) error {
 }
 
 // runSplit executes the optimizer's chosen plan over design d: each cut
-// runs in HV (or comes from the subresult cache), its working set migrates
+// runs in HV (or comes from a result view), its working set migrates
 // into DW temp space, and the remainder runs in DW; a mid-flight failure
 // of the transfer or of the DW side degrades to fallbackHV. Migrated
 // working sets live in temp space for the duration of the query only; HV
@@ -299,15 +291,14 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 			continue // answered directly from a DW-resident view
 		}
 		rep.BypassedHV = false
-		// Subresult reuse: a cut whose base-data definition is resident in
-		// the semantic cache skips HV execution entirely — the migrated
-		// working set comes from the digest-verified cached table at zero
-		// HV cost. The migration below still runs: the working set must
-		// reach DW temp space either way.
+		// Subresult reuse: a cut whose raw subtree a result view answers
+		// skips HV execution entirely — the migrated working set is the
+		// view's checksum-verified table, at zero HV cost. The migration
+		// below still runs: the working set must reach DW temp space
+		// either way.
 		var ws *storage.Table
-		cfp, keyed := s.cutFingerprint(cut.Node)
-		if keyed {
-			if t, ok := s.reuse.cache.Get(cfp); ok {
+		if s.results != nil {
+			if t, ok := s.heldResult(cut.Node, q.entry.Seq); ok {
 				ws = t
 				rep.SubplanHits++
 			}
@@ -318,10 +309,8 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 				return err
 			}
 			ws = res.Table
-			if keyed {
-				// Chain boundary: the freshly computed working set becomes
-				// a cached subresult for later cuts and queries.
-				s.reuse.cache.Put(cfp, ws)
+			if s.results != nil {
+				s.admitResult(cut.Node, ws, q.entry.Seq)
 			}
 		}
 		// Deadline checkpoint before committing to the transfer: an
@@ -361,37 +350,37 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 
 // planVersions is the version tuple of everything Optimizer.Choose reads
 // under the system's design: both view sets, the estimator, the count of
-// log appends (which the estimator's base sizes and the reuse probe's
-// fingerprints follow) and the reuse cache the probe asks.
-type planVersions struct{ hv, dw, est, logs, reuse uint64 }
+// log appends (which the estimator's base sizes follow) and the result
+// views the reuse probe asks.
+type planVersions struct{ hv, dw, est, logs, results uint64 }
 
 // versions reads the tuple. Callers hold s.mu.
 func (s *System) versions() planVersions {
 	v := planVersions{hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), est: s.est.Version(), logs: s.appends}
-	if s.reuse != nil {
-		v.reuse = s.reuse.cache.Writes()
+	if s.results != nil {
+		v.results = s.results.Version()
 	}
 	return v
 }
 
-// planEntry is a chosen plan and what its choice read: the tuple, both view
-// sets' members, the id of every node the estimator may have been asked
-// about — the raw plan's and those of every plan EnumeratePlans returned —
-// and every answer the reuse probe gave.
-type planEntry struct {
-	mp     *optimizer.MultiPlan
-	ver    planVersions
-	hv, dw []*views.View
-	ids    []uint64
-	reads  []reuseRead
+// resultMembers lists the result views; none when the plane is disabled.
+func (s *System) resultMembers() []*views.View {
+	if s.results == nil {
+		return nil
+	}
+	return s.results.Members()
 }
 
-// reuseRead is one answer of the reuse probe: a cut's fingerprint and
-// whether the cache held it. A cut with no fingerprint answers no under
-// every cache state until a log is appended to, so it is not recorded.
-type reuseRead struct {
-	fp   mqo.Fingerprint
-	held bool
+// planEntry is a chosen plan and what its choice read: the tuple, the
+// members of both view sets and of the result views, the id of every node
+// the estimator may have been asked about — the raw plan's and those of
+// every plan EnumeratePlans returned — and, with the reuse plane on, the
+// id of every cut the reuse probe was asked about.
+type planEntry struct {
+	mp              *optimizer.MultiPlan
+	ver             planVersions
+	hv, dw, results []*views.View
+	ids, cuts       []uint64
 }
 
 // planCacheCap bounds the plan cache; a full cache is dropped whole.
@@ -405,8 +394,8 @@ var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimize
 // function of the plan (one pointer per statement text), the design and what
 // versions() counts, so a plan chosen under the system's design is handed
 // out again while nothing it read has changed. A log append, which moves
-// every fingerprint over the log, drops the whole cache; after any other
-// move an entry is checked against its own reads (holds). Another design
+// every base size the estimator reads, drops the whole cache; after any
+// other move an entry is checked against its own reads (holds). Another design
 // (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
 func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {
 	if d != s.design() {
@@ -425,28 +414,16 @@ func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.Mult
 	}
 	// The members are read after the versions, so an entry never holds
 	// members older than its tuple says.
-	e := &planEntry{ver: v, hv: d.HV.Members(), dw: d.DW.Members()}
-	var probe func(*logical.Node) bool
-	if s.reuse != nil {
-		// The probe New hands the optimizer, less its empty-cache shortcut
-		// (an answer is kept with the fingerprint it asked about); the
-		// choice asks it once per cut node.
-		probe = func(n *logical.Node) bool {
-			fp, ok := s.cutFingerprint(n)
-			if !ok {
-				return false
-			}
-			held := s.reuse.cache.Contains(fp)
-			e.reads = append(e.reads, reuseRead{fp, held})
-			return held
-		}
-	}
-	plans := s.opt.EnumeratePlansWith(plan, d, probe)
+	e := &planEntry{ver: v, hv: d.HV.Members(), dw: d.DW.Members(), results: s.resultMembers()}
+	plans := s.opt.EnumeratePlans(plan, d)
 	mp, err := optimizer.Cheapest(plans)
 	if err != nil {
 		return nil, err
 	}
 	e.mp, e.ids = mp, readIDs(plan, plans)
+	if s.results != nil {
+		e.cuts = probedCuts(plans)
+	}
 	s.plans[plan] = e
 	return mp, nil
 }
@@ -456,26 +433,46 @@ func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.Mult
 // no stat it may have read was stored or dropped; its design holds while no
 // view added, removed or replaced since can answer a node of the raw plan,
 // the only nodes BestMatch is asked about; its reuse discounts hold while
-// the cache answers each fingerprint the probe asked about as it did.
+// the result views hold each cut the probe was asked about as they did.
 func (s *System) holds(e *planEntry, plan *logical.Node, v planVersions) bool {
-	hv, dw := s.hv.Views.Members(), s.dw.Views.Members()
+	hv, dw, results := s.hv.Views.Members(), s.dw.Views.Members(), s.resultMembers()
 	if e.ver.est != v.est && s.est.ChangedSince(e.ids, e.ver.est) ||
 		e.ver.hv != v.hv && viewsMoved(e.hv, hv, plan) || e.ver.dw != v.dw && viewsMoved(e.dw, dw, plan) ||
-		e.ver.reuse != v.reuse && s.reuseMoved(e.reads) {
+		e.ver.results != v.results && resultsMoved(e.results, results, e.cuts) {
 		return false
 	}
-	e.ver, e.hv, e.dw = v, hv, dw
+	e.ver, e.hv, e.dw, e.results = v, hv, dw, results
 	return true
 }
 
-// reuseMoved reports whether the reuse cache answers one of reads otherwise.
-func (s *System) reuseMoved(reads []reuseRead) bool {
-	for _, r := range reads {
-		if s.reuse.cache.Contains(r.fp) != r.held {
+// resultsMoved reports whether one of two result-view member lists holds a
+// view for one of cuts and the other does not. Result views match on the
+// exact tier only, so presence is all the probe reads: a view cleared and
+// admitted again answers as it did.
+func resultsMoved(old, cur []*views.View, cuts []uint64) bool {
+	for _, id := range cuts {
+		has := func(v *views.View) bool { return v.ID == id }
+		if slices.ContainsFunc(old, has) != slices.ContainsFunc(cur, has) {
 			return true
 		}
 	}
 	return false
+}
+
+// probedCuts lists, sorted and without repeats, the raw node of every HV
+// cut of every plan in plans: what the reuse probe was asked about. A cut
+// a DW view answers is never probed.
+func probedCuts(plans []*optimizer.MultiPlan) []uint64 {
+	var ids []uint64
+	for _, p := range plans {
+		for _, c := range p.Cuts {
+			if c.DWView == nil {
+				ids = append(ids, c.Node.ID())
+			}
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // viewsMoved walks two name-ordered member lists and reports whether a view

@@ -1,12 +1,12 @@
 package multistore
 
-// White-box tests for the cross-query reuse plane: semantic-cache hits
-// serving digest-identical answers, strict invalidation on every trigger
-// (log appends, reorganization, crash recovery, audit quarantine),
-// concurrent repeats answered by the cache, and the guarantee that
-// reuse-enabled execution never changes what a query answers. They reach
-// into the system's reuse plane, window and future workload, so they live
-// inside the package.
+// White-box tests for the cross-query reuse plane: result views serving
+// digest-identical answers, strict invalidation on every trigger (log
+// appends, reorganization, crash recovery, audit quarantine), concurrent
+// repeats answered by the views, checksum-failed views dropped, eviction
+// under the byte bound, and the guarantee that reuse-enabled execution
+// never changes what a query answers. They reach into the system's result
+// views, window and future workload, so they live inside the package.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"miso/internal/data"
 	"miso/internal/durability"
 	"miso/internal/logical"
+	"miso/internal/mqo"
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
@@ -118,9 +119,8 @@ func TestReuseCacheHitIdenticalToColdExecution(t *testing.T) {
 	}
 }
 
-// TestReuseInvalidationOnAppend: an append changes the log's content
-// version, so a warm cache must neither serve the old
-// answer nor be consulted under the old fingerprint.
+// TestReuseInvalidationOnAppend: an append changes the log's content, so
+// the result views over the old content must go and never be served.
 func TestReuseInvalidationOnAppend(t *testing.T) {
 	sys := newReuseSystem(t, VariantMSMiso, nil)
 	count := `SELECT COUNT(*) AS n FROM tweets WHERE hashtag = 'food' AND retweets > 250`
@@ -131,12 +131,15 @@ func TestReuseInvalidationOnAppend(t *testing.T) {
 	if rep, err := sys.Run(count); err != nil || !rep.CacheHit {
 		t.Fatalf("warmup repeat: err=%v hit=%v", err, rep.CacheHit)
 	}
+	if sys.ReuseStats().Cache.Entries == 0 {
+		t.Fatal("nothing cached before the append")
+	}
 	if _, err := sys.AppendToLog(data.TweetsLog, []string{
 		reuseTweetLine(t, 2_000_001), reuseTweetLine(t, 2_000_002),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.ReuseStats().Cache; st.Entries != 0 || st.Invalidations == 0 {
+	if st := sys.ReuseStats().Cache; st.Entries != 0 {
 		t.Fatalf("append did not clear the cache: %+v", st)
 	}
 	after, err := sys.Run(count)
@@ -172,7 +175,7 @@ func TestReuseInvalidationOnReorganize(t *testing.T) {
 	if err := sys.Reorganize(); err != nil {
 		t.Fatalf("reorganize: %v", err)
 	}
-	if st := sys.ReuseStats().Cache; st.Entries != 0 || st.Invalidations == 0 {
+	if st := sys.ReuseStats().Cache; st.Entries != 0 {
 		t.Fatalf("reorg did not clear the cache: %+v", st)
 	}
 	rep, err := sys.Run(sqls[0])
@@ -212,7 +215,7 @@ func TestReuseInvalidationOnRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if st := twin.ReuseStats().Cache; st.Entries != 0 || st.Hits != 0 {
+	if st := twin.ReuseStats().Cache; st.Entries != 0 || twin.Metrics().CacheHits != 0 {
 		t.Fatalf("recovered system inherited cache state: %+v", st)
 	}
 	for i := 0; i < 6; i++ {
@@ -265,7 +268,7 @@ func TestReuseInvalidationOnAuditQuarantine(t *testing.T) {
 	if !quarantined {
 		t.Fatalf("audit did not quarantine: %+v", viols)
 	}
-	if st := sys.ReuseStats().Cache; st.Entries != 0 || st.Invalidations == 0 {
+	if st := sys.ReuseStats().Cache; st.Entries != 0 {
 		t.Fatalf("quarantine did not clear the cache: %+v", st)
 	}
 }
@@ -322,7 +325,7 @@ func TestConcurrentRepeatsHitTheCache(t *testing.T) {
 // TestPlaneMatrixMatchesGolden.
 func TestZeroReuseConfigBuildsNoPlane(t *testing.T) {
 	sys := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.Reuse = ReuseConfig{} })
-	if sys.reuse != nil {
+	if sys.results != nil {
 		t.Fatal("zero Reuse config built a reuse plane")
 	}
 }
@@ -358,9 +361,11 @@ func TestSubmitBuildsEachStatementOnce(t *testing.T) {
 
 // TestCacheHitAllocs guards the hit path's allocations: with the plan
 // built once per text and the prologue's quarantine copying no view set,
-// a served cache hit allocates for its prologue, report and booking only.
-// The ceilings sit above what a hit allocates here (3 for each of queries
-// 0, 5 and 17; 674, 491 and 573 when every hit rebuilt its plan).
+// a served cache hit allocates for its prologue, report and booking, and
+// for the Touch that restamps its result view's recency (a view struct and
+// a member slice). The ceilings sit above what a hit allocates here (5 for
+// each of queries 0, 5 and 17; 3 before hits were result views; 674, 491
+// and 573 when every hit rebuilt its plan).
 func TestCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -401,5 +406,193 @@ func TestCacheHitAllocs(t *testing.T) {
 		if allocs > c.ceiling {
 			t.Errorf("query %d: a cache hit allocates %.0f times, ceiling %.0f", c.query, allocs, c.ceiling)
 		}
+	}
+}
+
+// TestCorruptResultViewIsDroppedNotServed: a held answer whose table no
+// longer hashes to its admission-time checksum is removed and counted as a
+// miss; the query executes cold, with the reuse-off twin's answer, and the
+// fresh answer is admitted again.
+func TestCorruptResultViewIsDroppedNotServed(t *testing.T) {
+	sql := workload.SQLs()[0]
+	twin := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.Reuse = ReuseConfig{}; c.ReorgEvery = 0 })
+	cold, err := twin.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storage.ChecksumData(cold.Result)
+
+	sys := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.ReorgEvery = 0 })
+	if _, err := sys.Run(sql); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.builder.BuildSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.mu.Lock()
+	v, ok := sys.results.ByID(plan.ID())
+	if ok {
+		rotted := *v
+		rotted.Table = v.Table.Clone()
+		durability.CorruptTable(rotted.Table, 0.5)
+		sys.results.Add(&rotted)
+	}
+	sys.mu.Unlock()
+	if !ok {
+		t.Fatal("the answer was not admitted")
+	}
+	misses := sys.Metrics().CacheMisses
+	rep, err := sys.Run(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheHit {
+		t.Fatal("served a result view that fails its checksum")
+	}
+	if storage.ChecksumData(rep.Result) != want {
+		t.Fatal("the cold answer diverged from the reuse-off twin's")
+	}
+	if got := sys.Metrics().CacheMisses; got != misses+1 {
+		t.Fatalf("CacheMisses %d -> %d, want one more", misses, got)
+	}
+	if rep, err := sys.Run(sql); err != nil || !rep.CacheHit || storage.ChecksumData(rep.Result) != want {
+		t.Fatalf("the fresh answer was not admitted again: err=%v", err)
+	}
+}
+
+// intTable is a one-column table of the integers 0..n-1.
+func intTable(t *testing.T, name string, n int) *storage.Table {
+	t.Helper()
+	sch, err := storage.NewSchema(storage.Column{Name: "v", Type: storage.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := storage.NewTable(name, sch)
+	for i := range n {
+		tb.MustAppend(storage.Row{storage.IntValue(int64(i))})
+	}
+	return tb
+}
+
+// TestResultViewsEvictLeastRecentlyUsed: with room for three answers, a
+// fourth evicts the one used least recently — a hit restamps recency — and
+// an answer larger than the whole bound is not admitted.
+func TestResultViewsEvictLeastRecentlyUsed(t *testing.T) {
+	size := intTable(t, "a", 100).RawBytes()
+	sys := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.Reuse.CacheBytes = 3*size + size/2 })
+	var nodes []*logical.Node
+	for _, sql := range workload.SQLs()[:5] {
+		n, err := sys.builder.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	held := func(i int) bool {
+		_, ok := sys.results.ByID(nodes[i].ID())
+		return ok
+	}
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	for i := range 3 {
+		sys.admitResult(nodes[i], intTable(t, "r", 100), i)
+	}
+	if _, ok := sys.heldResult(nodes[0], 3); !ok {
+		t.Fatal("answer 0 not held")
+	}
+	sys.admitResult(nodes[3], intTable(t, "r", 100), 4)
+	if held(1) {
+		t.Fatal("the least recently used answer survived eviction")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if !held(i) {
+			t.Fatalf("answer %d evicted, want it held", i)
+		}
+	}
+	sys.admitResult(nodes[4], intTable(t, "huge", 1000), 5)
+	if held(4) {
+		t.Fatal("an answer larger than the bound was admitted")
+	}
+	if st := sys.ReuseStats().Cache; st.Entries != 3 || st.Bytes != 3*size {
+		t.Fatalf("stats %+v, want 3 entries of %d bytes", st, 3*size)
+	}
+}
+
+// TestInvalidateReuseEmptiesTheResultViews: a clear drops every result
+// view and its bytes, and the next run of a statement executes.
+func TestInvalidateReuseEmptiesTheResultViews(t *testing.T) {
+	sys := newReuseSystem(t, VariantMSMiso, func(c *Config) { c.ReorgEvery = 0 })
+	runPrefix(t, sys, 4)
+	if st := sys.ReuseStats().Cache; st.Entries == 0 || st.Bytes == 0 {
+		t.Fatalf("nothing held before the clear: %+v", st)
+	}
+	sys.InvalidateReuse()
+	if st := sys.ReuseStats().Cache; st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("the clear left %+v", st)
+	}
+	if rep, err := sys.Run(workload.SQLs()[0]); err != nil || rep.CacheHit {
+		t.Fatalf("after the clear: err=%v hit=%v", err, rep.CacheHit)
+	}
+}
+
+// catalogVersions is the version source a fingerprint took before result
+// views were keyed by node id: each log's line count.
+type catalogVersions struct{ cat *storage.Catalog }
+
+func (c catalogVersions) LogVersion(name string) (gen, lines int, ok bool) {
+	log, err := c.cat.Log(name)
+	if err != nil {
+		return 0, 0, false
+	}
+	return 0, log.NumLines(), true
+}
+
+// TestResultViewKeysMatchPlanFingerprints: keying result views by node id
+// changes no hit. Over two passes of the workload on reuse-on MS-MISO with
+// reorganizations, every root and every cut of every enumerated plan maps
+// to its view-expanded fingerprint one to one at the (fixed) line counts.
+func TestResultViewKeysMatchPlanFingerprints(t *testing.T) {
+	sys := newReuseSystem(t, VariantMSMiso, nil)
+	src := catalogVersions{sys.Catalog()}
+	fps := map[uint64]mqo.Fingerprint{}
+	ids := map[mqo.Fingerprint]uint64{}
+	keyed := 0
+	key := func(n *logical.Node) {
+		fp, ok := mqo.HashPlan(sys.hv.ExpandViews(n), src)
+		if !ok {
+			t.Fatalf("node %x has no fingerprint", n.ID())
+		}
+		if f, seen := fps[n.ID()]; seen && f != fp {
+			t.Fatalf("node id %x has fingerprints %x and %x", n.ID(), f, fp)
+		}
+		if id, seen := ids[fp]; seen && id != n.ID() {
+			t.Fatalf("fingerprint %x has node ids %x and %x", fp, id, n.ID())
+		}
+		fps[n.ID()], ids[fp] = fp, n.ID()
+		keyed++
+	}
+	for pass := range 2 {
+		for i, sql := range workload.SQLs() {
+			plan, err := sys.builder.BuildSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.mu.Lock()
+			key(plan)
+			for _, mp := range sys.opt.EnumeratePlans(plan, sys.design()) {
+				for _, c := range mp.Cuts {
+					key(c.Node)
+				}
+			}
+			sys.mu.Unlock()
+			if _, err := sys.Run(sql); err != nil {
+				t.Fatalf("pass %d query %d: %v", pass, i, err)
+			}
+		}
+	}
+	t.Logf("%d roots and cuts keyed, %d distinct ids and fingerprints", keyed, len(fps))
+	if sys.Metrics().Reorgs == 0 {
+		t.Fatal("no reorganization ran")
 	}
 }

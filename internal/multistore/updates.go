@@ -19,7 +19,7 @@ import (
 // new content. Every other view over the log, in either store, is dropped,
 // and the next queries rebuild it organically — the same opportunistic
 // mechanism that created it. Statistics of subtrees over the log and every
-// cached result are discarded; views over other logs are untouched.
+// result view are discarded; views over other logs are untouched.
 func (s *System) AppendToLog(name string, lines []string) (dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -54,9 +54,9 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 	s.metrics.HVExe += sec
 	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
 	s.est.InvalidateLog(name)
-	// The log's content version advanced: fingerprints over the new
-	// content differ, making old entries unreachable. The count drops the
-	// chosen plans at the next choose; the cached results go now.
+	// The log's content advanced: a result view is keyed by its plan's id
+	// alone, so every one goes now. The count drops the chosen plans at
+	// the next choose.
 	s.appends++
 	s.invalidateReuse()
 	return dropped, sec, nil

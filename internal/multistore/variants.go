@@ -128,9 +128,9 @@ func (s *System) runDWOnly(q *query) error {
 // consumption is refunded, and Vh ∩ Vd = ∅ holds no matter which moves
 // fail. Time lost to failed moves is charged to RECOVERY, not TUNE.
 func (s *System) reorg(w *history.Window) error {
-	// Invalidate the reuse cache before tuning: the phase is about to
+	// Drop the result views before tuning: the phase is about to
 	// rearrange the physical design, and the tuner's what-if costing must
-	// probe an empty cache to stay deterministic.
+	// probe an empty set to stay deterministic.
 	s.invalidateReuse()
 	if err := s.journal(&durability.Record{Kind: durability.KindReorgBegin, Seq: int64(s.seq)}); err != nil {
 		return err

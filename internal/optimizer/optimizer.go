@@ -120,13 +120,13 @@ type Optimizer struct {
 	// DisableSplits restricts planning to HV-only execution (used by the
 	// HV-ONLY and HV-OP system variants).
 	DisableSplits bool
-	// ReuseProbe, when set, reports whether the cross-query reuse cache
-	// holds the materialized subresult for a cut subtree; such a cut then
-	// charges no HV execution cost, steering plan choice toward cached
-	// work. The probe must be safe for concurrent calls (PlanSpace.Cost
-	// runs under the tuner's parallel what-if workers) and must not
-	// mutate optimizer state; costing with a nil probe is unchanged. One
-	// plan choice asks it at most once per cut node.
+	// ReuseProbe, when set, reports whether the cross-query reuse plane
+	// holds a result view for a raw cut subtree; such a cut then charges
+	// no HV execution cost, steering plan choice toward reused work. The
+	// probe must be safe for concurrent calls (PlanSpace.Cost runs under
+	// the tuner's parallel what-if workers) and must not mutate optimizer
+	// state; costing with a nil probe is unchanged. One plan choice asks
+	// it at most once per cut node.
 	ReuseProbe func(*logical.Node) bool
 }
 
@@ -428,14 +428,7 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // provided nothing concurrently mutates the design's view sets or the
 // catalog.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	return o.EnumeratePlansWith(raw, d, o.ReuseProbe)
-}
-
-// EnumeratePlansWith is EnumeratePlans asking probe in place of ReuseProbe,
-// once per cut node it costs: a caller that wants to know what the choice
-// read of the reuse cache wraps the probe for this one call.
-func (o *Optimizer) EnumeratePlansWith(raw *logical.Node, d Design, probe func(*logical.Node) bool) []*MultiPlan {
-	c := newChoice(d, nil, probe)
+	c := newChoice(d, nil, o.ReuseProbe)
 	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)

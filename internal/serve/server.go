@@ -357,10 +357,9 @@ func (s *Server) Reorganize() error {
 
 // SetReorgHook registers fn to run inside the drain barrier — write gate
 // held, no query in flight — immediately before every online
-// reorganization. The reuse plane registers its cache invalidation here:
-// clearing between the drain and the design change means no in-flight
-// query can repopulate the cache with pre-reorg results. A nil fn clears
-// the hook.
+// reorganization. Nothing in the system needs it: a reorganization clears
+// the result views itself, first thing. The benchmark module still
+// registers System.InvalidateReuse here. A nil fn clears the hook.
 func (s *Server) SetReorgHook(fn func()) {
 	s.mu.Lock()
 	s.reorgHook = fn

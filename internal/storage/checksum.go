@@ -22,9 +22,11 @@ func ChecksumTable(t *Table) uint64 {
 // that produced it. Result-table names embed the chosen plan shape —
 // which views were substituted — so two semantically identical answers
 // computed before and after opportunistic view capture carry different
-// names. The reuse plane keys correctness on what the user receives, so
-// its digests use this form; artifact integrity (views, transfers) keeps
-// using ChecksumTable, where the name is part of the artifact.
+// names. Answer checks (a served answer against its reuse-off twin's, the
+// soaks' pinned answers, the benchmark's oracle) compare what the user
+// receives, so they use this form; artifact integrity keeps using
+// ChecksumTable, where the name is part of the artifact — the reuse plane
+// included, which verifies its result views through View.Verify.
 func ChecksumData(t *Table) uint64 {
 	if t == nil {
 		return fnvOffset64

@@ -14,7 +14,17 @@ import "sort"
 // single sorted pass evicts exactly the sequence the per-eviction rescan
 // would have.
 func EvictLRU(s *Set, budgetBytes int64) []*View {
-	total := s.TotalBytes()
+	return EvictLRUBy(s, budgetBytes, (*View).SizeBytes)
+}
+
+// EvictLRUBy is EvictLRU with each view measured by size instead of its
+// logical size: the result views of the reuse plane are bounded by the
+// memory their tables hold, not by the bytes they stand for.
+func EvictLRUBy(s *Set, budgetBytes int64, size func(*View) int64) []*View {
+	var total int64
+	for _, v := range s.Members() {
+		total += size(v)
+	}
 	if total <= budgetBytes {
 		return nil
 	}
@@ -24,7 +34,7 @@ func EvictLRU(s *Set, budgetBytes int64) []*View {
 		if a.LastUsedSeq != b.LastUsedSeq {
 			return a.LastUsedSeq < b.LastUsedSeq
 		}
-		if sa, sb := a.SizeBytes(), b.SizeBytes(); sa != sb {
+		if sa, sb := size(a), size(b); sa != sb {
 			return sa > sb
 		}
 		return a.Name < b.Name
@@ -35,7 +45,7 @@ func EvictLRU(s *Set, budgetBytes int64) []*View {
 			break
 		}
 		s.Remove(v.Name)
-		total -= v.SizeBytes()
+		total -= size(v)
 		evicted = append(evicted, v)
 	}
 	return evicted

@@ -383,6 +383,17 @@ func (s *Set) Has(name string) bool {
 	return ok
 }
 
+// ByID returns the view whose defining subtree has structural id id — the
+// exact tier alone, by a scan of the members. The zero id never matches.
+func (s *Set) ByID(id uint64) (*View, bool) {
+	for _, v := range s.Members() {
+		if id != 0 && v.ID == id {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
 // Version moves on every write but Touch, which restamps recency only: Add,
 // a Remove or RemoveIf that deletes, Reset and ReplaceAll. What a lookup
 // against the set answers holds while its version stands still.

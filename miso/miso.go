@@ -123,14 +123,14 @@ type QuotaConfig = serve.QuotaConfig
 type TenantStats = serve.TenantStats
 
 // ReuseConfig enables the cross-query reuse plane inside Config
-// (Config.Reuse): the content-fingerprinted semantic result cache, which
-// answers repeats of a query over unchanged logs, concurrent ones
-// included. The zero value disables the plane and is byte-identical to a
+// (Config.Reuse): full-query answers and cut subresults kept as
+// checksummed result views, which answer repeats of a query over unchanged
+// logs, concurrent ones included. The zero value disables the plane and is byte-identical to a
 // build without it.
 type ReuseConfig = multistore.ReuseConfig
 
-// ReuseStats is a point-in-time snapshot of the reuse plane's cache
-// counters (System.ReuseStats).
+// ReuseStats is a point-in-time snapshot of what the reuse plane holds
+// (System.ReuseStats): its result views and their bytes.
 type ReuseStats = multistore.ReuseStats
 
 // Server is the concurrent query-serving frontend: a bounded worker pool
