@@ -70,9 +70,10 @@ bench: microbench
 	$(GO) run ./cmd/misobench -mode benchgov -scale small -out .
 
 # microbench runs every package micro-benchmark once (view matching, plan
-# choice on a warm design, the knapsack DP, the exec operators, an HV job's
-# map side, a whole HV query and an append that maintains the views over
-# its log) and, with them, the allocation guards,
+# choice on a warm design, the knapsack DP, the exec operators, DW's plans
+# over small views (BenchmarkSmallViewPlan), an HV job's map side, a whole
+# HV query and an append that maintains the views over its log) and, with
+# them, the allocation guards (TestSmallViewPlanAllocs among them),
 # which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
 # tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
 # and the fanned-out reorganization, each checked against the golden. CI

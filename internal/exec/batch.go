@@ -88,12 +88,14 @@ type fusedWorker struct {
 	scan    *scanBuf
 }
 
-func newFusedWorker(stages []fusedStage, segs []*storage.Schema, morselRows int) (*fusedWorker, error) {
+// newFusedWorker compiles one worker's evaluators; selRows is the largest
+// morsel it can be handed, min(morselRows, input rows).
+func newFusedWorker(stages []fusedStage, segs []*storage.Schema, selRows int) (*fusedWorker, error) {
 	fw := &fusedWorker{
 		batches: make([]*expr.Batch, len(segs)),
 		preds:   make([]expr.BatchCompiled, len(stages)),
 		projs:   make([][]expr.BatchCompiled, len(stages)),
-		sel:     make([]int32, 0, morselRows),
+		sel:     make([]int32, 0, selRows),
 	}
 	for i, s := range segs {
 		fw.batches[i] = expr.NewBatch(s)
@@ -140,30 +142,23 @@ type fusedMorselAgg struct {
 
 // stageMeters accumulates per-stage counters across morsel workers. Slot 0
 // is the Extract source (idle over a table source), slot si+1 is stage si.
-type stageMeters struct {
-	nanos   []atomic.Int64
-	rows    []atomic.Int64
-	bytes   []atomic.Int64 // encoded size of the stage's output rows; kept exact under the top only
-	rowsIn  []atomic.Int64
-	batches []atomic.Int64
+type stageMeters []stageMeter
+
+type stageMeter struct {
+	nanos   atomic.Int64
+	rows    atomic.Int64
+	bytes   atomic.Int64 // encoded size of the stage's output rows; kept exact under the top only
+	rowsIn  atomic.Int64
+	batches atomic.Int64
 }
 
-func newStageMeters(n int) *stageMeters {
-	return &stageMeters{
-		nanos:   make([]atomic.Int64, n),
-		rows:    make([]atomic.Int64, n),
-		bytes:   make([]atomic.Int64, n),
-		rowsIn:  make([]atomic.Int64, n),
-		batches: make([]atomic.Int64, n),
-	}
-}
-
-func (m *stageMeters) add(slot int, since time.Time, rowsIn, rowsOut int, bytes int64) {
-	m.nanos[slot].Add(time.Since(since).Nanoseconds())
-	m.rows[slot].Add(int64(rowsOut))
-	m.bytes[slot].Add(bytes)
-	m.rowsIn[slot].Add(int64(rowsIn))
-	m.batches[slot].Add(1)
+func (m stageMeters) add(slot int, since time.Time, rowsIn, rowsOut int, bytes int64) {
+	sm := &m[slot]
+	sm.nanos.Add(time.Since(since).Nanoseconds())
+	sm.rows.Add(int64(rowsOut))
+	sm.bytes.Add(bytes)
+	sm.rowsIn.Add(int64(rowsIn))
+	sm.batches.Add(1)
 }
 
 // selEncodedSize sums the encoded size of the selected rows.
@@ -240,7 +235,7 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 	defer sc.Release()
 	fws := make([]*fusedWorker, workers)
 	for w := range fws {
-		fw, err := newFusedWorker(stages, segs, mr)
+		fw, err := newFusedWorker(stages, segs, min(mr, nRows))
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +247,7 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 		fws[w] = fw
 	}
 
-	meters := newStageMeters(len(stages) + 1)
+	meters := make(stageMeters, len(stages)+1)
 	passStart := time.Now()
 	nMorsels := morselCount(nRows, mr)
 	var chunks [][]storage.Row
@@ -333,7 +328,7 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 					tc := time.Now()
 					src.scan.finish(fw.scan, sel)
 					d := time.Since(tc)
-					meters.nanos[0].Add(d.Nanoseconds())
+					meters[0].nanos.Add(d.Nanoseconds())
 					t0 = t0.Add(d)
 				}
 				rowsOut = len(sel)
@@ -409,13 +404,13 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 	var out *storage.Table
 	tailStart := time.Now()
 	if aggTop {
-		out, err = finishFusedAggregate(top, env, sc, src.in, segs[len(segs)-1], aggParts)
+		out, err = finishFusedAggregate(top, env, sc, workers, src.in, segs[len(segs)-1], aggParts)
 		if err != nil {
 			return nil, err
 		}
 		// The meter counted the aggregate's phase-1 consumed rows as its
 		// output; the real output is the merged group rows.
-		meters.rows[len(stages)].Store(int64(len(out.Rows)))
+		meters[len(stages)].rows.Store(int64(len(out.Rows)))
 	} else {
 		out = src.in // a bare Extract fills its own table
 		if top != nil {
@@ -428,11 +423,11 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 
 	if note != nil {
 		if src.scan != nil {
-			note(src.scan.node, NodeStat{Rows: meters.rows[0].Load(), RawBytes: meters.bytes[0].Load(), ScaleFactor: src.in.ScaleFactor})
+			note(src.scan.node, NodeStat{Rows: meters[0].rows.Load(), RawBytes: meters[0].bytes.Load(), ScaleFactor: src.in.ScaleFactor})
 		}
 		sf := max(0, src.in.ScaleFactor) // what newOutput gives every stage's table
 		for si := 0; si < len(stages)-1; si++ {
-			note(stages[si].node, NodeStat{Rows: meters.rows[si+1].Load(), RawBytes: meters.bytes[si+1].Load(), ScaleFactor: sf})
+			note(stages[si].node, NodeStat{Rows: meters[si+1].rows.Load(), RawBytes: meters[si+1].bytes.Load(), ScaleFactor: sf})
 		}
 	}
 	if env.Stats != nil {
@@ -446,16 +441,16 @@ func runFusedChain(chain []*logical.Node, env *Env, src fusedSource, note func(*
 // the pass's wall clock instead, so the rows still add up to elapsed time
 // as they do for operators run alone. The serial tail after the pass (the
 // merge, the aggregate's partition phases) belongs to the top stage.
-func recordFusedStats(stats *Stats, src fusedSource, stages []fusedStage, meters *stageMeters, passWall, tail time.Duration) {
+func recordFusedStats(stats *Stats, src fusedSource, stages []fusedStage, meters stageMeters, passWall, tail time.Duration) {
 	var sum int64
-	for i := range meters.nanos {
-		sum += meters.nanos[i].Load()
+	for i := range meters {
+		sum += meters[i].nanos.Load()
 	}
 	share := func(slot int) time.Duration {
 		if sum == 0 {
 			return 0
 		}
-		return time.Duration(float64(passWall) * float64(meters.nanos[slot].Load()) / float64(sum))
+		return time.Duration(float64(passWall) * float64(meters[slot].nanos.Load()) / float64(sum))
 	}
 	topSlot := len(stages)
 	if src.scan != nil {
@@ -463,21 +458,23 @@ func recordFusedStats(stats *Stats, src fusedSource, stages []fusedStage, meters
 		if topSlot == 0 {
 			d += tail
 		}
-		stats.record(logical.KindExtract, int(meters.rows[0].Load()), d)
+		stats.record(logical.KindExtract, int(meters[0].rows.Load()), d)
 	}
 	for si, st := range stages {
 		d := share(si + 1)
 		if si+1 == topSlot {
 			d += tail
 		}
-		stats.record(st.node.Kind, int(meters.rows[si+1].Load()), d)
-		stats.recordColumnar(st.node.Kind, meters.batches[si+1].Load(), meters.rowsIn[si+1].Load())
+		stats.record(st.node.Kind, int(meters[si+1].rows.Load()), d)
+		stats.recordColumnar(st.node.Kind, meters[si+1].batches.Load(), meters[si+1].rowsIn.Load())
 	}
 }
 
 // finishFusedAggregate runs phases 2 and 3 of the hash aggregation over
 // what the morsels left in parts (phase 1: key hashes and partition
-// buckets). Phase 2 runs the partitions in parallel; each visits its rows
+// buckets) on at most the fused pass's workers, so the partitions of a
+// one-morsel input build on the calling goroutine. Phase 2 runs the
+// partitions in parallel; each visits its rows
 // in global input order (ordinals are morsel-major), so every group
 // accumulates exactly as it would serially — float sums associate
 // identically. Group lookup is a single integer-keyed probe on the
@@ -486,7 +483,7 @@ func recordFusedStats(stats *Stats, src fusedSource, stages []fusedStage, meters
 // only has to place tagged-key-equal rows together, which MixInto
 // guarantees), instead of a key string per row. Phase 3 merges groups
 // ordered by first-seen input row, the reference operators' output order.
-func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *storage.Table, inSchema *storage.Schema, parts []fusedMorselAgg) (*storage.Table, error) {
+func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, workers int, src *storage.Table, inSchema *storage.Schema, parts []fusedMorselAgg) (*storage.Table, error) {
 	nG := len(n.GroupBy)
 	// Global ordinal base of each morsel's aggregate input.
 	bases := make([]int64, len(parts)+1)
@@ -494,7 +491,7 @@ func finishFusedAggregate(n *logical.Node, env *Env, sc *govern.Scope, src *stor
 		bases[m+1] = bases[m] + int64(len(parts[m].rows))
 	}
 
-	workers := min(env.workerCount(), partitions)
+	workers = min(workers, partitions)
 	argSets := make([][]expr.Compiled, workers)
 	for w := range argSets {
 		args, err := compileAggArgs(n, inSchema)

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"runtime"
 	"testing"
 
 	"miso/internal/data"
@@ -244,5 +245,65 @@ func BenchmarkExtractFilterCheckins(b *testing.B) {
 		if _, err := exec.Run(plan, env); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// smallViewPlanCeilings are TestSmallViewPlanAllocs' per-run ceilings, about
+// 20 % over the measured cost of each smallViewPlans plan.
+var smallViewPlanCeilings = []struct {
+	name          string
+	allocs, bytes float64
+}{
+	{"agg", 193, 13900},
+	{"join", 151, 22000},
+}
+
+// TestSmallViewPlanAllocs is the allocation guard for the small-input path:
+// DW's typical execution, a plan over views of a few dozen rows, must not
+// pay the scratch a full morsel or a worker pool needs. It counts at the
+// process's GOMAXPROCS, so pool start-up is counted wherever it happens.
+func TestSmallViewPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not asserted under the race detector")
+	}
+	plans, env := smallViewPlans(t)
+	for i, c := range smallViewPlanCeilings {
+		plan := plans[i]
+		run := func() {
+			if _, err := exec.Run(plan, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < runs; j++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.1f allocs, %.0f B per run", c.name, allocs, bytes)
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%s: %.1f allocs and %.0f B per run, ceilings %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+}
+
+// BenchmarkSmallViewPlan measures the two smallViewPlans plans: what DW
+// pays per execution once the tuner has placed small views there.
+func BenchmarkSmallViewPlan(b *testing.B) {
+	plans, env := smallViewPlans(b)
+	for i, c := range smallViewPlanCeilings {
+		plan := plans[i]
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for j := 0; j < b.N; j++ {
+				if _, err := exec.Run(plan, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

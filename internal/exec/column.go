@@ -18,6 +18,11 @@ import (
 // mostly-unused tail block wastes little.
 const arenaBlockValues = 4096
 
+// arenaFirstRows is how many output rows a join's first arena block holds;
+// later blocks double up to arenaBlockValues, so a join that emits a few
+// rows allocates for a few rows.
+const arenaFirstRows = 16
+
 // rowArena carves output rows out of shared value blocks, replacing one
 // allocation per row with one per block. Blocks are never reused — output
 // rows retain them — so the arena may live across morsels; alloc returns a
@@ -25,14 +30,21 @@ const arenaBlockValues = 4096
 type rowArena struct {
 	blk []storage.Value
 	off int
+	// next sizes the next block: it starts at the caller's estimate and
+	// doubles up to arenaBlockValues.
+	next int
+}
+
+// newRowArena returns an arena whose first block holds estimate values,
+// clamped to [1, arenaBlockValues].
+func newRowArena(estimate int) rowArena {
+	return rowArena{next: min(max(estimate, 1), arenaBlockValues)}
 }
 
 func (a *rowArena) alloc(n int) storage.Row {
 	if a.off+n > len(a.blk) {
-		sz := arenaBlockValues
-		if n > sz {
-			sz = n
-		}
+		sz := max(n, a.next)
+		a.next = min(2*a.next, arenaBlockValues)
 		a.blk = make([]storage.Value, sz)
 		a.off = 0
 	}

@@ -10,6 +10,16 @@
 // its workers within one morsel of work), and every morsel body runs under
 // govern.Capture (so a panicking operator fails only its own query). Both
 // are no-ops when Env.Ctx and the fault injector are nil.
+//
+// Every operator sizes its pool to its input with opWorkers: the pool is
+// min(Env.Workers or GOMAXPROCS, morsels of the input). An input that fits
+// one morsel — a small view, a small join — therefore runs every phase
+// (the fused pass, the aggregate and join partition builds, the join's
+// hash and probe, the sort keys) on the calling goroutine, with one
+// worker's compiled evaluators and scratch. The partition fan-out stays
+// `partitions` and the morsel boundaries stay fixed, so the tasks, the
+// exec-plane fault draws and the ledger reservations an operator makes do
+// not depend on its pool; only the goroutine that runs them does.
 package exec
 
 import (
@@ -58,6 +68,18 @@ func (env *Env) morselRows() int {
 	}
 	return DefaultMorselRows
 }
+
+// opWorkers sizes an operator's pool to an input of nRows: never more
+// workers than the input has morsels, so a one-morsel input runs on the
+// calling goroutine and no compiled evaluator or scratch is built for a
+// worker that would claim nothing.
+func opWorkers(env *Env, nRows int) int {
+	return max(1, min(env.workerCount(), morselCount(nRows, env.morselRows())))
+}
+
+// poolStart, when a test sets it, is told every goroutine pool forEachTask
+// starts.
+var poolStart func(op string, workers int)
 
 // cancelErr returns the query's cancellation error, or nil. Workers call
 // it at every morsel claim; merge loops poll it every cancelPollRows rows.
@@ -142,54 +164,10 @@ func runMorsel(env *Env, op string, m int, fn func() error) error {
 // typed govern.ErrInternal instead of killing the process. The first error
 // wins and is returned after all workers have parked.
 func forEachMorsel(env *Env, op string, workers, n, morselRows int, fn func(w, m, start, end int) error) error {
-	morsels := morselCount(n, morselRows)
-	if morsels == 0 {
-		return nil
-	}
-	if workers > morsels {
-		workers = morsels
-	}
-	if workers <= 1 {
-		for m := 0; m < morsels; m++ {
-			if err := env.cancelErr(); err != nil {
-				return err
-			}
-			start, end := morselRange(m, n, morselRows)
-			if err := runMorsel(env, op, m, func() error { return fn(0, m, start, end) }); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var fail failFirst
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if fail.aborted() {
-					return
-				}
-				if err := env.cancelErr(); err != nil {
-					fail.set(err)
-					return
-				}
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
-					return
-				}
-				start, end := morselRange(m, n, morselRows)
-				if err := runMorsel(env, op, m, func() error { return fn(w, m, start, end) }); err != nil {
-					fail.set(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return fail.err()
+	return forEachTask(env, op, workers, morselCount(n, morselRows), func(w, m int) error {
+		start, end := morselRange(m, n, morselRows)
+		return fn(w, m, start, end)
+	})
 }
 
 func morselRange(m, n, morselRows int) (start, end int) {
@@ -201,9 +179,11 @@ func morselRange(m, n, morselRows int) (start, end int) {
 	return start, end
 }
 
-// forEachTask runs n independent tasks (hash-partition builds, partition
-// accumulation) over the worker pool with the same governance contract as
-// forEachMorsel: cancellation checked at every claim, panics contained.
+// forEachTask runs n independent tasks (forEachMorsel's morsels,
+// hash-partition builds, partition accumulation) over the worker pool,
+// under forEachMorsel's governance contract. With one worker everything
+// runs inline; callers size workers with opWorkers, so every task of a
+// one-morsel input does.
 func forEachTask(env *Env, op string, workers, n int, fn func(w, i int) error) error {
 	if n == 0 {
 		return nil
@@ -221,6 +201,9 @@ func forEachTask(env *Env, op string, workers, n int, fn func(w, i int) error) e
 			}
 		}
 		return nil
+	}
+	if poolStart != nil {
+		poolStart(op, workers)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -53,20 +53,6 @@ func rowsEncodedSize(rows []storage.Row) int64 {
 	return n
 }
 
-// opWorkers clamps the worker count to the morsel count so per-worker
-// compilation and scratch are not paid for workers that would never claim a
-// morsel (forEachMorsel applies the same clamp when scheduling).
-func opWorkers(env *Env, nRows int) int {
-	workers := env.workerCount()
-	if mc := morselCount(nRows, env.morselRows()); workers > mc {
-		workers = mc
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // appendBlocks merges per-morsel buffers whose encoded byte sizes were
 // already computed for the ledger reservation, bulk-appending each block
 // into a presized output — no per-row append and no repeat of the per-row
@@ -135,7 +121,9 @@ func runJoinMorsel(n *logical.Node, env *Env, left, right *storage.Table) (*stor
 	if err != nil {
 		return nil, err
 	}
-	workers := env.workerCount()
+	// Both sides together are the join's input: when they fit one morsel,
+	// every phase below runs on the calling goroutine.
+	workers := opWorkers(env, len(left.Rows)+len(right.Rows))
 	mr := env.morselRows()
 	sc := env.scope()
 	defer sc.Release()
@@ -212,7 +200,12 @@ func runJoinMorsel(n *logical.Node, env *Env, left, right *storage.Table) (*stor
 	// where the join's GC pressure went.
 	rWidth := right.Schema.Len()
 	leftJoin := n.JoinType == logical.JoinLeft
+	// Each arena's first block holds arenaFirstRows output rows, or one per
+	// probe row when the probe side is smaller.
 	arenas := make([]rowArena, workers)
+	for w := range arenas {
+		arenas[w] = newRowArena(min(arenaFirstRows, len(left.Rows)) * (left.Schema.Len() + rWidth))
+	}
 	chunks := make([][]storage.Row, morselCount(len(left.Rows), mr))
 	sizes := make([]int64, len(chunks))
 	err = forEachMorsel(env, "join-probe", workers, len(left.Rows), mr, func(w, m, start, end int) error {
@@ -402,7 +395,7 @@ func runDistinctMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.T
 }
 
 func runSortMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Table, error) {
-	workers := env.workerCount()
+	workers := opWorkers(env, len(in.Rows))
 	nK := len(n.SortKeys)
 	workerKeys := make([][]expr.Compiled, workers)
 	for w := 0; w < workers; w++ {

@@ -56,10 +56,29 @@ func runRef(t *testing.T, cat *storage.Catalog, sql string) *storage.Table {
 	return out
 }
 
+// smallInputQueries run over views of a chosen size in
+// TestMorselEngineByteIdenticalToSerial: every operator, and fused
+// filter/project chains with and without an aggregate on top.
+var smallInputQueries = []string{
+	"SELECT lang, COUNT(*) AS n, SUM(retweets) AS s, AVG(followers) AS f FROM tweets GROUP BY lang",
+	"SELECT COUNT(*) AS n, SUM(retweets) AS s, MIN(lang) AS mn FROM tweets",
+	"SELECT retweets * 2 AS dbl, UPPER(lang) AS lg FROM tweets WHERE lang = 'en' AND retweets > 10",
+	"SELECT hashtag, MAX(retweets) AS m FROM tweets WHERE retweets > 5 GROUP BY hashtag",
+	"SELECT lang, retweets FROM tweets ORDER BY lang, retweets DESC",
+	"SELECT DISTINCT lang, hashtag FROM tweets",
+}
+
+// smallJoinQuery joins the tweets view (the probe side) to the checkins
+// view (the build side).
+const smallJoinQuery = "SELECT t.tweet_id, t.lang, c.lat FROM tweets t JOIN checkins c ON t.user_id = c.user_id"
+
 // TestMorselEngineByteIdenticalToSerial is the core determinism contract:
 // for every operator, the morsel engine's output table must be digest-equal
 // to the reference operators' at worker counts 1/2/4/8 and at morsel sizes
-// that do and do not divide the input evenly.
+// that do and do not divide the input evenly. The operators also run over
+// views at the sizes around the one-morsel schedule (empty, one row, a
+// small view, and one morsel give or take a row), the join with each side
+// small against a large other side.
 func TestMorselEngineByteIdenticalToSerial(t *testing.T) {
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
@@ -74,6 +93,36 @@ func TestMorselEngineByteIdenticalToSerial(t *testing.T) {
 				if g := storage.ChecksumTable(got); g != want {
 					t.Errorf("query %d (%s): workers=%d morselRows=%d digest %x, serial %x (%d vs %d rows)",
 						qi, strings.TrimSpace(sql)[:40], workers, mr, g, want, got.NumRows(), serial.NumRows())
+				}
+			}
+		}
+	}
+
+	mr := exec.DefaultMorselRows
+	large := 2*mr + 1
+	vc := newViewCatalog(t)
+	for _, rows := range []int{0, 1, 13, mr - 1, mr, mr + 1} {
+		plans := []*logical.Node{
+			vc.overViews(smallJoinQuery, large, rows),
+			vc.overViews(smallJoinQuery, rows, large),
+		}
+		for _, sql := range smallInputQueries {
+			plans = append(plans, vc.overViews(sql, rows))
+		}
+		for _, plan := range plans {
+			serial, err := exec.RunReference(plan, vc.env(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := storage.ChecksumTable(serial)
+			for _, workers := range []int{1, 2, 8} {
+				got, err := exec.Run(plan, vc.env(workers, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g := storage.ChecksumTable(got); g != want {
+					t.Errorf("%d-row views, workers=%d: digest %x, serial %x (%d vs %d rows)\n%s",
+						rows, workers, g, want, got.NumRows(), serial.NumRows(), plan)
 				}
 			}
 		}

@@ -9,7 +9,8 @@ import (
 // Batch is a window of rows plus lazily-transposed column vectors, the unit
 // the vectorized evaluators operate on. The executor resets one Batch per
 // morsel; columns are transposed from the rows only when an evaluator first
-// touches them, so expressions that read two of ten columns pay for two.
+// touches them, so expressions that read two of ten columns pay for two —
+// and a column no evaluator touches never gets a vector at all.
 //
 // Like Compiled, a Batch and every BatchCompiled bound to it are
 // single-goroutine: evaluators reuse closure-owned scratch vectors between
@@ -20,14 +21,14 @@ import (
 type Batch struct {
 	schema *storage.Schema
 	rows   []storage.Row
-	cols   []storage.Vector
+	cols   []*storage.Vector // nil until an evaluator first touches the column
 	built  []bool
 }
 
 // NewBatch returns a Batch for rows of the given schema.
 func NewBatch(schema *storage.Schema) *Batch {
 	n := len(schema.Columns)
-	return &Batch{schema: schema, cols: make([]storage.Vector, n), built: make([]bool, n)}
+	return &Batch{schema: schema, cols: make([]*storage.Vector, n), built: make([]bool, n)}
 }
 
 // Reset points the batch at a new window of rows, invalidating all column
@@ -48,10 +49,13 @@ func (b *Batch) Len() int { return len(b.rows) }
 // must not modify it.
 func (b *Batch) Col(i int) *storage.Vector {
 	if !b.built[i] {
+		if b.cols[i] == nil {
+			b.cols[i] = &storage.Vector{}
+		}
 		b.cols[i].FromRows(b.rows, i, b.schema.Columns[i].Type)
 		b.built[i] = true
 	}
-	return &b.cols[i]
+	return b.cols[i]
 }
 
 // BatchCompiled evaluates an expression over a whole batch. With sel == nil
@@ -95,7 +99,7 @@ func CompileBatch(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 				return b.Col(idx)
 			}
 			if b.built[idx] {
-				out.Gather(&b.cols[idx], sel)
+				out.Gather(b.cols[idx], sel)
 				return out
 			}
 			out.FromRowsSel(b.rows, idx, kind, sel)

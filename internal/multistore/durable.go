@@ -54,11 +54,37 @@ func (s *System) checkpointLocked() *durability.Checkpoint {
 }
 
 // beginOp captures the design at an operation boundary; endOp diffs
-// against it. Callers hold s.mu.
+// against it. While neither store's view set has moved since jbase was
+// taken, jbase is still the design and nothing is rebuilt. Callers hold
+// s.mu.
 func (s *System) beginOp() {
-	if s.dur == nil {
+	if s.dur == nil || !s.designMoved() {
 		return
 	}
+	s.resetJBase()
+}
+
+// designVersions is the pair of view-set versions the design stands at. A
+// write that changes a view's placement or stamp moves it; Touch does not,
+// and neither Touch nor rot journals anything.
+func (s *System) designVersions() [2]uint64 {
+	return [2]uint64{s.hv.Views.Version(), s.dw.Views.Version()}
+}
+
+// ungatedJournal, when a test sets it, makes every operation boundary
+// rebuild and diff the design as if a view set had moved.
+var ungatedJournal bool
+
+// designMoved reports whether either view set has moved since jbase was
+// taken; while neither has, jbase is the design.
+func (s *System) designMoved() bool {
+	return ungatedJournal || s.jver != s.designVersions()
+}
+
+// resetJBase takes jbase from the current design, with the versions it was
+// taken at. Callers hold s.mu.
+func (s *System) resetJBase() {
+	s.jver = s.designVersions()
 	s.jbase = s.designMap()
 }
 
@@ -138,8 +164,14 @@ func (s *System) designMap() map[string]placement {
 // that stayed in its store under a new stamped checksum — one AppendToLog
 // brought forward — is journaled as an admit alone, which carries its new
 // content as the payload: replay's admit replaces whatever held the name.
-// Rot and Touch keep the stamp, so neither journals anything.
+// Rot and Touch keep the stamp, so neither journals anything. A design
+// whose versions have not moved since jbase has no diff, and the walk is
+// skipped.
 func (s *System) journalDesignDiff() error {
+	if !s.designMoved() {
+		return nil
+	}
+	ver := s.designVersions()
 	cur := s.designMap()
 	names := make([]string, 0, len(s.jbase)+len(cur))
 	seen := map[string]bool{}
@@ -172,7 +204,7 @@ func (s *System) journalDesignDiff() error {
 			}
 		}
 	}
-	s.jbase = cur
+	s.jbase, s.jver = cur, ver
 	return nil
 }
 

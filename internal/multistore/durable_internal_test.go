@@ -7,10 +7,15 @@ package multistore
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"miso/internal/data"
+	"miso/internal/durability"
 	"miso/internal/faults"
 	"miso/internal/views"
+	"miso/internal/workload"
 )
 
 // TestCheckpointAllocsIndependentOfRows guards the sharing: a checkpoint
@@ -94,5 +99,126 @@ func TestRotLeavesCheckpointCopyIntact(t *testing.T) {
 	}
 	if p, ok := sys.dur.WAL().Payload(name); ok && !p.Verify() {
 		t.Error("rot reached the WAL payload")
+	}
+}
+
+// journalRun drives a small durable MS-MISO run — queries with scheduled
+// reorganizations, an explicit reorganization, log appends, an audit that
+// repairs one rotted view and quarantines another, and a recovery — and
+// returns the WAL records it wrote as "kind store name checksum" lines.
+// After every operation it checks that jbase is the design.
+func journalRun(t *testing.T) []string {
+	t.Helper()
+	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 1000 })
+	var stream []string
+	lsn := sys.dur.WAL().LSN()
+	step := func(what string, op func() error) {
+		t.Helper()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sys.mu.Lock()
+		defer sys.mu.Unlock()
+		if got := sys.designMap(); !reflect.DeepEqual(sys.jbase, got) {
+			t.Fatalf("after %s: jbase %v, design %v", what, sys.jbase, got)
+		}
+		wal := sys.dur.WAL()
+		recs, torn := wal.Replay(lsn)
+		if torn != 0 {
+			t.Fatalf("after %s: %d torn bytes", what, torn)
+		}
+		for _, r := range recs {
+			stream = append(stream, fmt.Sprintf("%v %d %s %x", r.Kind, r.Store, r.Name, r.Checksum))
+		}
+		lsn = wal.LSN()
+	}
+	sqls := workload.SQLs()
+	query := func(i int) func() error {
+		return func() error { _, err := sys.Run(sqls[i]); return err }
+	}
+	for i := 0; i < 8; i++ {
+		step(fmt.Sprintf("query %d", i), query(i))
+		step(fmt.Sprintf("repeat of query %d", i), query(i))
+	}
+	step("reorganize", sys.Reorganize)
+	tweets, _ := sys.Catalog().Log(data.TweetsLog)
+	lines := slices.Clone(tweets.Lines[:6])
+	step("append", func() error { _, err := sys.AppendToLog(data.TweetsLog, lines); return err })
+	for i := 8; i < 12; i++ {
+		step(fmt.Sprintf("query %d", i), query(i))
+	}
+
+	// Rot a DW view the audit cannot recompute (no definition), which it
+	// quarantines — a write to DW's set alone — then an HV view it
+	// recomputes.
+	for _, c := range []struct {
+		store                 int
+		quarantine            bool
+		repaired, quarantined int
+	}{{1, true, 0, 1}, {0, false, 1, 0}} {
+		sys.mu.Lock()
+		st := sys.stores()[c.store]
+		var victim *views.View
+		for _, v := range st.views.All() {
+			if v.Def != nil && v.Table != nil && len(v.Table.Rows) > 0 {
+				victim = v
+				break
+			}
+		}
+		if victim != nil {
+			rot := *victim
+			rot.Table = victim.Table.Clone()
+			durability.CorruptTable(rot.Table, 0.5)
+			if c.quarantine {
+				rot.Def = nil
+			}
+			st.views.Add(&rot)
+		}
+		sys.mu.Unlock()
+		if victim == nil {
+			t.Fatalf("no view with rows in %s", st.tag)
+		}
+		step("audit of "+st.tag, func() error {
+			viols, _, err := sys.AuditViews("", 0, true)
+			repaired, quarantined := 0, 0
+			for _, v := range viols {
+				repaired += b2i(v.Repaired)
+				quarantined += b2i(v.Quarantined)
+			}
+			if repaired != c.repaired || quarantined != c.quarantined {
+				t.Errorf("audit of %s repaired %d and quarantined %d views, want %d and %d",
+					st.tag, repaired, quarantined, c.repaired, c.quarantined)
+			}
+			return err
+		})
+	}
+
+	step("recover", func() error {
+		rec, _, err := Recover(sys.cfg, sys.Catalog(), sys.dur.Latest(), sys.dur.WAL())
+		if err == nil {
+			sys = rec
+			lsn = sys.dur.WAL().LSN()
+		}
+		return err
+	})
+	for i := 12; i < 16; i++ {
+		step(fmt.Sprintf("query %d", i), query(i))
+	}
+	return stream
+}
+
+// TestJournalGateKeepsTheRecordStream: skipping the design snapshot and
+// diff while neither view set's version moved journals exactly what
+// diffing at every boundary journals, and leaves jbase the design.
+func TestJournalGateKeepsTheRecordStream(t *testing.T) {
+	gated := journalRun(t)
+	ungatedJournal = true
+	t.Cleanup(func() { ungatedJournal = false })
+	ungated := journalRun(t)
+	if len(gated) == 0 {
+		t.Fatal("the run journaled nothing")
+	}
+	if !slices.Equal(gated, ungated) {
+		t.Fatalf("the gate changed the record stream:\ngated   %v\nungated %v", gated, ungated)
 	}
 }

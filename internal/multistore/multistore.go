@@ -294,9 +294,11 @@ type System struct {
 
 	// dur is the durability manager (nil when CheckpointEvery is 0);
 	// jbase is the design as of the last journaled operation boundary,
-	// diffed at each boundary to emit view admit/evict records.
+	// diffed at each boundary to emit view admit/evict records, and jver
+	// the (HV, DW) view-set versions it was taken at.
 	dur   *durability.Manager
 	jbase map[string]placement
+	jver  [2]uint64
 
 	// tomb holds quarantine tombstones: names the audit plane removed from
 	// the design without repairing. The capture veto and MS-LRU passive
@@ -405,7 +407,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		s.dur = durability.NewManager(cfg.CheckpointEvery, durability.NewWAL(inj))
 		// Boot checkpoint: recovery always has a base state to replay over.
 		s.checkpointLocked()
-		s.jbase = s.designMap()
+		s.resetJBase()
 	}
 	return s
 }

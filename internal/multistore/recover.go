@@ -69,7 +69,7 @@ func Recover(cfg Config, cat *storage.Catalog, ckpt *durability.Checkpoint, wal 
 	s.metrics.Quarantined += len(report.Quarantined)
 
 	if s.checkpointLocked() != nil {
-		s.jbase = s.designMap()
+		s.resetJBase()
 	}
 	return s, report, nil
 }

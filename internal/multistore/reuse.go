@@ -61,7 +61,8 @@ func (s *System) heldResult(n *logical.Node, seq int) (*storage.Table, bool) {
 // an answer larger than the whole bound is not admitted. The ids of a raw
 // subtree and of the relation it computes stay one to one while no log
 // grows, and every append clears the set (invalidateReuse), so the node's
-// id is the whole key. Callers hold s.mu.
+// id is the whole key, and the view carries no subsumption descriptor.
+// Callers hold s.mu.
 func (s *System) admitResult(n *logical.Node, t *storage.Table, seq int) {
 	bound := s.cfg.Reuse.CacheBytes
 	if bound <= 0 {
@@ -70,7 +71,7 @@ func (s *System) admitResult(n *logical.Node, t *storage.Table, seq int) {
 	if t.RawBytes() > bound {
 		return
 	}
-	s.results.Add(views.New(n, t, seq))
+	s.results.Add(views.NewExact(n, t, seq))
 	views.EvictLRUBy(s.results, bound, resultBytes)
 }
 

@@ -61,13 +61,21 @@ func NameForSig(sig string) string {
 // stamping the content checksum. The view keeps def and table, which, like
 // every built plan node and table, nothing writes afterwards.
 func New(def *logical.Node, table *storage.Table, seq int) *View {
+	v := NewExact(def, table, seq)
+	v.Desc = logical.DescribeView(def)
+	return v
+}
+
+// NewExact is New without the subsumption descriptor: a view that matches
+// on the exact tier alone, by id (Set.ByID), and is never offered to
+// BestMatch. Its name is New's.
+func NewExact(def *logical.Node, table *storage.Table, seq int) *View {
 	sig := def.Signature()
 	return &View{
 		Name:        NameForSig(sig),
 		Sig:         sig,
 		ID:          def.ID(),
 		Def:         def,
-		Desc:        logical.DescribeView(def),
 		Table:       table,
 		CreatedSeq:  seq,
 		LastUsedSeq: seq,
