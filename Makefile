@@ -72,8 +72,10 @@ bench: microbench
 # microbench runs every package micro-benchmark once (view matching, plan
 # choice on a warm design, the knapsack DP, the exec operators, DW's plans
 # over small views (BenchmarkSmallViewPlan), an HV job's map side, a whole
-# HV query and an append that maintains the views over its log) and, with
-# them, the allocation guards (TestSmallViewPlanAllocs among them),
+# HV query, an append that maintains the views over its log and two
+# sessions querying one warm system (BenchmarkServedTwoSessions, its p95))
+# and, with them, the allocation guards (TestSmallViewPlanAllocs and
+# TestReadPhaseHitAllocs among them),
 # which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
 # tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
 # and the fanned-out reorganization, each checked against the golden. CI

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"miso/internal/core"
 	"miso/internal/durability"
@@ -259,8 +260,11 @@ func (r *QueryReport) Total() float64 {
 // (Run, Reorganize, AppendToLog, ProvideFutureWorkload) are
 // serialized by an internal mutex, so a System is safe to share across
 // goroutines; queries still execute one at a time, as in the paper's
-// single-stream evaluation. Every field below is shared state guarded by
-// mu: what belongs to one query — its context, report and memory ledger —
+// single-stream evaluation, and only a query's read phase — building its
+// plan, finding its result view, choosing its plan — runs beside another
+// (query.go). Every field below is shared state guarded by mu, but for
+// appends, which is atomic, and the plan cache, which has its own lock:
+// what belongs to one query — its context, report and memory ledger —
 // travels in a query value (query.go), never here.
 type System struct {
 	mu      sync.Mutex
@@ -318,12 +322,12 @@ type System struct {
 	// Config.Reuse is disabled — every reuse touchpoint is then a single
 	// nil check). It belongs to no store's design.
 	results *views.Set
-	// appends counts the appends that added lines to a log (appendLocked).
-	appends uint64
+	// appends counts the appends that added lines to a log (appendLocked);
+	// it is written under mu and read by a query's read phase without it.
+	appends atomic.Uint64
 
-	// plans is the plan cache (choose), filled after planLogs appends.
-	plans    map[*logical.Node]*planEntry
-	planLogs uint64
+	// plans is the plan cache (choose, readAhead), under its own lock.
+	plans planCache
 }
 
 // ReorgRecord summarizes one reorganization phase.
@@ -380,7 +384,7 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		inj:     inj,
 		execInj: execInj,
 		retry:   retry,
-		plans:   map[*logical.Node]*planEntry{},
+		plans:   planCache{plans: map[*logical.Node]*planEntry{}},
 	}
 	// Vh ∩ Vd = ∅: an HV fallback recomputing the definition of a view the
 	// tuner moved to DW must not re-capture it on the HV side. A
@@ -391,17 +395,11 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		return d.Views.Has(name) || s.tombstoned(name)
 	})
 	if cfg.Reuse.Enabled {
+		// Costing sees the result views through the design (design()): a
+		// cut whose subresult is held costs no HV time, steering plan
+		// choice toward reuse. The set is cleared at reorg start, and the
+		// tuner's what-if designs carry none, so tuning stays deterministic.
 		s.results = views.NewSet()
-		// Costing sees the result views: a cut whose subresult is held
-		// costs no HV time, steering plan choice toward reuse. The probe
-		// reads the set under its own lock, which keeps plan costing safe
-		// for the tuner's concurrent what-if workers; the set is cleared at
-		// reorg start, so tuning probes an empty set and stays
-		// deterministic.
-		opt.ReuseProbe = func(n *logical.Node) bool {
-			_, ok := s.results.ByID(n.ID())
-			return ok
-		}
 	}
 	if cfg.CheckpointEvery > 0 {
 		s.dur = durability.NewManager(cfg.CheckpointEvery, durability.NewWAL(inj))
@@ -464,7 +462,8 @@ func (s *System) ReorgLog() []ReorgRecord {
 	return append([]ReorgRecord(nil), s.reorgLog...)
 }
 
-// Design returns the current placement of views.
+// Design returns the current placement of views, with the result views
+// when the reuse plane is on.
 func (s *System) Design() optimizer.Design {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,7 +472,7 @@ func (s *System) Design() optimizer.Design {
 
 // design is Design without the lock, for callers already holding s.mu.
 func (s *System) design() optimizer.Design {
-	return optimizer.Design{HV: s.hv.Views, DW: s.dw.Views}
+	return optimizer.Design{HV: s.hv.Views, DW: s.dw.Views, Results: s.results}
 }
 
 // ProvideFutureWorkload registers the upcoming queries. DW-ONLY uses it to
@@ -504,7 +503,7 @@ func (s *System) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mp, err := s.choose(plan, s.design())
+	mp, err := s.choose(plan, s.design(), nil)
 	if err != nil {
 		return "", err
 	}
@@ -531,11 +530,11 @@ func (s *System) Run(sql string) (*QueryReport, error) {
 //
 // With the reuse plane enabled (Config.Reuse), a query may instead be
 // answered from a result view, which books a zero-cost report whose table
-// is checksum-verified before it is served. Queries run one at a time, so a
-// repeat that arrives while its first copy executes is answered by the view
-// that copy left. A cache hit never triggers a reorganization — it touches
-// neither store — so tuned variants reorganize on misses and via
-// Reorganize.
+// is checksum-verified before it is served. Queries commit one at a time, so
+// a repeat that arrives while its first copy executes is answered, at its
+// commit, by the view that copy left. A cache hit never triggers a
+// reorganization — it touches neither store — so tuned variants reorganize
+// on misses and via Reorganize.
 func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, false)
 }

@@ -21,13 +21,17 @@ import (
 	"miso/internal/workload"
 )
 
-// armPlanOracle holds every plan-cache hit, until the test ends, to a fresh
-// Choose of the same plan under the same design: EstTotal bit for bit and
-// the same Explain. It returns the hit count.
+// armPlanOracle holds every plan a commit takes without choosing it under
+// the lock — a plan-cache hit or a plan its read phase chose — until the
+// test ends, to a fresh Choose of the same plan under the same design:
+// EstTotal bit for bit and the same Explain. It returns the hit count; a
+// read-phase plan is not a hit.
 func armPlanOracle(t testing.TB) *atomic.Int64 {
 	hits := new(atomic.Int64)
-	planHit = func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan) {
-		hits.Add(1)
+	planHit = func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan, ahead bool) {
+		if !ahead {
+			hits.Add(1)
+		}
 		fresh, err := s.opt.Choose(plan, d)
 		switch {
 		case err != nil:
@@ -50,7 +54,7 @@ func servedDraw(client int) func() int {
 
 // newPlanSystem is the served workloads' system at small scale: reuse off,
 // reorganizations left to the caller.
-func newPlanSystem(t *testing.T, v Variant, mutate func(*Config)) *System {
+func newPlanSystem(t testing.TB, v Variant, mutate func(*Config)) *System {
 	t.Helper()
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
@@ -87,14 +91,17 @@ func (s *System) quarantineRotted() {
 // that plan through runSplit, interleaved with every write the tuple has to
 // see: reorganizations, appends, bit rot with quarantine and
 // audit repair, and a crash recovery halfway. The armed oracle checks every
-// hit, and every variant that plans against its own design must hit at
-// least its floor: 1 218, 1 114, 544 and 256 hits were seen in the long run
-// (124, 254, 81 and 32 in the short one) where dropping every plan on any
-// move of the tuple hit 582, 568, 198 and 0 (46, 94, 28 and 0) times.
+// hit and every plan a read phase chose, and every variant that plans
+// against its own design must hit at least its floor: 1 233, 1 124, 566 and
+// 258 hits were seen in the long run (129, 257, 86 and 33 in the short one;
+// 1 218, 1 114, 544 and 256, and 124, 254, 81 and 32, before queries
+// planned ahead of the lock) where dropping every plan on any move of the
+// tuple hit 582, 568, 198 and 0 (46, 94, 28 and 0) times.
 // MS-BASIC plans against a fresh empty design and never hits. With the
 // reuse plane on every miss admits result views, so an entry holds only
-// while they hold each cut its choice probed as they did then: 109, 127,
-// 116 and 237 hits in the long run (2, 7, 6 and 20 in the short one),
+// while they hold each cut its choice probed as they did then: 123, 138,
+// 122 and 245 hits in the long run (4, 13, 9 and 21 in the short one;
+// 109, 127, 116 and 237, and 2, 7, 6 and 20, before),
 // where dropping every plan on any admission hit none, and failing an
 // entry on any view its plan's nodes carry the id of, re-admissions
 // included, hit 77, 81, 82 and 214 (1, 2, 2 and 20).
@@ -190,7 +197,11 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 		return sys.versions()
 	}
 	hits := new(atomic.Int64)
-	planHit = func(*System, *logical.Node, optimizer.Design, *optimizer.MultiPlan) { hits.Add(1) }
+	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+		if !fresh {
+			hits.Add(1)
+		}
+	}
 	t.Cleanup(func() { planHit = nil })
 
 	draws := []func() int{servedDraw(0), servedDraw(1)}
@@ -277,7 +288,7 @@ func TestPlanCacheSeesTheReuseCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.mu.Lock()
-		mp := sys.plans[sys.future[i].Plan].mp
+		mp := sys.plans.plans[sys.future[i].Plan].mp
 		var cut *logical.Node
 		for _, c := range mp.Cuts {
 			if c.DWView == nil && c.HVPlan.Kind != logical.KindViewScan {
@@ -326,7 +337,11 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 		}
 	}
 	var hits atomic.Int64
-	planHit = func(*System, *logical.Node, optimizer.Design, *optimizer.MultiPlan) { hits.Add(1) }
+	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+		if !fresh {
+			hits.Add(1)
+		}
+	}
 	t.Cleanup(func() { planHit = nil })
 	for _, c := range []struct {
 		query   int
@@ -380,7 +395,11 @@ func TestPlanCacheRevalidateAllocs(t *testing.T) {
 		}
 	}
 	var hits atomic.Int64
-	planHit = func(*System, *logical.Node, optimizer.Design, *optimizer.MultiPlan) { hits.Add(1) }
+	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+		if !fresh {
+			hits.Add(1)
+		}
+	}
 	t.Cleanup(func() { planHit = nil })
 	elsewhere := logical.NewViewScan("elsewhere", nil)
 	for _, c := range []struct {

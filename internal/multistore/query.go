@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"miso/internal/durability"
 	"miso/internal/dw"
@@ -36,6 +35,8 @@ type query struct {
 	// led is the ledger ctx carries, kept to release what the query still
 	// holds when it ends (nil when no memory limit is configured).
 	led *govern.Ledger
+	// ahead is what the query's read phase found before s.mu.
+	ahead ahead
 }
 
 // answer records t as the query's result.
@@ -44,23 +45,34 @@ func (q *query) answer(t *storage.Table) {
 	q.rep.Result = t
 }
 
-// submit is the one query path. Every entry point runs the same four
-// steps — prologue (begin), HV step (execHV), cut migration (migrateCut),
-// booking (charge + bookLocked) — and differs only in the route it takes between
-// prologue and booking: the degraded route runs whole in HV, a cache hit
-// books the table a result view holds, everything else runs the variant.
+// submit is the one query path, in two phases. Every entry point runs the
+// same four steps under s.mu — prologue (begin), HV step (execHV), cut
+// migration (migrateCut), booking (charge + bookLocked) — and differs only
+// in the route it takes between prologue and booking: the degraded route
+// runs whole in HV, a cache hit books the table a result view holds,
+// everything else runs the variant.
 //
-// Plan building reads only construction-time catalog state (schemas,
-// names), never the mutable log content, so the plan is built before the
-// lock — and once per statement text: the builder hands every repeat of a
-// text the plan it built first (shared, since a built plan is immutable),
-// so a cache hit neither parses nor builds. The built plan is already
-// normalized, so its root's id is the key of its result view. Queries run
-// one at a time under s.mu, so a repeat that arrives while its first copy
-// executes waits for the lock and then hits the result view that copy
-// admitted.
+// Before the lock comes the read phase, which draws no fault and writes
+// nothing another query reads. It builds the plan — once per statement
+// text: the builder hands every repeat of a text the plan it built first
+// (shared, since a built plan is immutable), and plan building reads only
+// construction-time catalog state — and then reads ahead (readAhead): the
+// result view of the plan's root, checksum-verified, and the plan the
+// variant will run, kept or chosen against a snapshot of the design. Under
+// the lock the commit takes what the read phase found while the version
+// tuple it read stands still, and looks or chooses again only when it
+// moved (heldAnswer, choose), so queries linearize in commit order: every
+// answer, plan and simulated second is what the same queries run one at a
+// time in that order would give.
 func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryReport, error) {
 	plan, buildErr := s.builder.BuildSQL(sql)
+	var pre ahead
+	if buildErr == nil && !degraded {
+		pre = s.readAhead(plan)
+	}
+	if betweenPhases != nil {
+		betweenPhases(s, &pre)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -69,6 +81,7 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 		return nil, err
 	}
 	defer q.led.ReleaseAll()
+	q.ahead = pre
 
 	var ran bool
 	switch {
@@ -77,7 +90,7 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views))
 	default:
 		if s.results != nil {
-			if t, ok := s.heldResult(plan, q.entry.Seq); ok {
+			if t, ok := s.heldAnswer(plan, &q.ahead, q.entry.Seq); ok {
 				q.rep.CacheHit = true
 				q.answer(t)
 				break
@@ -104,6 +117,75 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 		}
 	}
 	return s.bookLocked(q, settled)
+}
+
+// betweenPhases, when set, runs between a query's read phase and its
+// commit, outside s.mu, and sees what the read phase found. Tests arm it to
+// land a write in the gap; it is nil otherwise.
+var betweenPhases func(s *System, a *ahead)
+
+// ahead is what a query's read phase found before s.mu: the version
+// tuple, read first; with the reuse plane on, the result view held for the
+// plan's root and whether its table verified; and the plan the variant
+// will run, when it plans under the system's design.
+type ahead struct {
+	ver      planVersions
+	result   *views.View
+	verified bool
+	// mp is nil when the read phase has no plan to offer; fresh marks a
+	// plan it chose rather than found kept.
+	mp    *optimizer.MultiPlan
+	fresh bool
+}
+
+// readAhead is the read phase. It takes no lock but the sets', the
+// estimator's and the plan cache's own: a verified result view ends it
+// (the commit will most likely serve it); otherwise the plan cache is asked
+// under the tuple, and on a miss the plan is chosen against a snapshot of
+// the design (choosePlan) and kept. Base estimates read the logs' sizes,
+// which are safe beside an append.
+func (s *System) readAhead(plan *logical.Node) ahead {
+	a := ahead{ver: s.versions()}
+	if s.results != nil {
+		if v, ok := s.results.ByID(plan.ID()); ok {
+			a.result, a.verified = v, v.Verify()
+			if a.verified {
+				return a
+			}
+		}
+	}
+	if !s.plansUnderDesign() {
+		return a
+	}
+	if mp, ok := s.keptPlan(plan, a.ver); ok {
+		a.mp = mp
+		return a
+	}
+	e, err := s.choosePlan(plan, a.ver)
+	if err != nil {
+		return a // the commit chooses again and reports it
+	}
+	s.keepPlan(plan, e)
+	a.mp, a.fresh = e.mp, true
+	return a
+}
+
+// heldAnswer is the result-view probe for the query's root. While the
+// result views have not moved since the read phase, what it found stands:
+// no lookup and no checksum run under the lock. After a move the view is
+// looked up again, and verified again unless it holds the table and
+// checksum the read phase verified (tables are immutable, so Verify would
+// answer as it did). Callers hold s.mu.
+func (s *System) heldAnswer(plan *logical.Node, a *ahead, seq int) (*storage.Table, bool) {
+	v, verified := a.result, a.verified
+	if s.results.Version() != a.ver.results {
+		cur, _ := s.results.ByID(plan.ID())
+		if cur == nil || v == nil || cur.Table != v.Table || cur.Checksum != v.Checksum {
+			verified = cur != nil && cur.Verify()
+		}
+		v = cur
+	}
+	return s.settleResult(v, verified, seq)
 }
 
 // begin is the prologue every query passes, in an order the fault plane
@@ -277,7 +359,7 @@ func (s *System) runInHV(q *query, plan *logical.Node) error {
 // them reset or trim the HV view set in settleVariant. retain, when set,
 // sees every working set that reached DW (MS-LRU's passive retention).
 func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cut *logical.Node, ws *storage.Table)) error {
-	mp, err := s.choose(q.entry.Plan, d)
+	mp, err := s.choose(q.entry.Plan, d, &q.ahead)
 	if err != nil {
 		return err
 	}
@@ -346,179 +428,6 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 	s.answerFromDW(q, mp.DWPart, dwRes)
 	s.dw.ClearTemp()
 	return nil
-}
-
-// planVersions is the version tuple of everything Optimizer.Choose reads
-// under the system's design: both view sets, the estimator, the count of
-// log appends (which the estimator's base sizes follow) and the result
-// views the reuse probe asks.
-type planVersions struct{ hv, dw, est, logs, results uint64 }
-
-// versions reads the tuple. Callers hold s.mu.
-func (s *System) versions() planVersions {
-	v := planVersions{hv: s.hv.Views.Version(), dw: s.dw.Views.Version(), est: s.est.Version(), logs: s.appends}
-	if s.results != nil {
-		v.results = s.results.Version()
-	}
-	return v
-}
-
-// resultMembers lists the result views; none when the plane is disabled.
-func (s *System) resultMembers() []*views.View {
-	if s.results == nil {
-		return nil
-	}
-	return s.results.Members()
-}
-
-// planEntry is a chosen plan and what its choice read: the tuple, the
-// members of both view sets and of the result views, the id of every node
-// the estimator may have been asked about — the raw plan's and those of
-// every plan EnumeratePlans returned — and, with the reuse plane on, the
-// id of every cut the reuse probe was asked about.
-type planEntry struct {
-	mp              *optimizer.MultiPlan
-	ver             planVersions
-	hv, dw, results []*views.View
-	ids, cuts       []uint64
-}
-
-// planCacheCap bounds the plan cache; a full cache is dropped whole.
-const planCacheCap = 1024
-
-// planHit, when set, sees every plan-cache hit before choose returns it.
-// Tests arm it to hold a hit to a fresh Choose; it is nil otherwise.
-var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan)
-
-// choose is Optimizer.Choose behind the plan cache. Choose is a pure
-// function of the plan (one pointer per statement text), the design and what
-// versions() counts, so a plan chosen under the system's design is handed
-// out again while nothing it read has changed. A log append, which moves
-// every base size the estimator reads, drops the whole cache; after any
-// other move an entry is checked against its own reads (holds). Another design
-// (MS-BASIC's empty one) is planned afresh. Callers hold s.mu.
-func (s *System) choose(plan *logical.Node, d optimizer.Design) (*optimizer.MultiPlan, error) {
-	if d != s.design() {
-		return s.opt.Choose(plan, d)
-	}
-	v := s.versions()
-	if v.logs != s.planLogs || len(s.plans) >= planCacheCap {
-		clear(s.plans)
-		s.planLogs = v.logs
-	}
-	if e, ok := s.plans[plan]; ok && s.holds(e, plan, v) {
-		if planHit != nil {
-			planHit(s, plan, d, e.mp)
-		}
-		return e.mp, nil
-	}
-	// The members are read after the versions, so an entry never holds
-	// members older than its tuple says.
-	e := &planEntry{ver: v, hv: d.HV.Members(), dw: d.DW.Members(), results: s.resultMembers()}
-	plans := s.opt.EnumeratePlans(plan, d)
-	mp, err := optimizer.Cheapest(plans)
-	if err != nil {
-		return nil, err
-	}
-	e.mp, e.ids = mp, readIDs(plan, plans)
-	if s.results != nil {
-		e.cuts = probedCuts(plans)
-	}
-	s.plans[plan] = e
-	return mp, nil
-}
-
-// holds reports whether the entry's plan is still the one Choose would pick
-// under tuple v, and if so advances the entry to v. Its estimates hold while
-// no stat it may have read was stored or dropped; its design holds while no
-// view added, removed or replaced since can answer a node of the raw plan,
-// the only nodes BestMatch is asked about; its reuse discounts hold while
-// the result views hold each cut the probe was asked about as they did.
-func (s *System) holds(e *planEntry, plan *logical.Node, v planVersions) bool {
-	hv, dw, results := s.hv.Views.Members(), s.dw.Views.Members(), s.resultMembers()
-	if e.ver.est != v.est && s.est.ChangedSince(e.ids, e.ver.est) ||
-		e.ver.hv != v.hv && viewsMoved(e.hv, hv, plan) || e.ver.dw != v.dw && viewsMoved(e.dw, dw, plan) ||
-		e.ver.results != v.results && resultsMoved(e.results, results, e.cuts) {
-		return false
-	}
-	e.ver, e.hv, e.dw, e.results = v, hv, dw, results
-	return true
-}
-
-// resultsMoved reports whether one of two result-view member lists holds a
-// view for one of cuts and the other does not. Result views match on the
-// exact tier only, so presence is all the probe reads: a view cleared and
-// admitted again answers as it did.
-func resultsMoved(old, cur []*views.View, cuts []uint64) bool {
-	for _, id := range cuts {
-		has := func(v *views.View) bool { return v.ID == id }
-		if slices.ContainsFunc(old, has) != slices.ContainsFunc(cur, has) {
-			return true
-		}
-	}
-	return false
-}
-
-// probedCuts lists, sorted and without repeats, the raw node of every HV
-// cut of every plan in plans: what the reuse probe was asked about. A cut
-// a DW view answers is never probed.
-func probedCuts(plans []*optimizer.MultiPlan) []uint64 {
-	var ids []uint64
-	for _, p := range plans {
-		for _, c := range p.Cuts {
-			if c.DWView == nil {
-				ids = append(ids, c.Node.ID())
-			}
-		}
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
-}
-
-// viewsMoved walks two name-ordered member lists and reports whether a view
-// in one but not the other — a view whose Name, Desc or Table differ counts
-// as both — matches a node of plan. A Touch copy differs in nothing it reads.
-func viewsMoved(old, cur []*views.View, plan *logical.Node) bool {
-	for len(old) > 0 || len(cur) > 0 {
-		var gone, added *views.View
-		switch {
-		case len(cur) == 0 || len(old) > 0 && old[0].Name < cur[0].Name:
-			gone, old = old[0], old[1:]
-		case len(old) == 0 || cur[0].Name < old[0].Name:
-			added, cur = cur[0], cur[1:]
-		default:
-			if o, c := old[0], cur[0]; o.Desc != c.Desc || o.Table != c.Table {
-				gone, added = o, c
-			}
-			old, cur = old[1:], cur[1:]
-		}
-		if gone != nil && views.MatchesSome(plan, gone) || added != nil && views.MatchesSome(plan, added) {
-			return true
-		}
-	}
-	return false
-}
-
-// readIDs lists, sorted and without repeats, the id of every node of the
-// raw plan and of every plan in plans — its HV plan, each cut's HV plan and
-// its DW part — a superset of the subtrees the choice estimated.
-func readIDs(raw *logical.Node, plans []*optimizer.MultiPlan) []uint64 {
-	var ids []uint64
-	add := func(n *logical.Node) {
-		if n != nil {
-			n.Walk(func(m *logical.Node) { ids = append(ids, m.ID()) })
-		}
-	}
-	add(raw)
-	for _, p := range plans {
-		add(p.HVPlan)
-		for _, c := range p.Cuts {
-			add(c.HVPlan)
-		}
-		add(p.DWPart)
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
 }
 
 // migrateCut is the one cut migration: it moves a cut's working set into

@@ -40,15 +40,22 @@ type CacheStats struct {
 func resultBytes(v *views.View) int64 { return v.Table.RawBytes() }
 
 // heldResult returns the answer a result view holds for n, stamped as used
-// by query seq. Result views match on the exact tier only. A view whose
-// table no longer hashes to its admission-time checksum is removed and
-// never served: the caller sees a miss. Callers hold s.mu.
+// by query seq. Result views match on the exact tier only. Callers hold
+// s.mu.
 func (s *System) heldResult(n *logical.Node, seq int) (*storage.Table, bool) {
 	v, ok := s.results.ByID(n.ID())
-	if !ok {
+	return s.settleResult(v, ok && v.Verify(), seq)
+}
+
+// settleResult serves v, a result view the set holds (nil for none), as
+// query seq's: stamped as used when its table verified, removed otherwise —
+// a view whose table no longer hashes to its admission-time checksum is
+// never served, and the caller sees a miss. Callers hold s.mu.
+func (s *System) settleResult(v *views.View, verified bool, seq int) (*storage.Table, bool) {
+	switch {
+	case v == nil:
 		return nil, false
-	}
-	if !v.Verify() {
+	case !verified:
 		s.results.Remove(v.Name)
 		return nil, false
 	}

@@ -17,7 +17,7 @@ import (
 // MS-MISO system, reorganizing through the server every 50 answers, with
 // the plan-cache oracle armed. Every answer must carry the checksum a fresh
 // HV-ONLY system computes for the query. Under -race it checks that the
-// cache is touched only under the system's lock.
+// cache is touched only under its own lock, by read phases and commits.
 func TestServedPlanCacheAnswersTheOracle(t *testing.T) {
 	sqls := workload.SQLs()
 	newSystem := func(v multistore.Variant) *multistore.System {

@@ -55,9 +55,9 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
 	s.est.InvalidateLog(name)
 	// The log's content advanced: a result view is keyed by its plan's id
-	// alone, so every one goes now. The count drops the chosen plans at
-	// the next choose.
-	s.appends++
+	// alone, so every one goes now. The count drops every kept plan at the
+	// plan cache's next lookup.
+	s.appends.Add(1)
 	s.invalidateReuse()
 	return dropped, sec, nil
 }

@@ -29,7 +29,9 @@ func (s *System) runVariant(q *query) error {
 	case VariantDWOnly:
 		return s.runDWOnly(q)
 	case VariantMSBasic:
-		return s.runSplit(q, optimizer.EmptyDesign(), nil)
+		d := optimizer.EmptyDesign()
+		d.Results = s.results
+		return s.runSplit(q, d, nil)
 	case VariantMSLru:
 		return s.runSplit(q, s.design(), s.retainWorkingSet)
 	case VariantMSMiso, VariantMSOra:
@@ -51,6 +53,17 @@ func (s *System) runVariant(q *query) error {
 	default:
 		return fmt.Errorf("multistore: unknown variant %q", s.cfg.Variant)
 	}
+}
+
+// plansUnderDesign reports whether the variant plans its queries under the
+// system's own design (runSplit over s.design()): the plans a query's read
+// phase can choose ahead.
+func (s *System) plansUnderDesign() bool {
+	switch s.cfg.Variant {
+	case VariantMSLru, VariantMSMiso, VariantMSOra, VariantMSOff:
+		return true
+	}
+	return false
 }
 
 // settleVariant is the variant's post-step: what it keeps of the views

@@ -25,13 +25,20 @@ import (
 )
 
 // Design is a placement of views across the two stores — the multistore
-// physical design M = <Vh, Vd> of the paper.
+// physical design M = <Vh, Vd> of the paper — and the result views a plan
+// choice may reuse.
 type Design struct {
 	HV *views.Set
 	DW *views.Set
+	// Results, when set, holds the cross-query reuse plane's result views,
+	// keyed by the id of the raw subtree each answers. A cut one of them
+	// answers charges no HV execution cost, steering plan choice toward
+	// reused work; nil (the tuner's what-if designs) reuses nothing.
+	Results *views.Set
 }
 
-// EmptyDesign returns a design with no views in either store.
+// EmptyDesign returns a design with no views in either store and no result
+// views.
 func EmptyDesign() Design {
 	return Design{HV: views.NewSet(), DW: views.NewSet()}
 }
@@ -120,14 +127,6 @@ type Optimizer struct {
 	// DisableSplits restricts planning to HV-only execution (used by the
 	// HV-ONLY and HV-OP system variants).
 	DisableSplits bool
-	// ReuseProbe, when set, reports whether the cross-query reuse plane
-	// holds a result view for a raw cut subtree; such a cut then charges
-	// no HV execution cost, steering plan choice toward reused work. The
-	// probe must be safe for concurrent calls (PlanSpace.Cost runs under
-	// the tuner's parallel what-if workers) and must not mutate optimizer
-	// state; costing with a nil probe is unchanged. One plan choice asks
-	// it at most once per cut node.
-	ReuseProbe func(*logical.Node) bool
 }
 
 // planCap caps the frontiers enumerated per query.
@@ -248,26 +247,26 @@ type cutEval struct {
 // choice is what one plan choice under one design shares across its
 // frontiers: the design, the HV rewrites of raw nodes (hvOnlyPlan's and
 // every cut's), the cuts' evaluations, with a plan space's (base) when
-// it costs a probe, and the reuse probe with its answers so far.
+// it costs a probe, and the design's result views' answers so far.
 type choice struct {
 	d          Design
 	rewritten  map[*logical.Node]*logical.Node
 	cuts, base map[*logical.Node]*cutEval
-	probe      func(*logical.Node) bool
 	probed     map[*logical.Node]bool
 }
 
-func newChoice(d Design, base map[*logical.Node]*cutEval, probe func(*logical.Node) bool) *choice {
-	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base, probe: probe}
+func newChoice(d Design, base map[*logical.Node]*cutEval) *choice {
+	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base}
 }
 
 func (c *choice) rewriteHV(n *logical.Node) *logical.Node { return rewrite(n, c.d.HV, c.rewritten) }
 
-// reused reports whether the reuse probe holds the cut's subresult. A cut
-// node appears in many frontiers; the probe is asked about it once per
-// choice, which holds the cache still.
+// reused reports whether the design's result views hold the cut's
+// subresult. Result views match on the exact tier alone, so a view with the
+// cut's id is all it asks for. A cut node appears in many frontiers; the set
+// is asked about it once per choice, which holds the answer still.
 func (c *choice) reused(n *logical.Node) bool {
-	if c.probe == nil {
+	if c.d.Results == nil {
 		return false
 	}
 	held, ok := c.probed[n]
@@ -275,7 +274,7 @@ func (c *choice) reused(n *logical.Node) bool {
 		if c.probed == nil {
 			c.probed = map[*logical.Node]bool{}
 		}
-		held = c.probe(n)
+		_, held = c.d.Results.ByID(n.ID())
 		c.probed[n] = held
 	}
 	return held
@@ -424,11 +423,19 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // Concurrency contract: EnumeratePlans (and Choose above it, and
 // PlanSpace.Cost beside it) is a pure read of the stores, the estimator,
 // and the design — it records no stats, stages no tables, and draws no
-// faults — so any number of goroutines may cost plans concurrently,
-// provided nothing concurrently mutates the design's view sets or the
-// catalog.
+// faults — so any number of goroutines may cost plans concurrently. Each
+// view set is safe to read beside its writers, but a set written while a
+// choice reads it may answer one node from before the write and another
+// from after, so a caller that plans beside writers plans against a
+// snapshot of the design (views.Set.Clone of each set, which a writer never
+// touches) and judges the choice by the sets' versions: multistore's read
+// phase does. The estimator and the logs' sizes are read live; their
+// writers move the estimator's Version and the system's log-append count.
+// The DW cost model's index selectivity reads the DW store's own set, not
+// the design's: a view it reads is a node of some plan, which a version
+// check over the design covers.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	c := newChoice(d, nil, o.ReuseProbe)
+	c := newChoice(d, nil)
 	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)
@@ -511,7 +518,7 @@ type spaceFrontier struct {
 
 // PlanSpace builds the query's plan space.
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
-	c := newChoice(EmptyDesign(), nil, nil)
+	c := newChoice(EmptyDesign(), nil)
 	s := &PlanSpace{o: o, raw: raw, base: c.cuts}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)
@@ -533,7 +540,7 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 // adds the remainder's cost last, as EstTotal does.
 func (s *PlanSpace) Cost(d Design) float64 {
 	o := s.o
-	c := newChoice(d, s.base, o.ReuseProbe)
+	c := newChoice(d, s.base)
 	best := o.hvOnlyPlan(s.raw, c).EstTotal()
 	for fi, f := range s.frontiers {
 		var estHV, estTransfer float64

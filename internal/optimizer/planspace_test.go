@@ -193,8 +193,8 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 	knobs("DisableSplits", func() { o.DisableSplits = true }, func() { o.DisableSplits = false })
 	knobs("plan cap = 3", func() { o.SetPlanCap(3) }, func() { o.SetPlanCap(256) })
 	for _, raw := range plans {
-		// ReuseProbe answers true for one cut of one split: that cut's HV
-		// cost leaves the sums of every frontier holding it, in both paths.
+		// A result view answers one cut of one split: that cut's HV cost
+		// leaves the sums of every frontier holding it, in both paths.
 		splits := o.EnumeratePlans(raw, optimizer.EmptyDesign())[1:]
 		if len(splits) == 0 {
 			continue
@@ -202,14 +202,16 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 		cached := splits[len(splits)/2].Cuts[0].Node
 		sp := o.PlanSpace(raw)
 		free := sp.Cost(optimizer.EmptyDesign())
-		o.ReuseProbe = func(n *logical.Node) bool { return n == cached }
-		sameCost(t, "ReuseProbe, space built before it was set", o, sp, raw, d)
-		sameCost(t, "ReuseProbe", o, o.PlanSpace(raw), raw, d)
-		sameCost(t, "ReuseProbe, empty design", o, sp, raw, optimizer.EmptyDesign())
-		if sp.Cost(optimizer.EmptyDesign()) > free {
+		held := views.NewSet()
+		held.Add(views.NewExact(cached, storage.NewTable("held", cached.Schema()), 0))
+		reusing, empty := d, optimizer.EmptyDesign()
+		reusing.Results, empty.Results = held, held
+		sameCost(t, "a held cut", o, sp, raw, reusing)
+		sameCost(t, "a held cut", o, o.PlanSpace(raw), raw, reusing)
+		sameCost(t, "a held cut, empty design", o, sp, raw, empty)
+		if sp.Cost(empty) > free {
 			t.Fatal("a cached cut made the query dearer")
 		}
-		o.ReuseProbe = nil
 	}
 
 	// Four goroutines cost singleton and pair probes against one shared

@@ -294,3 +294,41 @@ func TestRowEncodedSizeMatchesSum(t *testing.T) {
 		t.Errorf("row size = %d, want %d", r.EncodedSize(), want)
 	}
 }
+
+// TestLogSizesReadableBesideAppend reads a log's sizes from one goroutine
+// while another appends to it, as a query's read phase estimates base sizes
+// beside an append that holds the system's lock. Under -race it fails if
+// the sizes are not safe beside AppendLine; every build checks that the
+// sizes a reader sees only grow and end at the appended totals.
+func TestLogSizesReadableBesideAppend(t *testing.T) {
+	l := NewLogFile("log", nil)
+	l.ScaleFactor = 10
+	const n = 2000
+	line := `{"k":1}`
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range n {
+			l.AppendLine(line)
+		}
+	}()
+	var lines int
+	var raw, logical int64
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		nl, rb, lb := l.NumLines(), l.RawBytes(), l.LogicalBytes()
+		if nl < lines || rb < raw || lb < logical {
+			t.Fatalf("sizes went back: %d lines, %d raw, %d logical after %d, %d, %d", nl, rb, lb, lines, raw, logical)
+		}
+		lines, raw, logical = nl, rb, lb
+	}
+	want := int64(n * (len(line) + 1))
+	if l.NumLines() != n || l.RawBytes() != want || l.LogicalBytes() != 10*want {
+		t.Fatalf("after %d appends: %d lines, %d raw and %d logical bytes; want %d, %d and %d",
+			n, l.NumLines(), l.RawBytes(), l.LogicalBytes(), n, want, 10*want)
+	}
+}

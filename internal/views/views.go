@@ -438,8 +438,21 @@ func (s *Set) Members() []*View {
 	return s.views
 }
 
-// Clone returns a shallow copy of the set (views shared).
-func (s *Set) Clone() *Set { return &Set{views: s.Members()} }
+// MembersAt returns Members and the Version they stand at, read together.
+func (s *Set) MembersAt() ([]*View, uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.views, s.version.Load()
+}
+
+// Clone returns a shallow copy of the set (views shared) that stands at the
+// set's version: a snapshot whose Members and Version are one pair.
+func (s *Set) Clone() *Set {
+	members, v := s.MembersAt()
+	c := &Set{views: members}
+	c.version.Store(v)
+	return c
+}
 
 // Reset empties the set in place. Unlike reassigning a store's Views field
 // to a fresh Set, this keeps the Set pointer stable, so concurrent readers
