@@ -70,12 +70,13 @@ bench: microbench
 	$(GO) run ./cmd/misobench -mode benchgov -scale small -out .
 
 # microbench runs every package micro-benchmark once (view matching, plan
-# choice on a warm design, the knapsack DP, the exec operators, DW's plans
+# choice on a warm design and a kept plan space's re-cost after a DW view
+# swap (BenchmarkRecostWarm), the knapsack DP, the exec operators, DW's plans
 # over small views (BenchmarkSmallViewPlan), an HV job's map side, a whole
 # HV query, an append that maintains the views over its log and two
 # sessions querying one warm system (BenchmarkServedTwoSessions, its p95))
-# and, with them, the allocation guards (TestSmallViewPlanAllocs and
-# TestReadPhaseHitAllocs among them),
+# and, with them, the allocation guards (TestSmallViewPlanAllocs,
+# TestReadPhaseHitAllocs and TestPlanSpaceRecostAllocs among them),
 # which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
 # tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
 # and the fanned-out reorganization, each checked against the golden. CI

@@ -13,7 +13,7 @@ import (
 // referenceBenefits recomputes the predicted benefits and the degrees of
 // interaction the way Tune did before it read them from a probe table: the
 // benefit loop and the doi loop each walk the window, entry by entry, and
-// ask Optimizer.Cost, which builds a fresh plan space per question, for
+// ask a fresh plan space per question (PlanSpace(plan).Cost) for
 // every term where it is used. It shares no table, slot arithmetic, plan
 // space, match memo or worker pool with the path under test.
 func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *history.Window) (bnDW, bnHV map[string]float64, doi map[[2]string]float64) {
@@ -25,7 +25,7 @@ func referenceBenefits(opt *optimizer.Optimizer, universe []*views.View, w *hist
 		for _, v := range dw {
 			d.DW.Add(v)
 		}
-		return opt.Cost(plan, d)
+		return opt.PlanSpace(plan).Cost(d)
 	}
 	entries, weights := w.Entries(), w.Weights()
 	relevant := make([][]*views.View, len(entries))

@@ -158,12 +158,21 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}
-	for n, st := range run.Stats {
-		if n.Kind == logical.KindViewScan && s.staged(n.ViewName) {
-			continue // a working set's leaf: see StageTemp
+	// Nothing that reads a working set is recorded (see StageTemp): they are
+	// named by cut position, so two statements share the ids of the nodes
+	// over ws_0, and each would store its truth over the other's.
+	var record func(n *logical.Node) (readsStaged bool)
+	record = func(n *logical.Node) bool {
+		reads := n.Kind == logical.KindViewScan && s.staged(n.ViewName)
+		for _, c := range n.Children {
+			reads = record(c) || reads
 		}
-		s.est.Record(n, stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
+		if st, ok := run.Stats[n]; ok && !reads {
+			s.est.Record(n, stats.Stat{Rows: st.Rows, Bytes: st.LogicalBytes()})
+		}
+		return reads
 	}
+	record(plan)
 	sec := s.costFromSizes(plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
 	return &Result{Table: run.Root, Seconds: sec}, nil
 }

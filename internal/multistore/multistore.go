@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"miso/internal/core"
 	"miso/internal/durability"
@@ -262,10 +261,10 @@ func (r *QueryReport) Total() float64 {
 // goroutines; queries still execute one at a time, as in the paper's
 // single-stream evaluation, and only a query's read phase — building its
 // plan, finding its result view, choosing its plan — runs beside another
-// (query.go). Every field below is shared state guarded by mu, but for
-// appends, which is atomic, and the plan cache, which has its own lock:
-// what belongs to one query — its context, report and memory ledger —
-// travels in a query value (query.go), never here.
+// (query.go). Every field below is shared state guarded by mu, but for the
+// plan cache, which has its own lock: what belongs to one query — its
+// context, report and memory ledger — travels in a query value (query.go),
+// never here.
 type System struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -322,9 +321,6 @@ type System struct {
 	// Config.Reuse is disabled — every reuse touchpoint is then a single
 	// nil check). It belongs to no store's design.
 	results *views.Set
-	// appends counts the appends that added lines to a log (appendLocked);
-	// it is written under mu and read by a query's read phase without it.
-	appends atomic.Uint64
 
 	// plans is the plan cache (choose, readAhead), under its own lock.
 	plans planCache

@@ -157,11 +157,12 @@ func (s *System) readAhead(plan *logical.Node) ahead {
 	if !s.plansUnderDesign() {
 		return a
 	}
-	if mp, ok := s.keptPlan(plan, a.ver); ok {
+	mp, from := s.keptPlan(plan, a.ver)
+	if mp != nil {
 		a.mp = mp
 		return a
 	}
-	e, err := s.choosePlan(plan, a.ver)
+	e, err := s.choosePlan(plan, a.ver, from)
 	if err != nil {
 		return a // the commit chooses again and reports it
 	}

@@ -53,11 +53,10 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 	dropped, sec = s.hv.MaintainAppend(log, lines, s.cfg.Tuner.Bh)
 	s.metrics.HVExe += sec
 	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
+	// The log's content advanced: the estimator's version moves, which
+	// retires every kept plan space, and a result view is keyed by its
+	// plan's id alone, so every one goes now.
 	s.est.InvalidateLog(name)
-	// The log's content advanced: a result view is keyed by its plan's id
-	// alone, so every one goes now. The count drops every kept plan at the
-	// plan cache's next lookup.
-	s.appends.Add(1)
 	s.invalidateReuse()
 	return dropped, sec, nil
 }

@@ -414,26 +414,11 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 }
 
 // EnumeratePlans returns every candidate multistore plan with estimated
-// costs: the HV-only plan first, then one plan per enumerated split.
-//
-// One call rewrites each raw node against the HV views at most once (the
-// HV-only plan and every cut share the rewrites), so a cut's HVPlan may be a
-// subtree of the HV-only plan's HVPlan.
-//
-// Concurrency contract: EnumeratePlans (and Choose above it, and
-// PlanSpace.Cost beside it) is a pure read of the stores, the estimator,
-// and the design — it records no stats, stages no tables, and draws no
-// faults — so any number of goroutines may cost plans concurrently. Each
-// view set is safe to read beside its writers, but a set written while a
-// choice reads it may answer one node from before the write and another
-// from after, so a caller that plans beside writers plans against a
-// snapshot of the design (views.Set.Clone of each set, which a writer never
-// touches) and judges the choice by the sets' versions: multistore's read
-// phase does. The estimator and the logs' sizes are read live; their
-// writers move the estimator's Version and the system's log-append count.
-// The DW cost model's index selectivity reads the DW store's own set, not
-// the design's: a view it reads is a node of some plan, which a version
-// check over the design covers.
+// costs, the HV-only plan first, then one plan per enumerated split: Figure
+// 3's listing, and the reference PlanSpace is held to. One call rewrites
+// each raw node against the HV views at most once (the HV-only plan and
+// every cut share the rewrites), so a cut's HVPlan may be a subtree of the
+// HV-only plan's HVPlan.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 	c := newChoice(d, nil)
 	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
@@ -450,39 +435,33 @@ func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 // Choose returns the cheapest multistore plan for the query under the
 // design.
 func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
-	return Cheapest(o.EnumeratePlans(raw, d))
+	return o.PlanSpace(raw).Choose(d)
 }
 
-// Cheapest is Choose's selection rule over EnumeratePlans' list: the first
-// plan of least EstTotal.
-func Cheapest(plans []*MultiPlan) (*MultiPlan, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("optimizer: no feasible plan")
-	}
-	best := plans[0]
-	for _, p := range plans[1:] {
-		if p.EstTotal() < best.EstTotal() {
-			best = p
-		}
-	}
-	return best, nil
-}
-
-// PlanSpace is the design-independent half of what-if costing one query:
-// its split frontiers and, for each, what buildPlan produces against the
-// empty design — every cut's estimated output, transfer cost and no-view HV
-// cost, and the DW remainder's cost when no DW view answers a cut. All of
-// it is a function of the plan and the estimator alone, so the many probes
-// of one tuning phase share one space; it goes stale when the estimator's
-// Version moves (or a log's size, which base estimates read) — not on every
-// execution, since recording a stat the estimator already holds writes
-// nothing.
+// PlanSpace is the design-independent half of costing one query: its split
+// frontiers and, for each, what buildPlan produces against the empty design
+// — every cut's estimated output, transfer cost and no-view HV cost, and the
+// DW remainder's cost when no DW view answers a cut. All of it is a function
+// of the plan and the estimator alone, so one space serves every design the
+// query is costed or chosen under until the estimator's Version moves (a log
+// append moves it too). Beside that, a space remembers the DW remainder's
+// cost of every frontier a design's DW views answered (remainderKey): pure
+// values of the key, so whichever concurrent call fills one stores the bits
+// every other would have.
 //
-// Beside what it was built with, a space remembers the DW remainder's cost
-// of every frontier a probe's DW views answered, keyed on which view
-// answers each cut (remainderKey). The remembered costs are pure values of
-// the key under the state the space was built in, so whichever concurrent
-// Cost call fills one stores the bits every other would have.
+// Concurrency contract: building a space and Cost and Choose on it are pure
+// reads of the stores, the estimator and the design — no stats recorded, no
+// tables staged, no faults drawn — so any number of goroutines may cost
+// plans, on one space or many. A view set written while a choice reads it
+// may answer one node from before the write and another from after, so a
+// caller that chooses beside writers chooses against a snapshot of the
+// design (views.Set.Clone of each set) and judges the choice by the sets'
+// versions, as multistore's read phase does. The estimator and the logs'
+// sizes are read live; their writers move the estimator's Version. The DW
+// cost model's index selectivity reads the DW store's own set, not the
+// design's: a view it reads is a node of some plan, which a version check
+// over the design covers, and a remainder costed while that set moved is
+// not remembered.
 type PlanSpace struct {
 	o         *Optimizer
 	raw       *logical.Node
@@ -494,14 +473,16 @@ type PlanSpace struct {
 }
 
 // remainderKey names one DW remainder of a space: the frontier, and per cut
-// position the view that answers the cut in DW, nil for a cut that runs in
-// HV and migrates. The remainder reads nothing else that a design sets: an
-// HV cut is a ws_i scan sized by the cut's design-independent estimate,
-// whatever HV view rewrote its HV side. Frontiers wider than the array are
-// costed afresh each time.
+// position the name of the view that answers the cut in DW ("" for a cut
+// that runs in HV and migrates) and whether the DW store holds it, which
+// decides its index discount. A name fixes the view's definition, and keys
+// no dropped view alive in a space that outlives a reorganization. An HV
+// cut is a ws_i scan sized by the cut's design-independent estimate,
+// whatever HV view rewrote it. Wider frontiers are costed afresh each time.
 type remainderKey struct {
 	frontier int
-	dw       [len(tempNames)]*views.View
+	dw       [len(tempNames)]string
+	resident uint8 // bit i: the DW store holds dw[i]
 }
 
 // remainder is a remembered DW remainder's cost; ok is false when buildPlan
@@ -530,18 +511,50 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 	return s
 }
 
+// CutIDs lists, sorted and without repeats, the id of every cut of every
+// frontier: the raw subtrees a choice may ask the result views about.
+func (s *PlanSpace) CutIDs() []uint64 {
+	var ids []uint64
+	for _, f := range s.frontiers {
+		for _, n := range f.cuts {
+			ids = append(ids, n.ID())
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // Cost is the what-if answer: the estimated cost of the query's best plan
 // under a hypothetical design, bit-identical to the minimum EstTotal over
-// EnumeratePlans(raw, d). It visits the plans in EnumeratePlans' order and
-// re-costs only what the design's views touch: a cut's HV side when an HV
-// view rewrote it, and the DW remainder of a frontier one of whose cuts a
-// DW view answers, once per space and set of answering views (remainder).
-// Every frontier sums its HV and transfer costs in buildPlan's order and
-// adds the remainder's cost last, as EstTotal does.
+// EnumeratePlans(raw, d).
 func (s *PlanSpace) Cost(d Design) float64 {
+	_, _, _, total := s.argmin(d)
+	return total
+}
+
+// Choose returns the query's cheapest plan under the design: the plan
+// EnumeratePlans(raw, d) lists first among those of least EstTotal, built
+// alone.
+func (s *PlanSpace) Choose(d Design) (*MultiPlan, error) {
+	c, hvOnly, best, _ := s.argmin(d)
+	if best < 0 {
+		return hvOnly, nil
+	}
+	return s.o.buildPlan(s.raw, s.frontiers[best].cuts, c)
+}
+
+// argmin is Cost's and Choose's one loop: it visits the plans in
+// EnumeratePlans' order, keeps the first of least total (strict <) and
+// returns the choice it costed in, the HV-only plan, the winning frontier
+// (-1: the HV-only plan) and its total. It re-costs only what the design's
+// views touch: a cut's HV side an HV view rewrote, and the DW remainder of
+// a frontier a DW view answers a cut of (remainder). Every frontier sums
+// as buildPlan and EstTotal do, the remainder's cost last.
+func (s *PlanSpace) argmin(d Design) (c *choice, hvOnly *MultiPlan, best int, total float64) {
 	o := s.o
-	c := newChoice(d, s.base)
-	best := o.hvOnlyPlan(s.raw, c).EstTotal()
+	c = newChoice(d, s.base)
+	hvOnly = o.hvOnlyPlan(s.raw, c)
+	best, total = -1, hvOnly.EstTotal()
 	for fi, f := range s.frontiers {
 		var estHV, estTransfer float64
 		answered := false
@@ -564,25 +577,33 @@ func (s *PlanSpace) Cost(d Design) float64 {
 			}
 			estDW = r.estDW
 		}
-		if total := estHV + estTransfer + estDW; total < best {
-			best = total
+		if t := estHV + estTransfer + estDW; t < total {
+			best, total = fi, t
 		}
 	}
-	return best
+	return c, hvOnly, best, total
 }
 
 // remainder returns the DW remainder's cost of frontier fi under the
 // choice's DW views, building and costing it through buildPlan — the one
 // place a DW remainder is built — the first time the space meets its key.
-// The lock guards only the map: two workers that miss on one key both
-// build, and store the same value.
+// It is remembered only if the DW store's set did not move meanwhile, so
+// the key's residency is what the index discount read. The lock guards
+// only the map: two workers that miss on one key both store one value.
 func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 	cuts := s.frontiers[fi].cuts
 	key := remainderKey{frontier: fi}
+	live := s.o.dw.Views
+	at := live.Version()
 	keyed := len(cuts) <= len(key.dw)
 	if keyed {
 		for i, n := range cuts {
-			key.dw[i] = c.cuts[n].dwBy
+			if v := c.cuts[n].dwBy; v != nil {
+				key.dw[i] = v.Name
+				if live.Has(v.Name) {
+					key.resident |= 1 << i
+				}
+			}
 		}
 		s.mu.Lock()
 		r, ok := s.remainders[key]
@@ -595,7 +616,7 @@ func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 	if p, err := s.o.buildPlan(s.raw, cuts, c); err == nil {
 		r = remainder{estDW: p.EstDW, ok: true}
 	}
-	if keyed {
+	if keyed && live.Version() == at {
 		s.mu.Lock()
 		if s.remainders == nil {
 			s.remainders = map[remainderKey]remainder{}
@@ -604,10 +625,4 @@ func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 		s.mu.Unlock()
 	}
 	return r
-}
-
-// Cost is the what-if interface for a single probe; a caller with many
-// designs to cost for one query builds the PlanSpace once.
-func (o *Optimizer) Cost(raw *logical.Node, d Design) float64 {
-	return o.PlanSpace(raw).Cost(d)
 }

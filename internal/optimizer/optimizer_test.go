@@ -2,6 +2,8 @@ package optimizer_test
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 
 	"miso/internal/data"
@@ -192,14 +194,14 @@ func TestHVViewLowersHVCost(t *testing.T) {
 	f := setup(t)
 	p := f.plan(t, joinAgg)
 	empty := optimizer.EmptyDesign()
-	coldCost := f.opt.Cost(p, empty)
+	coldCost := f.opt.PlanSpace(p).Cost(empty)
 
 	// Execute once so opportunistic views exist in HV.
 	if _, err := f.hv.ExecuteContext(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
 	warm := optimizer.Design{HV: f.hv.Views, DW: views.NewSet()}
-	warmCost := f.opt.Cost(p, warm)
+	warmCost := f.opt.PlanSpace(p).Cost(warm)
 	if warmCost >= coldCost {
 		t.Errorf("warm cost %.1f not below cold %.1f", warmCost, coldCost)
 	}
@@ -241,6 +243,120 @@ func BenchmarkChooseWarm(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// swappedDesign returns the warm design with one DW view swapped: the DW
+// view most of the workload's chosen plans read leaves DW, and the first HV
+// view DW does not hold takes its place.
+func swappedDesign(tb testing.TB, o *optimizer.Optimizer, warm optimizer.Design, plans []*logical.Node) optimizer.Design {
+	tb.Helper()
+	reads := map[string]int{}
+	for _, p := range plans {
+		mp, err := o.Choose(p, warm)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, c := range mp.Cuts {
+			if c.DWView != nil {
+				c.DWView.Walk(func(n *logical.Node) {
+					if n.Kind == logical.KindViewScan {
+						reads[n.ViewName]++
+					}
+				})
+			}
+		}
+	}
+	names := make([]string, 0, len(reads))
+	for name := range reads {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		tb.Fatal("no chosen plan reads a DW view")
+	}
+	slices.Sort(names)
+	out := names[0]
+	for _, name := range names {
+		if reads[name] > reads[out] {
+			out = name
+		}
+	}
+	swapped := optimizer.Design{HV: warm.HV.Clone(), DW: warm.DW.Clone()}
+	swapped.DW.Remove(out)
+	for _, v := range warm.HV.Members() {
+		if !warm.DW.Has(v.Name) {
+			swapped.DW.Add(v)
+			break
+		}
+	}
+	return swapped
+}
+
+// chosenSpaces builds one plan space per plan and chooses in each under d,
+// as the plan cache keeps them.
+func chosenSpaces(tb testing.TB, o *optimizer.Optimizer, plans []*logical.Node, d optimizer.Design) []*optimizer.PlanSpace {
+	tb.Helper()
+	spaces := make([]*optimizer.PlanSpace, len(plans))
+	for i, p := range plans {
+		spaces[i] = o.PlanSpace(p)
+		if _, err := spaces[i].Choose(d); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return spaces
+}
+
+// BenchmarkRecostWarm is BenchmarkChooseWarm as the plan cache meets a
+// design move: one space per statement, built and chosen in under the warm
+// design outside the timer, then chosen in again under the design with one
+// DW view swapped (swappedDesign) — the re-cost a kept space makes in place
+// of a fresh choice.
+func BenchmarkRecostWarm(b *testing.B) {
+	sys, plans, _ := warmSystem(b)
+	opt, warm := sys.Optimizer(), sys.Design()
+	swapped := swappedDesign(b, opt, warm, plans)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		spaces := chosenSpaces(b, opt, plans, warm)
+		b.StartTimer()
+		for _, sp := range spaces {
+			if _, err := sp.Choose(swapped); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPlanSpaceRecostAllocs guards what keeping a statement's space saves:
+// over the 32 statements, choosing again in the spaces chosen in under the
+// warm design, after one DW view is swapped (swappedDesign), must allocate
+// at most half of what fresh choices under the swapped design allocate.
+func TestPlanSpaceRecostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sys, plans, _ := warmSystem(t)
+	opt, warm := sys.Optimizer(), sys.Design()
+	swapped := swappedDesign(t, opt, warm, plans)
+	spaces := chosenSpaces(t, opt, plans, warm)
+	mallocs := func(run func(i int) error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range plans {
+			if err := run(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	recost := mallocs(func(i int) error { _, err := spaces[i].Choose(swapped); return err })
+	fresh := mallocs(func(i int) error { _, err := opt.Choose(plans[i], swapped); return err })
+	t.Logf("after a DW swap the 32 statements allocate %d times re-costed, %d chosen afresh", recost, fresh)
+	if 2*recost > fresh {
+		t.Errorf("a re-cost allocates %d times, more than half of a fresh choice's %d", recost, fresh)
 	}
 }
 

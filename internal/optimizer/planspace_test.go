@@ -18,18 +18,22 @@ import (
 	"miso/internal/workload"
 )
 
-// enumerateCost is the oracle: what Optimizer.Cost did before the plan
-// space existed — a full EnumeratePlans under the design and the strict-<
-// minimum Choose keeps.
-func enumerateCost(o *optimizer.Optimizer, raw *logical.Node, d optimizer.Design) float64 {
-	plans := o.EnumeratePlans(raw, d)
-	best := plans[0].EstTotal()
+// cheapest is the selection rule plan choice is held to: the first plan of
+// least EstTotal over EnumeratePlans' list.
+func cheapest(plans []*optimizer.MultiPlan) *optimizer.MultiPlan {
+	best := plans[0]
 	for _, p := range plans[1:] {
-		if p.EstTotal() < best {
-			best = p.EstTotal()
+		if p.EstTotal() < best.EstTotal() {
+			best = p
 		}
 	}
 	return best
+}
+
+// enumerateCost is the oracle: the cheapest plan's cost over a full
+// EnumeratePlans under the design.
+func enumerateCost(o *optimizer.Optimizer, raw *logical.Node, d optimizer.Design) float64 {
+	return cheapest(o.EnumeratePlans(raw, d)).EstTotal()
 }
 
 func designOf(hvViews, dwViews []*views.View) optimizer.Design {
@@ -43,13 +47,22 @@ func designOf(hvViews, dwViews []*views.View) optimizer.Design {
 	return d
 }
 
-// sameCost fails unless the space and the oracle agree to the bit.
+// sameCost fails unless the space and the oracle agree to the bit, and the
+// space chooses the oracle's plan: the same EstTotal bits and Explain.
 func sameCost(t testing.TB, what string, o *optimizer.Optimizer, sp *optimizer.PlanSpace, raw *logical.Node, d optimizer.Design) {
 	t.Helper()
-	got, want := sp.Cost(d), enumerateCost(o, raw, d)
+	oracle := cheapest(o.EnumeratePlans(raw, d))
+	got, want := sp.Cost(d), oracle.EstTotal()
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: plan space costs %v (%#x), EnumeratePlans %v (%#x)",
 			what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	mp, err := sp.Choose(d)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if math.Float64bits(mp.EstTotal()) != math.Float64bits(want) || mp.Explain() != oracle.Explain() {
+		t.Fatalf("%s: the space chose\n%s\nEnumeratePlans' cheapest is\n%s", what, mp.Explain(), oracle.Explain())
 	}
 }
 
@@ -120,9 +133,10 @@ func warmSystem(t testing.TB) (*multistore.System, []*logical.Node, []*views.Vie
 	return sys, plans, universe
 }
 
-// TestPlanSpaceCostEqualsEnumerate pins the shared half of what-if costing
-// to the full enumeration it replaced: PlanSpace.Cost must return, bit for
-// bit, the minimum EstTotal over EnumeratePlans — for the four probe shapes
+// TestPlanSpaceCostEqualsEnumerate pins plan choice and what-if costing to
+// the full enumeration: PlanSpace.Cost must return, bit for bit, the
+// minimum EstTotal over EnumeratePlans, and PlanSpace.Choose its first plan
+// of least EstTotal — for the four probe shapes
 // Tune issues, for random designs, for both kinds of DW match, and under
 // every optimizer knob that changes the enumeration.
 func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
@@ -259,11 +273,7 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 		}
 		want := make([]uint64, len(dws))
 		for k, dw := range dws {
-			mp, err := optimizer.Cheapest(o.EnumeratePlans(raw, designOf(nil, dw)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[k] = math.Float64bits(mp.EstTotal())
+			want[k] = math.Float64bits(enumerateCost(o, raw, designOf(nil, dw)))
 		}
 		sp := o.PlanSpace(raw)
 		for g := 0; g < 4; g++ {
@@ -289,7 +299,9 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 
 // TestPlanSpaceCostUnderDWMatches builds the two DW matches by hand: a view
 // that is a cut exactly, and a weaker view that answers it through a
-// residual filter. Both send their frontiers down the slow path. The last
+// residual filter. Both send their frontiers down the slow path. One space
+// then costs a view before and after the DW store holds it, which moves
+// the index discount. The last
 // case is the one way a frontier is refused: enumerateCuts never leaves a
 // UDF above a cut (SQL plans hoist UDFs into the Extract, and a node that
 // calls one is pinned to HV with everything under it), but a DW view that
@@ -338,6 +350,24 @@ func TestPlanSpaceCostUnderDWMatches(t *testing.T) {
 	sameCost(t, "subsuming DW view", f.opt, sp, raw, d)
 	sameCost(t, "both, and the weaker one in HV too", f.opt, sp, raw,
 		designOf([]*views.View{weakView}, []*views.View{exactView, weakView}))
+
+	// A kept space outlives moves of the DW store's own set, which the index
+	// discount reads: a remainder costed while its view was not resident
+	// must not answer once the view is.
+	// The filter's equality is on the view's leading column, which the
+	// discount asks for.
+	indexed := f.plan(t, `SELECT lang, COUNT(*) AS n FROM tweets WHERE followers = 100 GROUP BY lang`)
+	unfiltered := materialize(filterOf(indexed).Child(0))
+	d = designOf(nil, []*views.View{unfiltered})
+	sp = f.opt.PlanSpace(indexed)
+	sameCost(t, "a DW view the store does not hold", f.opt, sp, indexed, d)
+	notHeld := sp.Cost(d)
+	f.dw.Views.Add(unfiltered)
+	sameCost(t, "the same view once the store holds it", f.opt, sp, indexed, d)
+	if sp.Cost(d) == notHeld {
+		t.Fatal("the index discount moved no cost: the residency case is vacuous")
+	}
+	f.dw.Views.Remove(unfiltered.Name)
 
 	wf := filterOf(weaker)
 	udf := &expr.BinOp{Op: ">", L: &expr.Func{Name: "SENTIMENT", Args: []expr.Expr{&expr.ColRef{Name: "tweets.text"}}}, R: &expr.Const{Val: storage.IntValue(0)}}

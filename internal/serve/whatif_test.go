@@ -62,7 +62,7 @@ func TestConcurrentWhatIfCostingDuringSoak(t *testing.T) {
 				if i%2 == 1 {
 					d = empty
 				}
-				if c := opt.Cost(plan, d); c < 0 {
+				if c := opt.PlanSpace(plan).Cost(d); c < 0 {
 					t.Errorf("coster %d: negative cost %f", g, c)
 					return
 				}

@@ -44,16 +44,13 @@ type Estimator struct {
 	mu      sync.RWMutex
 	cache   map[uint64]observed // by logical.Node.ID
 	version atomic.Uint64       // written under mu; see Version
-	dropped uint64              // the version the last dropping InvalidateLog moved to
 }
 
-// observed is one recorded truth, the logs its subtree's Scan leaves read,
-// which decide whether an append to a log makes it stale, and the version
-// that stored it.
+// observed is one recorded truth and the logs its subtree's Scan leaves
+// read, which decide whether an append to a log makes it stale.
 type observed struct {
 	stat Stat
 	logs []string
-	ver  uint64
 }
 
 // NewEstimator builds an estimator over the catalog's base data.
@@ -61,9 +58,10 @@ func NewEstimator(cat *storage.Catalog) *Estimator {
 	return &Estimator{cat: cat, cache: map[uint64]observed{}}
 }
 
-// Version moves whenever the feedback cache changes — a stat stored over
-// none or over a different one, stats dropped — and at no other time, so an
-// estimate computed while it read v holds while it reads v.
+// Version moves whenever an estimate may read differently — a stat stored
+// over none or over a different one, a log's content changed
+// (InvalidateLog) — and at no other time, so an estimate computed while it
+// read v holds while it reads v.
 func (e *Estimator) Version() uint64 { return e.version.Load() }
 
 // Record stores the observed size of a subtree. Recording the stat the
@@ -85,7 +83,7 @@ func (e *Estimator) Record(n *logical.Node, s Stat) {
 	})
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	o.ver = e.version.Add(1)
+	e.version.Add(1)
 	e.cache[id] = o
 }
 
@@ -98,7 +96,8 @@ func (e *Estimator) RecordView(name string, s Stat) {
 
 // InvalidateLog drops every recorded stat whose subtree scans the log and
 // reports how many it dropped; used when the log's data changes and the
-// truths derived from it go stale.
+// truths derived from it go stale. It moves Version whatever it drops: base
+// estimates read the log's size, which changed with its content.
 func (e *Estimator) InvalidateLog(name string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -109,27 +108,8 @@ func (e *Estimator) InvalidateLog(name string) int {
 			n++
 		}
 	}
-	if n > 0 {
-		e.dropped = e.version.Add(1)
-	}
+	e.version.Add(1)
 	return n
-}
-
-// ChangedSince reports whether an estimate that read the feedback cache at
-// version v, about subtrees among ids, may read differently now: a stat for
-// one of the ids was stored after v, or some stat was dropped after v.
-func (e *Estimator) ChangedSince(ids []uint64, v uint64) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.dropped > v {
-		return true
-	}
-	for _, id := range ids {
-		if o, ok := e.cache[id]; ok && o.ver > v {
-			return true
-		}
-	}
-	return false
 }
 
 // Estimate returns the estimated output size of the subtree, consulting the
