@@ -76,7 +76,8 @@ bench: microbench
 # HV query, an append that maintains the views over its log and two
 # sessions querying one warm system (BenchmarkServedTwoSessions, its p95))
 # and, with them, the allocation guards (TestSmallViewPlanAllocs,
-# TestReadPhaseHitAllocs and TestPlanSpaceRecostAllocs among them),
+# TestReadPhaseHitAllocs, TestPlanSpaceRecostAllocs and TestFreshChooseAllocs
+# among them),
 # which tier1's race build has to skip. internal/core runs at -cpu 1,2: the
 # tuner sizes its what-if pool from GOMAXPROCS, so that records the serial
 # and the fanned-out reorganization, each checked against the golden. CI

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"miso/internal/exec"
@@ -203,33 +204,114 @@ func (s *Store) CostPlanWith(plan *logical.Node, overlay map[uint64]stats.Stat) 
 // costFromSizes charges each operator its input bytes through the cluster
 // throughput. Filters directly over an indexed permanent view scan less.
 func (s *Store) costFromSizes(plan *logical.Node, size func(*logical.Node) int64) float64 {
-	const throughput = scanMBps * nodes * 1e6
 	var bytes float64
-	var walk func(n *logical.Node)
-	walk = func(n *logical.Node) {
-		for _, c := range n.Children {
-			walk(c)
-			b := float64(size(c))
-			if n.Kind == logical.KindFilter && c.Kind == logical.KindViewScan {
-				if sel, ok := s.indexSelectivity(n, c); ok {
-					b *= sel
-				}
-			}
-			bytes += b
-		}
-	}
-	walk(plan)
+	s.chargeEdges(plan, size, &bytes)
 	// The root's output is returned to the client; charge it once.
 	bytes += float64(size(plan))
 	return startup + bytes/throughput
 }
 
+// throughput is the cluster's processing rate in bytes per second.
+const throughput = scanMBps * nodes * 1e6
+
+// chargeEdges adds to bytes every edge of the subtree, each child's edge
+// after the edges beneath it.
+func (s *Store) chargeEdges(n *logical.Node, size func(*logical.Node) int64, bytes *float64) {
+	for _, c := range n.Children {
+		s.chargeEdges(c, size, bytes)
+		*bytes += s.edge(n, c.Kind, c.ViewName, size(c))
+	}
+}
+
+// edge is what feeding a child of the given kind (and view, for a view
+// scan) and size into parent charges: a filter directly over an indexed
+// view scan reads less of it.
+func (s *Store) edge(parent *logical.Node, kind logical.Kind, view string, size int64) float64 {
+	b := float64(size)
+	if parent.Kind == logical.KindFilter && kind == logical.KindViewScan {
+		if sel, ok := s.indexSelectivity(parent, view); ok {
+			b *= sel
+		}
+	}
+	return b
+}
+
+// Stand is what stands in place of one cut of a plan CostAbove costs: Node,
+// a DW view's rewrite of the cut, or else a scan of the migrated working
+// set Name, whose scan has id ID and whose estimated size is Stat.
+type Stand struct {
+	Node *logical.Node
+	Name string
+	ID   uint64
+	Stat stats.Stat
+}
+
+// CostAbove is CostPlanWith over plan with each cuts[i] replaced by
+// stands[i] (a working set's scan sized through the overlay), without
+// building the replaced plan: one bottom-up walk over the nodes above the
+// cuts derives each copied node's id as WithChildren would give it
+// (logical.Node.IDOver), so the estimator's cache answers the lookups it
+// would answer, derives its size with the estimator's own formulas from its
+// children's (stats.Estimator.Derive), and charges the edges in
+// costFromSizes' order, so the two agree to the bit. Every leaf of plan lies
+// under a cut, and no node has more than two children.
+func (s *Store) CostAbove(plan *logical.Node, cuts []*logical.Node, stands []Stand) float64 {
+	w := above{s: s, cuts: cuts, stands: stands}
+	root := w.visit(plan)
+	w.bytes += float64(root.stat.Bytes)
+	return startup + w.bytes/throughput
+}
+
+// above is CostAbove's walk; bytes sums its edges.
+type above struct {
+	s      *Store
+	cuts   []*logical.Node
+	stands []Stand
+	bytes  float64
+}
+
+// sized is one node of the replaced plan as the walk derives it: its id,
+// its estimate, and what an edge from it and a projection over it read.
+type sized struct {
+	id     uint64
+	stat   stats.Stat
+	schema *storage.Schema
+	kind   logical.Kind
+	view   string // a ViewScan's view
+}
+
+func (w *above) visit(n *logical.Node) sized {
+	if i := slices.Index(w.cuts, n); i >= 0 {
+		st := w.stands[i]
+		if r := st.Node; r != nil {
+			w.s.chargeEdges(r, w.estimate, &w.bytes)
+			return sized{id: r.ID(), stat: w.s.est.Estimate(r), schema: r.Schema(), kind: r.Kind, view: r.ViewName}
+		}
+		return sized{id: st.ID, stat: st.Stat, schema: n.Schema(), kind: logical.KindViewScan, view: st.Name}
+	}
+	var kids [2]sized
+	var ids [2]uint64
+	for k, c := range n.Children {
+		kids[k] = w.visit(c)
+		ids[k] = kids[k].id
+		w.bytes += w.s.edge(n, kids[k].kind, kids[k].view, kids[k].stat.Bytes)
+	}
+	id := n.IDOver(ids[:len(n.Children)])
+	stat, ok := w.s.est.Lookup(id)
+	if !ok {
+		stat = w.s.est.Derive(n, kids[0].stat, kids[1].stat, kids[0].schema)
+	}
+	return sized{id: id, stat: stat, schema: n.Schema(), kind: n.Kind}
+}
+
+func (w *above) estimate(n *logical.Node) int64 { return w.s.est.Estimate(n).Bytes }
+
 // indexSelectivity reports the fraction of an indexed view a filter must
 // read, when the filter constrains the view's leading column with an
 // equality or IN predicate. Only permanent views are indexed (the tuner
 // builds the index at load time); temp tables are not.
-func (s *Store) indexSelectivity(filter, scan *logical.Node) (float64, bool) {
-	v, ok := s.Views.Get(scan.ViewName)
+func (s *Store) indexSelectivity(filter *logical.Node, view string) (float64, bool) {
+	v, ok := s.Views.Get(view)
 	if !ok || v.Table.Schema.Len() == 0 {
 		return 0, false
 	}

@@ -150,3 +150,50 @@ func TestSignatureConcurrentFirstUse(t *testing.T) {
 		})
 	}
 }
+
+// TestIDOverMatchesWithChildren holds IDOver to the id WithChildren builds,
+// over every node with children of the paper plans and the generated SQL:
+// over its own children, and over a working-set scan in place of each
+// child, as a DW remainder is costed without being built.
+func TestIDOverMatchesWithChildren(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := logical.NewBuilder(cat)
+	sqls := slices.Concat(workload.SQLs(), logical.GeneratedSQL(5, 500))
+	checked := 0
+	for _, sql := range sqls {
+		plan, err := b.BuildSQL(sql)
+		if err != nil {
+			continue
+		}
+		plan.Walk(func(n *logical.Node) {
+			if len(n.Children) == 0 {
+				return
+			}
+			ids := make([]uint64, len(n.Children))
+			for i, c := range n.Children {
+				ids[i] = c.ID()
+			}
+			if got, want := n.IDOver(ids), n.WithChildren(slices.Clone(n.Children)).ID(); got != want || got != n.ID() {
+				t.Fatalf("over its own children IDOver gives %x, WithChildren %x, the node %x: %s", got, want, n.ID(), n.Signature())
+			}
+			for i, c := range n.Children {
+				ws := logical.NewViewScan("ws_0", c.Schema())
+				kids := slices.Clone(n.Children)
+				kids[i] = ws
+				over := slices.Clone(ids)
+				over[i] = logical.NewViewScan("ws_0", nil).ID()
+				if got, want := n.IDOver(over), n.WithChildren(kids).ID(); got != want {
+					t.Fatalf("with child %d a working set, IDOver gives %x, WithChildren %x: %s", i, got, want, n.Signature())
+				}
+			}
+			checked++
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no node with children checked")
+	}
+	t.Logf("%d nodes checked", checked)
+}

@@ -239,6 +239,21 @@ func (n *Node) WithChildren(children []*Node) *Node {
 	return c.link()
 }
 
+// IDOver returns the id WithChildren would give a copy of the built node
+// over children with the given ids, without building the copy: a cost walk
+// over a plan whose subtrees stand replaced looks up its nodes' stats by the
+// ids the replaced plan would carry.
+func (n *Node) IDOver(kids []uint64) uint64 {
+	h := n.local
+	for _, id := range kids {
+		h = hashUint(h, id)
+	}
+	if h == 0 {
+		h = fnvPrime64
+	}
+	return h
+}
+
 // ID returns the node's structural id: a hash of its kind, its node-local
 // payload and its children's ids, so two built nodes have equal ids exactly
 // when their signatures are equal (up to a 64-bit collision). It is set at

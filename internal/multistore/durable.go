@@ -358,6 +358,7 @@ func (s *System) snapshotLocked() *snapshot {
 // rather than write it, so nothing reaches the checkpoint.
 func (s *System) restoreSnapshot(sn *snapshot) error {
 	s.seq = sn.Seq
+	s.nextSeq.Store(int64(s.seq))
 	s.metrics = sn.Metrics
 	s.etlDone = sn.EtlDone
 	s.offTuned = sn.OffTuned

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"miso/internal/core"
 	"miso/internal/durability"
@@ -282,8 +283,11 @@ type System struct {
 	// opens it (a test hook; nil otherwise).
 	onLedger func(*govern.Ledger)
 
-	future  []history.Entry
-	seq     int
+	future []history.Entry
+	seq    int
+	// nextSeq is seq for the read phase, which may not read seq: written
+	// beside it by book and recovery, read without s.mu.
+	nextSeq atomic.Int64
 	metrics Metrics
 	reports reportLog
 
@@ -564,9 +568,9 @@ func (s *System) CheckInvariants() error {
 	return first
 }
 
-// reorgDue reports whether a reorganization phase precedes this query.
-func (s *System) reorgDue() bool {
-	return s.cfg.ReorgEvery > 0 && s.seq > 0 && s.seq%s.cfg.ReorgEvery == 0
+// reorgDue reports whether a reorganization phase precedes query seq.
+func (s *System) reorgDue(seq int) bool {
+	return s.cfg.ReorgEvery > 0 && seq > 0 && seq%s.cfg.ReorgEvery == 0
 }
 
 // Reorganize triggers a reorganization phase immediately, outside the

@@ -89,6 +89,11 @@ func (s *System) keepPlan(plan *logical.Node, e *planEntry) {
 // it to hold such plans to a fresh Choose; it is nil otherwise.
 var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan, fresh bool)
 
+// planDropped, when set, sees every plan the read phase chose that choose
+// does not hand out: something the choice read moved before the commit.
+// Tests arm it to count wasted read-phase choices; it is nil otherwise.
+var planDropped func(s *System, plan *logical.Node)
+
 // choose is Optimizer.Choose behind the plan cache, at a query's commit or
 // for Explain. Choose is a pure function of the plan (one pointer per
 // statement text), the design and what versions() counts, so a plan chosen
@@ -108,6 +113,9 @@ func (s *System) choose(plan *logical.Node, d optimizer.Design, a *ahead) (*opti
 			planHit(s, plan, d, a.mp, a.fresh)
 		}
 		return a.mp, nil
+	}
+	if a != nil && a.fresh && planDropped != nil {
+		planDropped(s, plan)
 	}
 	mp, from := s.keptPlan(plan, v)
 	if mp != nil {

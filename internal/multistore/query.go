@@ -154,7 +154,7 @@ func (s *System) readAhead(plan *logical.Node) ahead {
 			}
 		}
 	}
-	if !s.plansUnderDesign() {
+	if !s.plansUnderDesign() || s.tunesBefore(int(s.nextSeq.Load())) {
 		return a
 	}
 	mp, from := s.keptPlan(plan, a.ver)
@@ -255,6 +255,7 @@ func b2i(b bool) int {
 func (s *System) book(q *query) {
 	s.window.Add(q.entry)
 	s.seq = q.entry.Seq + 1
+	s.nextSeq.Store(int64(s.seq))
 	s.metrics.Queries++
 	s.reports.add(q.rep)
 }

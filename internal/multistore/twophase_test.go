@@ -421,3 +421,45 @@ func BenchmarkServedTwoSessions(b *testing.B) {
 	b.ReportMetric(ms(0.50), "p50-ms")
 	b.ReportMetric(ms(0.95), "p95-ms")
 }
+
+// TestReadPhaseSkipsChoiceBeforeReorg runs the 32 paper queries on MS-MISO
+// reorganizing every 3 queries. A read phase that sees a reorganization due
+// before its query chooses nothing, since the reorganization moves the
+// design the choice would read: no read-phase choice is thrown away (10 of
+// the 32 were when the read phase chose before every query), and every
+// answer and the final StateDigest equal a twin's whose queries all choose
+// under the lock.
+func TestReadPhaseSkipsChoiceBeforeReorg(t *testing.T) {
+	run := func(early bool) (sums []uint64, digest uint64, dropped int) {
+		sys := newPlanSystem(t, VariantMSMiso, func(c *Config) { c.ReorgEvery = 3 })
+		planDropped = func(*System, *logical.Node) { dropped++ }
+		betweenPhases = func(_ *System, a *ahead) {
+			if !early {
+				a.mp, a.fresh = nil, false
+			}
+		}
+		defer func() { planDropped, betweenPhases = nil, nil }()
+		for i, sql := range workload.SQLs() {
+			rep, err := sys.Run(sql)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			sums = append(sums, storage.ChecksumData(rep.Result))
+		}
+		if n := len(sys.ReorgLog()); n == 0 {
+			t.Fatal("no reorganization ran")
+		}
+		return sums, sys.StateDigest(), dropped
+	}
+	sums, digest, dropped := run(true)
+	wantSums, wantDigest, _ := run(false)
+	if dropped != 0 {
+		t.Errorf("%d read-phase choices were thrown away; want none", dropped)
+	}
+	if !slices.Equal(sums, wantSums) {
+		t.Errorf("answers differ from choosing under the lock:\n%v\n%v", sums, wantSums)
+	}
+	if digest != wantDigest {
+		t.Errorf("state digest %x, choosing under the lock %x", digest, wantDigest)
+	}
+}

@@ -35,7 +35,7 @@ func (s *System) runVariant(q *query) error {
 	case VariantMSLru:
 		return s.runSplit(q, s.design(), s.retainWorkingSet)
 	case VariantMSMiso, VariantMSOra:
-		if s.reorgDue() {
+		if s.reorgDue(s.seq) {
 			if err := s.reorg(s.tuningWindow()); err != nil {
 				return err
 			}
@@ -62,6 +62,16 @@ func (s *System) plansUnderDesign() bool {
 	switch s.cfg.Variant {
 	case VariantMSLru, VariantMSMiso, VariantMSOra, VariantMSOff:
 		return true
+	}
+	return false
+}
+
+// tunesBefore reports whether the variant reorganizes before query seq,
+// which moves the design any plan chosen ahead of it read.
+func (s *System) tunesBefore(seq int) bool {
+	switch s.cfg.Variant {
+	case VariantMSMiso, VariantMSOra:
+		return s.reorgDue(seq)
 	}
 	return false
 }

@@ -224,17 +224,15 @@ func (o *Optimizer) enumerateCuts(n *logical.Node, limit int) [][]*logical.Node 
 }
 
 // cutEval memoizes the frontier-independent evaluation of one cut subtree
-// within a single plan enumeration: its DW-view rewrite (when one covers
-// it), or its HV rewrite, estimated output, HV cost and transfer cost.
-// The same subtree appears in many enumerated frontiers; evaluating it
-// once per EnumeratePlans call instead of once per frontier removes the
-// dominant repeated work from the what-if path. Only the migrated working
-// set's temp name differs per frontier (it is positional), so that stays
-// in buildPlan. Every memoized value is a pure function of the node and
-// the design, which EnumeratePlans holds fixed. base, when given, is a plan
-// space's evaluation of the same cuts against the empty design, whose
-// estimated output and transfer cost hold under every design and whose HV
-// cost holds whenever no HV view rewrites the cut.
+// within a single plan choice: its DW-view rewrite (when one covers it), or
+// its HV rewrite, estimated output, HV cost and transfer cost. The same
+// subtree appears in many enumerated frontiers; evaluating it once per
+// choice instead of once per frontier removes the dominant repeated work
+// from the what-if path. Only the migrated working set's temp name differs
+// per frontier (it is positional), so that stays in buildPlan. Every
+// memoized value is a pure function of the node and the design, which a
+// choice holds fixed; the estimated output and transfer cost hold under
+// every design, and the HV cost whenever no HV view rewrites the cut.
 type cutEval struct {
 	dwView *logical.Node // non-nil when a DW-resident view answers the cut
 	dwBy   *views.View   // the view dwView reads
@@ -246,17 +244,17 @@ type cutEval struct {
 
 // choice is what one plan choice under one design shares across its
 // frontiers: the design, the HV rewrites of raw nodes (hvOnlyPlan's and
-// every cut's), the cuts' evaluations, with a plan space's (base) when
-// it costs a probe, and the design's result views' answers so far.
+// every cut's), the cuts' evaluations and the design's result views'
+// answers so far.
 type choice struct {
-	d          Design
-	rewritten  map[*logical.Node]*logical.Node
-	cuts, base map[*logical.Node]*cutEval
-	probed     map[*logical.Node]bool
+	d         Design
+	rewritten map[*logical.Node]*logical.Node
+	cuts      map[*logical.Node]*cutEval
+	probed    map[*logical.Node]bool
 }
 
-func newChoice(d Design, base map[*logical.Node]*cutEval) *choice {
-	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}, base: base}
+func newChoice(d Design) *choice {
+	return &choice{d: d, rewritten: map[*logical.Node]*logical.Node{}, cuts: map[*logical.Node]*cutEval{}}
 }
 
 func (c *choice) rewriteHV(n *logical.Node) *logical.Node { return rewrite(n, c.d.HV, c.rewritten) }
@@ -280,35 +278,40 @@ func (c *choice) reused(n *logical.Node) bool {
 	return held
 }
 
-func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice) *cutEval {
+// evalCut evaluates the cut under the choice's design, once per choice.
+// base, when given, is a plan space's slot for the cut, which holds the
+// cut's evaluation when no view touches it: it is filled the first time a
+// choice finds neither a DW view answering the cut nor an HV view rewriting
+// it, and shared with every later choice in the space.
+func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice, base *spaceCut) *cutEval {
 	if ce, ok := c.cuts[cutNode]; ok {
 		return ce
 	}
-	ce := &cutEval{}
-	c.cuts[cutNode] = ce
+	var ce *cutEval
 	if c.d.DW != nil {
 		if m, ok := c.d.DW.BestMatch(cutNode); ok {
 			if r, err := m.Rewrite(); err == nil {
-				ce.dwView, ce.dwBy = r, m.View
-				return ce
+				ce = &cutEval{dwView: r, dwBy: m.View}
 			}
 		}
 	}
-	ce.hvPlan = c.rewriteHV(cutNode)
-	if b := c.base[cutNode]; b != nil {
-		// A plan space already holds the cut's design-independent values;
-		// only an HV side that a view rewrote is costed again.
-		if ce.hvPlan == cutNode {
-			c.cuts[cutNode] = b
-			return b
+	if ce == nil {
+		hvPlan := c.rewriteHV(cutNode)
+		if base != nil && hvPlan == cutNode {
+			ce = base.eval(o)
+		} else {
+			ev := o.evalHV(cutNode, hvPlan)
+			ce = &ev
 		}
-		ce.st, ce.xfer = b.st, b.xfer
-	} else {
-		ce.st = o.est.Estimate(cutNode)
-		ce.xfer = transfer.Cost(ce.st.Bytes).Total()
 	}
-	ce.hvCost = o.hv.CostPlan(ce.hvPlan)
+	c.cuts[cutNode] = ce
 	return ce
+}
+
+// evalHV evaluates a cut that runs in HV as hvPlan and migrates.
+func (o *Optimizer) evalHV(cutNode, hvPlan *logical.Node) cutEval {
+	st := o.est.Estimate(cutNode)
+	return cutEval{hvPlan: hvPlan, st: st, hvCost: o.hv.CostPlan(hvPlan), xfer: transfer.Cost(st.Bytes).Total()}
 }
 
 // tempNames are the migrated working sets' temp names by cut position,
@@ -320,6 +323,22 @@ func tempName(i int) string {
 		return tempNames[i]
 	}
 	return fmt.Sprintf("ws_%d", i)
+}
+
+// wsIDs are the ids of the scans of the migrated working sets by cut
+// position; a view scan's id depends on its name alone.
+var wsIDs = func() (ids [len(tempNames)]uint64) {
+	for i, name := range tempNames {
+		ids[i] = logical.NewViewScan(name, nil).ID()
+	}
+	return ids
+}()
+
+func wsID(i int) uint64 {
+	if i < len(wsIDs) {
+		return wsIDs[i]
+	}
+	return logical.NewViewScan(tempName(i), nil).ID()
 }
 
 // buildPlan assembles and costs the multistore plan for one frontier.
@@ -336,7 +355,7 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, c *ch
 	var overlay map[uint64]stats.Stat
 	for i, cutNode := range frontier {
 		cut := Cut{Node: cutNode, TempName: tempName(i)}
-		ce := o.evalCut(cutNode, c)
+		ce := o.evalCut(cutNode, c, nil)
 		if ce.dwView != nil {
 			cut.DWView = ce.dwView
 			replace[cutNode] = ce.dwView
@@ -390,9 +409,14 @@ func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node) (*logi
 	return n.WithChildren(kids), nil
 }
 
-// hvOnlyPlan builds and costs full-HV execution.
-func (o *Optimizer) hvOnlyPlan(raw *logical.Node, c *choice) *MultiPlan {
+// hvOnlyPlan builds and costs full-HV execution. base, when given, is a plan
+// space's slot for the whole plan, which holds its HV cost when no HV view
+// rewrites it.
+func (o *Optimizer) hvOnlyPlan(raw *logical.Node, c *choice, base *spaceCut) *MultiPlan {
 	p := c.rewriteHV(raw)
+	if base != nil && p == raw {
+		return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: base.eval(o).hvCost}
+	}
 	return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: o.hv.CostPlan(p)}
 }
 
@@ -420,8 +444,8 @@ func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
 // every cut share the rewrites), so a cut's HVPlan may be a subtree of the
 // HV-only plan's HVPlan.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
-	c := newChoice(d, nil)
-	plans := []*MultiPlan{o.hvOnlyPlan(raw, c)}
+	c := newChoice(d)
+	plans := []*MultiPlan{o.hvOnlyPlan(raw, c, nil)}
 	for _, frontier := range o.splitFrontiers(raw) {
 		p, err := o.buildPlan(raw, frontier, c)
 		if err != nil {
@@ -439,20 +463,25 @@ func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
 }
 
 // PlanSpace is the design-independent half of costing one query: its split
-// frontiers and, for each, what buildPlan produces against the empty design
-// — every cut's estimated output, transfer cost and no-view HV cost, and the
-// DW remainder's cost when no DW view answers a cut. All of it is a function
+// frontiers — those buildPlan accepts under the empty design: every leaf
+// lies under a cut and no node above the cuts calls a UDF, decided when the
+// space is built — and, filled the first time a choice needs them, each
+// cut's evaluation when no view touches it (spaceCut) and each frontier's
+// DW remainder cost when no DW view answers a cut. All of it is a function
 // of the plan and the estimator alone, so one space serves every design the
 // query is costed or chosen under until the estimator's Version moves (a log
 // append moves it too). Beside that, a space remembers the DW remainder's
-// cost of every frontier a design's DW views answered (remainderKey): pure
-// values of the key, so whichever concurrent call fills one stores the bits
-// every other would have.
+// cost of every frontier a design's DW views answered (remainderKey). No
+// remainder is built to be costed: dw.Store.CostAbove walks the raw nodes
+// above the cuts, and only the winning plan is built.
 //
 // Concurrency contract: building a space and Cost and Choose on it are pure
 // reads of the stores, the estimator and the design — no stats recorded, no
 // tables staged, no faults drawn — so any number of goroutines may cost
-// plans, on one space or many. A view set written while a choice reads it
+// plans, on one space or many. A slot is filled once (a sync.Once per
+// slot), and a remembered remainder is a pure value of its key, so
+// whichever concurrent call fills one stores the bits every other would
+// have. A view set written while a choice reads it
 // may answer one node from before the write and another from after, so a
 // caller that chooses beside writers chooses against a snapshot of the
 // design (views.Set.Clone of each set) and judges the choice by the sets'
@@ -465,11 +494,26 @@ func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
 type PlanSpace struct {
 	o         *Optimizer
 	raw       *logical.Node
+	whole     spaceCut   // raw, which the HV-only plan runs
+	cuts      []spaceCut // every distinct cut node of the frontiers once
 	frontiers []spaceFrontier
-	base      map[*logical.Node]*cutEval
 
 	mu         sync.Mutex
 	remainders map[remainderKey]remainder
+}
+
+// spaceCut is one cut node of a space and its evaluation when it runs in HV
+// unrewritten and migrates, filled by the first choice that needs it while
+// the others wait.
+type spaceCut struct {
+	node *logical.Node
+	fill sync.Once
+	ev   cutEval
+}
+
+func (sc *spaceCut) eval(o *Optimizer) *cutEval {
+	sc.fill.Do(func() { sc.ev = o.evalHV(sc.node, sc.node) })
+	return &sc.ev
 }
 
 // remainderKey names one DW remainder of a space: the frontier, and per cut
@@ -486,7 +530,7 @@ type remainderKey struct {
 }
 
 // remainder is a remembered DW remainder's cost; ok is false when buildPlan
-// refused the frontier under the key's DW views.
+// would refuse the frontier under the key's DW views.
 type remainder struct {
 	estDW float64
 	ok    bool
@@ -494,31 +538,73 @@ type remainder struct {
 
 type spaceFrontier struct {
 	cuts  []*logical.Node
+	slots []int32 // each cut's position in PlanSpace.cuts
+	fill  sync.Once
 	estDW float64 // the DW remainder's cost when no DW view answers a cut
 }
 
-// PlanSpace builds the query's plan space.
+// PlanSpace builds the query's plan space: its frontiers and their cuts,
+// nothing costed.
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
-	c := newChoice(EmptyDesign(), nil)
-	s := &PlanSpace{o: o, raw: raw, base: c.cuts}
-	for _, frontier := range o.splitFrontiers(raw) {
-		p, err := o.buildPlan(raw, frontier, c)
-		if err != nil {
+	s := &PlanSpace{o: o, raw: raw}
+	s.whole.node = raw
+	all := o.splitFrontiers(raw)
+	width := 0
+	for _, f := range all {
+		width += len(f)
+	}
+	var nodes []*logical.Node
+	slots := make([]int32, 0, width)
+	s.frontiers = make([]spaceFrontier, len(all))
+	kept := 0
+	for _, f := range all {
+		if !splittable(raw, f) {
 			continue // refused for what lies above the cuts, so under every design
 		}
-		s.frontiers = append(s.frontiers, spaceFrontier{cuts: frontier, estDW: p.EstDW})
+		at := len(slots)
+		for _, n := range f {
+			k := slices.Index(nodes, n)
+			if k < 0 {
+				k = len(nodes)
+				nodes = append(nodes, n)
+			}
+			slots = append(slots, int32(k))
+		}
+		s.frontiers[kept].cuts, s.frontiers[kept].slots = f, slots[at:]
+		kept++
+	}
+	s.frontiers = s.frontiers[:kept]
+	s.cuts = make([]spaceCut, len(nodes))
+	for i, n := range nodes {
+		s.cuts[i].node = n
 	}
 	return s
+}
+
+// splittable reports whether buildPlan accepts the frontier under the empty
+// design: every leaf lies under a cut and no node above the cuts calls a
+// UDF.
+func splittable(n *logical.Node, frontier []*logical.Node) bool {
+	if slices.Contains(frontier, n) {
+		return true
+	}
+	if len(n.Children) == 0 || n.UsesUDFHere() {
+		return false
+	}
+	for _, c := range n.Children {
+		if !splittable(c, frontier) {
+			return false
+		}
+	}
+	return true
 }
 
 // CutIDs lists, sorted and without repeats, the id of every cut of every
 // frontier: the raw subtrees a choice may ask the result views about.
 func (s *PlanSpace) CutIDs() []uint64 {
-	var ids []uint64
-	for _, f := range s.frontiers {
-		for _, n := range f.cuts {
-			ids = append(ids, n.ID())
-		}
+	ids := make([]uint64, len(s.cuts))
+	for i := range s.cuts {
+		ids[i] = s.cuts[i].node.ID()
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
@@ -546,20 +632,21 @@ func (s *PlanSpace) Choose(d Design) (*MultiPlan, error) {
 // argmin is Cost's and Choose's one loop: it visits the plans in
 // EnumeratePlans' order, keeps the first of least total (strict <) and
 // returns the choice it costed in, the HV-only plan, the winning frontier
-// (-1: the HV-only plan) and its total. It re-costs only what the design's
-// views touch: a cut's HV side an HV view rewrote, and the DW remainder of
-// a frontier a DW view answers a cut of (remainder). Every frontier sums
-// as buildPlan and EstTotal do, the remainder's cost last.
+// (-1: the HV-only plan) and its total. Every frontier sums as buildPlan and
+// EstTotal do, the remainder's cost last: the plain one (plainRemainder)
+// when no DW view answers a cut, else the one under the design's DW views
+// (remainder).
 func (s *PlanSpace) argmin(d Design) (c *choice, hvOnly *MultiPlan, best int, total float64) {
 	o := s.o
-	c = newChoice(d, s.base)
-	hvOnly = o.hvOnlyPlan(s.raw, c)
+	c = newChoice(d)
+	hvOnly = o.hvOnlyPlan(s.raw, c, &s.whole)
 	best, total = -1, hvOnly.EstTotal()
-	for fi, f := range s.frontiers {
+	for fi := range s.frontiers {
+		f := &s.frontiers[fi]
 		var estHV, estTransfer float64
 		answered := false
-		for _, cutNode := range f.cuts {
-			ce := o.evalCut(cutNode, c)
+		for k, cutNode := range f.cuts {
+			ce := o.evalCut(cutNode, c, &s.cuts[f.slots[k]])
 			if ce.dwView != nil {
 				answered = true
 				continue
@@ -569,13 +656,15 @@ func (s *PlanSpace) argmin(d Design) (c *choice, hvOnly *MultiPlan, best int, to
 			}
 			estTransfer += ce.xfer
 		}
-		estDW := f.estDW
+		var estDW float64
 		if answered {
 			r := s.remainder(fi, c)
 			if !r.ok {
 				continue
 			}
 			estDW = r.estDW
+		} else {
+			estDW = s.plainRemainder(f, c)
 		}
 		if t := estHV + estTransfer + estDW; t < total {
 			best, total = fi, t
@@ -584,20 +673,27 @@ func (s *PlanSpace) argmin(d Design) (c *choice, hvOnly *MultiPlan, best int, to
 	return c, hvOnly, best, total
 }
 
+// plainRemainder is the frontier's DW remainder cost when every cut runs in
+// HV and migrates, costed the first time a choice needs it: its working
+// sets are sized by the cuts' design-independent estimates.
+func (s *PlanSpace) plainRemainder(f *spaceFrontier, c *choice) float64 {
+	f.fill.Do(func() { f.estDW, _ = s.costRemainder(f, c) })
+	return f.estDW
+}
+
 // remainder returns the DW remainder's cost of frontier fi under the
-// choice's DW views, building and costing it through buildPlan — the one
-// place a DW remainder is built — the first time the space meets its key.
-// It is remembered only if the DW store's set did not move meanwhile, so
-// the key's residency is what the index discount read. The lock guards
-// only the map: two workers that miss on one key both store one value.
+// choice's DW views, costed the first time the space meets its key. It is
+// remembered only if the DW store's set did not move meanwhile, so the
+// key's residency is what the index discount read. The lock guards only the
+// map: two workers that miss on one key both store one value.
 func (s *PlanSpace) remainder(fi int, c *choice) remainder {
-	cuts := s.frontiers[fi].cuts
+	f := &s.frontiers[fi]
 	key := remainderKey{frontier: fi}
 	live := s.o.dw.Views
 	at := live.Version()
-	keyed := len(cuts) <= len(key.dw)
+	keyed := len(f.cuts) <= len(key.dw)
 	if keyed {
-		for i, n := range cuts {
+		for i, n := range f.cuts {
 			if v := c.cuts[n].dwBy; v != nil {
 				key.dw[i] = v.Name
 				if live.Has(v.Name) {
@@ -613,9 +709,7 @@ func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 		}
 	}
 	var r remainder
-	if p, err := s.o.buildPlan(s.raw, cuts, c); err == nil {
-		r = remainder{estDW: p.EstDW, ok: true}
-	}
+	r.estDW, r.ok = s.costRemainder(f, c)
 	if keyed && live.Version() == at {
 		s.mu.Lock()
 		if s.remainders == nil {
@@ -625,4 +719,24 @@ func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 		s.mu.Unlock()
 	}
 	return r
+}
+
+// costRemainder costs the frontier's DW remainder under the choice's
+// evaluations of its cuts without building it (dw.Store.CostAbove): to the
+// bit what buildPlan's EstDW would be. It reports false where buildPlan
+// refuses the frontier: a DW view's rewrite of a cut calls a UDF.
+func (s *PlanSpace) costRemainder(f *spaceFrontier, c *choice) (float64, bool) {
+	var buf [len(tempNames)]dw.Stand
+	stands := buf[:0]
+	for k, n := range f.cuts {
+		switch ce := c.cuts[n]; {
+		case ce.dwView == nil:
+			stands = append(stands, dw.Stand{Name: tempName(k), ID: wsID(k), Stat: ce.st})
+		case ce.dwView.UsesUDF():
+			return 0, false
+		default:
+			stands = append(stands, dw.Stand{Node: ce.dwView})
+		}
+	}
+	return s.o.dw.CostAbove(s.raw, f.cuts, stands), true
 }

@@ -227,11 +227,13 @@ func TestDisableSplitsRestrictsToHVOnly(t *testing.T) {
 	}
 }
 
-// BenchmarkChooseWarm measures plan choice on a warm system: the design
-// MS-MISO holds after the 32-query workload (both stores populated by the
-// tuner), against which one iteration chooses a plan for every query of
-// the workload — split enumeration, view matching on every node of every
-// candidate, and costing.
+// BenchmarkChooseWarm measures fresh plan choices on a warm system: the
+// design MS-MISO holds after the 32-query workload (both stores populated
+// by the tuner), against which one iteration chooses a plan for every query
+// of the workload in a new plan space each — split enumeration, view
+// matching on every cut, each cut's and plain remainder's costing filled
+// once where the design's views leave them alone, the DW remainders its DW
+// views answer costed without being built, and the winner built.
 func BenchmarkChooseWarm(b *testing.B) {
 	sys, plans, _ := warmSystem(b)
 	opt, d := sys.Optimizer(), sys.Design()
@@ -329,6 +331,20 @@ func BenchmarkRecostWarm(b *testing.B) {
 	}
 }
 
+// mallocs counts the heap allocations of run over the n statements.
+func mallocs(t *testing.T, n int, run func(i int) error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestPlanSpaceRecostAllocs guards what keeping a statement's space saves:
 // over the 32 statements, choosing again in the spaces chosen in under the
 // warm design, after one DW view is swapped (swappedDesign), must allocate
@@ -341,22 +357,36 @@ func TestPlanSpaceRecostAllocs(t *testing.T) {
 	opt, warm := sys.Optimizer(), sys.Design()
 	swapped := swappedDesign(t, opt, warm, plans)
 	spaces := chosenSpaces(t, opt, plans, warm)
-	mallocs := func(run func(i int) error) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range plans {
-			if err := run(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	recost := mallocs(func(i int) error { _, err := spaces[i].Choose(swapped); return err })
-	fresh := mallocs(func(i int) error { _, err := opt.Choose(plans[i], swapped); return err })
+	recost := mallocs(t, len(plans), func(i int) error { _, err := spaces[i].Choose(swapped); return err })
+	fresh := mallocs(t, len(plans), func(i int) error { _, err := opt.Choose(plans[i], swapped); return err })
 	t.Logf("after a DW swap the 32 statements allocate %d times re-costed, %d chosen afresh", recost, fresh)
 	if 2*recost > fresh {
 		t.Errorf("a re-cost allocates %d times, more than half of a fresh choice's %d", recost, fresh)
+	}
+}
+
+// TestFreshChooseAllocs guards what a fresh plan choice costs against the
+// enumeration plan spaces replaced: over the 32 statements under the warm
+// design, Optimizer.Choose — a new space per statement, whose cuts and plain
+// remainders are costed when first needed and whose DW remainders are
+// costed without being built, the winner's aside — must allocate no more
+// than EnumeratePlans, which builds and costs every plan.
+func TestFreshChooseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sys, plans, _ := warmSystem(t)
+	opt, d := sys.Optimizer(), sys.Design()
+	choose := func(i int) error { _, err := opt.Choose(plans[i], d); return err }
+	enumerate := func(i int) error { opt.EnumeratePlans(plans[i], d); return nil }
+	// One pass of each first, so neither count holds the memo cells a
+	// plan's first costing fills.
+	mallocs(t, len(plans), choose)
+	mallocs(t, len(plans), enumerate)
+	fresh, all := mallocs(t, len(plans), choose), mallocs(t, len(plans), enumerate)
+	t.Logf("the 32 statements allocate %d times chosen afresh, %d enumerated", fresh, all)
+	if fresh > all {
+		t.Errorf("a fresh choice allocates %d times, more than the enumeration's %d", fresh, all)
 	}
 }
 

@@ -390,3 +390,76 @@ func TestPlanSpaceCostUnderDWMatches(t *testing.T) {
 	}
 	sameCost(t, "UDF-pinned plan, split refused under the design", f.opt, sp, top, d)
 }
+
+// TestPlanSpaceConcurrentFill shares one unfilled space per plan among four
+// goroutines that Cost and Choose in it under the empty, the warm, the
+// swapped (swappedDesign) and random designs, in list order and then
+// shuffled, so whichever goroutine gets to a cut or a frontier first fills
+// it while the others wait or read it (run under -race). Every answer must
+// be, in its bits and its Explain, what a fresh space answers alone.
+func TestPlanSpaceConcurrentFill(t *testing.T) {
+	sys, plans, universe := warmSystem(t)
+	o := sys.Optimizer()
+	warm := sys.Design()
+	designs := []optimizer.Design{optimizer.EmptyDesign(), warm, swappedDesign(t, o, warm, plans)}
+	rng := rand.New(rand.NewSource(47))
+	draw := func() []*views.View {
+		out := make([]*views.View, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = universe[rng.Intn(len(universe))]
+		}
+		return out
+	}
+	for i := 0; i < 4; i++ {
+		designs = append(designs, designOf(draw(), draw()))
+	}
+
+	type answer struct {
+		cost    uint64
+		explain string
+	}
+	for qi, raw := range plans {
+		want := make([]answer, len(designs))
+		for k, d := range designs {
+			mp, err := o.PlanSpace(raw).Choose(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = answer{math.Float64bits(o.PlanSpace(raw).Cost(d)), mp.Explain()}
+			if want[k].cost != math.Float64bits(mp.EstTotal()) {
+				t.Fatalf("query %d, design %d: Cost %v, Choose's plan %v", qi, k, math.Float64frombits(want[k].cost), mp.EstTotal())
+			}
+		}
+		sp := o.PlanSpace(raw)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				order := make([]int, len(designs))
+				for k := range order {
+					order[k] = k
+				}
+				order = append(order, rand.New(rand.NewSource(int64(g))).Perm(len(designs))...)
+				for _, k := range order {
+					if g%2 == 1 {
+						if got := math.Float64bits(sp.Cost(designs[k])); got != want[k].cost {
+							t.Errorf("query %d, design %d: shared space costs %v, alone %v", qi, k, math.Float64frombits(got), math.Float64frombits(want[k].cost))
+							return
+						}
+					}
+					mp, err := sp.Choose(designs[k])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := (answer{math.Float64bits(mp.EstTotal()), mp.Explain()}); got != want[k] {
+						t.Errorf("query %d, design %d: the shared space chose\n%s\nalone it chooses\n%s", qi, k, got.explain, want[k].explain)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}

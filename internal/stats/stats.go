@@ -131,12 +131,37 @@ func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat 
 	if s, ok := overlay[n.ID()]; ok {
 		return s
 	}
-	e.mu.RLock()
-	o, ok := e.cache[n.ID()]
-	e.mu.RUnlock()
-	if ok {
-		return o.stat
+	if s, ok := e.Lookup(n.ID()); ok {
+		return s
 	}
+	var l, r Stat
+	var in *storage.Schema
+	switch n.Kind {
+	case logical.KindScan, logical.KindExtract, logical.KindViewScan:
+	default:
+		l, in = e.EstimateWith(n.Children[0], overlay), n.Children[0].Schema()
+		if n.Kind == logical.KindJoin {
+			r = e.EstimateWith(n.Children[1], overlay)
+		}
+	}
+	return e.Derive(n, l, r, in)
+}
+
+// Lookup returns the stat the feedback cache holds for the subtree with the
+// given id.
+func (e *Estimator) Lookup(id uint64) (Stat, bool) {
+	e.mu.RLock()
+	o, ok := e.cache[id]
+	e.mu.RUnlock()
+	return o.stat, ok
+}
+
+// Derive is the estimate of a node the feedback cache holds nothing for,
+// from its children's estimates: l is the first child's (r a join's right
+// side's) and in the first child's schema, which a projection reads. Scan,
+// Extract and ViewScan read none of them. A caller that walks a plan bottom
+// up gets Estimate's answers from Lookup and Derive alone.
+func (e *Estimator) Derive(n *logical.Node, l, r Stat, in *storage.Schema) Stat {
 	var s Stat
 	switch n.Kind {
 	case logical.KindScan:
@@ -156,20 +181,14 @@ func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat 
 		}
 		s = Stat{Rows: base.Rows, Bytes: int64(float64(base.Bytes) * (0.1 + 0.75*frac))}
 	case logical.KindFilter:
-		child := e.EstimateWith(n.Children[0], overlay)
-		sel := Selectivity(n.Pred)
-		s = scale(child, sel)
+		s = scale(l, Selectivity(n.Pred))
 	case logical.KindProject:
-		child := e.EstimateWith(n.Children[0], overlay)
-		inCols := n.Children[0].Schema().Len()
-		frac := float64(len(n.Projs)) / float64(maxInt(inCols, 1))
+		frac := float64(len(n.Projs)) / float64(maxInt(in.Len(), 1))
 		if frac > 1.5 {
 			frac = 1.5
 		}
-		s = Stat{Rows: child.Rows, Bytes: int64(float64(child.Bytes) * frac)}
+		s = Stat{Rows: l.Rows, Bytes: int64(float64(l.Bytes) * frac)}
 	case logical.KindJoin:
-		l := e.EstimateWith(n.Children[0], overlay)
-		r := e.EstimateWith(n.Children[1], overlay)
 		// Foreign-key style heuristic: output near the larger input.
 		rows := maxInt64(l.Rows, r.Rows)
 		if n.JoinType == logical.JoinLeft && l.Rows > rows {
@@ -178,13 +197,12 @@ func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat 
 		width := l.AvgRowBytes() + r.AvgRowBytes()
 		s = Stat{Rows: rows, Bytes: rows * maxInt64(width, 8)}
 	case logical.KindAggregate:
-		child := e.EstimateWith(n.Children[0], overlay)
 		var rows int64 = 1
 		if len(n.GroupBy) > 0 {
 			// Group count grows sublinearly with input size.
-			rows = int64(math.Pow(float64(maxInt64(child.Rows, 1)), 0.67))
-			if rows > child.Rows {
-				rows = child.Rows
+			rows = int64(math.Pow(float64(maxInt64(l.Rows, 1)), 0.67))
+			if rows > l.Rows {
+				rows = l.Rows
 			}
 			if rows < 1 {
 				rows = 1
@@ -193,14 +211,12 @@ func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat 
 		width := int64(16 * (len(n.GroupBy) + len(n.Aggs)))
 		s = Stat{Rows: rows, Bytes: rows * width}
 	case logical.KindDistinct:
-		child := e.EstimateWith(n.Children[0], overlay)
-		s = scale(child, 0.5)
+		s = scale(l, 0.5)
 	case logical.KindSort:
-		s = e.EstimateWith(n.Children[0], overlay)
+		s = l
 	case logical.KindLimit:
-		child := e.EstimateWith(n.Children[0], overlay)
-		rows := minInt64(int64(n.LimitN), child.Rows)
-		s = Stat{Rows: rows, Bytes: rows * maxInt64(child.AvgRowBytes(), 8)}
+		rows := minInt64(int64(n.LimitN), l.Rows)
+		s = Stat{Rows: rows, Bytes: rows * maxInt64(l.AvgRowBytes(), 8)}
 	case logical.KindViewScan:
 		// Unrecorded views (hypothetical) fall back to a token size.
 		s = Stat{Rows: 1000, Bytes: 64 * 1000}
