@@ -73,8 +73,10 @@ bench: microbench
 # choice on a warm design and a kept plan space's re-cost after a DW view
 # swap (BenchmarkRecostWarm), the knapsack DP, the exec operators, DW's plans
 # over small views (BenchmarkSmallViewPlan), an HV job's map side, a whole
-# HV query, an append that maintains the views over its log and two
-# sessions querying one warm system (BenchmarkServedTwoSessions, its p95))
+# HV query, an append that maintains the views over its log, and one and two
+# sessions querying one warm system (BenchmarkServedTwoSessions/sessions=1
+# and /sessions=2: their p95 and q-per-s, whose ratio is the two-session
+# scaleup))
 # and, with them, the allocation guards (TestSmallViewPlanAllocs,
 # TestReadPhaseHitAllocs, TestPlanSpaceRecostAllocs and TestFreshChooseAllocs
 # among them),

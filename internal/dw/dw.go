@@ -1,10 +1,9 @@
 // Package dw simulates the parallel data warehouse: a hash-partitioned
 // RDBMS with far better query performance than HV once data is loaded.
-// The store has two table spaces: permanent space holds the DW side of the
-// multistore design (views placed by the tuner), temporary space holds
-// working sets migrated during query execution, discarded when the query
-// ends. DW cannot execute UDFs. Cost is modeled as a small per-query
-// startup plus bytes processed through high per-node throughput — the
+// Permanent space holds the DW side of the multistore design (views placed
+// by the tuner); the working sets a query migrates are staged for its own
+// executions only. DW cannot execute UDFs. Cost is modeled as a small
+// per-query startup plus bytes processed through high per-node throughput — the
 // asymmetry against HV that drives every result in the paper.
 package dw
 
@@ -12,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -55,11 +55,12 @@ type Result struct {
 	Seconds float64
 }
 
-// Store is the DW instance. Temporary table space is guarded by an
-// internal mutex so the serving layer's observers race neither with
-// staging nor with the end-of-query cleanup; the Views set is internally
-// locked itself, and reassignment of the Views field is serialized by the
-// multistore system's mutex.
+// Store is the DW instance. A query's working sets reach each of its
+// executions as its staged tables (BeginExecute), so two queries that name
+// theirs alike never meet; the mutex-guarded temp space serves callers
+// that stage by name and run ExecuteContext (the benchmark's replay
+// probe). The Views set is internally locked; reassignment of the Views
+// field is serialized by the multistore system's mutex.
 type Store struct {
 	// workers bounds the execution engine's worker pool (exec.Env.Workers):
 	// 0 means GOMAXPROCS. Results are byte-identical at every setting.
@@ -82,41 +83,29 @@ func NewStore(est *stats.Estimator, workers int) *Store {
 	return &Store{workers: workers, est: est, Views: views.NewSet(), temp: map[string]*storage.Table{}}
 }
 
-// StageTemp registers a migrated working set under the given name in
-// temporary table space (not part of the physical design). Its statistic is
-// not recorded: the optimizer costs every working-set scan from its own
-// plan-local overlay, so nothing would read it.
+// StageTemp registers a working set under the given name in temporary
+// table space (not part of the physical design), where ExecuteContext reads
+// it.
 func (s *Store) StageTemp(name string, t *storage.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.temp[name] = t
 }
 
-// ClearTemp discards all temporary tables (end of query).
+// ClearTemp discards all temporary tables.
 func (s *Store) ClearTemp() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.temp = map[string]*storage.Table{}
 }
 
-// staged reports whether name is a table in temporary space.
-func (s *Store) staged(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.temp[name]
-	return ok
-}
-
-// Resolve finds a table by view name in permanent then temporary space.
-func (s *Store) Resolve(name string) (*storage.Table, error) {
+// resolve finds a table by view name in permanent space, then among staged.
+func (s *Store) resolve(name string, staged map[string]*storage.Table) (*storage.Table, error) {
 	if v, ok := s.Views.Get(name); ok {
 		return v.Table, nil
 	}
-	s.mu.Lock()
-	t, ok := s.temp[name]
-	s.mu.Unlock()
-	if ok {
-		return t, nil
+	if ws, ok := staged[name]; ok {
+		return ws, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 }
@@ -129,29 +118,57 @@ func (s *Store) SetExecStats(st *exec.Stats) { s.execStats = st }
 // injector, separate from the store-level one (see hv.Store.SetExecFaults).
 func (s *Store) SetExecFaults(inj *faults.Injector) { s.execInj = inj }
 
-// Env returns the execution environment. DW has no raw logs: plans must
-// bottom out in ViewScans over permanent views or staged temp tables.
-func (s *Store) Env() *exec.Env {
+// env returns the execution environment over permanent space and staged.
+// DW has no raw logs: plans must bottom out in ViewScans over either.
+func (s *Store) env(staged map[string]*storage.Table) *exec.Env {
 	return &exec.Env{
 		ReadLog: func(name string) (*storage.LogFile, error) {
 			return nil, fmt.Errorf("%w: cannot scan raw log %q", ErrNoBaseLogs, name)
 		},
-		ReadView: s.Resolve,
+		ReadView: func(name string) (*storage.Table, error) { return s.resolve(name, staged) },
 		Workers:  s.workers,
 		Stats:    s.execStats,
 		Inj:      s.execInj,
 	}
 }
 
-// ExecuteContext runs a subplan entirely inside DW; the plan must be
-// UDF-free and leaf only on resolvable views/temp tables. It abandons the
-// plan at the next operator boundary once ctx is done (the error then wraps
-// ctx.Err()). Execution memory is charged to the ledger ctx carries, if any.
+// ExecuteContext runs a subplan entirely inside DW over permanent and
+// temporary space: BeginExecute with the temp space staged, then Commit.
 func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result, error) {
+	s.mu.Lock()
+	temp := maps.Clone(s.temp)
+	s.mu.Unlock()
+	p, err := s.BeginExecute(ctx, plan, temp)
+	if err != nil {
+		return nil, err
+	}
+	return p.Commit(), nil
+}
+
+// Pending is a DW execution whose compute has finished but whose
+// bookkeeping — statistics records and simulated-time costing — has not
+// been performed: a Pending that is dropped leaves the store as it was.
+type Pending struct {
+	s      *Store
+	plan   *logical.Node
+	staged map[string]*storage.Table
+	run    *exec.PlanResult
+}
+
+// Table returns the computed result table (available before Commit).
+func (p *Pending) Table() *storage.Table { return p.run.Root }
+
+// BeginExecute runs only the compute of a subplan inside DW: the plan must
+// be UDF-free and leaf only on permanent views or on staged, the working
+// sets migrated for this execution. It abandons the plan at the next
+// operator boundary once ctx is done (the error then wraps ctx.Err()), and
+// charges execution memory to the ledger ctx carries, if any. It draws no
+// fault and writes no store state.
+func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node, staged map[string]*storage.Table) (*Pending, error) {
 	if plan.UsesUDF() {
 		return nil, ErrUDF
 	}
-	env := s.Env()
+	env := s.env(staged)
 	env.Ctx = ctx
 	env.Mem = govern.LedgerFrom(ctx)
 	// Only the root's table is needed: everything under it pipelines.
@@ -159,12 +176,22 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}
-	// Nothing that reads a working set is recorded (see StageTemp): they are
-	// named by cut position, so two statements share the ids of the nodes
-	// over ws_0, and each would store its truth over the other's.
+	return &Pending{s: s, plan: plan, staged: staged, run: run}, nil
+}
+
+// Commit performs the execution's bookkeeping in the caller's serialized
+// flow: it records the observed statistics and costs the plan from the
+// sizes it measured. ExecuteContext is BeginExecute + Commit.
+func (p *Pending) Commit() *Result {
+	s, run := p.s, p.run
+	// Nothing that reads a working set is recorded: they are named by cut
+	// position, so two statements share the ids of the nodes over ws_0, and
+	// each would store its truth over the other's. The optimizer costs every
+	// working-set scan from its own plan-local overlay.
 	var record func(n *logical.Node) (readsStaged bool)
 	record = func(n *logical.Node) bool {
-		reads := n.Kind == logical.KindViewScan && s.staged(n.ViewName)
+		_, reads := p.staged[n.ViewName]
+		reads = reads && n.Kind == logical.KindViewScan
 		for _, c := range n.Children {
 			reads = record(c) || reads
 		}
@@ -173,9 +200,9 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 		}
 		return reads
 	}
-	record(plan)
-	sec := s.costFromSizes(plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
-	return &Result{Table: run.Root, Seconds: sec}, nil
+	record(p.plan)
+	sec := s.costFromSizes(p.plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
+	return &Result{Table: run.Root, Seconds: sec}
 }
 
 // CostPlanWith estimates execution time without running the plan (what-if

@@ -2,6 +2,7 @@ package dw_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -109,32 +110,67 @@ func TestTempSpaceLifecycle(t *testing.T) {
 		storage.Column{Name: "x", Type: storage.KindInt}))
 	tbl.MustAppend(storage.Row{storage.IntValue(1)})
 	f.dw.StageTemp("ws_0", tbl)
-	if _, err := f.dw.Resolve("ws_0"); err != nil {
-		t.Fatalf("temp not resolvable: %v", err)
-	}
 	scan := logical.NewViewScan("ws_0", tbl.Schema)
 	res, err := f.dw.ExecuteContext(context.Background(), scan)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("temp not resolvable: %v", err)
 	}
 	if res.Table.NumRows() != 1 {
 		t.Error("temp table content lost")
 	}
 	f.dw.ClearTemp()
-	if _, err := f.dw.Resolve("ws_0"); err == nil {
-		t.Error("temp survived ClearTemp")
+	if _, err := f.dw.ExecuteContext(context.Background(), scan); !errors.Is(err, dw.ErrNoSuchTable) {
+		t.Errorf("temp survived ClearTemp: %v", err)
+	}
+}
+
+// TestStagedWorkingSetsBelongToOneExecution: BeginExecute reads the working
+// sets it is handed and nothing another caller staged; Commit records no
+// statistic over them.
+func TestStagedWorkingSetsBelongToOneExecution(t *testing.T) {
+	f := setup(t)
+	tbl := storage.NewTable("ws", storage.MustSchema(
+		storage.Column{Name: "x", Type: storage.KindInt}))
+	tbl.MustAppend(storage.Row{storage.IntValue(1)})
+	scan := logical.NewViewScan("ws_0", tbl.Schema)
+	p, err := f.dw.BeginExecute(context.Background(), scan, map[string]*storage.Table{"ws_0": tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Table().NumRows() != 1 {
+		t.Error("staged table content lost")
+	}
+	at := f.est.Version()
+	if res := p.Commit(); res.Table != p.Table() || res.Seconds <= 0 {
+		t.Errorf("commit answered %v in %vs", res.Table, res.Seconds)
+	}
+	if f.est.Version() != at {
+		t.Error("the commit recorded a statistic over a staged working set")
+	}
+	if _, err := f.dw.ExecuteContext(context.Background(), scan); !errors.Is(err, dw.ErrNoSuchTable) {
+		t.Errorf("a staged working set resolves in the store's temp space: %v", err)
+	}
+	if _, err := f.dw.BeginExecute(context.Background(), scan, nil); !errors.Is(err, dw.ErrNoSuchTable) {
+		t.Errorf("an execution read a working set staged for another: %v", err)
 	}
 }
 
 func TestPermanentShadowsNothingAndResolveOrder(t *testing.T) {
 	f := setup(t)
 	v := f.loadView(t, "SELECT checkin_id FROM checkins WHERE category = 'bar'")
-	got, err := f.dw.Resolve(v.Name)
-	if err != nil || got != v.Table {
+	// A staged table of the same name does not shadow the permanent view.
+	other := storage.NewTable("ws", v.Table.Schema)
+	scan := logical.NewViewScan(v.Name, v.Table.Schema)
+	p, err := f.dw.BeginExecute(context.Background(), scan, map[string]*storage.Table{v.Name: other})
+	if err != nil {
 		t.Fatalf("permanent resolve failed: %v", err)
 	}
-	if _, err := f.dw.Resolve("missing"); err == nil {
-		t.Error("missing name resolved")
+	if p.Table().NumRows() != v.Table.NumRows() {
+		t.Errorf("read %d rows, want the permanent view's %d", p.Table().NumRows(), v.Table.NumRows())
+	}
+	missing := logical.NewViewScan("missing", v.Table.Schema)
+	if _, err := f.dw.BeginExecute(context.Background(), missing, nil); !errors.Is(err, dw.ErrNoSuchTable) {
+		t.Errorf("missing name resolved: %v", err)
 	}
 }
 

@@ -25,11 +25,14 @@ const cacheRounds = 3
 
 // cacheRows is the reuse-off twin and the reuse-on row, 4 sessions by
 // default (-sessions). All sessions walk the workload in the same order,
-// so identical queries arrive together; queries run one at a time, so
-// each overlapping repeat is a cache hit too. Automatic reorganization is
-// off on both so the two run the same schedule against a stable design;
-// the reuse-on row then reorganizes through the drain barrier, and the
-// reorganization clears the result views first thing.
+// so identical queries arrive together; with reuse on a statement's copies
+// take turns, so each overlapping repeat is a cache hit too. The reuse-off
+// twin serves through one worker: its baseline is cold execution one query
+// at a time, so the speedup is what reuse saves, not what two rows
+// computing side by side to different degrees would add to it. Automatic
+// reorganization is off on both so the two run the same schedule against a
+// stable design; the reuse-on row then reorganizes through the drain
+// barrier, and the reorganization clears the result views first thing.
 func cacheRows(c Config, sh Shape) (layout, []row, error) {
 	sessions := orDefault(sh.Sessions, 4)
 	sqls := workload.SQLs()
@@ -53,6 +56,9 @@ func cacheRows(c Config, sh Shape) (layout, []row, error) {
 			}}},
 		}
 	}
+	off := twin("reuse-off", false)
+	off.desc += ", one worker"
+	off.serve = serve.Config{Workers: 1, QueueDepth: sessions}
 	on := twin("reuse-on", true)
 	on.twin = "reuse-off"
 	on.phases = append(on.phases, phase{name: "reorg", reorg: true})
@@ -72,5 +78,5 @@ func cacheRows(c Config, sh Shape) (layout, []row, error) {
 		before, after := o.Phases[0].CacheEntries, o.Phases[1].CacheEntries
 		return before > 0 && after == 0, fmt.Sprintf("drain-barrier reorganization took the cache from %d to %d entries", before, after)
 	}})
-	return layout{title: fmt.Sprintf("cache soak (%s)", c.host())}, []row{twin("reuse-off", false), on}, nil
+	return layout{title: fmt.Sprintf("cache soak (%s)", c.host())}, []row{off, on}, nil
 }

@@ -215,7 +215,11 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node, seq int)
 // whose bookkeeping — statistics records, simulated-time costing, fault
 // replay, opportunistic view capture — has not been performed. Computing
 // publishes no state: a Pending that is simply dropped leaves the store
-// byte-identical to one that never ran.
+// byte-identical to one that never ran. A served query computes its HV
+// steps this way before the system lock and commits them under it, in the
+// order a serial run would, so everything Commit does reads the store as
+// the commit finds it; the caller keeps a Pending only while the views the
+// plan reads are the ones its compute read.
 type Pending struct {
 	s *Store
 	// run holds the tables of the materialized nodes only, and the

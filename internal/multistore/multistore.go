@@ -2,7 +2,7 @@
 // paper — catalog, HV and DW stores, transfer layer, multistore query
 // optimizer, history window, and MISO tuner — and implements the execution
 // layer that runs multistore plans (executing HV parts, migrating working
-// sets into DW temp space, resuming in DW) plus every system variant the
+// sets into DW, resuming in DW over them) plus every system variant the
 // evaluation compares: HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-MISO, MS-OFF,
 // MS-LRU, and MS-ORA. Every query takes one path (query.go): a prologue,
 // the HV step, the cut migration and one booking, with the variants as
@@ -259,12 +259,13 @@ func (r *QueryReport) Total() float64 {
 // System is one running multistore instance. Methods that mutate state
 // (Run, Reorganize, AppendToLog, ProvideFutureWorkload) are
 // serialized by an internal mutex, so a System is safe to share across
-// goroutines; queries still execute one at a time, as in the paper's
+// goroutines; queries still commit one at a time, as in the paper's
 // single-stream evaluation, and only a query's read phase — building its
-// plan, finding its result view, choosing its plan — runs beside another
-// (query.go). Every field below is shared state guarded by mu, but for the
-// plan cache, which has its own lock: what belongs to one query — its
-// context, report and memory ledger — travels in a query value (query.go),
+// plan, finding its result view, choosing its plan, computing the plan's
+// steps that scan no raw log — runs beside another (query.go). Every field
+// below is shared state guarded by mu, but for the plan cache, which has
+// its own lock: what belongs to one query — its context, report, memory
+// ledger and migrated working sets — travels in a query value (query.go),
 // never here.
 type System struct {
 	mu      sync.Mutex
@@ -328,6 +329,8 @@ type System struct {
 
 	// plans is the plan cache (choose, readAhead), under its own lock.
 	plans planCache
+	// running admits one query of a statement at a time, reuse on (query.go).
+	running running
 }
 
 // ReorgRecord summarizes one reorganization phase.
@@ -395,6 +398,8 @@ func New(cfg Config, cat *storage.Catalog) *System {
 		return d.Views.Has(name) || s.tombstoned(name)
 	})
 	if cfg.Reuse.Enabled {
+		s.running.left.L = &s.running.mu
+		s.running.n = map[*logical.Node]bool{}
 		// Costing sees the result views through the design (design()): a
 		// cut whose subresult is held costs no HV time, steering plan
 		// choice toward reuse. The set is cleared at reorg start, and the

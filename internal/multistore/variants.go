@@ -23,9 +23,9 @@ import (
 func (s *System) runVariant(q *query) error {
 	switch s.cfg.Variant {
 	case VariantHVOnly:
-		return s.runInHV(q, q.entry.Plan)
+		return s.runInHV(q, q.entry.Plan, nil)
 	case VariantHVOp:
-		return s.runInHV(q, optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views))
+		return s.runInHV(q, optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views), nil)
 	case VariantDWOnly:
 		return s.runDWOnly(q)
 	case VariantMSBasic:
@@ -129,10 +129,11 @@ func (s *System) runDWOnly(q *query) error {
 	if hasRawScan(plan) {
 		return fmt.Errorf("multistore: DW-ONLY query %d not covered by the ETL'd data", q.entry.Seq)
 	}
-	res, err := s.dw.ExecuteContext(q.ctx, plan)
+	p, err := s.dw.BeginExecute(q.ctx, plan, nil)
 	if err != nil {
 		return s.failedIn(q, "DW", err)
 	}
+	res := p.Commit()
 	// DW-ONLY has no other store to degrade to: injected query failures
 	// retry in place and exhaustion fails the query.
 	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", res.Seconds, &q.rep.Retries, &q.rep.RecoverySeconds); err != nil {
@@ -408,11 +409,13 @@ func countOps(plan *logical.Node) int {
 
 // hasRawScan reports whether the plan still reads raw logs.
 func hasRawScan(plan *logical.Node) bool {
-	found := false
-	plan.Walk(func(n *logical.Node) {
-		if n.Kind == logical.KindScan || n.Kind == logical.KindExtract {
-			found = true
+	if plan.Kind == logical.KindScan || plan.Kind == logical.KindExtract {
+		return true
+	}
+	for _, c := range plan.Children {
+		if hasRawScan(c) {
+			return true
 		}
-	})
-	return found
+	}
+	return false
 }

@@ -457,9 +457,12 @@ func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 }
 
 // Choose returns the cheapest multistore plan for the query under the
-// design.
+// design, chosen in a space of its own that remembers no DW remainder: it
+// is chosen in once.
 func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
-	return o.PlanSpace(raw).Choose(d)
+	s := o.PlanSpace(raw)
+	s.once = true
+	return s.Choose(d)
 }
 
 // PlanSpace is the design-independent half of costing one query: its split
@@ -470,10 +473,11 @@ func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
 // DW remainder cost when no DW view answers a cut. All of it is a function
 // of the plan and the estimator alone, so one space serves every design the
 // query is costed or chosen under until the estimator's Version moves (a log
-// append moves it too). Beside that, a space remembers the DW remainder's
-// cost of every frontier a design's DW views answered (remainderKey). No
-// remainder is built to be costed: dw.Store.CostAbove walks the raw nodes
-// above the cuts, and only the winning plan is built.
+// append moves it too). Beside that, a space chosen in more than once
+// remembers the DW remainder's cost of every frontier a design's DW views
+// answered (remainderKey). No remainder is built to be costed:
+// dw.Store.CostAbove walks the raw nodes above the cuts, and only the
+// winning plan is built.
 //
 // Concurrency contract: building a space and Cost and Choose on it are pure
 // reads of the stores, the estimator and the design — no stats recorded, no
@@ -497,6 +501,9 @@ type PlanSpace struct {
 	whole     spaceCut   // raw, which the HV-only plan runs
 	cuts      []spaceCut // every distinct cut node of the frontiers once
 	frontiers []spaceFrontier
+	// once marks a space chosen in once (Optimizer.Choose): nothing would
+	// read a remembered remainder again.
+	once bool
 
 	mu         sync.Mutex
 	remainders map[remainderKey]remainder
@@ -684,14 +691,15 @@ func (s *PlanSpace) plainRemainder(f *spaceFrontier, c *choice) float64 {
 // remainder returns the DW remainder's cost of frontier fi under the
 // choice's DW views, costed the first time the space meets its key. It is
 // remembered only if the DW store's set did not move meanwhile, so the
-// key's residency is what the index discount read. The lock guards only the
-// map: two workers that miss on one key both store one value.
+// key's residency is what the index discount read, and never in a space
+// chosen in once. The lock guards only the map: two workers that miss on
+// one key both store one value.
 func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 	f := &s.frontiers[fi]
 	key := remainderKey{frontier: fi}
 	live := s.o.dw.Views
 	at := live.Version()
-	keyed := len(f.cuts) <= len(key.dw)
+	keyed := !s.once && len(f.cuts) <= len(key.dw)
 	if keyed {
 		for i, n := range f.cuts {
 			if v := c.cuts[n].dwBy; v != nil {
