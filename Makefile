@@ -35,8 +35,8 @@ loc:
 # traffic reports what the programs we ship actually execute: the two CLIs
 # and the end-to-end benchmark are built with coverage counters on every
 # miso package, run over the paper's figures, every extension mode (the
-# tuner ablations among them), one warmed query with reuse, checkpoints and
-# the audit on,
+# tuner ablations among them), one warmed query with reuse, checkpoints
+# and the audit on and its plan printed (-explain),
 # and all five benchmark workloads (traced and untraced), and the merged
 # counters are printed as the functions never entered and the unreached
 # statements per file. It is the measurement a simplicity PR's "no traffic" claim is read
@@ -51,7 +51,7 @@ traffic:
 	{ export GOCOVERDIR="$$d/cov"; \
 	  "$$d/misobench" -all -scale small; \
 	  "$$d/misobench" -mode ablate,chaos,crash,benchgov,serve,scenarios,cache,endurance -scale small; \
-	  "$$d/misoquery" -name A3v2 -warm -reuse -checkpointevery 4 -audit; \
+	  "$$d/misoquery" -name A3v2 -warm -reuse -checkpointevery 4 -audit -explain; \
 	  "$$d/bench" -quick -trace both -tracedir "$$d/trace"; } >"$$d/run.log" 2>&1; \
 	$(GO) tool covdata textfmt -i="$$d/cov" -o "$$d/all.txt" && \
 	grep -v '^miso/bench/' "$$d/all.txt" >"$$d/cover.txt" && \

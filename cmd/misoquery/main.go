@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 
-	"miso/internal/logical"
 	"miso/internal/workload"
 	"miso/miso"
 )
@@ -29,7 +28,7 @@ func main() {
 	scale := flag.String("scale", "small", "dataset scale: paper or small")
 	warm := flag.Bool("warm", false, "run the preceding workload queries first (warms views)")
 	maxRows := flag.Int("rows", 10, "max result rows to print")
-	explain := flag.Bool("explain", false, "print the chosen multistore plan before running")
+	explain := flag.Bool("explain", false, "print the multistore plan the variant runs before running")
 	faultRate := flag.Float64("faultrate", 0, "uniform fault-injection rate (0 disables the fault plane)")
 	faultSeed := flag.Int64("faultseed", 42, "seed for the deterministic fault injector")
 	tenant := flag.String("tenant", "", "tenant id the query is submitted as (surfaces per-tenant admission counters)")
@@ -101,18 +100,12 @@ func main() {
 	}
 
 	if *explain {
-		plan, err := logical.NewBuilder(sys.Catalog()).BuildSQL(query)
+		text, err := sys.Explain(query)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		mp, err := sys.Optimizer().Choose(plan, sys.Design())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(mp.Explain())
-		fmt.Println()
+		fmt.Println(text)
 	}
 
 	// Per-operator wall-clock counters for this query alone: attached

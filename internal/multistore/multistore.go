@@ -5,8 +5,9 @@
 // sets into DW, resuming in DW over them) plus every system variant the
 // evaluation compares: HV-ONLY, DW-ONLY, MS-BASIC, HV-OP, MS-MISO, MS-OFF,
 // MS-LRU, and MS-ORA. Every query takes one path (query.go): a prologue,
-// the HV step, the cut migration and one booking, with the variants as
-// pre- and post-steps around it (variants.go). All times are simulated
+// the plan the variant runs (planFor, plancache.go), one executor for it
+// (the HV step, the cut migration, the DW remainder) and one booking, with
+// the variants as pre- and post-steps around it (variants.go). All times are simulated
 // seconds, summed into the query's report and from there into the TTI
 // breakdown.
 package multistore
@@ -363,9 +364,6 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	h := hv.NewStore(cat, est, cfg.ExecWorkers)
 	d := dw.NewStore(est, cfg.ExecWorkers)
 	opt := optimizer.New(h, d, est)
-	if cfg.Variant == VariantHVOnly || cfg.Variant == VariantHVOp {
-		opt.DisableSplits = true
-	}
 	retry := cfg.Retry.OrDefault()
 	inj := faults.NewInjector(cfg.Faults, cfg.FaultSeed) // nil for an all-zero profile
 	h.SetFaults(inj, retry)
@@ -499,8 +497,10 @@ func (s *System) ProvideFutureWorkload(sqls []string) error {
 	return nil
 }
 
-// Explain plans (but does not run) a query against the current design and
-// returns a human-readable description of the chosen multistore plan.
+// Explain plans (but does not run) a query as the variant would run it now
+// and returns a human-readable description of that multistore plan: the
+// plan source a query's commit asks (choose). It runs no pre-step: a
+// reorganization, ETL or offline design still due moves what a run plans.
 func (s *System) Explain(sql string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,7 +508,7 @@ func (s *System) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mp, err := s.choose(plan, s.design(), nil)
+	mp, err := s.choose(plan, &ahead{route: s.cfg.Variant})
 	if err != nil {
 		return "", err
 	}
@@ -533,23 +533,26 @@ func (s *System) Run(sql string) (*QueryReport, error) {
 // govern.ErrInternal, counted in PanicsContained). With a background
 // context and no memory limits, RunContext is byte-identical to Run.
 //
-// With the reuse plane enabled (Config.Reuse), a query may instead be
-// answered from a result view, which books a zero-cost report whose table
-// is checksum-verified before it is served. Queries commit one at a time, so
-// a repeat that arrives while its first copy executes is answered, at its
-// commit, by the view that copy left. A cache hit never triggers a
-// reorganization — it touches neither store — so tuned variants reorganize
-// on misses and via Reorganize.
+// The query runs the plan Explain prints for the variant, planned before
+// the system lock and committed under it (submit). With the reuse plane
+// enabled (Config.Reuse), a query may instead be answered from a result
+// view, which books a zero-cost report whose table is checksum-verified
+// before it is served. Queries commit one at a time, so a repeat that
+// arrives while its first copy executes is answered, at its commit, by the
+// view that copy left. A cache hit never triggers a reorganization — it
+// touches neither store — so tuned variants reorganize on misses and via
+// Reorganize.
 func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, false)
 }
 
-// RunDegraded is the forced HV-only entry point: it executes the query
-// entirely in HV regardless of variant. HV always holds the base logs, so
-// any query can complete on this path. Opportunistic by-products are
-// retained as usual and the execution time is charged to HVEXE: it is
-// productive work, not recovery. Reorganization is never triggered from
-// this path.
+// RunDegraded is the forced HV-only entry point: it runs HV-OP's plan (the
+// whole query in HV over HV's views) regardless of variant, down
+// RunContext's path but for the result-view probe and the variant's pre-
+// and post-steps. HV always holds the base logs, so any query can complete
+// on this path. By-products are kept as they are, the execution time is
+// charged to HVEXE (productive work, not recovery), and no reorganization
+// is triggered from this path.
 func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, error) {
 	return s.submit(ctx, sql, true)
 }

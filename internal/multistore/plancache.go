@@ -1,6 +1,7 @@
 package multistore
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -84,52 +85,82 @@ func (s *System) keepPlan(plan *logical.Node, e *planEntry) {
 	c.plans[plan] = e
 }
 
-// planHit, when set, sees every plan choose hands out without choosing it
-// under s.mu: a kept plan, or (fresh) one the read phase chose. Tests arm
-// it to hold such plans to a fresh Choose; it is nil otherwise.
-var planHit func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan, fresh bool)
+// planHit, when set, sees every plan choose hands out without planning it
+// under s.mu — a kept plan, or (fresh) one the read phase planned — with
+// the route it was planned for. Tests arm it to hold such plans to a fresh
+// Choose; it is nil otherwise.
+var planHit func(s *System, plan *logical.Node, route Variant, mp *optimizer.MultiPlan, fresh bool)
 
-// planDropped, when set, sees every plan the read phase chose that choose
-// does not hand out: something the choice read moved before the commit.
+// planDropped, when set, sees every plan the read phase planned that choose
+// does not hand out: something the plan read moved before the commit.
 // Tests arm it to count wasted read-phase choices; it is nil otherwise.
 var planDropped func(s *System, plan *logical.Node)
 
-// choose is Optimizer.Choose behind the plan cache, at a query's commit or
-// for Explain. Choose is a pure function of the plan (one pointer per
-// statement text), the design and what versions() counts, so a plan chosen
-// under the system's design is handed out while nothing it read has
-// changed: the read phase's plan while the tuple is still the one it read
-// (one compare), else the kept entry while holds passes, else a choice made
-// here — the conflict path — in the kept space while the estimator stands,
-// else in a new one. Another design (MS-BASIC's empty one) is planned
-// afresh. a is the query's read phase, nil for Explain. Callers hold s.mu.
-func (s *System) choose(plan *logical.Node, d optimizer.Design, a *ahead) (*optimizer.MultiPlan, error) {
-	if d != s.design() {
-		return s.opt.Choose(plan, d)
-	}
+// choose hands a query's commit, or Explain, the plan planFor gives for the
+// route a names: the read phase's plan while versions() is still the tuple
+// it read (one compare), else planFor's under the lock — the conflict path.
+// a is the query's read phase (for Explain, one that planned nothing).
+// Callers hold s.mu.
+func (s *System) choose(plan *logical.Node, a *ahead) (*optimizer.MultiPlan, error) {
 	v := s.versions()
-	if a != nil && a.mp != nil && a.ver == v {
+	if a.mp != nil && a.ver == v {
 		if planHit != nil {
-			planHit(s, plan, d, a.mp, a.fresh)
+			planHit(s, plan, a.route, a.mp, a.fresh)
 		}
 		return a.mp, nil
 	}
-	if a != nil && a.fresh && planDropped != nil {
+	if a.fresh && planDropped != nil {
 		planDropped(s, plan)
 	}
-	mp, from := s.keptPlan(plan, v)
-	if mp != nil {
-		if planHit != nil {
-			planHit(s, plan, d, mp, false)
+	mp, fresh, err := s.planFor(plan, a.route, v)
+	if err == nil && !fresh && planHit != nil {
+		planHit(s, plan, a.route, mp, false)
+	}
+	return mp, err
+}
+
+// planFor is the one plan source. The plan it returns is a function of the
+// plan (one pointer per statement text), the route — the system's variant,
+// or HV-OP on the degraded route — and what v, read before it, counts;
+// fresh says it planned the plan here rather than found it kept.
+// HV-ONLY, HV-OP (hvOpPlan) and DW-ONLY build theirs by rule: no plan space,
+// no cost. MS-BASIC chooses under the empty design and the result views,
+// never under the HV by-products an abandoned query leaves. The others ask
+// the plan cache: the plan kept while it holds under v, else a choice
+// against a snapshot of the design (choosePlan), kept. It takes no lock
+// but the sets', the estimator's and the plan cache's own.
+func (s *System) planFor(plan *logical.Node, route Variant, v planVersions) (*optimizer.MultiPlan, bool, error) {
+	switch route {
+	case VariantHVOnly:
+		return &optimizer.MultiPlan{HVOnly: true, HVPlan: plan}, true, nil
+	case VariantHVOp:
+		return s.hvOpPlan(plan), true, nil
+	case VariantDWOnly:
+		return &optimizer.MultiPlan{DWPart: optimizer.RewriteWithViews(plan, s.dw.Views)}, true, nil
+	case VariantMSBasic:
+		d := optimizer.EmptyDesign()
+		d.Results = s.results
+		mp, err := s.opt.Choose(plan, d)
+		return mp, true, err
+	case VariantMSLru, VariantMSMiso, VariantMSOra, VariantMSOff:
+		mp, from := s.keptPlan(plan, v)
+		if mp != nil {
+			return mp, false, nil
 		}
-		return mp, nil
+		e, err := s.choosePlan(plan, v, from)
+		if err != nil {
+			return nil, false, err
+		}
+		s.keepPlan(plan, e)
+		return e.mp, true, nil
 	}
-	e, err := s.choosePlan(plan, v, from)
-	if err != nil {
-		return nil, err
-	}
-	s.keepPlan(plan, e)
-	return e.mp, nil
+	return nil, false, fmt.Errorf("multistore: unknown variant %q", route)
+}
+
+// hvOpPlan is HV-OP's plan, which the degraded route and fallbackHV run
+// too: the whole query in HV, over HV's views.
+func (s *System) hvOpPlan(raw *logical.Node) *optimizer.MultiPlan {
+	return &optimizer.MultiPlan{HVOnly: true, HVPlan: optimizer.RewriteWithViews(raw, s.hv.Views)}
 }
 
 // choosePlan chooses in from's space, or in a new one when from is nil,

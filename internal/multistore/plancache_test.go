@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -33,16 +34,25 @@ func enumeratedChoice(s *System, plan *logical.Node, d optimizer.Design) *optimi
 	return best
 }
 
-// armPlanOracle holds every plan a commit takes without choosing it under
-// the lock — a plan-cache hit or a plan its read phase chose — until the
-// test ends, to a fresh enumeration of the same plan under the same design
-// (enumeratedChoice): EstTotal bit for bit and the same Explain. It returns
-// the hit count; a read-phase plan is not a hit.
+// armPlanOracle holds every plan a commit takes without planning it under
+// the lock — a plan-cache hit or a plan its read phase chose — on a route
+// that chooses by cost, until the test ends, to a fresh enumeration of the
+// same plan under the design the route chooses under (enumeratedChoice):
+// EstTotal bit for bit and the same Explain. It returns the hit count; a
+// read-phase plan is not a hit.
 func armPlanOracle(t testing.TB) *atomic.Int64 {
 	hits := new(atomic.Int64)
-	planHit = func(s *System, plan *logical.Node, d optimizer.Design, mp *optimizer.MultiPlan, ahead bool) {
+	planHit = func(s *System, plan *logical.Node, route Variant, mp *optimizer.MultiPlan, ahead bool) {
 		if !ahead {
 			hits.Add(1)
+		}
+		d := s.design()
+		switch route {
+		case VariantHVOnly, VariantHVOp, VariantDWOnly:
+			return // built by rule, not chosen
+		case VariantMSBasic:
+			d = optimizer.EmptyDesign()
+			d.Results = s.results
 		}
 		if fresh := enumeratedChoice(s, plan, d); math.Float64bits(fresh.EstTotal()) != math.Float64bits(mp.EstTotal()) || fresh.Explain() != mp.Explain() {
 			t.Errorf("query %d: stale plan\n--- cached\n%s--- fresh\n%s", s.seq, mp.Explain(), fresh.Explain())
@@ -96,7 +106,7 @@ func (s *System) quarantineRotted() {
 }
 
 // TestCachedPlanEqualsFreshChoose runs the served Zipf draw on the variants
-// that plan through runSplit, interleaved with every write the tuple has to
+// that choose their plans by cost, interleaved with every write the tuple has to
 // see: reorganizations, appends, bit rot with quarantine and
 // audit repair, and a crash recovery halfway. The armed oracle checks every
 // hit and every plan a read phase chose, and every variant that plans
@@ -207,7 +217,7 @@ func TestPlanVersionsMoveOnlyOnWrites(t *testing.T) {
 		return sys.versions()
 	}
 	hits := new(atomic.Int64)
-	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+	planHit = func(_ *System, _ *logical.Node, _ Variant, _ *optimizer.MultiPlan, fresh bool) {
 		if !fresh {
 			hits.Add(1)
 		}
@@ -354,7 +364,7 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 		}
 	}
 	var hits atomic.Int64
-	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+	planHit = func(_ *System, _ *logical.Node, _ Variant, _ *optimizer.MultiPlan, fresh bool) {
 		if !fresh {
 			hits.Add(1)
 		}
@@ -413,7 +423,7 @@ func TestPlanCacheRevalidateAllocs(t *testing.T) {
 		}
 	}
 	var hits atomic.Int64
-	planHit = func(_ *System, _ *logical.Node, _ optimizer.Design, _ *optimizer.MultiPlan, fresh bool) {
+	planHit = func(_ *System, _ *logical.Node, _ Variant, _ *optimizer.MultiPlan, fresh bool) {
 		if !fresh {
 			hits.Add(1)
 		}
@@ -490,4 +500,63 @@ func allocsAfter(runs int, write, run func()) float64 {
 		total += after.Mallocs - before.Mallocs
 	}
 	return float64(total) / float64(runs)
+}
+
+// TestExplainNamesThePlanThatRuns: on each of the eight variants at small
+// scale, after one warming query (DW-ONLY's ETL, MS-OFF's offline design),
+// Explain must print the plan the next run of the same query executes — the
+// very text of that plan's Explain, seen as the commit takes it (planHit) —
+// and the route it names must be the route the report records: HV-only,
+// DW-only (every cut, if any, answered in DW) or split.
+func TestExplainNamesThePlanThatRuns(t *testing.T) {
+	sqls := workload.SQLs()
+	for _, v := range []Variant{
+		VariantHVOnly, VariantDWOnly, VariantHVOp, VariantMSBasic,
+		VariantMSOff, VariantMSLru, VariantMSMiso, VariantMSOra,
+	} {
+		t.Run(string(v), func(t *testing.T) {
+			sys := newPlanSystem(t, v, nil)
+			if _, err := sys.Run(sqls[0]); err != nil {
+				t.Fatalf("warming query: %v", err)
+			}
+			for _, sql := range sqls[1:4] {
+				text, err := sys.Explain(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ran []*optimizer.MultiPlan
+				planHit = func(_ *System, _ *logical.Node, _ Variant, mp *optimizer.MultiPlan, _ bool) {
+					ran = append(ran, mp)
+				}
+				rep, err := sys.Run(sql)
+				planHit = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				route := "split"
+				switch {
+				case strings.HasPrefix(text, "HV-only plan"):
+					route = "HV-only"
+				case strings.HasPrefix(text, "DW-only plan") || !strings.Contains(text, "executes in HV"):
+					route = "DW-only"
+				}
+				ranRoute := "split"
+				switch {
+				case rep.HVOnly:
+					ranRoute = "HV-only"
+				case rep.BypassedHV:
+					ranRoute = "DW-only"
+				}
+				if route != ranRoute {
+					t.Errorf("Explain names a %s plan, the run went %s:\n%s", route, ranRoute, text)
+				}
+				if len(ran) != 1 {
+					t.Fatalf("the commit took %d plans without planning under the lock, want the read phase's", len(ran))
+				}
+				if got := ran[0].Explain(); got != text {
+					t.Errorf("Explain printed\n%sthe run executed\n%s", text, got)
+				}
+			}
+		})
+	}
 }

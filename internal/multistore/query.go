@@ -53,29 +53,30 @@ func (q *query) answer(t *storage.Table) {
 }
 
 // submit is the one query path, in two phases. Every entry point runs the
-// same four steps under s.mu — prologue (begin), HV step (execHV, which
-// books the read phase's run of the step or computes it), cut migration
-// (migrateCut), booking (charge + bookLocked) — and differs only in the
-// route it takes between prologue and booking: the degraded route runs
-// whole in HV, a cache hit books the table a result view holds, everything
-// else runs the variant.
+// same steps under s.mu — prologue (begin), the plan (choose), its run by
+// the one executor (runPlan: HV steps through execHV, which books the read
+// phase's run of a step or computes it, cut migrations through migrateCut),
+// booking (charge + bookLocked) — and the variant's pre- and post-steps
+// around the run (runVariant, settleVariant). The degraded route runs
+// HV-OP's plan and skips the result-view probe and the variant's steps; a
+// cache hit books the table a result view holds and runs nothing.
 //
-// Before the lock comes the read phase, which draws no fault and writes
-// nothing another query reads. It builds the plan — once per statement
-// text: the builder hands every repeat of a text the plan it built first
-// (shared, since a built plan is immutable), and plan building reads only
-// construction-time catalog state — then reads ahead (readAhead): the
-// result view of the plan's root, checksum-verified, and the plan the
-// variant will run, kept or chosen against a snapshot of the design; and
-// then computes ahead (computeAhead) the steps of that plan that read no
-// raw log, charged to the query's own memory ledger. Under the lock the
-// commit takes what the read phase found while the version tuple it read
-// stands still, and looks or chooses again only when it moved (heldAnswer,
-// choose); it books a step computed ahead only where its own plan's step
-// is the same computation over the same tables, and computes any other
-// step itself, at the same point (runSplit). So queries linearize in
-// commit order: every answer, plan and simulated second is what the same
-// queries run one at a time in that order would give.
+// Before the lock comes the read phase, for every route, which draws no
+// fault and writes nothing another query reads. It builds the plan — once
+// per statement text: the builder hands every repeat of a text the plan it
+// built first (shared, since a built plan is immutable), and plan building
+// reads only construction-time catalog state — then reads ahead
+// (readAhead): the result view of the plan's root, checksum-verified, and
+// the plan the route runs (planFor); and then computes ahead
+// (computeAhead) the steps of that plan that read no raw log, charged to
+// the query's own memory ledger. Under the lock the commit takes what the
+// read phase found while the version tuple it read stands still, and looks
+// or plans again only when it moved (heldAnswer, choose); it books a step
+// computed ahead only where its own plan's step is the same computation
+// over the same tables, and computes any other step itself, at the same
+// point (runPlan). So queries linearize in commit order: every answer,
+// plan and simulated second is what the same queries run one at a time in
+// that order would give.
 func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryReport, error) {
 	// Nil when unconfigured: governance then costs nothing.
 	led := govern.NewLedger(s.cfg.MemLimitBytes)
@@ -88,12 +89,12 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 	plan, buildErr := s.builder.BuildSQL(sql)
 	var pre ahead
 	var hit bool
-	if buildErr == nil && !degraded {
+	if buildErr == nil {
 		if s.results != nil {
 			s.running.enter(plan)
 			defer s.running.leave(plan)
 		}
-		pre = s.readAhead(plan)
+		pre = s.readAhead(plan, degraded)
 		s.computeAhead(ctx, &pre)
 	}
 	if betweenPhases != nil {
@@ -108,32 +109,34 @@ func (s *System) submit(ctx context.Context, sql string, degraded bool) (*QueryR
 		return nil, err
 	}
 	q.ahead = pre
+	q.rep.Degraded = degraded
 
-	var executed bool
-	switch {
-	case degraded:
-		q.rep.Degraded = true
-		err = s.runInHV(q, optimizer.RewriteWithViews(plan, s.hv.Views), nil)
-	default:
-		if s.results != nil {
-			if t, ok := s.heldAnswer(plan, &q.ahead, q.entry.Seq); ok {
-				hit = true
-				q.rep.CacheHit = true
-				q.answer(t)
-				break
-			}
-			s.metrics.CacheMisses++
+	if s.results != nil && !degraded {
+		if t, ok := s.heldAnswer(plan, &q.ahead, q.entry.Seq); ok {
+			hit = true
+			q.rep.CacheHit = true
+			q.answer(t)
+			s.charge(q.rep)
+			return s.bookLocked(q, nil)
 		}
-		executed = true
-		err = s.runVariant(q)
+		s.metrics.CacheMisses++
 	}
+	if !degraded {
+		if err := s.runVariant(); err != nil {
+			return nil, err
+		}
+	}
+	mp, err := s.choose(plan, &q.ahead)
 	if err != nil {
+		return nil, err
+	}
+	if err := s.runPlan(q, mp); err != nil {
 		return nil, err
 	}
 
 	s.charge(q.rep)
 	var settled *durability.Record
-	if executed {
+	if !degraded {
 		// The variant's post-step follows the charge (MS-OFF's trim adds
 		// its own recovery time after the query's) and precedes the
 		// booking, which journals the design it leaves behind and then the
@@ -153,14 +156,17 @@ var betweenPhases func(s *System, a *ahead)
 
 // ahead is what a query's read phase found before s.mu: the version
 // tuple, read first; with the reuse plane on, the result view held for the
-// plan's root and whether its table verified; and the plan the variant
-// will run, when it plans under the system's design.
+// plan's root and whether its table verified; and the plan the query's
+// route runs.
 type ahead struct {
 	ver      planVersions
 	result   *views.View
 	verified bool
+	// route is the variant whose plan the query runs: the system's own, or
+	// HV-OP on the degraded route.
+	route Variant
 	// mp is nil when the read phase has no plan to offer; fresh marks a
-	// plan it chose rather than found kept.
+	// plan it planned rather than found kept.
 	mp    *optimizer.MultiPlan
 	fresh bool
 	// ran is what the read phase computed of mp's steps, nil for none.
@@ -169,34 +175,31 @@ type ahead struct {
 
 // readAhead is the read phase. It takes no lock but the sets', the
 // estimator's and the plan cache's own: a verified result view ends it
-// (the commit will most likely serve it); otherwise the plan cache is asked
-// under the tuple, and on a miss the plan is chosen against a snapshot of
-// the design (choosePlan) and kept. Base estimates read the logs' sizes,
-// which are safe beside an append.
-func (s *System) readAhead(plan *logical.Node) ahead {
-	a := ahead{ver: s.versions()}
-	if s.results != nil {
-		if v, ok := s.results.ByID(plan.ID()); ok {
-			a.result, a.verified = v, v.Verify()
-			if a.verified {
-				return a
+// (the commit will most likely serve it; the degraded route serves none);
+// so does a reorganization due before the query, which moves the design
+// any plan read; otherwise it asks planFor for the route's plan under the
+// tuple. Base estimates read the logs' sizes, which are safe beside an
+// append.
+func (s *System) readAhead(plan *logical.Node, degraded bool) ahead {
+	a := ahead{ver: s.versions(), route: s.cfg.Variant}
+	if degraded {
+		a.route = VariantHVOp
+	} else {
+		if s.results != nil {
+			if v, ok := s.results.ByID(plan.ID()); ok {
+				a.result, a.verified = v, v.Verify()
+				if a.verified {
+					return a
+				}
 			}
 		}
+		if s.tunesBefore(int(s.nextSeq.Load())) {
+			return a
+		}
 	}
-	if !s.plansUnderDesign() || s.tunesBefore(int(s.nextSeq.Load())) {
-		return a
-	}
-	mp, from := s.keptPlan(plan, a.ver)
-	if mp != nil {
-		a.mp = mp
-		return a
-	}
-	e, err := s.choosePlan(plan, a.ver, from)
-	if err != nil {
-		return a // the commit chooses again and reports it
-	}
-	s.keepPlan(plan, e)
-	a.mp, a.fresh = e.mp, true
+	if mp, fresh, err := s.planFor(plan, a.route, a.ver); err == nil {
+		a.mp, a.fresh = mp, fresh
+	} // else the commit plans again and reports it
 	return a
 }
 
@@ -207,10 +210,12 @@ func (s *System) readAhead(plan *logical.Node) ahead {
 // holds is its table), or the HV-only plan, then the DW remainder through
 // dw.BeginExecute over the working sets so found — up to the first step it
 // leaves to the commit or that fails. Neither draws a fault from the
-// system's injector or writes what another query reads. A step whose HV
-// plan scans a raw log is left to the commit: a log scan is the run a
+// system's injector or writes what another query reads. A step whose plan
+// scans a raw log is left to the commit: in HV a log scan is the run a
 // second session is most likely to compute again and throw away, before
-// the first one's commit captures its by-products as views. A step whose
+// the first one's commit captures its by-products as views; in DW it is a
+// DW-only plan planned before its ETL, which the commit plans again or
+// fails. A step whose
 // views moved while it ran is left to the commit too, which computes it as
 // a serial run would. A step that fails keeps its error, which the commit
 // returns where it takes the step, as a serial run would have failed
@@ -219,7 +224,7 @@ func (s *System) readAhead(plan *logical.Node) ahead {
 // nothing.
 func (s *System) computeAhead(ctx context.Context, a *ahead) {
 	mp := a.mp
-	if mp == nil || ctx.Err() != nil || computeAheadOff {
+	if mp == nil || ctx.Err() != nil || computeAheadOff || mp.DWOnly() && hasRawScan(mp.DWPart) {
 		return
 	}
 	r := &ran{}
@@ -654,36 +659,31 @@ func (s *System) execHV(q *query, plan *logical.Node, st *step) (*hv.Result, err
 	return res, nil
 }
 
-// runInHV answers the whole query from one HV execution of plan, st's when
-// the read phase computed it.
-func (s *System) runInHV(q *query, plan *logical.Node, st *step) error {
-	res, err := s.execHV(q, plan, st)
-	if err != nil {
-		return err
-	}
-	q.rep.HVOnly = true
-	q.answer(res.Table)
-	return nil
-}
-
-// runSplit executes the optimizer's chosen plan over design d: each cut
-// runs in HV (or comes from a result view), its working set migrates into
-// the query's staged working sets, and the remainder runs in DW over them; a
+// runPlan is the one executor: it runs mp, the plan choose handed the
+// query's commit. An HV-only plan is one HV step. Otherwise each cut runs
+// in HV (or comes from a result view), its working set migrates into the
+// query's staged working sets, and the remainder runs in DW over them; a
 // mid-flight failure of the transfer or of the DW side degrades to
-// fallbackHV. Each step books what the read phase computed of it when that
-// is the same computation over the same tables (ran), and computes it here
-// otherwise. HV by-products accumulate in the
-// store and the variants that do not retain them reset or trim the HV view
-// set in settleVariant. retain, when set, sees every working set that
-// reached DW (MS-LRU's passive retention).
-func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cut *logical.Node, ws *storage.Table)) error {
-	mp, err := s.choose(q.entry.Plan, d, &q.ahead)
-	if err != nil {
-		return err
-	}
+// fallbackHV — but for a DW-only plan (no cut: DW-ONLY's), which may read
+// no raw log and fails with DW. Each step books what the read phase
+// computed of it when that is the same computation over the same tables
+// (ran), and computes it here otherwise. HV by-products accumulate in the
+// store until settleVariant; MS-LRU keeps every working set that reached
+// DW (retainWorkingSet).
+func (s *System) runPlan(q *query, mp *optimizer.MultiPlan) error {
 	r := q.ahead.ran
 	if mp.HVOnly {
-		return s.runInHV(q, mp.HVPlan, r.takeHV(s.hv, mp.HVPlan, q.led))
+		res, err := s.execHV(q, mp.HVPlan, r.takeHV(s.hv, mp.HVPlan, q.led))
+		if err != nil {
+			return err
+		}
+		q.rep.HVOnly = true
+		q.answer(res.Table)
+		return nil
+	}
+	dwOnly := mp.DWOnly()
+	if dwOnly && hasRawScan(mp.DWPart) {
+		return fmt.Errorf("multistore: DW-only plan of query %d reads a raw log: not covered by the ETL'd data", q.entry.Seq)
 	}
 	rep := q.rep
 	rep.BypassedHV = true
@@ -727,8 +727,8 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 		if cause != nil {
 			return s.fallbackHV(q, cause)
 		}
-		if retain != nil {
-			retain(q, cut.Node, ws)
+		if s.cfg.Variant == VariantMSLru {
+			s.retainWorkingSet(q, cut.Node, ws)
 		}
 	}
 
@@ -736,6 +736,7 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 		return s.abandon(q, err)
 	}
 	var p *dw.Pending
+	var err error
 	if st := r.takeDW(s.dw, mp.DWPart, q.staged, q.led); st != nil {
 		p, err = st.dw, st.err
 	} else {
@@ -747,6 +748,9 @@ func (s *System) runSplit(q *query, d optimizer.Design, retain func(q *query, cu
 	dwRes := p.Commit()
 	// Replay injected DW-side failures against the query's report.
 	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", dwRes.Seconds, &rep.Retries, &rep.RecoverySeconds); err != nil {
+		if dwOnly {
+			return fmt.Errorf("multistore: query %d in DW: %w", q.entry.Seq, err)
+		}
 		// DW gave out mid-query: degrade to HV.
 		return s.fallbackHV(q, err)
 	}
@@ -825,7 +829,7 @@ func (s *System) move(ctx context.Context, bytes int64, kind transfer.Kind) (pro
 // fallback execution itself is the penalty, charged to RECOVERY.
 func (s *System) fallbackHV(q *query, cause error) error {
 	q.ahead.ran.drop(q.led)
-	plan := optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views)
+	plan := s.hvOpPlan(q.entry.Plan).HVPlan
 	rep := q.rep
 	hvSec, hvOps, rec := rep.HVSeconds, rep.HVOps, rep.RecoverySeconds
 	res, err := s.execHV(q, plan, nil)

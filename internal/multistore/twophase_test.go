@@ -82,7 +82,7 @@ func TestReadPhaseHitAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				hit := func() bool {
-					a := sys.readAhead(plan)
+					a := sys.readAhead(plan, false)
 					if c.reuse {
 						return a.verified
 					}
@@ -98,7 +98,7 @@ func TestReadPhaseHitAllocs(t *testing.T) {
 						t.Fatalf("query %d: no %s in four repeats", query, c.name)
 					}
 				}
-				read := allocsAtTwoProcs(200, func() { sys.readAhead(plan) })
+				read := allocsAtTwoProcs(200, func() { sys.readAhead(plan, false) })
 				whole := allocsAtTwoProcs(20, func() {
 					if _, err := sys.Run(sqls[query]); err != nil {
 						t.Fatalf("query %d: %v", query, err)
@@ -237,7 +237,7 @@ func TestCommitReplansAfterAWriteInTheGap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a := sys.readAhead(plan)
+				a := sys.readAhead(plan, false)
 				sys.computeAhead(context.Background(), &a)
 				if a.ran != nil {
 					write = w.pick(sys, twin, q, &a)
@@ -260,7 +260,7 @@ func TestCommitReplansAfterAWriteInTheGap(t *testing.T) {
 			t.Logf("the query: %s", strings.Join(strings.Fields(sql), " "))
 
 			var seen, dropped atomic.Int64
-			planHit = func(*System, *logical.Node, optimizer.Design, *optimizer.MultiPlan, bool) { seen.Add(1) }
+			planHit = func(*System, *logical.Node, Variant, *optimizer.MultiPlan, bool) { seen.Add(1) }
 			runDropped = func(*System, *ahead, bool) { dropped.Add(1) }
 			var computed *ran
 			betweenPhases = func(s *System, a *ahead) {
@@ -322,7 +322,7 @@ func TestComputedStepIsTakenForItsPlanOverItsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sys.readAhead(plan)
+	a := sys.readAhead(plan, false)
 	sys.computeAhead(context.Background(), &a)
 	read := firstStepViews(sys, &a)
 	if len(read) == 0 {
@@ -430,7 +430,7 @@ func (s *System) chosen(sql string) *optimizer.MultiPlan {
 	if err != nil {
 		return nil
 	}
-	mp, _ := s.choose(plan, s.design(), nil)
+	mp, _ := s.choose(plan, &ahead{route: s.cfg.Variant})
 	return mp
 }
 
@@ -564,153 +564,200 @@ func appendAt(s *System, name string, lines []string) (seq, reorgs int, err erro
 // other session's run, and with reuse on only about a fifth of the commits
 // execute.
 func TestTwoSessionsLinearizeInCommitOrder(t *testing.T) {
-	sqls := workload.SQLs()
 	perSession := 240
 	if testing.Short() {
 		perSession = 50
 	}
-	reorgEvery := int64(perSession / 3)
 	for _, reuse := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) {
-			warm := func() *System {
-				s := newPlanSystem(t, VariantMSMiso, func(c *Config) { c.Reuse.Enabled = reuse })
-				for i, sql := range sqls {
-					if _, err := s.Run(sql); err != nil {
-						t.Fatalf("warm-up query %d: %v", i, err)
-					}
-				}
-				return s
-			}
-			sys := warm()
-			first := len(sqls) // the first served query's sequence number
-			tweets, _ := sys.Catalog().Log(data.TweetsLog)
-			extra := slices.Clone(tweets.Lines[:8])
-
-			type answer struct {
-				query int
-				sum   uint64
-			}
-			var (
-				mu                      sync.Mutex
-				answers                 = map[int]answer{}
-				appendSeq, appendReorgs = -1, 0
-				done                    atomic.Int64
-				wg                      sync.WaitGroup
-			)
-			// Count the commits whose read phase computed steps ahead, those
-			// that threw a step away, and among them those a result view
-			// answered and those that found the DW design moved since their
-			// read phase.
-			var computed, dropped, hits, retired atomic.Int64
-			betweenPhases = func(_ *System, a *ahead) {
-				if a.ran != nil {
-					computed.Add(1)
-				}
-			}
-			runDropped = func(s *System, a *ahead, hit bool) {
-				dropped.Add(1)
-				switch {
-				case hit:
-					hits.Add(1)
-				case s.dw.Views.Version() != a.ver.dw:
-					retired.Add(1)
-				}
-			}
-			disarm := func() { betweenPhases, runDropped = nil, nil }
-			t.Cleanup(disarm)
-			for c := range 2 {
-				next := servedDraw(c)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for range perSession {
-						qi := next()
-						rep, err := sys.Run(sqls[qi])
-						if err != nil {
-							t.Errorf("session %d, query %d: %v", c, qi, err)
-							return
-						}
-						mu.Lock()
-						answers[rep.Seq] = answer{qi, storage.ChecksumData(rep.Result)}
-						mu.Unlock()
-						switch n := done.Add(1); {
-						case n%reorgEvery == 0:
-							err = sys.Reorganize()
-						case n == int64(perSession)+7:
-							var seq, reorgs int
-							seq, reorgs, err = appendAt(sys, data.TweetsLog, extra)
-							mu.Lock()
-							appendSeq, appendReorgs = seq, reorgs
-							mu.Unlock()
-						}
-						if err != nil {
-							t.Errorf("session %d after %d completions: %v", c, done.Load(), err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			disarm()
-			if t.Failed() {
-				return
-			}
-			// Most executing commits must book what their read phase
-			// computed, or the replay below would check little of it.
-			took, executing := computed.Load()-dropped.Load(), computed.Load()-hits.Load()
-			t.Logf("%d served queries: %d read phases computed steps ahead; %d commits threw some away, %d of them answered by a result view and %d retired by a design move; %d of %d executing commits took them",
-				2*perSession, computed.Load(), dropped.Load(), hits.Load(), retired.Load(), took, executing)
-			if float64(took) < 0.9*float64(executing-retired.Load()) {
-				t.Errorf("%d of %d executing commits not retired by a design move took the steps computed ahead, below 90 %%", took, executing-retired.Load())
-			}
-			if len(answers) != 2*perSession || appendSeq < 0 {
-				t.Fatalf("%d answers and the append at %d; want %d answers and an append", len(answers), appendSeq, 2*perSession)
-			}
-
-			replay := warm()
-			reorgs := sys.ReorgLog()
-			r := 0
-			// catchUp runs, in commit order, every reorganization and the
-			// append that committed before the query of sequence number seq.
-			catchUp := func(seq int) {
-				for {
-					var err error
-					switch {
-					case appendSeq == seq && appendReorgs == r:
-						appendSeq = -1
-						_, err = replay.AppendToLog(data.TweetsLog, extra)
-					case r < len(reorgs) && reorgs[r].BeforeSeq <= seq && (appendSeq != seq || r < appendReorgs):
-						r++
-						err = replay.Reorganize()
-					default:
-						return
-					}
-					if err != nil {
-						t.Fatalf("replay before query %d: %v", seq, err)
-					}
-				}
-			}
-			for seq := first; seq < first+2*perSession; seq++ {
-				catchUp(seq)
-				a := answers[seq]
-				rep, err := replay.Run(sqls[a.query])
-				if err != nil {
-					t.Fatalf("replay of query %d (seq %d): %v", a.query, seq, err)
-				}
-				if rep.Seq != seq || storage.ChecksumData(rep.Result) != a.sum {
-					t.Errorf("seq %d: query %d replayed as seq %d with checksum %016x, served %016x",
-						seq, a.query, rep.Seq, storage.ChecksumData(rep.Result), a.sum)
-				}
-			}
-			catchUp(first + 2*perSession)
-			if r != len(reorgs) || appendSeq >= 0 {
-				t.Fatalf("replayed %d of %d reorganizations, append pending: %v", r, len(reorgs), appendSeq >= 0)
-			}
-			if got, want := replay.StateDigest(), sys.StateDigest(); got != want {
-				t.Errorf("the replay in commit order ends in digest %016x, the two sessions in %016x", got, want)
+			computed, took, executing, retired := linearize(t, VariantMSMiso, reuse, perSession, 0)
+			if float64(took) < 0.9*float64(executing-retired) {
+				t.Errorf("%d of %d executing commits not retired by a design move took the steps computed ahead, below 90 %% (%d read phases computed steps)", took, executing-retired, computed)
 			}
 		})
 	}
+}
+
+// TestVariantsLinearizeInCommitOrder is TestTwoSessionsLinearizeInCommitOrder's
+// replay check, in shorter sessions, on every other variant — each plans
+// and computes its steps before the lock (planFor) — and on an MS-MISO
+// system whose sessions send every fifth query down the degraded route.
+// Where a variant reorganizes no Reorganize call does anything.
+func TestVariantsLinearizeInCommitOrder(t *testing.T) {
+	for _, c := range []struct {
+		v             Variant
+		degradedEvery int
+	}{
+		{VariantHVOnly, 0}, {VariantHVOp, 0}, {VariantDWOnly, 0}, {VariantMSBasic, 0},
+		{VariantMSLru, 0}, {VariantMSOff, 0}, {VariantMSOra, 0}, {VariantMSMiso, 5},
+	} {
+		name := string(c.v)
+		if c.degradedEvery > 0 {
+			name += " degraded"
+		}
+		t.Run(name, func(t *testing.T) {
+			computed, took, _, _ := linearize(t, c.v, false, 24, c.degradedEvery)
+			t.Logf("%s: %d read phases computed steps ahead, %d commits took them", name, computed, took)
+		})
+	}
+}
+
+// linearize runs two sessions of perSession queries on one warm system of
+// variant v: each draws its served Zipf stream and sends every
+// degradedEvery-th of its queries down the degraded route (none for 0),
+// one of them reorganizes after every perSession/3-th completion, and one
+// appends to the tweets log midway — but on DW-ONLY, where the append drops
+// the ETL'd view of the log and no later query of it could run. It replays the same operations one at a
+// time in commit order on a fresh system and fails unless every query
+// gives the same answer and the replay ends in the same StateDigest. It
+// returns the read phases that computed steps ahead, the commits that took
+// them, the commits that executed, and those whose steps a design move
+// retired (runDropped).
+func linearize(t *testing.T, v Variant, reuse bool, perSession, degradedEvery int) (computed, took, executing, retired int64) {
+	t.Helper()
+	sqls := workload.SQLs()
+	reorgEvery := int64(perSession / 3)
+	warm := func() *System {
+		s := newPlanSystem(t, v, func(c *Config) { c.Reuse.Enabled = reuse })
+		for i, sql := range sqls {
+			if _, err := s.Run(sql); err != nil {
+				t.Fatalf("warm-up query %d: %v", i, err)
+			}
+		}
+		return s
+	}
+	sys := warm()
+	first := len(sqls) // the first served query's sequence number
+	tweets, _ := sys.Catalog().Log(data.TweetsLog)
+	extra := slices.Clone(tweets.Lines[:8])
+	appends := v != VariantDWOnly
+
+	type answer struct {
+		query    int
+		degraded bool
+		sum      uint64
+	}
+	var (
+		mu                      sync.Mutex
+		answers                 = map[int]answer{}
+		appendSeq, appendReorgs = -1, 0
+		done                    atomic.Int64
+		wg                      sync.WaitGroup
+	)
+	// Count the commits whose read phase computed steps ahead, those that
+	// threw a step away, and among them those a result view answered and
+	// those that found the DW design moved since their read phase.
+	var nComputed, dropped, hits, nRetired atomic.Int64
+	betweenPhases = func(_ *System, a *ahead) {
+		if a.ran != nil {
+			nComputed.Add(1)
+		}
+	}
+	runDropped = func(s *System, a *ahead, hit bool) {
+		dropped.Add(1)
+		switch {
+		case hit:
+			hits.Add(1)
+		case s.dw.Views.Version() != a.ver.dw:
+			nRetired.Add(1)
+		}
+	}
+	disarm := func() { betweenPhases, runDropped = nil, nil }
+	t.Cleanup(disarm)
+	run := func(s *System, sql string, degraded bool) (*QueryReport, error) {
+		if degraded {
+			return s.RunDegraded(context.Background(), sql)
+		}
+		return s.Run(sql)
+	}
+	for c := range 2 {
+		next := servedDraw(c)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perSession {
+				qi := next()
+				degraded := degradedEvery > 0 && i%degradedEvery == degradedEvery-1
+				rep, err := run(sys, sqls[qi], degraded)
+				if err != nil {
+					t.Errorf("session %d, query %d: %v", c, qi, err)
+					return
+				}
+				mu.Lock()
+				answers[rep.Seq] = answer{qi, degraded, storage.ChecksumData(rep.Result)}
+				mu.Unlock()
+				switch n := done.Add(1); {
+				case n%reorgEvery == 0:
+					err = sys.Reorganize()
+				case appends && n == int64(perSession)+7:
+					var seq, reorgs int
+					seq, reorgs, err = appendAt(sys, data.TweetsLog, extra)
+					mu.Lock()
+					appendSeq, appendReorgs = seq, reorgs
+					mu.Unlock()
+				}
+				if err != nil {
+					t.Errorf("session %d after %d completions: %v", c, done.Load(), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	disarm()
+	if t.Failed() {
+		t.FailNow()
+	}
+	computed, took, executing, retired = nComputed.Load(), nComputed.Load()-dropped.Load(), nComputed.Load()-hits.Load(), nRetired.Load()
+	t.Logf("%d served queries: %d read phases computed steps ahead; %d commits threw some away, %d of them answered by a result view and %d retired by a design move; %d of %d executing commits took them",
+		2*perSession, computed, dropped.Load(), hits.Load(), retired, took, executing)
+	if len(answers) != 2*perSession || appends != (appendSeq >= 0) {
+		t.Fatalf("%d answers and the append at %d; want %d answers and an append: %v", len(answers), appendSeq, 2*perSession, appends)
+	}
+
+	replay := warm()
+	reorgs := sys.ReorgLog()
+	r := 0
+	// catchUp runs, in commit order, every reorganization and the append
+	// that committed before the query of sequence number seq.
+	catchUp := func(seq int) {
+		for {
+			var err error
+			switch {
+			case appendSeq == seq && appendReorgs == r:
+				appendSeq = -1
+				_, err = replay.AppendToLog(data.TweetsLog, extra)
+			case r < len(reorgs) && reorgs[r].BeforeSeq <= seq && (appendSeq != seq || r < appendReorgs):
+				r++
+				err = replay.Reorganize()
+			default:
+				return
+			}
+			if err != nil {
+				t.Fatalf("replay before query %d: %v", seq, err)
+			}
+		}
+	}
+	for seq := first; seq < first+2*perSession; seq++ {
+		catchUp(seq)
+		a := answers[seq]
+		rep, err := run(replay, sqls[a.query], a.degraded)
+		if err != nil {
+			t.Fatalf("replay of query %d (seq %d): %v", a.query, seq, err)
+		}
+		if rep.Seq != seq || storage.ChecksumData(rep.Result) != a.sum {
+			t.Errorf("seq %d: query %d replayed as seq %d with checksum %016x, served %016x",
+				seq, a.query, rep.Seq, storage.ChecksumData(rep.Result), a.sum)
+		}
+	}
+	catchUp(first + 2*perSession)
+	if r != len(reorgs) || appendSeq >= 0 {
+		t.Fatalf("replayed %d of %d reorganizations, append pending: %v", r, len(reorgs), appendSeq >= 0)
+	}
+	if got, want := replay.StateDigest(), sys.StateDigest(); got != want {
+		t.Errorf("the replay in commit order ends in digest %016x, the two sessions in %016x", got, want)
+	}
+	return computed, took, executing, retired
 }
 
 // BenchmarkServedTwoSessions is served_cold's shape: a warm MS-MISO system,

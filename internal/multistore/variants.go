@@ -10,37 +10,30 @@ import (
 	"miso/internal/history"
 	"miso/internal/hv"
 	"miso/internal/logical"
-	"miso/internal/optimizer"
 	"miso/internal/storage"
 	"miso/internal/transfer"
 	"miso/internal/views"
 )
 
-// runVariant takes the query the way the system's variant does: the
-// variant's pre-step (a due reorganization, the one-time ETL or offline
-// tuning), then its execution. What a variant does to the design after
-// the query is settleVariant's, run once the report is charged.
-func (s *System) runVariant(q *query) error {
+// runVariant is the variant's pre-step before a query runs: a due
+// reorganization (MS-MISO, MS-ORA), the one-time ETL (DW-ONLY) or the
+// one-time offline design (MS-OFF). What the query then runs is planFor's;
+// what the variant does to the design after it is settleVariant's, run once
+// the report is charged.
+func (s *System) runVariant() error {
 	switch s.cfg.Variant {
-	case VariantHVOnly:
-		return s.runInHV(q, q.entry.Plan, nil)
-	case VariantHVOp:
-		return s.runInHV(q, optimizer.RewriteWithViews(q.entry.Plan, s.hv.Views), nil)
-	case VariantDWOnly:
-		return s.runDWOnly(q)
-	case VariantMSBasic:
-		d := optimizer.EmptyDesign()
-		d.Results = s.results
-		return s.runSplit(q, d, nil)
-	case VariantMSLru:
-		return s.runSplit(q, s.design(), s.retainWorkingSet)
 	case VariantMSMiso, VariantMSOra:
 		if s.reorgDue(s.seq) {
-			if err := s.reorg(s.tuningWindow()); err != nil {
+			return s.reorg(s.tuningWindow())
+		}
+	case VariantDWOnly:
+		if !s.etlDone {
+			if err := s.runETL(); err != nil {
 				return err
 			}
+			s.etlDone = true
+			s.checkpointLocked()
 		}
-		return s.runSplit(q, s.design(), nil)
 	case VariantMSOff:
 		if !s.offTuned {
 			if err := s.offlineTune(); err != nil {
@@ -49,21 +42,8 @@ func (s *System) runVariant(q *query) error {
 			s.offTuned = true
 			s.checkpointLocked()
 		}
-		return s.runSplit(q, s.design(), nil)
-	default:
-		return fmt.Errorf("multistore: unknown variant %q", s.cfg.Variant)
 	}
-}
-
-// plansUnderDesign reports whether the variant plans its queries under the
-// system's own design (runSplit over s.design()): the plans a query's read
-// phase can choose ahead.
-func (s *System) plansUnderDesign() bool {
-	switch s.cfg.Variant {
-	case VariantMSLru, VariantMSMiso, VariantMSOra, VariantMSOff:
-		return true
-	}
-	return false
+	return nil
 }
 
 // tunesBefore reports whether the variant reorganizes before query seq,
@@ -114,34 +94,6 @@ func (s *System) retainWorkingSet(q *query, cut *logical.Node, ws *storage.Table
 	if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
 		s.dw.Views.Add(v)
 	}
-}
-
-// runDWOnly serves the query entirely from DW after the one-time ETL.
-func (s *System) runDWOnly(q *query) error {
-	if !s.etlDone {
-		if err := s.runETL(); err != nil {
-			return err
-		}
-		s.etlDone = true
-		s.checkpointLocked()
-	}
-	plan := optimizer.RewriteWithViews(q.entry.Plan, s.dw.Views)
-	if hasRawScan(plan) {
-		return fmt.Errorf("multistore: DW-ONLY query %d not covered by the ETL'd data", q.entry.Seq)
-	}
-	p, err := s.dw.BeginExecute(q.ctx, plan, nil)
-	if err != nil {
-		return s.failedIn(q, "DW", err)
-	}
-	res := p.Commit()
-	// DW-ONLY has no other store to degrade to: injected query failures
-	// retry in place and exhaustion fails the query.
-	if err := s.retry.Replay(q.ctx, s.inj, faults.SiteDWQuery, "dw query", res.Seconds, &q.rep.Retries, &q.rep.RecoverySeconds); err != nil {
-		return fmt.Errorf("multistore: query %d in DW: %w", q.entry.Seq, err)
-	}
-	q.rep.BypassedHV = true
-	s.answerFromDW(q, plan, res)
-	return nil
 }
 
 // reorg runs the MISO tuner over the window and applies the view

@@ -81,13 +81,28 @@ type MultiPlan struct {
 // EstTotal is the plan's total estimated cost.
 func (p *MultiPlan) EstTotal() float64 { return p.EstHV + p.EstTransfer + p.EstDW }
 
+// DWOnly reports whether the whole query runs in DW: no cut, the remainder
+// is the plan.
+func (p *MultiPlan) DWOnly() bool { return !p.HVOnly && len(p.Cuts) == 0 }
+
 // Explain renders the multistore plan for humans: where each part runs,
-// what migrates, and the estimated cost breakdown.
+// what migrates, and the estimated cost breakdown. A plan no cost model
+// priced — every estimate zero: a plan built by rule rather than chosen,
+// or an HV-only plan that only reads a view — prints without an estimate.
 func (p *MultiPlan) Explain() string {
 	var b strings.Builder
-	if p.HVOnly {
-		fmt.Fprintf(&b, "HV-only plan (est %.1fs):\n", p.EstHV)
+	switch {
+	case p.HVOnly:
+		b.WriteString("HV-only plan")
+		if p.EstHV != 0 {
+			fmt.Fprintf(&b, " (est %.1fs)", p.EstHV)
+		}
+		b.WriteString(":\n")
 		b.WriteString(indent(p.HVPlan.String(), "  "))
+		return b.String()
+	case p.DWOnly():
+		b.WriteString("DW-only plan:\n")
+		b.WriteString(indent(p.DWPart.String(), "  "))
 		return b.String()
 	}
 	fmt.Fprintf(&b, "split plan (est %.1fs = HV %.1f + transfer %.1f + DW %.1f):\n",
@@ -123,10 +138,6 @@ type Optimizer struct {
 	// maxPlans caps split enumeration per query: planCap, which only tests
 	// lower.
 	maxPlans int
-
-	// DisableSplits restricts planning to HV-only execution (used by the
-	// HV-ONLY and HV-OP system variants).
-	DisableSplits bool
 }
 
 // planCap caps the frontiers enumerated per query.
@@ -423,9 +434,6 @@ func (o *Optimizer) hvOnlyPlan(raw *logical.Node, c *choice, base *spaceCut) *Mu
 // splitFrontiers lists the frontiers of the query's split plans: every
 // enumerated frontier but {root}, which is the HV-only plan.
 func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
-	if o.DisableSplits {
-		return nil
-	}
 	all := o.enumerateCuts(raw, o.maxPlans)
 	out := all[:0]
 	for _, frontier := range all {

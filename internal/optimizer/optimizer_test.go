@@ -218,15 +218,6 @@ func TestRewriteWithViewsIdentityWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestDisableSplitsRestrictsToHVOnly(t *testing.T) {
-	f := setup(t)
-	f.opt.DisableSplits = true
-	plans := f.opt.EnumeratePlans(f.plan(t, joinAgg), optimizer.EmptyDesign())
-	if len(plans) != 1 || !plans[0].HVOnly {
-		t.Errorf("DisableSplits produced %d plans", len(plans))
-	}
-}
-
 // BenchmarkChooseWarm measures fresh plan choices on a warm system: the
 // design MS-MISO holds after the 32-query workload (both stores populated
 // by the tuner), against which one iteration chooses a plan for every query

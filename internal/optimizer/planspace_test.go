@@ -138,7 +138,7 @@ func warmSystem(t testing.TB) (*multistore.System, []*logical.Node, []*views.Vie
 // minimum EstTotal over EnumeratePlans, and PlanSpace.Choose its first plan
 // of least EstTotal — for the four probe shapes
 // Tune issues, for random designs, for both kinds of DW match, and under
-// every optimizer knob that changes the enumeration.
+// the plan cap, the optimizer knob that changes the enumeration.
 func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 	sys, plans, universe := warmSystem(t)
 	o := sys.Optimizer()
@@ -191,21 +191,17 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 	}
 	t.Logf("DW pairs reached an exact match: %v, a residual match: %v", sawExact, sawResidual)
 
-	// The knobs that change the enumeration or the sums, on the system's own
-	// optimizer and against the design the workload left behind.
+	// The knob that changes the enumeration, on the system's own optimizer
+	// and against the design the workload left behind.
 	d := sys.Design()
-	knobs := func(what string, set func(), unset func()) {
-		for _, raw := range plans {
-			before := o.PlanSpace(raw) // a space built before the knob moves may not serve it
-			set()
-			sameCost(t, what, o, o.PlanSpace(raw), raw, d)
-			sameCost(t, what+", empty design", o, o.PlanSpace(raw), raw, optimizer.EmptyDesign())
-			unset()
-			sameCost(t, what+" unset again", o, before, raw, d)
-		}
+	for _, raw := range plans {
+		before := o.PlanSpace(raw) // a space built before the knob moves may not serve it
+		o.SetPlanCap(3)
+		sameCost(t, "plan cap = 3", o, o.PlanSpace(raw), raw, d)
+		sameCost(t, "plan cap = 3, empty design", o, o.PlanSpace(raw), raw, optimizer.EmptyDesign())
+		o.SetPlanCap(256)
+		sameCost(t, "plan cap = 3 unset again", o, before, raw, d)
 	}
-	knobs("DisableSplits", func() { o.DisableSplits = true }, func() { o.DisableSplits = false })
-	knobs("plan cap = 3", func() { o.SetPlanCap(3) }, func() { o.SetPlanCap(256) })
 	for _, raw := range plans {
 		// A result view answers one cut of one split: that cut's HV cost
 		// leaves the sums of every frontier holding it, in both paths.
