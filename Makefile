@@ -5,7 +5,7 @@ GO ?= go
 # tier1 is the gate every change must pass: gofmt-clean sources, clean
 # build, vet, and the full test suite under the race detector.
 tier1:
-	@out=$$(gofmt -l cmd internal miso bench); \
+	@out=$$(gofmt -l cmd internal miso bench examples); \
 		if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...

@@ -27,10 +27,7 @@ func TestTunerAfterSplitExecution(t *testing.T) {
 	for i, name := range []string{"A1v1", "A1v2", "A1v3"} {
 		q, _ := workload.ByName(name)
 		plan, _ := builder.BuildSQL(q.SQL)
-		mp, err := opt.Choose(plan, optimizer.Design{HV: h.Views, DW: d.Views})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mp := opt.Choose(plan, optimizer.Design{HV: h.Views, DW: d.Views})
 		if mp.HVOnly {
 			if _, err := h.ExecuteContext(context.Background(), mp.HVPlan, i); err != nil {
 				t.Fatal(err)

@@ -186,8 +186,8 @@ func (p *Pending) Commit() *Result {
 	s, run := p.s, p.run
 	// Nothing that reads a working set is recorded: they are named by cut
 	// position, so two statements share the ids of the nodes over ws_0, and
-	// each would store its truth over the other's. The optimizer costs every
-	// working-set scan from its own plan-local overlay.
+	// each would store its truth over the other's. The optimizer sizes every
+	// working-set scan by the stat it hands CostAbove.
 	var record func(n *logical.Node) (readsStaged bool)
 	record = func(n *logical.Node) bool {
 		_, reads := p.staged[n.ViewName]
@@ -203,29 +203,6 @@ func (p *Pending) Commit() *Result {
 	record(p.plan)
 	sec := s.costFromSizes(p.plan, func(n *logical.Node) int64 { return run.Stats[n].LogicalBytes() })
 	return &Result{Table: run.Root, Seconds: sec}
-}
-
-// CostPlanWith estimates execution time without running the plan (what-if
-// mode). This is the store's "what-if interface" in the paper's terms: its
-// optimizer units are already normalized to seconds. Node sizes resolve
-// through a local stat overlay (node id -> stat; nil for none) before the
-// shared estimator cache. The optimizer uses it to cost DW remainders that
-// read hypothetical migrated working sets (ws_0, ws_1, ...) without
-// publishing their stats, keeping the what-if path read-only and safe for
-// concurrent use; like stats.EstimateWith it reads no signature.
-func (s *Store) CostPlanWith(plan *logical.Node, overlay map[uint64]stats.Stat) float64 {
-	// The cost walk sizes each node once per parent visit; memoize per
-	// call so a node's subtree is estimated once, not once per appearance
-	// as an input.
-	sizes := map[*logical.Node]int64{}
-	return s.costFromSizes(plan, func(n *logical.Node) int64 {
-		if b, ok := sizes[n]; ok {
-			return b
-		}
-		b := s.est.EstimateWith(n, overlay).Bytes
-		sizes[n] = b
-		return b
-	})
 }
 
 // costFromSizes charges each operator its input bytes through the cluster
@@ -273,15 +250,19 @@ type Stand struct {
 	Stat stats.Stat
 }
 
-// CostAbove is CostPlanWith over plan with each cuts[i] replaced by
-// stands[i] (a working set's scan sized through the overlay), without
-// building the replaced plan: one bottom-up walk over the nodes above the
-// cuts derives each copied node's id as WithChildren would give it
-// (logical.Node.IDOver), so the estimator's cache answers the lookups it
-// would answer, derives its size with the estimator's own formulas from its
-// children's (stats.Estimator.Derive), and charges the edges in
-// costFromSizes' order, so the two agree to the bit. Every leaf of plan lies
-// under a cut, and no node has more than two children.
+// CostAbove is the store's what-if interface, in the paper's terms: the
+// estimated execution time, in seconds, of plan with each cuts[i] replaced
+// by stands[i], without running or building the replaced plan. One
+// bottom-up walk over the nodes above the cuts derives each copied node's
+// id as WithChildren would give it (logical.Node.IDOver), so the
+// estimator's cache answers the lookups it would answer for the built plan,
+// derives its size with the estimator's own formulas from its children's
+// (stats.Estimator.Derive), and charges the edges in costFromSizes' order:
+// to the bit what costing the built plan node by node would give, with each
+// working set's scan sized by its Stat (the tests' CostBuilt). The walk
+// records and stages nothing, so any number of goroutines may cost plans at
+// once. Every leaf of plan lies under a cut, and no node has more than two
+// children.
 func (s *Store) CostAbove(plan *logical.Node, cuts []*logical.Node, stands []Stand) float64 {
 	w := above{s: s, cuts: cuts, stands: stands}
 	root := w.visit(plan)

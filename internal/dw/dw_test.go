@@ -3,6 +3,7 @@ package dw_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,9 +13,12 @@ import (
 	"miso/internal/expr"
 	"miso/internal/hv"
 	"miso/internal/logical"
+	"miso/internal/multistore"
+	"miso/internal/optimizer"
 	"miso/internal/stats"
 	"miso/internal/storage"
 	"miso/internal/views"
+	"miso/internal/workload"
 )
 
 type fixture struct {
@@ -192,8 +196,8 @@ func TestIndexSelectivityDiscountsCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := f.dw.CostPlanWith(indexed, nil)
-	cu := f.dw.CostPlanWith(unindexed, nil)
+	ci := f.dw.CostBuilt(indexed, nil)
+	cu := f.dw.CostBuilt(unindexed, nil)
 	if ci >= cu {
 		t.Errorf("indexed filter cost %.4f not below unindexed %.4f", ci, cu)
 	}
@@ -201,4 +205,89 @@ func TestIndexSelectivityDiscountsCost(t *testing.T) {
 
 func eqPred(col string, val storage.Value) expr.Expr {
 	return &expr.BinOp{Op: "=", L: &expr.ColRef{Name: col}, R: &expr.Const{Val: val}}
+}
+
+// TestCostAboveMatchesBuiltPlan holds the one what-if path to the built-tree
+// reference: on a warm MS-MISO system (the 32 statements, reorganizing every
+// 3), under six designs, every EstDW EnumeratePlans lists — a CostAbove walk
+// over the raw plan — must equal, bit for bit, CostBuilt over the listed
+// plan's DWPart with each migrated working set's scan sized by its cut's
+// estimate. The designs place the warm views as the system does, in one
+// store only, swapped, and all in DW, so remainders read resident DW views
+// (the index discount), views DW does not hold, exact and residual DW
+// matches, and working sets.
+func TestCostAboveMatchesBuiltPlan(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	sys := multistore.New(cfg, cat)
+	builder := logical.NewBuilder(cat)
+	var plans []*logical.Node
+	for _, sql := range workload.SQLs() {
+		if _, err := sys.Run(sql); err != nil {
+			t.Fatal(err)
+		}
+		p, err := builder.BuildSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	warm := sys.Design()
+	if warm.HV.Len() == 0 || warm.DW.Len() == 0 {
+		t.Fatalf("design not warm: %d HV views, %d DW views", warm.HV.Len(), warm.DW.Len())
+	}
+	set := func(vs ...[]*views.View) *views.Set {
+		out := views.NewSet()
+		for _, v := range vs {
+			for _, view := range v {
+				out.Add(view)
+			}
+		}
+		return out
+	}
+	hvs, dws := warm.HV.All(), warm.DW.All()
+	designs := map[string]optimizer.Design{
+		"empty":     optimizer.EmptyDesign(),
+		"warm":      {HV: warm.HV, DW: warm.DW},
+		"HV only":   {HV: warm.HV, DW: views.NewSet()},
+		"DW only":   {HV: views.NewSet(), DW: warm.DW},
+		"swapped":   {HV: set(dws), DW: set(hvs)},
+		"all in DW": {HV: views.NewSet(), DW: set(hvs, dws)},
+	}
+	d, est := sys.DW(), sys.DW().Estimator()
+	remainders, discounted := 0, 0
+	for name, design := range designs {
+		for qi, raw := range plans {
+			for _, mp := range sys.Optimizer().EnumeratePlans(raw, design) {
+				if mp.HVOnly {
+					continue
+				}
+				overlay := map[uint64]stats.Stat{}
+				for _, c := range mp.Cuts {
+					if c.DWView == nil {
+						overlay[logical.NewViewScan(c.TempName, nil).ID()] = est.Estimate(c.Node)
+					}
+				}
+				want := d.CostBuilt(mp.DWPart, overlay)
+				if math.Float64bits(mp.EstDW) != math.Float64bits(want) {
+					t.Fatalf("%s design, query %d: EstDW %v (%#x), the built remainder costs %v (%#x)\n%s",
+						name, qi, mp.EstDW, math.Float64bits(mp.EstDW), want, math.Float64bits(want), mp.Explain())
+				}
+				remainders++
+				mp.DWPart.Walk(func(n *logical.Node) {
+					if n.Kind == logical.KindFilter && n.Child(0).Kind == logical.KindViewScan && d.Views.Has(n.Child(0).ViewName) {
+						discounted++
+					}
+				})
+			}
+		}
+	}
+	t.Logf("%d DW remainders matched the built-tree reference; %d filters over a resident DW view", remainders, discounted)
+	if discounted == 0 {
+		t.Fatal("no remainder filters a resident DW view: the index discount went unchecked")
+	}
 }

@@ -17,7 +17,8 @@ import (
 // union of fields and hoisted UDF columns the workload needs, transfers and
 // loads the result into DW permanent space. All of it is charged to the ETL
 // component of TTI. UDFs that DW cannot execute are applied during this ETL
-// pass, as in the paper.
+// pass, as in the paper. A log whose ETL'd view DW still holds is skipped,
+// so after an append dropped a log's view only that log is loaded again.
 func (s *System) runETL() error {
 	if len(s.future) == 0 {
 		return fmt.Errorf("multistore: DW-ONLY requires ProvideFutureWorkload to scope the ETL")
@@ -63,6 +64,9 @@ func (s *System) runETL() error {
 		node, err := buildETLExtract(logName, need.plain, need.udf)
 		if err != nil {
 			return err
+		}
+		if _, ok := s.dw.Views.ByID(node.ID()); ok {
+			continue
 		}
 		res, err := s.hv.ExecuteContext(context.Background(), node, 0)
 		if err != nil {

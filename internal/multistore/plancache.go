@@ -140,17 +140,13 @@ func (s *System) planFor(plan *logical.Node, route Variant, v planVersions) (*op
 	case VariantMSBasic:
 		d := optimizer.EmptyDesign()
 		d.Results = s.results
-		mp, err := s.opt.Choose(plan, d)
-		return mp, true, err
+		return s.opt.Choose(plan, d), true, nil
 	case VariantMSLru, VariantMSMiso, VariantMSOra, VariantMSOff:
 		mp, from := s.keptPlan(plan, v)
 		if mp != nil {
 			return mp, false, nil
 		}
-		e, err := s.choosePlan(plan, v, from)
-		if err != nil {
-			return nil, false, err
-		}
+		e := s.choosePlan(plan, v, from)
 		s.keepPlan(plan, e)
 		return e.mp, true, nil
 	}
@@ -168,7 +164,7 @@ func (s *System) hvOpPlan(raw *logical.Node) *optimizer.MultiPlan {
 // and the version they stand at), and returns the entry that keeps the
 // choice with what it read. The estimator is read live; v.est, read before
 // it, is the estimator version the entry claims.
-func (s *System) choosePlan(plan *logical.Node, v planVersions, from *planEntry) (*planEntry, error) {
+func (s *System) choosePlan(plan *logical.Node, v planVersions, from *planEntry) *planEntry {
 	d := optimizer.Design{HV: s.hv.Views.Clone(), DW: s.dw.Views.Clone()}
 	e := &planEntry{
 		ver: planVersions{hv: d.HV.Version(), dw: d.DW.Version(), est: v.est},
@@ -186,12 +182,8 @@ func (s *System) choosePlan(plan *logical.Node, v planVersions, from *planEntry)
 			e.cuts = e.space.CutIDs()
 		}
 	}
-	mp, err := e.space.Choose(d)
-	if err != nil {
-		return nil, err
-	}
-	e.mp = mp
-	return e, nil
+	e.mp = e.space.Choose(d)
+	return e
 }
 
 // holds reports whether the entry's plan is still the one its space would

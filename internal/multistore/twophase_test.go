@@ -36,16 +36,24 @@ import (
 // allocsAtTwoProcs is the mean allocations of run over runs rounds at
 // GOMAXPROCS 2, counted with runtime.ReadMemStats: testing.AllocsPerRun
 // pins GOMAXPROCS to 1, where no goroutine a step fans out to is seen.
+// Mallocs counts the whole process, so another goroutine's allocation
+// (the runtime's, another test's) lands in whichever measurement is open;
+// the fewest over three measurements is reported, since such strays only
+// add, while an allocation run makes shows in every measurement.
 func allocsAtTwoProcs(runs int, run func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	run() // warm
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		run()
+	fewest := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, float64(after.Mallocs-before.Mallocs)/float64(runs))
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return fewest
 }
 
 // TestReadPhaseHitAllocs guards the read phase of a result-view hit
@@ -606,8 +614,7 @@ func TestVariantsLinearizeInCommitOrder(t *testing.T) {
 // variant v: each draws its served Zipf stream and sends every
 // degradedEvery-th of its queries down the degraded route (none for 0),
 // one of them reorganizes after every perSession/3-th completion, and one
-// appends to the tweets log midway — but on DW-ONLY, where the append drops
-// the ETL'd view of the log and no later query of it could run. It replays the same operations one at a
+// appends to the tweets log midway. It replays the same operations one at a
 // time in commit order on a fresh system and fails unless every query
 // gives the same answer and the replay ends in the same StateDigest. It
 // returns the read phases that computed steps ahead, the commits that took
@@ -630,7 +637,6 @@ func linearize(t *testing.T, v Variant, reuse bool, perSession, degradedEvery in
 	first := len(sqls) // the first served query's sequence number
 	tweets, _ := sys.Catalog().Log(data.TweetsLog)
 	extra := slices.Clone(tweets.Lines[:8])
-	appends := v != VariantDWOnly
 
 	type answer struct {
 		query    int
@@ -689,7 +695,7 @@ func linearize(t *testing.T, v Variant, reuse bool, perSession, degradedEvery in
 				switch n := done.Add(1); {
 				case n%reorgEvery == 0:
 					err = sys.Reorganize()
-				case appends && n == int64(perSession)+7:
+				case n == int64(perSession)+7:
 					var seq, reorgs int
 					seq, reorgs, err = appendAt(sys, data.TweetsLog, extra)
 					mu.Lock()
@@ -711,8 +717,8 @@ func linearize(t *testing.T, v Variant, reuse bool, perSession, degradedEvery in
 	computed, took, executing, retired = nComputed.Load(), nComputed.Load()-dropped.Load(), nComputed.Load()-hits.Load(), nRetired.Load()
 	t.Logf("%d served queries: %d read phases computed steps ahead; %d commits threw some away, %d of them answered by a result view and %d retired by a design move; %d of %d executing commits took them",
 		2*perSession, computed, dropped.Load(), hits.Load(), retired, took, executing)
-	if len(answers) != 2*perSession || appends != (appendSeq >= 0) {
-		t.Fatalf("%d answers and the append at %d; want %d answers and an append: %v", len(answers), appendSeq, 2*perSession, appends)
+	if len(answers) != 2*perSession || appendSeq < 0 {
+		t.Fatalf("%d answers and the append at %d; want %d answers and an append", len(answers), appendSeq, 2*perSession)
 	}
 
 	replay := warm()

@@ -52,7 +52,12 @@ func (s *System) appendLocked(name string, lines []string) (dropped int, sec flo
 
 	dropped, sec = s.hv.MaintainAppend(log, lines, s.cfg.Tuner.Bh)
 	s.metrics.HVExe += sec
-	dropped += s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) })
+	if n := s.dw.Views.RemoveIf(func(v *views.View) bool { return slices.Contains(v.BaseLogs(), name) }); n > 0 {
+		// DW-ONLY's ETL'd view of the log may be among them: its next
+		// query loads the log again.
+		dropped += n
+		s.etlDone = false
+	}
 	// The log's content advanced: the estimator's version moves, which
 	// retires every kept plan space, and a result view is keyed by its
 	// plan's id alone, so every one goes now.

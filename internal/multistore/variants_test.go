@@ -1,12 +1,14 @@
 package multistore_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"miso/internal/data"
 	"miso/internal/logical"
 	"miso/internal/multistore"
+	"miso/internal/storage"
 	"miso/internal/workload"
 )
 
@@ -66,6 +68,83 @@ func TestDWOnlyETLBuildsPerLogViews(t *testing.T) {
 	}
 	if sys.Metrics().ETL != m.ETL {
 		t.Error("ETL charged again")
+	}
+}
+
+// TestDWOnlyAfterAppendMatchesHVOnly appends to the tweets log after
+// DW-ONLY's ETL. The append drops the ETL'd view of the log; the next
+// DW-ONLY query loads that log alone again, charged to ETL and followed by a
+// checkpoint, and every statement's answer then equals HV-ONLY's over the
+// same lines. Recovery from the reload's checkpoint reproduces the system.
+func TestDWOnlyAfterAppendMatchesHVOnly(t *testing.T) {
+	cat, err := data.Generate(data.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := multistore.DefaultConfig(multistore.VariantDWOnly)
+	cfg.SetBudgets(cat, 2.0, 10<<30)
+	cfg.CheckpointEvery = 1 << 20 // only where the journal does not carry a change
+	dwo := multistore.New(cfg, cat)
+	sqls := workload.SQLs()
+	if err := dwo.ProvideFutureWorkload(sqls); err != nil {
+		t.Fatal(err)
+	}
+	hvo := newSystem(t, multistore.VariantHVOnly)
+	if _, err := dwo.Run(sqls[0]); err != nil {
+		t.Fatal(err)
+	}
+	loaded := dwo.DW().Views.All()
+	lines := []string{tweetLine(t, 2_000_001), tweetLine(t, 2_000_002)}
+	for _, sys := range []*multistore.System{dwo, hvo} {
+		if _, err := sys.AppendToLog(data.TweetsLog, lines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dwo.DW().Views.Len(); got != len(loaded)-1 {
+		t.Fatalf("the append left %d of the %d ETL'd views, want %d", got, len(loaded), len(loaded)-1)
+	}
+	etl, ckpts := dwo.Metrics().ETL, dwo.Durability().Checkpoints()
+	for i, sql := range sqls {
+		d, err := dwo.Run(sql)
+		if err != nil {
+			t.Fatalf("DW-ONLY, query %d after the append: %v", i, err)
+		}
+		h, err := hvo.Run(sql)
+		if err != nil {
+			t.Fatalf("HV-ONLY, query %d after the append: %v", i, err)
+		}
+		if storage.ChecksumData(d.Result) != storage.ChecksumData(h.Result) {
+			t.Errorf("query %d: DW-ONLY answers %016x, HV-ONLY %016x", i, storage.ChecksumData(d.Result), storage.ChecksumData(h.Result))
+		}
+		if i == 0 {
+			if dwo.Metrics().ETL <= etl || dwo.Durability().Checkpoints() <= ckpts {
+				t.Errorf("the reload charged ETL %v -> %v and took %d -> %d checkpoints", etl, dwo.Metrics().ETL, ckpts, dwo.Durability().Checkpoints())
+			}
+			etl = dwo.Metrics().ETL
+		}
+	}
+	if dwo.Metrics().ETL != etl {
+		t.Error("ETL charged again after the reload")
+	}
+	// Only the appended log was loaded again: the other views are the ones
+	// the first ETL loaded.
+	kept := 0
+	for _, v := range loaded {
+		if got, ok := dwo.DW().Views.Get(v.Name); ok && got.Table == v.Table {
+			kept++
+		}
+	}
+	if dwo.DW().Views.Len() != len(loaded) || kept != len(loaded)-1 {
+		t.Errorf("after the reload DW holds %d views, %d of them from the first ETL; want %d and %d", dwo.DW().Views.Len(), kept, len(loaded), len(loaded)-1)
+	}
+	rec, rep, err := multistore.Recover(cfg, cat, dwo.Durability().Latest(), dwo.Durability().WAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dwo.Metrics()
+	want.Recovery += rep.Seconds
+	if got := rec.Metrics(); got != want || !slices.Equal(designNames(rec), designNames(dwo)) {
+		t.Errorf("recovered metrics %+v and design %v; live %+v and %v", got, designNames(rec), want, designNames(dwo))
 	}
 }
 

@@ -195,8 +195,9 @@ func rewrite(n *logical.Node, set *views.Set, done map[*logical.Node]*logical.No
 
 // enumerateCuts lists candidate frontiers: each frontier is a set of
 // subtree roots that execute in HV (or resolve to DW views), with
-// everything above running in DW. The frontier {root} (HV-only) is NOT
-// included; it is handled separately.
+// everything above running in DW. The first is {n}, which at the root is
+// the HV-only plan. Every frontier covers each leaf, and no node above its
+// cuts calls a UDF: a node that calls one is never expanded.
 func (o *Optimizer) enumerateCuts(n *logical.Node, limit int) [][]*logical.Node {
 	options := [][]*logical.Node{{n}}
 	if n.Kind == logical.KindExtract || n.Kind == logical.KindScan ||
@@ -240,10 +241,10 @@ func (o *Optimizer) enumerateCuts(n *logical.Node, limit int) [][]*logical.Node 
 // subtree appears in many enumerated frontiers; evaluating it once per
 // choice instead of once per frontier removes the dominant repeated work
 // from the what-if path. Only the migrated working set's temp name differs
-// per frontier (it is positional), so that stays in buildPlan. Every
-// memoized value is a pure function of the node and the design, which a
-// choice holds fixed; the estimated output and transfer cost hold under
-// every design, and the HV cost whenever no HV view rewrites the cut.
+// per frontier (it is positional), so buildPlan names it. Every memoized
+// value is a pure function of the node and the design, which a choice
+// holds fixed; the estimated output and transfer cost hold under every
+// design, and the HV cost whenever no HV view rewrites the cut.
 type cutEval struct {
 	dwView *logical.Node // non-nil when a DW-resident view answers the cut
 	dwBy   *views.View   // the view dwView reads
@@ -290,10 +291,10 @@ func (c *choice) reused(n *logical.Node) bool {
 }
 
 // evalCut evaluates the cut under the choice's design, once per choice.
-// base, when given, is a plan space's slot for the cut, which holds the
-// cut's evaluation when no view touches it: it is filled the first time a
-// choice finds neither a DW view answering the cut nor an HV view rewriting
-// it, and shared with every later choice in the space.
+// base is the plan space's slot for the cut, which holds the cut's
+// evaluation when no view touches it: it is filled the first time a choice
+// finds neither a DW view answering the cut nor an HV view rewriting it,
+// and shared with every later choice in the space.
 func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice, base *spaceCut) *cutEval {
 	if ce, ok := c.cuts[cutNode]; ok {
 		return ce
@@ -307,8 +308,7 @@ func (o *Optimizer) evalCut(cutNode *logical.Node, c *choice, base *spaceCut) *c
 		}
 	}
 	if ce == nil {
-		hvPlan := c.rewriteHV(cutNode)
-		if base != nil && hvPlan == cutNode {
+		if hvPlan := c.rewriteHV(cutNode); hvPlan == cutNode {
 			ce = base.eval(o)
 		} else {
 			ev := o.evalHV(cutNode, hvPlan)
@@ -352,114 +352,69 @@ func wsID(i int) uint64 {
 	return logical.NewViewScan(tempName(i), nil).ID()
 }
 
-// buildPlan assembles and costs the multistore plan for one frontier.
-// The what-if stats of the hypothetical migrated working sets live in a
-// plan-local overlay rather than the shared estimator cache, so buildPlan
-// never mutates shared state: concurrent costing calls reusing the same
-// temp names (ws_0, ws_1, ...) cannot clobber each other.
-func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, c *choice) (*MultiPlan, error) {
-	plan := &MultiPlan{}
-	var totalBytes int64
-
-	// Replace each frontier subtree in the DW part.
-	replace := map[*logical.Node]*logical.Node{}
-	var overlay map[uint64]stats.Stat
-	for i, cutNode := range frontier {
-		cut := Cut{Node: cutNode, TempName: tempName(i)}
-		ce := o.evalCut(cutNode, c, nil)
+// buildPlan assembles frontier fi's plan into p, which frontierCost costed
+// under the choice: each cut as the choice evaluated it, and the DW part,
+// which reads a DW view's rewrite in place of a cut it answers and a scan of
+// the migrated working set in place of any other.
+func (s *PlanSpace) buildPlan(fi int, c *choice, p *MultiPlan) {
+	f := &s.frontiers[fi]
+	p.Cuts = make([]Cut, len(f.cuts))
+	with := make([]*logical.Node, len(f.cuts))
+	for i, n := range f.cuts {
+		ce := c.cuts[n]
+		cut := Cut{Node: n, TempName: tempName(i)}
 		if ce.dwView != nil {
-			cut.DWView = ce.dwView
-			replace[cutNode] = ce.dwView
-			plan.Cuts = append(plan.Cuts, cut)
-			continue
+			cut.DWView, with[i] = ce.dwView, ce.dwView
+		} else {
+			cut.HVPlan, cut.EstBytes = ce.hvPlan, ce.st.Bytes
+			with[i] = logical.NewViewScan(cut.TempName, n.Schema())
 		}
-		cut.HVPlan = ce.hvPlan
-		cut.EstBytes = ce.st.Bytes
-		totalBytes += ce.st.Bytes
-		if overlay == nil {
-			overlay = make(map[uint64]stats.Stat, len(frontier))
-		}
-		ws := logical.NewViewScan(cut.TempName, cutNode.Schema())
-		overlay[ws.ID()] = ce.st
-		replace[cutNode] = ws
-		if !c.reused(cutNode) {
-			plan.EstHV += ce.hvCost
-		}
-		plan.EstTransfer += ce.xfer
-		plan.Cuts = append(plan.Cuts, cut)
+		p.Cuts[i] = cut
 	}
-	plan.EstTransferBytes = totalBytes
-
-	dwPart, err := substitute(raw, replace)
-	if err != nil {
-		return nil, err
-	}
-	if dwPart.UsesUDF() {
-		return nil, fmt.Errorf("optimizer: DW part contains a UDF")
-	}
-	plan.DWPart = dwPart
-	plan.EstDW = o.dw.CostPlanWith(dwPart, overlay)
-	return plan, nil
+	p.DWPart = substitute(s.raw, f.cuts, with)
 }
 
-// substitute copies the tree above the replaced subtrees, swapping them.
-func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node) (*logical.Node, error) {
-	if r, ok := replace[n]; ok {
-		return r, nil
-	}
-	if len(n.Children) == 0 {
-		return nil, fmt.Errorf("optimizer: leaf %s not covered by any cut", n.Kind)
+// substitute copies the tree above the cuts, each cuts[i] swapped for
+// with[i].
+func substitute(n *logical.Node, cuts, with []*logical.Node) *logical.Node {
+	if i := slices.Index(cuts, n); i >= 0 {
+		return with[i]
 	}
 	kids := make([]*logical.Node, len(n.Children))
 	for i, c := range n.Children {
-		var err error
-		if kids[i], err = substitute(c, replace); err != nil {
-			return nil, err
-		}
+		kids[i] = substitute(c, cuts, with)
 	}
-	return n.WithChildren(kids), nil
+	return n.WithChildren(kids)
 }
 
-// hvOnlyPlan builds and costs full-HV execution. base, when given, is a plan
-// space's slot for the whole plan, which holds its HV cost when no HV view
-// rewrites it.
-func (o *Optimizer) hvOnlyPlan(raw *logical.Node, c *choice, base *spaceCut) *MultiPlan {
-	p := c.rewriteHV(raw)
-	if base != nil && p == raw {
-		return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: base.eval(o).hvCost}
+// hvOnlyPlan costs full-HV execution under the choice; the space's slot for
+// the whole plan holds its HV cost when no HV view rewrites it.
+func (s *PlanSpace) hvOnlyPlan(c *choice) MultiPlan {
+	p := c.rewriteHV(s.raw)
+	if p == s.raw {
+		return MultiPlan{HVOnly: true, HVPlan: p, EstHV: s.whole.eval(s.o).hvCost}
 	}
-	return &MultiPlan{HVOnly: true, HVPlan: p, EstHV: o.hv.CostPlan(p)}
-}
-
-// splitFrontiers lists the frontiers of the query's split plans: every
-// enumerated frontier but {root}, which is the HV-only plan.
-func (o *Optimizer) splitFrontiers(raw *logical.Node) [][]*logical.Node {
-	all := o.enumerateCuts(raw, o.maxPlans)
-	out := all[:0]
-	for _, frontier := range all {
-		if len(frontier) == 1 && frontier[0] == raw {
-			continue // HV-only already covered
-		}
-		out = append(out, frontier)
-	}
-	return out
+	return MultiPlan{HVOnly: true, HVPlan: p, EstHV: s.o.hv.CostPlan(p)}
 }
 
 // EnumeratePlans returns every candidate multistore plan with estimated
-// costs, the HV-only plan first, then one plan per enumerated split: Figure
-// 3's listing, and the reference PlanSpace is held to. One call rewrites
-// each raw node against the HV views at most once (the HV-only plan and
-// every cut share the rewrites), so a cut's HVPlan may be a subtree of the
-// HV-only plan's HVPlan.
+// costs, the HV-only plan first, then one plan per enumerated split that
+// DW can run under the design: Figure 3's listing, summed by the same
+// frontierCost plan choice reads. One call rewrites each raw node against
+// the HV views at most once (the HV-only plan and every cut share the
+// rewrites), so a cut's HVPlan may be a subtree of the HV-only plan's
+// HVPlan.
 func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
+	s := o.PlanSpace(raw)
+	s.once = true
 	c := newChoice(d)
-	plans := []*MultiPlan{o.hvOnlyPlan(raw, c, nil)}
-	for _, frontier := range o.splitFrontiers(raw) {
-		p, err := o.buildPlan(raw, frontier, c)
-		if err != nil {
-			continue // invalid split (UDF above the cut, etc.)
+	hvOnly := s.hvOnlyPlan(c)
+	plans := []*MultiPlan{&hvOnly}
+	for fi := range s.frontiers {
+		if p, ok := s.frontierCost(fi, c); ok {
+			s.buildPlan(fi, c, &p)
+			plans = append(plans, &p)
 		}
-		plans = append(plans, p)
 	}
 	return plans
 }
@@ -467,25 +422,26 @@ func (o *Optimizer) EnumeratePlans(raw *logical.Node, d Design) []*MultiPlan {
 // Choose returns the cheapest multistore plan for the query under the
 // design, chosen in a space of its own that remembers no DW remainder: it
 // is chosen in once.
-func (o *Optimizer) Choose(raw *logical.Node, d Design) (*MultiPlan, error) {
+func (o *Optimizer) Choose(raw *logical.Node, d Design) *MultiPlan {
 	s := o.PlanSpace(raw)
 	s.once = true
 	return s.Choose(d)
 }
 
-// PlanSpace is the design-independent half of costing one query: its split
-// frontiers — those buildPlan accepts under the empty design: every leaf
-// lies under a cut and no node above the cuts calls a UDF, decided when the
-// space is built — and, filled the first time a choice needs them, each
-// cut's evaluation when no view touches it (spaceCut) and each frontier's
-// DW remainder cost when no DW view answers a cut. All of it is a function
+// PlanSpace is the optimizer's one way to list, cost and build a query's
+// plans. It holds the design-independent half of costing the query: its
+// split frontiers — every one enumerateCuts lists but {root}: each covers
+// every leaf, and no node above its cuts calls a UDF — and, filled the
+// first time a choice needs them, each cut's evaluation when no view
+// touches it (spaceCut) and each frontier's DW remainder cost when no DW
+// view answers a cut. All of it is a function
 // of the plan and the estimator alone, so one space serves every design the
 // query is costed or chosen under until the estimator's Version moves (a log
 // append moves it too). Beside that, a space chosen in more than once
 // remembers the DW remainder's cost of every frontier a design's DW views
 // answered (remainderKey). No remainder is built to be costed:
 // dw.Store.CostAbove walks the raw nodes above the cuts, and only the
-// winning plan is built.
+// winning plan is built, from what costing it evaluated.
 //
 // Concurrency contract: building a space and Cost and Choose on it are pure
 // reads of the stores, the estimator and the design — no stats recorded, no
@@ -544,8 +500,8 @@ type remainderKey struct {
 	resident uint8 // bit i: the DW store holds dw[i]
 }
 
-// remainder is a remembered DW remainder's cost; ok is false when buildPlan
-// would refuse the frontier under the key's DW views.
+// remainder is a remembered DW remainder's cost; ok is false when DW cannot
+// run the remainder under the key's DW views.
 type remainder struct {
 	estDW float64
 	ok    bool
@@ -563,7 +519,7 @@ type spaceFrontier struct {
 func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 	s := &PlanSpace{o: o, raw: raw}
 	s.whole.node = raw
-	all := o.splitFrontiers(raw)
+	all := o.enumerateCuts(raw, o.maxPlans)[1:] // {root} is the HV-only plan
 	width := 0
 	for _, f := range all {
 		width += len(f)
@@ -571,11 +527,7 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 	var nodes []*logical.Node
 	slots := make([]int32, 0, width)
 	s.frontiers = make([]spaceFrontier, len(all))
-	kept := 0
-	for _, f := range all {
-		if !splittable(raw, f) {
-			continue // refused for what lies above the cuts, so under every design
-		}
+	for fi, f := range all {
 		at := len(slots)
 		for _, n := range f {
 			k := slices.Index(nodes, n)
@@ -585,33 +537,13 @@ func (o *Optimizer) PlanSpace(raw *logical.Node) *PlanSpace {
 			}
 			slots = append(slots, int32(k))
 		}
-		s.frontiers[kept].cuts, s.frontiers[kept].slots = f, slots[at:]
-		kept++
+		s.frontiers[fi].cuts, s.frontiers[fi].slots = f, slots[at:]
 	}
-	s.frontiers = s.frontiers[:kept]
 	s.cuts = make([]spaceCut, len(nodes))
 	for i, n := range nodes {
 		s.cuts[i].node = n
 	}
 	return s
-}
-
-// splittable reports whether buildPlan accepts the frontier under the empty
-// design: every leaf lies under a cut and no node above the cuts calls a
-// UDF.
-func splittable(n *logical.Node, frontier []*logical.Node) bool {
-	if slices.Contains(frontier, n) {
-		return true
-	}
-	if len(n.Children) == 0 || n.UsesUDFHere() {
-		return false
-	}
-	for _, c := range n.Children {
-		if !splittable(c, frontier) {
-			return false
-		}
-	}
-	return true
 }
 
 // CutIDs lists, sorted and without repeats, the id of every cut of every
@@ -629,63 +561,64 @@ func (s *PlanSpace) CutIDs() []uint64 {
 // under a hypothetical design, bit-identical to the minimum EstTotal over
 // EnumeratePlans(raw, d).
 func (s *PlanSpace) Cost(d Design) float64 {
-	_, _, _, total := s.argmin(d)
-	return total
+	_, best, _ := s.argmin(d)
+	return best.EstTotal()
 }
 
 // Choose returns the query's cheapest plan under the design: the plan
 // EnumeratePlans(raw, d) lists first among those of least EstTotal, built
 // alone.
-func (s *PlanSpace) Choose(d Design) (*MultiPlan, error) {
-	c, hvOnly, best, _ := s.argmin(d)
-	if best < 0 {
-		return hvOnly, nil
+func (s *PlanSpace) Choose(d Design) *MultiPlan {
+	c, best, fi := s.argmin(d)
+	if fi >= 0 {
+		s.buildPlan(fi, c, &best)
 	}
-	return s.o.buildPlan(s.raw, s.frontiers[best].cuts, c)
+	return &best
 }
 
 // argmin is Cost's and Choose's one loop: it visits the plans in
 // EnumeratePlans' order, keeps the first of least total (strict <) and
-// returns the choice it costed in, the HV-only plan, the winning frontier
-// (-1: the HV-only plan) and its total. Every frontier sums as buildPlan and
-// EstTotal do, the remainder's cost last: the plain one (plainRemainder)
-// when no DW view answers a cut, else the one under the design's DW views
-// (remainder).
-func (s *PlanSpace) argmin(d Design) (c *choice, hvOnly *MultiPlan, best int, total float64) {
-	o := s.o
+// returns the choice it costed in, the winner's costs (the HV-only plan
+// whole) and its frontier (-1: the HV-only plan).
+func (s *PlanSpace) argmin(d Design) (c *choice, best MultiPlan, bestFi int) {
 	c = newChoice(d)
-	hvOnly = o.hvOnlyPlan(s.raw, c, &s.whole)
-	best, total = -1, hvOnly.EstTotal()
+	best, bestFi = s.hvOnlyPlan(c), -1
 	for fi := range s.frontiers {
-		f := &s.frontiers[fi]
-		var estHV, estTransfer float64
-		answered := false
-		for k, cutNode := range f.cuts {
-			ce := o.evalCut(cutNode, c, &s.cuts[f.slots[k]])
-			if ce.dwView != nil {
-				answered = true
-				continue
-			}
-			if !c.reused(cutNode) {
-				estHV += ce.hvCost
-			}
-			estTransfer += ce.xfer
-		}
-		var estDW float64
-		if answered {
-			r := s.remainder(fi, c)
-			if !r.ok {
-				continue
-			}
-			estDW = r.estDW
-		} else {
-			estDW = s.plainRemainder(f, c)
-		}
-		if t := estHV + estTransfer + estDW; t < total {
-			best, total = fi, t
+		if p, ok := s.frontierCost(fi, c); ok && p.EstTotal() < best.EstTotal() {
+			best, bestFi = p, fi
 		}
 	}
-	return c, hvOnly, best, total
+	return c, best, bestFi
+}
+
+// frontierCost sums frontier fi's plan under the choice into a plan with no
+// parts, as EstTotal adds them: the HV cost, then the transfer cost, then
+// the DW remainder's — the plain one (plainRemainder) when no DW view
+// answers a cut, else the one under the design's DW views (remainder). ok is
+// false where DW cannot run the remainder: a DW view's rewrite of a cut
+// calls a UDF.
+func (s *PlanSpace) frontierCost(fi int, c *choice) (p MultiPlan, ok bool) {
+	f := &s.frontiers[fi]
+	answered := false
+	for k, cutNode := range f.cuts {
+		ce := s.o.evalCut(cutNode, c, &s.cuts[f.slots[k]])
+		if ce.dwView != nil {
+			answered = true
+			continue
+		}
+		if !c.reused(cutNode) {
+			p.EstHV += ce.hvCost
+		}
+		p.EstTransfer += ce.xfer
+		p.EstTransferBytes += ce.st.Bytes
+	}
+	if !answered {
+		p.EstDW = s.plainRemainder(f, c)
+		return p, true
+	}
+	r := s.remainder(fi, c)
+	p.EstDW = r.estDW
+	return p, r.ok
 }
 
 // plainRemainder is the frontier's DW remainder cost when every cut runs in
@@ -738,9 +671,9 @@ func (s *PlanSpace) remainder(fi int, c *choice) remainder {
 }
 
 // costRemainder costs the frontier's DW remainder under the choice's
-// evaluations of its cuts without building it (dw.Store.CostAbove): to the
-// bit what buildPlan's EstDW would be. It reports false where buildPlan
-// refuses the frontier: a DW view's rewrite of a cut calls a UDF.
+// evaluations of its cuts without building it (dw.Store.CostAbove). It
+// reports false where DW cannot run the remainder: a DW view's rewrite of a
+// cut calls a UDF.
 func (s *PlanSpace) costRemainder(f *spaceFrontier, c *choice) (float64, bool) {
 	var buf [len(tempNames)]dw.Stand
 	stands := buf[:0]

@@ -132,10 +132,7 @@ func TestChoosePicksCheapest(t *testing.T) {
 	p := f.plan(t, joinAgg)
 	d := optimizer.EmptyDesign()
 	plans := f.opt.EnumeratePlans(p, d)
-	best, err := f.opt.Choose(p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := f.opt.Choose(p, d)
 	for _, mp := range plans {
 		if mp.EstTotal() < best.EstTotal() {
 			t.Errorf("Choose returned %.1f, but a plan costs %.1f", best.EstTotal(), mp.EstTotal())
@@ -168,10 +165,7 @@ func TestDWResidentViewEnablesBypass(t *testing.T) {
 	f.est.RecordView(v.Name, stats.Stat{Rows: int64(table.NumRows()), Bytes: table.LogicalBytes()})
 
 	d := optimizer.Design{HV: views.NewSet(), DW: f.dw.Views}
-	best, err := f.opt.Choose(p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := f.opt.Choose(p, d)
 	if best.HVOnly {
 		t.Fatal("optimizer ignored the DW view")
 	}
@@ -232,9 +226,7 @@ func BenchmarkChooseWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
-			if _, err := opt.Choose(p, d); err != nil {
-				b.Fatal(err)
-			}
+			opt.Choose(p, d)
 		}
 	}
 }
@@ -246,11 +238,7 @@ func swappedDesign(tb testing.TB, o *optimizer.Optimizer, warm optimizer.Design,
 	tb.Helper()
 	reads := map[string]int{}
 	for _, p := range plans {
-		mp, err := o.Choose(p, warm)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, c := range mp.Cuts {
+		for _, c := range o.Choose(p, warm).Cuts {
 			if c.DWView != nil {
 				c.DWView.Walk(func(n *logical.Node) {
 					if n.Kind == logical.KindViewScan {
@@ -287,14 +275,11 @@ func swappedDesign(tb testing.TB, o *optimizer.Optimizer, warm optimizer.Design,
 
 // chosenSpaces builds one plan space per plan and chooses in each under d,
 // as the plan cache keeps them.
-func chosenSpaces(tb testing.TB, o *optimizer.Optimizer, plans []*logical.Node, d optimizer.Design) []*optimizer.PlanSpace {
-	tb.Helper()
+func chosenSpaces(o *optimizer.Optimizer, plans []*logical.Node, d optimizer.Design) []*optimizer.PlanSpace {
 	spaces := make([]*optimizer.PlanSpace, len(plans))
 	for i, p := range plans {
 		spaces[i] = o.PlanSpace(p)
-		if _, err := spaces[i].Choose(d); err != nil {
-			tb.Fatal(err)
-		}
+		spaces[i].Choose(d)
 	}
 	return spaces
 }
@@ -312,25 +297,20 @@ func BenchmarkRecostWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		spaces := chosenSpaces(b, opt, plans, warm)
+		spaces := chosenSpaces(opt, plans, warm)
 		b.StartTimer()
 		for _, sp := range spaces {
-			if _, err := sp.Choose(swapped); err != nil {
-				b.Fatal(err)
-			}
+			sp.Choose(swapped)
 		}
 	}
 }
 
 // mallocs counts the heap allocations of run over the n statements.
-func mallocs(t *testing.T, n int, run func(i int) error) uint64 {
-	t.Helper()
+func mallocs(n int, run func(i int)) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		if err := run(i); err != nil {
-			t.Fatal(err)
-		}
+		run(i)
 	}
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
@@ -347,9 +327,9 @@ func TestPlanSpaceRecostAllocs(t *testing.T) {
 	sys, plans, _ := warmSystem(t)
 	opt, warm := sys.Optimizer(), sys.Design()
 	swapped := swappedDesign(t, opt, warm, plans)
-	spaces := chosenSpaces(t, opt, plans, warm)
-	recost := mallocs(t, len(plans), func(i int) error { _, err := spaces[i].Choose(swapped); return err })
-	fresh := mallocs(t, len(plans), func(i int) error { _, err := opt.Choose(plans[i], swapped); return err })
+	spaces := chosenSpaces(opt, plans, warm)
+	recost := mallocs(len(plans), func(i int) { spaces[i].Choose(swapped) })
+	fresh := mallocs(len(plans), func(i int) { opt.Choose(plans[i], swapped) })
 	t.Logf("after a DW swap the 32 statements allocate %d times re-costed, %d chosen afresh", recost, fresh)
 	if 2*recost > fresh {
 		t.Errorf("a re-cost allocates %d times, more than half of a fresh choice's %d", recost, fresh)
@@ -357,24 +337,26 @@ func TestPlanSpaceRecostAllocs(t *testing.T) {
 }
 
 // TestFreshChooseAllocs guards what a fresh plan choice costs against the
-// enumeration plan spaces replaced: over the 32 statements under the warm
-// design, Optimizer.Choose — a new space per statement, whose cuts and plain
-// remainders are costed when first needed and whose DW remainders are
-// costed without being built, the winner's aside — must allocate no more
-// than EnumeratePlans, which builds and costs every plan.
+// full listing: over the 32 statements under the warm design,
+// Optimizer.Choose — a new space per statement, whose cuts and plain
+// remainders are costed when first needed, whose DW remainders are costed
+// without being built, and which builds the winner alone — must allocate
+// no more than EnumeratePlans, which builds every plan it lists. They read
+// 6 702 and 10 680 allocations; 7 061 and 11 441 while the winner was
+// costed a second time on its built tree.
 func TestFreshChooseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	sys, plans, _ := warmSystem(t)
 	opt, d := sys.Optimizer(), sys.Design()
-	choose := func(i int) error { _, err := opt.Choose(plans[i], d); return err }
-	enumerate := func(i int) error { opt.EnumeratePlans(plans[i], d); return nil }
+	choose := func(i int) { opt.Choose(plans[i], d) }
+	enumerate := func(i int) { opt.EnumeratePlans(plans[i], d) }
 	// One pass of each first, so neither count holds the memo cells a
 	// plan's first costing fills.
-	mallocs(t, len(plans), choose)
-	mallocs(t, len(plans), enumerate)
-	fresh, all := mallocs(t, len(plans), choose), mallocs(t, len(plans), enumerate)
+	mallocs(len(plans), choose)
+	mallocs(len(plans), enumerate)
+	fresh, all := mallocs(len(plans), choose), mallocs(len(plans), enumerate)
 	t.Logf("the 32 statements allocate %d times chosen afresh, %d enumerated", fresh, all)
 	if fresh > all {
 		t.Errorf("a fresh choice allocates %d times, more than the enumeration's %d", fresh, all)
@@ -400,9 +382,7 @@ func BenchmarkBuildChooseWarm(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := opt.Choose(p, d); err != nil {
-				b.Fatal(err)
-			}
+			opt.Choose(p, d)
 		}
 	}
 }

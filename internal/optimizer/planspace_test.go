@@ -48,7 +48,9 @@ func designOf(hvViews, dwViews []*views.View) optimizer.Design {
 }
 
 // sameCost fails unless the space and the oracle agree to the bit, and the
-// space chooses the oracle's plan: the same EstTotal bits and Explain.
+// space chooses the oracle's plan: the same EstTotal bits and Explain. The
+// oracle lists the plans in a fresh space of its own (EnumeratePlans), so
+// a space kept across designs is held to a fresh space per design.
 func sameCost(t testing.TB, what string, o *optimizer.Optimizer, sp *optimizer.PlanSpace, raw *logical.Node, d optimizer.Design) {
 	t.Helper()
 	oracle := cheapest(o.EnumeratePlans(raw, d))
@@ -57,10 +59,7 @@ func sameCost(t testing.TB, what string, o *optimizer.Optimizer, sp *optimizer.P
 		t.Fatalf("%s: plan space costs %v (%#x), EnumeratePlans %v (%#x)",
 			what, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
-	mp, err := sp.Choose(d)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
+	mp := sp.Choose(d)
 	if math.Float64bits(mp.EstTotal()) != math.Float64bits(want) || mp.Explain() != oracle.Explain() {
 		t.Fatalf("%s: the space chose\n%s\nEnumeratePlans' cheapest is\n%s", what, mp.Explain(), oracle.Explain())
 	}
@@ -133,12 +132,16 @@ func warmSystem(t testing.TB) (*multistore.System, []*logical.Node, []*views.Vie
 	return sys, plans, universe
 }
 
-// TestPlanSpaceCostEqualsEnumerate pins plan choice and what-if costing to
-// the full enumeration: PlanSpace.Cost must return, bit for bit, the
-// minimum EstTotal over EnumeratePlans, and PlanSpace.Choose its first plan
-// of least EstTotal — for the four probe shapes
-// Tune issues, for random designs, for both kinds of DW match, and under
-// the plan cap, the optimizer knob that changes the enumeration.
+// TestPlanSpaceCostEqualsEnumerate pins plan choice and what-if costing in
+// a kept space to the full enumeration in a fresh one: PlanSpace.Cost of a
+// space reused across designs must return, bit for bit, the minimum
+// EstTotal over EnumeratePlans under each design, and PlanSpace.Choose its
+// first plan of least EstTotal — for the four probe shapes Tune issues,
+// for random designs, for both kinds of DW match, and under the plan cap,
+// the optimizer knob that changes the enumeration. Both sum through
+// frontierCost, so what this holds is that nothing a space keeps (its
+// filled slots, its remembered remainders) leaks from one design into the
+// next.
 func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 	sys, plans, universe := warmSystem(t)
 	o := sys.Optimizer()
@@ -302,7 +305,8 @@ func TestPlanSpaceCostEqualsEnumerate(t *testing.T) {
 // UDF above a cut (SQL plans hoist UDFs into the Extract, and a node that
 // calls one is pinned to HV with everything under it), but a DW view that
 // answers a UDF-bearing cut through a residual filter would put the UDF in
-// DW, so buildPlan drops that split under that design — in both paths.
+// DW, so frontierCost drops that split under that design — for the kept
+// space and the listing alike.
 func TestPlanSpaceCostUnderDWMatches(t *testing.T) {
 	f := setup(t)
 	raw := f.plan(t, `SELECT lang, COUNT(*) AS n FROM tweets
@@ -417,10 +421,7 @@ func TestPlanSpaceConcurrentFill(t *testing.T) {
 	for qi, raw := range plans {
 		want := make([]answer, len(designs))
 		for k, d := range designs {
-			mp, err := o.PlanSpace(raw).Choose(d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mp := o.PlanSpace(raw).Choose(d)
 			want[k] = answer{math.Float64bits(o.PlanSpace(raw).Cost(d)), mp.Explain()}
 			if want[k].cost != math.Float64bits(mp.EstTotal()) {
 				t.Fatalf("query %d, design %d: Cost %v, Choose's plan %v", qi, k, math.Float64frombits(want[k].cost), mp.EstTotal())
@@ -444,11 +445,7 @@ func TestPlanSpaceConcurrentFill(t *testing.T) {
 							return
 						}
 					}
-					mp, err := sp.Choose(designs[k])
-					if err != nil {
-						t.Error(err)
-						return
-					}
+					mp := sp.Choose(designs[k])
 					if got := (answer{math.Float64bits(mp.EstTotal()), mp.Explain()}); got != want[k] {
 						t.Errorf("query %d, design %d: the shared space chose\n%s\nalone it chooses\n%s", qi, k, got.explain, want[k].explain)
 						return

@@ -112,25 +112,10 @@ func (e *Estimator) InvalidateLog(name string) int {
 	return n
 }
 
-// Estimate returns the estimated output size of the subtree, consulting the
-// feedback cache first.
+// Estimate returns the estimated output size of the subtree: the feedback
+// cache's stat for it, else one derived from its children's estimates. It
+// reads only ids, which are set when a node is built.
 func (e *Estimator) Estimate(n *logical.Node) Stat {
-	return e.EstimateWith(n, nil)
-}
-
-// EstimateWith estimates like Estimate but consults the local overlay map
-// (node id -> stat) before the shared feedback cache, at every level of
-// the recursion. The overlay lets a caller cost a plan against hypothetical
-// relations — the optimizer's migrated working sets — without publishing
-// their stats into the shared cache, which keeps the what-if cost path
-// read-only and therefore safe for concurrent use: parallel costing calls
-// reusing the same temp names (ws_0, ws_1, ...) can no longer clobber each
-// other. It reads only ids, which are set when a node is built. A nil
-// overlay makes EstimateWith identical to Estimate.
-func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat {
-	if s, ok := overlay[n.ID()]; ok {
-		return s
-	}
 	if s, ok := e.Lookup(n.ID()); ok {
 		return s
 	}
@@ -139,9 +124,9 @@ func (e *Estimator) EstimateWith(n *logical.Node, overlay map[uint64]Stat) Stat 
 	switch n.Kind {
 	case logical.KindScan, logical.KindExtract, logical.KindViewScan:
 	default:
-		l, in = e.EstimateWith(n.Children[0], overlay), n.Children[0].Schema()
+		l, in = e.Estimate(n.Children[0]), n.Children[0].Schema()
 		if n.Kind == logical.KindJoin {
-			r = e.EstimateWith(n.Children[1], overlay)
+			r = e.Estimate(n.Children[1])
 		}
 	}
 	return e.Derive(n, l, r, in)
